@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _product, compose_green, coupling_apply
+from .coupling import _sliced_integral, compose_green, coupling_apply
 from .errors import ModelDomainError, PreconditionError
-from .kernels import Fn, Interval1D, ModelSpace, is_grid_function
+from .kernels import Interval1D, ModelSpace
 from .quadrature import as_vectorized, integrate
 from .values import (IDENTITY_TOL, QUAD_TOL, DivergenceCertificate,
                      ExtendedValue)
@@ -34,24 +34,6 @@ OSC_NOISE = 1e-6
 
 # ---------------------------------------------------------------------------
 # V*: the transposed coupling.
-
-def _flip_side(side: str) -> str:
-    if side == "left":
-        return "right"
-    if side == "right":
-        return "left"
-    return side
-
-
-def _unmirror_certificate(cert: DivergenceCertificate,
-                          axis: float) -> DivergenceCertificate:
-    loc = cert.location
-    if isinstance(loc, (int, float)) and math.isfinite(float(loc)):
-        loc = axis - float(loc)
-    return DivergenceCertificate(location=loc, side=_flip_side(cert.side),
-                                 estimated_exponent=cert.estimated_exponent,
-                                 probe_trace=cert.probe_trace)
-
 
 def adjoint_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL) -> ExtendedValue:
     """V*f(x) = int G2(y,x) f(y) dmu(y), as an extended value.
@@ -69,38 +51,8 @@ def adjoint_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL) -> ExtendedVal
     """
     if model.is_radial:
         return coupling_apply(model, f, x, tol=tol)
-    dom: Interval1D = model.domain
-    x = dom.require(x)
-    g = model.G2.slice_in_first(x)      # y -> G2(y, x)
-    integrand = _product(g, f)
-    sings = set(integrand.singular_points)
-    if is_grid_function(f) and sings:
-        raise PreconditionError(
-            "grid functions carry no information below their spacing; this "
-            f"integral must resolve singular points {sorted(sings)}")
-    lo, hi = dom.lo, dom.hi
-    if integrand.support is not None:
-        lo, hi = max(lo, integrand.support[0]), min(hi, integrand.support[1])
-        if hi <= lo:
-            return ExtendedValue.finite(0.0)
-    weighted = as_vectorized(model.mu.weighted(integrand))
-    axis = lo + hi
-
-    def rev(t):
-        return np.asarray(weighted(axis - np.asarray(t, dtype=float)),
-                          dtype=float)
-
-    rev.vectorized = True
-    res = integrate(rev, (lo, hi),
-                    singular_points=sorted(axis - s for s in sings
-                                           if lo <= s <= hi),
-                    tol=tol,
-                    breakpoints=[axis - b for b in integrand.breakpoints])
-    val = res.value
-    if not val.is_finite:
-        val = ExtendedValue.infinite(
-            _unmirror_certificate(val.certificate, axis))
-    return val
+    return _sliced_integral(model, model.G2.slice_in_first, f, x, tol,
+                            mirrored=True)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from . import __version__, reports, suites
 from .adjoint import adjoint_apply
 from .coupling import compose_green, coupling_apply
 from .errors import ConfigError, GreenLabError
-from .kernels import constant
-from .models import MODEL_NAMES, get_model
+from .kernels import constant, kernel_eval
+from .models import get_model
 from .values import FD_TOL, IDENTITY_TOL, QUAD_TOL
 
 KERNELS = ("g1", "g2", "h", "v", "vstar")
@@ -58,9 +58,7 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> "RunConfig":
-        if self.model not in MODEL_NAMES:
-            raise ConfigError(f"unknown model '{self.model}'; choose from "
-                              f"{', '.join(MODEL_NAMES)}")
+        get_model(self.model)       # raises ConfigError for an unknown model
         if self.kernel is not None and self.kernel not in KERNELS:
             raise ConfigError(f"unknown kernel '{self.kernel}'; choose from "
                               f"{', '.join(KERNELS)}")
@@ -191,11 +189,8 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
                               f"(or --dist on the radial models)")
         for x in cfg.xs:
             for y in cfg.ys:
-                raw = float(kern.raw(x, y))
-                if raw != raw or raw == float("inf"):
-                    rows.append((_fmt(x), _fmt(y), "INF", ""))
-                else:
-                    rows.append((_fmt(x), _fmt(y), _fmt(raw), "0"))
+                rows.append((_fmt(x), _fmt(y))
+                            + _value_cells(kernel_eval(kern, x, y)))
         return ("x", "y", "value", "bound_or_exponent"), rows
     if kernel == "h":
         if cfg.dists and model.is_radial:
@@ -285,8 +280,9 @@ def cmd_report(cfg: RunConfig, target: str) -> int:
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=MODEL_NAMES, default=None,
-                        help="model space to work in")
+    parser.add_argument("--model", default=None,
+                        help="model space to work in: interval, bilaplace, "
+                             "or newtonian<N> for any N >= 5")
     parser.add_argument("--tol-quad", dest="tol_quad", type=float,
                         default=None, help="quadrature tolerance")
     parser.add_argument("--tol-identity", dest="tol_identity", type=float,
@@ -354,16 +350,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         return cmd_report(cfg, args.target)
-    except ConfigError as exc:
-        print(f"greenlab: {exc}", file=sys.stderr)
-        return 2
     except GreenLabError as exc:
         print(f"greenlab: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from .errors import ClassificationError, PreconditionError
 from .kernels import (BiharmonicPair, Fn, Interval1D, ModelSpace,
                       is_grid_function)
 from .quadrature import as_vectorized, integrate, integrate_radial
-from .values import IDENTITY_TOL, QUAD_TOL, ExtendedValue
+from .values import (IDENTITY_TOL, QUAD_TOL, DivergenceCertificate,
+                     ExtendedValue)
 from . import riquier
 
 
@@ -36,19 +37,71 @@ def _product(g, f) -> Fn:
               support=getattr(f, "support", None))
 
 
+def _flip_side(side: str) -> str:
+    if side == "left":
+        return "right"
+    if side == "right":
+        return "left"
+    return side
+
+
+def _unmirror_certificate(cert: DivergenceCertificate,
+                          axis: float) -> DivergenceCertificate:
+    loc = cert.location
+    if isinstance(loc, (int, float)) and math.isfinite(float(loc)):
+        loc = axis - float(loc)
+    return DivergenceCertificate(location=loc, side=_flip_side(cert.side),
+                                 estimated_exponent=cert.estimated_exponent,
+                                 probe_trace=cert.probe_trace)
+
+
+def _sliced_integral(model: ModelSpace, kernel_slice, f, x, tol: float,
+                     mirrored: bool = False) -> ExtendedValue:
+    """V and V*: int k(y) f(y) dmu(y) on the 1D domain, k = kernel_slice(x).
+
+    ``mirrored`` integrates in t = lo + hi - y, so the panels differ from the
+    forward ones, and maps a divergence certificate back to y.
+    """
+    x = model.domain.require(x)
+    integrand = _product(kernel_slice(x), f)
+    sings = set(integrand.singular_points)
+    if is_grid_function(f) and sings:
+        raise PreconditionError(
+            "grid functions carry no information below their spacing; this "
+            f"integral must resolve singular points {sorted(sings)}")
+    lo, hi = model.domain.lo, model.domain.hi
+    if integrand.support is not None:
+        lo, hi = max(lo, integrand.support[0]), min(hi, integrand.support[1])
+        if hi <= lo:
+            return ExtendedValue.finite(0.0)
+    weighted = model.mu.weighted(integrand)
+    sings = [s for s in sings if lo <= s <= hi]
+    bks = integrand.breakpoints
+    if mirrored:
+        axis = lo + hi
+        forward = weighted
+
+        def weighted(t):
+            return np.asarray(forward(axis - np.asarray(t, dtype=float)),
+                              dtype=float)
+
+        weighted.vectorized = True
+        sings = [axis - s for s in sings]
+        bks = [axis - b for b in bks]
+    val = integrate(weighted, (lo, hi), singular_points=sorted(sings),
+                    tol=tol, breakpoints=bks).value
+    if mirrored and not val.is_finite:
+        val = ExtendedValue.infinite(
+            _unmirror_certificate(val.certificate, axis))
+    return val
+
+
 def _coupling_radial(model: ModelSpace, f, x, tol: float) -> ExtendedValue:
     if is_grid_function(f):
         raise PreconditionError(
             "grid functions carry no information near the kernel's singular "
             "origin; pass a closed-form radial profile")
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        # a scalar is read as an offset along the first axis, like everywhere
-        # else in the radial API
-        xv = np.zeros(model.dim)
-        xv[0] = float(arr)
-    else:
-        xv = model.domain.require(arr)
+    xv = model.domain.require(x)
     e1 = np.zeros(model.dim)
     e1[0] = 1.0
     fv = as_vectorized(f)
@@ -79,24 +132,7 @@ def coupling_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL) -> ExtendedVa
     """
     if model.is_radial:
         return _coupling_radial(model, f, x, tol)
-    dom: Interval1D = model.domain
-    x = dom.require(x)
-    g = model.G1.slice_in_second(x)     # z -> G1(x, z)
-    integrand = _product(g, f)
-    sings = set(integrand.singular_points)
-    if is_grid_function(f) and sings:
-        raise PreconditionError(
-            "grid functions carry no information below their spacing; this "
-            f"integral must resolve singular points {sorted(sings)}")
-    lo, hi = dom.lo, dom.hi
-    if integrand.support is not None:
-        lo, hi = max(lo, integrand.support[0]), min(hi, integrand.support[1])
-        if hi <= lo:
-            return ExtendedValue.finite(0.0)
-    res = integrate(model.mu.weighted(integrand), (lo, hi),
-                    singular_points=sorted(s for s in sings if lo <= s <= hi),
-                    tol=tol, breakpoints=integrand.breakpoints)
-    return res.value
+    return _sliced_integral(model, model.G1.slice_in_second, f, x, tol)
 
 
 def w_apply(model: ModelSpace, q, f, x, tol: float = QUAD_TOL) -> ExtendedValue:

@@ -54,6 +54,11 @@ class RadialDomain:
 
     def require(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0:
+            # a scalar is read as an offset along the first axis, like
+            # everywhere else in the radial API
+            arr = np.zeros(self.dim)
+            arr[0] = float(x)
         if arr.shape != (self.dim,):
             raise DomainError(f"expected a point of R^{self.dim}, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -188,14 +193,14 @@ class GreenKernel:
                   name=f"{self.name}({x:g},.)", singular_points=sings)
 
 
-def _approach_trace(K: GreenKernel, x, y, exponent: float):
+def _approach_trace(K: GreenKernel, x, y):
     """Sample K along a dyadic approach to (x, y) for a point-value certificate."""
+    step = 1.0 if np.ndim(y) == 0 else np.eye(np.size(y))[0]
     trace = []
     for k in range(2, 22, 4):
         d = 2.0 ** (-k)
         try:
-            val = float(K.raw(x, y + d)) if np.isscalar(y) else \
-                float(K.raw(x, np.asarray(y) + d))
+            val = float(K.raw(x, y + d * step))
         except Exception:
             continue
         if math.isfinite(val):
@@ -205,35 +210,25 @@ def _approach_trace(K: GreenKernel, x, y, exponent: float):
 
 def kernel_eval(K: GreenKernel, x, y) -> ExtendedValue:
     """Evaluate a Green kernel, packaging singular hits as certified +inf."""
-    dom = K.domain
-    if isinstance(dom, Interval1D):
-        x = dom.require(x)
-        y = dom.require(y)
-        val = float(K.raw(x, y))
-    else:
-        x = dom.require(x)
-        y = dom.require(y)
-        val = float(K.raw(x, y))
+    x = K.domain.require(x)
+    y = K.domain.require(y)
+    val = float(K.raw(x, y))
     if math.isfinite(val):
         if val < 0.0:
             raise PreconditionError(
                 f"kernel {K.name} returned a negative value at ({x!r}, {y!r})")
         return ExtendedValue.finite(val)
-    # Decide which declared singularity was hit.
-    if isinstance(dom, Interval1D):
-        for e in K.endpoint_singularities:
-            if x == e.point and y == e.point:
-                cert = DivergenceCertificate(
-                    e.point, e.side, e.exponent,
-                    _approach_trace(K, x, y, e.exponent))
-                return ExtendedValue.infinite(cert)
-        if x == y and K.diagonal_exponent is not None:
-            cert = DivergenceCertificate(x, "diagonal", K.diagonal_exponent, ())
+    for e in K.endpoint_singularities:
+        if x == e.point and y == e.point:
+            cert = DivergenceCertificate(e.point, e.side, e.exponent,
+                                         _approach_trace(K, x, y))
             return ExtendedValue.infinite(cert)
-    else:
-        if np.allclose(x, y) and K.diagonal_exponent is not None:
-            cert = DivergenceCertificate(0.0, "diagonal", K.diagonal_exponent, ())
-            return ExtendedValue.infinite(cert)
+    if K.diagonal_exponent is not None and np.allclose(x, y):
+        # a radial certificate locates the separation, a 1D one the point
+        loc = 0.0 if np.ndim(x) else x
+        cert = DivergenceCertificate(loc, "diagonal", K.diagonal_exponent,
+                                     _approach_trace(K, x, y))
+        return ExtendedValue.infinite(cert)
     raise PreconditionError(
         f"kernel {K.name} is non-finite at ({x!r}, {y!r}), which is not on its "
         "declared singular locus")

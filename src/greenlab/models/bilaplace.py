@@ -56,6 +56,22 @@ def h_sym(x: float, y: float, tol: float = QUAD_TOL) -> ExtendedValue:
     return compose_green(bilaplace_model(), x, y, tol=tol)
 
 
+def h_symmetry_table() -> tuple[np.ndarray, np.ndarray]:
+    """H by quadrature in both orders on the 20-point grid of [0.05, 0.95].
+
+    Returns (grid, table) with table[i, j] = H(grid[i], grid[j]), one
+    quadrature per ordered pair of grid points.
+    """
+    grid = np.linspace(0.05, 0.95, 20)
+    table = np.empty((grid.size, grid.size))
+    for i, j in zip(*np.triu_indices(grid.size)):
+        x, y = float(grid[i]), float(grid[j])
+        table[i, j] = float(h_sym(x, y))
+        if i != j:
+            table[j, i] = float(h_sym(y, x))
+    return grid, table
+
+
 def h_closed_form(x: float, y: float) -> float:
     """H(x, y) assembled from the three-range antiderivatives; the reference.
 

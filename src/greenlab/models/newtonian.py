@@ -15,7 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ConditioningError, ModelDomainError, PreconditionError
-from ..kernels import GreenKernel, ModelSpace, RadialDomain, ReferenceMeasure
+from ..kernels import (GreenKernel, ModelSpace, RadialDomain,
+                       ReferenceMeasure, kernel_eval)
 from ..quadrature import (adaptive_panels, integrate, integrate_radial,
                           probe_divergence, probe_tail, sphere_surface_area,
                           ProbeReport)
@@ -45,15 +46,6 @@ def _require_dim(n: int) -> int:
             f"the radial model needs dimension >= 5 (got {n}): below that the "
             "composed kernel's defining integral diverges at the tail")
     return n
-
-
-def _as_point(n: int, p) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 0:
-        out = np.zeros(n)
-        out[0] = float(arr)
-        return out
-    return RadialDomain(n).require(arr)
 
 
 @lru_cache(maxsize=None)
@@ -93,11 +85,8 @@ def kernel_at_distance(n: int, d: float) -> ExtendedValue:
 
 
 def newton_kernel(n: int, x, y) -> ExtendedValue:
-    """G(x, y) for coordinate points x, y of R^n."""
-    n = _require_dim(n)
-    xv = _as_point(n, x)
-    yv = _as_point(n, y)
-    return kernel_at_distance(n, float(np.linalg.norm(xv - yv)))
+    """G(x, y) for points x, y of R^n (a scalar is a first-axis offset)."""
+    return kernel_eval(newtonian_model(n).G1, x, y)
 
 
 def gauss_flux(n: int, r: float, tol: float = 1e-10) -> float:
@@ -137,6 +126,19 @@ def gauss_flux(n: int, r: float, tol: float = 1e-10) -> float:
     return -sphere_surface_area(n - 1) * r ** (n - 1) * val
 
 
+def _constant_profile(n: int, c: float):
+    """r -> c G at separation r: the radial profile of V applied to c."""
+    cn = newton_constant(n)
+
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore"):
+            return c * cn * r ** (2.0 - n)
+
+    profile.vectorized = True
+    return profile
+
+
 def constant_coupling_divergence(n: int, x=None, c: float = 1.0) -> DivergenceCertificate:
     """Certify that V applied to the constant c has no finite value anywhere.
 
@@ -149,16 +151,9 @@ def constant_coupling_divergence(n: int, x=None, c: float = 1.0) -> DivergenceCe
     if c <= 0.0:
         raise PreconditionError("the constant must be positive")
     if x is not None:
-        _as_point(n, x)     # translation invariance: any base point, same result
-    cn = newton_constant(n)
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            return c * cn * r ** (2.0 - n)
-
-    profile.vectorized = True
-    res = integrate_radial(profile, n, upper=None, tol=QUAD_TOL)
+        RadialDomain(n).require(x)  # translation invariance: any base point
+    res = integrate_radial(_constant_profile(n, c), n, upper=None,
+                           tol=QUAD_TOL)
     if res.value.is_finite:     # pragma: no cover - mathematically impossible
         raise ModelDomainError("constant coupling unexpectedly converged")
     return res.value.certificate
@@ -170,15 +165,8 @@ def truncated_constant_coupling(n: int, upper: float, c: float = 1.0) -> Extende
     upper = float(upper)
     if upper <= 0.0:
         raise PreconditionError("truncation radius must be positive")
-    cn = newton_constant(n)
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            return c * cn * r ** (2.0 - n)
-
-    profile.vectorized = True
-    return integrate_radial(profile, n, upper=upper, tol=QUAD_TOL).value
+    return integrate_radial(_constant_profile(n, c), n, upper=upper,
+                            tol=QUAD_TOL).value
 
 
 def _composition_outer(n: int, d: float, inner_tol: float):
@@ -217,9 +205,8 @@ def riesz_compose(n: int, x, y, tol: float = 1e-7) -> ExtendedValue:
     NEAR_DIAGONAL_LIMIT are refused as ill-conditioned.
     """
     n = _require_dim(n)
-    xv = _as_point(n, x)
-    yv = _as_point(n, y)
-    d = float(np.linalg.norm(xv - yv))
+    dom = RadialDomain(n)
+    d = float(np.linalg.norm(dom.require(x) - dom.require(y)))
     inner_tol = max(1e-13, 1e-3 * tol)
     outer = _composition_outer(n, d, inner_tol)
     if d == 0.0:

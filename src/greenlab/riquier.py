@@ -74,19 +74,19 @@ class RegularSubdomain:
     def cardinals2(self, x):
         return self._cardinals(self.inv2, self.basis2, x)
 
-    def interpolant1(self, fa: float, fb: float) -> Fn:
-        coef = self.inv1 @ np.array([fa, fb], dtype=float)
-        b1, b2 = self.basis1
+    def _interpolant(self, inv: np.ndarray, basis, fa: float, fb: float,
+                     name: str) -> Fn:
+        coef = inv @ np.array([fa, fb], dtype=float)
+        b1, b2 = basis
         return Fn(lambda x: coef[0] * np.asarray(b1(x), dtype=float)
                   + coef[1] * np.asarray(b2(x), dtype=float),
-                  vectorized=True, name="interp1")
+                  vectorized=True, name=name)
+
+    def interpolant1(self, fa: float, fb: float) -> Fn:
+        return self._interpolant(self.inv1, self.basis1, fa, fb, "interp1")
 
     def interpolant2(self, ga: float, gb: float) -> Fn:
-        coef = self.inv2 @ np.array([ga, gb], dtype=float)
-        b1, b2 = self.basis2
-        return Fn(lambda x: coef[0] * np.asarray(b1(x), dtype=float)
-                  + coef[1] * np.asarray(b2(x), dtype=float),
-                  vectorized=True, name="interp2")
+        return self._interpolant(self.inv2, self.basis2, ga, gb, "interp2")
 
 
 def regular_subdomain(model: ModelSpace, a: float, b: float) -> RegularSubdomain:
@@ -131,9 +131,9 @@ class LocalizedGreen:
     """
 
     def __init__(self, model: ModelSpace, sub: RegularSubdomain,
-                 kernel=None, cardinals=None):
+                 raw=None, cardinals=None):
         self.sub = sub
-        self._raw = (kernel or model.G1).raw
+        self._raw = raw or model.G1.raw
         self._cards = cardinals or sub.cardinals1
 
     def __call__(self, x, z):
@@ -155,10 +155,6 @@ class LocalizedGreen:
 
         return Fn(g, breakpoints=(x,), vectorized=True,
                   name=f"K_omega({x:g},.)")
-
-
-def localize_green(model: ModelSpace, sub: RegularSubdomain) -> LocalizedGreen:
-    return LocalizedGreen(model, sub)
 
 
 @dataclass(frozen=True)
@@ -194,25 +190,21 @@ def _clip_weight(w: float, what: str) -> float:
     return max(w, 0.0)
 
 
-def _nu_masses(model: ModelSpace, sub: RegularSubdomain, loc: LocalizedGreen,
-               x: float, cardinal_interp, quad_tol: float) -> tuple[float, float]:
-    w = model.kink_density
+def _localized_mass(loc: LocalizedGreen, x: float, g, density,
+                    quad_tol: float) -> float:
+    """int_a^b K_omega(x, z) g(z) w(z) dz, w the model's kink density."""
     kx = loc.slice_at(x)
-    masses = []
-    for data in ((1.0, 0.0), (0.0, 1.0)):
-        card = cardinal_interp(*data)
 
-        def integrand(z):
-            z = np.asarray(z, dtype=float)
-            return (np.asarray(kx(z), dtype=float)
-                    * np.asarray(card(z), dtype=float)
-                    * np.asarray(w(z), dtype=float))
+    def integrand(z):
+        z = np.asarray(z, dtype=float)
+        return (np.asarray(kx(z), dtype=float)
+                * np.asarray(g(z), dtype=float)
+                * np.asarray(density(z), dtype=float))
 
-        integrand.vectorized = True
-        val, _, _ = adaptive_panels(integrand, sub.a, sub.b, quad_tol,
-                                    breakpoints=(x,))
-        masses.append(val)
-    return masses[0], masses[1]
+    integrand.vectorized = True
+    val, _, _ = adaptive_panels(integrand, loc.sub.a, loc.sub.b, quad_tol,
+                                breakpoints=(x,))
+    return val
 
 
 def biharmonic_measures(model: ModelSpace, sub: RegularSubdomain, x: float,
@@ -234,21 +226,19 @@ def biharmonic_measures(model: ModelSpace, sub: RegularSubdomain, x: float,
                 "the adjoint boundary triple is only available on the "
                 "symmetric-equal model, where the transpose coupling is "
                 "finite and continuous")
-        g2 = model.G2
-
-        class _Transposed:
-            raw = staticmethod(lambda u, v: g2.raw(v, u))
-
-        loc = LocalizedGreen(model, sub, kernel=_Transposed,
+        loc = LocalizedGreen(model, sub, raw=lambda u, v: model.G2.raw(v, u),
                              cardinals=sub.cardinals2)
         ma, mb = sub.cardinals2(x)
         la, lb = sub.cardinals1(x)
-        na, nb = _nu_masses(model, sub, loc, x, sub.interpolant1, quad_tol)
+        cardinal_interp = sub.interpolant1
     else:
         loc = LocalizedGreen(model, sub)
         ma, mb = sub.cardinals1(x)
         la, lb = sub.cardinals2(x)
-        na, nb = _nu_masses(model, sub, loc, x, sub.interpolant2, quad_tol)
+        cardinal_interp = sub.interpolant2
+    na, nb = (_localized_mass(loc, x, cardinal_interp(*data),
+                              model.kink_density, quad_tol)
+              for data in ((1.0, 0.0), (0.0, 1.0)))
     return MeasureTriple(
         (sub.a, sub.b), x,
         (_clip_weight(float(ma), "mu"), _clip_weight(float(mb), "mu")),
@@ -286,25 +276,13 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
     v = sub.interpolant2(ga, gb)
     h1 = sub.interpolant1(fa, fb)
     loc = LocalizedGreen(model, sub)
-    w = model.kink_density
     a, b = sub.a, sub.b
 
     def particular(x: float) -> float:
         x = float(x)
         if x <= a or x >= b:
             return 0.0
-        kx = loc.slice_at(x)
-
-        def integrand(z):
-            z = np.asarray(z, dtype=float)
-            return (np.asarray(kx(z), dtype=float)
-                    * np.asarray(v(z), dtype=float)
-                    * np.asarray(w(z), dtype=float))
-
-        integrand.vectorized = True
-        val, _, _ = adaptive_panels(integrand, a, b, quad_tol,
-                                    breakpoints=(x,))
-        return val
+        return _localized_mass(loc, x, v, model.kink_density, quad_tol)
 
     def u(x):
         if np.ndim(x) == 0:

@@ -44,6 +44,37 @@ def test_eval_radial_kernel_at_distance(capsys):
                                               rel=1e-12)
 
 
+def test_eval_kernel_points_are_checked_and_certified(capsys):
+    rc, out, err = run_cli(capsys, "eval", "--model", "bilaplace",
+                           "--kernel", "g1", "--x", "2", "--y", "0.5")
+    assert rc == 2
+    assert out == ""
+    assert "outside domain" in err
+    for model, kernel, x, y, cells in (
+            ("interval", "g1", "0", "0", ["INF", "-1"]),
+            ("interval", "g2", "0", "0", ["INF", "-2"]),
+            ("newtonian5", "g1", "0", "0", ["INF", "-3"]),
+            ("newtonian5", "g1", "0", "1", ["0.0126651479553", "0"])):
+        rc, out, _ = run_cli(capsys, "eval", "--model", model,
+                             "--kernel", kernel, "--x", x, "--y", y)
+        assert rc == 0
+        assert data_rows(out)[1] == [x, y] + cells
+
+
+def test_any_radial_dimension_from_five_is_a_model(capsys):
+    rc, out, _ = run_cli(capsys, "eval", "--model", "newtonian7",
+                         "--kernel", "g1", "--dist", "1.0")
+    assert rc == 0
+    assert "# model = newtonian7" in out
+    assert float(data_rows(out)[1][1]) == pytest.approx(oracles.newton_c(7),
+                                                        rel=1e-12)
+    rc, out, err = run_cli(capsys, "eval", "--model", "newtonian4",
+                           "--kernel", "g1", "--dist", "1.0")
+    assert rc == 2
+    assert out == ""
+    assert "dimension >= 5" in err
+
+
 def test_eval_divergent_value_prints_inf_literal(capsys):
     rc, out, _ = run_cli(capsys, "eval", "--model", "interval",
                          "--kernel", "vstar", "--x", "0.0")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from greenlab.errors import ConfigError, PreconditionError
+from greenlab.errors import ConfigError, DomainError, PreconditionError
 from greenlab.kernels import (BiharmonicPair, Fn, GridFunction, Interval1D,
                               bump, constant, is_grid_function, kernel_eval)
 from greenlab.models import MODEL_NAMES, get_model
@@ -83,6 +83,18 @@ def test_kernel_eval_certifies_endpoint_hit():
     assert val.certificate.side == "right"
     fin = kernel_eval(model.G1, 0.2, 0.6)
     assert float(fin) == pytest.approx(oracles.interval_g1(0.2, 0.6))
+    assert kernel_eval(model.G2, 0.0, 0.0).certificate.estimated_exponent == -2.0
+    with pytest.raises(DomainError):
+        kernel_eval(get_model("bilaplace").G1, 2.0, 0.5)
+    radial = get_model("newtonian5")
+    diag = kernel_eval(radial.G1, 1.0, [1.0, 0.0, 0.0, 0.0, 0.0])
+    assert diag.certificate.side == "diagonal"
+    assert diag.certificate.estimated_exponent == -3.0
+    assert float(kernel_eval(radial.G1, 0.0, 1.0)) == pytest.approx(
+        oracles.newton_c(5), rel=1e-14)
+    for bad in (np.inf, np.nan, [0.0, np.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(DomainError):
+            kernel_eval(radial.G1, bad, 1.0)
 
 
 def test_measure_weighting():

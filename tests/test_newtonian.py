@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from greenlab.kernels import bump
+from greenlab.coupling import coupling_apply
 from greenlab.errors import (
     ConditioningError,
+    DomainError,
     ModelDomainError,
     PreconditionError,
 )
@@ -48,6 +51,17 @@ def test_kernel_accepts_scalar_and_coordinate_points():
     a = newton_kernel(5, 0.0, 1.0)
     b = newton_kernel(5, np.zeros(5), np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     assert float(a) == float(b)
+    diag = newton_kernel(5, 0.37, 0.37)
+    assert diag.certificate == kernel_at_distance(5, 0.0).certificate
+    # a non-finite scalar or coordinate is no point of R^n, at every surface
+    model = newtonian_model(5)
+    for bad in (np.inf, np.nan, np.array([0.0, 0.0, np.nan, 0.0, 0.0])):
+        with pytest.raises(DomainError):
+            newton_kernel(5, 0.0, bad)
+        with pytest.raises(DomainError):
+            coupling_apply(model, bump(0.5, 0.2), bad)
+        with pytest.raises(DomainError):
+            riesz_compose(5, bad, 1.0)
 
 
 def test_dimension_gate():
