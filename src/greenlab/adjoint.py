@@ -127,15 +127,14 @@ def adjoint_gate_check(model: ModelSpace, phi, grid,
                 certificate=v.certificate,
                 detail=f"V*phi diverges at x = {x:g} with exponent "
                        f"{v.certificate.estimated_exponent:+.3f}")
+    gaps = [abs(b - a) for a, b in zip(grid, grid[1:])]
+    h0 = 0.5 * min(gaps) if gaps else 0.05
     if model.is_radial:
         lo, hi = 0.0, math.inf
-        gaps = [abs(b - a) for a, b in zip(grid, grid[1:])]
-        h0 = 0.5 * min(gaps) if gaps else 0.05
     else:
         dom: Interval1D = model.domain
         lo, hi = dom.lo, dom.hi
-        gaps = [abs(b - a) for a, b in zip(grid, grid[1:])]
-        h0 = min(0.5 * min(gaps) if gaps else 0.05, 0.02)
+        h0 = min(h0, 0.02)
 
     def evaluate(x):
         return adjoint_apply(model, phi, x, tol=tol)

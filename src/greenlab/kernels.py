@@ -76,7 +76,9 @@ class Fn:
     lets coupling integrals restrict their range; ``singular_points`` are
     locations where the function may be unbounded, which integrators must
     treat with the dyadic shell probe.  ``vectorized=True`` promises f
-    accepts numpy arrays.
+    accepts a 1D numpy array and is elementwise: its value at a node does
+    not depend on the other nodes in the array, since the quadrature
+    evaluates the nodes of many panels in one call.
     """
 
     def __init__(self, f: Callable, breakpoints: Sequence[float] = (),

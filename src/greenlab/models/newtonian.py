@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ConditioningError, ModelDomainError, PreconditionError
+from ..errors import (ConditioningError, DomainError, ModelDomainError,
+                      PreconditionError)
 from ..kernels import (GreenKernel, ModelSpace, RadialDomain,
                        ReferenceMeasure, kernel_eval)
 from ..quadrature import (adaptive_panels, integrate, integrate_radial,
@@ -70,18 +71,27 @@ def newtonian_model(n: int) -> ModelSpace:
 
 
 def kernel_at_distance(n: int, d: float) -> ExtendedValue:
-    """G at separation d: c_n d^(2-n), +inf exactly at d = 0."""
+    """G at separation d: c_n d^(2-n), +inf at d = 0.
+
+    A separation so small that d^(2-n) overflows gets the same certified
+    diagonal +inf as d = 0, as :func:`newton_kernel` gives it.
+    """
     n = _require_dim(n)
     d = float(d)
+    if not math.isfinite(d):
+        raise DomainError(f"separation must be finite, got {d!r}")
     if d < 0.0:
         raise PreconditionError("separation must be nonnegative")
     c = newton_constant(n)
-    if d == 0.0:
-        trace = tuple((2.0 ** -k, c * (2.0 ** -k) ** (2.0 - n))
-                      for k in range(2, 22, 4))
-        cert = DivergenceCertificate(0.0, "diagonal", 2.0 - n, trace)
-        return ExtendedValue.infinite(cert)
-    return ExtendedValue.finite(c * d ** (2.0 - n))
+    if d > 0.0:
+        try:
+            return ExtendedValue.finite(c * d ** (2.0 - n))
+        except OverflowError:
+            pass
+    trace = tuple((2.0 ** -k, c * (2.0 ** -k) ** (2.0 - n))
+                  for k in range(2, 22, 4))
+    cert = DivergenceCertificate(0.0, "diagonal", 2.0 - n, trace)
+    return ExtendedValue.infinite(cert)
 
 
 def newton_kernel(n: int, x, y) -> ExtendedValue:

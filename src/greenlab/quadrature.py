@@ -9,6 +9,13 @@ integrals are fitted to a power law.  The fit either certifies divergence
 remaining mass geometrically, so integrable endpoint singularities do not eat
 the panel budget.
 
+The rule runs on many panels per integrand call: the initial panels of every
+smooth piece of an integral together, then the children of each piece's worst
+panel, round by round, and the dyadic shells in runs.  So a vectorized
+integrand must be elementwise: its value at a node may not depend on the other
+nodes in the array.  Each panel is still reduced on its own, so every value,
+bound and certificate is the one a panel-at-a-time walk gives.
+
 Conventions
 -----------
 * tolerances are absolute, per integral;
@@ -26,8 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ModelDomainError, PreconditionError, StencilError,
-                     UndeclaredSingularityError)
+from .errors import (GreenLabError, ModelDomainError, PreconditionError,
+                     StencilError, UndeclaredSingularityError)
 from .values import (BLOWUP_THRESHOLD, EXP_MARGIN, DivergenceCertificate,
                      ExtendedValue)
 
@@ -53,10 +60,11 @@ _G_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
-_G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
+_EPS = np.finfo(float).eps
 
 PROBE_DEPTH = 48
 _FIT_WINDOW = 8
+_MIN_SHELLS_TO_RESOLVE = 12
 _MIN_SHELLS_FOR_VERDICT = 16
 
 
@@ -67,7 +75,12 @@ class _NonFiniteSample(Exception):
 
 
 def as_vectorized(f: Callable) -> Callable:
-    """Wrap a scalar callable so the panel rule can pass node arrays."""
+    """Wrap a scalar callable so the panel rule can pass node arrays.
+
+    A callable marked ``vectorized`` is returned as it is.  It must be
+    elementwise: its value at a node may not depend on the other nodes in
+    the array, because one array holds the nodes of many panels.
+    """
     if getattr(f, "vectorized", False):
         return f
 
@@ -78,21 +91,106 @@ def as_vectorized(f: Callable) -> Callable:
     return fv
 
 
-def _gk15(fv: Callable, a: float, b: float) -> tuple[float, float]:
-    """One Kronrod panel: returns (integral, error estimate)."""
+def _gk15(fv: Callable, a, b) -> list:
+    """G7/K15 on the panels [a[i], b[i]], all their nodes in one fv call.
+
+    Returns one outcome per panel: (integral, error estimate), or the
+    :class:`_NonFiniteSample` at the panel's first non-finite node.  Each
+    row is reduced on its own by a contiguous dot product, so a panel's bits
+    do not depend on the batch it is evaluated in; a matrix product or a
+    sum over an axis rounds differently.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    xs = mid + half * _GK_NODES
-    fx = np.asarray(fv(xs), dtype=float)
-    if not np.all(np.isfinite(fx)):
-        bad = int(np.argmax(~np.isfinite(fx)))
-        raise _NonFiniteSample(float(xs[bad]))
-    k15 = half * float(_K_WEIGHTS @ fx)
-    g7 = half * float(_G_WEIGHTS @ fx[_G_IDX])
-    diff = abs(k15 - g7)
-    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
-    err = max(err, 50.0 * np.finfo(float).eps * abs(k15))
-    return k15, err
+    xs = mid[:, None] + half[:, None] * _GK_NODES
+    fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
+    g_rows = fx[:, 1::2].copy()     # the Gauss nodes, in contiguous rows
+    out = []
+    for i, (h, row, g_row) in enumerate(zip(half.tolist(), fx, g_rows)):
+        k15 = float(_K_WEIGHTS.dot(row))
+        # the weights are positive, so a non-finite sample makes k15 non-finite
+        if not math.isfinite(k15):
+            bad = ~np.isfinite(row)
+            if bad.any():
+                out.append(_NonFiniteSample(float(xs[i, np.argmax(bad)])))
+                continue
+        k15 = h * k15
+        g7 = h * float(_G_WEIGHTS.dot(g_row))
+        diff = abs(k15 - g7)
+        err = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
+        err = max(err, 50.0 * _EPS * abs(k15))
+        out.append((k15, err))
+    return out
+
+
+def _refine(fv: Callable, pieces: Sequence[tuple[Sequence[float], float, int]]
+            ) -> list[tuple[float, float, int]]:
+    """Adaptive G7/K15 on several pieces at once: (value, error, panels) each.
+
+    A piece is (cuts, tol, max_panels).  Its initial panels lie between
+    consecutive cuts; while its error sum exceeds tol and it holds fewer
+    than max_panels panels, its worst panel is bisected.  Each piece keeps
+    its own heap and sums, so its result is the one it would get alone.
+    One _gk15 call evaluates the initial panels of every piece, then each
+    round one call evaluates the children of the worst panel of every piece
+    still refining.
+
+    A non-finite sample ends its piece.  The first piece in order that met
+    one raises :class:`UndeclaredSingularityError` once every piece before
+    it is done; the pieces after it are not refined further.
+    """
+    if not pieces:
+        return []
+    n = len(pieces)
+    heaps: list[list] = [[] for _ in range(n)]
+    total, err_total, count = [0.0] * n, [0.0] * n, [0] * n
+    failures: dict[int, _NonFiniteSample] = {}
+
+    initial = [(i, lo, hi) for i, (cuts, _, _) in enumerate(pieces)
+               for lo, hi in zip(cuts[:-1], cuts[1:])]
+    outs = _gk15(fv, [lo for _, lo, _ in initial], [hi for _, _, hi in initial])
+    for (i, lo, hi), out in zip(initial, outs):
+        if i in failures:
+            continue
+        if isinstance(out, _NonFiniteSample):
+            failures[i] = out
+            continue
+        val, err = out
+        total[i] += val
+        err_total[i] += err
+        count[i] += 1
+        heapq.heappush(heaps[i], (-err, lo, hi, val))
+
+    while True:
+        first_bad = min(failures, default=n)
+        active = [i for i, (_, tol, cap) in enumerate(pieces[:first_bad])
+                  if err_total[i] > tol and count[i] < cap]
+        if not active:
+            break
+        worst = [heapq.heappop(heaps[i]) for i in active]
+        splits = [(lo, 0.5 * (lo + hi), hi) for _, lo, hi, _ in worst]
+        outs = iter(_gk15(fv, [e for lo, mid, _ in splits for e in (lo, mid)],
+                          [e for _, mid, hi in splits for e in (mid, hi)]))
+        for i, (neg_err, _, _, val), (lo, mid, hi) in zip(active, worst, splits):
+            left, right = next(outs), next(outs)
+            bad = [o for o in (left, right) if isinstance(o, _NonFiniteSample)]
+            if bad:
+                failures[i] = bad[0]
+                continue
+            (v1, e1), (v2, e2) = left, right
+            total[i] += (v1 + v2) - val
+            err_total[i] += (e1 + e2) - (-neg_err)
+            count[i] += 1
+            heapq.heappush(heaps[i], (-e1, lo, mid, v1))
+            heapq.heappush(heaps[i], (-e2, mid, hi, v2))
+
+    if failures:
+        raise UndeclaredSingularityError(
+            f"integrand is non-finite at {failures[min(failures)].x!r}, away "
+            "from every declared singular point")
+    return list(zip(total, err_total, count))
 
 
 def adaptive_panels(f: Callable, a: float, b: float, tol: float,
@@ -107,32 +205,8 @@ def adaptive_panels(f: Callable, a: float, b: float, tol: float,
     """
     if b <= a:
         return 0.0, 0.0, 0
-    fv = as_vectorized(f)
     cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    heap = []
-    total, err_total, count = 0.0, 0.0, 0
-    try:
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            val, err = _gk15(fv, lo, hi)
-            total += val
-            err_total += err
-            count += 1
-            heapq.heappush(heap, (-err, lo, hi, val))
-        while err_total > tol and count < max_panels:
-            neg_err, lo, hi, val = heapq.heappop(heap)
-            mid = 0.5 * (lo + hi)
-            v1, e1 = _gk15(fv, lo, mid)
-            v2, e2 = _gk15(fv, mid, hi)
-            total += (v1 + v2) - val
-            err_total += (e1 + e2) - (-neg_err)
-            count += 1
-            heapq.heappush(heap, (-e1, lo, mid, v1))
-            heapq.heappush(heap, (-e2, mid, hi, v2))
-    except _NonFiniteSample as exc:
-        raise UndeclaredSingularityError(
-            f"integrand is non-finite at {exc.x!r}, away from every declared "
-            "singular point") from None
-    return total, err_total, count
+    return _refine(as_vectorized(f), [(cuts, tol, max_panels)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +238,23 @@ def _fit_slope(ks: Sequence[int], logs: Sequence[float]) -> float:
     return float(k @ (y - y.mean())) / denom
 
 
-def _shell_bounds(point: float, side: str, scale: float, k: int) -> tuple[float, float]:
+def _shell_bounds(point: float, side: str, scale: float, k: int,
+                  kind: str) -> tuple[float, float]:
+    if kind == "tail":
+        return point + scale * 2.0 ** k, point + scale * 2.0 ** (k + 1)
     if side == "right":
         return point + scale * 2.0 ** (-k - 1), point + scale * 2.0 ** (-k)
     return point - scale * 2.0 ** (-k), point - scale * 2.0 ** (-k - 1)
+
+
+def _chunk_end(k: int, depth: int) -> int:
+    """End of the run of shells evaluated together from shell k on.
+
+    Runs end at the shell counts where the walk can first stop (vanishing,
+    resolved, divergent verdict), then go one shell at a time.
+    """
+    ends = (_FIT_WINDOW, _MIN_SHELLS_TO_RESOLVE, _MIN_SHELLS_FOR_VERDICT)
+    return min(depth, next((e for e in ends if e > k), k + 1))
 
 
 def _probe_geometric(fv, point, side, scale, depth, tol, kind="endpoint"):
@@ -188,23 +275,24 @@ def _probe_geometric(fv, point, side, scale, depth, tol, kind="endpoint"):
     resolved = False
     rem, rem_err = 0.0, math.inf
     k_used = 0
+    bounds: list[tuple[float, float]] = []
+    outs: list = []
 
     for k in range(depth):
-        if kind == "tail":
-            lo, hi = point + scale * 2.0 ** k, point + scale * 2.0 ** (k + 1)
-            dist = hi
-        else:
-            lo, hi = _shell_bounds(point, side, scale, k)
-            dist = abs(2.0 ** (-k - 1) * scale)
-        try:
-            val, err = _gk15(fv, lo, hi)
-        except _NonFiniteSample:
+        if k == len(outs):
+            run = [_shell_bounds(point, side, scale, j, kind)
+                   for j in range(k, _chunk_end(k, depth))]
+            bounds += run
+            outs += _gk15(fv, [lo for lo, _ in run], [hi for _, hi in run])
+        dist = bounds[k][1] if kind == "tail" else abs(2.0 ** (-k - 1) * scale)
+        if isinstance(outs[k], _NonFiniteSample):
             blown = True
             cumulative = math.inf
             trace.append((dist, math.inf))
             divergent = True
             k_used = k + 1
             break
+        val, err = outs[k]
         shells.append(val)
         errs.append(err)
         cumulative += val
@@ -254,7 +342,7 @@ def _probe_geometric(fv, point, side, scale, depth, tol, kind="endpoint"):
                     # The ratio keeps drifting below the observed bracket for
                     # perturbed power laws; widen the bracket generously.
                     rem_err = 6.0 * abs(hi_est - lo_est) + sum(errs)
-                    if rem_err <= tol and k + 1 >= 12:
+                    if rem_err <= tol and k + 1 >= _MIN_SHELLS_TO_RESOLVE:
                         resolved = True
                         break
         elif len(win) == 0 and k + 1 >= _FIT_WINDOW:
@@ -342,39 +430,59 @@ def integrate(f: Callable, interval: tuple[float, float],
                    *(p for p in breakpoints if a < p < b)})
 
     fv = as_vectorized(f)
-    total, err_total, panels = 0.0, 0.0, 0
-    handled: list[tuple[float, str]] = []
     sing_set = set(sings)
-
-    # Count shell pieces to split the tolerance budget fairly.
-    pieces = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        left_sing = lo in sing_set
-        right_sing = hi in sing_set
-        pieces.append((lo, hi, left_sing, right_sing))
+    pieces = [(lo, hi, lo in sing_set, hi in sing_set)
+              for lo, hi in zip(cuts[:-1], cuts[1:])]
+    # Split the tolerance budget fairly between shell probes and plain pieces.
     n_shell = sum((lo_s + hi_s) for _, _, lo_s, hi_s in pieces) or 1
     n_plain = sum(1 for _, _, lo_s, hi_s in pieces if not (lo_s or hi_s)) or 1
     tol_shell = 0.5 * tol / n_shell
     tol_plain = 0.5 * tol / n_plain
 
-    for lo, hi, left_sing, right_sing in pieces:
+    # Walk the shell probes in interval order first.  The first one that
+    # diverges or raises decides the result, unless a plain piece before it
+    # meets a non-finite sample, so only the plain pieces before it are
+    # refined, all together.
+    reports: dict[int, list[ProbeReport]] = {}
+    end, refusal = len(pieces), None
+    for i, (lo, hi, left_sing, right_sing) in enumerate(pieces):
         if not (left_sing or right_sing):
-            v, e, n = adaptive_panels(fv, lo, hi, tol_plain,
-                                      max_panels=max_subdivisions)
+            continue
+        width = hi - lo
+        if left_sing and right_sing:
+            spans = [(lo, "right", 0.5 * width), (hi, "left", 0.5 * width)]
+        else:
+            spans = [(lo, "right", width)] if left_sing else [(hi, "left", width)]
+        reports[i] = []
+        for point, side, scale in spans:
+            try:
+                rep = _probe_geometric(fv, point, side, scale, depth, tol_shell)
+            except GreenLabError as exc:
+                end, refusal = i + 1, exc
+                break
+            reports[i].append(rep)
+            if rep.divergent:
+                end = i + 1
+                break
+        if end < len(pieces):
+            break
+    sums = iter(_refine(fv, [((lo, hi), tol_plain, max_subdivisions)
+                             for lo, hi, left_sing, right_sing in pieces[:end]
+                             if not (left_sing or right_sing)]))
+    if refusal is not None:
+        raise refusal
+
+    total, err_total, panels = 0.0, 0.0, 0
+    handled: list[tuple[float, str]] = []
+    for i in range(end):
+        if i not in reports:
+            v, e, n = next(sums)
             total += v
             err_total += e
             panels += n
             continue
-        width = hi - lo
-        if left_sing and right_sing:
-            mid = lo + 0.5 * width
-            spans = [(lo, "right", 0.5 * width), (hi, "left", 0.5 * width)]
-        else:
-            mid = None
-            spans = [(lo, "right", width)] if left_sing else [(hi, "left", width)]
-        for point, side, scale in spans:
-            rep = _probe_geometric(fv, point, side, scale, depth, tol_shell)
-            handled.append((point, side))
+        for rep in reports[i]:
+            handled.append((rep.location, rep.side))
             panels += rep.shells
             if rep.divergent:
                 return QuadResult(ExtendedValue.infinite(rep.certificate),

@@ -42,6 +42,17 @@ def test_eval_radial_kernel_at_distance(capsys):
     assert float(rows[1][1]) == pytest.approx(oracles.newton_c(5), rel=1e-12)
     assert float(rows[2][1]) == pytest.approx(oracles.newton_c(5) / 8.0,
                                               rel=1e-12)
+    # a separation whose power overflows is the certified diagonal
+    rc, out, _ = run_cli(capsys, "eval", "--model", "newtonian5",
+                         "--kernel", "g1", "--dist", "1e-200")
+    assert rc == 0
+    assert data_rows(out)[1] == ["1e-200", "INF", "-3"]
+    for d in ("nan", "inf"):
+        rc, out, err = run_cli(capsys, "eval", "--model", "newtonian5",
+                               "--kernel", "g1", "--dist", d)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("greenlab: ") and "finite" in err
 
 
 def test_eval_kernel_points_are_checked_and_certified(capsys):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from greenlab.quadrature import (StencilSpec, basis_fit_residual, fd_residual,
+from greenlab import quadrature
+from greenlab.errors import UndeclaredSingularityError
+from greenlab.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
+                                 _NonFiniteSample,
+                                 StencilSpec, basis_fit_residual, fd_residual,
                                  integrate, integrate_radial, probe_divergence,
                                  probe_tail, sphere_surface_area)
 
@@ -144,6 +148,100 @@ def test_integrate_radial_rejects_low_dimension():
     from greenlab.errors import ModelDomainError
     with pytest.raises(ModelDomainError):
         integrate_radial(_vec(lambda s: np.exp(-np.asarray(s))), 4)
+
+
+def _one_panel(fv, a, b):
+    """The G7/K15 rule on one panel, written out as the reference."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    fx = np.asarray(fv(mid + half * _GK_NODES), dtype=float)
+    k15 = half * float(_K_WEIGHTS @ fx)
+    g7 = half * float(_G_WEIGHTS @ fx[[1, 3, 5, 7, 9, 11, 13]])
+    diff = abs(k15 - g7)
+    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
+    return k15, max(err, 50.0 * np.finfo(float).eps * abs(k15))
+
+
+def _bits(outcome):
+    return tuple(float(v).hex() for v in outcome)
+
+
+def test_gk15_batch_matches_one_panel_rule():
+    fv = _vec(lambda y: np.where(np.asarray(y) > 1.4, np.nan,
+                                 np.exp(np.sin(7.0 * np.asarray(y)))
+                                 * np.log1p(np.asarray(y))))
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.0, 1.0, 200)
+    b = a + rng.uniform(1e-6, 0.5, 200)
+    batch = _gk15(fv, a, b)
+    for lo, hi, out in zip(a, b, batch):
+        one, = _gk15(fv, [lo], [hi])
+        if hi <= 1.4:
+            assert _bits(out) == _bits(one) == _bits(_one_panel(fv, lo, hi))
+            continue
+        # a panel reaching the hole names its first non-finite node
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GK_NODES
+        if np.all(nodes <= 1.4):
+            continue
+        assert isinstance(out, _NonFiniteSample)
+        assert out.x == one.x == nodes[np.argmax(nodes > 1.4)]
+
+
+def _holed(g, c):
+    """g with an undeclared non-finite hole of half-width 1e-2 around c."""
+    return _vec(lambda y: np.where(np.abs(np.asarray(y) - c) < 1e-2, np.nan,
+                                   g(np.asarray(y))))
+
+
+def test_first_piece_in_order_decides_between_inf_and_raise():
+    # the divergent probe at 0 comes first: the hole in [0.5, 1] is moot
+    res = integrate(_holed(lambda y: 1.0 / y, 0.7), (0.0, 1.0),
+                    singular_points=(0.0,), breakpoints=(0.5,), tol=1e-8)
+    assert not res.value.is_finite
+    assert res.value.certificate.estimated_exponent == pytest.approx(-1.0,
+                                                                     abs=0.05)
+    # the hole in [0, 0.5] comes before the divergent probe at 1
+    nodes = 0.25 + 0.25 * _GK_NODES
+    first = float(nodes[np.abs(nodes - 0.2) < 1e-2][0])
+    with pytest.raises(UndeclaredSingularityError) as exc:
+        integrate(_holed(lambda y: 1.0 / (1.0 - y), 0.2), (0.0, 1.0),
+                  singular_points=(1.0,), breakpoints=(0.5,), tol=1e-8)
+    assert str(exc.value) == (f"integrand is non-finite at {first!r}, away "
+                              "from every declared singular point")
+
+
+def test_probe_stops_at_first_non_finite_shell():
+    for j in (3, 9, 13, 20):
+        f = _vec(lambda y, j=j: np.where(np.asarray(y) < 2.0 ** -j, np.nan,
+                                         np.asarray(y) ** -0.5))
+        rep = probe_divergence(f, 0.0, "right", tol=0.0)
+        assert rep.divergent
+        assert rep.shells == j + 1
+        cumulative, trace = 0.0, []
+        for k in range(j):
+            cumulative += _one_panel(f, 2.0 ** (-k - 1), 2.0 ** -k)[0]
+            trace.append((2.0 ** (-k - 1), cumulative))
+        trace.append((2.0 ** (-j - 1), math.inf))
+        assert rep.trace == tuple(trace)
+
+
+def test_panels_are_evaluated_in_batches(monkeypatch):
+    sizes = []
+    gk15 = quadrature._gk15
+
+    def counted(fv, a, b):
+        sizes.append(len(a))
+        return gk15(fv, a, b)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    # four plain pieces that the first panels already resolve: one call
+    integrate(_vec(lambda y: np.asarray(y) ** 3), (0.0, 1.0),
+              breakpoints=(0.25, 0.5, 0.75), tol=1e-12)
+    assert sizes == [4]
+    # a divergent endpoint: shells in runs up to the verdict at shell 16
+    sizes.clear()
+    integrate(_vec(lambda y: 1.0 / np.asarray(y)), (0.0, 1.0),
+              singular_points=(0.0,), tol=1e-9)
+    assert sizes == [8, 4, 4]
 
 
 def test_stencils_on_polynomials():
