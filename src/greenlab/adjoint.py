@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _sliced_integral, compose_green, coupling_apply
+from .coupling import (_at_points, _sliced_apply, compose_green,
+                       coupling_apply)
 from .errors import ModelDomainError, PreconditionError
 from .kernels import Interval1D, ModelSpace
 from .quadrature import as_vectorized, integrate
@@ -35,7 +36,7 @@ OSC_NOISE = 1e-6
 # ---------------------------------------------------------------------------
 # V*: the transposed coupling.
 
-def adjoint_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL) -> ExtendedValue:
+def adjoint_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL):
     """V*f(x) = int G2(y,x) f(y) dmu(y), as an extended value.
 
     ``f`` must be nonnegative and evaluable; divergence is a valid return.
@@ -48,11 +49,17 @@ def adjoint_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL) -> ExtendedVal
     and :func:`~greenlab.coupling.compose_green`.  Agreement between V* and
     an H value is then a genuine cross-check of two quadratures rather than
     a comparison of one quadrature with itself.
+
+    On the 1D models ``x`` may also be a 1-D array of points: the call then
+    returns a tuple of extended values, one per point, each with the bits
+    a scalar call gives it.  Every point is checked against the domain
+    before any integration; after that the call raises the exception of the
+    first point in order whose integral raises.  The radial models take one
+    point per call.
     """
     if model.is_radial:
         return coupling_apply(model, f, x, tol=tol)
-    return _sliced_integral(model, model.G2.slice_in_first, f, x, tol,
-                            mirrored=True)
+    return _sliced_apply(model, model.G2, f, x, tol, adjoint=True)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +266,14 @@ def continuity_probe(model: ModelSpace, x, y,
             f"no room for a dyadic approach to y = {y:g} inside the domain")
 
     probes = tuple(y + direction * d0 * 0.5 ** n for n in range(depths))
-    target = compose_green(model, x, y, tol=1e-9)
+    target, *at_probes = _at_points(
+        model, lambda p: compose_green(model, x, p, tol=1e-9), (y,) + probes)
     if not target.is_finite:
-        trail = [float(compose_green(model, x, p, tol=1e-9))
-                 for p in probes[:6]]
+        trail = [float(v) for v in at_probes[:6]]
         return ContinuityReport(x, y, probes[:6], tuple(trail), (),
                                 "blow-up", target_value=target)
     values = []
-    for p in probes:
-        v = compose_green(model, x, p, tol=1e-9)
+    for v in at_probes:
         if not v.is_finite:
             return ContinuityReport(x, y, tuple(probes[:len(values) + 1]),
                                     tuple(values + [math.inf]), (),
@@ -334,19 +340,21 @@ def lsc_check(model: ModelSpace, n: int = 15, tol: float = 1e-6,
     grid = dom.interior_grid(n)
     h = grid[1] - grid[0]
 
-    def hval(a, b):
-        return float(compose_green(model, a, b, tol=quad_tol))
-
+    # each node is followed by its coarse ring, then its fine one
+    offsets = [(r * cx, r * cy) for r in (0.5 * h, 0.25 * h)
+               for cx, cy in _RING]
+    per_node = 1 + len(offsets)
     entries = []
     for xv in grid:
-        for yv in grid:
-            center = hval(xv, yv)
-            gaps = []
-            for r in (0.5 * h, 0.25 * h):
-                ring = min(hval(xv + r * cx, yv + r * cy)
-                           for cx, cy in _RING)
-                gaps.append(center - ring)
-            coarse, fine = gaps
+        # one H call per grid row: a whole grid in one call holds numpy
+        # temporaries of every node at once
+        xs = [p for yv in grid for p in (xv, *(xv + dx for dx, _ in offsets))]
+        ys = [p for yv in grid for p in (yv, *(yv + dy for _, dy in offsets))]
+        values = [float(v) for v in compose_green(model, np.array(xs),
+                                                  np.array(ys), tol=quad_tol)]
+        for k, yv in enumerate(grid):
+            center, *rings = values[k * per_node:(k + 1) * per_node]
+            coarse, fine = center - min(rings[:8]), center - min(rings[8:])
             ok = fine <= max(tol, 0.6 * coarse) and fine <= coarse + tol
             entries.append(LscEntry(float(xv), float(yv), center,
                                     coarse, fine, ok))
@@ -372,11 +380,14 @@ def duality_residual(model: ModelSpace, phi, psi,
     dom: Interval1D = model.domain
 
     def pair(outer, inner_op, inner_arg):
-        def f(x):
-            inner = inner_op(model, inner_arg, float(x), tol=1e-9)
-            return float(outer(float(x))) * float(inner)
-        res = integrate(model.mu.weighted(as_vectorized(f)),
-                        (dom.lo, dom.hi), tol=tol)
+        def f(xs):
+            xs = np.asarray(xs, dtype=float)
+            inner = inner_op(model, inner_arg, xs, tol=1e-9)
+            return np.asarray(outer(xs), dtype=float) \
+                * np.array([float(v) for v in inner])
+
+        f.vectorized = True
+        res = integrate(model.mu.weighted(f), (dom.lo, dom.hi), tol=tol)
         return float(res.value)
 
     phi_v, psi_v = as_vectorized(phi), as_vectorized(psi)

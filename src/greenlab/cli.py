@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__, reports, suites
 from .adjoint import adjoint_apply
-from .coupling import compose_green, coupling_apply
+from .coupling import _at_points, compose_green, coupling_apply
 from .errors import ConfigError, GreenLabError
 from .kernels import constant, kernel_eval
 from .models import get_model
@@ -194,14 +194,16 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
         return ("x", "y", "value", "bound_or_exponent"), rows
     if kernel == "h":
         if cfg.dists and model.is_radial:
-            pairs = [(0.0, d) for d in cfg.dists]
+            from .models.newtonian import require_separation
+            pairs = [(0.0, require_separation(d)) for d in cfg.dists]
         elif cfg.xs and cfg.ys:
             pairs = [(x, y) for x in cfg.xs for y in cfg.ys]
         else:
             raise ConfigError("kernel h needs --x and --y "
                               "(or --dist on the radial models)")
-        for x, y in pairs:
-            val = compose_green(model, x, y, tol=cfg.tol_quad)
+        values = _at_points(model, lambda x, y: compose_green(
+            model, x, y, tol=cfg.tol_quad), *zip(*pairs))
+        for (x, y), val in zip(pairs, values):
             rows.append((_fmt(x), _fmt(y)) + _value_cells(val))
         return ("x", "y", "value", "bound_or_exponent"), rows
     # v / vstar applied to the constant one
@@ -214,8 +216,9 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
                        model.domain.interior_grid(cfg.grid))
     apply_op = coupling_apply if kernel == "v" else adjoint_apply
     one = constant(1.0)
-    for x in points:
-        val = apply_op(model, one, x, tol=cfg.tol_quad)
+    values = _at_points(model, lambda x: apply_op(
+        model, one, x, tol=cfg.tol_quad), points)
+    for x, val in zip(points, values):
         rows.append((_fmt(x),) + _value_cells(val))
     return ("x", "value", "bound_or_exponent"), rows
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ClassificationError, PreconditionError
-from .kernels import (BiharmonicPair, Fn, Interval1D, ModelSpace,
+from .kernels import (BiharmonicPair, Fn, GreenKernel, Interval1D, ModelSpace,
                       is_grid_function)
-from .quadrature import as_vectorized, integrate, integrate_radial
+from .quadrature import _integrate_rows, as_vectorized, integrate_radial
 from .values import (IDENTITY_TOL, QUAD_TOL, DivergenceCertificate,
                      ExtendedValue)
 from . import riquier
@@ -55,45 +56,158 @@ def _unmirror_certificate(cert: DivergenceCertificate,
                                  probe_trace=cert.probe_trace)
 
 
-def _sliced_integral(model: ModelSpace, kernel_slice, f, x, tol: float,
-                     mirrored: bool = False) -> ExtendedValue:
-    """V and V*: int k(y) f(y) dmu(y) on the 1D domain, k = kernel_slice(x).
+class _Rows(NamedTuple):
+    """One function per row of a batch, with what each row declares.
 
-    ``mirrored`` integrates in t = lo + hi - y, so the panels differ from the
-    forward ones, and maps a divergence certificate back to y.
+    ``at(r, z)`` is row r's function at z, elementwise in both arguments;
+    ``breakpoints``, ``singular_points`` and ``support`` hold each row's
+    declarations as an :class:`Fn` makes them, and ``grid`` says the rows
+    are grid functions.
     """
-    x = model.domain.require(x)
-    integrand = _product(kernel_slice(x), f)
-    sings = set(integrand.singular_points)
-    if is_grid_function(f) and sings:
+    at: Callable
+    breakpoints: Sequence[tuple]
+    singular_points: Sequence[tuple]
+    support: Sequence
+    grid: bool = False
+
+
+def _kernel_rows(kernel: GreenKernel, points: np.ndarray,
+                 first: bool) -> _Rows:
+    """Slices of ``kernel`` at ``points``: z -> K(z, p) if first, else
+    z -> K(p, z)."""
+    if first:
+        def at(r, z):
+            return kernel.raw(z, points[r])
+    else:
+        def at(r, z):
+            return kernel.raw(points[r], z)
+    return _Rows(at, *kernel.slice_declarations(points, first),
+                 [None] * len(points))
+
+
+def _shared_rows(f, n: int) -> _Rows:
+    """The same function f on each of n rows."""
+    fv = as_vectorized(f)
+    bks = tuple(float(b) for b in getattr(f, "breakpoints", ()))
+    sings = tuple(float(s) for s in getattr(f, "singular_points", ()))
+    return _Rows(lambda r, z: fv(z), [bks] * n, [sings] * n,
+                 [getattr(f, "support", None)] * n, is_grid_function(f))
+
+
+def _point_rows(model: ModelSpace, *points) -> tuple[list[np.ndarray], bool]:
+    """The points of a 1D operator call as rows, and whether it was scalar.
+
+    Each argument is a scalar or a 1-D array, and they broadcast against
+    each other.  Every point is checked against the domain before any
+    integration, row by row and in argument order, so an outside point
+    raises the DomainError a loop over the rows would raise.
+    """
+    arrs = [np.asarray(p, dtype=float) for p in points]
+    shapes = {a.shape for a in arrs}
+    if len(shapes) == 1:
+        shape = shapes.pop()
+    else:
+        try:
+            shape = np.broadcast(*arrs).shape
+        except ValueError as exc:
+            raise PreconditionError(
+                f"the points do not broadcast: {exc}") from exc
+    if len(shape) > 1:
         raise PreconditionError(
-            "grid functions carry no information below their spacing; this "
-            f"integral must resolve singular points {sorted(sings)}")
-    lo, hi = model.domain.lo, model.domain.hi
-    if integrand.support is not None:
-        lo, hi = max(lo, integrand.support[0]), min(hi, integrand.support[1])
-        if hi <= lo:
-            return ExtendedValue.finite(0.0)
-    weighted = model.mu.weighted(integrand)
-    sings = [s for s in sings if lo <= s <= hi]
-    bks = integrand.breakpoints
+            f"points come as scalars or 1-D arrays, not shape {shape}")
+    cols = [a.reshape(-1) if a.shape == shape else np.broadcast_to(a, shape)
+            for a in arrs]
+    require = model.domain.require
+    for row in zip(*[c.tolist() for c in cols]):
+        for p in row:
+            require(p)
+    return cols, not shape
+
+
+def _at_points(model: ModelSpace, op, *columns) -> tuple:
+    """op at every row of the point columns: op(columns[0][i], ...).
+
+    One array call on the 1D models; the radial models take one point per
+    call.
+    """
+    if model.is_radial:
+        return tuple(op(*row) for row in zip(*columns))
+    return tuple(op(*(np.asarray(c, dtype=float) for c in columns)))
+
+
+def _radial_point(model: ModelSpace, x):
+    """A radial point as given: a first-axis offset or a coordinate vector."""
+    if np.ndim(x) > 1 or (np.ndim(x) == 1 and np.shape(x) != (model.dim,)):
+        raise PreconditionError(
+            f"the radial models take one point per call, a scalar or a "
+            f"vector of R^{model.dim}; arrays of points are for the 1D models")
+    return x
+
+
+def _sliced_integral(model: ModelSpace, kern: _Rows, f: _Rows, tol: float,
+                     mirrored: bool = False) -> list[ExtendedValue]:
+    """V and V*: int k_r(y) f_r(y) dmu(y) on the 1D domain, for every row r.
+
+    Each row is set up on its own: its kernel slice ``kern`` and data ``f``
+    give its breakpoints and singular points, the data its support, and a
+    grid function with a singular point in range is refused.  All rows are
+    then integrated together.  ``mirrored`` integrates in t = lo + hi - y,
+    so the panels differ from the forward ones, and maps a divergence
+    certificate back to y.
+    """
+    n = len(kern.breakpoints)
+    values = [None] * n
+    axes = [0.0] * n
+    rows, refusal = [], None
+    for r in range(n):
+        sings = {*kern.singular_points[r], *f.singular_points[r]}
+        if f.grid and sings:
+            # raised below, once the rows before it have been integrated
+            refusal = PreconditionError(
+                "grid functions carry no information below their spacing; "
+                f"this integral must resolve singular points {sorted(sings)}")
+            break
+        lo, hi = model.domain.lo, model.domain.hi
+        support = f.support[r]
+        if support is not None:
+            lo, hi = max(lo, support[0]), min(hi, support[1])
+            if hi <= lo:
+                values[r] = ExtendedValue.finite(0.0)
+                continue
+        sings = [s for s in sings if lo <= s <= hi]
+        bks = [*kern.breakpoints[r], *f.breakpoints[r]]
+        axis = axes[r] = lo + hi
+        if mirrored:
+            sings = [axis - s for s in sings]
+            bks = [axis - b for b in bks]
+        rows.append((r, (lo, hi), sorted(sings), bks))
+
+    dens = model.mu.density
+
+    def weighted(r, y):
+        # the product, then the density, in the order of _product and
+        # ReferenceMeasure.weighted
+        return (np.asarray(kern.at(r, y), dtype=float)
+                * np.asarray(f.at(r, y), dtype=float)) \
+            * np.asarray(dens(y), dtype=float)
+
+    integrand = weighted
     if mirrored:
-        axis = lo + hi
-        forward = weighted
+        axis_of = np.array(axes)
 
-        def weighted(t):
-            return np.asarray(forward(axis - np.asarray(t, dtype=float)),
-                              dtype=float)
+        def integrand(r, t):
+            t = np.asarray(t, dtype=float)
+            return np.asarray(weighted(r, axis_of[r] - t), dtype=float)
 
-        weighted.vectorized = True
-        sings = [axis - s for s in sings]
-        bks = [axis - b for b in bks]
-    val = integrate(weighted, (lo, hi), singular_points=sorted(sings),
-                    tol=tol, breakpoints=bks).value
-    if mirrored and not val.is_finite:
-        val = ExtendedValue.infinite(
-            _unmirror_certificate(val.certificate, axis))
-    return val
+    for (r, _, _, _), res in zip(rows, _integrate_rows(integrand, rows, tol)):
+        val = res.value
+        if mirrored and not val.is_finite:
+            val = ExtendedValue.infinite(
+                _unmirror_certificate(val.certificate, axes[r]))
+        values[r] = val
+    if refusal is not None:
+        raise refusal
+    return values
 
 
 def _coupling_radial(model: ModelSpace, f, x, tol: float) -> ExtendedValue:
@@ -121,7 +235,7 @@ def _coupling_radial(model: ModelSpace, f, x, tol: float) -> ExtendedValue:
     return res.value
 
 
-def coupling_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL) -> ExtendedValue:
+def coupling_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL):
     """Vf(x) = int G1(x,y) f(y) dmu(y), as an extended value.
 
     ``f`` must be nonnegative and evaluable on the domain (an :class:`Fn`,
@@ -129,10 +243,30 @@ def coupling_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL) -> ExtendedVa
     is read as a radial profile around ``x``, which is the only shape the
     reduction to a 1D integral supports; constants qualify.  Divergence is a
     valid return, not an error.
+
+    On the 1D models ``x`` may also be a 1-D array of points: the call then
+    returns a tuple of extended values, one per point, each with the bits
+    a scalar call gives it.  Every point is checked against the domain
+    before any integration; after that the call raises the exception of the
+    first point in order whose integral raises.  The radial models take one
+    point per call.
     """
     if model.is_radial:
-        return _coupling_radial(model, f, x, tol)
-    return _sliced_integral(model, model.G1.slice_in_second, f, x, tol)
+        return _coupling_radial(model, f, _radial_point(model, x), tol)
+    return _sliced_apply(model, model.G1, f, x, tol)
+
+
+def _sliced_apply(model: ModelSpace, kernel: GreenKernel, f, x, tol: float,
+                  adjoint: bool = False):
+    """V, or V* if ``adjoint``, of f at the point or points x on a 1D model.
+
+    V slices ``kernel`` in its second argument at x and integrates forward;
+    V* slices it in its first and integrates mirrored.
+    """
+    (xs,), scalar = _point_rows(model, x)
+    values = _sliced_integral(model, _kernel_rows(kernel, xs, first=adjoint),
+                              _shared_rows(f, xs.size), tol, mirrored=adjoint)
+    return values[0] if scalar else tuple(values)
 
 
 def w_apply(model: ModelSpace, q, f, x, tol: float = QUAD_TOL) -> ExtendedValue:
@@ -155,19 +289,29 @@ def w_apply(model: ModelSpace, q, f, x, tol: float = QUAD_TOL) -> ExtendedValue:
     return coupling_apply(model, _product(q, f), x, tol=tol)
 
 
-def compose_green(model: ModelSpace, x, y, tol: float = QUAD_TOL) -> ExtendedValue:
+def compose_green(model: ModelSpace, x, y, tol: float = QUAD_TOL):
     """H(x,y) = int G1(x,z) G2(z,y) dmu(z), the kernel of the composed problem.
 
     On the radial models this dispatches to the two-variable reduction; on
     the 1D models it is V applied to the G2 slice, so its divergences carry
     the same shell certificates as any other coupling integral.
+
+    On the 1D models ``x`` and ``y`` may also be 1-D arrays of points that
+    broadcast against each other: the call then returns a tuple of extended
+    values, one per (x, y) pair, each with the bits a scalar call gives it.
+    Every point is checked against the domain (y, then x, pair by pair)
+    before any integration; after that the call raises the exception of the
+    first pair in order whose integral raises.  The radial models take one
+    pair per call.
     """
     if model.is_radial:
         from .models.newtonian import riesz_compose
-        return riesz_compose(model.dim, x, y, tol=tol)
-    model.domain.require(y)
-    f = model.G2.slice_in_first(y)      # z -> G2(z, y)
-    return coupling_apply(model, f, x, tol=tol)
+        return riesz_compose(model.dim, _radial_point(model, x),
+                             _radial_point(model, y), tol=tol)
+    (ys, xs), scalar = _point_rows(model, y, x)
+    values = _sliced_integral(model, _kernel_rows(model.G1, xs, first=False),
+                              _kernel_rows(model.G2, ys, first=True), tol)
+    return values[0] if scalar else tuple(values)
 
 
 def pure_decompose(model: ModelSpace, pair: BiharmonicPair, grid,

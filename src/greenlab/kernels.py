@@ -177,22 +177,32 @@ class GreenKernel:
     endpoint_singularities: tuple[EndpointSingularity, ...] = ()
     symmetric: bool = True
 
+    def slice_declarations(self, points, first: bool) -> tuple[list, list]:
+        """Breakpoints and live singular points of the slices at ``points``.
+
+        The slice in the first argument at y is x -> K(x, y), the one in the
+        second at x is y -> K(x, y).  Its breakpoints are its point, where
+        the kernel kinks on the diagonal, and every endpoint singularity;
+        such an endpoint is a live singular point of the slice where the
+        kernel is non-finite at it.  Returns one list of each per point;
+        one kernel call per endpoint serves all the points.
+        """
+        pts = np.asarray(points, dtype=float)
+        ends = [float(e.point) for e in self.endpoint_singularities]
+        finite = [np.isfinite(self.raw(e, pts) if first else self.raw(pts, e))
+                  .tolist() for e in ends]
+        pts = pts.tolist()
+        bks = [[p, *ends] for p in pts] if self.kink_on_diagonal \
+            else [ends] * len(pts)
+        sings = [[e for e, fin in zip(ends, finite) if not fin[i]]
+                 for i in range(len(pts))]
+        return bks, sings
+
     def slice_in_first(self, y: float) -> Fn:
         """x -> K(x, y) with its breakpoints and live singularities declared."""
-        bks = [y] if self.kink_on_diagonal else []
-        bks += [e.point for e in self.endpoint_singularities]
-        sings = [e.point for e in self.endpoint_singularities
-                 if not math.isfinite(float(self.raw(e.point, y)))]
+        (bks,), (sings,) = self.slice_declarations([y], first=True)
         return Fn(lambda x: self.raw(x, y), breakpoints=bks, vectorized=True,
                   name=f"{self.name}(.,{y:g})", singular_points=sings)
-
-    def slice_in_second(self, x: float) -> Fn:
-        bks = [x] if self.kink_on_diagonal else []
-        bks += [e.point for e in self.endpoint_singularities]
-        sings = [e.point for e in self.endpoint_singularities
-                 if not math.isfinite(float(self.raw(x, e.point)))]
-        return Fn(lambda y: self.raw(x, y), breakpoints=bks, vectorized=True,
-                  name=f"{self.name}({x:g},.)", singular_points=sings)
 
 
 def _approach_trace(K: GreenKernel, x, y):

@@ -60,15 +60,13 @@ def h_symmetry_table() -> tuple[np.ndarray, np.ndarray]:
     """H by quadrature in both orders on the 20-point grid of [0.05, 0.95].
 
     Returns (grid, table) with table[i, j] = H(grid[i], grid[j]), one
-    quadrature per ordered pair of grid points.
+    quadrature per ordered pair of grid points, all in one call.
     """
     grid = np.linspace(0.05, 0.95, 20)
-    table = np.empty((grid.size, grid.size))
-    for i, j in zip(*np.triu_indices(grid.size)):
-        x, y = float(grid[i]), float(grid[j])
-        table[i, j] = float(h_sym(x, y))
-        if i != j:
-            table[j, i] = float(h_sym(y, x))
+    xs, ys = np.meshgrid(grid, grid, indexing="ij")
+    values = compose_green(bilaplace_model(), xs.ravel(), ys.ravel(),
+                           tol=QUAD_TOL)
+    table = np.array([float(v) for v in values]).reshape(xs.shape)
     return grid, table
 
 

@@ -70,6 +70,16 @@ def newtonian_model(n: int) -> ModelSpace:
                       G1=kernel, G2=kernel, mu=mu, dim=n)
 
 
+def require_separation(d: float) -> float:
+    """A separation |x - y| as a float: finite and nonnegative, or refused."""
+    d = float(d)
+    if not math.isfinite(d):
+        raise DomainError(f"separation must be finite, got {d!r}")
+    if d < 0.0:
+        raise PreconditionError("separation must be nonnegative")
+    return d
+
+
 def kernel_at_distance(n: int, d: float) -> ExtendedValue:
     """G at separation d: c_n d^(2-n), +inf at d = 0.
 
@@ -77,11 +87,7 @@ def kernel_at_distance(n: int, d: float) -> ExtendedValue:
     diagonal +inf as d = 0, as :func:`newton_kernel` gives it.
     """
     n = _require_dim(n)
-    d = float(d)
-    if not math.isfinite(d):
-        raise DomainError(f"separation must be finite, got {d!r}")
-    if d < 0.0:
-        raise PreconditionError("separation must be nonnegative")
+    d = require_separation(d)
     c = newton_constant(n)
     if d > 0.0:
         try:

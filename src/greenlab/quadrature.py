@@ -14,7 +14,10 @@ smooth piece of an integral together, then the children of each piece's worst
 panel, round by round, and the dyadic shells in runs.  So a vectorized
 integrand must be elementwise: its value at a node may not depend on the other
 nodes in the array.  Each panel is still reduced on its own, so every value,
-bound and certificate is the one a panel-at-a-time walk gives.
+bound and certificate is the one a panel-at-a-time walk gives.  The same
+engine integrates many rows at once -- one integral per point of an operator
+call on an array of points -- with the smooth pieces of every row in the same
+rounds; :func:`integrate` is its one-row call.
 
 Conventions
 -----------
@@ -29,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,11 +128,32 @@ def _gk15(fv: Callable, a, b) -> list:
     return out
 
 
-def _refine(fv: Callable, pieces: Sequence[tuple[Sequence[float], float, int]]
-            ) -> list[tuple[float, float, int]]:
+def _at_rows(fv: Callable, rows: list[int], panels: int = 1) -> Callable:
+    """The node integrand of G7/K15 panels of the given rows, ``panels`` each.
+
+    ``fv(r, z)`` is a row integrand: the integrand of row r at the nodes z,
+    where r is one row id, or an int array of ids with z's shape.  Panels
+    of a single row get its id as a scalar, which broadcasts; building an
+    id per node would cost a scalar call a few microseconds per round.
+    """
+    if rows.count(rows[0]) == len(rows):
+        return lambda z: fv(rows[0], z)
+    r = np.array(rows, dtype=np.intp).repeat(panels * len(_GK_NODES))
+    return lambda z: fv(r, z)
+
+
+def _undeclared(sample: _NonFiniteSample) -> UndeclaredSingularityError:
+    return UndeclaredSingularityError(
+        f"integrand is non-finite at {sample.x!r}, away from every declared "
+        "singular point")
+
+
+def _refine(fv: Callable,
+            pieces: Sequence[tuple[int, Sequence[float], float, int]]) -> list:
     """Adaptive G7/K15 on several pieces at once: (value, error, panels) each.
 
-    A piece is (cuts, tol, max_panels).  Its initial panels lie between
+    A piece is (row, cuts, tol, max_panels), integrated against the row
+    integrand ``fv(r, z)`` at its row.  Its initial panels lie between
     consecutive cuts; while its error sum exceeds tol and it holds fewer
     than max_panels panels, its worst panel is bisected.  Each piece keeps
     its own heap and sums, so its result is the one it would get alone.
@@ -137,9 +161,10 @@ def _refine(fv: Callable, pieces: Sequence[tuple[Sequence[float], float, int]]
     round one call evaluates the children of the worst panel of every piece
     still refining.
 
-    A non-finite sample ends its piece.  The first piece in order that met
-    one raises :class:`UndeclaredSingularityError` once every piece before
-    it is done; the pieces after it are not refined further.
+    A non-finite sample ends its piece, whose outcome is then that
+    :class:`_NonFiniteSample`.  The pieces before the first such piece are
+    refined to the end; the pieces after it are not refined further, and
+    their outcomes mean nothing.
     """
     if not pieces:
         return []
@@ -148,10 +173,12 @@ def _refine(fv: Callable, pieces: Sequence[tuple[Sequence[float], float, int]]
     total, err_total, count = [0.0] * n, [0.0] * n, [0] * n
     failures: dict[int, _NonFiniteSample] = {}
 
-    initial = [(i, lo, hi) for i, (cuts, _, _) in enumerate(pieces)
+    initial = [(i, r, lo, hi) for i, (r, cuts, _, _) in enumerate(pieces)
                for lo, hi in zip(cuts[:-1], cuts[1:])]
-    outs = _gk15(fv, [lo for _, lo, _ in initial], [hi for _, _, hi in initial])
-    for (i, lo, hi), out in zip(initial, outs):
+    outs = _gk15(_at_rows(fv, [r for _, r, _, _ in initial]),
+                 [lo for _, _, lo, _ in initial],
+                 [hi for _, _, _, hi in initial])
+    for (i, _, lo, hi), out in zip(initial, outs):
         if i in failures:
             continue
         if isinstance(out, _NonFiniteSample):
@@ -163,15 +190,18 @@ def _refine(fv: Callable, pieces: Sequence[tuple[Sequence[float], float, int]]
         count[i] += 1
         heapq.heappush(heaps[i], (-err, lo, hi, val))
 
+    active = range(n)
     while True:
+        # a piece that stops refining never starts again
         first_bad = min(failures, default=n)
-        active = [i for i, (_, tol, cap) in enumerate(pieces[:first_bad])
-                  if err_total[i] > tol and count[i] < cap]
+        active = [i for i in active if i < first_bad
+                  and err_total[i] > pieces[i][2] and count[i] < pieces[i][3]]
         if not active:
             break
         worst = [heapq.heappop(heaps[i]) for i in active]
         splits = [(lo, 0.5 * (lo + hi), hi) for _, lo, hi, _ in worst]
-        outs = iter(_gk15(fv, [e for lo, mid, _ in splits for e in (lo, mid)],
+        outs = iter(_gk15(_at_rows(fv, [pieces[i][0] for i in active], 2),
+                          [e for lo, mid, _ in splits for e in (lo, mid)],
                           [e for _, mid, hi in splits for e in (mid, hi)]))
         for i, (neg_err, _, _, val), (lo, mid, hi) in zip(active, worst, splits):
             left, right = next(outs), next(outs)
@@ -186,11 +216,10 @@ def _refine(fv: Callable, pieces: Sequence[tuple[Sequence[float], float, int]]
             heapq.heappush(heaps[i], (-e1, lo, mid, v1))
             heapq.heappush(heaps[i], (-e2, mid, hi, v2))
 
-    if failures:
-        raise UndeclaredSingularityError(
-            f"integrand is non-finite at {failures[min(failures)].x!r}, away "
-            "from every declared singular point")
-    return list(zip(total, err_total, count))
+    outs = list(zip(total, err_total, count))
+    for i, bad in failures.items():
+        outs[i] = bad
+    return outs
 
 
 def adaptive_panels(f: Callable, a: float, b: float, tol: float,
@@ -206,7 +235,11 @@ def adaptive_panels(f: Callable, a: float, b: float, tol: float,
     if b <= a:
         return 0.0, 0.0, 0
     cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    return _refine(as_vectorized(f), [(cuts, tol, max_panels)])[0]
+    fv = as_vectorized(f)
+    out, = _refine(lambda r, z: fv(z), [(0, cuts, tol, max_panels)])
+    if isinstance(out, _NonFiniteSample):
+        raise _undeclared(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,27 +455,88 @@ def integrate(f: Callable, interval: tuple[float, float],
     for perturbed power laws (the local shape of every kernel here), not a
     certified enclosure for arbitrary integrands.
     """
+    fv = as_vectorized(f)
+    result, = _integrate_rows(lambda r, z: fv(z),
+                              [(0, interval, singular_points, breakpoints)],
+                              tol, max_subdivisions, depth)
+    return result
+
+
+def _integrate_rows(fv: Callable, rows, tol: float,
+                    max_subdivisions: int = 2000,
+                    depth: int = PROBE_DEPTH) -> list[QuadResult]:
+    """:func:`integrate` on many rows at once, one QuadResult per row.
+
+    A row is (r, interval, singular_points, breakpoints), and its integrand
+    is ``fv(r, z)`` at the nodes z: r is one row id, or an int array of ids
+    with z's shape, and fv must be elementwise in both.  Each row is
+    split, and its tolerance shared, as it would be alone.  Its shell
+    probes run on their own, with a one-row integrand; then the plain
+    pieces of every row are refined together by :func:`_refine`.  So each
+    row gets the bits it would get alone, and the batch raises the
+    exception of the first row in order that raises.
+    """
+    plans, stop = [], None
+    for r, interval, singular_points, breakpoints in rows:
+        try:
+            plans.append(_plan_row(fv, r, interval, singular_points,
+                                   breakpoints, tol, depth))
+        except Exception as exc:
+            # raised below, once the rows before it have had their turn
+            stop = exc
+            break
+    sums = iter(_refine(fv, [(row[0], piece, plan.tol_plain, max_subdivisions)
+                             for row, plan in zip(rows, plans)
+                             for piece in plan.plain]))
+    results = [_assemble_row(plan, sums, tol) for plan in plans]
+    if stop is not None:
+        raise stop
+    return results
+
+
+class _RowPlan(NamedTuple):
+    """A row split into pieces, with its shell probes walked.
+
+    The first probe that diverges or raises a GreenLabError decides the
+    row, unless a plain piece before it meets a non-finite sample: ``end``
+    is the number of pieces up to it, ``refusal`` the error it raised, and
+    ``plain`` the (lo, hi) of the plain pieces before it, to be refined.
+    ``reports`` maps the index of each probed piece to its probe reports.
+    """
+    reports: dict
+    end: int
+    refusal: Exception | None
+    plain: list
+    tol_plain: float
+
+
+def _plan_row(fv: Callable, r: int, interval, singular_points, breakpoints,
+              tol: float, depth: int) -> _RowPlan:
+    """Split row r into pieces and walk its shell probes in interval order.
+
+    A GreenLabError from a probe is kept as the row's refusal; any other
+    exception propagates at once.
+    """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise PreconditionError(f"empty integration interval [{a}, {b}]")
-    sings = sorted({float(s) for s in singular_points if a <= s <= b})
-    cuts = sorted({a, b, *sings,
-                   *(p for p in breakpoints if a < p < b)})
+    sings = {float(s) for s in singular_points if a <= s <= b}
+    cuts = sorted({a, b, *sings, *(p for p in breakpoints if a < p < b)})
+    if not sings:       # nothing to probe: every piece is plain
+        plain = list(zip(cuts[:-1], cuts[1:]))
+        return _RowPlan({}, len(plain), None, plain, 0.5 * tol / len(plain))
 
-    fv = as_vectorized(f)
-    sing_set = set(sings)
-    pieces = [(lo, hi, lo in sing_set, hi in sing_set)
+    pieces = [(lo, hi, lo in sings, hi in sings)
               for lo, hi in zip(cuts[:-1], cuts[1:])]
     # Split the tolerance budget fairly between shell probes and plain pieces.
-    n_shell = sum((lo_s + hi_s) for _, _, lo_s, hi_s in pieces) or 1
+    n_shell = sum((lo_s + hi_s) for _, _, lo_s, hi_s in pieces)
     n_plain = sum(1 for _, _, lo_s, hi_s in pieces if not (lo_s or hi_s)) or 1
     tol_shell = 0.5 * tol / n_shell
     tol_plain = 0.5 * tol / n_plain
 
-    # Walk the shell probes in interval order first.  The first one that
-    # diverges or raises decides the result, unless a plain piece before it
-    # meets a non-finite sample, so only the plain pieces before it are
-    # refined, all together.
+    def row_fv(z):
+        return fv(r, z)
+
     reports: dict[int, list[ProbeReport]] = {}
     end, refusal = len(pieces), None
     for i, (lo, hi, left_sing, right_sing) in enumerate(pieces):
@@ -456,7 +550,8 @@ def integrate(f: Callable, interval: tuple[float, float],
         reports[i] = []
         for point, side, scale in spans:
             try:
-                rep = _probe_geometric(fv, point, side, scale, depth, tol_shell)
+                rep = _probe_geometric(row_fv, point, side, scale, depth,
+                                       tol_shell)
             except GreenLabError as exc:
                 end, refusal = i + 1, exc
                 break
@@ -466,17 +561,31 @@ def integrate(f: Callable, interval: tuple[float, float],
                 break
         if end < len(pieces):
             break
-    sums = iter(_refine(fv, [((lo, hi), tol_plain, max_subdivisions)
-                             for lo, hi, left_sing, right_sing in pieces[:end]
-                             if not (left_sing or right_sing)]))
-    if refusal is not None:
-        raise refusal
+    plain = [(lo, hi) for i, (lo, hi, _, _) in enumerate(pieces[:end])
+             if i not in reports]
+    return _RowPlan(reports, end, refusal, plain, tol_plain)
 
+
+def _assemble_row(plan: _RowPlan, sums, tol: float) -> QuadResult:
+    """The QuadResult of a planned row from its refined plain pieces.
+
+    The first piece in interval order that ends in INF or raises decides: a
+    non-finite sample in a plain piece before the deciding probe wins over
+    the probe's refusal.
+    """
+    plain = [next(sums) for _ in plan.plain]
+    for out in plain:
+        if isinstance(out, _NonFiniteSample):
+            raise _undeclared(out)
+    if plan.refusal is not None:
+        raise plan.refusal
+
+    reports, plain = plan.reports, iter(plain)
     total, err_total, panels = 0.0, 0.0, 0
     handled: list[tuple[float, str]] = []
-    for i in range(end):
+    for i in range(plan.end):
         if i not in reports:
-            v, e, n = next(sums)
+            v, e, n = next(plain)
             total += v
             err_total += e
             panels += n

@@ -82,8 +82,8 @@ def build_boundary_blowup(seed: int = 0) -> ReportTable:
     """H(x, 0) along the interval model: identically infinite, exponent -1."""
     model = iv.interval_model()
     rows = []
-    for x in np.linspace(0.1, 0.9, 9):
-        val = compose_green(model, float(x), 0.0)
+    xs = np.linspace(0.1, 0.9, 9)
+    for x, val in zip(xs, compose_green(model, xs, 0.0)):
         if val.is_finite:
             rows.append((_num(x), "0", _num(float(val)), ""))
         else:

@@ -16,9 +16,11 @@ from greenlab.adjoint import (
     lsc_check,
 )
 from greenlab.coupling import coupling_apply
-from greenlab.errors import ModelDomainError, PreconditionError
-from greenlab.kernels import Fn, bump
+from greenlab.errors import DomainError, ModelDomainError, PreconditionError
+from greenlab.kernels import Fn, GridFunction, bump, constant
 from greenlab.models import get_model
+from greenlab.values import ExtendedValue
+from test_coupling import bits
 
 
 def test_adjoint_of_kernel_slices_matches_h_oracle():
@@ -133,3 +135,53 @@ def test_duality_pairing():
     with pytest.raises(ModelDomainError):
         duality_residual(get_model("interval"), bump(0.3, 0.2),
                          bump(0.7, 0.2))
+
+
+def test_array_vstar_matches_the_scalar_loop_bit_for_bit():
+    xs = [0.0, 0.12, 0.4, 0.7, 0.99]
+    gf = GridFunction(np.linspace(0.2, 0.8, 7), [0, 1, 2, 1, 3, 1, 0])
+    cases = (("interval", constant(1.0)), ("interval", bump(0.0, 0.3)),
+             ("interval", bump(0.5, 0.2)), ("bilaplace", constant(1.0)),
+             ("bilaplace", gf))
+    for name, f in cases:
+        model = get_model(name)
+        pts = xs if name == "interval" else xs[1:]
+        for tol in (1e-8, 1e-11):
+            batch = adjoint_apply(model, f, np.array(pts), tol=tol)
+            assert [bits(v) for v in batch] == [
+                bits(adjoint_apply(model, f, x, tol=tol)) for x in pts]
+    # x = 0 on the interval is the certified INF row, unmirrored
+    first = adjoint_apply(get_model("interval"), constant(1.0),
+                          np.array(xs))[0]
+    assert not first.is_finite
+    assert first.certificate.location == 0.0
+    assert first.certificate.side == "right"
+
+
+def test_array_vstar_rows_do_not_depend_on_the_batch():
+    model = get_model("interval")
+    f = bump(0.35, 0.3)
+    alone = bits(adjoint_apply(model, f, 0.41))
+    for xs in ([0.41, 0.0], [0.0, 0.9, 0.41, 0.05], [0.41] * 3):
+        batch = adjoint_apply(model, f, np.array(xs))
+        assert all(bits(v) == alone for x, v in zip(xs, batch) if x == 0.41)
+
+
+def test_array_vstar_refuses_outside_points_before_integrating():
+    model = get_model("bilaplace")
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        return np.ones_like(y)
+
+    f.vectorized = True
+    with pytest.raises(DomainError) as scalar:
+        adjoint_apply(model, f, 0.0)
+    with pytest.raises(DomainError) as batch:
+        adjoint_apply(model, f, np.array([0.5, 0.0, 0.7]))
+    assert str(batch.value) == str(scalar.value)
+    assert calls == []
+    with pytest.raises(PreconditionError):
+        adjoint_apply(get_model("newtonian5"), f, [0.5, 1.0])
+    assert isinstance(adjoint_apply(model, constant(1.0), 0.5), ExtendedValue)

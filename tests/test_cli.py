@@ -55,6 +55,15 @@ def test_eval_radial_kernel_at_distance(capsys):
         assert err.startswith("greenlab: ") and "finite" in err
 
 
+def test_eval_negative_separation_is_refused_for_every_kernel(capsys):
+    for kernel in ("g1", "h"):
+        rc, out, err = run_cli(capsys, "eval", "--model", "newtonian5",
+                               "--kernel", kernel, "--dist", "1,-1")
+        assert rc == 2
+        assert out == ""
+        assert err == "greenlab: separation must be nonnegative\n"
+
+
 def test_eval_kernel_points_are_checked_and_certified(capsys):
     rc, out, err = run_cli(capsys, "eval", "--model", "bilaplace",
                            "--kernel", "g1", "--x", "2", "--y", "0.5")

@@ -6,9 +6,11 @@ import pytest
 import oracles
 from greenlab.coupling import (classify_pair, compose_green, coupling_apply,
                                pure_decompose, w_apply)
-from greenlab.errors import ClassificationError, PreconditionError
+from greenlab.errors import (ClassificationError, DomainError,
+                             PreconditionError)
 from greenlab.kernels import BiharmonicPair, Fn, GridFunction, bump, constant
 from greenlab.models import get_model
+from greenlab.values import ExtendedValue
 
 GRID = [float(g) for g in np.linspace(0.05, 0.9, 12)]
 SUBS = ((0.2, 0.8), (0.3, 0.6), (0.15, 0.45))
@@ -161,3 +163,131 @@ def test_classify_shifted_pair_is_superharmonic_not_pure():
     assert "superharmonic" in report.flags
     assert "pure" not in report.flags
     assert "harmonic" not in report.flags
+
+
+# ---------------------------------------------------------------------------
+# Arrays of points: one call, the bits of the scalar loop.
+
+def bits(val):
+    """Everything an extended value carries, exactly."""
+    if val.is_finite:
+        return ("finite", val.value.hex(), val.error_bound.hex())
+    cert = val.certificate
+    return ("inf", repr(cert.location), cert.side,
+            cert.estimated_exponent.hex(),
+            tuple((d.hex(), m.hex()) for d, m in cert.probe_trace))
+
+
+def outcome(call):
+    try:
+        return [bits(v) for v in call()]
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def test_array_h_matches_the_scalar_loop_bit_for_bit():
+    xs = [0.05, 0.3, 0.5, 0.5, 0.93]
+    ys = [0.7, 0.0, 0.5, 0.2, 0.0]
+    for name in ("interval", "bilaplace"):
+        model = get_model(name)
+        ys_here = ys if name == "interval" else [y or 0.6 for y in ys]
+        for tol in (1e-8, 1e-11):
+            batch = compose_green(model, np.array(xs), np.array(ys_here),
+                                  tol=tol)
+            assert isinstance(batch, tuple)
+            assert [bits(v) for v in batch] == [
+                bits(compose_green(model, x, y, tol=tol))
+                for x, y in zip(xs, ys_here)]
+    # the interval rows with y = 0 are the certified INF
+    batch = compose_green(get_model("interval"), np.array(xs), 0.0)
+    assert all(not v.is_finite for v in batch)
+
+
+def test_array_x_and_y_broadcast():
+    model = get_model("interval")
+    xs = np.linspace(0.1, 0.9, 5)
+    assert [bits(v) for v in compose_green(model, xs, 0.4)] == [
+        bits(compose_green(model, x, 0.4)) for x in xs]
+    assert [bits(v) for v in compose_green(model, 0.4, xs)] == [
+        bits(compose_green(model, 0.4, x)) for x in xs]
+    assert compose_green(model, np.array([]), 0.4) == ()
+    with pytest.raises(PreconditionError):
+        compose_green(model, [0.2, 0.3], [0.2, 0.3, 0.4])
+
+
+def test_array_v_matches_the_scalar_loop_bit_for_bit():
+    gf = GridFunction(np.linspace(0.2, 0.8, 7), [0, 1, 2, 1, 3, 1, 0])
+    # an undeclared cusp refines until each piece meets its share of tol,
+    # and the rows split its support into one or two pieces
+    cusp = Fn(lambda y: np.sqrt(np.abs(np.asarray(y) - 0.55)),
+              breakpoints=(0.2, 0.8), support=(0.2, 0.8), vectorized=True)
+    xs = [0.15, 0.3, 0.45, 0.6, 0.95]
+    for name in ("interval", "bilaplace"):
+        model = get_model(name)
+        # a bump brings its support and breakpoints; a grid function its
+        # nodes as breakpoints
+        for f in (bump(0.4, 0.2), gf, constant(1.0), cusp):
+            batch = coupling_apply(model, f, np.array(xs), tol=1e-10)
+            assert [bits(v) for v in batch] == [
+                bits(coupling_apply(model, f, x, tol=1e-10)) for x in xs]
+
+
+def test_a_row_does_not_depend_on_its_batch():
+    model = get_model("interval")
+    alone = bits(compose_green(model, 0.37, 0.61))
+    rng = np.random.default_rng(4)
+    for size in (2, 9, 40):
+        xs = rng.uniform(0.01, 0.99, size)
+        ys = rng.uniform(0.0, 0.99, size)
+        k = size // 2
+        xs[k], ys[k] = 0.37, 0.61
+        ys[0] = 0.0             # an INF row in the same batch
+        assert bits(compose_green(model, xs, ys)[k]) == alone
+
+
+def test_an_outside_point_mid_array_raises_the_loops_error():
+    model = get_model("interval")
+    with pytest.raises(DomainError) as scalar:
+        compose_green(model, 1.5, 0.5)
+    with pytest.raises(DomainError) as batch:
+        compose_green(model, np.array([0.2, 1.5, 0.3]), 0.5)
+    assert str(batch.value) == str(scalar.value)
+    # within a pair the loop checks y first
+    with pytest.raises(DomainError, match="-0.25 outside"):
+        compose_green(model, np.array([0.2, 1.5]), np.array([0.3, -0.25]))
+    with pytest.raises(DomainError, match="1.5 outside"):
+        coupling_apply(model, constant(1.0), [0.0, 0.5, 1.5, -1.0])
+
+
+def test_the_first_row_that_raises_decides():
+    model = get_model("interval")
+    # row 0.3 meets the grid function's NaN node; row 0.0 needs a singular
+    # point resolved, which a grid function refuses
+    holed = GridFunction(np.linspace(0.0, 1.0, 11),
+                         [1, 1, 1, 1, 1, np.nan, 1, 1, 1, 1, 1])
+    from greenlab.adjoint import adjoint_apply
+    for xs in ([0.3, 0.0], [0.0, 0.3]):
+        loop = outcome(lambda: [adjoint_apply(model, holed, x) for x in xs])
+        assert outcome(lambda: adjoint_apply(model, holed, np.array(xs))) \
+            == loop
+        assert isinstance(loop, tuple)
+
+
+def test_radial_models_take_one_point_per_call():
+    model = get_model("newtonian5")
+    for call in (lambda: compose_green(model, [0.5, 1.0], 0.0),
+                 lambda: compose_green(model, 0.0, np.zeros((2, 5))),
+                 lambda: coupling_apply(model, constant(1.0), [0.5, 1.0])):
+        with pytest.raises(PreconditionError):
+            call()
+    # one coordinate vector is one point
+    assert compose_green(model, np.zeros(5), 1.0).is_finite
+
+
+def test_a_scalar_call_returns_an_extended_value():
+    model = get_model("interval")
+    assert isinstance(compose_green(model, 0.3, 0.7), ExtendedValue)
+    assert isinstance(coupling_apply(model, constant(1.0), 0.3),
+                      ExtendedValue)
+    batch = coupling_apply(model, constant(1.0), [0.3])
+    assert isinstance(batch, tuple) and len(batch) == 1
