@@ -354,7 +354,8 @@ def lsc_check(model: ModelSpace, n: int = 15, tol: float = 1e-6,
                                                   np.array(ys), tol=quad_tol)]
         for k, yv in enumerate(grid):
             center, *rings = values[k * per_node:(k + 1) * per_node]
-            coarse, fine = center - min(rings[:8]), center - min(rings[8:])
+            coarse = center - min(rings[:len(_RING)])
+            fine = center - min(rings[len(_RING):])
             ok = fine <= max(tol, 0.6 * coarse) and fine <= coarse + tol
             entries.append(LscEntry(float(xv), float(yv), center,
                                     coarse, fine, ok))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ClassificationError, PreconditionError
 from .kernels import (BiharmonicPair, Fn, GreenKernel, Interval1D, ModelSpace,
-                      is_grid_function)
-from .quadrature import _integrate_rows, as_vectorized, integrate_radial
+                      is_grid_function, times)
+from .quadrature import as_vectorized, integrate, integrate_radial
 from .values import (IDENTITY_TOL, QUAD_TOL, DivergenceCertificate,
                      ExtendedValue)
 from . import riquier
@@ -29,7 +29,7 @@ def _product(g, f) -> Fn:
     gv, fv = as_vectorized(g), as_vectorized(f)
 
     def h(z):
-        return np.asarray(gv(z), dtype=float) * np.asarray(fv(z), dtype=float)
+        return times(gv(z), fv(z))
 
     bks = tuple(getattr(g, "breakpoints", ())) + tuple(getattr(f, "breakpoints", ()))
     sings = tuple(getattr(g, "singular_points", ())) + \
@@ -182,14 +182,10 @@ def _sliced_integral(model: ModelSpace, kern: _Rows, f: _Rows, tol: float,
             bks = [axis - b for b in bks]
         rows.append((r, (lo, hi), sorted(sings), bks))
 
-    dens = model.mu.density
+    weigh = model.mu.weigh
 
     def weighted(r, y):
-        # the product, then the density, in the order of _product and
-        # ReferenceMeasure.weighted
-        return (np.asarray(kern.at(r, y), dtype=float)
-                * np.asarray(f.at(r, y), dtype=float)) \
-            * np.asarray(dens(y), dtype=float)
+        return weigh(times(kern.at(r, y), f.at(r, y)), y)
 
     integrand = weighted
     if mirrored:
@@ -199,7 +195,8 @@ def _sliced_integral(model: ModelSpace, kern: _Rows, f: _Rows, tol: float,
             t = np.asarray(t, dtype=float)
             return np.asarray(weighted(r, axis_of[r] - t), dtype=float)
 
-    for (r, _, _, _), res in zip(rows, _integrate_rows(integrand, rows, tol)):
+    results = integrate(integrand, rows=rows, tol=tol)
+    for (r, _, _, _), res in zip(rows, results):
         val = res.value
         if mirrored and not val.is_finite:
             val = ExtendedValue.infinite(

@@ -246,17 +246,25 @@ def kernel_eval(K: GreenKernel, x, y) -> ExtendedValue:
         "declared singular locus")
 
 
+def times(a, b) -> np.ndarray:
+    """a * b, both read as float arrays: the one elementwise product behind
+    the operators' integrands (kernel slice times data, then the density)."""
+    return np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
+
+
 @dataclass(frozen=True)
 class ReferenceMeasure:
     """Absolutely continuous coupling measure: density w.r.t. Lebesgue."""
     name: str
     density: Callable
 
-    def weighted(self, f: Callable) -> Callable:
-        dens = self.density
+    def weigh(self, values, y) -> np.ndarray:
+        """values at the nodes y, times the density there."""
+        return times(values, self.density(y))
 
+    def weighted(self, f: Callable) -> Callable:
         def g(y):
-            return np.asarray(f(y), dtype=float) * np.asarray(dens(y), dtype=float)
+            return self.weigh(f(y), y)
 
         g.vectorized = True
         return g

@@ -17,7 +17,7 @@ nodes in the array.  Each panel is still reduced on its own, so every value,
 bound and certificate is the one a panel-at-a-time walk gives.  The same
 engine integrates many rows at once -- one integral per point of an operator
 call on an array of points -- with the smooth pieces of every row in the same
-rounds; :func:`integrate` is its one-row call.
+rounds: :func:`integrate` takes one interval, or rows of them.
 
 Conventions
 -----------
@@ -436,10 +436,20 @@ class QuadResult:
     converged: bool
 
 
-def integrate(f: Callable, interval: tuple[float, float],
+class QuadRows(tuple):
+    """The QuadResults of a row-form :func:`integrate` call, one per row."""
+
+    @property
+    def converged(self) -> bool:
+        """Whether every row met its tolerance."""
+        return all(res.converged for res in self)
+
+
+def integrate(f: Callable, interval: tuple[float, float] | None = None,
               singular_points: Sequence[float] = (), tol: float = 1e-8,
               breakpoints: Sequence[float] = (), max_subdivisions: int = 2000,
-              depth: int = PROBE_DEPTH) -> QuadResult:
+              depth: int = PROBE_DEPTH, *, rows: Sequence[tuple] | None = None
+              ) -> QuadResult | QuadRows:
     """Integrate f over [a, b] with declared singular points.
 
     ``singular_points`` are locations (interior or endpoint) where f may be
@@ -454,44 +464,45 @@ def integrate(f: Callable, interval: tuple[float, float],
     singular points; across a shell probe it is a sharp estimate calibrated
     for perturbed power laws (the local shape of every kernel here), not a
     certified enclosure for arbitrary integrands.
+
+    Many integrals at once: instead of ``interval``, ``singular_points``
+    and ``breakpoints``, pass ``rows``, a sequence of (r, interval,
+    singular_points, breakpoints).  f is then a row integrand ``f(r, z)``
+    at the nodes z, where r is one row id, or an int array of ids with z's
+    shape, and f must be elementwise in both.  The call returns a
+    :class:`QuadRows` in the order of ``rows``; each row gets the bits a
+    one-row call gives it, and the call raises the exception of the first
+    row in order that raises.
     """
-    fv = as_vectorized(f)
-    result, = _integrate_rows(lambda r, z: fv(z),
-                              [(0, interval, singular_points, breakpoints)],
-                              tol, max_subdivisions, depth)
-    return result
-
-
-def _integrate_rows(fv: Callable, rows, tol: float,
-                    max_subdivisions: int = 2000,
-                    depth: int = PROBE_DEPTH) -> list[QuadResult]:
-    """:func:`integrate` on many rows at once, one QuadResult per row.
-
-    A row is (r, interval, singular_points, breakpoints), and its integrand
-    is ``fv(r, z)`` at the nodes z: r is one row id, or an int array of ids
-    with z's shape, and fv must be elementwise in both.  Each row is
-    split, and its tolerance shared, as it would be alone.  Its shell
-    probes run on their own, with a one-row integrand; then the plain
-    pieces of every row are refined together by :func:`_refine`.  So each
-    row gets the bits it would get alone, and the batch raises the
-    exception of the first row in order that raises.
-    """
+    scalar = rows is None
+    if scalar and interval is None or not scalar and (
+            interval is not None or singular_points or breakpoints):
+        raise PreconditionError(
+            "integrate takes an interval, or rows that each carry their own "
+            "interval, singular points and breakpoints")
+    if scalar:
+        fv = as_vectorized(f)
+        f, rows = (lambda r, z: fv(z)), [(0, interval, singular_points,
+                                          breakpoints)]
+    # Each row is split, and its tolerance shared, as it would be alone.
+    # Its shell probes run on their own, with a one-row integrand; then the
+    # plain pieces of every row are refined together by _refine.
     plans, stop = [], None
-    for r, interval, singular_points, breakpoints in rows:
+    for r, row_interval, row_sings, row_bks in rows:
         try:
-            plans.append(_plan_row(fv, r, interval, singular_points,
-                                   breakpoints, tol, depth))
+            plans.append(_plan_row(f, r, row_interval, row_sings, row_bks,
+                                   tol, depth))
         except Exception as exc:
             # raised below, once the rows before it have had their turn
             stop = exc
             break
-    sums = iter(_refine(fv, [(row[0], piece, plan.tol_plain, max_subdivisions)
-                             for row, plan in zip(rows, plans)
-                             for piece in plan.plain]))
+    sums = iter(_refine(f, [(row[0], piece, plan.tol_plain, max_subdivisions)
+                            for row, plan in zip(rows, plans)
+                            for piece in plan.plain]))
     results = [_assemble_row(plan, sums, tol) for plan in plans]
     if stop is not None:
         raise stop
-    return results
+    return results[0] if scalar else QuadRows(results)
 
 
 class _RowPlan(NamedTuple):

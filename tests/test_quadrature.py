@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from greenlab import quadrature
-from greenlab.errors import UndeclaredSingularityError
+from greenlab.errors import PreconditionError, UndeclaredSingularityError
 from greenlab.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
                                  _NonFiniteSample,
                                  StencilSpec, basis_fit_residual, fd_residual,
@@ -242,6 +242,33 @@ def test_panels_are_evaluated_in_batches(monkeypatch):
     integrate(_vec(lambda y: 1.0 / np.asarray(y)), (0.0, 1.0),
               singular_points=(0.0,), tol=1e-9)
     assert sizes == [8, 4, 4]
+
+
+def test_row_form_gives_each_row_its_one_row_result():
+    fns = [lambda y: np.abs(y - 0.3), lambda y: -np.log(y), lambda y: 1.0 / y]
+
+    def at(r, z):
+        z = np.asarray(z, dtype=float)
+        return np.choose(np.broadcast_to(r, z.shape), [g(z) for g in fns])
+
+    rows = [(0, (0.0, 1.0), (), (0.3,)), (1, (0.0, 0.5), (0.0,), ()),
+            (2, (0.0, 1.0), (0.0,), (0.5,)), (0, (0.1, 0.9), (), ())]
+    for cap in (2000, 1):
+        out = integrate(at, rows=rows, tol=1e-12, max_subdivisions=cap)
+        assert isinstance(out, quadrature.QuadRows) and len(out) == 4
+        for (r, interval, sings, bks), res in zip(rows, out):
+            one = integrate(_vec(fns[r]), interval, singular_points=sings,
+                            breakpoints=bks, tol=1e-12, max_subdivisions=cap)
+            assert res == one
+        assert not out[2].value.is_finite
+        # converged says every row met its tolerance
+        assert out.converged == all(res.converged for res in out)
+        assert out.converged == (cap == 2000)
+    for call in (lambda: integrate(at, (0.0, 1.0), rows=rows),
+                 lambda: integrate(at, rows=rows, breakpoints=(0.5,)),
+                 lambda: integrate(at)):
+        with pytest.raises(PreconditionError):
+            call()
 
 
 def test_stencils_on_polynomials():
