@@ -175,7 +175,6 @@ class GreenKernel:
     diagonal_exponent: float | None = None
     kink_on_diagonal: bool = True
     endpoint_singularities: tuple[EndpointSingularity, ...] = ()
-    symmetric: bool = True
 
     def slice_declarations(self, points, first: bool) -> tuple[list, list]:
         """Breakpoints and live singular points of the slices at ``points``.

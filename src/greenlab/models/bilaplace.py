@@ -40,7 +40,7 @@ def _ident(x):
 @lru_cache(maxsize=1)
 def bilaplace_model() -> ModelSpace:
     dom = Interval1D(0.0, 1.0, include_lo=False)
-    g = GreenKernel("bilaplace-G", dom, _g_raw, symmetric=True)
+    g = GreenKernel("bilaplace-G", dom, _g_raw)
     mu = ReferenceMeasure("dy", lambda y: np.ones_like(np.asarray(y, dtype=float)))
     second = StencilSpec("u''", "product_second", weight=None)
     return ModelSpace(

@@ -62,12 +62,10 @@ def interval_model() -> ModelSpace:
     dom = Interval1D(0.0, 1.0, include_lo=True)
     g1 = GreenKernel("interval-G1", dom, _g1_raw,
                      endpoint_singularities=(
-                         EndpointSingularity(0.0, "right", -1.0),),
-                     symmetric=True)
+                         EndpointSingularity(0.0, "right", -1.0),))
     g2 = GreenKernel("interval-G2", dom, _g2_raw,
                      endpoint_singularities=(
-                         EndpointSingularity(0.0, "right", -2.0),),
-                     symmetric=True)
+                         EndpointSingularity(0.0, "right", -2.0),))
     mu = ReferenceMeasure("y dy", lambda y: np.asarray(y, dtype=float) + 0.0)
     return ModelSpace(
         id="interval", domain=dom, G1=g1, G2=g2, mu=mu,

@@ -62,8 +62,7 @@ def newtonian_model(n: int) -> ModelSpace:
             return c * dist ** (2.0 - n)
 
     kernel = GreenKernel(f"newton{n}", RadialDomain(n), raw,
-                         diagonal_exponent=2.0 - n, kink_on_diagonal=False,
-                         symmetric=True)
+                         diagonal_exponent=2.0 - n, kink_on_diagonal=False)
     mu = ReferenceMeasure(
         "lebesgue", lambda r: np.ones_like(np.asarray(r, dtype=float)))
     return ModelSpace(id=f"newtonian{n}", domain=RadialDomain(n),
@@ -216,9 +215,11 @@ def riesz_compose(n: int, x, y, tol: float = 1e-7) -> ExtendedValue:
     """H(x, y) = int G(x,z) G(z,y) dz by the axially reduced double integral.
 
     Off the diagonal this is finite for every n >= 5 and scales as
-    |x-y|^(4-n); on the diagonal the radial integrand behaves like s^(3-n)
-    at the origin, which is certified divergent.  Separations below
-    NEAR_DIAGONAL_LIMIT are refused as ill-conditioned.
+    |x-y|^(4-n): one :func:`integrate` call over [0, inf) in the radius s,
+    with a kink at s = d and its tail walked from 2*max(d, 1).  On the
+    diagonal the radial integrand behaves like s^(3-n) at the origin, which
+    is certified divergent.  Separations below NEAR_DIAGONAL_LIMIT are
+    refused as ill-conditioned.
     """
     n = _require_dim(n)
     dom = RadialDomain(n)
@@ -236,15 +237,8 @@ def riesz_compose(n: int, x, y, tol: float = 1e-7) -> ExtendedValue:
         raise ConditioningError(
             f"separation {d:.3e} is below {NEAR_DIAGONAL_LIMIT:g}; the angular "
             "peak of the composition integrand cannot be resolved reliably")
-    start = 2.0 * max(d, 1.0)
-    body = integrate(outer, (0.0, start), tol=0.5 * tol, breakpoints=(d,))
-    if not body.value.is_finite:    # pragma: no cover - defensive
-        return body.value
-    tail = probe_tail(outer, start=start, tol=0.5 * tol)
-    if tail.divergent:              # pragma: no cover - impossible for n >= 5
-        return ExtendedValue.infinite(tail.certificate)
-    return ExtendedValue.finite(body.value.value + tail.value,
-                                body.value.error_bound + tail.error)
+    return integrate(outer, (0.0, math.inf), tol=tol,
+                     breakpoints=(d, 2.0 * max(d, 1.0))).value
 
 
 def composition_tail_report(n: int, d: float = 1.0,

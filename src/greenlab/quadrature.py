@@ -456,6 +456,9 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
     unbounded; every panel side touching one is handled by the dyadic shell
     probe, which either certifies divergence (returned as an infinite
     :class:`ExtendedValue`) or extrapolates the integrable remainder.
+    b may be ``math.inf``: the tail beyond the last finite cut (at least 1)
+    is walked in doubling blocks with half the tolerance, and is either
+    certified divergent (side "radial-tail") or extrapolated the same way.
     ``breakpoints`` are mere smoothness breaks (kinks): they split panels but
     get no special treatment.  f must be nonnegative, or at least of one sign
     near each singular point with a nonnegative total.
@@ -512,7 +515,8 @@ class _RowPlan(NamedTuple):
     row, unless a plain piece before it meets a non-finite sample: ``end``
     is the number of pieces up to it, ``refusal`` the error it raised, and
     ``plain`` the (lo, hi) of the plain pieces before it, to be refined.
-    ``reports`` maps the index of each probed piece to its probe reports.
+    ``reports`` maps the index of each probed piece to its probe reports;
+    the tail of an infinite interval is the last piece.
     """
     reports: dict
     end: int
@@ -525,44 +529,60 @@ def _plan_row(fv: Callable, r: int, interval, singular_points, breakpoints,
               tol: float, depth: int) -> _RowPlan:
     """Split row r into pieces and walk its shell probes in interval order.
 
+    On [a, inf) the tail starts at the last finite cut, or at 1 if that is
+    larger (at twice that when it is a or a singular point, so that the
+    finite part is never empty and every singular point is probed on both
+    sides).  The tail is walked in doubling blocks at half the tolerance;
+    the finite part before it is split, and its tolerance shared, as a
+    finite interval is, with the other half.
+
     A GreenLabError from a probe is kept as the row's refusal; any other
     exception propagates at once.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise PreconditionError(f"empty integration interval [{a}, {b}]")
+    tail = b == math.inf
+    if tail:
+        b = max(a, 1.0, *(p for p in (*singular_points, *breakpoints)
+                          if a <= p < math.inf))
+        if b == a or b in singular_points:
+            b *= 2.0
+        tol = 0.5 * tol
     sings = {float(s) for s in singular_points if a <= s <= b}
     cuts = sorted({a, b, *sings, *(p for p in breakpoints if a < p < b)})
-    if not sings:       # nothing to probe: every piece is plain
+    if not (sings or tail):     # nothing to probe: every piece is plain
         plain = list(zip(cuts[:-1], cuts[1:]))
         return _RowPlan({}, len(plain), None, plain, 0.5 * tol / len(plain))
-
-    pieces = [(lo, hi, lo in sings, hi in sings)
-              for lo, hi in zip(cuts[:-1], cuts[1:])]
+    # Each piece is walked by the probes of its singular ends, if it has any.
+    probes = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        ends = [(p, side) for p, side in ((lo, "right"), (hi, "left"))
+                if p in sings]
+        probes.append([(p, side, (hi - lo) / len(ends), "endpoint")
+                       for p, side in ends])
     # Split the tolerance budget fairly between shell probes and plain pieces.
-    n_shell = sum((lo_s + hi_s) for _, _, lo_s, hi_s in pieces)
-    n_plain = sum(1 for _, _, lo_s, hi_s in pieces if not (lo_s or hi_s)) or 1
-    tol_shell = 0.5 * tol / n_shell
+    n_shell = sum(map(len, probes))
+    n_plain = probes.count([]) or 1
+    tol_shell = 0.5 * tol / max(n_shell, 1)
     tol_plain = 0.5 * tol / n_plain
+    if tail:
+        probes.append([(0.0, "right", b, "tail")])
 
     def row_fv(z):
         return fv(r, z)
 
     reports: dict[int, list[ProbeReport]] = {}
-    end, refusal = len(pieces), None
-    for i, (lo, hi, left_sing, right_sing) in enumerate(pieces):
-        if not (left_sing or right_sing):
+    end, refusal = len(probes), None
+    for i, walks in enumerate(probes):
+        if not walks:
             continue
-        width = hi - lo
-        if left_sing and right_sing:
-            spans = [(lo, "right", 0.5 * width), (hi, "left", 0.5 * width)]
-        else:
-            spans = [(lo, "right", width)] if left_sing else [(hi, "left", width)]
         reports[i] = []
-        for point, side, scale in spans:
+        for point, side, scale, kind in walks:
             try:
                 rep = _probe_geometric(row_fv, point, side, scale, depth,
-                                       tol_shell)
+                                       tol if kind == "tail" else tol_shell,
+                                       kind)
             except GreenLabError as exc:
                 end, refusal = i + 1, exc
                 break
@@ -570,10 +590,10 @@ def _plan_row(fv: Callable, r: int, interval, singular_points, breakpoints,
             if rep.divergent:
                 end = i + 1
                 break
-        if end < len(pieces):
+        if end < len(probes):
             break
-    plain = [(lo, hi) for i, (lo, hi, _, _) in enumerate(pieces[:end])
-             if i not in reports]
+    plain = [(lo, hi) for lo, hi, walks
+             in zip(cuts[:-1], cuts[1:], probes[:end]) if not walks]
     return _RowPlan(reports, end, refusal, plain, tol_plain)
 
 
@@ -632,8 +652,9 @@ def integrate_radial(g: Callable, n: int, upper: float | None = None,
                      depth: int = PROBE_DEPTH) -> QuadResult:
     """Integrate a radial profile over R^n: int g(r) * sigma_{n-1} r^(n-1) dr.
 
-    ``upper=None`` means integrate to infinity; the tail is walked in doubling
-    blocks and either certified divergent or extrapolated geometrically.
+    ``upper=None`` means integrate to infinity: :func:`integrate` on
+    [0, inf), whose tail is walked in doubling blocks and either certified
+    divergent or extrapolated geometrically.
     Requires n >= 5, the strong-coupling range of the radial models here.
     """
     if n < 5:
@@ -647,30 +668,10 @@ def integrate_radial(g: Callable, n: int, upper: float | None = None,
         return sigma * gv(rs) * rs ** (n - 1)
 
     weighted.vectorized = True
-
-    if upper is not None:
-        return integrate(weighted, (0.0, float(upper)),
-                         singular_points=(0.0,) if singular_at_zero else (),
-                         tol=tol, breakpoints=breakpoints, depth=depth)
-
-    inner_upper = 1.0
-    bks = [p for p in breakpoints if p < inner_upper]
-    inner = integrate(weighted, (0.0, inner_upper),
-                      singular_points=(0.0,) if singular_at_zero else (),
-                      tol=0.5 * tol, breakpoints=bks, depth=depth)
-    if not inner.value.is_finite:
-        return inner
-    tail = _probe_geometric(weighted, 0.0, "right", inner_upper, depth,
-                            0.5 * tol, kind="tail")
-    handled = inner.singular_points_handled + ((math.inf, "radial-tail"),)
-    if tail.divergent:
-        return QuadResult(ExtendedValue.infinite(tail.certificate),
-                          inner.subdivisions + tail.shells, handled, True)
-    total = inner.value.value + tail.value
-    err = inner.value.error_bound + tail.error
-    return QuadResult(ExtendedValue.finite(max(total, 0.0), err),
-                      inner.subdivisions + tail.shells, handled,
-                      err <= tol)
+    b = math.inf if upper is None else float(upper)
+    return integrate(weighted, (0.0, b),
+                     singular_points=(0.0,) if singular_at_zero else (),
+                     tol=tol, breakpoints=breakpoints, depth=depth)
 
 
 # ---------------------------------------------------------------------------

@@ -202,16 +202,14 @@ def render_dat(table: ReportTable, meta: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(name: str, out_dir, seed: int = 0,
-                 meta: dict[str, object] | None = None) -> list[Path]:
+def write_report(name: str, out_dir, seed: int = 0) -> list[Path]:
     """Build one report target and write its CSV and .dat files."""
     table = BUILDERS[name](seed=seed)
-    full_meta: dict[str, object] = {"seed": seed}
-    full_meta.update(meta or {})
+    meta = {"seed": seed}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     dat_path = out / f"{name}.dat"
-    csv_path.write_text(render_csv(table, full_meta), encoding="ascii")
-    dat_path.write_text(render_dat(table, full_meta), encoding="ascii")
+    csv_path.write_text(render_csv(table, meta), encoding="ascii")
+    dat_path.write_text(render_dat(table, meta), encoding="ascii")
     return [csv_path, dat_path]

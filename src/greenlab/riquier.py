@@ -136,12 +136,6 @@ class LocalizedGreen:
         self._raw = raw or model.G1.raw
         self._cards = cardinals or sub.cardinals1
 
-    def __call__(self, x, z):
-        ca, cb = self._cards(x)
-        a, b = self.sub.a, self.sub.b
-        return (self._raw(x, z) - ca * self._raw(a, z)
-                - cb * self._raw(b, z))
-
     def slice_at(self, x: float) -> Fn:
         x = float(x)
         ca, cb = self._cards(x)

@@ -1,8 +1,11 @@
 """The command-line surface: golden columns, exit codes, determinism."""
 
+import re
+
 import pytest
 
 import oracles
+from greenlab import __version__
 from greenlab.cli import load_config, main
 from greenlab.errors import ConfigError
 from greenlab.suites import CHECKS, CheckResult
@@ -150,14 +153,12 @@ def test_config_file_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = bilaplace\n"
                    "# a comment line\n"
-                   "tol-quad = 1e-9\n"
-                   "seed = 3\n", encoding="ascii")
+                   "tol-quad = 1e-9\n", encoding="ascii")
     rc, out, _ = run_cli(capsys, "eval", "--config", str(cfg),
                          "--kernel", "h", "--x", "0.25", "--y", "0.5")
     assert rc == 0
     assert "# model = bilaplace" in out
     assert "# tol-quad = 1e-09" in out
-    assert "# seed = 3" in out
     value = float(data_rows(out)[1][2])
     assert value == pytest.approx(oracles.bilaplace_h(0.25, 0.5), abs=1e-9)
 
@@ -207,3 +208,94 @@ def test_report_rejects_unknown_target(capsys):
     rc, _, err = run_cli(capsys, "report", "entropy")
     assert rc == 2
     assert "unknown report" in err
+
+
+# The options each subcommand reads, besides --config.
+READS = {"eval": {"--model", "--kernel", "--x", "--y", "--dist", "--tol-quad",
+                  "--grid", "--out"},
+         "verify": {"--seed"},
+         "report": {"--out", "--seed"}}
+REMOVED = {"eval": ("--seed", "--tol-identity", "--tol-fd"),
+           "verify": ("--model", "--tol-quad", "--grid", "--out",
+                      "--tol-identity", "--tol-fd"),
+           "report": ("--model", "--tol-quad", "--grid", "--tol-identity",
+                      "--tol-fd")}
+TOOL = f"# tool = greenlab {__version__}"
+POSITIONAL = {"eval": [], "verify": ["newtonian"], "report": ["symmetry"]}
+
+
+def test_options_a_subcommand_does_not_read_are_refused(capsys):
+    for command, flags in REMOVED.items():
+        for flag in flags:
+            with pytest.raises(SystemExit) as info:
+                main([command, *POSITIONAL[command], flag, "1"])
+            assert info.value.code == 2
+            assert capsys.readouterr().out == ""
+
+
+def test_config_keys_a_subcommand_does_not_read_are_refused(tmp_path,
+                                                            capsys):
+    cfg = tmp_path / "run.cfg"
+    for command, key in (("eval", "seed"), ("verify", "model"),
+                         ("report", "tol-quad")):
+        cfg.write_text(f"{key} = 1\n", encoding="ascii")
+        rc, out, err = run_cli(capsys, command, *POSITIONAL[command],
+                               "--config", str(cfg))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("greenlab: ")
+        assert f"{command} does not read '{key.replace('-', '_')}'" in err
+
+
+def test_help_lists_exactly_the_options_read(capsys):
+    for command, flags in READS.items():
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        listed = set(re.findall(r"(?m)^  (?:-h, )?(--[a-z-]+)",
+                                capsys.readouterr().out))
+        assert listed == flags | {"--config", "--help"}
+
+
+def test_headers_echo_only_applied_settings(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "verify", "newtonian", "--seed", "2")
+    assert rc == 0
+    assert out.splitlines()[:5] == [TOOL, "# command = verify",
+                                    "# suite = newtonian", "# seed = 2",
+                                    "check,margin,verdict"]
+    rc, _, _ = run_cli(capsys, "report", "obstruction", "--out",
+                       str(tmp_path))
+    assert rc == 0
+    for name in ("obstruction.csv", "obstruction.dat"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[:3] == [TOOL, "# report = obstruction", "# seed = 0"]
+        assert lines[3].startswith("# note: ")
+    rc, out, _ = run_cli(capsys, "eval", "--kernel", "g1", "--x", "0.5",
+                         "--y", "0.5")
+    assert out.splitlines()[:6] == [
+        TOOL, "# command = eval", "# kernel = g1", "# model = interval",
+        "# tol-quad = 1e-08", "x,y,value,bound_or_exponent"]
+
+
+def test_bad_number_names_its_key(capsys):
+    rc, out, err = run_cli(capsys, "eval", "--kernel", "h", "--x", "0.3",
+                           "--y", "0.7", "--tol-quad", "tight")
+    assert rc == 2
+    assert out == ""
+    assert err == "greenlab: could not read tol_quad = 'tight'\n"
+
+
+def test_eval_refuses_query_options_its_kernel_does_not_read(capsys):
+    for argv in (
+            ("--model", "interval", "--kernel", "h", "--x", "0.3",
+             "--y", "0.7", "--dist", "0.5"),
+            ("--model", "interval", "--kernel", "v", "--x", "0.3",
+             "--y", "0.9", "--dist", "4"),
+            ("--model", "newtonian5", "--kernel", "h", "--x", "0",
+             "--y", "1", "--dist", "2"),
+            ("--model", "newtonian5", "--kernel", "g1", "--x", "0",
+             "--y", "1", "--dist", "2")):
+        rc, out, err = run_cli(capsys, "eval", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("greenlab: ")

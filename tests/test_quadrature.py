@@ -288,3 +288,68 @@ def test_basis_fit_residual_detects_span_membership():
     outside = lambda x: math.log(x)
     assert abs(basis_fit_residual(basis, inside, 0.4, delta=0.02)) < 1e-12
     assert abs(basis_fit_residual(basis, outside, 0.4, delta=0.02)) > 1e-6
+
+
+def test_integrate_to_infinity_is_integrate_radial():
+    sigma = sphere_surface_area(5)
+    weighted = _vec(lambda s: sigma * np.exp(-np.asarray(s))
+                    * np.asarray(s) ** 4)
+    for tol in (1e-6, 1e-10):
+        res = integrate(weighted, (0.0, math.inf), singular_points=(0.0,),
+                        tol=tol)
+        ref = integrate_radial(_vec(lambda s: np.exp(-np.asarray(s))), 5,
+                               tol=tol)
+        assert res == ref
+        assert res.singular_points_handled[-1] == ("tail", "radial-tail")
+
+
+def test_integrate_to_infinity_matches_closed_forms():
+    for f, sings, exact in (
+            (lambda x: (1.0 + x) ** -3, (), 0.5),
+            (lambda x: x ** -0.5 / (1.0 + x), (0.0,), math.pi)):
+        res = integrate(_vec(lambda x, f=f: f(np.asarray(x))),
+                        (0.0, math.inf), singular_points=sings, tol=1e-9)
+        assert res.value.is_finite and res.converged
+        assert abs(res.value.value - exact) <= res.value.error_bound
+
+
+def test_integrate_to_infinity_certifies_a_fat_tail():
+    res = integrate(_vec(lambda x: 1.0 / (1.0 + np.asarray(x))),
+                    (0.0, math.inf))
+    cert = res.value.certificate
+    assert not res.value.is_finite
+    assert (cert.location, cert.side) == ("tail", "radial-tail")
+    assert cert.estimated_exponent == pytest.approx(-1.0, abs=0.05)
+
+
+def test_breakpoint_beyond_one_moves_the_tail_start():
+    f = _vec(lambda x: 1.0 / (1.0 + np.asarray(x)))
+    for bks, start in (((), 1.0), ((0.5,), 1.0), ((3.0,), 3.0)):
+        cert = integrate(f, (0.0, math.inf), breakpoints=bks).value.certificate
+        # the first doubling block of the tail is [start, 2 * start]
+        assert cert.probe_trace[0][0] == 2.0 * start
+
+
+def test_singular_point_at_the_tail_start_is_probed_on_both_sides():
+    # |x-2|^(-1/2) on the left of 2; on its right e^(2-x) times that
+    # (integrable, total sqrt(pi)), or 1/((x-2) x^2) (divergent)
+    def g(x, right):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(x > 2.0, right(x), np.abs(x - 2.0) ** -0.5)
+
+    finite = _vec(lambda x: g(x, lambda x: np.exp(2.0 - x)
+                              * np.abs(x - 2.0) ** -0.5))
+    divergent = _vec(lambda x: g(x, lambda x: 1.0 / (np.abs(x - 2.0)
+                                                    * x ** 2)))
+    for a, exact in ((0.0, 2.0 * math.sqrt(2.0) + math.sqrt(math.pi)),
+                     (2.0, math.sqrt(math.pi))):
+        res = integrate(finite, (a, math.inf), singular_points=(2.0,),
+                        tol=1e-9)
+        assert res.value.is_finite
+        assert abs(res.value.value - exact) <= res.value.error_bound
+        # a tail walked from 2 itself would smear the 1/(x-2) into a
+        # finite first block
+        cert = integrate(divergent, (a, math.inf),
+                         singular_points=(2.0,)).value.certificate
+        assert (cert.location, cert.side) == (2.0, "right")
