@@ -44,20 +44,27 @@ from .models import get_model
 from .values import QUAD_TOL
 
 KERNELS = ("g1", "g2", "h", "v", "vstar")
+# the kernels evaluated by quadrature, so the ones --tol-quad applies to
+QUADRATURE_KERNELS = ("h", "v", "vstar")
+GRID_POINTS = 20
 SUITE_NAMES = ("axioms", "interval", "bilaplace", "newtonian", "adjoint",
                "all")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The settings of one run, one field per option."""
+    """The settings of one run, one field per option.
+
+    ``tol_quad`` and ``grid`` are None when not given: a subcommand that
+    applies them falls back to QUAD_TOL and GRID_POINTS.
+    """
     model: str = "interval"
     kernel: str | None = None
     x: tuple[float, ...] = ()
     y: tuple[float, ...] = ()
     dist: tuple[float, ...] = ()
-    tol_quad: float = QUAD_TOL
-    grid: int = 20
+    tol_quad: float | None = None
+    grid: int | None = None
     out: str | None = None
     seed: int = 0
 
@@ -170,6 +177,14 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     kernel = cfg.kernel
     if kernel is None:
         raise ConfigError("eval needs --kernel (g1, g2, h, v, or vstar)")
+    if cfg.tol_quad is not None and kernel not in QUADRATURE_KERNELS:
+        raise ConfigError(f"kernel {kernel} is evaluated in closed form; "
+                          "--tol-quad does not apply")
+    if cfg.grid is not None and (kernel not in ("v", "vstar") or cfg.x
+                                 or model.is_radial):
+        raise ConfigError("--grid applies only to v and vstar on the 1D "
+                          "models, without --x")
+    tol = cfg.tol_quad or QUAD_TOL
     rows: list[tuple[str, ...]] = []
     if kernel in ("v", "vstar"):
         if cfg.y or cfg.dist:
@@ -182,11 +197,11 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
             points = (0.0,)
         else:
             points = tuple(float(t) for t in
-                           model.domain.interior_grid(cfg.grid))
+                           model.domain.interior_grid(cfg.grid or GRID_POINTS))
         apply_op = coupling_apply if kernel == "v" else adjoint_apply
         one = constant(1.0)
         values = _at_points(model, lambda x: apply_op(
-            model, one, x, tol=cfg.tol_quad), points)
+            model, one, x, tol=tol), points)
         for x, val in zip(points, values):
             rows.append((_fmt(x),) + _value_cells(val))
         return ("x", "value", "bound_or_exponent"), rows
@@ -219,7 +234,7 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     else:
         pairs = [(x, y) for x in cfg.x for y in cfg.y]
     values = _at_points(model, lambda x, y: compose_green(
-        model, x, y, tol=cfg.tol_quad), *zip(*pairs))
+        model, x, y, tol=tol), *zip(*pairs))
     for (x, y), val in zip(pairs, values):
         rows.append((_fmt(x), _fmt(y)) + _value_cells(val))
     return ("x", "y", "value", "bound_or_exponent"), rows
@@ -232,8 +247,10 @@ def _header(settings: dict[str, object]) -> list[str]:
 
 def cmd_eval(cfg: RunConfig) -> int:
     columns, rows = _eval_rows(cfg)
-    lines = _header({"command": "eval", "kernel": cfg.kernel,
-                     "model": cfg.model, "tol-quad": f"{cfg.tol_quad:g}"})
+    settings = {"command": "eval", "kernel": cfg.kernel, "model": cfg.model}
+    if cfg.kernel in QUADRATURE_KERNELS:
+        settings["tol-quad"] = f"{cfg.tol_quad or QUAD_TOL:g}"
+    lines = _header(settings)
     lines.append(",".join(columns))
     lines.extend(",".join(row) for row in rows)
     text = "\n".join(lines) + "\n"

@@ -63,6 +63,10 @@ _G_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+# K15 and G7 as two rows of weights over the 15 nodes, G zero off its nodes
+_KG_WEIGHTS = np.zeros((2, len(_GK_NODES)))
+_KG_WEIGHTS[0] = _K_WEIGHTS
+_KG_WEIGHTS[1, 1::2] = _G_WEIGHTS
 _EPS = np.finfo(float).eps
 
 PROBE_DEPTH = 48
@@ -98,10 +102,12 @@ def _gk15(fv: Callable, a, b) -> list:
     """G7/K15 on the panels [a[i], b[i]], all their nodes in one fv call.
 
     Returns one outcome per panel: (integral, error estimate), or the
-    :class:`_NonFiniteSample` at the panel's first non-finite node.  Each
-    row is reduced on its own by a contiguous dot product, so a panel's bits
-    do not depend on the batch it is evaluated in; a matrix product or a
-    sum over an axis rounds differently.
+    :class:`_NonFiniteSample` at the panel's first non-finite node.  Both
+    rules of every panel come from one elementwise product with
+    ``_KG_WEIGHTS`` and one sum along each panel's row of 15 products.  A
+    contiguous row sum takes the same steps whatever the number of rows, so
+    a panel's bits do not depend on the batch it is evaluated in; a matrix
+    product, or a sum down the columns, rounds differently.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -109,18 +115,18 @@ def _gk15(fv: Callable, a, b) -> list:
     mid = 0.5 * (a + b)
     xs = mid[:, None] + half[:, None] * _GK_NODES
     fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
-    g_rows = fx[:, 1::2].copy()     # the Gauss nodes, in contiguous rows
+    sums = (fx[:, None, :] * _KG_WEIGHTS).sum(axis=2)
     out = []
-    for i, (h, row, g_row) in enumerate(zip(half.tolist(), fx, g_rows)):
-        k15 = float(_K_WEIGHTS.dot(row))
-        # the weights are positive, so a non-finite sample makes k15 non-finite
+    for i, (h, (k15, g7)) in enumerate(zip(half.tolist(), sums.tolist())):
+        # the K weights are positive, so a non-finite sample makes k15
+        # non-finite
         if not math.isfinite(k15):
-            bad = ~np.isfinite(row)
+            bad = ~np.isfinite(fx[i])
             if bad.any():
                 out.append(_NonFiniteSample(float(xs[i, np.argmax(bad)])))
                 continue
         k15 = h * k15
-        g7 = h * float(_G_WEIGHTS.dot(g_row))
+        g7 = h * g7
         diff = abs(k15 - g7)
         err = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
         err = max(err, 50.0 * _EPS * abs(k15))
@@ -262,13 +268,18 @@ class ProbeReport:
 
 
 def _fit_slope(ks: Sequence[int], logs: Sequence[float]) -> float:
-    k = np.asarray(ks, dtype=float)
-    y = np.asarray(logs, dtype=float)
-    k = k - k.mean()
-    denom = float(k @ k)
+    """Least-squares slope of logs against ks; 0.0 when the ks are all equal.
+
+    The closed form in plain Python: the window holds at most _FIT_WINDOW
+    points, where building arrays would cost more than the sums.
+    """
+    k_mean = sum(ks) / len(ks)
+    y_mean = sum(logs) / len(logs)
+    dk = [k - k_mean for k in ks]
+    denom = sum(t * t for t in dk)
     if denom == 0.0:
         return 0.0
-    return float(k @ (y - y.mean())) / denom
+    return sum(t * (y - y_mean) for t, y in zip(dk, logs)) / denom
 
 
 def _shell_bounds(point: float, side: str, scale: float, k: int,

@@ -272,9 +272,15 @@ def test_headers_echo_only_applied_settings(tmp_path, capsys):
         assert lines[3].startswith("# note: ")
     rc, out, _ = run_cli(capsys, "eval", "--kernel", "g1", "--x", "0.5",
                          "--y", "0.5")
-    assert out.splitlines()[:6] == [
+    assert out.splitlines()[:5] == [
         TOOL, "# command = eval", "# kernel = g1", "# model = interval",
-        "# tol-quad = 1e-08", "x,y,value,bound_or_exponent"]
+        "x,y,value,bound_or_exponent"]
+    # the quadrature tolerance is echoed by the kernels that apply it
+    for kernel, query in (("h", ("--x", "0.5", "--y", "0.25")),
+                          ("v", ("--x", "0.5")), ("vstar", ("--grid", "3"))):
+        rc, out, _ = run_cli(capsys, "eval", "--kernel", kernel, *query)
+        assert rc == 0
+        assert out.splitlines()[4] == "# tol-quad = 1e-08"
 
 
 def test_bad_number_names_its_key(capsys):
@@ -299,3 +305,33 @@ def test_eval_refuses_query_options_its_kernel_does_not_read(capsys):
         assert rc == 2
         assert out == ""
         assert err.startswith("greenlab: ")
+
+
+def test_eval_refuses_settings_its_kernel_does_not_apply(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for query, setting in (
+            (("--kernel", "g1", "--x", "0.5", "--y", "0.5"), "tol-quad=1e-3"),
+            (("--kernel", "g2", "--x", "0.5", "--y", "0.5"), "tol-quad=1e-3"),
+            (("--model", "newtonian5", "--kernel", "g1", "--dist", "1"),
+             "tol-quad=1e-3"),
+            (("--kernel", "g1", "--x", "0.5", "--y", "0.5"), "grid=3"),
+            (("--kernel", "g2", "--x", "0.5", "--y", "0.5"), "grid=3"),
+            (("--kernel", "h", "--x", "0.3", "--y", "0.7"), "grid=3"),
+            (("--kernel", "v", "--x", "0.5"), "grid=3"),
+            (("--kernel", "vstar", "--x", "0.5"), "grid=3"),
+            (("--model", "newtonian5", "--kernel", "v"), "grid=3")):
+        key, value = setting.split("=")
+        cfg.write_text(f"{key} = {value}\n", encoding="ascii")
+        for extra in (("--" + key, value), ("--config", str(cfg))):
+            rc, out, err = run_cli(capsys, "eval", *query, *extra)
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("greenlab: ") and f"--{key}" in err
+    # where they apply, both settings are read from either source
+    cfg.write_text("grid = 3\ntol-quad = 1e-9\n", encoding="ascii")
+    for extra in (("--grid", "3", "--tol-quad", "1e-9"),
+                  ("--config", str(cfg))):
+        rc, out, _ = run_cli(capsys, "eval", "--kernel", "v", *extra)
+        assert rc == 0
+        assert "# tol-quad = 1e-09" in out
+        assert len(data_rows(out)) == 4

@@ -1,9 +1,13 @@
 """The radial family: power laws, flux normalization, and tail escapes."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
 import oracles
+from greenlab import quadrature
 from greenlab.kernels import bump
 from greenlab.coupling import coupling_apply
 from greenlab.errors import (
@@ -12,7 +16,9 @@ from greenlab.errors import (
     ModelDomainError,
     PreconditionError,
 )
+from greenlab.models import newtonian
 from greenlab.models.newtonian import (
+    _composition_outer,
     composition_tail_report,
     constant_coupling_divergence,
     gauss_flux,
@@ -95,6 +101,85 @@ def test_composed_kernel_diagonal_divergence():
     cert = val.certificate
     assert cert.side == "diagonal"
     assert cert.estimated_exponent == pytest.approx(-2.0, abs=0.05)
+
+
+# Separations from the nearest accepted one to far beyond the tail start.
+COVERAGE_DISTANCES = (1e-3, 3e-3, 0.02, 0.1, 0.5, 1.0, 2.0, 3.7, 10.0)
+
+
+def test_composed_kernel_bounds_cover_the_shell_theorem_oracle():
+    cases = [(n, d, 1e-7) for n in (5, 6, 7) for d in COVERAGE_DISTANCES]
+    cases += [(n, d, 1e-9) for n in (5, 6, 7) for d in COVERAGE_DISTANCES
+              if d >= 0.02]
+    for n, d, tol in cases:
+        val = riesz_compose(n, 0.0, d, tol=tol)
+        want = oracles.newtonian_h(n, d)
+        assert abs(val.value - want) <= val.error_bound + 8 * math.ulp(want), \
+            (n, d, tol)
+        # at n = 7 close to the diagonal H is 4e4-1e6 against an absolute
+        # tol, and the carried inner error may exceed it
+        if n < 7 or d >= 0.02:
+            assert val.error_bound <= tol, (n, d, tol)
+
+
+def test_composition_inner_error_covers_the_angular_integrals():
+    # Newton's theorem gives the outer integrand in closed form; radii within
+    # 1e-12 of d put a dip far narrower than a panel's nodes at theta = 0
+    d = 0.01
+    gaps = np.geomspace(1e-12, 0.9, 25)
+    s = d * np.concatenate([1.0 - gaps, 1.0 + gaps, 1.0 + 100.0 * gaps, [1.0]])
+    for n in (5, 6, 7):
+        exact = oracles.newton_c(n) ** 2 * oracles.sphere_area(n) * s \
+            * np.maximum(s, d) ** (2.0 - n)
+        for inner_tol in (1e-4, 1e-7, 1e-10, 1e-13):
+            outer = _composition_outer(n, d, inner_tol)
+            rel = np.abs(outer(s) - exact) / exact
+            assert 0.0 < outer.rho <= inner_tol
+            assert np.all(rel <= outer.rho + 8 * np.finfo(float).eps), \
+                (n, inner_tol)
+
+
+def test_composed_kernel_bound_carries_the_inner_error(monkeypatch):
+    outers = []
+
+    def kept(*args):
+        outers.append(_composition_outer(*args))
+        return outers[-1]
+
+    monkeypatch.setattr(newtonian, "_composition_outer", kept)
+    # at n = 7 and d = 1e-3, H is about 1e6: the relative inner error is most
+    # of the bound
+    for n, d in ((5, 1.0), (7, 1e-3)):
+        val = riesz_compose(n, 0.0, d)
+        assert val.error_bound >= outers[-1].rho * val.value > 0.0
+
+
+def test_composed_kernel_diagonal_is_certified_in_every_dimension():
+    start = time.perf_counter()
+    val = riesz_compose(5, 0.0, 0.0)
+    assert time.perf_counter() - start < 0.2
+    for n in (5, 6, 7):
+        val = riesz_compose(n, 0.0, 0.0)
+        assert not val.is_finite
+        assert val.certificate.side == "diagonal"
+        assert val.certificate.estimated_exponent == pytest.approx(
+            3.0 - n, abs=0.05)
+
+
+def test_composition_makes_no_scalar_fallback_evaluation(monkeypatch):
+    scalar = []
+    as_vectorized = quadrature.as_vectorized
+
+    def watched(f):
+        if not getattr(f, "vectorized", False):
+            scalar.append(f)
+        return as_vectorized(f)
+
+    monkeypatch.setattr(quadrature, "as_vectorized", watched)
+    riesz_compose(5, 0.0, 1.0)
+    riesz_compose(6, 0.0, 0.0)
+    composition_tail_report(4)
+    assert scalar == []
 
 
 def test_near_diagonal_refused_as_ill_conditioned():

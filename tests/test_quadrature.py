@@ -7,7 +7,7 @@ import oracles
 from greenlab import quadrature
 from greenlab.errors import PreconditionError, UndeclaredSingularityError
 from greenlab.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
-                                 _NonFiniteSample,
+                                 _fit_slope, _NonFiniteSample,
                                  StencilSpec, basis_fit_residual, fd_residual,
                                  integrate, integrate_radial, probe_divergence,
                                  probe_tail, sphere_surface_area)
@@ -113,6 +113,23 @@ def test_power_family_verdicts():
         assert rep.estimated_exponent == pytest.approx(p, abs=0.05)
 
 
+def test_fit_slope_is_the_least_squares_slope():
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        # a probe window: up to 8 consecutive shells, zero shells left out
+        start = int(rng.integers(0, 40))
+        ks = [k for k in range(start, start + 8) if rng.uniform() > 0.2]
+        if len(ks) < 2:
+            continue
+        logs = list(rng.uniform(-3.0, 3.0) * np.array(ks)
+                    + rng.normal(0.0, 1e-3, len(ks)) + rng.uniform(-60, 60))
+        want = np.polyfit(np.array(ks, dtype=float), logs, 1)[0]
+        assert abs(_fit_slope(ks, logs) - want) <= 1e-12
+    # one shell, or a window whose shells all sit at one k, has no slope
+    assert _fit_slope([5], [2.0]) == 0.0
+    assert _fit_slope([7, 7, 7], [1.0, 3.0, -2.0]) == 0.0
+
+
 def test_tail_verdicts():
     grows = probe_tail(_vec(lambda y: 1.0 / np.asarray(y)), start=1.0)
     decays = probe_tail(_vec(lambda y: np.asarray(y) ** -2.0), start=1.0)
@@ -154,8 +171,11 @@ def _one_panel(fv, a, b):
     """The G7/K15 rule on one panel, written out as the reference."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     fx = np.asarray(fv(mid + half * _GK_NODES), dtype=float)
-    k15 = half * float(_K_WEIGHTS @ fx)
-    g7 = half * float(_G_WEIGHTS @ fx[[1, 3, 5, 7, 9, 11, 13]])
+    g_weights = np.zeros(len(_GK_NODES))
+    g_weights[1::2] = _G_WEIGHTS
+    # one elementwise product per rule, summed along the row
+    k15 = half * float((_K_WEIGHTS * fx).sum())
+    g7 = half * float((g_weights * fx).sum())
     diff = abs(k15 - g7)
     err = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
     return k15, max(err, 50.0 * np.finfo(float).eps * abs(k15))
@@ -184,6 +204,19 @@ def test_gk15_batch_matches_one_panel_rule():
             continue
         assert isinstance(out, _NonFiniteSample)
         assert out.x == one.x == nodes[np.argmax(nodes > 1.4)]
+
+
+def test_gk15_bits_do_not_depend_on_the_batch():
+    fv = _vec(lambda y: np.exp(np.sin(40.0 * np.asarray(y)))
+              / (1.0 + np.asarray(y) ** 2))
+    rng = np.random.default_rng(17)
+    a = rng.uniform(-3.0, 3.0, 4096)
+    b = a + 10.0 ** rng.uniform(-9.0, 0.5, 4096)
+    one = [_bits(_gk15(fv, [lo], [hi])[0]) for lo, hi in zip(a, b)]
+    assert one == [_bits(_one_panel(fv, lo, hi)) for lo, hi in zip(a, b)]
+    for size in (1, 2, 7, 8, 255, 4096):
+        batch = _gk15(fv, a[:size], b[:size])
+        assert [_bits(out) for out in batch] == one[:size]
 
 
 def _holed(g, c):
