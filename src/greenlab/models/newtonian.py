@@ -18,9 +18,8 @@ from ..errors import (ConditioningError, DomainError, ModelDomainError,
                       PreconditionError)
 from ..kernels import (GreenKernel, ModelSpace, RadialDomain,
                        ReferenceMeasure, kernel_eval)
-from ..quadrature import (adaptive_panels, integrate, integrate_radial,
-                          probe_divergence, probe_tail, sphere_surface_area,
-                          ProbeReport)
+from ..quadrature import (integrate, integrate_radial, probe_divergence,
+                          probe_tail, sphere_surface_area, ProbeReport)
 from ..values import QUAD_TOL, DivergenceCertificate, ExtendedValue
 
 # Distances below this make the composed-kernel quadrature ill-conditioned
@@ -110,7 +109,8 @@ def gauss_flux(n: int, r: float, tol: float = 1e-10) -> float:
     The radial derivative is taken by fourth-order finite differences of the
     kernel at points on the sphere, and the surface integral runs over the
     polar angle with the axially reduced area weight, so both the power law
-    and the normalization constant are genuinely measured.
+    and the normalization constant are genuinely measured.  The integrand,
+    -dG/dr sin^(n-2)(theta), is nonnegative.
     """
     n = _require_dim(n)
     r = float(r)
@@ -134,11 +134,11 @@ def gauss_flux(n: int, r: float, tol: float = 1e-10) -> float:
 
     def integrand(theta):
         theta = np.asarray(theta, dtype=float)
-        return dgdr(theta) * np.sin(theta) ** (n - 2)
+        return -dgdr(theta) * np.sin(theta) ** (n - 2)
 
     integrand.vectorized = True
-    val, _, _ = adaptive_panels(integrand, 0.0, math.pi, tol)
-    return -sphere_surface_area(n - 1) * r ** (n - 1) * val
+    flux = integrate(integrand, (0.0, math.pi), tol=tol).value
+    return sphere_surface_area(n - 1) * r ** (n - 1) * float(flux)
 
 
 def _constant_profile(n: int, c: float):

@@ -228,6 +228,7 @@ def _refine(fv: Callable,
     return outs
 
 
+# No caller in src; kept while perfbench/tracing.py wraps it by name.
 def adaptive_panels(f: Callable, a: float, b: float, tol: float,
                     breakpoints: Sequence[float] = (),
                     max_panels: int = 2000) -> tuple[float, float, int]:
@@ -645,7 +646,8 @@ def _assemble_row(plan: _RowPlan, sums, tol: float) -> QuadResult:
         if total < -(err_total + 1e-12):
             raise PreconditionError(
                 f"integral evaluated to {total!r} < 0; extended values are "
-                "nonnegative (use adaptive_panels for signed integrands)")
+                "nonnegative (split a signed integrand into nonnegative "
+                "parts)")
         total = 0.0
     converged = err_total <= tol
     return QuadResult(ExtendedValue.finite(total, err_total), panels,

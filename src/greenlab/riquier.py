@@ -2,11 +2,13 @@
 
 A regular subinterval carries a triple of boundary measures (mu_x, nu_x,
 lambda_x): the first component of the solution pairs boundary data (f, g)
-as <f, mu_x> + <g, nu_x>, the second as <g, lambda_x>.  The solver builds
-the localized kernel K_omega (the global G1 minus its harmonic interpolant)
-and integrates it against the second component with the model's kink
-density w, which is exactly the normalization under which the localized
-kernel inverts the first operator.
+as <f, mu_x> + <g, nu_x>, the second as <g, lambda_x>.  mu_x and lambda_x
+are interpolation weights of the two bases.  The nu_x masses integrate the
+localized kernel K_omega (the global G1 minus its harmonic interpolant)
+against the second basis' cardinal functions with the model's kink density
+w, the normalization under which K_omega inverts the first operator; the
+masses at any number of points are the rows of one quadrature call.  The
+first component of the Riquier solution is that pairing itself.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ModelDomainError, PreconditionError, RegularityError
 from .kernels import BiharmonicPair, Fn, Interval1D, ModelSpace
-from .quadrature import adaptive_panels, fd_residual
+from .quadrature import fd_residual, integrate
 from .values import IDENTITY_TOL
 
 COND_LIMIT = 1e10
@@ -33,6 +35,17 @@ def _interp_matrix(basis, a: float, b: float) -> np.ndarray:
         raise RegularityError(
             f"a basis function is singular on [{a:g}, {b:g}]")
     return m
+
+
+def _cardinal(inv: np.ndarray, basis, j, x):
+    """The cardinal of the basis that is 1 at a (j = 0) or at b (j = 1).
+
+    j may be an int array of x's shape.  The sum is elementwise, so a
+    point's weight does not depend on the array it is evaluated in.
+    """
+    x = np.asarray(x, dtype=float)
+    return (inv[0, j] * np.asarray(basis[0](x), dtype=float)
+            + inv[1, j] * np.asarray(basis[1](x), dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +72,7 @@ class RegularSubdomain:
         return x
 
     def _cardinals(self, inv: np.ndarray, basis, x):
-        xs = np.asarray(x, dtype=float)
-        row = np.stack([np.asarray(basis[0](xs), dtype=float) *
-                        np.ones_like(xs),
-                        np.asarray(basis[1](xs), dtype=float) *
-                        np.ones_like(xs)], axis=-1)
-        w = row @ inv
-        return w[..., 0], w[..., 1]
+        return _cardinal(inv, basis, 0, x), _cardinal(inv, basis, 1, x)
 
     def cardinals1(self, x):
         """Weights (w_a, w_b) with interp1(data)(x) = w_a f(a) + w_b f(b)."""
@@ -122,35 +129,6 @@ def regular_subdomain(model: ModelSpace, a: float, b: float) -> RegularSubdomain
                             np.linalg.inv(m1), np.linalg.inv(m2))
 
 
-class LocalizedGreen:
-    """K_omega(x, z): the global kernel swept clean on the boundary.
-
-    K(x, z) = G1(x, z) - (harmonic interpolant of G1(., z) at {a, b})(x);
-    it vanishes identically for x on the boundary and stays nonnegative
-    inside, so it is the Green kernel of the first operator on [a, b].
-    """
-
-    def __init__(self, model: ModelSpace, sub: RegularSubdomain,
-                 raw=None, cardinals=None):
-        self.sub = sub
-        self._raw = raw or model.G1.raw
-        self._cards = cardinals or sub.cardinals1
-
-    def slice_at(self, x: float) -> Fn:
-        x = float(x)
-        ca, cb = self._cards(x)
-        ca, cb = float(ca), float(cb)
-        a, b = self.sub.a, self.sub.b
-        raw = self._raw
-
-        def g(z):
-            z = np.asarray(z, dtype=float)
-            return raw(x, z) - ca * raw(a, z) - cb * raw(b, z)
-
-        return Fn(g, breakpoints=(x,), vectorized=True,
-                  name=f"K_omega({x:g},.)")
-
-
 @dataclass(frozen=True)
 class MeasureTriple:
     """Boundary measures (mu_x, nu_x, lambda_x) as masses at (a, b)."""
@@ -184,21 +162,45 @@ def _clip_weight(w: float, what: str) -> float:
     return max(w, 0.0)
 
 
-def _localized_mass(loc: LocalizedGreen, x: float, g, density,
-                    quad_tol: float) -> float:
-    """int_a^b K_omega(x, z) g(z) w(z) dz, w the model's kink density."""
-    kx = loc.slice_at(x)
+def _nu_masses(model: ModelSpace, sub: RegularSubdomain, xs,
+               adjoint: bool, quad_tol: float) -> np.ndarray:
+    """(nu_a, nu_b) at each point of the 1D array xs, as an (len(xs), 2) array.
 
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
-        return (np.asarray(kx(z), dtype=float)
-                * np.asarray(g(z), dtype=float)
-                * np.asarray(density(z), dtype=float))
+    nu_j(x) = int_a^b K_omega(x, z) c_j(z) w(z) dz, where K_omega(x, .) =
+    G1(x, .) - c1_a(x) G1(a, .) - c1_b(x) G1(b, .) is the global kernel
+    swept clean on the boundary, c1 the first basis' cardinals, c_j the
+    second basis' cardinal at a (j = 0) or b (j = 1), and w the kink
+    density.  The (point, j) integrals are the rows of one integrate call.
+    K_omega and c_j are nonnegative on [a, b], so every row is.  With
+    ``adjoint`` the kernel is the transposed G2 and the two bases swap.
+    Points not interior to [a, b] get zero masses.
+    """
+    a, b = sub.a, sub.b
+    if adjoint:
+        raw = lambda x, z: model.G2.raw(z, x)
+        k_inv, k_basis, c_inv, c_basis = (sub.inv2, sub.basis2,
+                                          sub.inv1, sub.basis1)
+    else:
+        raw = model.G1.raw
+        k_inv, k_basis, c_inv, c_basis = (sub.inv1, sub.basis1,
+                                          sub.inv2, sub.basis2)
+    xs = np.asarray(xs, dtype=float)
+    inner = np.flatnonzero((a < xs) & (xs < b))
+    pts = xs[inner]
+    ka, kb = sub._cardinals(k_inv, k_basis, pts)
 
-    integrand.vectorized = True
-    val, _, _ = adaptive_panels(integrand, loc.sub.a, loc.sub.b, quad_tol,
-                                breakpoints=(x,))
-    return val
+    def row(r, z):
+        i, j = r // 2, r % 2
+        kx = raw(pts[i], z) - ka[i] * raw(a, z) - kb[i] * raw(b, z)
+        return kx * _cardinal(c_inv, c_basis, j, z) * model.kink_density(z)
+
+    rows = [(r, (a, b), (), (x,))
+            for r, x in enumerate(np.repeat(pts, 2).tolist())]
+    masses = [float(res.value) for res in integrate(row, rows=rows,
+                                                    tol=quad_tol)]
+    nu = np.zeros((len(xs), 2))
+    nu[inner] = np.reshape(masses, (-1, 2))
+    return nu
 
 
 def biharmonic_measures(model: ModelSpace, sub: RegularSubdomain, x: float,
@@ -208,31 +210,22 @@ def biharmonic_measures(model: ModelSpace, sub: RegularSubdomain, x: float,
 
     mu_x and lambda_x are the interpolation weights of the two bases; the
     nu_x masses integrate the localized kernel against the second basis'
-    cardinal functions, weighted by the kink density.  With ``adjoint=True``
-    the roles of the two kernels and bases swap (the transposed problem);
-    that mode is only meaningful where the adjoint operator is finite and
-    continuous, which among these models is the symmetric-equal one.
+    cardinal functions, weighted by the kink density, each at ``quad_tol``.
+    With ``adjoint=True`` the roles of the two kernels and bases swap (the
+    transposed problem); that mode is only meaningful where the adjoint
+    operator is finite and continuous, which among these models is the
+    symmetric-equal one.
     """
     x = sub.require_interior(x)
+    if adjoint and model.id != "bilaplace1d":
+        raise ModelDomainError(
+            "the adjoint boundary triple is only available on the "
+            "symmetric-equal model, where the transpose coupling is "
+            "finite and continuous")
+    (ma, mb), (la, lb) = sub.cardinals1(x), sub.cardinals2(x)
     if adjoint:
-        if model.id != "bilaplace1d":
-            raise ModelDomainError(
-                "the adjoint boundary triple is only available on the "
-                "symmetric-equal model, where the transpose coupling is "
-                "finite and continuous")
-        loc = LocalizedGreen(model, sub, raw=lambda u, v: model.G2.raw(v, u),
-                             cardinals=sub.cardinals2)
-        ma, mb = sub.cardinals2(x)
-        la, lb = sub.cardinals1(x)
-        cardinal_interp = sub.interpolant1
-    else:
-        loc = LocalizedGreen(model, sub)
-        ma, mb = sub.cardinals1(x)
-        la, lb = sub.cardinals2(x)
-        cardinal_interp = sub.interpolant2
-    na, nb = (_localized_mass(loc, x, cardinal_interp(*data),
-                              model.kink_density, quad_tol)
-              for data in ((1.0, 0.0), (0.0, 1.0)))
+        (ma, mb), (la, lb) = (la, lb), (ma, mb)
+    na, nb = _nu_masses(model, sub, [x], adjoint, quad_tol)[0].tolist()
     return MeasureTriple(
         (sub.a, sub.b), x,
         (_clip_weight(float(ma), "mu"), _clip_weight(float(mb), "mu")),
@@ -256,11 +249,14 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
                   quad_tol: float = 1e-10) -> RiquierSolution:
     """Solve the two-component boundary problem on [a, b].
 
-    v is the second-basis interpolant of g; u adds to the first-basis
-    interpolant of f the localized-kernel integral of v against the kink
-    density.  Each evaluation of u runs one adaptive quadrature at
-    ``quad_tol``, kept tight so that finite-difference residual checks on u
-    are not washed out by node noise.
+    v is the second-basis interpolant of g.  u is the measure pairing
+    h1(x) + g_a nu_a(x) + g_b nu_b(x), h1 the first-basis interpolant of f:
+    its particular part is int K_omega(x, z) v(z) w(z) dz written through
+    the nonnegative nu masses, so signed data need no signed quadrature.
+    u takes a point or an array of points, whose masses are computed in
+    one quadrature call at ``quad_tol``, kept tight so that
+    finite-difference residual checks on u are not washed out by node
+    noise; a point's value does not depend on the array it is in.
     """
     fa, fb = float(f[0]), float(f[1])
     ga, gb = float(g[0]), float(g[1])
@@ -269,21 +265,15 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
             raise PreconditionError("boundary data must be finite")
     v = sub.interpolant2(ga, gb)
     h1 = sub.interpolant1(fa, fb)
-    loc = LocalizedGreen(model, sub)
     a, b = sub.a, sub.b
 
-    def particular(x: float) -> float:
-        x = float(x)
-        if x <= a or x >= b:
-            return 0.0
-        return _localized_mass(loc, x, v, model.kink_density, quad_tol)
-
     def u(x):
-        if np.ndim(x) == 0:
-            return float(h1(float(x))) + particular(float(x))
         xs = np.asarray(x, dtype=float)
-        return np.asarray(h1(xs), dtype=float) + \
-            np.array([particular(t) for t in xs])
+        nu = _nu_masses(model, sub, xs.ravel(), False, quad_tol)
+        # elementwise, not nu @ (ga, gb), so the bits match across arrays
+        out = np.asarray(h1(xs), dtype=float) + \
+            (ga * nu[:, 0] + gb * nu[:, 1]).reshape(xs.shape)
+        return float(out) if xs.ndim == 0 else out
 
     return RiquierSolution((a, b), (fa, fb), (ga, gb),
                            Fn(u, breakpoints=(a, b), vectorized=True,

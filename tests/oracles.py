@@ -166,6 +166,42 @@ H6_TIMES_D2 = 1.0 / (16.0 * math.pi ** 3)  # newtonian_h(6, d) * d^2
 
 
 # ---------------------------------------------------------------------------
+# Coupling masses nu_x = (nu_a, nu_b) of a subinterval [a, b]: each vanishes
+# at a and b and solves L1 nu = -c, c the second basis' cardinal at a or b.
+
+def riquier_nu(model: str, a: float, b: float,
+               x: float) -> tuple[float, float]:
+    """(nu_a, nu_b) at x in [a, b] on "interval" or "bilaplace".
+
+    Clamped plate: nu'' = -c with c = (b - x)/L or (x - a)/L, L = b - a.
+    In s = (x - a)/L, phi'' = -(1 - s) or -s with phi(0) = phi(1) = 0
+    gives L^2 s(1-s)(2-s)/6 and L^2 s(1-s)(1+s)/6.
+
+    Interval model: (x nu)'' = -c with c = (1/x^2 - 1/b^2)/D or
+    (1/a^2 - 1/x^2)/D, D = 1/a^2 - 1/b^2.  Twice integrating 1/x^2 gives
+    -ln x, so y = x nu = F(x) + alpha x + beta with F = (ln x +
+    x^2/(2 b^2))/D or -(ln x + x^2/(2 a^2))/D; y(a) = y(b) = 0 fixes
+    alpha and beta.
+    """
+    if model == "bilaplace":
+        length = b - a
+        s = (x - a) / length
+        scale = length ** 2 * s * (1.0 - s) / 6.0
+        return scale * (2.0 - s), scale * (1.0 + s)
+    if model != "interval":
+        raise ValueError(f"no nu oracle for {model!r}")
+    d = 1.0 / a ** 2 - 1.0 / b ** 2
+
+    def nu(big_f):
+        alpha = -(big_f(b) - big_f(a)) / (b - a)
+        beta = -big_f(a) - alpha * a
+        return (big_f(x) + alpha * x + beta) / x
+
+    return (nu(lambda t: (math.log(t) + t ** 2 / (2.0 * b ** 2)) / d),
+            nu(lambda t: -(math.log(t) + t ** 2 / (2.0 * a ** 2)) / d))
+
+
+# ---------------------------------------------------------------------------
 # Frozen spot values guarding the oracles themselves.
 
 FROZEN = {
@@ -183,6 +219,8 @@ FROZEN = {
     "newtonian_h(6, 1)": (newtonian_h(6, 1.0), H6_TIMES_D2),
     "newtonian_truncated_v(5, 2)": (newtonian_truncated_v(5, 2.0),
                                     2.0 / 3.0),
+    "riquier_nu(bilaplace, 0, 1, 1/2)": (
+        riquier_nu("bilaplace", 0.0, 1.0, 0.5)[0], BILAPLACE_NU_MASS),
 }
 
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from greenlab.errors import (
     ModelDomainError,
     PreconditionError,
@@ -145,3 +147,60 @@ def test_adjoint_triple_needs_the_symmetric_model():
     sub = regular_subdomain(model, 0.2, 0.8)
     with pytest.raises(ModelDomainError):
         biharmonic_measures(model, sub, 0.5, adjoint=True)
+
+
+@pytest.mark.parametrize("model_name, omega, adjoint", [
+    ("interval", (0.2, 0.8), False),
+    ("interval", (0.05, 0.95), False),
+    ("interval", (0.3, 0.35), False),
+    ("interval", (0.6, 0.99), False),
+    ("bilaplace", (0.0, 1.0), False),
+    ("bilaplace", (0.1, 0.8), False),
+    ("bilaplace", (0.4, 0.45), False),
+    ("bilaplace", (0.0, 1.0), True),
+    ("bilaplace", (0.1, 0.8), True),
+])
+def test_nu_masses_match_the_closed_forms(model_name, omega, adjoint):
+    model = get_model(model_name)
+    a, b = omega
+    sub = regular_subdomain(model, a, b)
+    for frac in (0.01, 0.3, 0.5, 0.77, 0.99):
+        x = a + frac * (b - a)
+        triple = biharmonic_measures(model, sub, x, adjoint=adjoint)
+        want = oracles.riquier_nu(model_name, a, b, x)
+        assert triple.nu == pytest.approx(want, rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("model_name, omega", [
+    ("interval", (0.3, 0.9)), ("bilaplace", (0.1, 0.8))])
+@pytest.mark.parametrize("f, g", [
+    ((0.0, 0.0), (-1.0, -1.0)),
+    ((0.5, -1.5), (1.2, -0.7)),
+    ((-1.0, 2.0), (-0.4, 1.6)),
+    ((2.0, 1.0), (-2.0, -0.5)),
+])
+def test_signed_riquier_data(model_name, omega, f, g):
+    model = get_model(model_name)
+    a, b = omega
+    sol = solve_riquier(model, regular_subdomain(model, a, b), f, g)
+    assert float(sol.u(a)) == pytest.approx(f[0], abs=1e-12)
+    assert float(sol.u(b)) == pytest.approx(f[1], abs=1e-12)
+    assert check_riquier_solution(model, sol).passed()
+    for x in np.linspace(a, b, 9)[1:-1].tolist():
+        nu_a, nu_b = oracles.riquier_nu(model_name, a, b, x)
+        want = float(sol.harmonic_part(x)) + g[0] * nu_a + g[1] * nu_b
+        assert float(sol.u(x)) == pytest.approx(want, rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("model_name, omega", [
+    ("interval", (0.2, 0.7)), ("bilaplace", (0.0, 1.0))])
+def test_u_on_an_array_matches_scalar_calls(model_name, omega):
+    model = get_model(model_name)
+    a, b = omega
+    sol = solve_riquier(model, regular_subdomain(model, a, b),
+                        (0.7, -0.3), (-1.1, 0.6))
+    xs = np.array([a, 0.31, b, 0.5, 0.2 + 1e-9, 0.45, 0.5, b - 1e-6])
+    got = sol.u(xs)
+    assert got.shape == xs.shape
+    assert got.tolist() == [sol.u(float(x)) for x in xs]
+    assert sol.u(xs.reshape(2, 4)).tolist() == got.reshape(2, 4).tolist()
