@@ -76,18 +76,32 @@ class AdjointGateReport:
     detail: str = ""
 
 
-def _modulus_sequence(evaluate, x: float, h0: float, levels: int,
-                      lo: float, hi: float) -> list[float]:
-    """max two-sided |f(x +- h) - f(x)| for h = h0, h0/2, ..., inside (lo,hi)."""
-    fx = float(evaluate(x))
-    seq = []
+def _modulus_points(x: float, h0: float, levels: int, lo: float,
+                    hi: float) -> list[tuple[int, float]]:
+    """(k, point) for x + h, then x - h, at h = h0 / 2^k, k < levels, each
+    point kept while it stays inside (lo, hi)."""
+    pts = []
     for k in range(levels):
         h = h0 * 0.5 ** k
-        vals = []
         if x + h < hi:
-            vals.append(abs(float(evaluate(x + h)) - fx))
+            pts.append((k, x + h))
         if x - h > lo:
-            vals.append(abs(float(evaluate(x - h)) - fx))
+            pts.append((k, x - h))
+    return pts
+
+
+def _modulus_sequence(fx: float, points: list[tuple[int, float]], values,
+                      levels: int) -> list[float]:
+    """max two-sided |f(x +- h) - f(x)| for h = h0, h0/2, ..., level by level.
+
+    Reads f(x) = fx and f at the :func:`_modulus_points` of x, whose values
+    come in the order of ``points``; a level with no point inside the
+    domain reads 0.
+    """
+    seq = []
+    for k in range(levels):
+        vals = [abs(float(v) - fx) for (j, _), v in zip(points, values)
+                if j == k]
         seq.append(max(vals) if vals else 0.0)
     return seq
 
@@ -124,9 +138,18 @@ def adjoint_gate_check(model: ModelSpace, phi, grid,
     together with the divergence certificate.  When every value is finite,
     sampled continuity is probed at each grid point by halving two-sided
     offsets and requiring the oscillation to shrink.
+
+    The grid values come from one V* call, and the offsets of each grid
+    point from one more; grid points are probed in order, and the first
+    inconsistent one ends the walk before later ones are evaluated.
     """
     grid = [float(g) for g in grid]
-    values = [adjoint_apply(model, phi, x, tol=tol) for x in grid]
+
+    def evaluate(points):
+        return _at_points(
+            model, lambda p: adjoint_apply(model, phi, p, tol=tol), points)
+
+    values = evaluate(grid)
     for x, v in zip(grid, values):
         if not v.is_finite:
             return AdjointGateReport(
@@ -143,11 +166,10 @@ def adjoint_gate_check(model: ModelSpace, phi, grid,
         lo, hi = dom.lo, dom.hi
         h0 = min(h0, 0.02)
 
-    def evaluate(x):
-        return adjoint_apply(model, phi, x, tol=tol)
-
-    for x in grid:
-        seq = _modulus_sequence(evaluate, x, h0, 5, lo, hi)
+    for x, fx in zip(grid, values):
+        points = _modulus_points(x, h0, 5, lo, hi)
+        seq = _modulus_sequence(float(fx), points,
+                                evaluate([p for _, p in points]), 5)
         if not _moduli_consistent(seq):
             return AdjointGateReport(
                 tuple(grid), tuple(values), passed=False, witness=x,

@@ -319,12 +319,15 @@ def pure_decompose(model: ModelSpace, pair: BiharmonicPair, grid,
     Returns (u0, u1) sampled on ``grid``.  A grid point where u1 drops below
     -tol refutes the pair's superharmonicity claim and raises
     :class:`ClassificationError`; so does a divergent V(v) under finite u.
+    V(v) is taken at the whole grid in one call, so an exception it raises
+    at any grid point comes before that refusal.
     """
     grid = [float(g) for g in grid]
     u0 = np.empty(len(grid))
     u1 = np.empty(len(grid))
-    for i, x in enumerate(grid):
-        val = coupling_apply(model, pair.v, x, tol=quad_tol)
+    vals = _at_points(model, lambda p: coupling_apply(model, pair.v, p,
+                                                      tol=quad_tol), grid)
+    for i, (x, val) in enumerate(zip(grid, vals)):
         ux = float(pair.u(x))
         if not val.is_finite:
             raise ClassificationError(

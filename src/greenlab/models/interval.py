@@ -90,20 +90,35 @@ def control_density_model() -> ModelSpace:
     return replace(interval_model(), id="interval-alt-density", mu=mu)
 
 
-def v1_identity_residual(x: float, tol: float = QUAD_TOL) -> float:
-    """|V(1)(x) - (1-x)/2|: the closed-form coupling identity for density y."""
-    model = interval_model()
-    x = model.domain.require(x)
-    val = coupling_apply(model, constant(1.0), x, tol=tol)
-    return abs(float(val) - 0.5 * (1.0 - x))
+def _v1_residual(model: ModelSpace, x, closed_form, tol: float):
+    """|V(1) - closed_form| at the point or 1-D array of points x.
+
+    V(1) comes from one coupling call; an array x gives an array whose
+    entries have the bits of scalar calls.
+    """
+    vals = coupling_apply(model, constant(1.0), x, tol=tol)
+    if np.ndim(x) == 0:
+        return abs(float(vals) - closed_form(float(x)))
+    return np.array([abs(float(v) - closed_form(p)) for v, p
+                     in zip(vals, np.asarray(x, dtype=float).tolist())])
 
 
-def v1_alt_density_residual(x: float, tol: float = QUAD_TOL) -> float:
-    """|V(1)(x) - (1-x)(2-x)/6| under the control density y(1-y)."""
-    model = control_density_model()
-    x = model.domain.require(x)
-    val = coupling_apply(model, constant(1.0), x, tol=tol)
-    return abs(float(val) - (1.0 - x) * (2.0 - x) / 6.0)
+def v1_identity_residual(x, tol: float = QUAD_TOL):
+    """|V(1)(x) - (1-x)/2|: the closed-form coupling identity for density y.
+
+    x is a point, giving a float, or a 1-D array of points, giving an array
+    from one V(1) call.
+    """
+    return _v1_residual(interval_model(), x, lambda t: 0.5 * (1.0 - t), tol)
+
+
+def v1_alt_density_residual(x, tol: float = QUAD_TOL):
+    """|V(1)(x) - (1-x)(2-x)/6| under the control density y(1-y).
+
+    x is a point or a 1-D array of points, as in :func:`v1_identity_residual`.
+    """
+    return _v1_residual(control_density_model(), x,
+                        lambda t: (1.0 - t) * (2.0 - t) / 6.0, tol)
 
 
 def pure_of_q(y: float, x: float, tol: float = QUAD_TOL) -> ExtendedValue:

@@ -162,7 +162,8 @@ def _refine(fv: Callable,
     integrand ``fv(r, z)`` at its row.  Its initial panels lie between
     consecutive cuts; while its error sum exceeds tol and it holds fewer
     than max_panels panels, its worst panel is bisected.  Each piece keeps
-    its own heap and sums, so its result is the one it would get alone.
+    its own sums, and its own heap once it refines, so its result is the
+    one it would get alone.
     One _gk15 call evaluates the initial panels of every piece, then each
     round one call evaluates the children of the worst panel of every piece
     still refining.
@@ -175,28 +176,41 @@ def _refine(fv: Callable,
     if not pieces:
         return []
     n = len(pieces)
-    heaps: list[list] = [[] for _ in range(n)]
     total, err_total, count = [0.0] * n, [0.0] * n, [0] * n
     failures: dict[int, _NonFiniteSample] = {}
 
-    initial = [(i, r, lo, hi) for i, (r, cuts, _, _) in enumerate(pieces)
-               for lo, hi in zip(cuts[:-1], cuts[1:])]
-    outs = _gk15(_at_rows(fv, [r for _, r, _, _ in initial]),
-                 [lo for _, _, lo, _ in initial],
-                 [hi for _, _, _, hi in initial])
-    for (i, _, lo, hi), out in zip(initial, outs):
-        if i in failures:
-            continue
-        if isinstance(out, _NonFiniteSample):
-            failures[i] = out
-            continue
-        val, err = out
-        total[i] += val
-        err_total[i] += err
-        count[i] += 1
-        heapq.heappush(heaps[i], (-err, lo, hi, val))
+    rows, los, his = [], [], []
+    for r, cuts, _, _ in pieces:
+        rows += [r] * (len(cuts) - 1)
+        los += cuts[:-1]
+        his += cuts[1:]
+    outs = _gk15(_at_rows(fv, rows), los, his)
+    heaps: list = [None] * n
+    stop = 0
+    for i, (_, cuts, tol, cap) in enumerate(pieces):
+        start, stop = stop, stop + len(cuts) - 1
+        for out in outs[start:stop]:
+            if isinstance(out, _NonFiniteSample):
+                failures[i] = out
+                break
+            total[i] += out[0]
+            err_total[i] += out[1]
+            count[i] += 1
+        else:
+            # A piece that meets its tolerance at once needs no heap.  The
+            # others heapify their initial panels; the keys (-err, lo, hi,
+            # val) of a piece are distinct, so the pops come in the order
+            # pushes would give.  A one-panel piece skips the slices.
+            if err_total[i] > tol and count[i] < cap:
+                if stop - start == 1:
+                    heaps[i] = [(-out[1], los[start], his[start], out[0])]
+                else:
+                    heaps[i] = [(-e, lo, hi, v) for lo, hi, (v, e)
+                                in zip(los[start:stop], his[start:stop],
+                                       outs[start:stop])]
+                    heapq.heapify(heaps[i])
 
-    active = range(n)
+    active = [i for i in range(n) if heaps[i] is not None]
     while True:
         # a piece that stops refining never starts again
         first_bad = min(failures, default=n)
@@ -623,9 +637,16 @@ def _assemble_row(plan: _RowPlan, sums, tol: float) -> QuadResult:
     if plan.refusal is not None:
         raise plan.refusal
 
-    reports, plain = plan.reports, iter(plain)
+    reports = plan.reports
     total, err_total, panels = 0.0, 0.0, 0
     handled: list[tuple[float, str]] = []
+    if not reports:         # plain pieces only: their sums, in order
+        for v, e, n in plain:
+            total += v
+            err_total += e
+            panels += n
+        return _finite_row(total, err_total, panels, (), tol)
+    plain = iter(plain)
     for i in range(plan.end):
         if i not in reports:
             v, e, n = next(plain)
@@ -641,7 +662,13 @@ def _assemble_row(plan: _RowPlan, sums, tol: float) -> QuadResult:
                                   panels, tuple(handled), True)
             total += rep.value
             err_total += rep.error
+    return _finite_row(total, err_total, panels, tuple(handled), tol)
 
+
+def _finite_row(total: float, err_total: float, panels: int, handled: tuple,
+                tol: float) -> QuadResult:
+    """The finite QuadResult of a row; a total below zero is refused unless
+    its bound covers it, then clipped to 0."""
     if total < 0.0:
         if total < -(err_total + 1e-12):
             raise PreconditionError(
@@ -651,7 +678,7 @@ def _assemble_row(plan: _RowPlan, sums, tol: float) -> QuadResult:
         total = 0.0
     converged = err_total <= tol
     return QuadResult(ExtendedValue.finite(total, err_total), panels,
-                      tuple(handled), converged)
+                      handled, converged)
 
 
 def sphere_surface_area(n: int) -> float:
@@ -706,35 +733,59 @@ class StencilSpec:
         if self.form not in ("product_second", "flux"):
             raise ValueError(f"unknown stencil form {self.form!r}")
 
-    def _w(self, x: float) -> float:
-        return 1.0 if self.weight is None else float(self.weight(x))
-
-    def apply(self, u: Callable[[float], float], x: float, h: float) -> float:
-        if self.form == "product_second":
-            g = lambda t: self._w(t) * float(u(t))
-            vals = [g(x - h), g(x), g(x + h)]
-            if not all(math.isfinite(v) for v in vals):
-                raise StencilError(f"non-finite sample in stencil window at {x!r}")
-            return (vals[0] - 2.0 * vals[1] + vals[2]) / (h * h)
-        um, u0, up = float(u(x - h)), float(u(x)), float(u(x + h))
-        if not all(math.isfinite(v) for v in (um, u0, up)):
-            raise StencilError(f"non-finite sample in stencil window at {x!r}")
-        wm, wp = self._w(x - 0.5 * h), self._w(x + 0.5 * h)
-        return (wp * (up - u0) - wm * (u0 - um)) / (h * h * self._w(x))
+    def _weights(self, xs: np.ndarray) -> np.ndarray | float:
+        """The weight at the points of the array xs; 1.0 for the constant 1."""
+        if self.weight is None:
+            return 1.0
+        return np.asarray(as_vectorized(self.weight)(xs.ravel()),
+                          dtype=float).reshape(xs.shape)
 
 
-def fd_residual(stencil: StencilSpec, u: Callable[[float], float], x: float,
-                h: float = 1e-4, richardson: bool = True) -> float:
+def fd_residual(stencil: StencilSpec, u: Callable, x, h: float = 1e-4,
+                richardson: bool = True):
     """Central-difference evaluation of ``stencil`` applied to u at x.
+
+    x is a point or a 1-D array of points; the result is a float or an
+    array of x's shape.  u is evaluated once, through :func:`as_vectorized`,
+    on the window nodes of every x: x - h, x, x + h, then x - h/2 and
+    x + h/2 for the Richardson step, so a vectorized u must be elementwise.
+    Each x gets the bits of its own scalar evaluation.  A non-finite sample
+    (in the product form, of the weight times u) raises
+    :class:`StencilError` naming the first x, in order, whose window holds
+    one.
 
     One Richardson step (h and h/2) upgrades the O(h^2) truncation to O(h^4);
     disable it when u is quadrature-backed and node noise dominates.
     """
-    d_h = stencil.apply(u, x, h)
-    if not richardson:
-        return d_h
-    d_h2 = stencil.apply(u, x, 0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0
+    pts = np.asarray(x, dtype=float)
+    xs = pts.reshape(-1)
+    steps = (h, 0.5 * h) if richardson else (h,)
+    # columns: x - h, x, x + h, then x - h/2, x + h/2
+    nodes = np.stack([xs - h, xs, xs + h,
+                      *(c for s in steps[1:] for c in (xs - s, xs + s))],
+                     axis=1)
+    vals = np.asarray(as_vectorized(u)(nodes.ravel()), dtype=float) \
+        .reshape(nodes.shape)
+    product = stencil.form == "product_second"
+    if product:
+        with np.errstate(invalid="ignore"):     # 0 * inf is refused below
+            vals = stencil._weights(nodes) * vals
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise StencilError("non-finite sample in stencil window at "
+                           f"{xs.tolist()[int(np.argmax(bad))]!r}")
+    diffs = []
+    for s, (left, right) in zip(steps, ((0, 2), (3, 4))):
+        um, u0, up = vals[:, left], vals[:, 1], vals[:, right]
+        if product:
+            diffs.append((um - 2.0 * u0 + up) / (s * s))
+        else:
+            wm = stencil._weights(xs - 0.5 * s)
+            wp = stencil._weights(xs + 0.5 * s)
+            diffs.append((wp * (up - u0) - wm * (u0 - um))
+                         / (s * s * stencil._weights(xs)))
+    d = diffs[0] if not richardson else (4.0 * diffs[1] - diffs[0]) / 3.0
+    return float(d[0]) if pts.ndim == 0 else d.reshape(pts.shape)
 
 
 def basis_fit_residual(basis: Sequence[Callable[[float], float]],

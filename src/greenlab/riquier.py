@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ModelDomainError, PreconditionError, RegularityError
 from .kernels import BiharmonicPair, Fn, Interval1D, ModelSpace
-from .quadrature import fd_residual, integrate
+from .quadrature import as_vectorized, fd_residual, integrate
 from .values import IDENTITY_TOL
 
 COND_LIMIT = 1e10
@@ -281,6 +281,12 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
                            v, h1)
 
 
+def _values(fn: Callable, xs) -> np.ndarray:
+    """fn at the 1-D points xs in one call, through as_vectorized."""
+    return np.asarray(as_vectorized(fn)(np.asarray(xs, dtype=float)),
+                      dtype=float)
+
+
 @dataclass(frozen=True)
 class SolutionResiduals:
     boundary_gap: float
@@ -299,20 +305,22 @@ def check_riquier_solution(model: ModelSpace, sol: RiquierSolution,
 
     The u-residual stencil runs at a coarse step because u is
     quadrature-backed: the step must stay well above the node noise floor.
+    Each stencil reads its function on the windows of every probe in one
+    call.
     """
     a, b = sol.omega
-    boundary_gap = max(abs(float(sol.v(a)) - sol.g[0]),
-                       abs(float(sol.v(b)) - sol.g[1]),
-                       abs(float(sol.u(a)) - sol.f[0]),
-                       abs(float(sol.u(b)) - sol.f[1]))
-    probes = np.linspace(a, b, n_probes + 2)[1:-1]
+    va, vb = _values(sol.v, [a, b]).tolist()
+    ua, ub = _values(sol.u, [a, b]).tolist()
+    boundary_gap = max(abs(va - sol.g[0]), abs(vb - sol.g[1]),
+                       abs(ua - sol.f[0]), abs(ub - sol.f[1]))
     pad = 2.5 * h
+    xs = np.array([float(min(max(x, a + pad), b - pad))
+                   for x in np.linspace(a, b, n_probes + 2)[1:-1]])
+    r1s = fd_residual(model.L1_stencil, sol.u, xs, h=h) + _values(sol.v, xs)
+    r2s = fd_residual(model.L2_stencil, sol.v, xs, h=1e-4)
     l1 = 0.0
     l2 = 0.0
-    for x in probes:
-        x = float(min(max(x, a + pad), b - pad))
-        r1 = fd_residual(model.L1_stencil, sol.u, x, h=h) + float(sol.v(x))
-        r2 = fd_residual(model.L2_stencil, sol.v, x, h=1e-4)
+    for r1, r2 in zip(r1s.tolist(), r2s.tolist()):
         l1 = max(l1, abs(r1))
         l2 = max(l2, abs(r2))
     return SolutionResiduals(boundary_gap, l1, l2)
@@ -367,18 +375,23 @@ def verify_hyperharmonic(model: ModelSpace, pair: BiharmonicPair, probes,
 
     Each probe compares u(x) with <u, mu_x> + <v, nu_x> and v(x) with
     <v, lambda_x>; margins are center minus swept value, so hyperharmonic
-    means every margin >= -tol.
+    means every margin >= -tol.  u and v are each evaluated once, through
+    :func:`~greenlab.quadrature.as_vectorized`, at the a, b and x of every
+    probe, after the triples of all probes.
     """
+    probes = [((a, b), x) for (a, b), x in probes]
+    triples = [biharmonic_measures(model, regular_subdomain(model, a, b), x)
+               for (a, b), x in probes]
+    pts = [p for (a, b), x in probes for p in (a, b, x)]
+    us = _values(pair.u, pts).reshape(-1, 3)
+    vs = _values(pair.v, pts).reshape(-1, 3)
     entries = []
-    for (a, b), x in probes:
-        sub = regular_subdomain(model, a, b)
-        triple = biharmonic_measures(model, sub, x)
-        ua, ub = float(pair.u(a)), float(pair.u(b))
-        va, vb = float(pair.v(a)), float(pair.v(b))
+    for ((a, b), x), triple, (ua, ub, ux), (va, vb, vx) in zip(
+            probes, triples, us.tolist(), vs.tolist()):
         coupling = triple.pair_coupling((va, vb))
         swept1 = triple.pair_first((ua, ub), (va, vb))
         swept2 = triple.pair_second((va, vb))
-        m1 = _safe_margin(float(pair.u(x)), swept1)
-        m2 = _safe_margin(float(pair.v(x)), swept2)
+        m1 = _safe_margin(ux, swept1)
+        m2 = _safe_margin(vx, swept2)
         entries.append(ProbeMargin((a, b), float(x), m1, m2, float(coupling)))
     return HyperharmonicReport(tuple(entries), tol)

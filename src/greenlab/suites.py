@@ -115,12 +115,12 @@ def check_coupling_monotonicity(seed: int = 0) -> CheckResult:
         return f(y) + 0.5 * extra(y)
 
     g = Fn(g, vectorized=True)
+    xs = np.array([0.1, 0.45, 0.8])
     worst = 0.0
     for model in (iv.interval_model(), bl.bilaplace_model()):
-        for x in (0.1, 0.45, 0.8):
-            vf = float(coupling_apply(model, f, x))
-            vg = float(coupling_apply(model, g, x))
-            worst = max(worst, vf - vg)
+        for vf, vg in zip(coupling_apply(model, f, xs),
+                          coupling_apply(model, g, xs)):
+            worst = max(worst, float(vf) - float(vg))
     return _result("coupling-monotonicity", 2.0 * QUAD_TOL, worst,
                    f"V(f) <= V(g) for f <= g; worst violation {worst:.2e}")
 
@@ -133,13 +133,13 @@ def check_coupling_linearity(seed: int = 0) -> CheckResult:
         return a * f(y) + b * g(y)
 
     combo = Fn(combo, vectorized=True)
+    xs = np.array([0.15, 0.5, 0.85])
     worst = 0.0
     for model in (iv.interval_model(), bl.bilaplace_model()):
-        for x in (0.15, 0.5, 0.85):
-            lhs = float(coupling_apply(model, combo, x))
-            rhs = (a * float(coupling_apply(model, f, x))
-                   + b * float(coupling_apply(model, g, x)))
-            worst = max(worst, abs(lhs - rhs))
+        for lhs, vf, vg in zip(*(coupling_apply(model, fn, xs)
+                                 for fn in (combo, f, g))):
+            rhs = a * float(vf) + b * float(vg)
+            worst = max(worst, abs(float(lhs) - rhs))
     return _result("coupling-linearity", 2.0 * QUAD_TOL, worst)
 
 
@@ -194,12 +194,13 @@ def check_pure_minimality(seed: int = 0) -> CheckResult:
 
 
 def check_compose_consistency(seed: int = 0) -> CheckResult:
+    xs, ys = np.array([0.3, 0.7]), np.array([0.6, 0.2])
     worst = 0.0
     for model in (iv.interval_model(), bl.bilaplace_model()):
-        for x, y in ((0.3, 0.6), (0.7, 0.2)):
-            direct = float(compose_green(model, x, y))
+        for x, y, direct in zip(xs.tolist(), ys.tolist(),
+                                compose_green(model, xs, ys)):
             routed = float(coupling_apply(model, model.G2.slice_in_first(y), x))
-            worst = max(worst, abs(direct - routed))
+            worst = max(worst, abs(float(direct) - routed))
     return _result("compose-consistency", 1e-12, worst)
 
 
@@ -232,8 +233,8 @@ def check_measure_positivity(seed: int = 0) -> CheckResult:
 
 def check_v1_identity(seed: int = 0) -> CheckResult:
     xs = np.linspace(0.0, 0.98, 50)
-    worst = max(iv.v1_identity_residual(float(x)) for x in xs)
-    worst_alt = max(iv.v1_alt_density_residual(float(x)) for x in xs)
+    worst = max(iv.v1_identity_residual(xs).tolist())
+    worst_alt = max(iv.v1_alt_density_residual(xs).tolist())
     return _result("v1-identity", IDENTITY_TOL, max(worst, worst_alt),
                    f"reference density residual {worst:.2e}; control "
                    f"density residual {worst_alt:.2e}")
@@ -352,15 +353,16 @@ def _green_ode_check(check_id: str, model, h: float) -> CheckResult:
     worst = 0.0
     for y in (0.25, 0.5, 0.75):
         q = model.G2.slice_in_first(y)
+        xs = [x for x in np.linspace(0.1, 0.9, 9).tolist()
+              if abs(x - y) >= 0.05]
 
         def hq(x, y=y):
-            return float(compose_green(model, float(x), y, tol=1e-10))
+            return [float(v) for v in compose_green(model, x, y, tol=1e-10)]
 
-        for x in np.linspace(0.1, 0.9, 9):
-            x = float(x)
-            if abs(x - y) < 0.05:
-                continue
-            l1 = fd_residual(model.L1_stencil, hq, x, h=h)
+        # H at every window node of every x in one call
+        l1s = fd_residual(model.L1_stencil, Fn(hq, vectorized=True),
+                          np.array(xs), h=h)
+        for x, l1 in zip(xs, l1s.tolist()):
             worst = max(worst, abs(l1 + float(q(x))))
             fit = basis_fit_residual(model.basis2, q, x, delta=0.02)
             worst = max(worst, abs(fit))
@@ -394,11 +396,13 @@ def check_pure_classification(seed: int = 0) -> CheckResult:
         floor = min(floor, float(np.min(u1)))
 
         def u1f(x, u=u):
-            return float(u(x)) - float(coupling_apply(model, constant(1.0), x))
+            v1 = coupling_apply(model, constant(1.0), x)
+            return u(x) - np.array([float(v) for v in v1])
 
         probes = [((sa, sb), sa + 0.5 * (sb - sa)) for sa, sb in subs]
         rep = riquier.verify_hyperharmonic(
-            model, BiharmonicPair(Fn(u1f), constant(0.0)), probes)
+            model, BiharmonicPair(Fn(u1f, vectorized=True), constant(0.0)),
+            probes)
         if not rep.passed:
             return _boolean("pure-classification", False,
                             f"harmonic remainder fails its probes at "

@@ -185,3 +185,94 @@ def test_array_vstar_refuses_outside_points_before_integrating():
     with pytest.raises(PreconditionError):
         adjoint_apply(get_model("newtonian5"), f, [0.5, 1.0])
     assert isinstance(adjoint_apply(model, constant(1.0), 0.5), ExtendedValue)
+
+
+def _gate_loop(model, phi, grid, tol=1e-8):
+    """adjoint_gate_check written as a loop of scalar V* calls, as the
+    reference: (passed, witness, values, detail, evaluated points)."""
+    import greenlab.adjoint as adjoint_mod
+
+    seen = []
+
+    def at(x):
+        seen.append(x)
+        return adjoint_apply(model, phi, x, tol=tol)
+
+    grid = [float(g) for g in grid]
+    values = [at(x) for x in grid]
+    for x, v in zip(grid, values):
+        if not v.is_finite:
+            return (False, x, values, f"V*phi diverges at x = {x:g} with "
+                    f"exponent {v.certificate.estimated_exponent:+.3f}", seen)
+    gaps = [abs(b - a) for a, b in zip(grid, grid[1:])]
+    h0 = 0.5 * min(gaps) if gaps else 0.05
+    if model.is_radial:
+        lo, hi = 0.0, math.inf
+    else:
+        lo, hi = model.domain.lo, model.domain.hi
+        h0 = min(h0, 0.02)
+    for x in grid:
+        # the loop takes V*phi(x) again; the offsets are what it records
+        fx = float(adjoint_apply(model, phi, x, tol=tol))
+        seq = []
+        for k in range(5):
+            h = h0 * 0.5 ** k
+            vals = []
+            if x + h < hi:
+                vals.append(abs(float(at(x + h)) - fx))
+            if x - h > lo:
+                vals.append(abs(float(at(x - h)) - fx))
+            seq.append(max(vals) if vals else 0.0)
+        if not adjoint_mod._moduli_consistent(seq):
+            return (False, x, values,
+                    f"oscillation of V*phi refuses to shrink at x = {x:g}: "
+                    f"moduli {', '.join(f'{m:.3g}' for m in seq)}", seen)
+    return True, None, values, "", seen
+
+
+_GATE_CASES = (
+    ("interval", bump(0.0, 0.3), [0.0, 0.2, 0.5, 0.8]),
+    ("interval", bump(0.5, 0.2), [0.1, 0.3, 0.5, 0.7, 0.9]),
+    ("interval", bump(0.5, 0.2), [0.01, 0.995]),
+    ("bilaplace", bump(0.5, 0.3), [0.2, 0.5, 0.8]),
+    ("newtonian5", Fn(lambda r: np.exp(-np.asarray(r, dtype=float)),
+                      vectorized=True), [0.5, 1.0]),
+)
+
+
+def _gate_matches_loop(model_id, phi, grid, monkeypatch):
+    import greenlab.adjoint as adjoint_mod
+
+    model = get_model(model_id)
+    seen = []
+    real = adjoint_mod.adjoint_apply
+
+    def recording(model, f, x, tol=1e-8):
+        seen.extend(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
+        return real(model, f, x, tol=tol)
+
+    monkeypatch.setattr(adjoint_mod, "adjoint_apply", recording)
+    rep = adjoint_gate_check(model, phi, grid)
+    monkeypatch.setattr(adjoint_mod, "adjoint_apply", real)
+    passed, witness, values, detail, loop_seen = _gate_loop(model, phi, grid)
+    assert (rep.passed, rep.witness, rep.detail) == (passed, witness, detail)
+    assert [bits(v) for v in rep.values] == [bits(v) for v in values]
+    # the same points in the same order: the grid, then each point's offsets
+    assert seen == loop_seen
+    return rep
+
+
+def test_adjoint_gate_matches_the_scalar_loop(monkeypatch):
+    for model_id, phi, grid in _GATE_CASES:
+        _gate_matches_loop(model_id, phi, grid, monkeypatch)
+
+
+def test_adjoint_gate_stops_at_the_first_inconsistent_point(monkeypatch):
+    import greenlab.adjoint as adjoint_mod
+
+    # a rule that refuses every sequence: the walk ends at the first point,
+    # before the offsets of later points are evaluated
+    monkeypatch.setattr(adjoint_mod, "_moduli_consistent", lambda seq: False)
+    for model_id, phi, grid in _GATE_CASES[1:]:
+        rep = _gate_matches_loop(model_id, phi, grid, monkeypatch)
+        assert not rep.passed and rep.witness == grid[0]

@@ -86,3 +86,40 @@ def test_global_pure_pair_closed_form():
         assert float(pair.u(x)) == pytest.approx(
             oracles.bilaplace_v_one(x), abs=1e-12)
     assert {"pure", "hyperharmonic", "superharmonic"} <= pair.flags
+
+
+def _navier_loop(y, probes=None, quad_tol=1e-10, h=1e-2):
+    """navier_check written as a loop of scalar H calls, as the reference."""
+    model = bilaplace_model()
+    if probes is None:
+        probes = [p / 10.0 for p in range(1, 10)]
+    probes = [p for p in probes if abs(p - y) >= 0.05]
+
+    def hq(x):
+        return float(h_sym(float(x), y, tol=quad_tol))
+
+    def stencil(x, s):
+        return (hq(x - s) - 2.0 * hq(x) + hq(x + s)) / (s * s)
+
+    gslice = model.G2.slice_in_first(y)
+    max_res = 0.0
+    for x in probes:
+        d = (4.0 * stencil(x, 0.5 * h) - stencil(x, h)) / 3.0
+        max_res = max(max_res, abs(d + float(gslice(x))))
+    boundary = (hq(1e-6), hq(1.0 - 1e-6))
+    step = min(2e-2, y / 5.0, (1.0 - y) / 5.0)
+    left = [hq(y - k * step) for k in (4, 3, 2, 1)]
+    right = [hq(y + k * step) for k in (1, 2, 3, 4)]
+    third = lambda f0, f1, f2, f3: (f3 - 3.0 * f2 + 3.0 * f1 - f0) / step ** 3
+    return max_res, boundary, third(*right) - third(*left)
+
+
+def test_navier_check_matches_the_scalar_loop():
+    for y, probes in ((0.25, None), (0.5, None), (0.75, None),
+                      (0.1, [0.2, 0.3, 0.9]), (0.5, [0.52])):
+        rep = navier_check(y, probes)
+        max_res, boundary, jump = _navier_loop(y, probes)
+        assert rep.max_l1_residual.hex() == max_res.hex()
+        assert [v.hex() for v in rep.boundary_values] == \
+            [v.hex() for v in boundary]
+        assert rep.third_jump.hex() == jump.hex()

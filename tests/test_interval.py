@@ -111,3 +111,13 @@ def test_global_pure_pair_closed_form():
         assert float(pair.u(x)) == pytest.approx(
             oracles.interval_v_one(x), abs=1e-12)
     assert {"pure", "hyperharmonic", "superharmonic"} <= pair.flags
+
+
+def test_array_v1_residuals_match_their_scalar_loop():
+    xs = np.linspace(0.0, 0.98, 50)
+    for residual in (v1_identity_residual, v1_alt_density_residual):
+        out = residual(xs)
+        assert out.shape == xs.shape
+        loop = [residual(float(x)) for x in xs]
+        assert [r.hex() for r in out.tolist()] == [r.hex() for r in loop]
+        assert isinstance(loop[0], float)

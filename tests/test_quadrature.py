@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from greenlab import quadrature
-from greenlab.errors import PreconditionError, UndeclaredSingularityError
+from greenlab.errors import (PreconditionError, StencilError,
+                             UndeclaredSingularityError)
 from greenlab.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
                                  _fit_slope, _NonFiniteSample,
                                  StencilSpec, basis_fit_residual, fd_residual,
@@ -313,6 +314,109 @@ def test_stencils_on_polynomials():
     # (x^3 u')' / x^3 with u = x^2: (2 x^4)' / x^3 = 8 x^3 / x^3 ... = 8
     assert fd_residual(flux, lambda x: x * x, 0.5, h=1e-3) \
         == pytest.approx(8.0, abs=1e-6)
+
+
+def _stencil_at(stencil, u, x, h):
+    """One stencil window at one point, in Python floats, as the reference."""
+    w = (lambda t: 1.0) if stencil.weight is None \
+        else (lambda t: float(stencil.weight(t)))
+    if stencil.form == "product_second":
+        vals = [w(t) * float(u(t)) for t in (x - h, x, x + h)]
+        if not all(math.isfinite(v) for v in vals):
+            raise StencilError(f"non-finite sample in stencil window at {x!r}")
+        return (vals[0] - 2.0 * vals[1] + vals[2]) / (h * h)
+    um, u0, up = float(u(x - h)), float(u(x)), float(u(x + h))
+    if not all(math.isfinite(v) for v in (um, u0, up)):
+        raise StencilError(f"non-finite sample in stencil window at {x!r}")
+    wm, wp = w(x - 0.5 * h), w(x + 0.5 * h)
+    return (wp * (up - u0) - wm * (u0 - um)) / (h * h * w(x))
+
+
+def _fd_reference(stencil, u, x, h, richardson):
+    d_h = _stencil_at(stencil, u, x, h)
+    if not richardson:
+        return d_h
+    return (4.0 * _stencil_at(stencil, u, x, 0.5 * h) - d_h) / 3.0
+
+
+_STENCILS = (
+    StencilSpec("u''", "product_second", weight=None),
+    StencilSpec("(x u)''", "product_second", weight=lambda t: float(t)),
+    StencilSpec("(x^3 v')' / x^3", "flux", weight=lambda t: float(t) ** 3),
+    StencilSpec("v''", "flux", weight=None),
+)
+
+
+def test_array_fd_residual_matches_scalar_calls_bit_for_bit():
+    def u(t):
+        t = np.asarray(t, dtype=float)
+        return np.log(t) / t + np.exp(-3.0 * t) + 1.0 / t ** 2
+
+    u = _vec(u)
+    h = 1e-2
+    # the first points put their windows within 1e-3 of the origin, where u
+    # is steep; the last ones reach toward 1
+    xs = np.array([1.1e-2, 1.5e-2, 0.1, 0.37, 0.5, 0.8, 0.95, 0.989])
+    for stencil in _STENCILS:
+        for richardson in (True, False):
+            out = fd_residual(stencil, u, xs, h=h, richardson=richardson)
+            assert out.shape == xs.shape
+            for x, d in zip(xs.tolist(), out.tolist()):
+                one = fd_residual(stencil, u, x, h=h, richardson=richardson)
+                ref = _fd_reference(stencil, u, x, h, richardson)
+                assert isinstance(one, float)
+                assert d.hex() == one.hex() == ref.hex()
+
+
+def test_fd_residual_calls_a_vectorized_u_once():
+    calls = []
+
+    def u(t):
+        calls.append(np.size(t))
+        return np.sin(3.0 * np.asarray(t, dtype=float))
+
+    u = _vec(u)
+    xs = np.linspace(0.2, 0.8, 7)
+    for stencil in _STENCILS:
+        for richardson, nodes in ((True, 5), (False, 3)):
+            calls.clear()
+            fd_residual(stencil, u, xs, h=1e-3, richardson=richardson)
+            # every window node of every x: x - h, x, x + h (, x -+ h/2)
+            assert calls == [nodes * xs.size]
+
+
+def test_fd_residual_takes_a_scalar_u():
+    def u(t):
+        return math.cos(2.0 * t) + t ** 3
+
+    xs = np.array([0.25, 0.5, 0.75])
+    for stencil in _STENCILS:
+        out = fd_residual(stencil, u, xs, h=1e-3)
+        for x, d in zip(xs.tolist(), out.tolist()):
+            assert d.hex() == _fd_reference(stencil, u, x, 1e-3, True).hex()
+
+
+def test_first_failing_x_decides_the_stencil_error():
+    def u(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            return 1.0 / t
+
+    u = _vec(u)
+    h = 1e-3
+    # 0.5h fails only in its h/2 window (x - h/2 = 0), h already in its
+    # h window (x - h = 0): the first x in order decides, not the first step
+    for stencil in _STENCILS:
+        with pytest.raises(StencilError, match=r"at 0\.0005$"):
+            fd_residual(stencil, u, np.array([0.4, 0.5 * h, h]), h=h)
+        with pytest.raises(StencilError, match=r"at 0\.001$"):
+            fd_residual(stencil, u, np.array([0.4, h, 0.5 * h]), h=h)
+        with pytest.raises(StencilError, match=r"at 0\.001$"):
+            fd_residual(stencil, u, h, h=h)
+        # without the Richardson step there is no h/2 window
+        out = fd_residual(stencil, u, np.array([0.4, 0.5 * h]), h=h,
+                          richardson=False)
+        assert np.all(np.isfinite(out))
 
 
 def test_basis_fit_residual_detects_span_membership():

@@ -1,6 +1,7 @@
 """Boundary measures and the two-component boundary problem."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,3 +205,50 @@ def test_u_on_an_array_matches_scalar_calls(model_name, omega):
     assert got.shape == xs.shape
     assert got.tolist() == [sol.u(float(x)) for x in xs]
     assert sol.u(xs.reshape(2, 4)).tolist() == got.reshape(2, 4).tolist()
+
+
+def test_hyperharmonic_probes_read_the_pair_in_one_call_each():
+    model = get_model("interval")
+    calls = []
+
+    def u(x):
+        calls.append(("u", np.size(x)))
+        return 0.5 * (1.0 - np.asarray(x, dtype=float)) + 0.1 / x
+
+    def v(x):
+        calls.append(("v", np.size(x)))
+        return 1.0 + np.asarray(x, dtype=float) ** 2
+
+    pair = BiharmonicPair(Fn(u, vectorized=True), Fn(v, vectorized=True))
+    probes = [((0.2, 0.8), 0.5), ((0.1, 0.9), 0.3), ((0.3, 0.5), 0.4)]
+    report = verify_hyperharmonic(model, pair, probes)
+    assert calls == [("u", 9), ("v", 9)]
+    # the margins of a loop of scalar reads
+    for ((a, b), x), e in zip(probes, report.entries):
+        tri = biharmonic_measures(model, regular_subdomain(model, a, b), x)
+        f, g = (float(u(a)), float(u(b))), (float(v(a)), float(v(b)))
+        assert e.margin_first.hex() == \
+            (float(u(x)) - tri.pair_first(f, g)).hex()
+        assert e.margin_second.hex() == \
+            (float(v(x)) - tri.pair_second(g)).hex()
+        assert e.coupling.hex() == tri.pair_coupling(g).hex()
+
+
+def test_riquier_residuals_read_u_and_v_on_all_windows_at_once():
+    model = get_model("bilaplace")
+    sol = solve_riquier(model, regular_subdomain(model, 0.25, 0.75),
+                        (0.4, 0.3), (1.0, 0.5))
+    sizes = {"u": [], "v": []}
+
+    def counted(name, fn):
+        def at(x):
+            sizes[name].append(np.size(x))
+            return fn(x)
+        return Fn(at, vectorized=True)
+
+    counted_sol = replace(sol, u=counted("u", sol.u), v=counted("v", sol.v))
+    res = check_riquier_solution(model, counted_sol, n_probes=5)
+    # the two ends, the stencil windows of five probes, v at the probes
+    assert sizes == {"u": [2, 25], "v": [2, 5, 25]}
+    assert res == check_riquier_solution(model, sol, n_probes=5)
+    assert res.passed()

@@ -53,3 +53,42 @@ def test_all_checks_pass_without_adaptive_panels(monkeypatch):
     results = run_suite("all")
     assert len(results) == 33
     assert [r.id for r in results if not r.passed] == []
+
+
+# quadrature.integrate calls per check whose operator points are known
+# before its first call; a return to one call per point fails here
+BATCHED_CHECK_CALLS = {
+    "coupling-monotonicity": 4,      # V(f), V(g) on each model
+    "coupling-linearity": 6,         # V(combo), V(f), V(g) on each model
+    "compose-consistency": 6,        # H, then two V(G2 slice), per model
+    "v1-identity": 2,                # V(1) under each density
+    "green-ode-interval": 3,         # H on every stencil node, per y
+    "green-ode-bilaplace": 3,
+    "navier": 6,                     # windows, then boundary and jump, per y
+    "adjoint-gate": 11,              # grid values, then offsets per point
+    # per pair: V(v) on the grid, V(1) for the remainder, three probe
+    # triples; the classified pair: nine triples and V(v); the broken pair
+    "pure-classification": 36,
+}
+
+
+def test_batched_checks_make_one_call_per_point_set(monkeypatch):
+    from greenlab import quadrature
+
+    real = quadrature.integrate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "greenlab" and \
+                getattr(module, "integrate", None) is real:
+            monkeypatch.setattr(module, "integrate", counting)
+    counts = {}
+    for cid in BATCHED_CHECK_CALLS:
+        calls.clear()
+        assert CHECKS[cid](seed=0).passed, cid
+        counts[cid] = len(calls)
+    assert counts == BATCHED_CHECK_CALLS
