@@ -200,15 +200,12 @@ def _refine(fv: Callable,
             # A piece that meets its tolerance at once needs no heap.  The
             # others heapify their initial panels; the keys (-err, lo, hi,
             # val) of a piece are distinct, so the pops come in the order
-            # pushes would give.  A one-panel piece skips the slices.
+            # pushes would give.
             if err_total[i] > tol and count[i] < cap:
-                if stop - start == 1:
-                    heaps[i] = [(-out[1], los[start], his[start], out[0])]
-                else:
-                    heaps[i] = [(-e, lo, hi, v) for lo, hi, (v, e)
-                                in zip(los[start:stop], his[start:stop],
-                                       outs[start:stop])]
-                    heapq.heapify(heaps[i])
+                heaps[i] = [(-e, lo, hi, v) for lo, hi, (v, e)
+                            in zip(los[start:stop], his[start:stop],
+                                   outs[start:stop])]
+                heapq.heapify(heaps[i])
 
     active = [i for i in range(n) if heaps[i] is not None]
     while True:
@@ -637,16 +634,9 @@ def _assemble_row(plan: _RowPlan, sums, tol: float) -> QuadResult:
     if plan.refusal is not None:
         raise plan.refusal
 
-    reports = plan.reports
+    reports, plain = plan.reports, iter(plain)
     total, err_total, panels = 0.0, 0.0, 0
     handled: list[tuple[float, str]] = []
-    if not reports:         # plain pieces only: their sums, in order
-        for v, e, n in plain:
-            total += v
-            err_total += e
-            panels += n
-        return _finite_row(total, err_total, panels, (), tol)
-    plain = iter(plain)
     for i in range(plan.end):
         if i not in reports:
             v, e, n = next(plain)
@@ -662,13 +652,7 @@ def _assemble_row(plan: _RowPlan, sums, tol: float) -> QuadResult:
                                   panels, tuple(handled), True)
             total += rep.value
             err_total += rep.error
-    return _finite_row(total, err_total, panels, tuple(handled), tol)
 
-
-def _finite_row(total: float, err_total: float, panels: int, handled: tuple,
-                tol: float) -> QuadResult:
-    """The finite QuadResult of a row; a total below zero is refused unless
-    its bound covers it, then clipped to 0."""
     if total < 0.0:
         if total < -(err_total + 1e-12):
             raise PreconditionError(
@@ -678,7 +662,7 @@ def _finite_row(total: float, err_total: float, panels: int, handled: tuple,
         total = 0.0
     converged = err_total <= tol
     return QuadResult(ExtendedValue.finite(total, err_total), panels,
-                      handled, converged)
+                      tuple(handled), converged)
 
 
 def sphere_surface_area(n: int) -> float:

@@ -16,6 +16,7 @@ from greenlab.errors import (
 from greenlab.kernels import BiharmonicPair, Fn, constant
 from greenlab.models import get_model
 from greenlab.models.interval import global_pure_pair
+from greenlab.quadrature import fd_residual
 from greenlab.riquier import (
     MeasureTriple,
     biharmonic_measures,
@@ -252,3 +253,35 @@ def test_riquier_residuals_read_u_and_v_on_all_windows_at_once():
     assert sizes == {"u": [2, 25], "v": [2, 5, 25]}
     assert res == check_riquier_solution(model, sol, n_probes=5)
     assert res.passed()
+
+
+def _riquier_residuals_loop(model, sol, n_probes=5, h=1e-2):
+    """check_riquier_solution written as a loop of scalar reads."""
+    a, b = sol.omega
+    boundary_gap = max(abs(float(sol.v(a)) - sol.g[0]),
+                       abs(float(sol.v(b)) - sol.g[1]),
+                       abs(float(sol.u(a)) - sol.f[0]),
+                       abs(float(sol.u(b)) - sol.f[1]))
+    pad = 2.5 * h
+    l1 = 0.0
+    l2 = 0.0
+    for x in np.linspace(a, b, n_probes + 2)[1:-1]:
+        x = float(min(max(x, a + pad), b - pad))
+        r1 = fd_residual(model.L1_stencil, sol.u, x, h=h) + float(sol.v(x))
+        r2 = fd_residual(model.L2_stencil, sol.v, x, h=1e-4)
+        l1 = max(l1, abs(r1))
+        l2 = max(l2, abs(r2))
+    return boundary_gap, l1, l2
+
+
+@pytest.mark.parametrize("model_name, omega, n_probes", [
+    ("interval", (0.2, 0.7), 5), ("interval", (0.3, 0.9), 3),
+    ("bilaplace", (0.1, 0.8), 5), ("bilaplace", (0.0, 1.0), 7)])
+def test_riquier_residuals_match_the_scalar_loop(model_name, omega, n_probes):
+    model = get_model(model_name)
+    sol = solve_riquier(model, regular_subdomain(model, *omega),
+                        (0.5, -1.5), (1.2, -0.7))
+    res = check_riquier_solution(model, sol, n_probes=n_probes)
+    want = _riquier_residuals_loop(model, sol, n_probes)
+    assert [res.boundary_gap.hex(), res.l1_residual.hex(),
+            res.l2_residual.hex()] == [w.hex() for w in want]

@@ -91,4 +91,6 @@ def test_batched_checks_make_one_call_per_point_set(monkeypatch):
         calls.clear()
         assert CHECKS[cid](seed=0).passed, cid
         counts[cid] = len(calls)
-    assert counts == BATCHED_CHECK_CALLS
+    # an upper bound: a return to one call per point fails, fewer calls pass
+    for cid, pinned in BATCHED_CHECK_CALLS.items():
+        assert counts[cid] <= pinned, (cid, counts[cid])
