@@ -152,8 +152,8 @@ def _sliced_integral(model: ModelSpace, kern: _Rows, f: _Rows, tol: float,
     give its breakpoints and singular points, the data its support, and a
     grid function with a singular point in range is refused.  All rows are
     then integrated together.  ``mirrored`` integrates in t = lo + hi - y,
-    so the panels differ from the forward ones, and maps a divergence
-    certificate back to y.
+    whose panels are the forward ones reflected (same count, values equal
+    up to rounding), and maps a divergence certificate back to y.
     """
     n = len(kern.breakpoints)
     values = [None] * n
@@ -228,7 +228,7 @@ def _coupling_radial(model: ModelSpace, f, x, tol: float) -> ExtendedValue:
     upper = None if support is None else float(support[1])
     bks = [b for b in getattr(f, "breakpoints", ()) if b > 0.0]
     res = integrate_radial(prof, model.dim, upper=upper, tol=tol,
-                           singular_at_zero=True, breakpoints=bks)
+                           breakpoints=bks)
     return res.value
 
 

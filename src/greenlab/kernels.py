@@ -140,10 +140,6 @@ class GridFunction:
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
 
-    @property
-    def spacing(self) -> float:
-        return float(np.min(np.diff(self.xs)))
-
 
 def is_grid_function(f) -> bool:
     return isinstance(f, GridFunction)
@@ -234,8 +230,10 @@ def kernel_eval(K: GreenKernel, x, y) -> ExtendedValue:
             cert = DivergenceCertificate(e.point, e.side, e.exponent,
                                          _approach_trace(K, x, y))
             return ExtendedValue.infinite(cert)
-    if K.diagonal_exponent is not None and np.allclose(x, y):
-        # a radial certificate locates the separation, a 1D one the point
+    if K.diagonal_exponent is not None:
+        # A power-law pole is non-finite only where |x - y|^p overflows, on
+        # the diagonal or near enough to it.  A radial certificate locates
+        # the separation, a 1D one the point.
         loc = 0.0 if np.ndim(x) else x
         cert = DivergenceCertificate(loc, "diagonal", K.diagonal_exponent,
                                      _approach_trace(K, x, y))

@@ -57,7 +57,7 @@ def newtonian_model(n: int) -> ModelSpace:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         dist = np.sqrt(np.sum((y - x) ** 2, axis=-1))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return c * dist ** (2.0 - n)
 
     kernel = GreenKernel(f"newton{n}", RadialDomain(n), raw,
@@ -81,21 +81,12 @@ def require_separation(d: float) -> float:
 def kernel_at_distance(n: int, d: float) -> ExtendedValue:
     """G at separation d: c_n d^(2-n), +inf at d = 0.
 
-    A separation so small that d^(2-n) overflows gets the same certified
-    diagonal +inf as d = 0, as :func:`newton_kernel` gives it.
+    The kernel is evaluated at the points 0 and d e_1, as
+    :func:`newton_kernel` evaluates it, so a separation so small that
+    d^(2-n) overflows gets the same certified diagonal +inf as d = 0.
     """
     n = _require_dim(n)
-    d = require_separation(d)
-    c = newton_constant(n)
-    if d > 0.0:
-        try:
-            return ExtendedValue.finite(c * d ** (2.0 - n))
-        except OverflowError:
-            pass
-    trace = tuple((2.0 ** -k, c * (2.0 ** -k) ** (2.0 - n))
-                  for k in range(2, 22, 4))
-    cert = DivergenceCertificate(0.0, "diagonal", 2.0 - n, trace)
-    return ExtendedValue.infinite(cert)
+    return kernel_eval(newtonian_model(n).G1, 0.0, require_separation(d))
 
 
 def newton_kernel(n: int, x, y) -> ExtendedValue:
@@ -256,7 +247,7 @@ def riesz_compose(n: int, x, y, tol: float = 1e-7) -> ExtendedValue:
     inner_tol = max(1e-13, 1e-3 * tol)
     outer = _composition_outer(n, d, inner_tol)
     if d == 0.0:
-        rep = probe_divergence(outer, 0.0, side="right", scale=1.0, tol=tol)
+        rep = probe_divergence(outer, 0.0, side="right", tol=tol)
         if not rep.divergent:   # pragma: no cover - mathematically impossible
             raise ModelDomainError("diagonal composition unexpectedly converged")
         cert = DivergenceCertificate(0.0, "diagonal", rep.estimated_exponent,

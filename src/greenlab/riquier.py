@@ -60,10 +60,6 @@ class RegularSubdomain:
     inv1: np.ndarray
     inv2: np.ndarray
 
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.a, self.b)
-
     def require_interior(self, x: float) -> float:
         x = float(x)
         if not (self.a < x < self.b):

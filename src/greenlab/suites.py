@@ -471,10 +471,8 @@ def _regularity_check(check_id: str, model, seed: int,
             return _boolean(check_id, False,
                             f"continuity probe at ({x:.3f},{y:.3f}) returned "
                             f"{probe.verdict}")
-        allowance = max(adjoint_mod.OSC_NOISE,
-                        min(0.5, 8.0 * 0.5 ** (len(probe.moduli) - 1))
-                        * max(probe.moduli))
-        margin = min(margin, allowance - probe.moduli[-1])
+        margin = min(margin, adjoint_mod._moduli_allowance(probe.moduli)
+                     - probe.moduli[-1])
         done += 1
     if blowup_fixture:
         probe = adjoint_mod.continuity_probe(model, 0.5, 0.0)

@@ -1,7 +1,10 @@
 """The command-line surface: golden columns, exit codes, determinism."""
 
 import re
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -107,6 +110,40 @@ def test_eval_divergent_value_prints_inf_literal(capsys):
     assert float(row[2]) == pytest.approx(-1.0, abs=0.05)
 
 
+
+def test_eval_overflowing_radial_kernel_is_the_certified_diagonal(capsys):
+    # c_n d^(2-n) overflows at these separations; a warning would be an
+    # error here, so nothing may reach stderr through the warnings module
+    cases = (("newtonian100", ("--dist", "1e-8"), ["1e-08", "INF", "-98"]),
+             ("newtonian100", ("--dist", "0.001"), ["0.001", "INF", "-98"]),
+             ("newtonian100", ("--x", "0", "--y", "0.001"),
+              ["0", "0.001", "INF", "-98"]),
+             ("newtonian5", ("--x", "0", "--y", "1e-120"),
+              ["0", "1e-120", "INF", "-3"]))
+    for model, points, want in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "eval", "--model", model,
+                                   "--kernel", "g1", *points)
+        assert (rc, err) == (0, "")
+        assert data_rows(out)[1] == want
+
+
+def test_eval_dist_and_points_give_the_same_kernel_values(capsys):
+    dists = ",".join(repr(float(d)) for d in np.logspace(-150.0, 150.0, 61))
+    for n in (5, 6, 7, 12, 40, 100):
+        model = f"newtonian{n}"
+        rc, by_dist, _ = run_cli(capsys, "eval", "--model", model,
+                                 "--kernel", "g1", "--dist", dists)
+        assert rc == 0
+        rc, by_points, _ = run_cli(capsys, "eval", "--model", model,
+                                   "--kernel", "g1", "--x", "0",
+                                   "--y", dists)
+        assert rc == 0
+        rows = data_rows(by_dist)[1:]
+        assert len(rows) == 61
+        assert rows == [row[1:] for row in data_rows(by_points)[1:]]
+
 def test_eval_needs_kernel_and_points(capsys):
     rc, _, err = run_cli(capsys, "eval", "--model", "interval")
     assert rc == 2
@@ -124,6 +161,13 @@ def test_verify_suite_passes(capsys):
     assert all(row[-1] == "pass" for row in rows[1:])
     assert "# result = 4/4 passed" in out
 
+
+
+def test_verify_all_bytes_match_the_golden_file(capsys):
+    golden = Path(__file__).parent / "golden" / "verify_all_seed0.txt"
+    rc, out, err = run_cli(capsys, "verify", "all")
+    assert (rc, err) == (0, "")
+    assert out == golden.read_text()
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     monkeypatch.setitem(

@@ -243,6 +243,43 @@ def test_first_piece_in_order_decides_between_inf_and_raise():
                               "from every declared singular point")
 
 
+
+def test_a_hole_in_an_earlier_plain_piece_beats_a_probe_refusal():
+    # the probe at 1 refuses, as (1-y)^-1/2 - 40(1-y) changes sign along its
+    # approach; the hole at 0.2 lies in the plain piece [0, 0.5] before it
+    with pytest.raises(UndeclaredSingularityError) as exc:
+        integrate(_holed(lambda y: (1.0 - y) ** -0.5 - 40.0 * (1.0 - y), 0.2),
+                  (0.0, 1.0), singular_points=(1.0,), breakpoints=(0.5,))
+    assert str(exc.value) == ("integrand is non-finite at 0.19805376124802548, "
+                              "away from every declared singular point")
+
+
+def test_a_probe_refusal_beats_a_hole_in_a_later_plain_piece():
+    # the refusing probe at 0 walks [0, 0.5], before the hole at 0.7
+    with pytest.raises(PreconditionError) as exc:
+        integrate(_holed(lambda y: y ** -0.5 - 40.0 * y, 0.7), (0.0, 1.0),
+                  singular_points=(0.0,), breakpoints=(0.5,))
+    assert str(exc.value) == ("integrand changes sign along the singular "
+                              "approach at 0.0; split it by sign first")
+
+
+def test_rows_before_the_first_failing_row_refine_to_their_end():
+    # row 0 meets its NaN only after refining toward 0.3; row 1 is
+    # non-finite at the centre node of its first panel
+    def at(r, z):
+        z = np.asarray(z, dtype=float)
+        d = np.abs(z - 0.3)
+        with np.errstate(divide="ignore"):
+            vals = [np.where(d < 1e-7, np.nan, np.sqrt(d)), 1.0 / (z - 0.5)]
+        return np.choose(np.broadcast_to(r, z.shape), vals)
+
+    for order, where in (((0, 1), "0.3000000296972466"), ((1, 0), "0.5")):
+        rows = [(r, (0.0, 1.0), (), ()) for r in order]
+        with pytest.raises(UndeclaredSingularityError) as exc:
+            integrate(at, rows=rows, tol=1e-13)
+        assert str(exc.value) == (f"integrand is non-finite at {where}, away "
+                                  "from every declared singular point")
+
 def test_probe_stops_at_first_non_finite_shell():
     for j in (3, 9, 13, 20):
         f = _vec(lambda y, j=j: np.where(np.asarray(y) < 2.0 ** -j, np.nan,
