@@ -201,17 +201,22 @@ class GreenKernel:
 
 
 def _approach_trace(K: GreenKernel, x, y):
-    """Sample K along a dyadic approach to (x, y) for a point-value certificate."""
+    """Sample K near (x, y) for a point-value certificate.
+
+    The samples are K(x, y + d e_1) for d = 2^-2, 2^-6, ..., 2^-18.  Each
+    is recorded at its separation |y + d e_1 - x| from x, the distance the
+    kernel sees.  On the diagonal that is d, up to the rounding of y + d e_1.
+    """
     step = 1.0 if np.ndim(y) == 0 else np.eye(np.size(y))[0]
     trace = []
     for k in range(2, 22, 4):
-        d = 2.0 ** (-k)
+        z = y + 2.0 ** (-k) * step
         try:
-            val = float(K.raw(x, y + d * step))
+            val = float(K.raw(x, z))
         except Exception:
             continue
         if math.isfinite(val):
-            trace.append((d, val))
+            trace.append((float(np.linalg.norm(np.subtract(z, x))), val))
     return tuple(trace)
 
 

@@ -137,7 +137,7 @@ def q0(x):
 
 
 def obstruction_u(a: float, b: float) -> Fn:
-    """The general solution u of (x u)'' = -(1 - 1/x^2): ln(x)/x + x/2 + a + b/x.
+    """The general solution u of (x u)'' = 1 - 1/x^2: ln(x)/x + x/2 + a + b/x.
 
     Whatever (a, b) are chosen, u(x) ~ (ln x + b)/x -> -inf as x -> 0, so no
     choice produces a nonnegative partner for q0: the pure partner does not

@@ -67,7 +67,8 @@ _G_WEIGHTS = np.array([
 _KG_WEIGHTS = np.zeros((2, len(_GK_NODES)))
 _KG_WEIGHTS[0] = _K_WEIGHTS
 _KG_WEIGHTS[1, 1::2] = _G_WEIGHTS
-_EPS = np.finfo(float).eps
+# the floor of a panel's error estimate per unit of |K15|; 50 eps is exact
+_FLOOR = 50.0 * float(np.finfo(float).eps)
 
 PROBE_DEPTH = 48
 _FIT_WINDOW = 8
@@ -108,6 +109,14 @@ def _gk15(fv: Callable, a, b) -> list:
     contiguous row sum takes the same steps whatever the number of rows, so
     a panel's bits do not depend on the batch it is evaluated in; a matrix
     product, or a sum down the columns, rounds differently.
+
+    The error estimate is QUADPACK's: diff = |K15 - G7|, shrunk to
+    (200 diff)^1.5 where that is smaller, and floored at 50 eps |K15|.  It
+    is taken panel by panel in plain Python floats.  numpy's ``power``
+    rounds differently from the C library's ``pow`` behind Python's ``**``
+    in the last bits of some results, so the shrink stays ``**``.  And an
+    array form of the min and max costs more than this loop on batches of
+    one to eight panels, the batches of an operator call at one point.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -115,9 +124,9 @@ def _gk15(fv: Callable, a, b) -> list:
     mid = 0.5 * (a + b)
     xs = mid[:, None] + half[:, None] * _GK_NODES
     fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
-    sums = (fx[:, None, :] * _KG_WEIGHTS).sum(axis=2)
+    sums = (fx[:, None, :] * _KG_WEIGHTS).sum(axis=2) * half[:, None]
     out = []
-    for i, (h, (k15, g7)) in enumerate(zip(half.tolist(), sums.tolist())):
+    for i, (k15, g7) in enumerate(sums.tolist()):
         # the K weights are positive, so a non-finite sample makes k15
         # non-finite
         if not math.isfinite(k15):
@@ -125,11 +134,15 @@ def _gk15(fv: Callable, a, b) -> list:
             if bad.any():
                 out.append(_NonFiniteSample(float(xs[i, np.argmax(bad)])))
                 continue
-        k15 = h * k15
-        g7 = h * g7
         diff = abs(k15 - g7)
-        err = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
-        err = max(err, 50.0 * _EPS * abs(k15))
+        err = 0.0
+        if diff > 0.0:
+            err = (200.0 * diff) ** 1.5
+            if err > diff:
+                err = diff
+        floor = _FLOOR * abs(k15)
+        if floor > err:
+            err = floor
         out.append((k15, err))
     return out
 

@@ -18,11 +18,15 @@ import math
 # reference measure dmu = y dy.
 
 def interval_g1(x: float, y: float) -> float:
-    return 1.0 / max(x, y) - 1.0
+    """1/m - 1 with m = max(x, y), written (1 - m)/m so nothing cancels."""
+    m = max(x, y)
+    return (1.0 - m) / m
 
 
 def interval_g2(x: float, y: float) -> float:
-    return 1.0 / max(x, y) ** 2 - 1.0
+    """1/m^2 - 1 with m = max(x, y), written (1 - m)(1 + m)/m^2."""
+    m = max(x, y)
+    return (1.0 - m) * (1.0 + m) / m ** 2
 
 
 def interval_v_one(x: float) -> float:
@@ -47,9 +51,21 @@ def _piece_c(lo: float) -> float:
     """int_lo^1 (1/z - 1)(1/z^2 - 1) z dz, by antiderivative.
 
     The integrand expands to 1/z^2 - 1/z - z + 1, whose antiderivative is
-    -1/z - ln z - z^2/2 + z.
+    -1/z - ln z - z^2/2 + z.  In u = 1 - lo the integral is
+    u/lo + ln(1 - u) - u^2/2 = sum_{k>=3} (k-1)/k u^k: its O(u) terms
+    cancel down to about (2/3) u^3.  So up to u = 1/2 the series is summed
+    until its terms stop moving the sum; above that the closed form in u
+    loses only a few ulp.
     """
-    return -1.5 + 1.0 / lo + math.log(lo) + lo - 0.5 * lo ** 2
+    u = 1.0 - lo
+    if u > 0.5:
+        return u / lo + math.log(lo) - 0.5 * u * u
+    total, k, power = 0.0, 3, u ** 3
+    while total + power != total:
+        total += (k - 1) / k * power
+        k += 1
+        power *= u
+    return total
 
 
 def interval_h(x: float, y: float) -> float:
@@ -57,18 +73,22 @@ def interval_h(x: float, y: float) -> float:
 
     The integral splits at min(x,y) and max(x,y); on the low piece both
     kernels are constant in z, on the middle piece exactly one of them
-    varies, and the high piece is _piece_c.
+    varies, and the high piece is _piece_c.  The low and middle pieces sum
+    to a product of nonnegative factors, written in 1 - x and 1 - y so that
+    nothing cancels as x and y approach 1.  For x <= y:
+    (1/y^2 - 1)(x^2 (1/x - 1)/2 + (y - x) - (y^2 - x^2)/2)
+    = (1 - y)(1 + y)/y^2 ((y - x) + y (1 - y))/2.  For x > y:
+    (1/x - 1)((1/y^2 - 1) y^2/2 + ln(x/y) - (x^2 - y^2)/2)
+    = (1 - x)/x ((1 - x)(1 + x)/2 + ln(1 + (x - y)/y)).
     """
     if y <= 0.0:
         raise ValueError("H(x, 0) is infinite")
     if x <= y:
-        low = (1.0 / x - 1.0) * (1.0 / y ** 2 - 1.0) * 0.5 * x ** 2 \
-            if x > 0.0 else 0.0
-        mid = (1.0 / y ** 2 - 1.0) * ((y - x) - 0.5 * (y ** 2 - x ** 2))
-        return low + mid + _piece_c(y)
-    low = (1.0 / x - 1.0) * (1.0 / y ** 2 - 1.0) * 0.5 * y ** 2
-    mid = (1.0 / x - 1.0) * (math.log(x / y) - 0.5 * (x ** 2 - y ** 2))
-    return low + mid + _piece_c(x)
+        v = 1.0 - y
+        return v * (1.0 + y) / y ** 2 * 0.5 * ((y - x) + y * v) + _piece_c(y)
+    u = 1.0 - x
+    return (u / x * (0.5 * u * (1.0 + x) + math.log1p((x - y) / y))
+            + _piece_c(x))
 
 
 def interval_kink_jump(y: float) -> float:
@@ -81,9 +101,9 @@ def interval_kink_jump(y: float) -> float:
 
 
 def obstruction_curve(x: float, a: float = 0.0, b: float = 0.0) -> float:
-    """The would-be pure partner of q(x) = 1/x: ln(x)/x + x/2 + a + b/x.
+    """The would-be pure partner of q0(x) = 1/x^2 - 1: ln(x)/x + x/2 + a + b/x.
 
-    (x u)'' = -x q(x) = -1 forces x u = -x^2/2 + ln x + linear, and the
+    (x u)'' = -q0(x) = 1 - 1/x^2 forces x u = ln x + x^2/2 + linear, and the
     ln x / x term sinks to -infinity at 0 no matter the constants.
     """
     return math.log(x) / x + 0.5 * x + a + b / x
@@ -103,12 +123,15 @@ def bilaplace_h(x: float, y: float) -> float:
     """int_0^1 G(x,z) G(z,y) dz for x <= y, by polynomial antiderivatives.
 
     Pieces: z < x gives z^2 (1-x)(1-y); x < z < y gives x(1-y) z(1-z);
-    z > y gives x y (1-z)^2.
+    z > y gives x y (1-z)^2.  Simpson's rule is exact on the quadratic
+    z(1-z), so its middle integral is (y - x)((x(1-x) + y(1-y))/2
+    + (y - x)^2/6): every term is nonnegative and nothing cancels.
     """
     if x > y:
         x, y = y, x
     low = (1.0 - x) * (1.0 - y) * x ** 3 / 3.0
-    mid = x * (1.0 - y) * ((y ** 2 - x ** 2) / 2.0 - (y ** 3 - x ** 3) / 3.0)
+    mid = x * (1.0 - y) * (y - x) * (0.5 * (x * (1.0 - x) + y * (1.0 - y))
+                                     + (y - x) ** 2 / 6.0)
     high = x * y * (1.0 - y) ** 3 / 3.0
     return low + mid + high
 
@@ -173,32 +196,31 @@ def riquier_nu(model: str, a: float, b: float,
                x: float) -> tuple[float, float]:
     """(nu_a, nu_b) at x in [a, b] on "interval" or "bilaplace".
 
-    Clamped plate: nu'' = -c with c = (b - x)/L or (x - a)/L, L = b - a.
-    In s = (x - a)/L, phi'' = -(1 - s) or -s with phi(0) = phi(1) = 0
-    gives L^2 s(1-s)(2-s)/6 and L^2 s(1-s)(1+s)/6.
+    Write p = x - a, q = b - x and L = b - a.
+
+    Clamped plate: nu'' = -c with c = q/L or p/L.  In s = p/L,
+    phi'' = -(1 - s) or -s with phi(0) = phi(1) = 0 gives
+    L^2 s(1-s)(2-s)/6 and L^2 s(1-s)(1+s)/6, that is p q (L + q)/(6 L)
+    and p q (L + p)/(6 L).
 
     Interval model: (x nu)'' = -c with c = (1/x^2 - 1/b^2)/D or
-    (1/a^2 - 1/x^2)/D, D = 1/a^2 - 1/b^2.  Twice integrating 1/x^2 gives
-    -ln x, so y = x nu = F(x) + alpha x + beta with F = (ln x +
-    x^2/(2 b^2))/D or -(ln x + x^2/(2 a^2))/D; y(a) = y(b) = 0 fixes
-    alpha and beta.
+    (1/a^2 - 1/x^2)/D, D = 1/a^2 - 1/b^2 = L (a + b)/(a b)^2.  Twice
+    integrating 1/x^2 gives -ln x, so x nu = F(x) minus its chord through
+    a and b, with F = (ln x + x^2/(2 b^2))/D or -(ln x + x^2/(2 a^2))/D.
+    The chord of ln leaves the gap (q ln(x/a) - p ln(b/x))/L and the
+    chord of x^2 leaves -p q.  The gap still cancels when L is small
+    against a, so these two lose accuracy on thin subdomains.
     """
+    p, q, length = x - a, b - x, b - a
     if model == "bilaplace":
-        length = b - a
-        s = (x - a) / length
-        scale = length ** 2 * s * (1.0 - s) / 6.0
-        return scale * (2.0 - s), scale * (1.0 + s)
+        scale = p * q / (6.0 * length)
+        return scale * (length + q), scale * (length + p)
     if model != "interval":
         raise ValueError(f"no nu oracle for {model!r}")
-    d = 1.0 / a ** 2 - 1.0 / b ** 2
-
-    def nu(big_f):
-        alpha = -(big_f(b) - big_f(a)) / (b - a)
-        beta = -big_f(a) - alpha * a
-        return (big_f(x) + alpha * x + beta) / x
-
-    return (nu(lambda t: (math.log(t) + t ** 2 / (2.0 * b ** 2)) / d),
-            nu(lambda t: -(math.log(t) + t ** 2 / (2.0 * a ** 2)) / d))
+    d = length * (a + b) / (a * b) ** 2
+    gap = (q * math.log1p(p / a) - p * math.log1p(q / x)) / length
+    return ((gap - p * q / (2.0 * b * b)) / d / x,
+            (p * q / (2.0 * a * a) - gap) / d / x)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,25 @@ def test_kernel_accepts_scalar_and_coordinate_points():
             riesz_compose(5, bad, 1.0)
 
 
+def test_point_value_traces_record_the_true_separation():
+    # off the diagonal, d^(2-n) overflows only at a tiny separation d
+    certified = [(n, kernel_at_distance(n, d)) for n, d in
+                 ((7, 1e-65), (12, 1e-40), (40, 1e-8), (100, 1e-3))]
+    rng = np.random.default_rng(7)
+    for n, off in ((6, 1e-160), (40, 1e-9)):
+        x = rng.uniform(-1.0, 1.0, n)
+        y = x.copy()
+        y[1] += off
+        certified.append((n, newton_kernel(n, x, y)))
+    for n, val in certified:
+        assert not val.is_finite
+        trace = val.certificate.probe_trace
+        assert len(trace) >= 2
+        for s, v in trace:
+            assert v == pytest.approx(oracles.newton_c(n) * s ** (2 - n),
+                                      rel=1e-12)
+
+
 def test_dimension_gate():
     with pytest.raises(ModelDomainError):
         newtonian_model(4)

@@ -220,6 +220,70 @@ def test_gk15_bits_do_not_depend_on_the_batch():
         assert [_bits(out) for out in batch] == one[:size]
 
 
+def _rule_diff(fv, a, b):
+    """|K15 - G7| on one panel, both rules summed as in _one_panel."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    fx = np.asarray(fv(mid + half * _GK_NODES), dtype=float)
+    g_weights = np.zeros(len(_GK_NODES))
+    g_weights[1::2] = _G_WEIGHTS
+    return abs(half * float((_K_WEIGHTS * fx).sum())
+               - half * float((g_weights * fx).sum()))
+
+
+def _assert_plain_floats(outs):
+    for out in outs:
+        if not isinstance(out, _NonFiniteSample):
+            assert type(out) is tuple and len(out) == 2
+            assert type(out[0]) is float and type(out[1]) is float
+
+
+def test_gk15_zero_difference_gives_a_zero_error():
+    zero = _vec(lambda y: np.zeros(np.shape(y)))
+    outs = _gk15(zero, [0.0, -2.0], [1.0, 5.0])
+    assert outs == [(0.0, 0.0), (0.0, 0.0)]
+    assert [_bits(o) for o in outs] == [_bits(_one_panel(zero, 0.0, 1.0)),
+                                        _bits(_one_panel(zero, -2.0, 5.0))]
+    _assert_plain_floats(outs)
+
+
+def test_gk15_shrink_switches_on_below_200_to_the_minus_3():
+    # G7 is not exact on y^14, so a scaled y^14 sets the diff of [0, 1]
+    unit = _rule_diff(_vec(lambda y: np.asarray(y) ** 14), 0.0, 1.0)
+    for share in (0.25, 0.99, 1.01, 4.0):
+        s = share * 200.0 ** -3 / unit
+        fv = _vec(lambda y, s=s: s * np.asarray(y) ** 14)
+        outs = _gk15(fv, [0.0, 0.0], [1.0, 1.0])
+        ref = _bits(_one_panel(fv, 0.0, 1.0))
+        assert [_bits(o) for o in outs] == [ref, ref]
+        _assert_plain_floats(outs)
+        diff = _rule_diff(fv, 0.0, 1.0)
+        err = outs[0][1]
+        if share < 1.0:
+            assert err == (200.0 * diff) ** 1.5 < diff
+        else:
+            assert err == diff < (200.0 * diff) ** 1.5
+
+
+def test_gk15_overflowing_rule_sums_of_finite_samples_are_inf():
+    big = _vec(lambda y: np.full(np.shape(y), 1e308))
+    with np.errstate(over="ignore"):
+        outs = _gk15(big, [-1.0, 0.0], [1.0, 1e-300])
+        refs = [_one_panel(big, -1.0, 1.0), _one_panel(big, 0.0, 1e-300)]
+    assert outs == refs == [(math.inf, math.inf)] * 2
+    _assert_plain_floats(outs)
+
+
+def test_gk15_non_finite_panel_between_finite_ones():
+    fv = _vec(lambda y: np.where(np.abs(np.asarray(y) - 0.5) < 1e-2, np.nan,
+                                 np.cos(np.asarray(y))))
+    a, b = [0.0, 0.45, 0.8], [0.3, 0.55, 1.0]
+    first, hole, last = outs = _gk15(fv, a, b)
+    assert isinstance(hole, _NonFiniteSample) and hole.x == 0.5
+    assert _bits(first) == _bits(_one_panel(fv, 0.0, 0.3))
+    assert _bits(last) == _bits(_one_panel(fv, 0.8, 1.0))
+    _assert_plain_floats(outs)
+
+
 def _holed(g, c):
     """g with an undeclared non-finite hole of half-width 1e-2 around c."""
     return _vec(lambda y: np.where(np.abs(np.asarray(y) - c) < 1e-2, np.nan,
