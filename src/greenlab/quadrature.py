@@ -11,13 +11,14 @@ the panel budget.
 
 The rule runs on many panels per integrand call: the initial panels of every
 smooth piece of an integral together, then the children of each piece's worst
-panel, round by round, and the dyadic shells in runs.  So a vectorized
-integrand must be elementwise: its value at a node may not depend on the other
-nodes in the array.  Each panel is still reduced on its own, so every value,
-bound and certificate is the one a panel-at-a-time walk gives.  The same
-engine integrates many rows at once -- one integral per point of an operator
-call on an array of points -- with the smooth pieces of every row in the same
-rounds: :func:`integrate` takes one interval, or rows of them.
+panel, round by round, and a probe's dyadic shells up to its verdict depth,
+then one shell at a time.  So a vectorized integrand must be elementwise: its
+value at a node may not depend on the other nodes in the array.  Each panel
+is still reduced on its own, so every value, bound and certificate is the one
+a panel-at-a-time walk gives.  The same engine integrates many rows at once --
+one integral per point of an operator call on an array of points -- with the
+smooth pieces of every row in the same rounds: :func:`integrate` takes one
+interval, or rows of them.
 
 Conventions
 -----------
@@ -69,6 +70,8 @@ _KG_WEIGHTS[0] = _K_WEIGHTS
 _KG_WEIGHTS[1, 1::2] = _G_WEIGHTS
 # the floor of a panel's error estimate per unit of |K15|; 50 eps is exact
 _FLOOR = 50.0 * float(np.finfo(float).eps)
+# 4% above 200^-3: from there on (200 diff)^1.5 > diff, rounding included
+_SHRINK_LIMIT = 1.3e-7
 
 PROBE_DEPTH = 48
 _FIT_WINDOW = 8
@@ -137,7 +140,8 @@ def _gk15(fv: Callable, a, b) -> list:
         diff = abs(k15 - g7)
         err = 0.0
         if diff > 0.0:
-            err = (200.0 * diff) ** 1.5
+            # the shrink cannot win above _SHRINK_LIMIT, where ** may overflow
+            err = (200.0 * diff) ** 1.5 if diff < _SHRINK_LIMIT else diff
             if err > diff:
                 err = diff
         floor = _FLOOR * abs(k15)
@@ -281,14 +285,38 @@ def _shell_bounds(point: float, side: str, scale: float, k: int,
     return point - scale * 2.0 ** (-k), point - scale * 2.0 ** (-k - 1)
 
 
-def _chunk_end(k: int) -> int:
-    """End of the run of shells evaluated together from shell k on.
+def _window_fit(mags: list[float], logs: list[float], errs: list[float],
+                k: int, sign: float, tail: bool):
+    """The power-law fit of the window of shells ending at k, or None.
 
-    Runs end at the shell counts where the walk can first stop (vanishing,
-    resolved, divergent verdict), then go one shell at a time.
+    A pure function of |shell|, log2|shell| and the errors up to k, and of
+    the sign.  None below _FIT_WINDOW - 2 nonzero shells in the window;
+    else (exponent, critical, (remainder, error) of the unseen shells, or
+    None unless the fit is not critical and the recent ratios contract).
     """
-    ends = (_FIT_WINDOW, _MIN_SHELLS_TO_RESOLVE, _MIN_SHELLS_FOR_VERDICT)
-    return min(PROBE_DEPTH, next((e for e in ends if e > k), k + 1))
+    ks = [i for i in range(max(0, k + 1 - _FIT_WINDOW), k + 1) if mags[i] > 0.0]
+    if len(ks) < _FIT_WINDOW - 2:
+        return None
+    slope = _fit_slope(ks, [logs[i] for i in ks])
+    exponent = (slope - 1.0) if tail else (-slope - 1.0)
+    crit = (exponent >= -1.0 - EXP_MARGIN) if tail \
+        else (exponent <= -1.0 + EXP_MARGIN)
+    recent = [mags[i + 1] / mags[i] for i in range(max(0, k - 3), k)
+              if mags[i] > 0.0 and mags[i + 1] > 0.0]
+    if crit or not (recent and max(recent) < 1.0):
+        return exponent, crit, None
+    # Convergent so far: extrapolate the unseen remainder as a geometric
+    # series.  The shell-to-shell ratio is 2**slope in both geometries
+    # (slope is d log2|shell| / d k).
+    ratio = 2.0 ** slope
+    r_hi, r_lo = max(recent), min(recent)
+    last = mags[k]
+    rem = sign * last * ratio / (1.0 - ratio) if ratio < 1.0 else 0.0
+    hi_est = last * r_hi / (1.0 - r_hi)
+    lo_est = last * r_lo / (1.0 - r_lo)
+    # The ratio keeps drifting below the observed bracket for perturbed
+    # power laws; widen the bracket generously.
+    return exponent, False, (rem, 6.0 * abs(hi_est - lo_est) + sum(errs[:k + 1]))
 
 
 def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
@@ -297,26 +325,35 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
     kind="endpoint": shells halve toward ``point`` from distance ``scale``.
     kind="tail": blocks double outward from radius ``scale``; ``point`` is
     only used to label the certificate.
+
+    One _gk15 call evaluates the shells up to _MIN_SHELLS_FOR_VERDICT, then
+    the walk goes one shell at a time.  The fit of the recent shells is
+    taken at each shell from _MIN_SHELLS_TO_RESOLVE on, where it can first
+    end the walk; an earlier fit only at an exit that reads it (the latest
+    exponent, and at depth exhaustion the latest extrapolation).  A late
+    fit has the bits of one on time: it reads the shells up to its own and
+    the sign, which is fixed before any fit holds enough nonzero shells.
     """
-    shells: list[float] = []
-    errs: list[float] = []
+    tail = kind == "tail"
+    # each shell's value, error, |value| and log2|value| (0.0 for a zero)
+    shells, errs, mags, logs = [], [], [], []
+    quiet = 0                       # zero shells in a row
     trace: list[tuple[float, float]] = []
     cumulative = 0.0
     sign = 0.0
-    exponent = math.nan
-    divergent = False
-    resolved = False
-    rem, rem_err = 0.0, math.inf
+    exponent = math.nan             # nan until a fit holds enough shells
+    divergent = resolved = False
+    extrap = None                   # the latest (remainder, error) of a fit
     bounds: list[tuple[float, float]] = []
     outs: list = []
 
     for k in range(PROBE_DEPTH):
         if k == len(outs):
             run = [_shell_bounds(point, side, scale, j, kind)
-                   for j in range(k, _chunk_end(k))]
+                   for j in range(k, max(k + 1, _MIN_SHELLS_FOR_VERDICT))]
             bounds += run
             outs += _gk15(fv, [lo for lo, _ in run], [hi for _, hi in run])
-        dist = bounds[k][1] if kind == "tail" else abs(2.0 ** (-k - 1) * scale)
+        dist = bounds[k][1] if tail else abs(2.0 ** (-k - 1) * scale)
         if isinstance(outs[k], _NonFiniteSample):
             trace.append((dist, math.inf))
             divergent = True
@@ -340,45 +377,35 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
             divergent = True
             break
 
-        # Fit the recent shells to a power law once there is enough history.
-        win = [(i, abs(shells[i])) for i in range(max(0, k + 1 - _FIT_WINDOW), k + 1)
-               if abs(shells[i]) > 0.0]
-        if len(win) >= _FIT_WINDOW - 2:
-            slope = _fit_slope([w[0] for w in win],
-                               [math.log2(w[1]) for w in win])
-            exponent = (slope - 1.0) if kind == "tail" else (-slope - 1.0)
-            crit = (exponent >= -1.0 - EXP_MARGIN) if kind == "tail" \
-                else (exponent <= -1.0 + EXP_MARGIN)
-            if crit and k + 1 >= _MIN_SHELLS_FOR_VERDICT:
-                divergent = True
-                break
-            if not crit:
-                # Convergent so far: extrapolate the unseen remainder as a
-                # geometric series.  The shell-to-shell ratio is 2**slope in
-                # both geometries (slope is d log2|shell| / d k).
-                ratio = 2.0 ** slope
-                recent = [abs(shells[i + 1]) / abs(shells[i])
-                          for i in range(max(0, k - 3), k)
-                          if abs(shells[i]) > 0.0 and abs(shells[i + 1]) > 0.0]
-                if recent and max(recent) < 1.0:
-                    r_hi, r_lo = max(recent), min(recent)
-                    last = abs(shells[-1])
-                    rem = sign * last * ratio / (1.0 - ratio) if ratio < 1.0 else 0.0
-                    hi_est = last * r_hi / (1.0 - r_hi)
-                    lo_est = last * r_lo / (1.0 - r_lo)
-                    # The ratio keeps drifting below the observed bracket for
-                    # perturbed power laws; widen the bracket generously.
-                    rem_err = 6.0 * abs(hi_est - lo_est) + sum(errs)
-                    if rem_err <= tol and k + 1 >= _MIN_SHELLS_TO_RESOLVE:
-                        resolved = True
-                        break
-        elif len(win) == 0 and k + 1 >= _FIT_WINDOW:
+        mag = abs(val)
+        mags.append(mag)
+        logs.append(math.log2(mag) if mag > 0.0 else 0.0)
+        quiet = 0 if mag > 0.0 else quiet + 1
+        if quiet == _FIT_WINDOW:
             # integrand vanishes near the point: nothing left to resolve
-            rem, rem_err, resolved = 0.0, sum(errs), True
+            extrap, resolved = (0.0, sum(errs)), True
+            break
+        fit = (_window_fit(mags, logs, errs, k, sign, tail)
+               if k + 1 >= _MIN_SHELLS_TO_RESOLVE else None)
+        if fit is None:
+            continue
+        exponent, crit, now = fit
+        extrap = now or extrap
+        divergent = crit and k + 1 >= _MIN_SHELLS_FOR_VERDICT
+        resolved = now is not None and now[1] <= tol
+        if divergent or resolved:
             break
 
-    loc, cert_side = (("tail", "radial-tail") if kind == "tail"
-                      else (point, side))
+    # the earlier fits, latest first, while the report lacks an output
+    for j in reversed(range(min(len(mags), _MIN_SHELLS_TO_RESOLVE - 1))):
+        if not (math.isnan(exponent) or extrap is None and not divergent):
+            break
+        fit = _window_fit(mags, logs, errs, j, sign, tail)
+        if fit is not None:
+            exponent = fit[0] if math.isnan(exponent) else exponent
+            extrap = extrap or fit[2]
+
+    loc, cert_side = (("tail", "radial-tail") if tail else (point, side))
     trace = tuple(trace)
     # a divergent report carries no value and counts as resolved
     cert, value, error = None, 0.0, 0.0
@@ -386,6 +413,7 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
         cert = DivergenceCertificate(loc, cert_side, exponent, trace)
         resolved = True
     else:
+        rem, rem_err = extrap or (0.0, math.inf)
         if not resolved:
             # Depth exhausted without meeting tol; report best effort.
             last = abs(shells[-1]) if shells else 0.0

@@ -129,6 +129,20 @@ def test_eval_overflowing_radial_kernel_is_the_certified_diagonal(capsys):
         assert data_rows(out)[1] == want
 
 
+def test_eval_certified_inf_of_a_coupling_is_quiet(capsys):
+    # the shell probe behind each INF samples close to the singular point;
+    # a warning would be an error here, so nothing may reach stderr
+    cases = ((("--kernel", "h", "--x", "0.5", "--y", "0"), ["0.5", "0"]),
+             (("--kernel", "vstar", "--x", "0.0"), ["0"]))
+    for args, point in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "eval", "--model", "interval",
+                                   *args)
+        assert (rc, err) == (0, "")
+        assert data_rows(out)[1] == [*point, "INF", "-1"]
+
+
 def test_eval_dist_and_points_give_the_same_kernel_values(capsys):
     dists = ",".join(repr(float(d)) for d in np.logspace(-150.0, 150.0, 61))
     for n in (5, 6, 7, 12, 40, 100):

@@ -264,6 +264,17 @@ def test_gk15_shrink_switches_on_below_200_to_the_minus_3():
             assert err == diff < (200.0 * diff) ** 1.5
 
 
+def test_gk15_error_of_a_huge_finite_difference_is_the_difference():
+    # |K15 - G7| far above 1.6e203, where (200 diff)^1.5 overflows a float
+    fv = _vec(lambda y: 1e210 * np.exp(30.0 * np.asarray(y)))
+    res = integrate(fv, (0.0, 1.0), tol=1e300)
+    exact = 1e210 * math.expm1(30.0) / 30.0
+    assert math.isfinite(res.value.value) and res.converged
+    assert abs(res.value.value - exact) <= res.value.error_bound
+    diff = _rule_diff(fv, 0.0, 1.0)
+    assert diff > 1e204 and res.value.error_bound == diff
+
+
 def test_gk15_overflowing_rule_sums_of_finite_samples_are_inf():
     big = _vec(lambda y: np.full(np.shape(y), 1e308))
     with np.errstate(over="ignore"):
@@ -372,11 +383,15 @@ def test_panels_are_evaluated_in_batches(monkeypatch):
     integrate(_vec(lambda y: np.asarray(y) ** 3), (0.0, 1.0),
               breakpoints=(0.25, 0.5, 0.75), tol=1e-12)
     assert sizes == [4]
-    # a divergent endpoint: shells in runs up to the verdict at shell 16
+    # a divergent endpoint: one run of shells up to the verdict at shell 16
     sizes.clear()
     integrate(_vec(lambda y: 1.0 / np.asarray(y)), (0.0, 1.0),
               singular_points=(0.0,), tol=1e-9)
-    assert sizes == [8, 4, 4]
+    assert sizes == [16]
+    # past the verdict depth, a walk goes one shell at a time
+    sizes.clear()
+    probe_divergence(_vec(lambda y: np.asarray(y) ** -0.5), 0.0, tol=0.0)
+    assert sizes == [16] + [1] * (quadrature.PROBE_DEPTH - 16)
 
 
 def test_row_form_gives_each_row_its_one_row_result():
