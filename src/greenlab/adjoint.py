@@ -43,15 +43,14 @@ def adjoint_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL):
     On the radial models both kernels are the same symmetric function, so
     the adjoint coincides with the forward coupling and is delegated to it.
 
-    On the 1D models the integral is evaluated in mirrored orientation
-    (substituting t = lo + hi - y).  The G7/K15 nodes are symmetric and
-    panels are bisected at their midpoints, so the mirrored panels are the
-    forward ones of :func:`~greenlab.coupling.coupling_apply` and
-    :func:`~greenlab.coupling.compose_green` reflected, and only rounding
-    differs: on the pairs of the adjoint-identity checks V*(G1(.,y))(x) and
-    H(y,x) use as many panels and agree to a few ulps.  Agreement with an H
-    value is therefore a check of the adjoint's bookkeeping (orientation,
-    slicing, certificates), not of a second quadrature.
+    On the 1D models the integral runs forward in y through the sliced
+    integral of :func:`~greenlab.coupling.coupling_apply`, with G2 sliced
+    in its first argument at x.  V*(G1(.,y))(x) and H(y,x) =
+    :func:`~greenlab.coupling.compose_green` then integrate the same
+    product on the same cuts, so they agree to the bit on the pairs of the
+    adjoint-identity checks.  Agreement with an H value is a check of the
+    adjoint's bookkeeping (slicing, declarations, certificates), not of a
+    second quadrature.
 
     On the 1D models ``x`` may also be a 1-D array of points: the call then
     returns a tuple of extended values, one per point, each with the bits
@@ -215,13 +214,11 @@ def adjoint_identity_residual(model: ModelSpace, x, y,
     """Compare V*(G1(.,y))(x) with H(y,x) through two code routes.
 
     The left route slices the first kernel at ``y`` and feeds it to the
-    mirrored adjoint quadrature; the right route composes the kernels in
-    forward orientation.  The two integrands agree pointwise and the
-    mirrored panels are the forward ones reflected (see
-    :func:`adjoint_apply`), so the two values differ by rounding only: a
-    gap beyond that is a slicing or orientation defect, not a measure of
-    quadrature error.  Divergence must be certified by both routes or the
-    identity fails as "mixed".
+    adjoint; the right route composes the kernels.  Both integrate the same
+    product forward on the same cuts (see :func:`adjoint_apply`), so a gap
+    is a slicing or declaration defect, not a measure of quadrature error.
+    Divergence must be certified by both routes or the identity fails as
+    "mixed".
     """
     lhs = adjoint_apply(model, model.G1.slice_in_first(y), x, tol=tol)
     rhs = compose_green(model, y, x, tol=tol)

@@ -20,8 +20,7 @@ from .errors import ClassificationError, PreconditionError
 from .kernels import (BiharmonicPair, Fn, GreenKernel, Interval1D, ModelSpace,
                       is_grid_function, times)
 from .quadrature import as_vectorized, integrate, integrate_radial
-from .values import (IDENTITY_TOL, QUAD_TOL, DivergenceCertificate,
-                     ExtendedValue)
+from .values import IDENTITY_TOL, QUAD_TOL, ExtendedValue
 from . import riquier
 
 
@@ -36,24 +35,6 @@ def _product(g, f) -> Fn:
         tuple(getattr(f, "singular_points", ()))
     return Fn(h, breakpoints=bks, vectorized=True, singular_points=sings,
               support=getattr(f, "support", None))
-
-
-def _flip_side(side: str) -> str:
-    if side == "left":
-        return "right"
-    if side == "right":
-        return "left"
-    return side
-
-
-def _unmirror_certificate(cert: DivergenceCertificate,
-                          axis: float) -> DivergenceCertificate:
-    loc = cert.location
-    if isinstance(loc, (int, float)) and math.isfinite(float(loc)):
-        loc = axis - float(loc)
-    return DivergenceCertificate(location=loc, side=_flip_side(cert.side),
-                                 estimated_exponent=cert.estimated_exponent,
-                                 probe_trace=cert.probe_trace)
 
 
 class _Rows(NamedTuple):
@@ -117,10 +98,12 @@ def _point_rows(model: ModelSpace, *points) -> tuple[list[np.ndarray], bool]:
             f"points come as scalars or 1-D arrays, not shape {shape}")
     cols = [a.reshape(-1) if a.shape == shape else np.broadcast_to(a, shape)
             for a in arrs]
-    require = model.domain.require
+    # contains is the test; require only raises the DomainError
+    contains, require = model.domain.contains, model.domain.require
     for row in zip(*[c.tolist() for c in cols]):
         for p in row:
-            require(p)
+            if not contains(p):
+                require(p)
     return cols, not shape
 
 
@@ -144,64 +127,44 @@ def _radial_point(model: ModelSpace, x):
     return x
 
 
-def _sliced_integral(model: ModelSpace, kern: _Rows, f: _Rows, tol: float,
-                     mirrored: bool = False) -> list[ExtendedValue]:
+def _sliced_integral(model: ModelSpace, kern: _Rows, f: _Rows,
+                     tol: float) -> list[ExtendedValue]:
     """V and V*: int k_r(y) f_r(y) dmu(y) on the 1D domain, for every row r.
 
     Each row is set up on its own: its kernel slice ``kern`` and data ``f``
     give its breakpoints and singular points, the data its support, and a
-    grid function with a singular point in range is refused.  All rows are
-    then integrated together.  ``mirrored`` integrates in t = lo + hi - y,
-    whose panels are the forward ones reflected (same count, values equal
-    up to rounding), and maps a divergence certificate back to y.
+    grid function with a singular point is refused.  All rows are then
+    integrated together, and :func:`~greenlab.quadrature.integrate` keeps
+    the singular points in a row's range.
     """
-    n = len(kern.breakpoints)
-    values = [None] * n
-    axes = [0.0] * n
+    values = [None] * len(kern.breakpoints)
+    domain = (model.domain.lo, model.domain.hi)
     rows, refusal = [], None
-    for r in range(n):
-        sings = {*kern.singular_points[r], *f.singular_points[r]}
+    for r, (k_sings, f_sings, k_bks, f_bks, support) in enumerate(zip(
+            kern.singular_points, f.singular_points, kern.breakpoints,
+            f.breakpoints, f.support)):
+        sings = (*k_sings, *f_sings)
         if f.grid and sings:
             # raised below, once the rows before it have been integrated
             refusal = PreconditionError(
                 "grid functions carry no information below their spacing; "
-                f"this integral must resolve singular points {sorted(sings)}")
+                f"this integral must resolve singular points {sorted({*sings})}")
             break
-        lo, hi = model.domain.lo, model.domain.hi
-        support = f.support[r]
+        interval = domain
         if support is not None:
-            lo, hi = max(lo, support[0]), min(hi, support[1])
-            if hi <= lo:
+            interval = (max(domain[0], support[0]), min(domain[1], support[1]))
+            if interval[1] <= interval[0]:
                 values[r] = ExtendedValue.finite(0.0)
                 continue
-        sings = [s for s in sings if lo <= s <= hi]
-        bks = [*kern.breakpoints[r], *f.breakpoints[r]]
-        axis = axes[r] = lo + hi
-        if mirrored:
-            sings = [axis - s for s in sings]
-            bks = [axis - b for b in bks]
-        rows.append((r, (lo, hi), sorted(sings), bks))
+        rows.append((r, interval, sings, (*k_bks, *f_bks)))
 
-    weigh = model.mu.weigh
+    weigh, k_at, f_at = model.mu.weigh, kern.at, f.at
 
     def weighted(r, y):
-        return weigh(times(kern.at(r, y), f.at(r, y)), y)
+        return weigh(times(k_at(r, y), f_at(r, y)), y)
 
-    integrand = weighted
-    if mirrored:
-        axis_of = np.array(axes)
-
-        def integrand(r, t):
-            t = np.asarray(t, dtype=float)
-            return np.asarray(weighted(r, axis_of[r] - t), dtype=float)
-
-    results = integrate(integrand, rows=rows, tol=tol)
-    for (r, _, _, _), res in zip(rows, results):
-        val = res.value
-        if mirrored and not val.is_finite:
-            val = ExtendedValue.infinite(
-                _unmirror_certificate(val.certificate, axes[r]))
-        values[r] = val
+    for row, res in zip(rows, integrate(weighted, rows=rows, tol=tol)):
+        values[row[0]] = res.value
     if refusal is not None:
         raise refusal
     return values
@@ -257,12 +220,11 @@ def _sliced_apply(model: ModelSpace, kernel: GreenKernel, f, x, tol: float,
                   adjoint: bool = False):
     """V, or V* if ``adjoint``, of f at the point or points x on a 1D model.
 
-    V slices ``kernel`` in its second argument at x and integrates forward;
-    V* slices it in its first and integrates mirrored.
+    V slices ``kernel`` in its second argument at x, V* in its first.
     """
     (xs,), scalar = _point_rows(model, x)
     values = _sliced_integral(model, _kernel_rows(kernel, xs, first=adjoint),
-                              _shared_rows(f, xs.size), tol, mirrored=adjoint)
+                              _shared_rows(f, xs.size), tol)
     return values[0] if scalar else tuple(values)
 
 

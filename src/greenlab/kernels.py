@@ -179,18 +179,22 @@ class GreenKernel:
         second at x is y -> K(x, y).  Its breakpoints are its point, where
         the kernel kinks on the diagonal, and every endpoint singularity;
         such an endpoint is a live singular point of the slice where the
-        kernel is non-finite at it.  Returns one list of each per point;
-        one kernel call per endpoint serves all the points.
+        kernel is non-finite at it.  Returns one tuple of each per point;
+        one kernel call per endpoint serves all the points, and only the
+        points where it is non-finite get a live singular point.
         """
         pts = np.asarray(points, dtype=float)
-        ends = [float(e.point) for e in self.endpoint_singularities]
-        finite = [np.isfinite(self.raw(e, pts) if first else self.raw(pts, e))
-                  .tolist() for e in ends]
-        pts = pts.tolist()
-        bks = [[p, *ends] for p in pts] if self.kink_on_diagonal \
-            else [ends] * len(pts)
-        sings = [[e for e, fin in zip(ends, finite) if not fin[i]]
-                 for i in range(len(pts))]
+        ends = tuple(float(e.point) for e in self.endpoint_singularities)
+        sings = [()] * pts.size
+        for e in ends:
+            finite = np.isfinite(self.raw(e, pts) if first
+                                 else self.raw(pts, e)).tolist()
+            if not all(finite):
+                for i, fin in enumerate(finite):
+                    if not fin:
+                        sings[i] = (*sings[i], e)
+        bks = [(p, *ends) for p in pts.tolist()] if self.kink_on_diagonal \
+            else [ends] * pts.size
         return bks, sings
 
     def slice_in_first(self, y: float) -> Fn:

@@ -18,7 +18,10 @@ is still reduced on its own, so every value, bound and certificate is the one
 a panel-at-a-time walk gives.  The same engine integrates many rows at once --
 one integral per point of an operator call on an array of points -- with the
 smooth pieces of every row in the same rounds: :func:`integrate` takes one
-interval, or rows of them.
+interval, or rows of them.  It plans the rows in one pass.  A plain row, finite
+and with no singular point in range, is cut at its breakpoints in that pass
+and its results summed in one loop; only a row with a probe or a tail gets a
+plan of its own.
 
 Conventions
 -----------
@@ -33,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,14 +175,14 @@ def _undeclared(sample: _NonFiniteSample) -> UndeclaredSingularityError:
         "singular point")
 
 
-def _refine(fv: Callable, pieces: Sequence[tuple[int, float, float, float]],
-            cap: int) -> list:
+def _refine(fv: Callable, ids: list[int], los: list[float], his: list[float],
+            tols: list[float], cap: int) -> list:
     """Adaptive G7/K15 on several pieces at once: (value, error, panels) each.
 
-    A piece is (row, lo, hi, tol): one initial panel [lo, hi], integrated
-    against the row integrand ``fv(r, z)`` at its row.  While its error sum
-    exceeds tol and it holds fewer than ``cap`` panels, its worst panel is
-    bisected.  Each piece keeps its own sums, and its own heap once it
+    Piece i is one initial panel [los[i], his[i]], integrated against the
+    row integrand ``fv(r, z)`` at its row ids[i].  While its error sum
+    exceeds tols[i] and it holds fewer than ``cap`` panels, its worst panel
+    is bisected.  Each piece keeps its own sums, and its own heap once it
     refines, so its result is the one it would get alone.
     One _gk15 call evaluates the initial panels of every piece, then each
     round one call evaluates the children of the worst panel of every piece
@@ -189,13 +193,12 @@ def _refine(fv: Callable, pieces: Sequence[tuple[int, float, float, float]],
     refined to the end; the pieces after it are not refined further, and
     their outcomes mean nothing.
     """
-    if not pieces:
+    if not ids:
         return []
-    outs = _gk15(_at_rows(fv, [p[0] for p in pieces]),
-                 [p[1] for p in pieces], [p[2] for p in pieces])
-    first_bad = len(pieces)
+    outs = _gk15(_at_rows(fv, ids), los, his)
+    first_bad = len(ids)
     heaps: dict[int, list] = {}
-    for i, ((_, lo, hi, tol), out) in enumerate(zip(pieces, outs)):
+    for i, (lo, hi, tol, out) in enumerate(zip(los, his, tols, outs)):
         if isinstance(out, _NonFiniteSample):
             first_bad = min(first_bad, i)
             continue
@@ -208,12 +211,12 @@ def _refine(fv: Callable, pieces: Sequence[tuple[int, float, float, float]],
     while True:
         # a piece that stops refining never starts again
         active = [i for i in active if i < first_bad
-                  and outs[i][1] > pieces[i][3] and outs[i][2] < cap]
+                  and outs[i][1] > tols[i] and outs[i][2] < cap]
         if not active:
             break
         worst = [heapq.heappop(heaps[i]) for i in active]
         splits = [(lo, 0.5 * (lo + hi), hi) for _, lo, hi, _ in worst]
-        kids = iter(_gk15(_at_rows(fv, [pieces[i][0] for i in active], 2),
+        kids = iter(_gk15(_at_rows(fv, [ids[i] for i in active], 2),
                           [e for lo, mid, _ in splits for e in (lo, mid)],
                           [e for _, mid, hi in splits for e in (mid, hi)]))
         for i, (neg_err, _, _, val), (lo, mid, hi) in zip(active, worst, splits):
@@ -498,6 +501,13 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
     :class:`QuadRows` in the order of ``rows``; each row gets the bits a
     one-row call gives it, and the call raises the exception of the first
     row in order that raises.
+
+    The rows are planned in one pass.  A plain row -- finite, with no
+    singular point in range, the case of nearly every operator row -- is
+    cut at its breakpoints there, its pieces appended to the lists that
+    the refinement takes, and its outcomes are summed in one loop.  A row
+    with a singular point in range or an infinite end is planned, and its
+    probes walked, by :func:`_plan_row`.
     """
     scalar = rows is None
     if scalar and interval is None or not scalar and (
@@ -511,35 +521,71 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
                                           breakpoints)]
     # Each row is split, and its tolerance shared, as it would be alone.
     # Its shell probes run on their own, with a one-row integrand; then the
-    # plain pieces of every row are refined together by _refine.
+    # plain pieces of every row are refined together by _refine.  A row's
+    # plan is the count of its pieces if it is plain, else _plan_row's list.
+    # The ends are converted once, here, and handed to _plan_row.
+    ids, los, his, tols = [], [], [], []
     plans, stop = [], None
     for r, row_interval, row_sings, row_bks in rows:
         try:
-            plans.append(_plan_row(f, r, row_interval, row_sings, row_bks,
-                                   tol))
+            a, b = float(row_interval[0]), float(row_interval[1])
+            if not (b > a):
+                raise PreconditionError(
+                    f"empty integration interval [{a}, {b}]")
+            if b == math.inf or len(row_sings) and any(
+                    a <= s <= b for s in row_sings):
+                plan, tol_plain = _plan_row(f, r, a, b, row_sings, row_bks,
+                                            tol)
+                for piece in plan:
+                    if isinstance(piece, tuple):
+                        ids.append(r)
+                        los.append(piece[0])
+                        his.append(piece[1])
+                        tols.append(tol_plain)
+                plans.append(plan)
+                continue
+            cuts = sorted({a, b, *(p for p in row_bks if a < p < b)})
         except Exception as exc:
             # raised below, once the rows before it have had their turn
             stop = exc
             break
-    sums = iter(_refine(f, [(row[0], *piece, tol_plain)
-                            for row, (pieces, tol_plain) in zip(rows, plans)
-                            for piece in pieces if isinstance(piece, tuple)],
-                        max_subdivisions))
-    results = [_assemble_row(pieces, sums, tol) for pieces, _ in plans]
+        n = len(cuts) - 1
+        ids += [r] * n
+        los += cuts[:-1]
+        his += cuts[1:]
+        tols += [0.5 * tol / n] * n
+        plans.append(n)
+    sums = iter(_refine(f, ids, los, his, tols, max_subdivisions))
+    results = []
+    for plan in plans:
+        if not isinstance(plan, int):
+            results.append(_assemble_row(plan, sums, tol))
+            continue
+        total, err_total, panels = 0.0, 0.0, 0
+        for out in islice(sums, plan):
+            if isinstance(out, _NonFiniteSample):
+                raise _undeclared(out)
+            v, e, count = out
+            total += v
+            err_total += e
+            panels += count
+        results.append(_finite_row(total, err_total, panels, (), tol))
     if stop is not None:
         raise stop
     return results[0] if scalar else QuadRows(results)
 
 
-def _plan_row(fv: Callable, r: int, interval, singular_points, breakpoints,
-              tol: float) -> tuple[list, float]:
+def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
+              breakpoints, tol: float) -> tuple[list, float]:
     """Row r's pieces in interval order, and the tolerance of a plain piece.
 
-    A plain piece is its (lo, hi), to be refined.  A piece with a singular
-    end is walked by a shell probe from each such end, and is the list of
-    their reports; a GreenLabError from a probe stands in the list in place
-    of its report, and any other exception propagates at once.  The list
-    ends at the first piece that diverges or refuses.
+    For a row on [a, b], b > a, with a singular point in range or b = inf;
+    :func:`integrate` cuts every other row itself.  A plain piece is its
+    (lo, hi), to be refined.  A piece with a singular end is walked by a
+    shell probe from each such end, and is the list of their reports; a
+    GreenLabError from a probe stands in the list in place of its report,
+    and any other exception propagates at once.  The list ends at the first
+    piece that diverges or refuses.
 
     On [a, inf) the tail starts at the last finite cut, or at 1 if that is
     larger (at twice that when it is a or a singular point, so that the
@@ -548,9 +594,6 @@ def _plan_row(fv: Callable, r: int, interval, singular_points, breakpoints,
     the tolerance; the finite part before it is split, and its tolerance
     shared, as a finite interval is, with the other half.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not (b > a):
-        raise PreconditionError(f"empty integration interval [{a}, {b}]")
     tail = b == math.inf
     if tail:
         b = max(a, 1.0, *(p for p in (*singular_points, *breakpoints)
@@ -561,13 +604,6 @@ def _plan_row(fv: Callable, r: int, interval, singular_points, breakpoints,
     sings = {float(s) for s in singular_points if a <= s <= b}
     cuts = sorted({a, b, *sings, *(p for p in breakpoints if a < p < b)})
     spans = list(zip(cuts[:-1], cuts[1:]))
-    if not (sings or tail):
-        # Nothing to probe: every piece is plain.  A shortcut, kept on
-        # evidence: without it (measured with the former multi-cut _refine)
-        # verify-all run_s read +4% in 5 of 6 alternating 10-s benchmark
-        # pairs on a 2-core VM, and _plan_row cost 1-3 us more per row
-        # under timeit.
-        return spans, 0.5 * tol / len(spans)
     # Each piece is walked by the probes of its singular ends, if it has any.
     walks = []
     for lo, hi in spans:
@@ -606,7 +642,8 @@ def _plan_row(fv: Callable, r: int, interval, singular_points, breakpoints,
 
 
 def _assemble_row(pieces: list, sums, tol: float) -> QuadResult:
-    """The QuadResult of a planned row, its plain pieces' sums read from sums.
+    """The QuadResult of a row planned by :func:`_plan_row`, its plain
+    pieces' sums read from sums.
 
     The first piece in interval order that ends in INF or raises decides: a
     non-finite sample in a plain piece before a probe's refusal wins.
@@ -633,7 +670,16 @@ def _assemble_row(pieces: list, sums, tol: float) -> QuadResult:
                                   panels, tuple(handled), True)
             total += rep.value
             err_total += rep.error
+    return _finite_row(total, err_total, panels, tuple(handled), tol)
 
+
+def _finite_row(total: float, err_total: float, panels: int, handled: tuple,
+                tol: float) -> QuadResult:
+    """The QuadResult of a row whose pieces sum to total, within err_total.
+
+    A slightly negative total is rounding and reads 0; one below
+    -(err_total + 1e-12) is refused.
+    """
     if total < 0.0:
         if total < -(err_total + 1e-12):
             raise PreconditionError(
@@ -641,9 +687,15 @@ def _assemble_row(pieces: list, sums, tol: float) -> QuadResult:
                 "nonnegative (split a signed integrand into nonnegative "
                 "parts)")
         total = 0.0
-    converged = err_total <= tol
-    return QuadResult(ExtendedValue.finite(total, err_total), panels,
-                      tuple(handled), converged)
+    # built as ExtendedValue.finite builds its value, past the frozen
+    # __setattr__ of the generated __init__: this runs once per row
+    res = object.__new__(QuadResult)
+    fields = res.__dict__
+    fields["value"] = ExtendedValue.finite(total, err_total)
+    fields["subdivisions"] = panels
+    fields["singular_points_handled"] = handled
+    fields["converged"] = err_total <= tol
+    return res
 
 
 def sphere_surface_area(n: int) -> float:

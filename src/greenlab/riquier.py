@@ -25,6 +25,9 @@ from .quadrature import as_vectorized, fd_residual, integrate
 from .values import IDENTITY_TOL
 
 COND_LIMIT = 1e10
+# the default tolerance of each nu mass: tight, so that finite-difference
+# residual checks on a Riquier solution are not washed out by node noise
+NU_TOL = 1e-10
 
 
 def _interp_matrix(basis, a: float, b: float) -> np.ndarray:
@@ -40,8 +43,10 @@ def _interp_matrix(basis, a: float, b: float) -> np.ndarray:
 def _cardinal(inv: np.ndarray, basis, j, x):
     """The cardinal of the basis that is 1 at a (j = 0) or at b (j = 1).
 
-    j may be an int array of x's shape.  The sum is elementwise, so a
-    point's weight does not depend on the array it is evaluated in.
+    inv is the inverse interpolation matrix, or any (2, m) table whose
+    column j holds the two coefficients of a combination of the basis.  j
+    may be an int array of x's shape.  The sum is elementwise, so a point's
+    weight does not depend on the array it is evaluated in.
     """
     x = np.asarray(x, dtype=float)
     return (inv[0, j] * np.asarray(basis[0](x), dtype=float)
@@ -158,50 +163,61 @@ def _clip_weight(w: float, what: str) -> float:
     return max(w, 0.0)
 
 
-def _nu_masses(model: ModelSpace, sub: RegularSubdomain, xs,
+def _nu_masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
                adjoint: bool, quad_tol: float) -> np.ndarray:
-    """(nu_a, nu_b) at each point of the 1D array xs, as an (len(xs), 2) array.
+    """(nu_a, nu_b) at each point xs[i] of its subdomain subs[i], as a
+    (len(xs), 2) array.
 
     nu_j(x) = int_a^b K_omega(x, z) c_j(z) w(z) dz, where K_omega(x, .) =
     G1(x, .) - c1_a(x) G1(a, .) - c1_b(x) G1(b, .) is the global kernel
-    swept clean on the boundary, c1 the first basis' cardinals, c_j the
-    second basis' cardinal at a (j = 0) or b (j = 1), and w the kink
-    density.  The (point, j) integrals are the rows of one integrate call.
-    K_omega and c_j are nonnegative on [a, b], so every row is.  With
-    ``adjoint`` the kernel is the transposed G2 and the two bases swap.
-    Points not interior to [a, b] get zero masses.
+    swept clean on the boundary of [a, b], c1 the first basis' cardinals,
+    c_j the second basis' cardinal at a (j = 0) or b (j = 1), and w the kink
+    density.  The (point, j) integrals of every point, whatever its
+    subdomain, are the rows of one integrate call, and each row's integrand
+    is elementwise in its own a, b and cardinal coefficients, so a row has
+    the bits of a one-point call.  K_omega and c_j are nonnegative on
+    [a, b], so every row is.  With ``adjoint`` the kernel is the transposed
+    G2 and the two bases swap.  Points not interior to their subdomain get
+    zero masses.
     """
-    a, b = sub.a, sub.b
     if adjoint:
         raw = lambda x, z: model.G2.raw(z, x)
-        k_inv, k_basis, c_inv, c_basis = (sub.inv2, sub.basis2,
-                                          sub.inv1, sub.basis1)
+        k_basis, c_basis = model.basis2, model.basis1
     else:
         raw = model.G1.raw
-        k_inv, k_basis, c_inv, c_basis = (sub.inv1, sub.basis1,
-                                          sub.inv2, sub.basis2)
+        k_basis, c_basis = model.basis1, model.basis2
     xs = np.asarray(xs, dtype=float)
-    inner = np.flatnonzero((a < xs) & (xs < b))
-    pts = xs[inner]
-    ka, kb = sub._cardinals(k_inv, k_basis, pts)
+    picks = [(i, x, sub) for i, (x, sub) in enumerate(zip(xs.tolist(), subs))
+             if sub.a < x < sub.b]
+    pts, pa, pb = np.array([(x, sub.a, sub.b) for _, x, sub in picks],
+                           dtype=float).reshape(-1, 3).T
+    # each inner point's inverse interpolation matrices, kernel basis first
+    invs = np.array([(sub.inv2, sub.inv1) if adjoint else (sub.inv1, sub.inv2)
+                     for _, _, sub in picks], dtype=float).reshape(-1, 2, 2, 2)
+    # _cardinal coefficients: column i holds point i's, and column r = 2i + j
+    # those of row (i, j)
+    idx = np.arange(len(picks))
+    ka = _cardinal(invs[:, 0, :, 0].T, k_basis, idx, pts)
+    kb = _cardinal(invs[:, 0, :, 1].T, k_basis, idx, pts)
+    c_coef = invs[:, 1].transpose(1, 0, 2).reshape(2, -1)
 
     def row(r, z):
-        i, j = r // 2, r % 2
-        kx = raw(pts[i], z) - ka[i] * raw(a, z) - kb[i] * raw(b, z)
-        return kx * _cardinal(c_inv, c_basis, j, z) * model.kink_density(z)
+        i = r // 2
+        kx = raw(pts[i], z) - ka[i] * raw(pa[i], z) - kb[i] * raw(pb[i], z)
+        return kx * _cardinal(c_coef, c_basis, r, z) * model.kink_density(z)
 
-    rows = [(r, (a, b), (), (x,))
-            for r, x in enumerate(np.repeat(pts, 2).tolist())]
+    rows = [(2 * i + j, (sub.a, sub.b), (), (x,))
+            for i, (_, x, sub) in enumerate(picks) for j in (0, 1)]
     masses = [float(res.value) for res in integrate(row, rows=rows,
                                                     tol=quad_tol)]
     nu = np.zeros((len(xs), 2))
-    nu[inner] = np.reshape(masses, (-1, 2))
+    nu[[i for i, _, _ in picks]] = np.reshape(masses, (-1, 2))
     return nu
 
 
 def biharmonic_measures(model: ModelSpace, sub: RegularSubdomain, x: float,
                         adjoint: bool = False,
-                        quad_tol: float = 1e-10) -> MeasureTriple:
+                        quad_tol: float = NU_TOL) -> MeasureTriple:
     """The measure triple of [a, b] at interior x.
 
     mu_x and lambda_x are the interpolation weights of the two bases; the
@@ -212,21 +228,36 @@ def biharmonic_measures(model: ModelSpace, sub: RegularSubdomain, x: float,
     operator is finite and continuous, which among these models is the
     symmetric-equal one.
     """
-    x = sub.require_interior(x)
+    return _measure_triples(model, [sub], [x], adjoint, quad_tol)[0]
+
+
+def _measure_triples(model: ModelSpace, subs: Sequence[RegularSubdomain],
+                     xs: Sequence[float], adjoint: bool,
+                     quad_tol: float) -> list[MeasureTriple]:
+    """The triple of subs[i] at its interior point xs[i], for every i.
+
+    Every point is checked against its subdomain before any integration;
+    the nu masses of all the points are then one :func:`_nu_masses` call.
+    """
+    xs = [sub.require_interior(x) for sub, x in zip(subs, xs)]
     if adjoint and model.id != "bilaplace1d":
         raise ModelDomainError(
             "the adjoint boundary triple is only available on the "
             "symmetric-equal model, where the transpose coupling is "
             "finite and continuous")
-    (ma, mb), (la, lb) = sub.cardinals1(x), sub.cardinals2(x)
-    if adjoint:
-        (ma, mb), (la, lb) = (la, lb), (ma, mb)
-    na, nb = _nu_masses(model, sub, [x], adjoint, quad_tol)[0].tolist()
-    return MeasureTriple(
-        (sub.a, sub.b), x,
-        (_clip_weight(float(ma), "mu"), _clip_weight(float(mb), "mu")),
-        (_clip_weight(na, "nu"), _clip_weight(nb, "nu")),
-        (_clip_weight(float(la), "lambda"), _clip_weight(float(lb), "lambda")))
+    triples = []
+    for sub, x, (na, nb) in zip(subs, xs, _nu_masses(
+            model, subs, xs, adjoint, quad_tol).tolist()):
+        (ma, mb), (la, lb) = sub.cardinals1(x), sub.cardinals2(x)
+        if adjoint:
+            (ma, mb), (la, lb) = (la, lb), (ma, mb)
+        triples.append(MeasureTriple(
+            (sub.a, sub.b), x,
+            (_clip_weight(float(ma), "mu"), _clip_weight(float(mb), "mu")),
+            (_clip_weight(na, "nu"), _clip_weight(nb, "nu")),
+            (_clip_weight(float(la), "lambda"),
+             _clip_weight(float(lb), "lambda"))))
+    return triples
 
 
 @dataclass(frozen=True)
@@ -242,7 +273,7 @@ class RiquierSolution:
 
 def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
                   f: Sequence[float], g: Sequence[float],
-                  quad_tol: float = 1e-10) -> RiquierSolution:
+                  quad_tol: float = NU_TOL) -> RiquierSolution:
     """Solve the two-component boundary problem on [a, b].
 
     v is the second-basis interpolant of g.  u is the measure pairing
@@ -265,7 +296,7 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
 
     def u(x):
         xs = np.asarray(x, dtype=float)
-        nu = _nu_masses(model, sub, xs.ravel(), False, quad_tol)
+        nu = _nu_masses(model, [sub] * xs.size, xs.ravel(), False, quad_tol)
         # elementwise, not nu @ (ga, gb), so the bits match across arrays
         out = np.asarray(h1(xs), dtype=float) + \
             (ga * nu[:, 0] + gb * nu[:, 1]).reshape(xs.shape)
@@ -376,8 +407,12 @@ def verify_hyperharmonic(model: ModelSpace, pair: BiharmonicPair, probes,
     probe, after the triples of all probes.
     """
     probes = [((a, b), x) for (a, b), x in probes]
-    triples = [biharmonic_measures(model, regular_subdomain(model, a, b), x)
-               for (a, b), x in probes]
+    subs = {}
+    for omega, _ in probes:
+        if omega not in subs:
+            subs[omega] = regular_subdomain(model, *omega)
+    triples = _measure_triples(model, [subs[omega] for omega, _ in probes],
+                               [x for _, x in probes], False, NU_TOL)
     pts = [p for (a, b), x in probes for p in (a, b, x)]
     us = _values(pair.u, pts).reshape(-1, 3)
     vs = _values(pair.v, pts).reshape(-1, 3)

@@ -1,4 +1,4 @@
-"""The transpose coupling: mirrored quadrature, the gate, and regularity."""
+"""The transpose coupling: its sliced quadrature, the gate, and regularity."""
 
 import math
 
@@ -150,7 +150,7 @@ def test_array_vstar_matches_the_scalar_loop_bit_for_bit():
             batch = adjoint_apply(model, f, np.array(pts), tol=tol)
             assert [bits(v) for v in batch] == [
                 bits(adjoint_apply(model, f, x, tol=tol)) for x in pts]
-    # x = 0 on the interval is the certified INF row, unmirrored
+    # x = 0 on the interval is the certified INF row, located in y
     first = adjoint_apply(get_model("interval"), constant(1.0),
                           np.array(xs))[0]
     assert not first.is_finite

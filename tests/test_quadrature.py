@@ -606,3 +606,101 @@ def test_singular_point_at_the_tail_start_is_probed_on_both_sides():
         cert = integrate(divergent, (a, math.inf),
                          singular_points=(2.0,)).value.certificate
         assert (cert.location, cert.side) == (2.0, "right")
+
+
+# Row integrands for the row-form edge cases: row id r selects _ROW_FNS[r].
+_ROW_FNS = [
+    lambda y: np.abs(y - 0.3),                    # 0: a kink at 0.3
+    lambda y: y ** -0.5,                          # 1: integrable at 0
+    lambda y: y ** -0.5 - 40.0 * y,               # 2: its probe at 0 refuses
+    lambda y: -1e-13 * np.ones_like(y),           # 3: a total of -1e-13: 0
+    lambda y: -1.0 * np.ones_like(y),             # 4: negative: refused
+    lambda y: np.where(np.abs(y - 0.7) < 1e-2, np.nan, y),  # 5: a hole
+]
+
+
+def _row_at(evaluated=None):
+    def at(r, z):
+        z = np.asarray(z, dtype=float)
+        rs = np.broadcast_to(r, z.shape)
+        if evaluated is not None:
+            evaluated.extend(zip(rs.tolist(), z.tolist()))
+        with np.errstate(all="ignore"):
+            return np.choose(rs, [g(z) for g in _ROW_FNS])
+    return at
+
+
+def _one_row(row, tol, evaluated=None):
+    r, interval, sings, bks = row
+
+    def f(y):
+        if evaluated is not None:
+            evaluated.extend((r, y) for y in np.asarray(y).tolist())
+        with np.errstate(all="ignore"):
+            return _ROW_FNS[r](np.asarray(y, dtype=float))
+
+    return integrate(_vec(f), interval, singular_points=sings,
+                     breakpoints=bks, tol=tol)
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_row_form_edge_cases_give_each_row_its_one_row_bits():
+    rows = [
+        (0, (0.0, 1.0), (), (0.0, 0.3, 1.0)),          # breakpoints at the ends
+        (0, (0.0, 1.0), (), (0.3, 0.3, 0.7, 0.7)),     # duplicate breakpoints
+        (0, (0.2, 0.9), (0.0, 1.5), (-1.0, 0.3, 2.0)),  # all but 0.3 outside
+        (1, (0.0, 1.0), (0.0,), (0.5,)),               # a probed row between
+        (0, (0.1, 0.6), (0.6,), ()),                   # a singular end
+        (3, (0.0, 1.0), (), ()),                       # -1e-13, clipped to 0
+        (0, (0.0, 1.0), (), (np.float64(0.3), 0.3)),   # a numpy breakpoint
+    ]
+    for tol in (1e-8, 1e-12):
+        out = integrate(_row_at(), rows=rows, tol=tol)
+        assert len(out) == len(rows)
+        for row, res in zip(rows, out):
+            assert res == _one_row(row, tol)
+        # a breakpoint at an end, or twice, adds no cut
+        kink = _one_row((0, (0.0, 1.0), (), (0.3,)), tol)
+        assert out[0] == out[6] == kink
+        assert out[5].value.value == 0.0 and out[5].value.is_finite
+        assert out[3].singular_points_handled == ((0.0, "right"),)
+
+
+@pytest.mark.parametrize("rows", [
+    # a plain row after a probed row that refuses
+    [(0, (0.0, 1.0), (), (0.3,)), (2, (0.0, 1.0), (0.0,), ()),
+     (0, (0.1, 0.9), (), ())],
+    # a plain row with a non-finite sample before a probe's refusal
+    [(5, (0.0, 1.0), (), (0.5,)), (2, (0.0, 1.0), (0.0,), ())],
+    # a probe's refusal before a plain row with a non-finite sample
+    [(2, (0.0, 1.0), (0.0,), ()), (5, (0.0, 1.0), (), (0.5,))],
+    # a plain row whose total is negative beyond rounding
+    [(0, (0.0, 1.0), (), (0.3,)), (4, (0.0, 1.0), (), ()),
+     (5, (0.0, 1.0), (), ())],
+])
+def test_row_form_raises_what_the_first_failing_row_raises(rows):
+    want = next(err for err in (_raised(lambda row=row: _one_row(row, 1e-10))
+                                for row in rows) if err is not None)
+    assert _raised(lambda: integrate(_row_at(), rows=rows, tol=1e-10)) == want
+
+
+def test_empty_interval_row_raises_after_the_rows_before_it_refine():
+    rows = [(0, (0.0, 1.0), (), (0.25,)), (1, (0.0, 0.5), (0.0,), ()),
+            (0, (0.5, 0.5), (), ()), (5, (0.0, 1.0), (), ())]
+    evaluated = []
+    with pytest.raises(PreconditionError) as exc:
+        integrate(_row_at(evaluated), rows=rows, tol=1e-13)
+    assert str(exc.value) == "empty integration interval [0.5, 0.5]"
+    # the rows before it refine to their end, and the row after it is not
+    # evaluated at all
+    alone = []
+    for row in rows[:2]:
+        _one_row(row, 1e-13, alone)
+    assert sorted(evaluated) == sorted(alone)

@@ -285,3 +285,34 @@ def test_riquier_residuals_match_the_scalar_loop(model_name, omega, n_probes):
     want = _riquier_residuals_loop(model, sol, n_probes)
     assert [res.boundary_gap.hex(), res.l1_residual.hex(),
             res.l2_residual.hex()] == [w.hex() for w in want]
+
+
+@pytest.mark.parametrize("model_name, adjoint", [
+    ("interval", False), ("bilaplace", False), ("bilaplace", True)])
+def test_triples_of_many_subdomains_take_one_call_with_one_point_bits(
+        model_name, adjoint, monkeypatch):
+    from greenlab import riquier
+
+    model = get_model(model_name)
+    probes = [((0.2, 0.8), 0.5), ((0.1, 0.9), 0.3), ((0.3, 0.5), 0.4),
+              ((0.2, 0.8), 0.75), ((0.1, 0.9), 0.3)]
+    subs = [regular_subdomain(model, a, b) for (a, b), _ in probes]
+    xs = [x for _, x in probes]
+    alone = [biharmonic_measures(model, sub, x, adjoint=adjoint)
+             for sub, x in zip(subs, xs)]
+    real, calls = riquier.integrate, []
+
+    def counting(*args, **kwargs):
+        calls.append(len(kwargs["rows"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(riquier, "integrate", counting)
+    together = riquier._measure_triples(model, subs, xs, adjoint,
+                                        riquier.NU_TOL)
+    assert calls == [2 * len(probes)]
+    assert together == alone
+    if not adjoint:
+        calls.clear()
+        verify_hyperharmonic(model, BiharmonicPair(constant(1.0),
+                                                   constant(1.0)), probes)
+        assert calls == [2 * len(probes)]

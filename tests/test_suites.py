@@ -66,9 +66,10 @@ BATCHED_CHECK_CALLS = {
     "green-ode-bilaplace": 3,
     "navier": 6,                     # windows, then boundary and jump, per y
     "adjoint-gate": 11,              # grid values, then offsets per point
-    # per pair: V(v) on the grid, V(1) for the remainder, three probe
-    # triples; the classified pair: nine triples and V(v); the broken pair
-    "pure-classification": 36,
+    # per pair: V(v) on the grid, V(1) for the remainder, the triples of
+    # its three probes; the classified pair: its nine triples, then V(v);
+    # the broken pair
+    "pure-classification": 18,
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -85,3 +86,43 @@ def test_certificate_soundness_tail():
 def test_certificate_rejects_unknown_side():
     with pytest.raises(ValueError):
         DivergenceCertificate(0.0, "sideways", -1.0)
+
+
+def test_records_are_frozen():
+    from greenlab.quadrature import integrate
+
+    v = ExtendedValue.finite(2.5, 1e-9)
+    res = integrate(lambda y: y, (0.0, 1.0))
+    for record, name in ((v, "value"), (v, "kind"), (res, "value"),
+                         (res, "subdivisions"), (res, "converged")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.extra = 1.0
+
+
+def test_finite_rejects_every_non_finite_and_negative_value():
+    for bad in (math.nan, math.inf, -math.inf, -1e-300, -1.0):
+        with pytest.raises(ValueError):
+            ExtendedValue.finite(bad)
+    # an error bound is stored as its magnitude
+    assert ExtendedValue.finite(1.0, -1e-9).error_bound == 1e-9
+
+
+def test_records_compare_and_hash_by_fields():
+    from greenlab.quadrature import QuadResult, integrate
+
+    v = ExtendedValue.finite(2.5, 1e-9)
+    built = ExtendedValue("finite", 2.5, 1e-9, None)
+    assert v == built and hash(v) == hash(built)
+    assert dataclasses.astuple(v) == ("finite", 2.5, 1e-9, None)
+    assert v != ExtendedValue.finite(2.5, 2e-9)
+    assert dataclasses.replace(v, value=3.0) == ExtendedValue.finite(3.0, 1e-9)
+
+    res = integrate(lambda y: y, (0.0, 1.0), breakpoints=(0.5,))
+    same = QuadResult(ExtendedValue.finite(res.value.value,
+                                           res.value.error_bound),
+                      res.subdivisions, (), res.converged)
+    assert res == same and hash(res) == hash(same)
+    assert res != dataclasses.replace(same, subdivisions=res.subdivisions + 1)
+    assert {res, same} == {res}
