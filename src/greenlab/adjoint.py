@@ -28,8 +28,8 @@ from .quadrature import as_vectorized, integrate
 from .values import (IDENTITY_TOL, QUAD_TOL, DivergenceCertificate,
                      ExtendedValue)
 
-# Per-step noise allowance when comparing refinement moduli; one decade
-# above the quadrature tolerances that feed the probe values.
+# Per-step noise allowance when comparing refinement moduli or ring gaps;
+# one decade above the quadrature tolerances that feed the probe values.
 OSC_NOISE = 1e-6
 
 
@@ -135,8 +135,7 @@ def _moduli_allowance(seq) -> float:
     return max(OSC_NOISE, min(0.5, 8.0 * 0.5 ** (len(seq) - 1)) * max(seq))
 
 
-def adjoint_gate_check(model: ModelSpace, phi, grid,
-                       tol: float = QUAD_TOL) -> AdjointGateReport:
+def adjoint_gate_check(model: ModelSpace, phi, grid) -> AdjointGateReport:
     """Check that V*phi is finite and continuous across ``grid``.
 
     This is the gate for the adjoint structure to exist at all: one
@@ -152,8 +151,8 @@ def adjoint_gate_check(model: ModelSpace, phi, grid,
     grid = [float(g) for g in grid]
 
     def evaluate(points):
-        return _at_points(
-            model, lambda p: adjoint_apply(model, phi, p, tol=tol), points)
+        return _at_points(model, lambda p: adjoint_apply(model, phi, p),
+                          points)
 
     values = evaluate(grid)
     for x, v in zip(grid, values):
@@ -203,14 +202,14 @@ class AdjointIdentityReport:
     kind: str
     residual: float | None
 
-    def passed(self, tol: float = IDENTITY_TOL) -> bool:
+    def passed(self) -> bool:
         if self.kind == "finite":
-            return self.residual <= tol
+            return self.residual <= IDENTITY_TOL
         return self.kind == "consistent-divergence"
 
 
-def adjoint_identity_residual(model: ModelSpace, x, y,
-                              tol: float = QUAD_TOL) -> AdjointIdentityReport:
+def adjoint_identity_residual(model: ModelSpace, x,
+                              y) -> AdjointIdentityReport:
     """Compare V*(G1(.,y))(x) with H(y,x) through two code routes.
 
     The left route slices the first kernel at ``y`` and feeds it to the
@@ -220,8 +219,8 @@ def adjoint_identity_residual(model: ModelSpace, x, y,
     Divergence must be certified by both routes or the identity fails as
     "mixed".
     """
-    lhs = adjoint_apply(model, model.G1.slice_in_first(y), x, tol=tol)
-    rhs = compose_green(model, y, x, tol=tol)
+    lhs = adjoint_apply(model, model.G1.slice_in_first(y), x)
+    rhs = compose_green(model, y, x)
     if lhs.is_finite and rhs.is_finite:
         return AdjointIdentityReport(float(x), float(y), lhs, rhs, "finite",
                                      abs(lhs.value - rhs.value))
@@ -257,12 +256,11 @@ class ContinuityReport:
         return self.verdict == "consistent"
 
 
-def continuity_probe(model: ModelSpace, x, y,
-                     depths: int = 20) -> ContinuityReport:
+def continuity_probe(model: ModelSpace, x, y) -> ContinuityReport:
     """Probe continuity of y -> H(x,y) along a dyadic approach to ``y``.
 
     The probe sequence starts a safe offset away (inside the domain, short
-    of ``x``) and halves its distance ``depths`` times; the verdict follows
+    of ``x``) and halves its distance 20 times; the verdict follows
     the shrinking-oscillation rule.  An infinite target is reported as
     "blow-up" together with a short probe trail, since approaching a
     divergence looks like unbounded growth, not discontinuity.
@@ -294,7 +292,7 @@ def continuity_probe(model: ModelSpace, x, y,
         raise PreconditionError(
             f"no room for a dyadic approach to y = {y:g} inside the domain")
 
-    probes = tuple(y + direction * d0 * 0.5 ** n for n in range(depths))
+    probes = tuple(y + direction * d0 * 0.5 ** n for n in range(20))
     target, *at_probes = _at_points(
         model, lambda p: compose_green(model, x, p, tol=1e-9), (y,) + probes)
     if not target.is_finite:
@@ -330,7 +328,6 @@ class LscEntry:
 @dataclass(frozen=True)
 class LscReport:
     entries: tuple[LscEntry, ...]
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -345,24 +342,23 @@ _RING = [(math.cos(t), math.sin(t))
          for t in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
 
 
-def lsc_check(model: ModelSpace, n: int = 15, tol: float = 1e-6,
-              quad_tol: float = 1e-9) -> LscReport:
-    """Sampled lower-semicontinuity check of H over an n-by-n interior grid.
+def lsc_check(model: ModelSpace) -> LscReport:
+    """Sampled lower-semicontinuity check of H over a 15-by-15 interior grid.
 
     At each node the value H(x,y) is compared with the minimum of H over
     two rings of 8 surrounding points, at half and quarter grid spacing.
     Lower semicontinuity predicts the gap node-minus-ring-min closes as the
-    ring shrinks, so a node passes when the fine gap is at most max(tol,
-    0.6 * coarse gap) and never grows: geometric decay of the gap, or a gap
-    already at noise level.  An upward point defect -- the way l.s.c. fails
-    on a sample -- stalls the gap and fails the node.
+    ring shrinks, so a node passes when the fine gap is at most
+    max(OSC_NOISE, 0.6 * coarse gap) and never grows: geometric decay of
+    the gap, or a gap already at noise level.  An upward point defect --
+    the way l.s.c. fails on a sample -- stalls the gap and fails the node.
     """
     if model.is_radial:
         raise ModelDomainError(
             "the product-grid probe is defined for the 1D models; the "
             "radial H is an explicit power law with nothing to sample")
     dom: Interval1D = model.domain
-    grid = dom.interior_grid(n)
+    grid = dom.interior_grid(15)
     h = grid[1] - grid[0]
 
     # each node is followed by its coarse ring, then its fine one
@@ -376,22 +372,22 @@ def lsc_check(model: ModelSpace, n: int = 15, tol: float = 1e-6,
         xs = [p for yv in grid for p in (xv, *(xv + dx for dx, _ in offsets))]
         ys = [p for yv in grid for p in (yv, *(yv + dy for _, dy in offsets))]
         values = [float(v) for v in compose_green(model, np.array(xs),
-                                                  np.array(ys), tol=quad_tol)]
+                                                  np.array(ys), tol=1e-9)]
         for k, yv in enumerate(grid):
             center, *rings = values[k * per_node:(k + 1) * per_node]
             coarse = center - min(rings[:len(_RING)])
             fine = center - min(rings[len(_RING):])
-            ok = fine <= max(tol, 0.6 * coarse) and fine <= coarse + tol
+            ok = (fine <= max(OSC_NOISE, 0.6 * coarse)
+                  and fine <= coarse + OSC_NOISE)
             entries.append(LscEntry(float(xv), float(yv), center,
                                     coarse, fine, ok))
-    return LscReport(tuple(entries), tol)
+    return LscReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
 # Duality pairing <psi, V phi> = <phi, V* psi>.
 
-def duality_residual(model: ModelSpace, phi, psi,
-                     tol: float = QUAD_TOL) -> float:
+def duality_residual(model: ModelSpace, phi, psi) -> float:
     """|<psi, V phi> - <phi, V* psi>| with both pairings against d(mu).
 
     The transpose relation only closes when the two kernels are each
@@ -413,7 +409,7 @@ def duality_residual(model: ModelSpace, phi, psi,
                 * np.array([float(v) for v in inner])
 
         f.vectorized = True
-        res = integrate(model.mu.weighted(f), (dom.lo, dom.hi), tol=tol)
+        res = integrate(model.mu.weighted(f), (dom.lo, dom.hi), tol=QUAD_TOL)
         return float(res.value)
 
     phi_v, psi_v = as_vectorized(phi), as_vectorized(psi)

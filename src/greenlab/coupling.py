@@ -273,13 +273,12 @@ def compose_green(model: ModelSpace, x, y, tol: float = QUAD_TOL):
     return values[0] if scalar else tuple(values)
 
 
-def pure_decompose(model: ModelSpace, pair: BiharmonicPair, grid,
-                   tol: float = IDENTITY_TOL,
-                   quad_tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray]:
+def pure_decompose(model: ModelSpace, pair: BiharmonicPair,
+                   grid) -> tuple[np.ndarray, np.ndarray]:
     """Split u = u0 + u1 with u0 = V(v); u1 must come out (near-)nonnegative.
 
     Returns (u0, u1) sampled on ``grid``.  A grid point where u1 drops below
-    -tol refutes the pair's superharmonicity claim and raises
+    -IDENTITY_TOL refutes the pair's superharmonicity claim and raises
     :class:`ClassificationError`; so does a divergent V(v) under finite u.
     V(v) is taken at the whole grid in one call, so an exception it raises
     at any grid point comes before that refusal.
@@ -287,8 +286,8 @@ def pure_decompose(model: ModelSpace, pair: BiharmonicPair, grid,
     grid = [float(g) for g in grid]
     u0 = np.empty(len(grid))
     u1 = np.empty(len(grid))
-    vals = _at_points(model, lambda p: coupling_apply(model, pair.v, p,
-                                                      tol=quad_tol), grid)
+    vals = _at_points(model, lambda p: coupling_apply(model, pair.v, p),
+                      grid)
     for i, (x, val) in enumerate(zip(grid, vals)):
         ux = float(pair.u(x))
         if not val.is_finite:
@@ -297,10 +296,10 @@ def pure_decompose(model: ModelSpace, pair: BiharmonicPair, grid,
                 "the pair admits no pure part")
         u0[i] = val.value
         u1[i] = ux - u0[i]
-    if np.min(u1) < -tol:
+    if np.min(u1) < -IDENTITY_TOL:
         i = int(np.argmin(u1))
         raise ClassificationError(
-            f"u - V(v) = {u1[i]:.3e} < -{tol:g} at x = {grid[i]:g}: "
+            f"u - V(v) = {u1[i]:.3e} < -{IDENTITY_TOL:g} at x = {grid[i]:g}: "
             "the pair is not superharmonic")
     return u0, u1
 
@@ -318,8 +317,8 @@ class ClassifyReport:
         return self.probe_report.violated
 
 
-def classify_pair(model: ModelSpace, pair: BiharmonicPair, grid, subintervals,
-                  tol: float = IDENTITY_TOL) -> ClassifyReport:
+def classify_pair(model: ModelSpace, pair: BiharmonicPair, grid,
+                  subintervals) -> ClassifyReport:
     """Assign {hyperharmonic, superharmonic, harmonic, pure} flags by probing.
 
     The two sub-mean-value inequalities are tested at three interior points
@@ -338,7 +337,7 @@ def classify_pair(model: ModelSpace, pair: BiharmonicPair, grid, subintervals,
         w = b - a
         for frac in (0.25, 0.5, 0.75):
             probes.append(((a, b), a + frac * w))
-    report = riquier.verify_hyperharmonic(model, pair, probes, tol=tol)
+    report = riquier.verify_hyperharmonic(model, pair, probes)
 
     grid = [float(g) for g in grid]
     finite = True
@@ -351,16 +350,17 @@ def classify_pair(model: ModelSpace, pair: BiharmonicPair, grid, subintervals,
     pure_residual = None
     if report.passed:
         flags.add("hyperharmonic")
-        if report.max_abs_margin <= tol and report.max_coupling <= tol:
+        if (report.max_abs_margin <= IDENTITY_TOL
+                and report.max_coupling <= IDENTITY_TOL):
             flags.add("harmonic")
         elif finite:
             flags.add("superharmonic")
             try:
-                _, u1 = pure_decompose(model, pair, grid, tol=tol)
+                _, u1 = pure_decompose(model, pair, grid)
             except ClassificationError:
                 pass
             else:
                 pure_residual = float(np.max(np.abs(u1)))
-                if pure_residual <= tol:
+                if pure_residual <= IDENTITY_TOL:
                     flags.add("pure")
     return ClassifyReport(frozenset(flags), report, finite, pure_residual)

@@ -42,9 +42,9 @@ class Interval1D:
             raise DomainError(f"{x!r} outside domain {lo_b}{self.lo}, {self.hi})")
         return float(x)
 
-    def interior_grid(self, n: int, pad: float = 0.05) -> np.ndarray:
-        span = self.hi - self.lo
-        return np.linspace(self.lo + pad * span, self.hi - pad * span, n)
+    def interior_grid(self, n: int) -> np.ndarray:
+        pad = 0.05 * (self.hi - self.lo)
+        return np.linspace(self.lo + pad, self.hi - pad, n)
 
 
 @dataclass(frozen=True)

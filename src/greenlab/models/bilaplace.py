@@ -9,7 +9,6 @@ transposed boundary triple exists.  This module is the positive fixture.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +19,7 @@ from ..coupling import compose_green
 from ..kernels import (Fn, GreenKernel, Interval1D, ModelSpace,
                        ReferenceMeasure, constant, BiharmonicPair)
 from ..quadrature import StencilSpec, fd_residual
-from ..values import QUAD_TOL, ExtendedValue
+from ..values import FD_TOL, QUAD_TOL, ExtendedValue
 
 
 def _g_raw(x, y):
@@ -101,21 +100,26 @@ class NavierReport:
     boundary_values: tuple[float, float]
     third_jump: float
 
-    def passed(self, fd_tol: float = 1e-3, boundary_tol: float = 1e-6,
-               jump_tol: float = 1e-2) -> bool:
-        return (self.max_l1_residual <= fd_tol
-                and max(abs(v) for v in self.boundary_values) <= boundary_tol
-                and abs(self.third_jump - 1.0) <= jump_tol)
+    @property
+    def margin(self) -> float:
+        """The least headroom of the residual (against FD_TOL), the third
+        jump (against 1e-2) and the boundary values (against 1e-6)."""
+        return min(FD_TOL - self.max_l1_residual,
+                   1e-2 - abs(self.third_jump - 1.0),
+                   1e-6 - max(abs(v) for v in self.boundary_values))
+
+    def passed(self) -> bool:
+        return self.margin >= 0.0
 
 
-def navier_check(y: float, probes=None, quad_tol: float = 1e-10,
-                 h: float = 1e-2) -> NavierReport:
+def navier_check(y: float) -> NavierReport:
     """Check H(., y) against u'' = -G(., y) with zero boundary values.
 
-    The second-derivative residual runs on the quadrature-backed H at a
-    coarse step (node noise scales like quad_tol / h^2), the boundary is
-    sampled at 1e-6 off the ends, and the third-derivative jump across y is
-    taken with one-sided four-point differences, which are exact on the
+    H is taken at tol 1e-10.  The second-derivative residual runs at the
+    probes 0.1, ..., 0.9 that lie at least 0.05 from y, at a coarse step
+    h = 1e-2 (node noise scales like tol / h^2), the boundary is sampled at
+    1e-6 off the ends, and the third-derivative jump across y is taken with
+    one-sided four-point differences, which are exact on the
     piecewise-cubic H so the jump estimate is noise-limited only.  H is
     taken in two calls: one on the stencil windows of every probe, one on
     the two boundary and eight jump samples.
@@ -124,17 +128,15 @@ def navier_check(y: float, probes=None, quad_tol: float = 1e-10,
     y = float(y)
     if not 0.0 < y < 1.0:
         raise PreconditionError("the kink location must be interior")
-    if probes is None:
-        probes = [p / 10.0 for p in range(1, 10)]
-    probes = [float(p) for p in probes if abs(p - y) >= 0.05]
+    probes = [p / 10.0 for p in range(1, 10) if abs(p / 10.0 - y) >= 0.05]
 
     def hq(xs):
-        return [float(v) for v in h_sym(xs, y, tol=quad_tol)]
+        return [float(v) for v in h_sym(xs, y, tol=1e-10)]
 
     gslice = model.G2.slice_in_first(y)
     max_res = 0.0
     residuals = fd_residual(model.L1_stencil, Fn(hq, vectorized=True),
-                            np.array(probes), h=h)
+                            np.array(probes), h=1e-2)
     for x, res in zip(probes, residuals.tolist()):
         max_res = max(max_res, abs(res + float(gslice(x))))
 

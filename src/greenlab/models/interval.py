@@ -12,7 +12,6 @@ rather than assume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -90,35 +89,35 @@ def control_density_model() -> ModelSpace:
     return replace(interval_model(), id="interval-alt-density", mu=mu)
 
 
-def _v1_residual(model: ModelSpace, x, closed_form, tol: float):
+def _v1_residual(model: ModelSpace, x, closed_form):
     """|V(1) - closed_form| at the point or 1-D array of points x.
 
     V(1) comes from one coupling call; an array x gives an array whose
     entries have the bits of scalar calls.
     """
-    vals = coupling_apply(model, constant(1.0), x, tol=tol)
+    vals = coupling_apply(model, constant(1.0), x)
     if np.ndim(x) == 0:
         return abs(float(vals) - closed_form(float(x)))
     return np.array([abs(float(v) - closed_form(p)) for v, p
                      in zip(vals, np.asarray(x, dtype=float).tolist())])
 
 
-def v1_identity_residual(x, tol: float = QUAD_TOL):
+def v1_identity_residual(x):
     """|V(1)(x) - (1-x)/2|: the closed-form coupling identity for density y.
 
     x is a point, giving a float, or a 1-D array of points, giving an array
     from one V(1) call.
     """
-    return _v1_residual(interval_model(), x, lambda t: 0.5 * (1.0 - t), tol)
+    return _v1_residual(interval_model(), x, lambda t: 0.5 * (1.0 - t))
 
 
-def v1_alt_density_residual(x, tol: float = QUAD_TOL):
+def v1_alt_density_residual(x):
     """|V(1)(x) - (1-x)(2-x)/6| under the control density y(1-y).
 
     x is a point or a 1-D array of points, as in :func:`v1_identity_residual`.
     """
     return _v1_residual(control_density_model(), x,
-                        lambda t: (1.0 - t) * (2.0 - t) / 6.0, tol)
+                        lambda t: (1.0 - t) * (2.0 - t) / 6.0)
 
 
 def pure_of_q(y: float, x: float, tol: float = QUAD_TOL) -> ExtendedValue:
@@ -169,15 +168,17 @@ def pure_obstruction(a: float, b: float, probes) -> float:
     return float(np.min(u(pts)))
 
 
-def kink_slope_jump(y: float, h: float = 1e-6) -> float:
+def kink_slope_jump(y: float) -> float:
     """One-sided slope jump of x * G1(x, y) across x = y (exact value -1/y).
 
-    This jump is the delta normalization of the first operator applied to
-    the kernel slice, and it is what forces the coupling density to be y.
+    The slopes are one-sided differences at step h = 1e-6.  This jump is
+    the delta normalization of the first operator applied to the kernel
+    slice, and it is what forces the coupling density to be y.
     """
     y = float(y)
-    if not 0.0 < y < 1.0 or not h < y:
-        raise PreconditionError("the jump probe needs 0 < h < y < 1")
+    h = 1e-6
+    if not h < y < 1.0:
+        raise PreconditionError("the jump probe needs h = 1e-6 < y < 1")
 
     def m(x):
         return float(x) * float(_g1_raw(x, y))
@@ -192,15 +193,15 @@ class StrictnessReport:
     """Margin of the first mean-value inequality split into its two parts."""
     margin: float       # u(x) - <u, mu_x>
     nu_term: float      # <v, nu_x>
-    tol: float
 
     @property
     def strict(self) -> bool:
-        return self.nu_term > self.tol and self.margin >= self.nu_term - self.tol
+        return (self.nu_term > IDENTITY_TOL
+                and self.margin >= self.nu_term - IDENTITY_TOL)
 
 
 def strictness_probe(pair: BiharmonicPair, omega: tuple[float, float],
-                     x: float, tol: float = IDENTITY_TOL) -> StrictnessReport:
+                     x: float) -> StrictnessReport:
     """How far u(x) exceeds its swept mean, versus the nu-term that forces it.
 
     For a pure pair with positive second member the margin must carry the
@@ -215,7 +216,7 @@ def strictness_probe(pair: BiharmonicPair, omega: tuple[float, float],
     va, vb = float(pair.v(a)), float(pair.v(b))
     margin = float(pair.u(x)) - (triple.mu[0] * ua + triple.mu[1] * ub)
     nu_term = triple.nu[0] * va + triple.nu[1] * vb
-    return StrictnessReport(margin, nu_term, tol)
+    return StrictnessReport(margin, nu_term)
 
 
 def global_pure_pair() -> BiharmonicPair:

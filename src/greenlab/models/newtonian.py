@@ -94,14 +94,14 @@ def newton_kernel(n: int, x, y) -> ExtendedValue:
     return kernel_eval(newtonian_model(n).G1, x, y)
 
 
-def gauss_flux(n: int, r: float, tol: float = 1e-10) -> float:
+def gauss_flux(n: int, r: float) -> float:
     """Outward flux of -grad G through a sphere of radius r around the pole.
 
     The radial derivative is taken by fourth-order finite differences of the
     kernel at points on the sphere, and the surface integral runs over the
     polar angle with the axially reduced area weight, so both the power law
     and the normalization constant are genuinely measured.  The integrand,
-    -dG/dr sin^(n-2)(theta), is nonnegative.
+    -dG/dr sin^(n-2)(theta), is nonnegative and integrated at tol 1e-10.
     """
     n = _require_dim(n)
     r = float(r)
@@ -128,50 +128,47 @@ def gauss_flux(n: int, r: float, tol: float = 1e-10) -> float:
         return -dgdr(theta) * np.sin(theta) ** (n - 2)
 
     integrand.vectorized = True
-    flux = integrate(integrand, (0.0, math.pi), tol=tol).value
+    flux = integrate(integrand, (0.0, math.pi), tol=1e-10).value
     return sphere_surface_area(n - 1) * r ** (n - 1) * float(flux)
 
 
-def _constant_profile(n: int, c: float):
-    """r -> c G at separation r: the radial profile of V applied to c."""
+def _constant_profile(n: int):
+    """r -> G at separation r: the radial profile of V applied to 1."""
     cn = newton_constant(n)
 
     def profile(r):
         r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
-            return c * cn * r ** (2.0 - n)
+            return cn * r ** (2.0 - n)
 
     profile.vectorized = True
     return profile
 
 
-def constant_coupling_divergence(n: int, x=None, c: float = 1.0) -> DivergenceCertificate:
-    """Certify that V applied to the constant c has no finite value anywhere.
+def constant_coupling_divergence(n: int) -> DivergenceCertificate:
+    """Certify that V applied to the constant 1 has no finite value anywhere.
 
-    The radial reduction of int G(x,z) c dz has integrand proportional to r
+    The radial reduction of int G(x,z) dz has integrand proportional to r
     after the volume weight, so the mass escapes at the tail with exponent
-    +1.  The returned certificate is the reason no everywhere-positive
-    coupled pair exists on this model.
+    +1, the same at every base point x by translation invariance.  The
+    returned certificate is the reason no everywhere-positive coupled pair
+    exists on this model.
     """
     n = _require_dim(n)
-    if c <= 0.0:
-        raise PreconditionError("the constant must be positive")
-    if x is not None:
-        RadialDomain(n).require(x)  # translation invariance: any base point
-    res = integrate_radial(_constant_profile(n, c), n, upper=None,
+    res = integrate_radial(_constant_profile(n), n, upper=None,
                            tol=QUAD_TOL)
     if res.value.is_finite:     # pragma: no cover - mathematically impossible
         raise ModelDomainError("constant coupling unexpectedly converged")
     return res.value.certificate
 
 
-def truncated_constant_coupling(n: int, upper: float, c: float = 1.0) -> ExtendedValue:
-    """The same integral cut at radius ``upper``: finite, value sigma c c_n R^2/2."""
+def truncated_constant_coupling(n: int, upper: float) -> ExtendedValue:
+    """The same integral cut at radius ``upper``: finite, value sigma c_n R^2/2."""
     n = _require_dim(n)
     upper = float(upper)
     if upper <= 0.0:
         raise PreconditionError("truncation radius must be positive")
-    return integrate_radial(_constant_profile(n, c), n, upper=upper,
+    return integrate_radial(_constant_profile(n), n, upper=upper,
                             tol=QUAD_TOL).value
 
 
@@ -262,12 +259,12 @@ def riesz_compose(n: int, x, y, tol: float = 1e-7) -> ExtendedValue:
     return ExtendedValue.finite(h.value, h.error_bound + outer.rho * h.value)
 
 
-def composition_tail_report(n: int, d: float = 1.0,
-                            tol: float = 1e-9) -> ProbeReport:
+def composition_tail_report(n: int) -> ProbeReport:
     """Tail probe of the composition integrand, admitting n = 4.
 
     The model constructor rejects n < 5; this utility shows why, by running
-    the identical tail classification on the defining integrand: at n = 4 the
+    the identical tail classification on the defining integrand at
+    separation 1, from radius 2, at tol 1e-9: at n = 4 the
     radial integrand decays like 1/s, exponent -1, certified divergent, while
     n >= 5 extrapolates to a finite remainder.
     """
@@ -275,8 +272,5 @@ def composition_tail_report(n: int, d: float = 1.0,
     if n < 4:
         raise ModelDomainError(
             f"the tail documentation covers the boundary case n >= 4, got {n}")
-    d = float(d)
-    if d <= 0.0:
-        raise PreconditionError("separation must be positive")
-    outer = _composition_outer(n, d, inner_tol=1e-11)
-    return probe_tail(outer, start=2.0 * max(d, 1.0), tol=tol)
+    outer = _composition_outer(n, 1.0, inner_tol=1e-11)
+    return probe_tail(outer, start=2.0, tol=1e-9)

@@ -756,8 +756,7 @@ class StencilSpec:
                           dtype=float).reshape(xs.shape)
 
 
-def fd_residual(stencil: StencilSpec, u: Callable, x, h: float = 1e-4,
-                richardson: bool = True):
+def fd_residual(stencil: StencilSpec, u: Callable, x, h: float):
     """Central-difference evaluation of ``stencil`` applied to u at x.
 
     x is a point or a 1-D array of points; the result is a float or an
@@ -769,15 +768,12 @@ def fd_residual(stencil: StencilSpec, u: Callable, x, h: float = 1e-4,
     :class:`StencilError` naming the first x, in order, whose window holds
     one.
 
-    One Richardson step (h and h/2) upgrades the O(h^2) truncation to O(h^4);
-    disable it when u is quadrature-backed and node noise dominates.
+    One Richardson step (h and h/2) upgrades the O(h^2) truncation to O(h^4).
     """
     pts = np.asarray(x, dtype=float)
     xs = pts.reshape(-1)
-    steps = (h, 0.5 * h) if richardson else (h,)
     # columns: x - h, x, x + h, then x - h/2, x + h/2
-    nodes = np.stack([xs - h, xs, xs + h,
-                      *(c for s in steps[1:] for c in (xs - s, xs + s))],
+    nodes = np.stack([xs - h, xs, xs + h, xs - 0.5 * h, xs + 0.5 * h],
                      axis=1)
     vals = np.asarray(as_vectorized(u)(nodes.ravel()), dtype=float) \
         .reshape(nodes.shape)
@@ -790,7 +786,7 @@ def fd_residual(stencil: StencilSpec, u: Callable, x, h: float = 1e-4,
         raise StencilError("non-finite sample in stencil window at "
                            f"{xs.tolist()[int(np.argmax(bad))]!r}")
     diffs = []
-    for s, (left, right) in zip(steps, ((0, 2), (3, 4))):
+    for s, (left, right) in ((h, (0, 2)), (0.5 * h, (3, 4))):
         um, u0, up = vals[:, left], vals[:, 1], vals[:, right]
         if product:
             diffs.append((um - 2.0 * u0 + up) / (s * s))
@@ -799,20 +795,19 @@ def fd_residual(stencil: StencilSpec, u: Callable, x, h: float = 1e-4,
             wp = stencil._weights(xs + 0.5 * s)
             diffs.append((wp * (up - u0) - wm * (u0 - um))
                          / (s * s * stencil._weights(xs)))
-    d = diffs[0] if not richardson else (4.0 * diffs[1] - diffs[0]) / 3.0
+    d = (4.0 * diffs[1] - diffs[0]) / 3.0
     return float(d[0]) if pts.ndim == 0 else d.reshape(pts.shape)
 
 
 def basis_fit_residual(basis: Sequence[Callable[[float], float]],
-                       v: Callable[[float], float], x: float,
-                       delta: float = 1e-2) -> float:
-    """Deviation of v at x from the two-point basis interpolant through x±delta.
+                       v: Callable[[float], float], x: float) -> float:
+    """Deviation of v at x from the two-point basis interpolant through x±0.02.
 
     Vanishes (to roundoff) exactly when v is locally in the span of the basis,
     which is the operator-free way to test harmonicity of a closed form.
     """
     b1, b2 = basis
-    lo, hi = x - delta, x + delta
+    lo, hi = x - 0.02, x + 0.02
     m = np.array([[b1(lo), b2(lo)], [b1(hi), b2(hi)]], dtype=float)
     rhs = np.array([float(v(lo)), float(v(hi))], dtype=float)
     coef = np.linalg.solve(m, rhs)

@@ -22,10 +22,10 @@ import numpy as np
 from .errors import ModelDomainError, PreconditionError, RegularityError
 from .kernels import BiharmonicPair, Fn, Interval1D, ModelSpace
 from .quadrature import as_vectorized, fd_residual, integrate
-from .values import IDENTITY_TOL
+from .values import FD_TOL, IDENTITY_TOL
 
 COND_LIMIT = 1e10
-# the default tolerance of each nu mass: tight, so that finite-difference
+# the tolerance of each nu mass: tight, so that finite-difference
 # residual checks on a Riquier solution are not washed out by node noise
 NU_TOL = 1e-10
 
@@ -112,13 +112,13 @@ def regular_subdomain(model: ModelSpace, a: float, b: float) -> RegularSubdomain
     if not a < b:
         raise PreconditionError(f"empty subinterval [{a:g}, {b:g}]")
     if model.subdomain_closure_ok:
-        ok = dom.lo <= a and b <= dom.hi
+        ok, (lo_b, hi_b) = dom.lo <= a and b <= dom.hi, "[]"
     else:
-        ok = dom.lo < a and b < dom.hi
+        ok, (lo_b, hi_b) = dom.lo < a and b < dom.hi, "()"
     if not ok:
         raise PreconditionError(
-            f"[{a:g}, {b:g}] does not sit inside the domain "
-            f"[{dom.lo:g}, {dom.hi:g})")
+            f"[{a:g}, {b:g}] does not sit inside "
+            f"{lo_b}{dom.lo:g}, {dom.hi:g}{hi_b}")
     m1 = _interp_matrix(model.basis1, a, b)
     m2 = _interp_matrix(model.basis2, a, b)
     cond = max(float(np.linalg.cond(m1)), float(np.linalg.cond(m2)))
@@ -164,7 +164,7 @@ def _clip_weight(w: float, what: str) -> float:
 
 
 def _nu_masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
-               adjoint: bool, quad_tol: float) -> np.ndarray:
+               adjoint: bool) -> np.ndarray:
     """(nu_a, nu_b) at each point xs[i] of its subdomain subs[i], as a
     (len(xs), 2) array.
 
@@ -209,31 +209,30 @@ def _nu_masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
     rows = [(2 * i + j, (sub.a, sub.b), (), (x,))
             for i, (_, x, sub) in enumerate(picks) for j in (0, 1)]
     masses = [float(res.value) for res in integrate(row, rows=rows,
-                                                    tol=quad_tol)]
+                                                    tol=NU_TOL)]
     nu = np.zeros((len(xs), 2))
     nu[[i for i, _, _ in picks]] = np.reshape(masses, (-1, 2))
     return nu
 
 
 def biharmonic_measures(model: ModelSpace, sub: RegularSubdomain, x: float,
-                        adjoint: bool = False,
-                        quad_tol: float = NU_TOL) -> MeasureTriple:
+                        adjoint: bool = False) -> MeasureTriple:
     """The measure triple of [a, b] at interior x.
 
     mu_x and lambda_x are the interpolation weights of the two bases; the
     nu_x masses integrate the localized kernel against the second basis'
-    cardinal functions, weighted by the kink density, each at ``quad_tol``.
+    cardinal functions, weighted by the kink density, each at ``NU_TOL``.
     With ``adjoint=True`` the roles of the two kernels and bases swap (the
     transposed problem); that mode is only meaningful where the adjoint
     operator is finite and continuous, which among these models is the
     symmetric-equal one.
     """
-    return _measure_triples(model, [sub], [x], adjoint, quad_tol)[0]
+    return _measure_triples(model, [sub], [x], adjoint)[0]
 
 
 def _measure_triples(model: ModelSpace, subs: Sequence[RegularSubdomain],
-                     xs: Sequence[float], adjoint: bool,
-                     quad_tol: float) -> list[MeasureTriple]:
+                     xs: Sequence[float],
+                     adjoint: bool) -> list[MeasureTriple]:
     """The triple of subs[i] at its interior point xs[i], for every i.
 
     Every point is checked against its subdomain before any integration;
@@ -247,7 +246,7 @@ def _measure_triples(model: ModelSpace, subs: Sequence[RegularSubdomain],
             "finite and continuous")
     triples = []
     for sub, x, (na, nb) in zip(subs, xs, _nu_masses(
-            model, subs, xs, adjoint, quad_tol).tolist()):
+            model, subs, xs, adjoint).tolist()):
         (ma, mb), (la, lb) = sub.cardinals1(x), sub.cardinals2(x)
         if adjoint:
             (ma, mb), (la, lb) = (la, lb), (ma, mb)
@@ -272,8 +271,7 @@ class RiquierSolution:
 
 
 def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
-                  f: Sequence[float], g: Sequence[float],
-                  quad_tol: float = NU_TOL) -> RiquierSolution:
+                  f: Sequence[float], g: Sequence[float]) -> RiquierSolution:
     """Solve the two-component boundary problem on [a, b].
 
     v is the second-basis interpolant of g.  u is the measure pairing
@@ -281,7 +279,7 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
     its particular part is int K_omega(x, z) v(z) w(z) dz written through
     the nonnegative nu masses, so signed data need no signed quadrature.
     u takes a point or an array of points, whose masses are computed in
-    one quadrature call at ``quad_tol``, kept tight so that
+    one quadrature call at ``NU_TOL``, kept tight so that
     finite-difference residual checks on u are not washed out by node
     noise; a point's value does not depend on the array it is in.
     """
@@ -296,7 +294,7 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
 
     def u(x):
         xs = np.asarray(x, dtype=float)
-        nu = _nu_masses(model, [sub] * xs.size, xs.ravel(), False, quad_tol)
+        nu = _nu_masses(model, [sub] * xs.size, xs.ravel(), False)
         # elementwise, not nu @ (ga, gb), so the bits match across arrays
         out = np.asarray(h1(xs), dtype=float) + \
             (ga * nu[:, 0] + gb * nu[:, 1]).reshape(xs.shape)
@@ -320,17 +318,18 @@ class SolutionResiduals:
     l1_residual: float
     l2_residual: float
 
-    def passed(self, boundary_tol: float = 1e-9, fd_tol: float = 1e-3) -> bool:
-        return (self.boundary_gap <= boundary_tol
-                and self.l1_residual <= fd_tol
-                and self.l2_residual <= fd_tol)
+    def passed(self) -> bool:
+        return (self.boundary_gap <= 1e-9
+                and self.l1_residual <= FD_TOL
+                and self.l2_residual <= FD_TOL)
 
 
-def check_riquier_solution(model: ModelSpace, sol: RiquierSolution,
-                           n_probes: int = 5, h: float = 1e-2) -> SolutionResiduals:
+def check_riquier_solution(model: ModelSpace,
+                           sol: RiquierSolution) -> SolutionResiduals:
     """Residuals certifying a solution: boundary match and both operator ODEs.
 
-    The u-residual stencil runs at a coarse step because u is
+    Both ODEs are read at five probes spread across the subinterval.  The
+    u-residual stencil runs at a coarse step because u is
     quadrature-backed: the step must stay well above the node noise floor.
     Each stencil reads its function on the windows of every probe in one
     call.
@@ -340,9 +339,10 @@ def check_riquier_solution(model: ModelSpace, sol: RiquierSolution,
     ua, ub = _values(sol.u, [a, b]).tolist()
     boundary_gap = max(abs(va - sol.g[0]), abs(vb - sol.g[1]),
                        abs(ua - sol.f[0]), abs(ub - sol.f[1]))
+    h = 1e-2
     pad = 2.5 * h
     xs = np.array([float(min(max(x, a + pad), b - pad))
-                   for x in np.linspace(a, b, n_probes + 2)[1:-1]])
+                   for x in np.linspace(a, b, 7)[1:-1]])
     r1s = fd_residual(model.L1_stencil, sol.u, xs, h=h) + _values(sol.v, xs)
     r2s = fd_residual(model.L2_stencil, sol.v, xs, h=1e-4)
     l1 = 0.0
@@ -365,18 +365,18 @@ class ProbeMargin:
 @dataclass(frozen=True)
 class HyperharmonicReport:
     entries: tuple[ProbeMargin, ...]
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return all(e.margin_first >= -self.tol and e.margin_second >= -self.tol
+        return all(e.margin_first >= -IDENTITY_TOL
+                   and e.margin_second >= -IDENTITY_TOL
                    for e in self.entries)
 
     @property
     def violated(self) -> tuple[ProbeMargin, ...]:
         return tuple(e for e in self.entries
-                     if e.margin_first < -self.tol
-                     or e.margin_second < -self.tol)
+                     if e.margin_first < -IDENTITY_TOL
+                     or e.margin_second < -IDENTITY_TOL)
 
     @property
     def max_abs_margin(self) -> float:
@@ -396,13 +396,13 @@ def _safe_margin(center: float, swept: float) -> float:
     return center - swept
 
 
-def verify_hyperharmonic(model: ModelSpace, pair: BiharmonicPair, probes,
-                         tol: float = IDENTITY_TOL) -> HyperharmonicReport:
+def verify_hyperharmonic(model: ModelSpace, pair: BiharmonicPair,
+                         probes) -> HyperharmonicReport:
     """Test the two defining inequalities of the pair at (omega, x) probes.
 
     Each probe compares u(x) with <u, mu_x> + <v, nu_x> and v(x) with
     <v, lambda_x>; margins are center minus swept value, so hyperharmonic
-    means every margin >= -tol.  u and v are each evaluated once, through
+    means every margin >= -IDENTITY_TOL.  u and v are each evaluated once, through
     :func:`~greenlab.quadrature.as_vectorized`, at the a, b and x of every
     probe, after the triples of all probes.
     """
@@ -412,7 +412,7 @@ def verify_hyperharmonic(model: ModelSpace, pair: BiharmonicPair, probes,
         if omega not in subs:
             subs[omega] = regular_subdomain(model, *omega)
     triples = _measure_triples(model, [subs[omega] for omega, _ in probes],
-                               [x for _, x in probes], False, NU_TOL)
+                               [x for _, x in probes], False)
     pts = [p for (a, b), x in probes for p in (a, b, x)]
     us = _values(pair.u, pts).reshape(-1, 3)
     vs = _values(pair.v, pts).reshape(-1, 3)
@@ -425,4 +425,4 @@ def verify_hyperharmonic(model: ModelSpace, pair: BiharmonicPair, probes,
         m1 = _safe_margin(ux, swept1)
         m2 = _safe_margin(vx, swept2)
         entries.append(ProbeMargin((a, b), float(x), m1, m2, float(coupling)))
-    return HyperharmonicReport(tuple(entries), tol)
+    return HyperharmonicReport(tuple(entries))

@@ -88,15 +88,15 @@ def test_global_pure_pair_closed_form():
     assert {"pure", "hyperharmonic", "superharmonic"} <= pair.flags
 
 
-def _navier_loop(y, probes=None, quad_tol=1e-10, h=1e-2):
+def _navier_loop(y):
     """navier_check written as a loop of scalar H calls, as the reference."""
     model = bilaplace_model()
-    if probes is None:
-        probes = [p / 10.0 for p in range(1, 10)]
+    probes = [p / 10.0 for p in range(1, 10)]
     probes = [p for p in probes if abs(p - y) >= 0.05]
+    h = 1e-2
 
     def hq(x):
-        return float(h_sym(float(x), y, tol=quad_tol))
+        return float(h_sym(float(x), y, tol=1e-10))
 
     def stencil(x, s):
         return (hq(x - s) - 2.0 * hq(x) + hq(x + s)) / (s * s)
@@ -115,10 +115,9 @@ def _navier_loop(y, probes=None, quad_tol=1e-10, h=1e-2):
 
 
 def test_navier_check_matches_the_scalar_loop():
-    for y, probes in ((0.25, None), (0.5, None), (0.75, None),
-                      (0.1, [0.2, 0.3, 0.9]), (0.5, [0.52])):
-        rep = navier_check(y, probes)
-        max_res, boundary, jump = _navier_loop(y, probes)
+    for y in (0.25, 0.5, 0.75):
+        rep = navier_check(y)
+        max_res, boundary, jump = _navier_loop(y)
         assert rep.max_l1_residual.hex() == max_res.hex()
         assert [v.hex() for v in rep.boundary_values] == \
             [v.hex() for v in boundary]

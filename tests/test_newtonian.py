@@ -210,11 +210,6 @@ def test_constant_coupling_diverges_with_tail_exponent_one():
     for n in (5, 6):
         cert = constant_coupling_divergence(n)
         assert cert.estimated_exponent == pytest.approx(1.0, abs=0.05)
-    # translation invariance: an explicit base point changes nothing
-    cert = constant_coupling_divergence(5, x=1.0)
-    assert cert.estimated_exponent == pytest.approx(1.0, abs=0.05)
-    with pytest.raises(PreconditionError):
-        constant_coupling_divergence(5, c=0.0)
 
 
 def test_truncated_coupling_closed_form():

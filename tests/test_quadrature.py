@@ -448,10 +448,8 @@ def _stencil_at(stencil, u, x, h):
     return (wp * (up - u0) - wm * (u0 - um)) / (h * h * w(x))
 
 
-def _fd_reference(stencil, u, x, h, richardson):
+def _fd_reference(stencil, u, x, h):
     d_h = _stencil_at(stencil, u, x, h)
-    if not richardson:
-        return d_h
     return (4.0 * _stencil_at(stencil, u, x, 0.5 * h) - d_h) / 3.0
 
 
@@ -474,14 +472,13 @@ def test_array_fd_residual_matches_scalar_calls_bit_for_bit():
     # is steep; the last ones reach toward 1
     xs = np.array([1.1e-2, 1.5e-2, 0.1, 0.37, 0.5, 0.8, 0.95, 0.989])
     for stencil in _STENCILS:
-        for richardson in (True, False):
-            out = fd_residual(stencil, u, xs, h=h, richardson=richardson)
-            assert out.shape == xs.shape
-            for x, d in zip(xs.tolist(), out.tolist()):
-                one = fd_residual(stencil, u, x, h=h, richardson=richardson)
-                ref = _fd_reference(stencil, u, x, h, richardson)
-                assert isinstance(one, float)
-                assert d.hex() == one.hex() == ref.hex()
+        out = fd_residual(stencil, u, xs, h=h)
+        assert out.shape == xs.shape
+        for x, d in zip(xs.tolist(), out.tolist()):
+            one = fd_residual(stencil, u, x, h=h)
+            ref = _fd_reference(stencil, u, x, h)
+            assert isinstance(one, float)
+            assert d.hex() == one.hex() == ref.hex()
 
 
 def test_fd_residual_calls_a_vectorized_u_once():
@@ -494,11 +491,10 @@ def test_fd_residual_calls_a_vectorized_u_once():
     u = _vec(u)
     xs = np.linspace(0.2, 0.8, 7)
     for stencil in _STENCILS:
-        for richardson, nodes in ((True, 5), (False, 3)):
-            calls.clear()
-            fd_residual(stencil, u, xs, h=1e-3, richardson=richardson)
-            # every window node of every x: x - h, x, x + h (, x -+ h/2)
-            assert calls == [nodes * xs.size]
+        calls.clear()
+        fd_residual(stencil, u, xs, h=1e-3)
+        # every window node of every x: x - h, x, x + h, x -+ h/2
+        assert calls == [5 * xs.size]
 
 
 def test_fd_residual_takes_a_scalar_u():
@@ -509,7 +505,7 @@ def test_fd_residual_takes_a_scalar_u():
     for stencil in _STENCILS:
         out = fd_residual(stencil, u, xs, h=1e-3)
         for x, d in zip(xs.tolist(), out.tolist()):
-            assert d.hex() == _fd_reference(stencil, u, x, 1e-3, True).hex()
+            assert d.hex() == _fd_reference(stencil, u, x, 1e-3).hex()
 
 
 def test_first_failing_x_decides_the_stencil_error():
@@ -529,18 +525,14 @@ def test_first_failing_x_decides_the_stencil_error():
             fd_residual(stencil, u, np.array([0.4, h, 0.5 * h]), h=h)
         with pytest.raises(StencilError, match=r"at 0\.001$"):
             fd_residual(stencil, u, h, h=h)
-        # without the Richardson step there is no h/2 window
-        out = fd_residual(stencil, u, np.array([0.4, 0.5 * h]), h=h,
-                          richardson=False)
-        assert np.all(np.isfinite(out))
 
 
 def test_basis_fit_residual_detects_span_membership():
     basis = (lambda x: 1.0, lambda x: 1.0 / x ** 2)
     inside = lambda x: 3.0 - 2.0 / x ** 2
     outside = lambda x: math.log(x)
-    assert abs(basis_fit_residual(basis, inside, 0.4, delta=0.02)) < 1e-12
-    assert abs(basis_fit_residual(basis, outside, 0.4, delta=0.02)) > 1e-6
+    assert abs(basis_fit_residual(basis, inside, 0.4)) < 1e-12
+    assert abs(basis_fit_residual(basis, outside, 0.4)) > 1e-6
 
 
 def test_integrate_to_infinity_is_integrate_radial():

@@ -1,11 +1,16 @@
-"""The prebuilt data tables: shape, literals, and determinism."""
+"""The prebuilt data tables: shape, literals, determinism and golden bytes."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
 import oracles
+from greenlab.cli import main
 from greenlab.reports import BUILDERS, build_adjoint_gate, write_report
+
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "report_digests.txt"
 
 
 def test_every_builder_produces_consistent_rows():
@@ -90,3 +95,14 @@ def test_write_report_is_deterministic(tmp_path):
 def test_write_report_rejects_unknown_name(tmp_path):
     with pytest.raises(KeyError):
         write_report("entropy", tmp_path)
+
+
+def test_report_targets_match_the_golden_digests(tmp_path, capsys):
+    """The SHA-256 of every CSV and .dat that `greenlab report` writes at
+    seed 0; a change that moves a report byte on purpose updates the file."""
+    for name in BUILDERS:
+        assert main(["report", name, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}"
+           for p in sorted(tmp_path.iterdir())]
+    assert got == GOLDEN_DIGESTS.read_text(encoding="ascii").splitlines()
