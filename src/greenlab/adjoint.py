@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (_at_points, _sliced_apply, compose_green,
-                       coupling_apply)
+from .coupling import (_at_points, _compose_rows, _sliced_apply,
+                       compose_green, coupling_apply)
 from .errors import ModelDomainError, PreconditionError
 from .kernels import Interval1D, ModelSpace
 from .quadrature import as_vectorized, integrate
@@ -371,16 +371,16 @@ def lsc_check(model: ModelSpace) -> LscReport:
         # temporaries of every node at once
         xs = [p for yv in grid for p in (xv, *(xv + dx for dx, _ in offsets))]
         ys = [p for yv in grid for p in (yv, *(yv + dy for _, dy in offsets))]
-        values = [float(v) for v in compose_green(model, np.array(xs),
-                                                  np.array(ys), tol=1e-9)]
-        for k, yv in enumerate(grid):
-            center, *rings = values[k * per_node:(k + 1) * per_node]
-            coarse = center - min(rings[:len(_RING)])
-            fine = center - min(rings[len(_RING):])
-            ok = (fine <= max(OSC_NOISE, 0.6 * coarse)
-                  and fine <= coarse + OSC_NOISE)
-            entries.append(LscEntry(float(xv), float(yv), center,
-                                    coarse, fine, ok))
+        rows, _ = _compose_rows(model, np.array(xs), np.array(ys), 1e-9)
+        # per node: its value, then the minimum of each ring
+        values = rows.value.reshape(len(grid), per_node)
+        centers = values[:, 0].tolist()
+        coarse = (values[:, 0] - values[:, 1:1 + len(_RING)].min(axis=1))
+        fine = (values[:, 0] - values[:, 1 + len(_RING):].min(axis=1))
+        for yv, center, c, f in zip(grid.tolist(), centers, coarse.tolist(),
+                                    fine.tolist()):
+            ok = f <= max(OSC_NOISE, 0.6 * c) and f <= c + OSC_NOISE
+            entries.append(LscEntry(float(xv), yv, center, c, f, ok))
     return LscReport(tuple(entries))
 
 

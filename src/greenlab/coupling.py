@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ClassificationError, PreconditionError
 from .kernels import (BiharmonicPair, Fn, GreenKernel, Interval1D, ModelSpace,
                       is_grid_function, times)
-from .quadrature import as_vectorized, integrate, integrate_radial
+from .quadrature import QuadRows, as_vectorized, integrate, integrate_radial
 from .values import IDENTITY_TOL, QUAD_TOL, ExtendedValue
 from . import riquier
 
@@ -38,17 +38,19 @@ def _product(g, f) -> Fn:
 
 
 class _Rows(NamedTuple):
-    """One function per row of a batch, with what each row declares.
+    """One function per row of a batch, with what the rows declare.
 
     ``at(r, z)`` is row r's function at z, elementwise in both arguments;
-    ``breakpoints``, ``singular_points`` and ``support`` hold each row's
-    declarations as an :class:`Fn` makes them, and ``grid`` says the rows
-    are grid functions.
+    ``breakpoints`` holds the rows' breakpoints as columns, each a float
+    shared by every row or an array with one per row; ``singular_points``
+    maps the index of each row that declares singular points to them;
+    ``support`` is the support of every row (None for none), and ``grid``
+    says the rows are grid functions.
     """
     at: Callable
-    breakpoints: Sequence[tuple]
-    singular_points: Sequence[tuple]
-    support: Sequence
+    breakpoints: list
+    singular_points: dict
+    support: tuple | None = None
     grid: bool = False
 
 
@@ -62,17 +64,17 @@ def _kernel_rows(kernel: GreenKernel, points: np.ndarray,
     else:
         def at(r, z):
             return kernel.raw(points[r], z)
-    return _Rows(at, *kernel.slice_declarations(points, first),
-                 [None] * len(points))
+    return _Rows(at, *kernel.slice_declarations(points, first))
 
 
 def _shared_rows(f, n: int) -> _Rows:
     """The same function f on each of n rows."""
     fv = as_vectorized(f)
-    bks = tuple(float(b) for b in getattr(f, "breakpoints", ()))
     sings = tuple(float(s) for s in getattr(f, "singular_points", ()))
-    return _Rows(lambda r, z: fv(z), [bks] * n, [sings] * n,
-                 [getattr(f, "support", None)] * n, is_grid_function(f))
+    return _Rows(lambda r, z: fv(z),
+                 [float(b) for b in getattr(f, "breakpoints", ())],
+                 dict.fromkeys(range(n), sings) if sings else {},
+                 getattr(f, "support", None), is_grid_function(f))
 
 
 def _point_rows(model: ModelSpace, *points) -> tuple[list[np.ndarray], bool]:
@@ -127,47 +129,49 @@ def _radial_point(model: ModelSpace, x):
     return x
 
 
-def _sliced_integral(model: ModelSpace, kern: _Rows, f: _Rows,
-                     tol: float) -> list[ExtendedValue]:
-    """V and V*: int k_r(y) f_r(y) dmu(y) on the 1D domain, for every row r.
+def _sliced_integral(model: ModelSpace, n: int, kern: _Rows, f: _Rows,
+                     tol: float) -> QuadRows:
+    """V and V*: int k_r(y) f_r(y) dmu(y) on the 1D domain, for each of the
+    n rows r.
 
-    Each row is set up on its own: its kernel slice ``kern`` and data ``f``
-    give its breakpoints and singular points, the data its support, and a
-    grid function with a singular point is refused.  All rows are then
-    integrated together, and :func:`~greenlab.quadrature.integrate` keeps
-    the singular points in a row's range.
+    Each row's kernel slice ``kern`` and data ``f`` give its breakpoints and
+    singular points, the data its support, and a grid function with a
+    singular point is refused.  All rows are integrated together, as the
+    columns of one :func:`~greenlab.quadrature.integrate` call that keeps
+    the singular points in a row's range; the rows before a refused one
+    are integrated before the refusal is raised.
     """
-    values = [None] * len(kern.breakpoints)
-    domain = (model.domain.lo, model.domain.hi)
-    rows, refusal = [], None
-    for r, (k_sings, f_sings, k_bks, f_bks, support) in enumerate(zip(
-            kern.singular_points, f.singular_points, kern.breakpoints,
-            f.breakpoints, f.support)):
-        sings = (*k_sings, *f_sings)
-        if f.grid and sings:
-            # raised below, once the rows before it have been integrated
-            refusal = PreconditionError(
-                "grid functions carry no information below their spacing; "
-                f"this integral must resolve singular points {sorted({*sings})}")
-            break
-        interval = domain
-        if support is not None:
-            interval = (max(domain[0], support[0]), min(domain[1], support[1]))
-            if interval[1] <= interval[0]:
-                values[r] = ExtendedValue.finite(0.0)
-                continue
-        rows.append((r, interval, sings, (*k_bks, *f_bks)))
+    sings = kern.singular_points
+    if f.singular_points:
+        sings = {r: (*sings.get(r, ()), *f.singular_points.get(r, ()))
+                 for r in sorted({*sings, *f.singular_points})}
+    refusal = None
+    if f.grid and sings:
+        r = min(sings)
+        refusal = PreconditionError(
+            "grid functions carry no information below their spacing; "
+            f"this integral must resolve singular points {sorted({*sings[r]})}")
+        n = r
+    lo, hi = model.domain.lo, model.domain.hi
+    if f.support is not None:
+        lo, hi = max(lo, f.support[0]), min(hi, f.support[1])
+    if hi <= lo:
+        # the support misses the domain: every row is zero
+        rows = QuadRows([0.0] * n, [0.0] * n, [0] * n, [True] * n, {})
+    else:
+        columns = [lo, *kern.breakpoints, *f.breakpoints, hi]
+        if refusal is not None:
+            columns = [c[:n] if isinstance(c, np.ndarray) else c
+                       for c in columns]
+        weigh, k_at, f_at = model.mu.weigh, kern.at, f.at
 
-    weigh, k_at, f_at = model.mu.weigh, kern.at, f.at
+        def weighted(r, y):
+            return weigh(times(k_at(r, y), f_at(r, y)), y)
 
-    def weighted(r, y):
-        return weigh(times(k_at(r, y), f_at(r, y)), y)
-
-    for row, res in zip(rows, integrate(weighted, rows=rows, tol=tol)):
-        values[row[0]] = res.value
+        rows = integrate(weighted, rows=(n, columns, sings), tol=tol)
     if refusal is not None:
         raise refusal
-    return values
+    return rows
 
 
 def _coupling_radial(model: ModelSpace, f, x, tol: float) -> ExtendedValue:
@@ -223,8 +227,9 @@ def _sliced_apply(model: ModelSpace, kernel: GreenKernel, f, x, tol: float,
     V slices ``kernel`` in its second argument at x, V* in its first.
     """
     (xs,), scalar = _point_rows(model, x)
-    values = _sliced_integral(model, _kernel_rows(kernel, xs, first=adjoint),
-                              _shared_rows(f, xs.size), tol)
+    values = _sliced_integral(model, xs.size,
+                              _kernel_rows(kernel, xs, first=adjoint),
+                              _shared_rows(f, xs.size), tol).extended()
     return values[0] if scalar else tuple(values)
 
 
@@ -267,10 +272,21 @@ def compose_green(model: ModelSpace, x, y, tol: float = QUAD_TOL):
         from .models.newtonian import riesz_compose
         return riesz_compose(model.dim, _radial_point(model, x),
                              _radial_point(model, y), tol=tol)
-    (ys, xs), scalar = _point_rows(model, y, x)
-    values = _sliced_integral(model, _kernel_rows(model.G1, xs, first=False),
-                              _kernel_rows(model.G2, ys, first=True), tol)
+    rows, scalar = _compose_rows(model, x, y, tol)
+    values = rows.extended()
     return values[0] if scalar else tuple(values)
+
+
+def _compose_rows(model: ModelSpace, x, y, tol: float) -> tuple[QuadRows,
+                                                                bool]:
+    """H at the (x, y) pairs of a 1D model as the rows of one integrate
+    call, checked as :func:`compose_green` checks them, and whether both
+    points were scalars."""
+    (ys, xs), scalar = _point_rows(model, y, x)
+    return _sliced_integral(model, xs.size,
+                            _kernel_rows(model.G1, xs, first=False),
+                            _kernel_rows(model.G2, ys, first=True),
+                            tol), scalar
 
 
 def pure_decompose(model: ModelSpace, pair: BiharmonicPair,

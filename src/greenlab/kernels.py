@@ -172,36 +172,37 @@ class GreenKernel:
     kink_on_diagonal: bool = True
     endpoint_singularities: tuple[EndpointSingularity, ...] = ()
 
-    def slice_declarations(self, points, first: bool) -> tuple[list, list]:
+    def slice_declarations(self, points, first: bool) -> tuple[list, dict]:
         """Breakpoints and live singular points of the slices at ``points``.
 
         The slice in the first argument at y is x -> K(x, y), the one in the
         second at x is y -> K(x, y).  Its breakpoints are its point, where
         the kernel kinks on the diagonal, and every endpoint singularity;
         such an endpoint is a live singular point of the slice where the
-        kernel is non-finite at it.  Returns one tuple of each per point;
-        one kernel call per endpoint serves all the points, and only the
-        points where it is non-finite get a live singular point.
+        kernel is non-finite at it.  Returns the breakpoints as columns --
+        the points array, then one float per endpoint -- and a dict from
+        the index of each point with a live singular point to them; one
+        kernel call per endpoint serves all the points.
         """
         pts = np.asarray(points, dtype=float)
-        ends = tuple(float(e.point) for e in self.endpoint_singularities)
-        sings = [()] * pts.size
+        ends = [float(e.point) for e in self.endpoint_singularities]
+        sings: dict[int, tuple] = {}
         for e in ends:
             finite = np.isfinite(self.raw(e, pts) if first
                                  else self.raw(pts, e)).tolist()
             if not all(finite):
                 for i, fin in enumerate(finite):
                     if not fin:
-                        sings[i] = (*sings[i], e)
-        bks = [(p, *ends) for p in pts.tolist()] if self.kink_on_diagonal \
-            else [ends] * pts.size
-        return bks, sings
+                        sings[i] = (*sings.get(i, ()), e)
+        return ([pts] if self.kink_on_diagonal else []) + ends, sings
 
     def slice_in_first(self, y: float) -> Fn:
         """x -> K(x, y) with its breakpoints and live singularities declared."""
-        (bks,), (sings,) = self.slice_declarations([y], first=True)
-        return Fn(lambda x: self.raw(x, y), breakpoints=bks, vectorized=True,
-                  name=f"{self.name}(.,{y:g})", singular_points=sings)
+        cols, sings = self.slice_declarations([y], first=True)
+        bks = [c if isinstance(c, float) else c[0] for c in cols]
+        return Fn(lambda x: self.raw(x, y), breakpoints=bks,
+                  vectorized=True, name=f"{self.name}(.,{y:g})",
+                  singular_points=sings.get(0, ()))
 
 
 def _approach_trace(K: GreenKernel, x, y):

@@ -211,11 +211,10 @@ def _composition_outer(n: int, d: float, inner_tol: float):
             return ((sep2 / scale2[r]) ** half_power * np.sin(theta) ** (n - 2)
                     * np.cosh(t / wr))
 
-        inner = integrate(gth, rows=[(r, (0.0, end), (), ()) for r, end
-                                     in enumerate(w * np.arcsinh(math.pi / w))],
+        ends = w * np.arcsinh(math.pi / w)
+        inner = integrate(gth, rows=(len(ends), [0.0, ends], {}),
                           tol=inner_tol, max_subdivisions=800)
-        vals = np.array([res.value.value for res in inner])
-        errs = np.array([res.value.error_bound for res in inner])
+        vals, errs = inner.value, inner.bound
         outer.rho = max(outer.rho, float(np.max(errs / vals)))
         return pref * s * scale2 ** half_power * vals
 

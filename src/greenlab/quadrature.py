@@ -18,10 +18,15 @@ is still reduced on its own, so every value, bound and certificate is the one
 a panel-at-a-time walk gives.  The same engine integrates many rows at once --
 one integral per point of an operator call on an array of points -- with the
 smooth pieces of every row in the same rounds: :func:`integrate` takes one
-interval, or rows of them.  It plans the rows in one pass.  A plain row, finite
-and with no singular point in range, is cut at its breakpoints in that pass
-and its results summed in one loop; only a row with a probe or a tail gets a
-plan of its own.
+interval, or rows of them handed in as columns.  A plain row, finite and with
+no singular point in range, is carried as arrays from start to finish: all
+plain rows are cut at their breakpoints at once, the first round's tolerance
+test picks out the few pieces that refine, each row's pieces are summed in
+piece order, and the call returns the arrays of a :class:`QuadRows`.  Only a
+row with a probe or a tail gets a plan of its own.  A call of at most
+_SMALL_BATCH rows, and a batch of at most _SMALL_BATCH panels, take the same
+steps one element at a time in plain Python, where numpy's fixed cost per
+call would outweigh the work: an operator call at one point is one row.
 
 Conventions
 -----------
@@ -35,8 +40,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import abc
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,12 +87,10 @@ PROBE_DEPTH = 48
 _FIT_WINDOW = 8
 _MIN_SHELLS_TO_RESOLVE = 12
 _MIN_SHELLS_FOR_VERDICT = 16
-
-
-class _NonFiniteSample(Exception):
-    def __init__(self, x: float):
-        self.x = x
-        super().__init__(f"non-finite integrand value at {x!r}")
+# A batch of at most this many panels, or rows, is taken one by one in
+# plain Python, where numpy's fixed cost per call outweighs the work: the
+# batches of an operator call at one point, and a probe's first shells.
+_SMALL_BATCH = 16
 
 
 def as_vectorized(f: Callable) -> Callable:
@@ -106,41 +110,16 @@ def as_vectorized(f: Callable) -> Callable:
     return fv
 
 
-def _gk15(fv: Callable, a, b) -> list:
-    """G7/K15 on the panels [a[i], b[i]], all their nodes in one fv call.
+def _panel_errors(k15s: list, g7s: list) -> list:
+    """QUADPACK's error estimate of each panel whose rules gave k15 and g7.
 
-    Returns one outcome per panel: (integral, error estimate), or the
-    :class:`_NonFiniteSample` at the panel's first non-finite node.  Both
-    rules of every panel come from one elementwise product with
-    ``_KG_WEIGHTS`` and one sum along each panel's row of 15 products.  A
-    contiguous row sum takes the same steps whatever the number of rows, so
-    a panel's bits do not depend on the batch it is evaluated in; a matrix
-    product, or a sum down the columns, rounds differently.
-
-    The error estimate is QUADPACK's: diff = |K15 - G7|, shrunk to
-    (200 diff)^1.5 where that is smaller, and floored at 50 eps |K15|.  It
-    is taken panel by panel in plain Python floats.  numpy's ``power``
-    rounds differently from the C library's ``pow`` behind Python's ``**``
-    in the last bits of some results, so the shrink stays ``**``.  And an
-    array form of the min and max costs more than this loop on batches of
-    one to eight panels, the batches of an operator call at one point.
+    diff = |K15 - G7|, shrunk to (200 diff)^1.5 where that is smaller, and
+    floored at 50 eps |K15|.  The shrink stays Python's ``**``: numpy's
+    ``power`` rounds differently from the C library's ``pow`` behind it in
+    the last bits of some results.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid[:, None] + half[:, None] * _GK_NODES
-    fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
-    sums = (fx[:, None, :] * _KG_WEIGHTS).sum(axis=2) * half[:, None]
     out = []
-    for i, (k15, g7) in enumerate(sums.tolist()):
-        # the K weights are positive, so a non-finite sample makes k15
-        # non-finite
-        if not math.isfinite(k15):
-            bad = ~np.isfinite(fx[i])
-            if bad.any():
-                out.append(_NonFiniteSample(float(xs[i, np.argmax(bad)])))
-                continue
+    for k15, g7 in zip(k15s, g7s):
         diff = abs(k15 - g7)
         err = 0.0
         if diff > 0.0:
@@ -149,10 +128,69 @@ def _gk15(fv: Callable, a, b) -> list:
             if err > diff:
                 err = diff
         floor = _FLOOR * abs(k15)
-        if floor > err:
-            err = floor
-        out.append((k15, err))
+        out.append(floor if floor > err else err)
     return out
+
+
+def _gk15(fv: Callable, a, b) -> tuple[list, dict]:
+    """G7/K15 on the panels [a[i], b[i]], all their nodes in one fv call.
+
+    Returns (outs, holes): the list of each panel's (K15 integral,
+    :func:`_panel_errors`), and a dict from each panel with a non-finite
+    sample to its first such node, where the pair means nothing.  Each rule
+    is one elementwise product with its 15 weights and one sum along each
+    panel's row of products.  A contiguous row sum takes the same steps
+    whatever the number of rows, so a panel's bits do not depend on the
+    batch it is evaluated in; a matrix product, or a sum down the columns,
+    rounds differently.
+
+    The K weights are positive, so a non-finite sample makes K15
+    non-finite.  K15 comes first, and only where it is non-finite are the
+    panel's non-finite samples zeroed before the G7 product, whose zero
+    weights off the G7 nodes would otherwise meet them in inf * 0.
+
+    A batch of more than _SMALL_BATCH panels takes its errors in arrays, as
+    max(diff, floor): the shrink can only win where floor < diff <
+    _SHRINK_LIMIT, and only those panels, and those whose K15 is not
+    finite, take :func:`_panel_errors` itself.  A smaller batch -- an
+    operator call at one point, a probe's first shells -- takes
+    :func:`_panel_errors` panel by panel, which costs less there than the
+    array calls.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    xs = mid[:, None] + half[:, None] * _GK_NODES
+    fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
+    k15 = (fx * _KG_WEIGHTS[0]).sum(axis=1) * half
+    small = len(k15) <= _SMALL_BATCH
+    if small:
+        values = k15.tolist()
+        flagged = [] if math.isfinite(sum(values)) else \
+            [i for i, v in enumerate(values) if not math.isfinite(v)]
+    else:
+        finite = np.isfinite(k15)
+        flagged = (~finite).nonzero()[0].tolist() \
+            if np.count_nonzero(finite) < len(k15) else []
+    holes = {}
+    for i in flagged:
+        bad = ~np.isfinite(fx[i])
+        if bad.any():
+            holes[i] = float(xs[i, np.argmax(bad)])
+            fx[i, bad] = 0.0
+    g7 = (fx * _KG_WEIGHTS[1]).sum(axis=1) * half
+    if small:
+        return list(zip(values, _panel_errors(values, g7.tolist()))), holes
+    with np.errstate(invalid="ignore") if flagged else nullcontext():
+        # inf - inf where a K15 overflowed: its error is redone below
+        diff = np.abs(k15 - g7)
+    floor = _FLOOR * np.abs(k15)
+    err = np.fmax(diff, floor)
+    redo = ((floor < diff) & (diff < _SHRINK_LIMIT) | ~finite).nonzero()[0]
+    if len(redo):
+        err[redo] = _panel_errors(k15[redo].tolist(), g7[redo].tolist())
+    return list(zip(k15.tolist(), err.tolist())), holes
 
 
 def _at_rows(fv: Callable, rows: list[int], panels: int = 1) -> Callable:
@@ -169,70 +207,81 @@ def _at_rows(fv: Callable, rows: list[int], panels: int = 1) -> Callable:
     return lambda z: fv(r, z)
 
 
-def _undeclared(sample: _NonFiniteSample) -> UndeclaredSingularityError:
+def _undeclared(x: float) -> UndeclaredSingularityError:
     return UndeclaredSingularityError(
-        f"integrand is non-finite at {sample.x!r}, away from every declared "
+        f"integrand is non-finite at {x!r}, away from every declared "
         "singular point")
 
 
-def _refine(fv: Callable, ids: list[int], los: list[float], his: list[float],
-            tols: list[float], cap: int) -> list:
-    """Adaptive G7/K15 on several pieces at once: (value, error, panels) each.
+def _refine(fv: Callable, rows, los, his, tols, cap: int):
+    """Adaptive G7/K15 on several pieces at once.
 
-    Piece i is one initial panel [los[i], his[i]], integrated against the
-    row integrand ``fv(r, z)`` at its row ids[i].  While its error sum
+    Piece i is one initial panel [los[i], his[i]] of row rows[i], integrated
+    against the row integrand ``fv(r, z)``; ``rows`` is a sequence of ints,
+    or one int when every piece is of that row.  While its error sum
     exceeds tols[i] and it holds fewer than ``cap`` panels, its worst panel
     is bisected.  Each piece keeps its own sums, and its own heap once it
     refines, so its result is the one it would get alone.
-    One _gk15 call evaluates the initial panels of every piece, then each
-    round one call evaluates the children of the worst panel of every piece
-    still refining.
 
-    A non-finite sample ends its piece, whose outcome is then that
-    :class:`_NonFiniteSample`.  The pieces before the first such piece are
-    refined to the end; the pieces after it are not refined further, and
-    their outcomes mean nothing.
+    Returns (outs, panels, holes): the list of each piece's (value, error),
+    the panel count of every piece that refined (1 elsewhere), and the
+    first non-finite node of every piece that met one.  One _gk15 call
+    evaluates the initial panels of every piece, and the pieces that meet
+    their tolerance at once, the most, are done there.  Each round one call
+    evaluates the children of the worst panel of every piece still
+    refining.  A non-finite sample ends its piece, and stops the pieces of
+    later rows: their outcomes mean nothing.
     """
-    if not ids:
-        return []
-    outs = _gk15(_at_rows(fv, ids), los, his)
-    first_bad = len(ids)
-    heaps: dict[int, list] = {}
-    for i, (lo, hi, tol, out) in enumerate(zip(los, his, tols, outs)):
-        if isinstance(out, _NonFiniteSample):
-            first_bad = min(first_bad, i)
-            continue
-        outs[i] = (*out, 1)
-        # a piece that meets its tolerance at once needs no heap
-        if out[1] > tol and 1 < cap:
-            heaps[i] = [(-out[1], lo, hi, out[0])]
-
-    active = list(heaps)
+    grown: dict[int, int] = {}
+    if not len(los):
+        return [], grown, {}
+    one_row = isinstance(rows, int)
+    outs, holes = _gk15(
+        (lambda z: fv(rows, z)) if one_row
+        else (lambda z, r=np.repeat(rows, len(_GK_NODES)): fv(r, z)),
+        los, his)
+    todo = [i for i, ((_, e), t) in enumerate(zip(outs, tols)) if e > t] \
+        if cap > 1 else []
+    if not todo:
+        return outs, grown, holes
+    row_of = [rows] * len(outs) if one_row else \
+        rows.tolist() if isinstance(rows, np.ndarray) else rows
+    first_bad = min((row_of[i] for i in holes), default=math.inf)
+    # piece -> [value, error, panels, heap, tol], in piece order
+    live = {i: [*outs[i], 1, [(-outs[i][1], float(los[i]), float(his[i]),
+                               outs[i][0])], tols[i]]
+            for i in todo if i not in holes}
+    active = list(live)
     while True:
         # a piece that stops refining never starts again
-        active = [i for i in active if i < first_bad
-                  and outs[i][1] > tols[i] and outs[i][2] < cap]
+        active = [i for i in active if row_of[i] <= first_bad
+                  and live[i][1] > live[i][4] and live[i][2] < cap]
         if not active:
             break
-        worst = [heapq.heappop(heaps[i]) for i in active]
+        worst = [heapq.heappop(live[i][3]) for i in active]
         splits = [(lo, 0.5 * (lo + hi), hi) for _, lo, hi, _ in worst]
-        kids = iter(_gk15(_at_rows(fv, [ids[i] for i in active], 2),
-                          [e for lo, mid, _ in splits for e in (lo, mid)],
-                          [e for _, mid, hi in splits for e in (mid, hi)]))
-        for i, (neg_err, _, _, val), (lo, mid, hi) in zip(active, worst, splits):
-            left, right = next(kids), next(kids)
-            bad = [o for o in (left, right) if isinstance(o, _NonFiniteSample)]
-            if bad:
-                outs[i] = bad[0]
-                first_bad = min(first_bad, i)
+        kids, kid_holes = _gk15(
+            _at_rows(fv, [row_of[i] for i in active], 2),
+            [e for lo, mid, _ in splits for e in (lo, mid)],
+            [e for _, mid, hi in splits for e in (mid, hi)])
+        for j, (i, (neg_err, _, _, val), (lo, mid, hi)) in enumerate(
+                zip(active, worst, splits)):
+            if kid_holes and (2 * j in kid_holes or 2 * j + 1 in kid_holes):
+                holes[i] = kid_holes.get(2 * j, kid_holes.get(2 * j + 1))
+                first_bad = min(first_bad, row_of[i])
+                live[i][2] = cap
                 continue
-            (v1, e1), (v2, e2) = left, right
-            total, err_total, count = outs[i]
-            outs[i] = (total + ((v1 + v2) - val),
-                       err_total + ((e1 + e2) - (-neg_err)), count + 1)
-            heapq.heappush(heaps[i], (-e1, lo, mid, v1))
-            heapq.heappush(heaps[i], (-e2, mid, hi, v2))
-    return outs
+            (v1, e1), (v2, e2) = kids[2 * j], kids[2 * j + 1]
+            piece = live[i]
+            piece[0] = piece[0] + ((v1 + v2) - val)
+            piece[1] = piece[1] + ((e1 + e2) - (-neg_err))
+            piece[2] += 1
+            heapq.heappush(piece[3], (-e1, lo, mid, v1))
+            heapq.heappush(piece[3], (-e2, mid, hi, v2))
+    for i, (value, error, count, _, _) in live.items():
+        if i not in holes:
+            outs[i], grown[i] = (value, error), count
+    return outs, grown, holes
 
 
 # No caller in src; kept while perfbench/tracing.py wraps it by name.
@@ -348,6 +397,7 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
     divergent = resolved = False
     extrap = None                   # the latest (remainder, error) of a fit
     bounds: list[tuple[float, float]] = []
+    # each evaluated shell's (value, error), or None at a non-finite sample
     outs: list = []
 
     for k in range(PROBE_DEPTH):
@@ -355,9 +405,13 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
             run = [_shell_bounds(point, side, scale, j, kind)
                    for j in range(k, max(k + 1, _MIN_SHELLS_FOR_VERDICT))]
             bounds += run
-            outs += _gk15(fv, [lo for lo, _ in run], [hi for _, hi in run])
+            run_outs, holes = _gk15(fv, [lo for lo, _ in run],
+                                    [hi for _, hi in run])
+            for j in holes:
+                run_outs[j] = None
+            outs += run_outs
         dist = bounds[k][1] if tail else abs(2.0 ** (-k - 1) * scale)
-        if isinstance(outs[k], _NonFiniteSample):
+        if outs[k] is None:
             trace.append((dist, math.inf))
             divergent = True
             break
@@ -462,19 +516,77 @@ class QuadResult:
     converged: bool
 
 
-class QuadRows(tuple):
-    """The QuadResults of a row-form :func:`integrate` call, one per row."""
+class QuadRows(abc.Sequence):
+    """The results of a row-form :func:`integrate` call, one per row.
+
+    Its arrays ``value`` and ``bound`` (both inf for a row certified
+    divergent), ``panels``, and ``row_converged``, whether each row met its
+    tolerance, hold every row.  Indexing builds the row's
+    :class:`QuadResult`; a row planned around a singular point or a tail
+    keeps the one its plan assembled, with its certificate and the singular
+    points it handled.  A call of a few rows keeps its columns as lists
+    until an array is asked for.
+    """
+
+    def __init__(self, value, bound, panels, row_converged,
+                 planned: dict[int, QuadResult]):
+        self._columns = (value, bound, panels, row_converged)
+        self._planned = planned
+
+    value = property(lambda self: np.asarray(self._columns[0], dtype=float))
+    bound = property(lambda self: np.asarray(self._columns[1], dtype=float))
+    panels = property(lambda self: np.asarray(self._columns[2], dtype=np.intp))
+    row_converged = property(lambda self: np.asarray(self._columns[3],
+                                                     dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i: int) -> QuadResult:
+        i = range(len(self))[i]
+        res = self._planned.get(i)
+        if res is None:
+            value, bound, panels, met = self._columns
+            res = _quad_result(
+                ExtendedValue.finite(float(value[i]), float(bound[i])),
+                int(panels[i]), (), bool(met[i]))
+        return res
 
     @property
     def converged(self) -> bool:
         """Whether every row met its tolerance."""
-        return all(res.converged for res in self)
+        met = self._columns[3]
+        return bool(met.all()) if isinstance(met, np.ndarray) else all(met)
+
+    def extended(self) -> list[ExtendedValue]:
+        """Each row's value, as the ExtendedValue its QuadResult holds."""
+        value, bound = self._columns[:2]
+        if isinstance(value, np.ndarray):
+            value, bound = value.tolist(), bound.tolist()
+        planned = self._planned
+        return [planned[i].value if i in planned
+                else ExtendedValue.finite(v, e)
+                for i, (v, e) in enumerate(zip(value, bound))] if planned \
+            else [ExtendedValue.finite(v, e) for v, e in zip(value, bound)]
+
+
+def _quad_result(value: ExtendedValue, panels: int, handled: tuple,
+                 converged: bool) -> QuadResult:
+    # built as ExtendedValue.finite builds its value, past the frozen
+    # __setattr__ of the generated __init__: this runs once per row
+    res = object.__new__(QuadResult)
+    fields = res.__dict__
+    fields["value"] = value
+    fields["subdivisions"] = panels
+    fields["singular_points_handled"] = handled
+    fields["converged"] = converged
+    return res
 
 
 def integrate(f: Callable, interval: tuple[float, float] | None = None,
               singular_points: Sequence[float] = (), tol: float = 1e-8,
               breakpoints: Sequence[float] = (), max_subdivisions: int = 2000,
-              *, rows: Sequence[tuple] | None = None) -> QuadResult | QuadRows:
+              *, rows: tuple | None = None) -> QuadResult | QuadRows:
     """Integrate f over [a, b] with declared singular points.
 
     ``singular_points`` are locations (interior or endpoint) where f may be
@@ -494,20 +606,28 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
     certified enclosure for arbitrary integrands.
 
     Many integrals at once: instead of ``interval``, ``singular_points``
-    and ``breakpoints``, pass ``rows``, a sequence of (r, interval,
-    singular_points, breakpoints).  f is then a row integrand ``f(r, z)``
-    at the nodes z, where r is one row id, or an int array of ids with z's
-    shape, and f must be elementwise in both.  The call returns a
-    :class:`QuadRows` in the order of ``rows``; each row gets the bits a
-    one-row call gives it, and the call raises the exception of the first
-    row in order that raises.
+    and ``breakpoints``, pass ``rows = (n, columns, singular)`` for n
+    integrals.  ``columns`` holds the rows' cuts column by column: the
+    lower ends first, the upper ends last, and breakpoints in between, each
+    column a number shared by every row or an array with one entry per row.
+    A breakpoint at an end, repeated, NaN or outside the interval cuts
+    nothing, so a row with fewer breakpoints can be padded with an end.
+    ``singular`` maps the index of each row that declares singular points
+    to them.  f is then a row integrand ``f(r, z)`` at the nodes z, where r
+    is one row index, or an int array of indices with z's shape, and f must
+    be elementwise in both.  The call returns a :class:`QuadRows` in the
+    order of the rows; each row gets the bits a one-row call gives it, and
+    the call raises the exception of the first row in order that raises.
 
-    The rows are planned in one pass.  A plain row -- finite, with no
-    singular point in range, the case of nearly every operator row -- is
-    cut at its breakpoints there, its pieces appended to the lists that
-    the refinement takes, and its outcomes are summed in one loop.  A row
-    with a singular point in range or an infinite end is planned, and its
-    probes walked, by :func:`_plan_row`.
+    A plain row -- finite, with no singular point in range, the case of
+    nearly every operator row -- is carried as arrays from start to finish
+    by :func:`_rows_as_arrays`: all plain rows are cut at their breakpoints
+    at once, their pieces refined together by :func:`_refine`, and each
+    row's pieces summed in piece order.  A call of at most _SMALL_BATCH
+    rows, and the one interval of the scalar form, takes the same steps row
+    by row in :func:`_rows_one_by_one`.  A row with a singular point in
+    range or an infinite end is planned, and its probes walked, by
+    :func:`_plan_row`.
     """
     scalar = rows is None
     if scalar and interval is None or not scalar and (
@@ -517,62 +637,197 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
             "interval, singular points and breakpoints")
     if scalar:
         fv = as_vectorized(f)
-        f, rows = (lambda r, z: fv(z)), [(0, interval, singular_points,
-                                          breakpoints)]
-    # Each row is split, and its tolerance shared, as it would be alone.
-    # Its shell probes run on their own, with a one-row integrand; then the
-    # plain pieces of every row are refined together by _refine.  A row's
-    # plan is the count of its pieces if it is plain, else _plan_row's list.
-    # The ends are converted once, here, and handed to _plan_row.
-    ids, los, his, tols = [], [], [], []
-    plans, stop = [], None
-    for r, row_interval, row_sings, row_bks in rows:
-        try:
-            a, b = float(row_interval[0]), float(row_interval[1])
-            if not (b > a):
-                raise PreconditionError(
-                    f"empty integration interval [{a}, {b}]")
-            if b == math.inf or len(row_sings) and any(
-                    a <= s <= b for s in row_sings):
-                plan, tol_plain = _plan_row(f, r, a, b, row_sings, row_bks,
-                                            tol)
-                for piece in plan:
+        return _rows_one_by_one(
+            lambda r, z: fv(z),
+            [(float(interval[0]), *breakpoints, float(interval[1]))],
+            {0: tuple(singular_points)} if len(singular_points) else {},
+            tol, max_subdivisions)[0]
+    n, columns, singular = rows
+    if n <= _SMALL_BATCH:
+        table = list(zip(*[c.tolist() if isinstance(c, np.ndarray)
+                           else [float(c)] * n for c in columns]))
+        return _rows_one_by_one(f, table, singular, tol, max_subdivisions)
+    cuts = np.empty((n, len(columns)))
+    for j, c in enumerate(columns):
+        cuts[:, j] = c
+    return _rows_as_arrays(f, cuts, singular, tol, max_subdivisions)
+
+
+def _row_plan(f: Callable, r: int, a: float, b: float, breakpoints,
+              singular_points, tol: float):
+    """:func:`_plan_row`'s plan of row r on [a, b] if it runs to inf or has
+    a singular point in range, None if it is plain; an empty row raises.
+
+    Rows are planned in order, and the first whose planning raises -- an
+    empty interval, or an exception other than a GreenLabError from a
+    probe's integrand -- stops the planning: the rows before it are
+    integrated, and its exception is raised unless one of theirs comes
+    first.
+    """
+    if not b > a:
+        raise PreconditionError(f"empty integration interval [{a}, {b}]")
+    if b == math.inf or any(a <= s <= b for s in singular_points):
+        return _plan_row(f, r, a, b, singular_points, breakpoints, tol)
+    return None
+
+
+def _rows_one_by_one(f: Callable, table: list, singular: dict, tol: float,
+                     cap: int) -> QuadRows:
+    """The row form of :func:`integrate` on a few rows, each a sequence (a,
+    breakpoints..., b): each row is planned, cut and summed in plain
+    Python, which costs less than array calls on an operator call at one
+    point."""
+    ids, los, his, tols, plans, stop = [], [], [], [], [], None
+    for r, row in enumerate(table):
+        a, b = row[0], row[-1]
+        if not a < b < math.inf or r in singular:
+            try:
+                plan = _row_plan(f, r, a, b, row[1:-1], singular.get(r, ()),
+                                 tol)
+            except Exception as exc:
+                # raised below, once the rows before it have had their turn
+                stop = exc
+                break
+            if plan is not None:
+                for piece in plan[0]:
                     if isinstance(piece, tuple):
                         ids.append(r)
                         los.append(piece[0])
                         his.append(piece[1])
-                        tols.append(tol_plain)
-                plans.append(plan)
+                        tols.append(plan[1])
+                plans.append(plan[0])
                 continue
-            cuts = sorted({a, b, *(p for p in row_bks if a < p < b)})
-        except Exception as exc:
-            # raised below, once the rows before it have had their turn
-            stop = exc
-            break
-        n = len(cuts) - 1
+        cut = sorted({a, b, *(p for p in row[1:-1] if a < p < b)})
+        n = len(cut) - 1
         ids += [r] * n
-        los += cuts[:-1]
-        his += cuts[1:]
+        los += cut[:-1]
+        his += cut[1:]
         tols += [0.5 * tol / n] * n
         plans.append(n)
-    sums = iter(_refine(f, ids, los, his, tols, max_subdivisions))
-    results = []
-    for plan in plans:
-        if not isinstance(plan, int):
-            results.append(_assemble_row(plan, sums, tol))
+    outs, grown, holes = _refine(f, 0 if len(table) == 1 else ids, los, his,
+                                 tols, cap)
+
+    value, bound, panels, met, planned = [], [], [], [], {}
+    i = 0
+    for r, plan in enumerate(plans):
+        if isinstance(plan, int):
+            total = err_total = 0.0
+            count = plan
+            for j in range(i, i + plan):
+                if j in holes:
+                    raise _undeclared(holes[j])
+                v, e = outs[j]
+                total += v
+                err_total += e
+                count += grown.get(j, 1) - 1
+            i += plan
+            if total < 0.0:
+                if total < -(err_total + 1e-12):
+                    raise _negative(total)
+                total = 0.0
+            value.append(total)
+            bound.append(err_total)
+            panels.append(count)
+            met.append(err_total <= tol)
             continue
-        total, err_total, panels = 0.0, 0.0, 0
-        for out in islice(sums, plan):
-            if isinstance(out, _NonFiniteSample):
-                raise _undeclared(out)
-            v, e, count = out
-            total += v
-            err_total += e
-            panels += count
-        results.append(_finite_row(total, err_total, panels, (), tol))
+        res = planned[r] = _assemble_row(plan, outs, grown, holes, i, tol)
+        i += sum(isinstance(piece, tuple) for piece in plan)
+        value.append(float(res.value))
+        bound.append(res.value.error_bound)
+        panels.append(res.subdivisions)
+        met.append(res.converged)
     if stop is not None:
         raise stop
-    return results[0] if scalar else QuadRows(results)
+    return QuadRows(value, bound, panels, met, planned)
+
+
+def _rows_as_arrays(f: Callable, cuts: np.ndarray, singular: dict,
+                    tol: float, cap: int) -> QuadRows:
+    """The row form of :func:`integrate` on many rows, as arrays.
+
+    All plain rows are cut at once: a breakpoint outside a row's interval,
+    or NaN, is moved onto an end, the row is sorted, and a piece between
+    equal cuts is dropped, which leaves each row's sorted set of cuts.
+    After the refinement each row's pieces, in their cells of the mask of
+    pieces kept and zero elsewhere, are accumulated along the row, so the
+    sums run in piece order; adding 0.0 then leaves every sum as it is but
+    turns a -0.0 into the 0.0 that a sum from 0.0 gives.
+    """
+    n = len(cuts)
+    lo, hi = cuts[:, 0].tolist(), cuts[:, -1].tolist()
+    odd = {r for r, (a, b) in enumerate(zip(lo, hi)) if not a < b < math.inf}
+    stop_row, stop, plans = n, None, {}
+    for r in sorted(odd.union(r for r in singular if r < n)):
+        try:
+            plan = _row_plan(f, r, lo[r], hi[r], cuts[r, 1:-1].tolist(),
+                             singular.get(r, ()), tol)
+        except Exception as exc:
+            # raised below, once the rows before it have had their turn
+            stop_row, stop = r, exc
+            break
+        if plan is not None:
+            plans[r] = plan
+    plain = np.delete(np.arange(stop_row), list(plans))
+    c = cuts[plain]
+    c = np.fmin(np.fmax(c, c[:, :1]), c[:, -1:])
+    c.sort(axis=1)
+    keep = c[:, 1:] > c[:, :-1]
+    piece_row = keep.nonzero()[0]
+    counts = np.bincount(piece_row, minlength=len(c))
+    los, his = c[:, :-1][keep], c[:, 1:][keep]
+    tols = (0.5 * tol / counts)[piece_row]
+    ids = plain[piece_row]
+    m = len(los)
+    # the plain pieces of planned rows follow, row by row
+    spans = [(r, piece, plan[1]) for r, plan in plans.items()
+             for piece in plan[0] if isinstance(piece, tuple)]
+    if spans:
+        los = np.concatenate((los, [piece[0] for _, piece, _ in spans]))
+        his = np.concatenate((his, [piece[1] for _, piece, _ in spans]))
+        tols = np.concatenate((tols, [t for _, _, t in spans]))
+        ids = np.concatenate((ids, [r for r, _, _ in spans]))
+    outs, grown, holes = _refine(f, ids, los, his, tols.tolist(), cap)
+
+    grid = np.zeros(keep.shape + (2,))
+    grid[keep] = np.array(outs[:m]).reshape(-1, 2)
+    total, bound = (np.add.accumulate(grid, axis=1)[:, -1] + 0.0).T
+    failures: dict[int, Exception] = {}
+    for i in sorted(holes):
+        if i < m:
+            failures.setdefault(int(plain[piece_row[i]]),
+                                _undeclared(holes[i]))
+    for i, count in grown.items():
+        if i < m:
+            counts[piece_row[i]] += count - 1
+    for j in (total < 0.0).nonzero()[0].tolist():
+        if total[j] < -(bound[j] + 1e-12):
+            failures.setdefault(int(plain[j]), _negative(float(total[j])))
+        total[j] = 0.0
+    planned = {}
+    i = m
+    for r, (pieces, _) in plans.items():
+        try:
+            planned[r] = _assemble_row(pieces, outs, grown, holes, i, tol)
+        except Exception as exc:
+            failures.setdefault(r, exc)
+        i += sum(isinstance(piece, tuple) for piece in pieces)
+    if failures:
+        raise failures[min(failures)]
+    if stop is not None:
+        raise stop
+    if plans:
+        value, err_total = np.empty(n), np.empty(n)
+        value[plain], err_total[plain] = total, bound
+        row_panels = np.empty(n, dtype=np.intp)
+        row_panels[plain] = counts
+        for r, res in planned.items():
+            value[r], err_total[r] = float(res.value), res.value.error_bound
+            row_panels[r] = res.subdivisions
+        total, bound, counts = value, err_total, row_panels
+    met = bound <= tol
+    for r, res in planned.items():
+        met[r] = res.converged
+    return QuadRows(total, bound, counts, met, planned)
 
 
 def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
@@ -641,24 +896,27 @@ def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
     return pieces, tol_plain
 
 
-def _assemble_row(pieces: list, sums, tol: float) -> QuadResult:
-    """The QuadResult of a row planned by :func:`_plan_row`, its plain
-    pieces' sums read from sums.
+def _assemble_row(pieces: list, outs: list, grown: dict, holes: dict,
+                  start: int, tol: float) -> QuadResult:
+    """The QuadResult of a row planned by :func:`_plan_row`, whose plain
+    pieces are the refined pieces start, start + 1, ... of
+    :func:`_refine`'s (outs, grown, holes).
 
     The first piece in interval order that ends in INF or raises decides: a
     non-finite sample in a plain piece before a probe's refusal wins.
     """
     total, err_total, panels = 0.0, 0.0, 0
     handled: list[tuple[float, str]] = []
+    i = start
     for piece in pieces:
         if isinstance(piece, tuple):
-            out = next(sums)
-            if isinstance(out, _NonFiniteSample):
-                raise _undeclared(out)
-            v, e, n = out
+            if i in holes:
+                raise _undeclared(holes[i])
+            v, e = outs[i]
             total += v
             err_total += e
-            panels += n
+            panels += grown.get(i, 1)
+            i += 1
             continue
         for rep in piece:
             if isinstance(rep, GreenLabError):
@@ -670,32 +928,20 @@ def _assemble_row(pieces: list, sums, tol: float) -> QuadResult:
                                   panels, tuple(handled), True)
             total += rep.value
             err_total += rep.error
-    return _finite_row(total, err_total, panels, tuple(handled), tol)
-
-
-def _finite_row(total: float, err_total: float, panels: int, handled: tuple,
-                tol: float) -> QuadResult:
-    """The QuadResult of a row whose pieces sum to total, within err_total.
-
-    A slightly negative total is rounding and reads 0; one below
-    -(err_total + 1e-12) is refused.
-    """
     if total < 0.0:
         if total < -(err_total + 1e-12):
-            raise PreconditionError(
-                f"integral evaluated to {total!r} < 0; extended values are "
-                "nonnegative (split a signed integrand into nonnegative "
-                "parts)")
+            raise _negative(total)
         total = 0.0
-    # built as ExtendedValue.finite builds its value, past the frozen
-    # __setattr__ of the generated __init__: this runs once per row
-    res = object.__new__(QuadResult)
-    fields = res.__dict__
-    fields["value"] = ExtendedValue.finite(total, err_total)
-    fields["subdivisions"] = panels
-    fields["singular_points_handled"] = handled
-    fields["converged"] = err_total <= tol
-    return res
+    return _quad_result(ExtendedValue.finite(total, err_total), panels,
+                        tuple(handled), err_total <= tol)
+
+
+def _negative(total: float) -> PreconditionError:
+    """The refusal of a row whose total falls below -(its bound + 1e-12);
+    a slightly negative total is rounding and reads 0."""
+    return PreconditionError(
+        f"integral evaluated to {total!r} < 0; extended values are "
+        "nonnegative (split a signed integrand into nonnegative parts)")
 
 
 def sphere_surface_area(n: int) -> float:

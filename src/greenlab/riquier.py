@@ -206,17 +206,16 @@ def _nu_masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
         kx = raw(pts[i], z) - ka[i] * raw(pa[i], z) - kb[i] * raw(pb[i], z)
         return kx * _cardinal(c_coef, c_basis, r, z) * model.kink_density(z)
 
-    rows = [(2 * i + j, (sub.a, sub.b), (), (x,))
-            for i, (_, x, sub) in enumerate(picks) for j in (0, 1)]
-    masses = [float(res.value) for res in integrate(row, rows=rows,
-                                                    tol=NU_TOL)]
+    # row r = 2i + j on [a, b], cut at x
+    masses = integrate(row, rows=(2 * len(pts), [c.repeat(2) for c in
+                                                 (pa, pts, pb)], {}),
+                       tol=NU_TOL).value
     nu = np.zeros((len(xs), 2))
-    nu[[i for i, _, _ in picks]] = np.reshape(masses, (-1, 2))
+    nu[[i for i, _, _ in picks]] = masses.reshape(-1, 2)
     return nu
 
 
-def biharmonic_measures(model: ModelSpace, sub: RegularSubdomain, x: float,
-                        adjoint: bool = False) -> MeasureTriple:
+def biharmonic_measures(model: ModelSpace, sub, x, adjoint: bool = False):
     """The measure triple of [a, b] at interior x.
 
     mu_x and lambda_x are the interpolation weights of the two bases; the
@@ -226,8 +225,19 @@ def biharmonic_measures(model: ModelSpace, sub: RegularSubdomain, x: float,
     transposed problem); that mode is only meaningful where the adjoint
     operator is finite and continuous, which among these models is the
     symmetric-equal one.
+
+    ``sub`` and ``x`` may also be sequences of subdomains and points, of
+    one length: the call then returns a list of triples, one per
+    (subdomain, point), each with the bits a one-point call gives it, from
+    one quadrature call.
     """
-    return _measure_triples(model, [sub], [x], adjoint)[0]
+    if isinstance(sub, RegularSubdomain):
+        return _measure_triples(model, [sub], [x], adjoint)[0]
+    subs, xs = list(sub), list(x)
+    if len(subs) != len(xs):
+        raise PreconditionError(
+            f"{len(subs)} subdomains do not pair with {len(xs)} points")
+    return _measure_triples(model, subs, xs, adjoint)
 
 
 def _measure_triples(model: ModelSpace, subs: Sequence[RegularSubdomain],

@@ -291,3 +291,48 @@ def test_a_scalar_call_returns_an_extended_value():
                       ExtendedValue)
     batch = coupling_apply(model, constant(1.0), [0.3])
     assert isinstance(batch, tuple) and len(batch) == 1
+
+
+def test_array_rows_of_many_points_match_the_scalar_loop_bit_for_bit():
+    # more points than the small-batch branch takes one by one, so the rows
+    # are cut and summed as arrays
+    from greenlab.adjoint import adjoint_apply
+    from greenlab.quadrature import _SMALL_BATCH
+    rng = np.random.default_rng(16)
+    xs = rng.uniform(0.0, 0.99, _SMALL_BATCH + 4)
+    ys = rng.uniform(0.0, 0.99, _SMALL_BATCH + 4)
+    xs[3], ys[5:7] = 0.0, 0.0       # a V(f) row at 0, and INF rows of H
+    ys[8] = xs[8]                   # a row on the diagonal
+    interval, bilaplace = get_model("interval"), get_model("bilaplace")
+    assert [bits(v) for v in compose_green(interval, xs, ys)] == [
+        bits(compose_green(interval, x, y)) for x, y in zip(xs, ys)]
+    cusp = Fn(lambda y: np.sqrt(np.abs(np.asarray(y) - 0.55)),
+              breakpoints=(0.2, 0.8), support=(0.2, 0.8), vectorized=True)
+    gf = GridFunction(np.linspace(0.2, 0.8, 7), [0, 1, 2, 1, 3, 1, 0])
+    # bump(1.5, 0.2) has its support outside the domain: every row is 0
+    inner = np.where(xs > 0.0, xs, 0.5)     # the bilaplace domain is open
+    for f in (bump(0.4, 0.2), gf, constant(1.0), cusp, bump(1.5, 0.2)):
+        for model, op, pts in ((interval, coupling_apply, xs),
+                               (bilaplace, coupling_apply, inner),
+                               (bilaplace, adjoint_apply, inner)):
+            # a grid function's V at 0 is refused, as its scalar call is
+            assert outcome(lambda: op(model, f, pts, tol=1e-10)) == outcome(
+                lambda: [op(model, f, x, tol=1e-10) for x in pts])
+    assert all(v == ExtendedValue.finite(0.0) for v in
+               coupling_apply(interval, bump(1.5, 0.2), xs))
+
+
+def test_array_rows_raise_what_the_scalar_loop_raises():
+    from greenlab.adjoint import adjoint_apply
+    from greenlab.quadrature import _SMALL_BATCH
+    model = get_model("interval")
+    holed = GridFunction(np.linspace(0.0, 1.0, 11),
+                         [1, 1, 1, 1, 1, np.nan, 1, 1, 1, 1, 1])
+    many = list(np.linspace(0.1, 0.9, _SMALL_BATCH + 2))
+    # a grid function refused at the row at 0, before or after a row that
+    # meets its NaN node
+    for xs in ([0.3] + many + [0.0], many + [0.0, 0.3]):
+        loop = outcome(lambda: [adjoint_apply(model, holed, x) for x in xs])
+        assert outcome(lambda: adjoint_apply(model, holed, np.array(xs))) \
+            == loop
+        assert isinstance(loop, tuple)

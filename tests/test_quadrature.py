@@ -8,8 +8,7 @@ from greenlab import quadrature
 from greenlab.errors import (PreconditionError, StencilError,
                              UndeclaredSingularityError)
 from greenlab.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
-                                 _fit_slope, _NonFiniteSample,
-                                 StencilSpec, basis_fit_residual, fd_residual,
+                                 _SMALL_BATCH, _fit_slope, StencilSpec, basis_fit_residual, fd_residual,
                                  integrate, integrate_radial, probe_divergence,
                                  probe_tail, sphere_surface_area)
 
@@ -193,18 +192,18 @@ def test_gk15_batch_matches_one_panel_rule():
     rng = np.random.default_rng(11)
     a = rng.uniform(0.0, 1.0, 200)
     b = a + rng.uniform(1e-6, 0.5, 200)
-    batch = _gk15(fv, a, b)
-    for lo, hi, out in zip(a, b, batch):
-        one, = _gk15(fv, [lo], [hi])
+    batch, holes = _gk15(fv, a, b)
+    for i, (lo, hi, out) in enumerate(zip(a, b, batch)):
+        (one,), one_holes = _gk15(fv, [lo], [hi])
         if hi <= 1.4:
+            assert i not in holes and one_holes == {}
             assert _bits(out) == _bits(one) == _bits(_one_panel(fv, lo, hi))
             continue
         # a panel reaching the hole names its first non-finite node
         nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GK_NODES
         if np.all(nodes <= 1.4):
             continue
-        assert isinstance(out, _NonFiniteSample)
-        assert out.x == one.x == nodes[np.argmax(nodes > 1.4)]
+        assert holes[i] == one_holes[0] == nodes[np.argmax(nodes > 1.4)]
 
 
 def test_gk15_bits_do_not_depend_on_the_batch():
@@ -213,11 +212,13 @@ def test_gk15_bits_do_not_depend_on_the_batch():
     rng = np.random.default_rng(17)
     a = rng.uniform(-3.0, 3.0, 4096)
     b = a + 10.0 ** rng.uniform(-9.0, 0.5, 4096)
-    one = [_bits(_gk15(fv, [lo], [hi])[0]) for lo, hi in zip(a, b)]
+    one = [_bits(_gk15(fv, [lo], [hi])[0][0]) for lo, hi in zip(a, b)]
     assert one == [_bits(_one_panel(fv, lo, hi)) for lo, hi in zip(a, b)]
-    for size in (1, 2, 7, 8, 255, 4096):
-        batch = _gk15(fv, a[:size], b[:size])
-        assert [_bits(out) for out in batch] == one[:size]
+    # both sides of the small-batch branch, which takes the errors panel by
+    # panel, and the array errors above it
+    for size in (1, 2, 7, 8, _SMALL_BATCH, _SMALL_BATCH + 1, 255, 4096):
+        batch, holes = _gk15(fv, a[:size], b[:size])
+        assert [_bits(out) for out in batch] == one[:size] and holes == {}
 
 
 def _rule_diff(fv, a, b):
@@ -232,15 +233,14 @@ def _rule_diff(fv, a, b):
 
 def _assert_plain_floats(outs):
     for out in outs:
-        if not isinstance(out, _NonFiniteSample):
-            assert type(out) is tuple and len(out) == 2
-            assert type(out[0]) is float and type(out[1]) is float
+        assert type(out) is tuple and len(out) == 2
+        assert type(out[0]) is float and type(out[1]) is float
 
 
 def test_gk15_zero_difference_gives_a_zero_error():
     zero = _vec(lambda y: np.zeros(np.shape(y)))
-    outs = _gk15(zero, [0.0, -2.0], [1.0, 5.0])
-    assert outs == [(0.0, 0.0), (0.0, 0.0)]
+    outs, holes = _gk15(zero, [0.0, -2.0], [1.0, 5.0])
+    assert outs == [(0.0, 0.0), (0.0, 0.0)] and holes == {}
     assert [_bits(o) for o in outs] == [_bits(_one_panel(zero, 0.0, 1.0)),
                                         _bits(_one_panel(zero, -2.0, 5.0))]
     _assert_plain_floats(outs)
@@ -252,10 +252,12 @@ def test_gk15_shrink_switches_on_below_200_to_the_minus_3():
     for share in (0.25, 0.99, 1.01, 4.0):
         s = share * 200.0 ** -3 / unit
         fv = _vec(lambda y, s=s: s * np.asarray(y) ** 14)
-        outs = _gk15(fv, [0.0, 0.0], [1.0, 1.0])
         ref = _bits(_one_panel(fv, 0.0, 1.0))
-        assert [_bits(o) for o in outs] == [ref, ref]
-        _assert_plain_floats(outs)
+        # a batch taken panel by panel, and one above the small-batch branch
+        for size in (2, _SMALL_BATCH + 1):
+            outs, holes = _gk15(fv, [0.0] * size, [1.0] * size)
+            assert [_bits(o) for o in outs] == [ref] * size and holes == {}
+            _assert_plain_floats(outs)
         diff = _rule_diff(fv, 0.0, 1.0)
         err = outs[0][1]
         if share < 1.0:
@@ -278,21 +280,40 @@ def test_gk15_error_of_a_huge_finite_difference_is_the_difference():
 def test_gk15_overflowing_rule_sums_of_finite_samples_are_inf():
     big = _vec(lambda y: np.full(np.shape(y), 1e308))
     with np.errstate(over="ignore"):
-        outs = _gk15(big, [-1.0, 0.0], [1.0, 1e-300])
         refs = [_one_panel(big, -1.0, 1.0), _one_panel(big, 0.0, 1e-300)]
-    assert outs == refs == [(math.inf, math.inf)] * 2
-    _assert_plain_floats(outs)
+        for size in (1, _SMALL_BATCH + 1):
+            outs, holes = _gk15(big, [-1.0, 0.0] * size, [1.0, 1e-300] * size)
+            assert outs == refs * size == [(math.inf, math.inf)] * 2 * size
+            assert holes == {}
+            _assert_plain_floats(outs)
 
 
 def test_gk15_non_finite_panel_between_finite_ones():
     fv = _vec(lambda y: np.where(np.abs(np.asarray(y) - 0.5) < 1e-2, np.nan,
                                  np.cos(np.asarray(y))))
     a, b = [0.0, 0.45, 0.8], [0.3, 0.55, 1.0]
-    first, hole, last = outs = _gk15(fv, a, b)
-    assert isinstance(hole, _NonFiniteSample) and hole.x == 0.5
-    assert _bits(first) == _bits(_one_panel(fv, 0.0, 0.3))
-    assert _bits(last) == _bits(_one_panel(fv, 0.8, 1.0))
-    _assert_plain_floats(outs)
+    for size in (1, _SMALL_BATCH):
+        outs, holes = _gk15(fv, a * size, b * size)
+        assert holes == {3 * k + 1: 0.5 for k in range(size)}
+        first, _, last = outs[:3]
+        assert _bits(first) == _bits(_one_panel(fv, 0.0, 0.3))
+        assert _bits(last) == _bits(_one_panel(fv, 0.8, 1.0))
+        _assert_plain_floats(outs)
+
+
+def test_gk15_infinite_samples_raise_no_warning():
+    # an inf sample off the G7 nodes would meet a zero G7 weight in inf * 0;
+    # the test run turns that RuntimeWarning into an error
+    fv = _vec(lambda y: np.where(np.asarray(y) == 0.0, np.inf, 1.0))
+    for size in (1, _SMALL_BATCH + 1):
+        outs, holes = _gk15(fv, [-1.0] * size, [1.0] * size)
+        assert holes == dict.fromkeys(range(size), 0.0)
+    # the centre node is a G7 node; the first node of [-1, 1] is not
+    first = float(_GK_NODES[0])
+    fv = _vec(lambda y: np.where(np.asarray(y) == first, -np.inf, 1.0))
+    for size in (1, _SMALL_BATCH + 1):
+        assert _gk15(fv, [-1.0] * size, [1.0] * size)[1] == \
+            dict.fromkeys(range(size), first)
 
 
 def _holed(g, c):
@@ -349,9 +370,9 @@ def test_rows_before_the_first_failing_row_refine_to_their_end():
         return np.choose(np.broadcast_to(r, z.shape), vals)
 
     for order, where in (((0, 1), "0.3000000296972466"), ((1, 0), "0.5")):
-        rows = [(r, (0.0, 1.0), (), ()) for r in order]
+        ids, rows = _columns([(r, (0.0, 1.0), (), ()) for r in order])
         with pytest.raises(UndeclaredSingularityError) as exc:
-            integrate(at, rows=rows, tol=1e-13)
+            integrate(_by_row(at, ids), rows=rows, tol=1e-13)
         assert str(exc.value) == (f"integrand is non-finite at {where}, away "
                                   "from every declared singular point")
 
@@ -401,12 +422,14 @@ def test_row_form_gives_each_row_its_one_row_result():
         z = np.asarray(z, dtype=float)
         return np.choose(np.broadcast_to(r, z.shape), [g(z) for g in fns])
 
-    rows = [(0, (0.0, 1.0), (), (0.3,)), (1, (0.0, 0.5), (0.0,), ()),
-            (2, (0.0, 1.0), (0.0,), (0.5,)), (0, (0.1, 0.9), (), ())]
+    specs = [(0, (0.0, 1.0), (), (0.3,)), (1, (0.0, 0.5), (0.0,), ()),
+             (2, (0.0, 1.0), (0.0,), (0.5,)), (0, (0.1, 0.9), (), ())]
+    ids, rows = _columns(specs)
     for cap in (2000, 1):
-        out = integrate(at, rows=rows, tol=1e-12, max_subdivisions=cap)
+        out = integrate(_by_row(at, ids), rows=rows, tol=1e-12,
+                        max_subdivisions=cap)
         assert isinstance(out, quadrature.QuadRows) and len(out) == 4
-        for (r, interval, sings, bks), res in zip(rows, out):
+        for (r, interval, sings, bks), res in zip(specs, out):
             one = integrate(_vec(fns[r]), interval, singular_points=sings,
                             breakpoints=bks, tol=1e-12, max_subdivisions=cap)
             assert res == one
@@ -608,7 +631,34 @@ _ROW_FNS = [
     lambda y: -1e-13 * np.ones_like(y),           # 3: a total of -1e-13: 0
     lambda y: -1.0 * np.ones_like(y),             # 4: negative: refused
     lambda y: np.where(np.abs(y - 0.7) < 1e-2, np.nan, y),  # 5: a hole
+    lambda y: 1.0 / y,                            # 6: divergent at 0
+    lambda y: 1.0 / (1.0 + y * y),                # 7: a convergent tail
 ]
+
+
+def _columns(specs):
+    """Rows given as (integrand id, interval, singular points, breakpoints)
+    in integrate's columns form: (the id of each row, its rows argument).
+    A row with fewer breakpoints is padded with its lower end."""
+    width = max(len(bks) for *_, bks in specs)
+    ends = [[float(interval[j]) for _, interval, _, _ in specs] for j in (0, 1)]
+    cols = [np.array([float(bks[j]) if j < len(bks) else float(interval[0])
+                      for _, interval, _, bks in specs]) for j in range(width)]
+    singular = {i: tuple(sings) for i, (_, _, sings, _) in enumerate(specs)
+                if len(sings)}
+    return (np.array([r for r, *_ in specs]),
+            (len(specs), [np.array(ends[0]), *cols, np.array(ends[1])],
+             singular))
+
+
+def _by_row(at, ids):
+    """The row integrand of rows whose integrands are at(ids[r], z)."""
+    return lambda r, z: at(ids[r], z)
+
+
+def _integrate_specs(specs, tol, evaluated=None):
+    ids, rows = _columns(specs)
+    return integrate(_by_row(_row_at(evaluated), ids), rows=rows, tol=tol)
 
 
 def _row_at(evaluated=None):
@@ -654,7 +704,7 @@ def test_row_form_edge_cases_give_each_row_its_one_row_bits():
         (0, (0.0, 1.0), (), (np.float64(0.3), 0.3)),   # a numpy breakpoint
     ]
     for tol in (1e-8, 1e-12):
-        out = integrate(_row_at(), rows=rows, tol=tol)
+        out = _integrate_specs(rows, tol)
         assert len(out) == len(rows)
         for row, res in zip(rows, out):
             assert res == _one_row(row, tol)
@@ -663,6 +713,73 @@ def test_row_form_edge_cases_give_each_row_its_one_row_bits():
         assert out[0] == out[6] == kink
         assert out[5].value.value == 0.0 and out[5].value.is_finite
         assert out[3].singular_points_handled == ((0.0, "right"),)
+
+
+def _row_bits(res):
+    """Every field of a QuadResult, floats in hex, with their types."""
+    v = res.value
+    return (v.kind, v.value.hex(), v.error_bound.hex(), v.certificate,
+            res.subdivisions, res.singular_points_handled, res.converged,
+            type(v.value), type(v.error_bound), type(res.subdivisions),
+            type(res.converged))
+
+
+# Rows for the array form: more than _SMALL_BATCH of them, the plain ones
+# cut at breakpoints on an end, repeated or outside the interval, with
+# probed, divergent and [a, inf) rows among them.
+_ARRAY_ROWS = [
+    (0, (0.0, 1.0), (), (0.0, 0.3, 1.0)),          # breakpoints at the ends
+    (0, (0.0, 1.0), (), (0.3, 0.3, 0.7, 0.7)),     # duplicate breakpoints
+    (0, (0.2, 0.9), (0.0, 1.5), (-1.0, 0.3, 2.0)),  # all but 0.3 outside
+    (1, (0.0, 1.0), (0.0,), (0.5,)),               # a probed row between
+    (6, (0.0, 1.0), (0.0,), (0.25,)),              # certified INF
+    (0, (0.1, 0.6), (0.6,), ()),                   # a singular end
+    (3, (0.0, 1.0), (), ()),                       # -1e-13, clipped to 0
+    (7, (0.5, math.inf), (), ()),                  # a tail
+    (7, (0.0, math.inf), (), (2.0, 0.5)),          # a tail past breakpoints
+    (0, (0.0, 1.0), (), (np.float64(0.3), 0.3)),   # a numpy breakpoint
+    (1, (0.25, 1.0), (), (0.5,)),                  # plain: 0 is out of range
+] * 2 + [(0, (0.05 * k, 1.0), (), (0.3, 0.05 * k)) for k in range(6)]
+
+
+def test_array_rows_give_each_row_its_one_row_bits():
+    assert len(_ARRAY_ROWS) > quadrature._SMALL_BATCH
+    for tol in (1e-8, 1e-12):
+        out = _integrate_specs(_ARRAY_ROWS, tol)
+        assert len(out) == len(_ARRAY_ROWS)
+        ones = [_one_row(row, tol) for row in _ARRAY_ROWS]
+        assert [_row_bits(res) for res in out] == \
+            [_row_bits(one) for one in ones]
+        # the arrays hold what indexing returns
+        assert out.value.tolist() == [float(one.value) for one in ones]
+        assert out.bound.tolist() == [one.value.error_bound for one in ones]
+        assert out.panels.tolist() == [one.subdivisions for one in ones]
+        assert out.row_converged.tolist() == [one.converged for one in ones]
+        assert out.converged == all(one.converged for one in ones)
+        assert out.extended() == [one.value for one in ones]
+        assert out[-1] == out[len(out) - 1]
+    assert not out[4].value.is_finite
+    assert out[3].singular_points_handled == ((0.0, "right"),)
+    assert out[7].singular_points_handled == (("tail", "radial-tail"),)
+
+
+@pytest.mark.parametrize("rows", [
+    # a row with a non-finite sample between finite ones
+    _ARRAY_ROWS[:9] + [(5, (0.0, 1.0), (), (0.5,))] + _ARRAY_ROWS[9:],
+    # a probe that refuses, after a row with a hole
+    _ARRAY_ROWS + [(5, (0.0, 1.0), (), ()), (2, (0.0, 1.0), (0.0,), ())],
+    # a probe that refuses before a row with a hole
+    _ARRAY_ROWS + [(2, (0.0, 1.0), (0.0,), ()), (5, (0.0, 1.0), (), ())],
+    # a plain row whose total is negative beyond rounding
+    _ARRAY_ROWS + [(4, (0.0, 1.0), (), ())],
+    # an empty row, then a row with a hole
+    _ARRAY_ROWS + [(0, (0.5, 0.5), (), ()), (5, (0.0, 1.0), (), ())],
+])
+def test_array_rows_raise_what_the_first_failing_row_raises(rows):
+    assert len(rows) > quadrature._SMALL_BATCH
+    want = next(err for err in (_raised(lambda row=row: _one_row(row, 1e-10))
+                                for row in rows) if err is not None)
+    assert _raised(lambda: _integrate_specs(rows, 1e-10)) == want
 
 
 @pytest.mark.parametrize("rows", [
@@ -680,7 +797,7 @@ def test_row_form_edge_cases_give_each_row_its_one_row_bits():
 def test_row_form_raises_what_the_first_failing_row_raises(rows):
     want = next(err for err in (_raised(lambda row=row: _one_row(row, 1e-10))
                                 for row in rows) if err is not None)
-    assert _raised(lambda: integrate(_row_at(), rows=rows, tol=1e-10)) == want
+    assert _raised(lambda: _integrate_specs(rows, 1e-10)) == want
 
 
 def test_empty_interval_row_raises_after_the_rows_before_it_refine():
@@ -688,7 +805,7 @@ def test_empty_interval_row_raises_after_the_rows_before_it_refine():
             (0, (0.5, 0.5), (), ()), (5, (0.0, 1.0), (), ())]
     evaluated = []
     with pytest.raises(PreconditionError) as exc:
-        integrate(_row_at(evaluated), rows=rows, tol=1e-13)
+        _integrate_specs(rows, 1e-13, evaluated)
     assert str(exc.value) == "empty integration interval [0.5, 0.5]"
     # the rows before it refine to their end, and the row after it is not
     # evaluated at all

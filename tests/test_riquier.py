@@ -315,7 +315,7 @@ def test_triples_of_many_subdomains_take_one_call_with_one_point_bits(
     real, calls = riquier.integrate, []
 
     def counting(*args, **kwargs):
-        calls.append(len(kwargs["rows"]))
+        calls.append(kwargs["rows"][0])      # the number of rows
         return real(*args, **kwargs)
 
     monkeypatch.setattr(riquier, "integrate", counting)
@@ -327,3 +327,27 @@ def test_triples_of_many_subdomains_take_one_call_with_one_point_bits(
         verify_hyperharmonic(model, BiharmonicPair(constant(1.0),
                                                    constant(1.0)), probes)
         assert calls == [2 * len(probes)]
+
+
+def test_measures_of_many_points_are_one_call_with_one_point_triples(
+        monkeypatch):
+    from greenlab import riquier
+
+    model = get_model("interval")
+    subs = [regular_subdomain(model, a, b)
+            for a, b in ((0.2, 0.8), (0.1, 0.9), (0.3, 0.5))]
+    xs = [0.5, 0.3, 0.4]
+    alone = [biharmonic_measures(model, sub, x) for sub, x in zip(subs, xs)]
+    real, calls = riquier.integrate, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["rows"][0])      # the number of rows
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(riquier, "integrate", counting)
+    assert biharmonic_measures(model, subs, xs) == alone
+    assert biharmonic_measures(model, subs[1:2] * 2, xs[1:2] * 2) == \
+        [alone[1]] * 2
+    assert calls == [6, 4]
+    with pytest.raises(PreconditionError):
+        biharmonic_measures(model, subs, xs[:2])

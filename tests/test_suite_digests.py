@@ -1,0 +1,73 @@
+"""Every bit of a full verification pass, pinned by SHA-256 digests.
+
+``golden/suite_digests.txt`` holds, for ``run_suite('all')`` at seeds 0 and
+3, one digest over every check (id, passed, ``margin.hex()``, detail) and
+one over every row that :func:`~greenlab.quadrature.integrate` computes in
+that pass (value and error bound in ``float.hex``, panels, converged), with
+the row count.  The rows are hashed sorted, so a change that only batches
+rows into fewer calls keeps the digest.  A change to how the quadrature is
+computed that must not move any result is checked here.  A change that
+means to move results regenerates the file with
+
+    PYTHONPATH=src python tests/test_suite_digests.py > tests/golden/suite_digests.txt
+
+and says so.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).parent / "golden" / "suite_digests.txt"
+SEEDS = (0, 3)
+
+
+def _row_line(res) -> str:
+    return (f"{res.value.value.hex()} {res.value.error_bound.hex()} "
+            f"{res.subdivisions} {res.converged}")
+
+
+def digests() -> list[str]:
+    """One line per seed and kind: the check digest, then the row digest."""
+    from greenlab import quadrature
+    from greenlab.suites import run_suite
+
+    real = quadrature.integrate
+    rows: list[str] = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        for res in ([out] if isinstance(out, quadrature.QuadResult) else out):
+            rows.append(_row_line(res))
+        return out
+
+    # every module that binds the name, as an import by name would
+    bound = [(m, attr) for n, m in list(sys.modules.items())
+             if n.split(".")[0] == "greenlab"
+             for attr, val in list(vars(m).items()) if val is real]
+    for mod, attr in bound:
+        setattr(mod, attr, recording)
+    lines = []
+    try:
+        for seed in SEEDS:
+            rows.clear()
+            checks = hashlib.sha256()
+            for r in run_suite("all", seed=seed):
+                checks.update(f"{r.id}|{r.passed}|{float(r.margin).hex()}|"
+                              f"{r.detail}\n".encode())
+            lines.append(f"seed={seed} checks sha256={checks.hexdigest()}")
+            digest = hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
+            lines.append(f"seed={seed} rows={len(rows)} sha256={digest}")
+    finally:
+        for mod, attr in bound:
+            setattr(mod, attr, real)
+    return lines
+
+
+def test_suite_and_row_bits_match_the_golden_file():
+    assert digests() == GOLDEN.read_text().splitlines()
+
+
+if __name__ == "__main__":
+    for line in digests():
+        print(line)

@@ -70,6 +70,12 @@ BATCHED_CHECK_CALLS = {
     # its three probes; the classified pair: its nine triples, then V(v);
     # the broken pair
     "pure-classification": 18,
+    # per model, all its measure triples
+    "measure-positivity": 2,
+    # the nine triples; per subdomain, u at the 15 points and at the three
+    # triple points for each of 10 draws
+    "riquier-restriction-interval": 34,
+    "riquier-restriction-bilaplace": 34,
 }
 
 
