@@ -21,12 +21,12 @@ smooth pieces of every row in the same rounds: :func:`integrate` takes one
 interval, or rows of them handed in as columns.  A plain row, finite and with
 no singular point in range, is carried as arrays from start to finish: all
 plain rows are cut at their breakpoints at once, the first round's tolerance
-test picks out the few pieces that refine, each row's pieces are summed in
-piece order, and the call returns the arrays of a :class:`QuadRows`.  Only a
-row with a probe or a tail gets a plan of its own.  A call of at most
-_SMALL_BATCH rows, and a batch of at most _SMALL_BATCH panels, take the same
-steps one element at a time in plain Python, where numpy's fixed cost per
-call would outweigh the work: an operator call at one point is one row.
+test picks out the few pieces that refine, and each row's pieces are summed
+in piece order into the columns of a :class:`QuadRows`.  Only a row with a
+probe or a tail gets a plan of its own.  A call of at most _SMALL_BATCH rows
+takes the same steps row by row in plain Python, where numpy's fixed cost
+per call would outweigh the work: an operator call at one point is one row.
+That is the one place where the size of a call picks the code path.
 
 Conventions
 -----------
@@ -41,7 +41,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import abc
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,10 +73,9 @@ _G_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
-# K15 and G7 as two rows of weights over the 15 nodes, G zero off its nodes
-_KG_WEIGHTS = np.zeros((2, len(_GK_NODES)))
-_KG_WEIGHTS[0] = _K_WEIGHTS
-_KG_WEIGHTS[1, 1::2] = _G_WEIGHTS
+# the G7 weights over the 15 nodes, zero off the G7 nodes
+_G15 = np.zeros(len(_GK_NODES))
+_G15[1::2] = _G_WEIGHTS
 # the floor of a panel's error estimate per unit of |K15|; 50 eps is exact
 _FLOOR = 50.0 * float(np.finfo(float).eps)
 # 4% above 200^-3: from there on (200 diff)^1.5 > diff, rounding included
@@ -87,9 +85,9 @@ PROBE_DEPTH = 48
 _FIT_WINDOW = 8
 _MIN_SHELLS_TO_RESOLVE = 12
 _MIN_SHELLS_FOR_VERDICT = 16
-# A batch of at most this many panels, or rows, is taken one by one in
-# plain Python, where numpy's fixed cost per call outweighs the work: the
-# batches of an operator call at one point, and a probe's first shells.
+# A call of at most this many rows is taken row by row in plain Python,
+# where numpy's fixed cost per call outweighs the work: an operator call at
+# one point is one row.
 _SMALL_BATCH = 16
 
 
@@ -110,15 +108,52 @@ def as_vectorized(f: Callable) -> Callable:
     return fv
 
 
-def _panel_errors(k15s: list, g7s: list) -> list:
-    """QUADPACK's error estimate of each panel whose rules gave k15 and g7.
+def _gk15(fv: Callable, a, b) -> tuple[list, dict]:
+    """G7/K15 on the panels [a[i], b[i]], all their nodes in one fv call.
 
-    diff = |K15 - G7|, shrunk to (200 diff)^1.5 where that is smaller, and
-    floored at 50 eps |K15|.  The shrink stays Python's ``**``: numpy's
-    ``power`` rounds differently from the C library's ``pow`` behind it in
-    the last bits of some results.
+    Returns (outs, holes): the list of each panel's (integral, error
+    estimate), and a dict from each panel with a non-finite sample to its
+    first such node, where the pair means nothing.  Each rule is one
+    elementwise product with its 15 weights and one sum along each panel's
+    row of products.  A contiguous row sum takes the same steps whatever
+    the number of rows, so a panel's bits do not depend on the batch it is
+    evaluated in; a matrix product, or a sum down the columns, rounds
+    differently.
+
+    The K weights are positive, so a non-finite sample makes K15
+    non-finite.  K15 comes first, and only where it is non-finite are the
+    panel's non-finite samples zeroed, in a copy of the integrand's values,
+    before the G7 product, whose zero weights off the G7 nodes would
+    otherwise meet them in inf * 0.
+
+    The error estimate is QUADPACK's: diff = |K15 - G7|, shrunk to
+    (200 diff)^1.5 where that is smaller, and floored at 50 eps |K15|.  It
+    is taken panel by panel in plain Python floats, in every batch.
+    numpy's ``power`` rounds differently from the C library's ``pow``
+    behind Python's ``**`` in the last bits of some results, so the shrink
+    stays ``**``; and the array form of the rest, with ``**`` only on the
+    few panels where the shrink can win, gains nothing measurable on the
+    large batches of a row-form call while it costs the one-panel batches
+    of an operator call at one point more than this loop.
     """
-    out = []
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    xs = mid[:, None] + half[:, None] * _GK_NODES
+    fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
+    k15s = (np.add.reduce(fx * _K_WEIGHTS, 1) * half).tolist()
+    holes = {}
+    if not math.isfinite(sum(k15s)):
+        fx = fx.copy()      # the integrand's array is left as it returned it
+        for i, k15 in enumerate(k15s):
+            if not math.isfinite(k15):
+                bad = ~np.isfinite(fx[i])
+                if bad.any():
+                    holes[i] = float(xs[i, np.argmax(bad)])
+                    fx[i, bad] = 0.0
+    g7s = (np.add.reduce(fx * _G15, 1) * half).tolist()
+    outs = []
     for k15, g7 in zip(k15s, g7s):
         diff = abs(k15 - g7)
         err = 0.0
@@ -128,69 +163,8 @@ def _panel_errors(k15s: list, g7s: list) -> list:
             if err > diff:
                 err = diff
         floor = _FLOOR * abs(k15)
-        out.append(floor if floor > err else err)
-    return out
-
-
-def _gk15(fv: Callable, a, b) -> tuple[list, dict]:
-    """G7/K15 on the panels [a[i], b[i]], all their nodes in one fv call.
-
-    Returns (outs, holes): the list of each panel's (K15 integral,
-    :func:`_panel_errors`), and a dict from each panel with a non-finite
-    sample to its first such node, where the pair means nothing.  Each rule
-    is one elementwise product with its 15 weights and one sum along each
-    panel's row of products.  A contiguous row sum takes the same steps
-    whatever the number of rows, so a panel's bits do not depend on the
-    batch it is evaluated in; a matrix product, or a sum down the columns,
-    rounds differently.
-
-    The K weights are positive, so a non-finite sample makes K15
-    non-finite.  K15 comes first, and only where it is non-finite are the
-    panel's non-finite samples zeroed before the G7 product, whose zero
-    weights off the G7 nodes would otherwise meet them in inf * 0.
-
-    A batch of more than _SMALL_BATCH panels takes its errors in arrays, as
-    max(diff, floor): the shrink can only win where floor < diff <
-    _SHRINK_LIMIT, and only those panels, and those whose K15 is not
-    finite, take :func:`_panel_errors` itself.  A smaller batch -- an
-    operator call at one point, a probe's first shells -- takes
-    :func:`_panel_errors` panel by panel, which costs less there than the
-    array calls.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid[:, None] + half[:, None] * _GK_NODES
-    fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
-    k15 = (fx * _KG_WEIGHTS[0]).sum(axis=1) * half
-    small = len(k15) <= _SMALL_BATCH
-    if small:
-        values = k15.tolist()
-        flagged = [] if math.isfinite(sum(values)) else \
-            [i for i, v in enumerate(values) if not math.isfinite(v)]
-    else:
-        finite = np.isfinite(k15)
-        flagged = (~finite).nonzero()[0].tolist() \
-            if np.count_nonzero(finite) < len(k15) else []
-    holes = {}
-    for i in flagged:
-        bad = ~np.isfinite(fx[i])
-        if bad.any():
-            holes[i] = float(xs[i, np.argmax(bad)])
-            fx[i, bad] = 0.0
-    g7 = (fx * _KG_WEIGHTS[1]).sum(axis=1) * half
-    if small:
-        return list(zip(values, _panel_errors(values, g7.tolist()))), holes
-    with np.errstate(invalid="ignore") if flagged else nullcontext():
-        # inf - inf where a K15 overflowed: its error is redone below
-        diff = np.abs(k15 - g7)
-    floor = _FLOOR * np.abs(k15)
-    err = np.fmax(diff, floor)
-    redo = ((floor < diff) & (diff < _SHRINK_LIMIT) | ~finite).nonzero()[0]
-    if len(redo):
-        err[redo] = _panel_errors(k15[redo].tolist(), g7[redo].tolist())
-    return list(zip(k15.tolist(), err.tolist())), holes
+        outs.append((k15, floor if floor > err else err))
+    return outs, holes
 
 
 def _at_rows(fv: Callable, rows: list[int], panels: int = 1) -> Callable:
@@ -521,23 +495,22 @@ class QuadRows(abc.Sequence):
 
     Its arrays ``value`` and ``bound`` (both inf for a row certified
     divergent), ``panels``, and ``row_converged``, whether each row met its
-    tolerance, hold every row.  Indexing builds the row's
-    :class:`QuadResult`; a row planned around a singular point or a tail
-    keeps the one its plan assembled, with its certificate and the singular
-    points it handled.  A call of a few rows keeps its columns as lists
-    until an array is asked for.
+    tolerance, hold every row; they are kept as lists and made arrays when
+    read.  Indexing builds the row's :class:`QuadResult`; a row planned
+    around a singular point or a tail keeps the one its plan assembled,
+    with its certificate and the singular points it handled.
     """
 
-    def __init__(self, value, bound, panels, row_converged,
-                 planned: dict[int, QuadResult]):
+    def __init__(self, value: list, bound: list, panels: list,
+                 row_converged: list, planned: dict[int, QuadResult]):
         self._columns = (value, bound, panels, row_converged)
         self._planned = planned
 
-    value = property(lambda self: np.asarray(self._columns[0], dtype=float))
-    bound = property(lambda self: np.asarray(self._columns[1], dtype=float))
-    panels = property(lambda self: np.asarray(self._columns[2], dtype=np.intp))
-    row_converged = property(lambda self: np.asarray(self._columns[3],
-                                                     dtype=bool))
+    value = property(lambda self: np.array(self._columns[0], dtype=float))
+    bound = property(lambda self: np.array(self._columns[1], dtype=float))
+    panels = property(lambda self: np.array(self._columns[2], dtype=np.intp))
+    row_converged = property(lambda self: np.array(self._columns[3],
+                                                   dtype=bool))
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -547,27 +520,21 @@ class QuadRows(abc.Sequence):
         res = self._planned.get(i)
         if res is None:
             value, bound, panels, met = self._columns
-            res = _quad_result(
-                ExtendedValue.finite(float(value[i]), float(bound[i])),
-                int(panels[i]), (), bool(met[i]))
+            res = _quad_result(ExtendedValue.finite(value[i], bound[i]),
+                               panels[i], (), met[i])
         return res
 
     @property
     def converged(self) -> bool:
         """Whether every row met its tolerance."""
-        met = self._columns[3]
-        return bool(met.all()) if isinstance(met, np.ndarray) else all(met)
+        return all(self._columns[3])
 
     def extended(self) -> list[ExtendedValue]:
         """Each row's value, as the ExtendedValue its QuadResult holds."""
-        value, bound = self._columns[:2]
-        if isinstance(value, np.ndarray):
-            value, bound = value.tolist(), bound.tolist()
         planned = self._planned
         return [planned[i].value if i in planned
                 else ExtendedValue.finite(v, e)
-                for i, (v, e) in enumerate(zip(value, bound))] if planned \
-            else [ExtendedValue.finite(v, e) for v, e in zip(value, bound)]
+                for i, (v, e) in enumerate(zip(*self._columns[:2]))]
 
 
 def _quad_result(value: ExtendedValue, panels: int, handled: tuple,
@@ -788,14 +755,16 @@ def _rows_as_arrays(f: Callable, cuts: np.ndarray, singular: dict,
         ids = np.concatenate((ids, [r for r, _, _ in spans]))
     outs, grown, holes = _refine(f, ids, los, his, tols.tolist(), cap)
 
-    grid = np.zeros(keep.shape + (2,))
-    grid[keep] = np.array(outs[:m]).reshape(-1, 2)
-    total, bound = (np.add.accumulate(grid, axis=1)[:, -1] + 0.0).T
     failures: dict[int, Exception] = {}
     for i in sorted(holes):
         if i < m:
             failures.setdefault(int(plain[piece_row[i]]),
                                 _undeclared(holes[i]))
+            # its pair means nothing, and summed it could meet an inf
+            outs[i] = (0.0, 0.0)
+    grid = np.zeros(keep.shape + (2,))
+    grid[keep] = np.array(outs[:m]).reshape(-1, 2)
+    total, bound = (np.add.accumulate(grid, axis=1)[:, -1] + 0.0).T
     for i, count in grown.items():
         if i < m:
             counts[piece_row[i]] += count - 1
@@ -815,19 +784,15 @@ def _rows_as_arrays(f: Callable, cuts: np.ndarray, singular: dict,
         raise failures[min(failures)]
     if stop is not None:
         raise stop
-    if plans:
-        value, err_total = np.empty(n), np.empty(n)
-        value[plain], err_total[plain] = total, bound
-        row_panels = np.empty(n, dtype=np.intp)
-        row_panels[plain] = counts
-        for r, res in planned.items():
-            value[r], err_total[r] = float(res.value), res.value.error_bound
-            row_panels[r] = res.subdivisions
-        total, bound, counts = value, err_total, row_panels
-    met = bound <= tol
+    columns = (total.tolist(), bound.tolist(), counts.tolist(),
+               (bound <= tol).tolist())
+    # in row order, each planned row goes in at its index
     for r, res in planned.items():
-        met[r] = res.converged
-    return QuadRows(total, bound, counts, met, planned)
+        for column, x in zip(columns, (float(res.value),
+                                       res.value.error_bound,
+                                       res.subdivisions, res.converged)):
+            column.insert(r, x)
+    return QuadRows(*columns, planned)
 
 
 def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,

@@ -8,7 +8,7 @@ from greenlab import quadrature
 from greenlab.errors import (PreconditionError, StencilError,
                              UndeclaredSingularityError)
 from greenlab.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
-                                 _SMALL_BATCH, _fit_slope, StencilSpec, basis_fit_residual, fd_residual,
+                                 _fit_slope, StencilSpec, basis_fit_residual, fd_residual,
                                  integrate, integrate_radial, probe_divergence,
                                  probe_tail, sphere_surface_area)
 
@@ -214,9 +214,7 @@ def test_gk15_bits_do_not_depend_on_the_batch():
     b = a + 10.0 ** rng.uniform(-9.0, 0.5, 4096)
     one = [_bits(_gk15(fv, [lo], [hi])[0][0]) for lo, hi in zip(a, b)]
     assert one == [_bits(_one_panel(fv, lo, hi)) for lo, hi in zip(a, b)]
-    # both sides of the small-batch branch, which takes the errors panel by
-    # panel, and the array errors above it
-    for size in (1, 2, 7, 8, _SMALL_BATCH, _SMALL_BATCH + 1, 255, 4096):
+    for size in (1, 2, 7, 8, 16, 17, 255, 4096):
         batch, holes = _gk15(fv, a[:size], b[:size])
         assert [_bits(out) for out in batch] == one[:size] and holes == {}
 
@@ -253,8 +251,7 @@ def test_gk15_shrink_switches_on_below_200_to_the_minus_3():
         s = share * 200.0 ** -3 / unit
         fv = _vec(lambda y, s=s: s * np.asarray(y) ** 14)
         ref = _bits(_one_panel(fv, 0.0, 1.0))
-        # a batch taken panel by panel, and one above the small-batch branch
-        for size in (2, _SMALL_BATCH + 1):
+        for size in (2, 17):
             outs, holes = _gk15(fv, [0.0] * size, [1.0] * size)
             assert [_bits(o) for o in outs] == [ref] * size and holes == {}
             _assert_plain_floats(outs)
@@ -281,7 +278,7 @@ def test_gk15_overflowing_rule_sums_of_finite_samples_are_inf():
     big = _vec(lambda y: np.full(np.shape(y), 1e308))
     with np.errstate(over="ignore"):
         refs = [_one_panel(big, -1.0, 1.0), _one_panel(big, 0.0, 1e-300)]
-        for size in (1, _SMALL_BATCH + 1):
+        for size in (1, 17):
             outs, holes = _gk15(big, [-1.0, 0.0] * size, [1.0, 1e-300] * size)
             assert outs == refs * size == [(math.inf, math.inf)] * 2 * size
             assert holes == {}
@@ -292,7 +289,7 @@ def test_gk15_non_finite_panel_between_finite_ones():
     fv = _vec(lambda y: np.where(np.abs(np.asarray(y) - 0.5) < 1e-2, np.nan,
                                  np.cos(np.asarray(y))))
     a, b = [0.0, 0.45, 0.8], [0.3, 0.55, 1.0]
-    for size in (1, _SMALL_BATCH):
+    for size in (1, 16):
         outs, holes = _gk15(fv, a * size, b * size)
         assert holes == {3 * k + 1: 0.5 for k in range(size)}
         first, _, last = outs[:3]
@@ -305,15 +302,36 @@ def test_gk15_infinite_samples_raise_no_warning():
     # an inf sample off the G7 nodes would meet a zero G7 weight in inf * 0;
     # the test run turns that RuntimeWarning into an error
     fv = _vec(lambda y: np.where(np.asarray(y) == 0.0, np.inf, 1.0))
-    for size in (1, _SMALL_BATCH + 1):
+    for size in (1, 17):
         outs, holes = _gk15(fv, [-1.0] * size, [1.0] * size)
         assert holes == dict.fromkeys(range(size), 0.0)
     # the centre node is a G7 node; the first node of [-1, 1] is not
     first = float(_GK_NODES[0])
     fv = _vec(lambda y: np.where(np.asarray(y) == first, -np.inf, 1.0))
-    for size in (1, _SMALL_BATCH + 1):
+    for size in (1, 17):
         assert _gk15(fv, [-1.0] * size, [1.0] * size)[1] == \
             dict.fromkeys(range(size), first)
+
+
+def test_gk15_leaves_the_integrands_array_as_it_returned_it():
+    # a non-finite sample is reported, not written over: not in an array
+    # the integrand keeps, nor in a read-only one
+    returned = []
+
+    def keeps(y):
+        out = np.where(np.asarray(y) == 0.0, np.inf, 1.0)
+        returned.append((out, out.copy()))
+        return out
+
+    assert _gk15(_vec(keeps), [-1.0, 0.0], [1.0, 1.0])[1] == {0: 0.0}
+    (out, copy), = returned
+    assert np.array_equal(out, copy)
+    read_only = _vec(lambda y: np.broadcast_to(np.inf, np.shape(y)))
+    first = float(_GK_NODES[0])
+    assert _gk15(read_only, [-1.0, 0.0], [1.0, 1.0])[1] == \
+        {0: first, 1: 0.5 + 0.5 * first}
+    with pytest.raises(UndeclaredSingularityError):
+        integrate(read_only, (0.0, 1.0))
 
 
 def _holed(g, c):
@@ -633,6 +651,8 @@ _ROW_FNS = [
     lambda y: np.where(np.abs(y - 0.7) < 1e-2, np.nan, y),  # 5: a hole
     lambda y: 1.0 / y,                            # 6: divergent at 0
     lambda y: 1.0 / (1.0 + y * y),                # 7: a convergent tail
+    lambda y: np.where(np.abs(y - 0.2) < 1e-2, np.inf,   # 8: +inf, then -inf
+                       np.where(np.abs(y - 0.8) < 1e-2, -np.inf, y)),
 ]
 
 
@@ -774,6 +794,8 @@ def test_array_rows_give_each_row_its_one_row_bits():
     _ARRAY_ROWS + [(4, (0.0, 1.0), (), ())],
     # an empty row, then a row with a hole
     _ARRAY_ROWS + [(0, (0.5, 0.5), (), ()), (5, (0.0, 1.0), (), ())],
+    # a row with +inf in one piece and -inf in the next
+    _ARRAY_ROWS + [(8, (0.0, 1.0), (), (0.5,))],
 ])
 def test_array_rows_raise_what_the_first_failing_row_raises(rows):
     assert len(rows) > quadrature._SMALL_BATCH
