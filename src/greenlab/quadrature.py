@@ -656,27 +656,27 @@ def _rows_one_by_one(f: Callable, table: list, singular: dict, tol: float,
                 stop = exc
                 break
             if plan is not None:
+                plans.append((len(los), plan[0]))
                 for piece in plan[0]:
                     if isinstance(piece, tuple):
                         ids.append(r)
                         los.append(piece[0])
                         his.append(piece[1])
                         tols.append(plan[1])
-                plans.append(plan[0])
                 continue
         cut = sorted({a, b, *(p for p in row[1:-1] if a < p < b)})
         n = len(cut) - 1
+        plans.append((len(los), n))
         ids += [r] * n
         los += cut[:-1]
         his += cut[1:]
         tols += [0.5 * tol / n] * n
-        plans.append(n)
     outs, grown, holes = _refine(f, 0 if len(table) == 1 else ids, los, his,
                                  tols, cap)
 
     value, bound, panels, met, planned = [], [], [], [], {}
-    i = 0
-    for r, plan in enumerate(plans):
+    # each row's plain pieces are the refined pieces from i on
+    for r, (i, plan) in enumerate(plans):
         if isinstance(plan, int):
             total = err_total = 0.0
             count = plan
@@ -687,7 +687,6 @@ def _rows_one_by_one(f: Callable, table: list, singular: dict, tol: float,
                 total += v
                 err_total += e
                 count += grown.get(j, 1) - 1
-            i += plan
             if total < 0.0:
                 if total < -(err_total + 1e-12):
                     raise _negative(total)
@@ -698,8 +697,7 @@ def _rows_one_by_one(f: Callable, table: list, singular: dict, tol: float,
             met.append(err_total <= tol)
             continue
         res = planned[r] = _assemble_row(plan, outs, grown, holes, i, tol)
-        i += sum(isinstance(piece, tuple) for piece in plan)
-        value.append(float(res.value))
+        value.append(res.value.value)
         bound.append(res.value.error_bound)
         panels.append(res.subdivisions)
         met.append(res.converged)
@@ -788,7 +786,7 @@ def _rows_as_arrays(f: Callable, cuts: np.ndarray, singular: dict,
                (bound <= tol).tolist())
     # in row order, each planned row goes in at its index
     for r, res in planned.items():
-        for column, x in zip(columns, (float(res.value),
+        for column, x in zip(columns, (res.value.value,
                                        res.value.error_bound,
                                        res.subdivisions, res.converged)):
             column.insert(r, x)
