@@ -18,15 +18,15 @@ is still reduced on its own, so every value, bound and certificate is the one
 a panel-at-a-time walk gives.  The same engine integrates many rows at once --
 one integral per point of an operator call on an array of points -- with the
 smooth pieces of every row in the same rounds: :func:`integrate` takes one
-interval, or rows of them handed in as columns.  A plain row, finite and with
-no singular point in range, is carried as arrays from start to finish: all
-plain rows are cut at their breakpoints at once, the first round's tolerance
-test picks out the few pieces that refine, and each row's pieces are summed
-in piece order into the columns of a :class:`QuadRows`.  Only a row with a
-probe or a tail gets a plan of its own.  A call of at most _SMALL_BATCH rows
-takes the same steps row by row in plain Python, where numpy's fixed cost
-per call would outweigh the work: an operator call at one point is one row.
-That is the one place where the size of a call picks the code path.
+interval, or rows of them handed in as columns, and walks the rows in order
+once.  A row with a probe or a tail gets a plan of its own; a plain row,
+finite and with no singular point in range, is cut at its breakpoints.  The
+first round's tolerance test picks out the few pieces that refine, each
+plain row's pieces are summed in piece order, and the rows' results go into
+the columns of a :class:`QuadRows`.  The size of a call picks only how the
+plain rows are cut and summed: row by row in plain Python for a call of at
+most _SMALL_BATCH rows, where numpy's fixed cost per call would outweigh the
+work (an operator call at one point is one row), and as arrays above that.
 
 Conventions
 -----------
@@ -85,9 +85,9 @@ PROBE_DEPTH = 48
 _FIT_WINDOW = 8
 _MIN_SHELLS_TO_RESOLVE = 12
 _MIN_SHELLS_FOR_VERDICT = 16
-# A call of at most this many rows is taken row by row in plain Python,
-# where numpy's fixed cost per call outweighs the work: an operator call at
-# one point is one row.
+# A call of at most this many rows cuts and sums its plain rows in plain
+# Python, where numpy's fixed cost per call outweighs the work: an operator
+# call at one point is one row.
 _SMALL_BATCH = 16
 
 
@@ -531,10 +531,11 @@ class QuadRows(abc.Sequence):
 
     def extended(self) -> list[ExtendedValue]:
         """Each row's value, as the ExtendedValue its QuadResult holds."""
-        planned = self._planned
-        return [planned[i].value if i in planned
-                else ExtendedValue.finite(v, e)
-                for i, (v, e) in enumerate(zip(*self._columns[:2]))]
+        planned, values = self._planned, []
+        for i, (v, e) in enumerate(zip(*self._columns[:2])):
+            values.append(planned[i].value if i in planned
+                          else ExtendedValue.finite(v, e))
+        return values
 
 
 def _quad_result(value: ExtendedValue, panels: int, handled: tuple,
@@ -560,12 +561,13 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
     unbounded; every panel side touching one is handled by the dyadic shell
     probe, which either certifies divergence (returned as an infinite
     :class:`ExtendedValue`) or extrapolates the integrable remainder.
-    b may be ``math.inf``: the tail beyond the last finite cut (at least 1)
-    is walked in doubling blocks with half the tolerance, and is either
-    certified divergent (side "radial-tail") or extrapolated the same way.
-    ``breakpoints`` are mere smoothness breaks (kinks): they split panels but
-    get no special treatment.  f must be nonnegative, or at least of one sign
-    near each singular point with a nonnegative total.
+    a must be finite, and below b.  b may be ``math.inf``: the tail beyond
+    the last finite cut (at least 1) is walked in doubling blocks with half
+    the tolerance, and is either certified divergent (side "radial-tail")
+    or extrapolated the same way.  ``breakpoints`` are mere smoothness
+    breaks (kinks): they split panels but get no special treatment.  f must
+    be nonnegative, or at least of one sign near each singular point with a
+    nonnegative total.
 
     The reported error bound is exact panel arithmetic away from the
     singular points; across a shell probe it is a sharp estimate calibrated
@@ -586,15 +588,8 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
     order of the rows; each row gets the bits a one-row call gives it, and
     the call raises the exception of the first row in order that raises.
 
-    A plain row -- finite, with no singular point in range, the case of
-    nearly every operator row -- is carried as arrays from start to finish
-    by :func:`_rows_as_arrays`: all plain rows are cut at their breakpoints
-    at once, their pieces refined together by :func:`_refine`, and each
-    row's pieces summed in piece order.  A call of at most _SMALL_BATCH
-    rows, and the one interval of the scalar form, takes the same steps row
-    by row in :func:`_rows_one_by_one`.  A row with a singular point in
-    range or an infinite end is planned, and its probes walked, by
-    :func:`_plan_row`.
+    Both forms run on one engine, :func:`_integrate_rows`; the interval of
+    the scalar form is its one row.
     """
     scalar = rows is None
     if scalar and interval is None or not scalar and (
@@ -604,206 +599,178 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
             "interval, singular points and breakpoints")
     if scalar:
         fv = as_vectorized(f)
-        return _rows_one_by_one(
-            lambda r, z: fv(z),
-            [(float(interval[0]), *breakpoints, float(interval[1]))],
+        return _integrate_rows(
+            lambda r, z: fv(z), 1, [interval[0], *breakpoints, interval[1]],
             {0: tuple(singular_points)} if len(singular_points) else {},
             tol, max_subdivisions)[0]
-    n, columns, singular = rows
-    if n <= _SMALL_BATCH:
-        table = list(zip(*[c.tolist() if isinstance(c, np.ndarray)
-                           else [float(c)] * n for c in columns]))
-        return _rows_one_by_one(f, table, singular, tol, max_subdivisions)
-    cuts = np.empty((n, len(columns)))
-    for j, c in enumerate(columns):
-        cuts[:, j] = c
-    return _rows_as_arrays(f, cuts, singular, tol, max_subdivisions)
+    return _integrate_rows(f, *rows, tol, max_subdivisions)
 
 
-def _row_plan(f: Callable, r: int, a: float, b: float, breakpoints,
-              singular_points, tol: float):
-    """:func:`_plan_row`'s plan of row r on [a, b] if it runs to inf or has
-    a singular point in range, None if it is plain; an empty row raises.
+def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
+                    tol: float, cap: int) -> QuadRows:
+    """The engine of :func:`integrate`: n rows, given as columns of cuts.
 
-    Rows are planned in order, and the first whose planning raises -- an
-    empty interval, or an exception other than a GreenLabError from a
-    probe's integrand -- stops the planning: the rows before it are
-    integrated, and its exception is raised unless one of theirs comes
-    first.
+    It walks the rows in order once.  A row that runs to inf or has a
+    singular point in range is planned, its probes walked, by
+    :func:`_plan_row`, which also refuses an empty row or one from -inf;
+    the first row whose planning raises ends the walk, and its exception is
+    raised unless one of an earlier row comes first.  Every other row is
+    plain: it is cut at its breakpoints into pieces that share half its
+    tolerance.  One :func:`_refine` call refines the pieces of the plain
+    rows, then those of the planned rows.  Each plain row's pieces are
+    summed in piece order, and each planned row is assembled by
+    :func:`_assemble_row`.
+
+    The size of the call picks how the plain rows are cut and summed, and
+    nothing else: in plain Python for at most _SMALL_BATCH rows, and as
+    arrays above that.  There all plain rows are cut at once: a breakpoint
+    outside a row's interval, or NaN, is moved onto an end, the row is
+    sorted, and a piece between equal cuts is dropped, which leaves each
+    row's sorted set of cuts.  Each row's refined pieces, in their cells of
+    the mask of pieces kept and zero elsewhere, are accumulated along the
+    row, so the sums run in piece order; adding 0.0 then turns a -0.0 into
+    the 0.0 that a sum from 0.0 gives.
     """
-    if not b > a:
-        raise PreconditionError(f"empty integration interval [{a}, {b}]")
-    if b == math.inf or any(a <= s <= b for s in singular_points):
-        return _plan_row(f, r, a, b, singular_points, breakpoints, tol)
-    return None
-
-
-def _rows_one_by_one(f: Callable, table: list, singular: dict, tol: float,
-                     cap: int) -> QuadRows:
-    """The row form of :func:`integrate` on a few rows, each a sequence (a,
-    breakpoints..., b): each row is planned, cut and summed in plain
-    Python, which costs less than array calls on an operator call at one
-    point."""
-    ids, los, his, tols, plans, stop = [], [], [], [], [], None
-    for r, row in enumerate(table):
-        a, b = row[0], row[-1]
-        if not a < b < math.inf or r in singular:
+    # Plain loops, not comprehensions, where a one-row call runs them once:
+    # a comprehension's own frame costs it more than the loop.
+    inf, ndarray = math.inf, np.ndarray
+    small = n <= _SMALL_BATCH
+    # the columns as lists, all of them for the cut in plain Python
+    cols = []
+    for c in columns if small else (columns[0], columns[-1]):
+        cols.append(c.tolist() if isinstance(c, ndarray) else [float(c)] * n)
+    lo, mids, hi = cols[0], cols[1:-1], cols[-1]
+    # each planned row's pieces and the index of its first plain piece in
+    # extra, the plain pieces of planned rows as (row, lo, hi, tol)
+    stop, plans, extra = None, {}, []
+    # each plain row, its piece count, and each plain piece's index in them
+    plain, counts, piece_row = [], [], []
+    ids, los, his, tols = [], [], [], []
+    for r in range(n):
+        a, b = lo[r], hi[r]
+        if not -inf < a < b < inf or r in singular:
             try:
-                plan = _row_plan(f, r, a, b, row[1:-1], singular.get(r, ()),
-                                 tol)
+                plan = _plan_row(f, r, a, b, singular.get(r, ()),
+                                 [float(c[r]) if isinstance(c, ndarray)
+                                  else float(c) for c in columns[1:-1]], tol)
             except Exception as exc:
                 # raised below, once the rows before it have had their turn
                 stop = exc
                 break
             if plan is not None:
-                plans.append((len(los), plan[0]))
+                plans[r] = plan[0], len(extra)
                 for piece in plan[0]:
                     if isinstance(piece, tuple):
-                        ids.append(r)
-                        los.append(piece[0])
-                        his.append(piece[1])
-                        tols.append(plan[1])
+                        extra.append((r, *piece, plan[1]))
                 continue
-        cut = sorted({a, b, *(p for p in row[1:-1] if a < p < b)})
-        n = len(cut) - 1
-        plans.append((len(los), n))
-        ids += [r] * n
-        los += cut[:-1]
-        his += cut[1:]
-        tols += [0.5 * tol / n] * n
-    outs, grown, holes = _refine(f, 0 if len(table) == 1 else ids, los, his,
-                                 tols, cap)
-
-    value, bound, panels, met, planned = [], [], [], [], {}
-    # each row's plain pieces are the refined pieces from i on
-    for r, (i, plan) in enumerate(plans):
-        if isinstance(plan, int):
-            total = err_total = 0.0
-            count = plan
-            for j in range(i, i + plan):
-                if j in holes:
-                    raise _undeclared(holes[j])
-                v, e = outs[j]
-                total += v
-                err_total += e
-                count += grown.get(j, 1) - 1
-            if total < 0.0:
-                if total < -(err_total + 1e-12):
-                    raise _negative(total)
-                total = 0.0
-            value.append(total)
-            bound.append(err_total)
-            panels.append(count)
-            met.append(err_total <= tol)
-            continue
-        res = planned[r] = _assemble_row(plan, outs, grown, holes, i, tol)
-        value.append(res.value.value)
-        bound.append(res.value.error_bound)
-        panels.append(res.subdivisions)
-        met.append(res.converged)
-    if stop is not None:
-        raise stop
-    return QuadRows(value, bound, panels, met, planned)
-
-
-def _rows_as_arrays(f: Callable, cuts: np.ndarray, singular: dict,
-                    tol: float, cap: int) -> QuadRows:
-    """The row form of :func:`integrate` on many rows, as arrays.
-
-    All plain rows are cut at once: a breakpoint outside a row's interval,
-    or NaN, is moved onto an end, the row is sorted, and a piece between
-    equal cuts is dropped, which leaves each row's sorted set of cuts.
-    After the refinement each row's pieces, in their cells of the mask of
-    pieces kept and zero elsewhere, are accumulated along the row, so the
-    sums run in piece order; adding 0.0 then leaves every sum as it is but
-    turns a -0.0 into the 0.0 that a sum from 0.0 gives.
-    """
-    n = len(cuts)
-    lo, hi = cuts[:, 0].tolist(), cuts[:, -1].tolist()
-    odd = {r for r, (a, b) in enumerate(zip(lo, hi)) if not a < b < math.inf}
-    stop_row, stop, plans = n, None, {}
-    for r in sorted(odd.union(r for r in singular if r < n)):
-        try:
-            plan = _row_plan(f, r, lo[r], hi[r], cuts[r, 1:-1].tolist(),
-                             singular.get(r, ()), tol)
-        except Exception as exc:
-            # raised below, once the rows before it have had their turn
-            stop_row, stop = r, exc
-            break
-        if plan is not None:
-            plans[r] = plan
-    plain = np.delete(np.arange(stop_row), list(plans))
-    c = cuts[plain]
-    c = np.fmin(np.fmax(c, c[:, :1]), c[:, -1:])
-    c.sort(axis=1)
-    keep = c[:, 1:] > c[:, :-1]
-    piece_row = keep.nonzero()[0]
-    counts = np.bincount(piece_row, minlength=len(c))
-    los, his = c[:, :-1][keep], c[:, 1:][keep]
-    tols = (0.5 * tol / counts)[piece_row]
-    ids = plain[piece_row]
-    m = len(los)
-    # the plain pieces of planned rows follow, row by row
-    spans = [(r, piece, plan[1]) for r, plan in plans.items()
-             for piece in plan[0] if isinstance(piece, tuple)]
-    if spans:
-        los = np.concatenate((los, [piece[0] for _, piece, _ in spans]))
-        his = np.concatenate((his, [piece[1] for _, piece, _ in spans]))
-        tols = np.concatenate((tols, [t for _, _, t in spans]))
-        ids = np.concatenate((ids, [r for r, _, _ in spans]))
-    outs, grown, holes = _refine(f, ids, los, his, tols.tolist(), cap)
+        if small:
+            cut = sorted({a, b, *(m[r] for m in mids if a < m[r] < b)})
+            k = len(cut) - 1
+            piece_row += [len(plain)] * k
+            plain.append(r)
+            counts.append(k)
+            ids += [r] * k
+            los += cut[:-1]
+            his += cut[1:]
+            tols += [0.5 * tol / k] * k
+    # the plain pieces of planned rows follow those of the plain rows
+    if small:
+        m = len(los)
+        for r, lo_r, hi_r, t in extra:
+            ids.append(r)
+            los.append(lo_r)
+            his.append(hi_r)
+            tols.append(t)
+    else:
+        cuts = np.empty((n, len(columns)))
+        for j, c in enumerate(columns):
+            cuts[:, j] = c
+        plain = np.delete(np.arange(n if stop is None else r), list(plans))
+        c = cuts[plain]
+        c = np.fmin(np.fmax(c, c[:, :1]), c[:, -1:])
+        c.sort(axis=1)
+        keep = c[:, 1:] > c[:, :-1]
+        piece_row = keep.nonzero()[0]
+        counts = np.bincount(piece_row, minlength=len(c))
+        los, his = c[:, :-1][keep], c[:, 1:][keep]
+        tols = (0.5 * tol / counts)[piece_row]
+        ids = plain[piece_row]
+        m = len(los)
+        if extra:
+            e_ids, e_los, e_his, e_tols = zip(*extra)
+            los = np.concatenate((los, e_los))
+            his = np.concatenate((his, e_his))
+            tols = np.concatenate((tols, e_tols))
+            ids = np.concatenate((ids, e_ids))
+        tols = tols.tolist()
+    outs, grown, holes = _refine(f, 0 if n == 1 else ids, los, his, tols, cap)
 
     failures: dict[int, Exception] = {}
-    for i in sorted(holes):
-        if i < m:
-            failures.setdefault(int(plain[piece_row[i]]),
-                                _undeclared(holes[i]))
-            # its pair means nothing, and summed it could meet an inf
-            outs[i] = (0.0, 0.0)
-    grid = np.zeros(keep.shape + (2,))
-    grid[keep] = np.array(outs[:m]).reshape(-1, 2)
-    total, bound = (np.add.accumulate(grid, axis=1)[:, -1] + 0.0).T
+    if holes:
+        for i in sorted(holes):
+            if i < m:
+                failures.setdefault(int(ids[i]), _undeclared(holes[i]))
+                # its pair means nothing, and summed it could meet an inf
+                outs[i] = (0.0, 0.0)
+    if small:
+        value, bound, met, low = [], [], [], []
+        i = 0
+        for k in counts:
+            total = err = 0.0
+            for v, e in outs[i:i + k]:
+                total += v
+                err += e
+            i += k
+            if total < 0.0:
+                low.append(len(value))
+            value.append(total)
+            bound.append(err)
+            met.append(err <= tol)
+    else:
+        grid = np.zeros(keep.shape + (2,))
+        grid[keep] = np.array(outs[:m]).reshape(-1, 2)
+        value, bound = (np.add.accumulate(grid, axis=1)[:, -1] + 0.0).T
+        met, low = (bound <= tol).tolist(), (value < 0.0).nonzero()[0].tolist()
+        value, bound, counts = value.tolist(), bound.tolist(), counts.tolist()
     for i, count in grown.items():
         if i < m:
             counts[piece_row[i]] += count - 1
-    for j in (total < 0.0).nonzero()[0].tolist():
-        if total[j] < -(bound[j] + 1e-12):
-            failures.setdefault(int(plain[j]), _negative(float(total[j])))
-        total[j] = 0.0
-    planned = {}
-    i = m
-    for r, (pieces, _) in plans.items():
+    for j in low:
         try:
-            planned[r] = _assemble_row(pieces, outs, grown, holes, i, tol)
+            value[j] = _nonnegative(value[j], bound[j])
+        except PreconditionError as exc:
+            failures.setdefault(int(plain[j]), exc)
+    # in row order, each planned row goes in at its index
+    for r, (pieces, start) in plans.items():
+        try:
+            res = plans[r] = _assemble_row(pieces, outs, grown, holes,
+                                           m + start, tol)
         except Exception as exc:
             failures.setdefault(r, exc)
-        i += sum(isinstance(piece, tuple) for piece in pieces)
+        else:
+            value.insert(r, res.value.value)
+            bound.insert(r, res.value.error_bound)
+            counts.insert(r, res.subdivisions)
+            met.insert(r, res.converged)
     if failures:
         raise failures[min(failures)]
     if stop is not None:
         raise stop
-    columns = (total.tolist(), bound.tolist(), counts.tolist(),
-               (bound <= tol).tolist())
-    # in row order, each planned row goes in at its index
-    for r, res in planned.items():
-        for column, x in zip(columns, (res.value.value,
-                                       res.value.error_bound,
-                                       res.subdivisions, res.converged)):
-            column.insert(r, x)
-    return QuadRows(*columns, planned)
+    return QuadRows(value, bound, counts, met, plans)
 
 
 def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
-              breakpoints, tol: float) -> tuple[list, float]:
-    """Row r's pieces in interval order, and the tolerance of a plain piece.
+              breakpoints, tol: float) -> tuple[list, float] | None:
+    """Row r's pieces in interval order, and the tolerance of a plain piece,
+    if the row on [a, b] runs to inf or has a singular point in range; None
+    if it is plain, for :func:`_integrate_rows` to cut.  A row whose
+    interval is empty or starts at -inf is refused.
 
-    For a row on [a, b], b > a, with a singular point in range or b = inf;
-    :func:`integrate` cuts every other row itself.  A plain piece is its
-    (lo, hi), to be refined.  A piece with a singular end is walked by a
-    shell probe from each such end, and is the list of their reports; a
-    GreenLabError from a probe stands in the list in place of its report,
-    and any other exception propagates at once.  The list ends at the first
-    piece that diverges or refuses.
+    A plain piece is its (lo, hi), to be refined.  A piece with a singular
+    end is walked by a shell probe from each such end, and is the list of
+    their reports; a GreenLabError from a probe stands in the list in place
+    of its report, and any other exception propagates at once.  The list
+    ends at the first piece that diverges or refuses.
 
     On [a, inf) the tail starts at the last finite cut, or at 1 if that is
     larger (at twice that when it is a or a singular point, so that the
@@ -812,7 +779,14 @@ def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
     the tolerance; the finite part before it is split, and its tolerance
     shared, as a finite interval is, with the other half.
     """
+    if not a < b:
+        raise PreconditionError(f"empty integration interval [{a}, {b}]")
+    if a == -math.inf:
+        raise PreconditionError(
+            f"integration interval [{a}, {b}] has no finite lower end")
     tail = b == math.inf
+    if not (tail or any(a <= s <= b for s in singular_points)):
+        return None
     if tail:
         b = max(a, 1.0, *(p for p in (*singular_points, *breakpoints)
                           if a <= p < math.inf))
@@ -891,20 +865,19 @@ def _assemble_row(pieces: list, outs: list, grown: dict, holes: dict,
                                   panels, tuple(handled), True)
             total += rep.value
             err_total += rep.error
-    if total < 0.0:
-        if total < -(err_total + 1e-12):
-            raise _negative(total)
-        total = 0.0
-    return _quad_result(ExtendedValue.finite(total, err_total), panels,
-                        tuple(handled), err_total <= tol)
+    return _quad_result(
+        ExtendedValue.finite(_nonnegative(total, err_total), err_total),
+        panels, tuple(handled), err_total <= tol)
 
 
-def _negative(total: float) -> PreconditionError:
-    """The refusal of a row whose total falls below -(its bound + 1e-12);
-    a slightly negative total is rounding and reads 0."""
-    return PreconditionError(
-        f"integral evaluated to {total!r} < 0; extended values are "
-        "nonnegative (split a signed integrand into nonnegative parts)")
+def _nonnegative(total: float, bound: float) -> float:
+    """A row's total, read 0 where it is negative but within its bound +
+    1e-12 of 0, which is rounding; a total further below is refused."""
+    if total < -(bound + 1e-12):
+        raise PreconditionError(
+            f"integral evaluated to {total!r} < 0; extended values are "
+            "nonnegative (split a signed integrand into nonnegative parts)")
+    return 0.0 if total < 0.0 else total
 
 
 def sphere_surface_area(n: int) -> float:

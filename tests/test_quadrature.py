@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from greenlab import quadrature
-from greenlab.errors import (PreconditionError, StencilError,
-                             UndeclaredSingularityError)
+from greenlab.errors import (GreenLabError, PreconditionError,
+                             StencilError, UndeclaredSingularityError)
 from greenlab.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
                                  _fit_slope, StencilSpec, basis_fit_residual, fd_residual,
                                  integrate, integrate_radial, probe_divergence,
@@ -746,7 +746,8 @@ def _row_bits(res):
 
 # Rows for the array form: more than _SMALL_BATCH of them, the plain ones
 # cut at breakpoints on an end, repeated or outside the interval, with
-# probed, divergent and [a, inf) rows among them.
+# probed, divergent, [a, inf) and refining rows among them.  Their first
+# _SMALL_BATCH rows are a call that is cut and summed in plain Python.
 _ARRAY_ROWS = [
     (0, (0.0, 1.0), (), (0.0, 0.3, 1.0)),          # breakpoints at the ends
     (0, (0.0, 1.0), (), (0.3, 0.3, 0.7, 0.7)),     # duplicate breakpoints
@@ -759,79 +760,99 @@ _ARRAY_ROWS = [
     (7, (0.0, math.inf), (), (2.0, 0.5)),          # a tail past breakpoints
     (0, (0.0, 1.0), (), (np.float64(0.3), 0.3)),   # a numpy breakpoint
     (1, (0.25, 1.0), (), (0.5,)),                  # plain: 0 is out of range
+    (0, (0.1, 0.9), (), ()),                       # refines toward its kink
 ] * 2 + [(0, (0.05 * k, 1.0), (), (0.3, 0.05 * k)) for k in range(6)]
 
 
 def test_array_rows_give_each_row_its_one_row_bits():
-    assert len(_ARRAY_ROWS) > quadrature._SMALL_BATCH
-    for tol in (1e-8, 1e-12):
-        out = _integrate_specs(_ARRAY_ROWS, tol)
-        assert len(out) == len(_ARRAY_ROWS)
-        ones = [_one_row(row, tol) for row in _ARRAY_ROWS]
-        assert [_row_bits(res) for res in out] == \
-            [_row_bits(one) for one in ones]
-        # the arrays hold what indexing returns
-        assert out.value.tolist() == [float(one.value) for one in ones]
-        assert out.bound.tolist() == [one.value.error_bound for one in ones]
-        assert out.panels.tolist() == [one.subdivisions for one in ones]
-        assert out.row_converged.tolist() == [one.converged for one in ones]
-        assert out.converged == all(one.converged for one in ones)
-        assert out.extended() == [one.value for one in ones]
-        assert out[-1] == out[len(out) - 1]
-    assert not out[4].value.is_finite
-    assert out[3].singular_points_handled == ((0.0, "right"),)
-    assert out[7].singular_points_handled == (("tail", "radial-tail"),)
+    small = _ARRAY_ROWS[:quadrature._SMALL_BATCH]
+    assert len(_ARRAY_ROWS) > len(small) == quadrature._SMALL_BATCH
+    for rows in (small, _ARRAY_ROWS):
+        for tol in (1e-8, 1e-12):
+            out = _integrate_specs(rows, tol)
+            assert len(out) == len(rows)
+            ones = [_one_row(row, tol) for row in rows]
+            assert [_row_bits(res) for res in out] == \
+                [_row_bits(one) for one in ones]
+            # the arrays hold what indexing returns
+            assert out.value.tolist() == [float(one.value) for one in ones]
+            assert out.bound.tolist() == [one.value.error_bound
+                                          for one in ones]
+            assert out.panels.tolist() == [one.subdivisions for one in ones]
+            assert out.row_converged.tolist() == [one.converged
+                                                  for one in ones]
+            assert out.converged == all(one.converged for one in ones)
+            assert out.extended() == [one.value for one in ones]
+            assert out[-1] == out[len(out) - 1]
+        assert not out[4].value.is_finite
+        assert out[3].singular_points_handled == ((0.0, "right"),)
+        assert out[7].singular_points_handled == (("tail", "radial-tail"),)
+        assert out[11].subdivisions > 1
 
 
-@pytest.mark.parametrize("rows", [
-    # a row with a non-finite sample between finite ones
-    _ARRAY_ROWS[:9] + [(5, (0.0, 1.0), (), (0.5,))] + _ARRAY_ROWS[9:],
-    # a probe that refuses, after a row with a hole
-    _ARRAY_ROWS + [(5, (0.0, 1.0), (), ()), (2, (0.0, 1.0), (0.0,), ())],
-    # a probe that refuses before a row with a hole
-    _ARRAY_ROWS + [(2, (0.0, 1.0), (0.0,), ()), (5, (0.0, 1.0), (), ())],
-    # a plain row whose total is negative beyond rounding
-    _ARRAY_ROWS + [(4, (0.0, 1.0), (), ())],
-    # an empty row, then a row with a hole
-    _ARRAY_ROWS + [(0, (0.5, 0.5), (), ()), (5, (0.0, 1.0), (), ())],
-    # a row with +inf in one piece and -inf in the next
-    _ARRAY_ROWS + [(8, (0.0, 1.0), (), (0.5,))],
-])
-def test_array_rows_raise_what_the_first_failing_row_raises(rows):
-    assert len(rows) > quadrature._SMALL_BATCH
-    want = next(err for err in (_raised(lambda row=row: _one_row(row, 1e-10))
-                                for row in rows) if err is not None)
-    assert _raised(lambda: _integrate_specs(rows, 1e-10)) == want
+# Rows that end in a failing row, keyed by what they pin.  Each runs on its
+# own, a call of at most _SMALL_BATCH rows, and after _ARRAY_ROWS.
+_FAILING_TAILS = {
+    "plain-after-refusing-probe": [
+        (0, (0.0, 1.0), (), (0.3,)), (2, (0.0, 1.0), (0.0,), ()),
+        (0, (0.1, 0.9), (), ())],
+    "hole-before-refusing-probe": [
+        (5, (0.0, 1.0), (), (0.5,)), (2, (0.0, 1.0), (0.0,), ())],
+    "uncut-hole-before-refusing-probe": [
+        (5, (0.0, 1.0), (), ()), (2, (0.0, 1.0), (0.0,), ())],
+    "refusing-probe-before-hole": [
+        (2, (0.0, 1.0), (0.0,), ()), (5, (0.0, 1.0), (), (0.5,))],
+    "refusing-probe-before-uncut-hole": [
+        (2, (0.0, 1.0), (0.0,), ()), (5, (0.0, 1.0), (), ())],
+    "negative-total-before-hole": [
+        (0, (0.0, 1.0), (), (0.3,)), (4, (0.0, 1.0), (), ()),
+        (5, (0.0, 1.0), (), ())],
+    "negative-total": [(4, (0.0, 1.0), (), ())],
+    "hole-between-finite-rows": [
+        (0, (0.0, 1.0), (), (0.3,)), (5, (0.0, 1.0), (), (0.5,)),
+        (1, (0.0, 1.0), (0.0,), (0.5,)), (7, (0.5, math.inf), (), ())],
+    "empty-row-before-hole": [
+        (0, (0.5, 0.5), (), ()), (5, (0.0, 1.0), (), ())],
+    "plus-then-minus-inf": [(8, (0.0, 1.0), (), (0.5,))],
+    "minus-inf-lower-end": [
+        (0, (0.0, 1.0), (), (0.3,)), (7, (-math.inf, 0.0), (), ()),
+        (5, (0.0, 1.0), (), ())],
+    "minus-inf-to-inf": [(7, (-math.inf, math.inf), (), ())],
+}
 
 
-@pytest.mark.parametrize("rows", [
-    # a plain row after a probed row that refuses
-    [(0, (0.0, 1.0), (), (0.3,)), (2, (0.0, 1.0), (0.0,), ()),
-     (0, (0.1, 0.9), (), ())],
-    # a plain row with a non-finite sample before a probe's refusal
-    [(5, (0.0, 1.0), (), (0.5,)), (2, (0.0, 1.0), (0.0,), ())],
-    # a probe's refusal before a plain row with a non-finite sample
-    [(2, (0.0, 1.0), (0.0,), ()), (5, (0.0, 1.0), (), (0.5,))],
-    # a plain row whose total is negative beyond rounding
-    [(0, (0.0, 1.0), (), (0.3,)), (4, (0.0, 1.0), (), ()),
-     (5, (0.0, 1.0), (), ())],
-])
-def test_row_form_raises_what_the_first_failing_row_raises(rows):
-    want = next(err for err in (_raised(lambda row=row: _one_row(row, 1e-10))
-                                for row in rows) if err is not None)
-    assert _raised(lambda: _integrate_specs(rows, 1e-10)) == want
+@pytest.mark.parametrize("tail", list(_FAILING_TAILS.values()),
+                         ids=list(_FAILING_TAILS))
+def test_rows_raise_what_the_first_failing_row_raises(tail):
+    assert len(tail) <= quadrature._SMALL_BATCH < len(_ARRAY_ROWS)
+    for rows in (tail, _ARRAY_ROWS + tail):
+        want = next(err for err in (_raised(lambda row=row: _one_row(row, 1e-10))
+                                    for row in rows) if err is not None)
+        assert issubclass(want[0], GreenLabError)
+        assert _raised(lambda: _integrate_specs(rows, 1e-10)) == want
+
+
+def test_a_non_finite_lower_end_is_refused():
+    f = _vec(lambda y: np.exp(-np.asarray(y) ** 2))
+    for interval in ((-math.inf, 0.0), (-math.inf, math.inf)):
+        with pytest.raises(PreconditionError) as exc:
+            integrate(f, interval)
+        assert str(exc.value) == (f"integration interval [{interval[0]}, "
+                                  f"{interval[1]}] has no finite lower end")
 
 
 def test_empty_interval_row_raises_after_the_rows_before_it_refine():
-    rows = [(0, (0.0, 1.0), (), (0.25,)), (1, (0.0, 0.5), (0.0,), ()),
+    tail = [(0, (0.0, 1.0), (), (0.25,)), (1, (0.0, 0.5), (0.0,), ()),
             (0, (0.5, 0.5), (), ()), (5, (0.0, 1.0), (), ())]
-    evaluated = []
-    with pytest.raises(PreconditionError) as exc:
-        _integrate_specs(rows, 1e-13, evaluated)
-    assert str(exc.value) == "empty integration interval [0.5, 0.5]"
-    # the rows before it refine to their end, and the row after it is not
-    # evaluated at all
-    alone = []
-    for row in rows[:2]:
-        _one_row(row, 1e-13, alone)
-    assert sorted(evaluated) == sorted(alone)
+    # on its own, and after more than _SMALL_BATCH rows
+    for rows in (tail, _ARRAY_ROWS + tail):
+        evaluated = []
+        with pytest.raises(PreconditionError) as exc:
+            _integrate_specs(rows, 1e-13, evaluated)
+        assert str(exc.value) == "empty integration interval [0.5, 0.5]"
+        # the rows before it refine to their end, and the row after it is
+        # not evaluated at all
+        alone = []
+        for row in rows[:-2]:
+            _one_row(row, 1e-13, alone)
+        assert sorted(evaluated) == sorted(alone)
