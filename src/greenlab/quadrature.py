@@ -635,11 +635,19 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
     # a comprehension's own frame costs it more than the loop.
     inf, ndarray = math.inf, np.ndarray
     small = n <= _SMALL_BATCH
-    # the columns as lists, all of them for the cut in plain Python
-    cols = []
-    for c in columns if small else (columns[0], columns[-1]):
-        cols.append(c.tolist() if isinstance(c, ndarray) else [float(c)] * n)
-    lo, mids, hi = cols[0], cols[1:-1], cols[-1]
+    # the cuts: in plain Python a list per column, as arrays one array with
+    # lists of its ends for the walk
+    if small:
+        cols = []
+        for c in columns:
+            cols.append(c.tolist() if isinstance(c, ndarray)
+                        else [float(c)] * n)
+        lo, mids, hi = cols[0], cols[1:-1], cols[-1]
+    else:
+        cuts = np.empty((n, len(columns)))
+        for j, c in enumerate(columns):
+            cuts[:, j] = c
+        lo, hi = cuts[:, 0].tolist(), cuts[:, -1].tolist()
     # each planned row's pieces and the index of its first plain piece in
     # extra, the plain pieces of planned rows as (row, lo, hi, tol)
     stop, plans, extra = None, {}, []
@@ -651,8 +659,8 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
         if not -inf < a < b < inf or r in singular:
             try:
                 plan = _plan_row(f, r, a, b, singular.get(r, ()),
-                                 [float(c[r]) if isinstance(c, ndarray)
-                                  else float(c) for c in columns[1:-1]], tol)
+                                 [col[r] for col in mids] if small
+                                 else cuts[r, 1:-1].tolist(), tol)
             except Exception as exc:
                 # raised below, once the rows before it have had their turn
                 stop = exc
@@ -664,7 +672,7 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
                         extra.append((r, *piece, plan[1]))
                 continue
         if small:
-            cut = sorted({a, b, *(m[r] for m in mids if a < m[r] < b)})
+            cut = sorted({a, b, *(col[r] for col in mids if a < col[r] < b)})
             k = len(cut) - 1
             piece_row += [len(plain)] * k
             plain.append(r)
@@ -682,9 +690,6 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
             his.append(hi_r)
             tols.append(t)
     else:
-        cuts = np.empty((n, len(columns)))
-        for j, c in enumerate(columns):
-            cuts[:, j] = c
         plain = np.delete(np.arange(n if stop is None else r), list(plans))
         c = cuts[plain]
         c = np.fmin(np.fmax(c, c[:, :1]), c[:, -1:])
@@ -697,11 +702,8 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
         ids = plain[piece_row]
         m = len(los)
         if extra:
-            e_ids, e_los, e_his, e_tols = zip(*extra)
-            los = np.concatenate((los, e_los))
-            his = np.concatenate((his, e_his))
-            tols = np.concatenate((tols, e_tols))
-            ids = np.concatenate((ids, e_ids))
+            ids, los, his, tols = (np.concatenate(pair) for pair in
+                                   zip((ids, los, his, tols), zip(*extra)))
         tols = tols.tolist()
     outs, grown, holes = _refine(f, 0 if n == 1 else ids, los, his, tols, cap)
 
@@ -861,8 +863,8 @@ def _assemble_row(pieces: list, outs: list, grown: dict, holes: dict,
             handled.append((rep.location, rep.side))
             panels += rep.shells
             if rep.divergent:
-                return QuadResult(ExtendedValue.infinite(rep.certificate),
-                                  panels, tuple(handled), True)
+                return _quad_result(ExtendedValue.infinite(rep.certificate),
+                                    panels, tuple(handled), True)
             total += rep.value
             err_total += rep.error
     return _quad_result(
