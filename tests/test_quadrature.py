@@ -793,25 +793,25 @@ def test_array_rows_give_each_row_its_one_row_bits():
 # Rows that end in a failing row, keyed by what they pin.  Each runs on its
 # own, a call of at most _SMALL_BATCH rows, and after _ARRAY_ROWS.
 _FAILING_TAILS = {
-    "plain-after-refusing-probe": [
+    "plain-after-refusal": [
         (0, (0.0, 1.0), (), (0.3,)), (2, (0.0, 1.0), (0.0,), ()),
         (0, (0.1, 0.9), (), ())],
-    "hole-before-refusing-probe": [
+    "hole-before-refusal": [
         (5, (0.0, 1.0), (), (0.5,)), (2, (0.0, 1.0), (0.0,), ())],
-    "uncut-hole-before-refusing-probe": [
+    "uncut-hole-before-refusal": [
         (5, (0.0, 1.0), (), ()), (2, (0.0, 1.0), (0.0,), ())],
-    "refusing-probe-before-hole": [
+    "refusal-before-hole": [
         (2, (0.0, 1.0), (0.0,), ()), (5, (0.0, 1.0), (), (0.5,))],
-    "refusing-probe-before-uncut-hole": [
+    "refusal-before-uncut-hole": [
         (2, (0.0, 1.0), (0.0,), ()), (5, (0.0, 1.0), (), ())],
-    "negative-total-before-hole": [
+    "negative-before-hole": [
         (0, (0.0, 1.0), (), (0.3,)), (4, (0.0, 1.0), (), ()),
         (5, (0.0, 1.0), (), ())],
     "negative-total": [(4, (0.0, 1.0), (), ())],
-    "hole-between-finite-rows": [
+    "hole-between-finite": [
         (0, (0.0, 1.0), (), (0.3,)), (5, (0.0, 1.0), (), (0.5,)),
         (1, (0.0, 1.0), (0.0,), (0.5,)), (7, (0.5, math.inf), (), ())],
-    "empty-row-before-hole": [
+    "empty-before-hole": [
         (0, (0.5, 0.5), (), ()), (5, (0.0, 1.0), (), ())],
     "plus-then-minus-inf": [(8, (0.0, 1.0), (), (0.5,))],
     "minus-inf-lower-end": [
@@ -826,8 +826,9 @@ _FAILING_TAILS = {
 def test_rows_raise_what_the_first_failing_row_raises(tail):
     assert len(tail) <= quadrature._SMALL_BATCH < len(_ARRAY_ROWS)
     for rows in (tail, _ARRAY_ROWS + tail):
-        want = next(err for err in (_raised(lambda row=row: _one_row(row, 1e-10))
-                                    for row in rows) if err is not None)
+        want = next(err for err in
+                    (_raised(lambda row=row: _one_row(row, 1e-10))
+                     for row in rows) if err is not None)
         assert issubclass(want[0], GreenLabError)
         assert _raised(lambda: _integrate_specs(rows, 1e-10)) == want
 
