@@ -671,6 +671,7 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
                     if isinstance(piece, tuple):
                         extra.append((r, *piece, plan[1]))
                 continue
+        # a plain row: cut here in plain Python, or below with the others
         if small:
             cut = sorted({a, b, *(col[r] for col in mids if a < col[r] < b)})
             k = len(cut) - 1
