@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import (_at_points, _compose_rows, _sliced_apply,
-                       compose_green, coupling_apply)
+                       _sliced_rows, compose_green, coupling_apply)
 from .errors import ModelDomainError, PreconditionError
 from .kernels import Interval1D, ModelSpace
 from .quadrature import as_vectorized, integrate
@@ -401,18 +401,19 @@ def duality_residual(model: ModelSpace, phi, psi) -> float:
             "the clamped-plate model provides here")
     dom: Interval1D = model.domain
 
-    def pair(outer, inner_op, inner_arg):
+    def pair(outer, kernel, adjoint, inner_arg):
+        # the inner V or V* at the nodes, read from its rows' value column
         def f(xs):
             xs = np.asarray(xs, dtype=float)
-            inner = inner_op(model, inner_arg, xs, tol=1e-9)
-            return np.asarray(outer(xs), dtype=float) \
-                * np.array([float(v) for v in inner])
+            inner, _ = _sliced_rows(model, kernel, inner_arg, xs, 1e-9,
+                                    adjoint)
+            return np.asarray(outer(xs), dtype=float) * inner.value
 
         f.vectorized = True
         res = integrate(model.mu.weighted(f), (dom.lo, dom.hi), tol=QUAD_TOL)
         return float(res.value)
 
     phi_v, psi_v = as_vectorized(phi), as_vectorized(psi)
-    lhs = pair(psi_v, coupling_apply, phi)
-    rhs = pair(phi_v, adjoint_apply, psi)
+    lhs = pair(psi_v, model.G1, False, phi)
+    rhs = pair(phi_v, model.G2, True, psi)
     return abs(lhs - rhs)

@@ -83,7 +83,10 @@ def _point_rows(model: ModelSpace, *points) -> tuple[list[np.ndarray], bool]:
     Each argument is a scalar or a 1-D array, and they broadcast against
     each other.  Every point is checked against the domain before any
     integration, row by row and in argument order, so an outside point
-    raises the DomainError a loop over the rows would raise.
+    raises the DomainError a loop over the rows would raise.  An array call
+    whose points all lie inside the open interval passes with one
+    comparison per column; a scalar call, and an array call that fails it,
+    take the loop, which raises or accepts a closed end.
     """
     arrs = [np.asarray(p, dtype=float) for p in points]
     shapes = {a.shape for a in arrs}
@@ -100,6 +103,15 @@ def _point_rows(model: ModelSpace, *points) -> tuple[list[np.ndarray], bool]:
             f"points come as scalars or 1-D arrays, not shape {shape}")
     cols = [a.reshape(-1) if a.shape == shape else np.broadcast_to(a, shape)
             for a in arrs]
+    if shape:
+        # a loop, not all() over a generator, whose cells for lo and hi
+        # a scalar call would pay for on entry
+        lo, hi = model.domain.lo, model.domain.hi
+        for c in cols:
+            if not ((lo < c) & (c < hi)).all():
+                break
+        else:
+            return cols, False
     # contains is the test; require only raises the DomainError
     contains, require = model.domain.contains, model.domain.require
     for row in zip(*[c.tolist() for c in cols]):
@@ -226,11 +238,19 @@ def _sliced_apply(model: ModelSpace, kernel: GreenKernel, f, x, tol: float,
 
     V slices ``kernel`` in its second argument at x, V* in its first.
     """
-    (xs,), scalar = _point_rows(model, x)
-    values = _sliced_integral(model, xs.size,
-                              _kernel_rows(kernel, xs, first=adjoint),
-                              _shared_rows(f, xs.size), tol).extended()
+    rows, scalar = _sliced_rows(model, kernel, f, x, tol, adjoint)
+    values = rows.extended()
     return values[0] if scalar else tuple(values)
+
+
+def _sliced_rows(model: ModelSpace, kernel: GreenKernel, f, x, tol: float,
+                 adjoint: bool) -> tuple[QuadRows, bool]:
+    """:func:`_sliced_apply` at the points x as the rows of one integrate
+    call, and whether x was a scalar."""
+    (xs,), scalar = _point_rows(model, x)
+    return _sliced_integral(model, xs.size,
+                            _kernel_rows(kernel, xs, first=adjoint),
+                            _shared_rows(f, xs.size), tol), scalar
 
 
 def w_apply(model: ModelSpace, q, f, x, tol: float = QUAD_TOL) -> ExtendedValue:

@@ -159,8 +159,10 @@ class EndpointSingularity:
 class GreenKernel:
     """A symmetric positive kernel with declared singularity structure.
 
-    ``raw(x, y)`` is the closed form; it may return +inf on the singular
-    locus and must accept numpy arrays in either argument.
+    ``raw(x, y)`` is the closed form and must accept numpy arrays in either
+    argument.  On the singular locus it may return +inf and may warn (a
+    numpy division by zero); a caller that evaluates it there on purpose
+    silences the warning.  The quadrature nodes of a slice never meet it.
     ``diagonal_exponent`` is the blow-up power on the diagonal (None when the
     kernel is merely kinked there), ``endpoint_singularities`` lists boundary
     points where slices can blow up when both arguments approach them.
@@ -188,8 +190,9 @@ class GreenKernel:
         ends = [float(e.point) for e in self.endpoint_singularities]
         sings: dict[int, tuple] = {}
         for e in ends:
-            finite = np.isfinite(self.raw(e, pts) if first
-                                 else self.raw(pts, e)).tolist()
+            with np.errstate(divide="ignore"):   # raw may warn at its point
+                vals = self.raw(e, pts) if first else self.raw(pts, e)
+            finite = np.isfinite(vals).tolist()
             if not all(finite):
                 for i, fin in enumerate(finite):
                     if not fin:
@@ -229,7 +232,8 @@ def kernel_eval(K: GreenKernel, x, y) -> ExtendedValue:
     """Evaluate a Green kernel, packaging singular hits as certified +inf."""
     x = K.domain.require(x)
     y = K.domain.require(y)
-    val = float(K.raw(x, y))
+    with np.errstate(divide="ignore"):   # raw may warn on its singular locus
+        val = float(K.raw(x, y))
     if math.isfinite(val):
         if val < 0.0:
             raise PreconditionError(

@@ -15,7 +15,7 @@ from greenlab.adjoint import (
     duality_residual,
     lsc_check,
 )
-from greenlab.coupling import coupling_apply
+from greenlab.coupling import _sliced_rows, coupling_apply
 from greenlab.errors import DomainError, ModelDomainError, PreconditionError
 from greenlab.kernels import Fn, GridFunction, bump, constant
 from greenlab.models import get_model
@@ -135,6 +135,22 @@ def test_duality_pairing():
     with pytest.raises(ModelDomainError):
         duality_residual(get_model("interval"), bump(0.3, 0.2),
                          bump(0.7, 0.2))
+
+
+def test_the_pairings_inner_values_are_the_floats_of_the_operators():
+    # duality_residual reads V and V* from their rows' value column
+    xs = np.array([0.0, 0.12, 0.4, 0.99])
+    for name in ("interval", "bilaplace"):
+        model = get_model(name)
+        pts = xs if name == "interval" else xs[1:]
+        for kernel, adjoint, op in ((model.G1, False, coupling_apply),
+                                    (model.G2, True, adjoint_apply)):
+            for f in (constant(1.0), bump(0.5, 0.3)):
+                rows, scalar = _sliced_rows(model, kernel, f, pts, 1e-9,
+                                            adjoint)
+                assert not scalar
+                assert [v.hex() for v in rows.value.tolist()] == \
+                    [float(v).hex() for v in op(model, f, pts, tol=1e-9)]
 
 
 def test_array_vstar_matches_the_scalar_loop_bit_for_bit():

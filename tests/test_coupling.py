@@ -259,6 +259,57 @@ def test_an_outside_point_mid_array_raises_the_loops_error():
         coupling_apply(model, constant(1.0), [0.0, 0.5, 1.5, -1.0])
 
 
+def _scalar_error(call, p) -> str:
+    with pytest.raises(DomainError) as exc:
+        call(p)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0, 0.0],
+                         ids=["nan", "inf", "-inf", "hi", "open-lo"])
+def test_a_point_off_the_open_interval_raises_the_scalar_error(bad):
+    # bilaplace's domain is (0, 1): each point fails the array test, first,
+    # in the middle or last, and the loop raises the scalar call's error
+    from greenlab.adjoint import adjoint_apply
+    model = get_model("bilaplace")
+    one = constant(1.0)
+    calls = (lambda x: compose_green(model, x, 0.5),
+             lambda y: compose_green(model, 0.5, y),
+             lambda x: coupling_apply(model, one, x),
+             lambda x: adjoint_apply(model, one, x))
+    for call in calls:
+        want = _scalar_error(call, bad)
+        for k in range(3):
+            pts = [0.2, 0.4, 0.6]
+            pts[k] = bad
+            assert _scalar_error(call, np.array(pts)) == want
+            # a later outside point does not come first
+            assert _scalar_error(call, np.array(pts + [1.5])) == want
+    # within a pair y is checked first, and an earlier pair before both
+    xs, ys = np.array([0.2, 0.3, bad]), np.array([0.2, 0.3, -0.25])
+    for k in range(3):
+        ys_k = np.roll(ys, k)
+        assert _scalar_error(lambda x: compose_green(model, x, ys_k),
+                             np.roll(xs, k)) == \
+            _scalar_error(lambda y: compose_green(model, 0.5, y), -0.25)
+    xs[1] = 1.5
+    assert _scalar_error(lambda x: compose_green(model, x, ys), xs) == \
+        _scalar_error(lambda x: compose_green(model, x, 0.5), 1.5)
+
+
+def test_the_interval_models_closed_end_is_accepted_in_an_array():
+    from greenlab.adjoint import adjoint_apply
+    model = get_model("interval")
+    one = constant(1.0)
+    for pts in ([0.0, 0.3, 0.6], [0.3, 0.0, 0.6], [0.3, 0.6, 0.0]):
+        for op in (lambda x: compose_green(model, x, 0.5),
+                   lambda y: compose_green(model, 0.5, y),
+                   lambda x: coupling_apply(model, one, x),
+                   lambda x: adjoint_apply(model, one, x)):
+            assert [bits(v) for v in op(np.array(pts))] == \
+                [bits(op(p)) for p in pts]
+
+
 def test_the_first_row_that_raises_decides():
     model = get_model("interval")
     # row 0.3 meets the grid function's NaN node; row 0.0 needs a singular

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from greenlab.errors import ConfigError, DomainError, PreconditionError
 from greenlab.kernels import (BiharmonicPair, Fn, GridFunction, Interval1D,
                               bump, constant, is_grid_function, kernel_eval)
 from greenlab.models import MODEL_NAMES, get_model
+from greenlab.models.interval import q0
 
 
 def test_interval_domain_membership():
@@ -95,6 +97,22 @@ def test_kernel_eval_certifies_endpoint_hit():
     for bad in (np.inf, np.nan, [0.0, np.inf, 0.0, 0.0, 0.0]):
         with pytest.raises(DomainError):
             kernel_eval(radial.G1, bad, 1.0)
+
+
+def test_the_interval_kernels_singular_point_is_read_without_a_warning():
+    # raw may warn at x = y = 0; the callers that evaluate it there on
+    # purpose silence the warning themselves
+    model = get_model("interval")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel, exponent in ((model.G1, -1.0), (model.G2, -2.0)):
+            val = kernel_eval(kernel, 0.0, 0.0)
+            assert not val.is_finite
+            assert val.certificate.estimated_exponent == exponent
+            cols, sings = kernel.slice_declarations([0.0, 0.5], first=True)
+            assert cols[0].tolist() == [0.0, 0.5] and cols[1:] == [0.0]
+            assert sings == {0: (0.0,)}
+        assert q0(0.0) == math.inf
 
 
 def test_measure_weighting():

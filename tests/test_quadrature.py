@@ -653,6 +653,7 @@ _ROW_FNS = [
     lambda y: 1.0 / (1.0 + y * y),                # 7: a convergent tail
     lambda y: np.where(np.abs(y - 0.2) < 1e-2, np.inf,   # 8: +inf, then -inf
                        np.where(np.abs(y - 0.8) < 1e-2, -np.inf, y)),
+    lambda y: -1e-321 * np.ones_like(y),          # 9: a -0.0 per short panel
 ]
 
 
@@ -788,6 +789,34 @@ def test_array_rows_give_each_row_its_one_row_bits():
         assert out[3].singular_points_handled == ((0.0, "right"),)
         assert out[7].singular_points_handled == (("tail", "radial-tail"),)
         assert out[11].subdivisions > 1
+
+
+# The plain rows of _ARRAY_ROWS: finite, with no singular point in range.
+_PLAIN_ROWS = [row for row in _ARRAY_ROWS
+               if row[1][1] < math.inf
+               and not any(row[1][0] <= s <= row[1][1] for s in row[2])]
+
+
+@pytest.mark.parametrize("rows", [
+    _PLAIN_ROWS,
+    _PLAIN_ROWS + [(1, (0.0, 1.0), (0.0,), (0.5,))],
+    _PLAIN_ROWS[:8] + [(9, (0.0, 1e-3), (), (2e-4, 4e-4, 6e-4, 8e-4))]
+    + _PLAIN_ROWS[8:],
+], ids=["no-planned-row", "last-row-planned", "minus-zero-pieces"])
+def test_large_calls_give_each_row_its_one_row_bits(rows):
+    assert len(rows) > quadrature._SMALL_BATCH
+    for tol in (1e-8, 1e-12):
+        out = _integrate_specs(rows, tol)
+        ones = [_one_row(row, tol) for row in rows]
+        assert [_row_bits(res) for res in out] == \
+            [_row_bits(one) for one in ones]
+        assert out.value.tolist() == [float(one.value) for one in ones]
+        assert out.bound.tolist() == [one.value.error_bound for one in ones]
+    # each piece of the -0.0 row is -0.0, and a sum from 0.0 turns its
+    # total into 0.0; its cuts fill the widest row's, so no dropped piece
+    # adds a 0.0 to it
+    if rows[8][0] == 9:
+        assert out[8].value.value.hex() == "0x0.0p+0"
 
 
 # Rows that end in a failing row, keyed by what they pin.  Each runs on its
