@@ -41,6 +41,7 @@ from .coupling import _at_points, compose_green, coupling_apply
 from .errors import ConfigError, GreenLabError
 from .kernels import constant, kernel_eval
 from .models import get_model
+from .reports import ReportTable, fmt_exp, fmt_num, header, render_csv
 from .values import QUAD_TOL
 
 KERNELS = ("g1", "g2", "h", "v", "vstar")
@@ -162,14 +163,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**settings)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 def _value_cells(val) -> tuple[str, str]:
     if val.is_finite:
-        return _fmt(val.value), _fmt(val.error_bound)
-    return "INF", f"{val.certificate.estimated_exponent:.6g}"
+        return fmt_num(val.value), fmt_num(val.error_bound)
+    return "INF", fmt_exp(val.certificate.estimated_exponent)
 
 
 def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
@@ -203,7 +200,7 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
         values = _at_points(model, lambda x: apply_op(
             model, one, x, tol=tol), points)
         for x, val in zip(points, values):
-            rows.append((_fmt(x),) + _value_cells(val))
+            rows.append((fmt_num(x),) + _value_cells(val))
         return ("x", "value", "bound_or_exponent"), rows
     if cfg.dist:
         if not model.is_radial:
@@ -220,12 +217,12 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
             from .models.newtonian import kernel_at_distance
             for d in cfg.dist:
                 val = kernel_at_distance(model.dim, d)
-                rows.append((_fmt(d),) + _value_cells(val))
+                rows.append((fmt_num(d),) + _value_cells(val))
             return ("dist", "value", "bound_or_exponent"), rows
         kern = model.G1 if kernel == "g1" else model.G2
         for x in cfg.x:
             for y in cfg.y:
-                rows.append((_fmt(x), _fmt(y))
+                rows.append((fmt_num(x), fmt_num(y))
                             + _value_cells(kernel_eval(kern, x, y)))
         return ("x", "y", "value", "bound_or_exponent"), rows
     if cfg.dist:
@@ -236,13 +233,8 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     values = _at_points(model, lambda x, y: compose_green(
         model, x, y, tol=tol), *zip(*pairs))
     for (x, y), val in zip(pairs, values):
-        rows.append((_fmt(x), _fmt(y)) + _value_cells(val))
+        rows.append((fmt_num(x), fmt_num(y)) + _value_cells(val))
     return ("x", "y", "value", "bound_or_exponent"), rows
-
-
-def _header(settings: dict[str, object]) -> list[str]:
-    return [f"# tool = greenlab {__version__}"] + [
-        f"# {key} = {value}" for key, value in settings.items()]
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -250,10 +242,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     settings = {"command": "eval", "kernel": cfg.kernel, "model": cfg.model}
     if cfg.kernel in QUADRATURE_KERNELS:
         settings["tol-quad"] = f"{cfg.tol_quad or QUAD_TOL:g}"
-    lines = _header(settings)
-    lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    text = render_csv(ReportTable("eval", columns, tuple(rows)), settings)
     if cfg.out:
         try:
             Path(cfg.out).write_text(text, encoding="ascii")
@@ -266,7 +255,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     results = suites.run_suite(suite, seed=cfg.seed)
-    lines = _header({"command": "verify", "suite": suite, "seed": cfg.seed})
+    lines = header({"command": "verify", "suite": suite, "seed": cfg.seed}, ())
     lines.append("check,margin,verdict")
     for r in results:
         lines.append(f"{r.id},{r.margin:.6g},{'pass' if r.passed else 'FAIL'}")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import ConditioningError, DomainError, PreconditionError
 from .quadrature import StencilSpec
 from .values import DivergenceCertificate, ExtendedValue
 
@@ -180,23 +180,33 @@ class GreenKernel:
         The slice in the first argument at y is x -> K(x, y), the one in the
         second at x is y -> K(x, y).  Its breakpoints are its point, where
         the kernel kinks on the diagonal, and every endpoint singularity;
-        such an endpoint is a live singular point of the slice where the
-        kernel is non-finite at it.  Returns the breakpoints as columns --
-        the points array, then one float per endpoint -- and a dict from
-        the index of each point with a live singular point to them; one
-        kernel call per endpoint serves all the points.
+        such an endpoint is a live singular point of the slice at that
+        endpoint itself, where the kernel is non-finite at it.  A slice at
+        another point that is non-finite at an endpoint overflows there, so
+        close to it that no integral of the slice can be trusted: that
+        point is refused with a ConditioningError.  Returns the breakpoints
+        as columns -- the points array, then one float per endpoint -- and
+        a dict from the index of each point with a live singular point to
+        them; one kernel call per endpoint serves all the points.
         """
         pts = np.asarray(points, dtype=float)
         ends = [float(e.point) for e in self.endpoint_singularities]
         sings: dict[int, tuple] = {}
         for e in ends:
-            with np.errstate(divide="ignore"):   # raw may warn at its point
+            # raw may divide by zero at its point and overflow beside it
+            with np.errstate(divide="ignore", over="ignore"):
                 vals = self.raw(e, pts) if first else self.raw(pts, e)
             finite = np.isfinite(vals).tolist()
             if not all(finite):
-                for i, fin in enumerate(finite):
-                    if not fin:
-                        sings[i] = (*sings.get(i, ()), e)
+                for i, (p, fin) in enumerate(zip(pts.tolist(), finite)):
+                    if fin:
+                        continue
+                    if p != e:
+                        raise ConditioningError(
+                            f"kernel {self.name} overflows at the endpoint "
+                            f"singularity {e!r} of its slice at {p!r}: the "
+                            "point is too close to it to evaluate reliably")
+                    sings[i] = (*sings.get(i, ()), e)
         return ([pts] if self.kink_on_diagonal else []) + ends, sings
 
     def slice_in_first(self, y: float) -> Fn:

@@ -16,11 +16,12 @@ import numpy as np
 
 from ..errors import (ConditioningError, DomainError, ModelDomainError,
                       PreconditionError)
-from ..kernels import (GreenKernel, ModelSpace, RadialDomain,
-                       ReferenceMeasure, kernel_eval)
-from ..quadrature import (integrate, integrate_radial, probe_divergence,
+from ..coupling import coupling_apply
+from ..kernels import (Fn, GreenKernel, ModelSpace, RadialDomain,
+                       ReferenceMeasure, constant, kernel_eval)
+from ..quadrature import (integrate, probe_divergence,
                           probe_tail, sphere_surface_area, ProbeReport)
-from ..values import QUAD_TOL, DivergenceCertificate, ExtendedValue
+from ..values import DivergenceCertificate, ExtendedValue
 
 # Distances below this make the composed-kernel quadrature ill-conditioned
 # (the inner angular peak narrows past what the panel budget resolves), so
@@ -132,19 +133,6 @@ def gauss_flux(n: int, r: float) -> float:
     return sphere_surface_area(n - 1) * r ** (n - 1) * float(flux)
 
 
-def _constant_profile(n: int):
-    """r -> G at separation r: the radial profile of V applied to 1."""
-    cn = newton_constant(n)
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            return cn * r ** (2.0 - n)
-
-    profile.vectorized = True
-    return profile
-
-
 def constant_coupling_divergence(n: int) -> DivergenceCertificate:
     """Certify that V applied to the constant 1 has no finite value anywhere.
 
@@ -154,22 +142,20 @@ def constant_coupling_divergence(n: int) -> DivergenceCertificate:
     returned certificate is the reason no everywhere-positive coupled pair
     exists on this model.
     """
-    n = _require_dim(n)
-    res = integrate_radial(_constant_profile(n), n, upper=None,
-                           tol=QUAD_TOL)
-    if res.value.is_finite:     # pragma: no cover - mathematically impossible
+    val = coupling_apply(newtonian_model(n), constant(1.0), 0.0)
+    if val.is_finite:     # pragma: no cover - mathematically impossible
         raise ModelDomainError("constant coupling unexpectedly converged")
-    return res.value.certificate
+    return val.certificate
 
 
 def truncated_constant_coupling(n: int, upper: float) -> ExtendedValue:
     """The same integral cut at radius ``upper``: finite, value sigma c_n R^2/2."""
-    n = _require_dim(n)
+    model = newtonian_model(n)
     upper = float(upper)
     if upper <= 0.0:
         raise PreconditionError("truncation radius must be positive")
-    return integrate_radial(_constant_profile(n), n, upper=upper,
-                            tol=QUAD_TOL).value
+    one = Fn(constant(1.0), support=(0.0, upper), vectorized=True)
+    return coupling_apply(model, one, 0.0)
 
 
 def _composition_outer(n: int, d: float, inner_tol: float):

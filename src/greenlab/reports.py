@@ -24,11 +24,13 @@ from .models import interval as iv
 from .models import newtonian as nw
 
 
-def _num(x: float) -> str:
+def fmt_num(x: float) -> str:
+    """A value or a bound, as every CSV and .dat cell prints it."""
     return f"{float(x):.12g}"
 
 
-def _exp(x: float) -> str:
+def fmt_exp(x: float) -> str:
+    """A divergence exponent, as every CSV and .dat cell prints it."""
     return f"{float(x):.6g}"
 
 
@@ -51,13 +53,13 @@ def build_radial_divergence(seed: int = 0) -> ReportTable:
     for n in (5, 6):
         cert = nw.constant_coupling_divergence(n)
         notes.append(f"dimension {n}: certified divergent, tail exponent "
-                     f"{_exp(cert.estimated_exponent)}")
+                     f"{fmt_exp(cert.estimated_exponent)}")
         prev = None
         for k in range(13):
             r = 0.5 * 2.0 ** k
             partial = float(nw.truncated_constant_coupling(n, r))
             step = math.log2(partial / prev) if prev else float("nan")
-            rows.append((str(n), _num(r), _num(partial), _num(step)))
+            rows.append((str(n), fmt_num(r), fmt_num(partial), fmt_num(step)))
             prev = partial
     return ReportTable(
         "radial-divergence",
@@ -70,7 +72,7 @@ def build_obstruction(seed: int = 0) -> ReportTable:
     u = iv.obstruction_u(0.0, 0.0)
     rows = []
     for x in np.geomspace(1e-4, 0.999, 60):
-        rows.append((_num(x), _num(float(u(float(x))))))
+        rows.append((fmt_num(x), fmt_num(float(u(float(x))))))
     return ReportTable(
         "obstruction", ("x", "u"),
         tuple(rows),
@@ -85,10 +87,10 @@ def build_boundary_blowup(seed: int = 0) -> ReportTable:
     xs = np.linspace(0.1, 0.9, 9)
     for x, val in zip(xs, compose_green(model, xs, 0.0)):
         if val.is_finite:
-            rows.append((_num(x), "0", _num(float(val)), ""))
+            rows.append((fmt_num(x), "0", fmt_num(float(val)), ""))
         else:
-            rows.append((_num(x), "0", "INF",
-                         _exp(val.certificate.estimated_exponent)))
+            rows.append((fmt_num(x), "0", "INF",
+                         fmt_exp(val.certificate.estimated_exponent)))
     return ReportTable(
         "boundary-blowup", ("x", "y", "h", "exponent"),
         tuple(rows),
@@ -104,6 +106,7 @@ def build_adjoint_gate(seed: int = 0) -> ReportTable:
     column climbs by ln 2 per depth and the partial sums of the samples
     pass 1e6 around depth twenty.
     """
+    model = iv.interval_model()
     phi = bump(0.0, 0.3)
     rows = []
     total = 0.0
@@ -111,12 +114,12 @@ def build_adjoint_gate(seed: int = 0) -> ReportTable:
     for k in range(25):
         y = 0.25 * 2.0 ** (-k)
         depth = k + 2  # halvings from the unit scale: y = 2**-depth
-        g = (1.0 / y ** 2 - 1.0) * float(phi(y)) * y
+        g = float(model.mu.weigh(model.G2.raw(y, 0.0) * phi(y), y))
         total += g
         if crossing is None and total > 1e6:
             crossing = depth
-        rows.append((str(depth), _num(y), _num(g), _num(total),
-                     _num(math.log(g))))
+        rows.append((str(depth), fmt_num(y), fmt_num(g), fmt_num(total),
+                     fmt_num(math.log(g))))
     notes = ("log integrand climbs by ln(2) = 0.693147 per depth",)
     if crossing is not None:
         notes += (f"partial sums pass 1e6 at depth {crossing}",)
@@ -136,10 +139,10 @@ def build_symmetry(seed: int = 0) -> ReportTable:
             hxy, hyx = float(table[i, j]), float(table[j, i])
             gap = abs(hxy - hyx)
             worst = max(worst, gap)
-            rows.append((_num(x), _num(y), _num(hxy), _num(hyx), _num(gap)))
+            rows.append(tuple(map(fmt_num, (x, y, hxy, hyx, gap))))
     return ReportTable(
         "symmetry", ("x", "y", "h_xy", "h_yx", "asymmetry"),
-        tuple(rows), (f"max asymmetry over the grid: {_num(worst)}",))
+        tuple(rows), (f"max asymmetry over the grid: {fmt_num(worst)}",))
 
 
 def build_continuity(seed: int = 0) -> ReportTable:
@@ -149,14 +152,14 @@ def build_continuity(seed: int = 0) -> ReportTable:
     notes = []
     for x, y in ((0.3, 0.6), (0.75, 0.2), (0.5, 0.0)):
         probe = adjoint.continuity_probe(model, x, y)
-        notes.append(f"target ({_num(x)}, {_num(y)}): {probe.verdict}")
+        notes.append(f"target ({fmt_num(x)}, {fmt_num(y)}): {probe.verdict}")
         for level, off in enumerate(probe.probes):
             val = probe.values[level]
             modulus = (probe.moduli[level] if level < len(probe.moduli)
                        else None)
-            rows.append((_num(x), _num(y), str(level), _num(off),
-                         _num(val) if math.isfinite(val) else "INF",
-                         "INF" if modulus is None else _num(modulus)))
+            rows.append((fmt_num(x), fmt_num(y), str(level), fmt_num(off),
+                         fmt_num(val) if math.isfinite(val) else "INF",
+                         "INF" if modulus is None else fmt_num(modulus)))
     return ReportTable(
         "continuity",
         ("x", "y", "level", "probe", "value", "modulus"),
@@ -173,26 +176,25 @@ BUILDERS = {
 }
 
 
-def _header_lines(table: ReportTable, meta: dict[str, object]) -> list[str]:
-    lines = [f"# tool = greenlab {__version__}", f"# report = {table.name}"]
-    for key, value in meta.items():
-        lines.append(f"# {key} = {value}")
-    for note in table.notes:
-        lines.append(f"# note: {note}")
-    return lines
+def header(settings: dict[str, object], notes) -> list[str]:
+    """The lines that open every output: the tool and its version, one
+    ``# key = value`` line per setting, in order, then one per note."""
+    return ([f"# tool = greenlab {__version__}"]
+            + [f"# {key} = {value}" for key, value in settings.items()]
+            + [f"# note: {note}" for note in notes])
 
 
-def render_csv(table: ReportTable, meta: dict[str, object]) -> str:
-    lines = _header_lines(table, meta)
+def render_csv(table: ReportTable, settings: dict[str, object]) -> str:
+    lines = header(settings, table.notes)
     lines.append(",".join(table.columns))
     lines.extend(",".join(row) for row in table.rows)
     return "\n".join(lines) + "\n"
 
 
-def render_dat(table: ReportTable, meta: dict[str, object]) -> str:
+def render_dat(table: ReportTable, settings: dict[str, object]) -> str:
     widths = [max(len(c), *(len(r[i]) for r in table.rows)) if table.rows
               else len(c) for i, c in enumerate(table.columns)]
-    lines = _header_lines(table, meta)
+    lines = header(settings, table.notes)
     lines.append(("# " + "  ".join(c.ljust(w)
                                    for c, w in zip(table.columns, widths))
                   ).rstrip())
@@ -205,11 +207,11 @@ def render_dat(table: ReportTable, meta: dict[str, object]) -> str:
 def write_report(name: str, out_dir, seed: int = 0) -> list[Path]:
     """Build one report target and write its CSV and .dat files."""
     table = BUILDERS[name](seed=seed)
-    meta = {"seed": seed}
+    settings = {"report": table.name, "seed": seed}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     dat_path = out / f"{name}.dat"
-    csv_path.write_text(render_csv(table, meta), encoding="ascii")
-    dat_path.write_text(render_dat(table, meta), encoding="ascii")
+    csv_path.write_text(render_csv(table, settings), encoding="ascii")
+    dat_path.write_text(render_dat(table, settings), encoding="ascii")
     return [csv_path, dat_path]

@@ -72,16 +72,6 @@ class RegularSubdomain:
                 f"{x:g} is not interior to [{self.a:g}, {self.b:g}]")
         return x
 
-    def _cardinals(self, inv: np.ndarray, basis, x):
-        return _cardinal(inv, basis, 0, x), _cardinal(inv, basis, 1, x)
-
-    def cardinals1(self, x):
-        """Weights (w_a, w_b) with interp1(data)(x) = w_a f(a) + w_b f(b)."""
-        return self._cardinals(self.inv1, self.basis1, x)
-
-    def cardinals2(self, x):
-        return self._cardinals(self.inv2, self.basis2, x)
-
     def _interpolant(self, inv: np.ndarray, basis, fa: float, fb: float,
                      name: str) -> Fn:
         coef = inv @ np.array([fa, fb], dtype=float)
@@ -163,22 +153,23 @@ def _clip_weight(w: float, what: str) -> float:
     return max(w, 0.0)
 
 
-def _nu_masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
-               adjoint: bool) -> np.ndarray:
-    """(nu_a, nu_b) at each point xs[i] of its subdomain subs[i], as a
-    (len(xs), 2) array.
+def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
+            adjoint: bool) -> np.ndarray:
+    """The masses (mu, nu, lambda) at each point xs[i] of its subdomain
+    subs[i], as a (len(xs), 3, 2) array of (mass at a, mass at b).
 
-    nu_j(x) = int_a^b K_omega(x, z) c_j(z) w(z) dz, where K_omega(x, .) =
-    G1(x, .) - c1_a(x) G1(a, .) - c1_b(x) G1(b, .) is the global kernel
-    swept clean on the boundary of [a, b], c1 the first basis' cardinals,
-    c_j the second basis' cardinal at a (j = 0) or b (j = 1), and w the kink
-    density.  The (point, j) integrals of every point, whatever its
-    subdomain, are the rows of one integrate call, and each row's integrand
-    is elementwise in its own a, b and cardinal coefficients, so a row has
-    the bits of a one-point call.  K_omega and c_j are nonnegative on
-    [a, b], so every row is.  With ``adjoint`` the kernel is the transposed
-    G2 and the two bases swap.  Points not interior to their subdomain get
-    zero masses.
+    mu and lambda are the cardinals at x of the first and second basis, so
+    interp1(data)(x) = mu_a f(a) + mu_b f(b).  nu_j(x) = int_a^b
+    K_omega(x, z) c_j(z) w(z) dz, where K_omega(x, .) = G1(x, .) - mu_a
+    G1(a, .) - mu_b G1(b, .) is the global kernel swept clean on the
+    boundary of [a, b], c_j the second basis' cardinal at a (j = 0) or b
+    (j = 1), and w the kink density.  The (point, j) integrals of every
+    point, whatever its subdomain, are the rows of one integrate call, and
+    each row's integrand is elementwise in its own a, b and cardinal
+    coefficients, so a row has the bits of a one-point call.  K_omega and
+    c_j are nonnegative on [a, b], so every row is.  With ``adjoint`` the
+    kernel is the transposed G2 and the two bases swap, mu and lambda with
+    them.  Points not interior to their subdomain get zero masses.
     """
     if adjoint:
         raw = lambda x, z: model.G2.raw(z, x)
@@ -195,10 +186,12 @@ def _nu_masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
     invs = np.array([(sub.inv2, sub.inv1) if adjoint else (sub.inv1, sub.inv2)
                      for _, _, sub in picks], dtype=float).reshape(-1, 2, 2, 2)
     # _cardinal coefficients: column i holds point i's, and column r = 2i + j
-    # those of row (i, j)
+    # those of row (i, j).  At x: the cardinals of the kernel basis, then
+    # of the other, each 1 at a (j = 0) or at b (j = 1)
     idx = np.arange(len(picks))
-    ka = _cardinal(invs[:, 0, :, 0].T, k_basis, idx, pts)
-    kb = _cardinal(invs[:, 0, :, 1].T, k_basis, idx, pts)
+    (ka, kb), (ca, cb) = [
+        [_cardinal(invs[:, m, :, j].T, basis, idx, pts) for j in (0, 1)]
+        for m, basis in enumerate((k_basis, c_basis))]
     c_coef = invs[:, 1].transpose(1, 0, 2).reshape(2, -1)
 
     def row(r, z):
@@ -210,9 +203,10 @@ def _nu_masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
     masses = integrate(row, rows=(2 * len(pts), [c.repeat(2) for c in
                                                  (pa, pts, pb)], {}),
                        tol=NU_TOL).value
-    nu = np.zeros((len(xs), 2))
-    nu[[i for i, _, _ in picks]] = masses.reshape(-1, 2)
-    return nu
+    out = np.zeros((len(xs), 3, 2))
+    out[[i for i, _, _ in picks]] = np.stack(
+        [ka, kb, masses[0::2], masses[1::2], ca, cb], axis=1).reshape(-1, 3, 2)
+    return out
 
 
 def biharmonic_measures(model: ModelSpace, sub, x, adjoint: bool = False):
@@ -246,7 +240,7 @@ def _measure_triples(model: ModelSpace, subs: Sequence[RegularSubdomain],
     """The triple of subs[i] at its interior point xs[i], for every i.
 
     Every point is checked against its subdomain before any integration;
-    the nu masses of all the points are then one :func:`_nu_masses` call.
+    the masses of all the points are then one :func:`_masses` call.
     """
     xs = [sub.require_interior(x) for sub, x in zip(subs, xs)]
     if adjoint and model.id != "bilaplace1d":
@@ -255,17 +249,11 @@ def _measure_triples(model: ModelSpace, subs: Sequence[RegularSubdomain],
             "symmetric-equal model, where the transpose coupling is "
             "finite and continuous")
     triples = []
-    for sub, x, (na, nb) in zip(subs, xs, _nu_masses(
+    for sub, x, masses in zip(subs, xs, _masses(
             model, subs, xs, adjoint).tolist()):
-        (ma, mb), (la, lb) = sub.cardinals1(x), sub.cardinals2(x)
-        if adjoint:
-            (ma, mb), (la, lb) = (la, lb), (ma, mb)
-        triples.append(MeasureTriple(
-            (sub.a, sub.b), x,
-            (_clip_weight(float(ma), "mu"), _clip_weight(float(mb), "mu")),
-            (_clip_weight(na, "nu"), _clip_weight(nb, "nu")),
-            (_clip_weight(float(la), "lambda"),
-             _clip_weight(float(lb), "lambda"))))
+        mu, nu, lam = (tuple(_clip_weight(w, what) for w in pair)
+                       for what, pair in zip(("mu", "nu", "lambda"), masses))
+        triples.append(MeasureTriple((sub.a, sub.b), x, mu, nu, lam))
     return triples
 
 
@@ -304,7 +292,7 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
 
     def u(x):
         xs = np.asarray(x, dtype=float)
-        nu = _nu_masses(model, [sub] * xs.size, xs.ravel(), False)
+        nu = _masses(model, [sub] * xs.size, xs.ravel(), False)[:, 1]
         # elementwise, not nu @ (ga, gb), so the bits match across arrays
         out = np.asarray(h1(xs), dtype=float) + \
             (ga * nu[:, 0] + gb * nu[:, 1]).reshape(xs.shape)

@@ -657,27 +657,6 @@ def check_consistent_divergence(seed: int = 0) -> CheckResult:
 # ---------------------------------------------------------------------------
 # Suite registry.
 
-CHECKS = {
-    fn.__name__.replace("check_", "").replace("_", "-"): fn
-    for fn in (
-        check_power_verdicts, check_refinement_monotonicity,
-        check_coupling_monotonicity, check_coupling_linearity,
-        check_monotone_convergence, check_pure_minimality,
-        check_compose_consistency, check_measure_positivity,
-        check_v1_identity, check_kink_law, check_boundary_divergence,
-        check_adjoint_blowup, check_obstruction_negativity, check_strictness,
-        check_riquier_restriction_interval, check_green_ode_interval,
-        check_pure_classification, check_adjoint_identity_interval,
-        check_regularity_interval,
-        check_h_symmetry, check_navier, check_riquier_restriction_bilaplace,
-        check_green_ode_bilaplace, check_adjoint_identity_bilaplace,
-        check_adjoint_riquier, check_duality, check_regularity_bilaplace,
-        check_radial_divergence, check_dilation_scaling, check_gauss_flux,
-        check_composition_tail,
-        check_adjoint_gate, check_consistent_divergence,
-    )
-}
-
 SUITES = {
     "axioms": (
         "power-verdicts", "refinement-monotonicity", "coupling-monotonicity",
@@ -701,14 +680,15 @@ SUITES = {
 }
 
 
+# Each check id, in order of first appearance in SUITES, to its function:
+# check_<id>, with '-' read as '_'.
+CHECKS = {cid: globals()["check_" + cid.replace("-", "_")]
+          for ids in SUITES.values() for cid in ids}
+
+
 def suite_ids(name: str) -> tuple[str, ...]:
     if name == "all":
-        seen: list[str] = []
-        for ids in SUITES.values():
-            for cid in ids:
-                if cid not in seen:
-                    seen.append(cid)
-        return tuple(seen)
+        return tuple(CHECKS)
     return SUITES[name]
 
 

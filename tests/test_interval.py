@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from greenlab.errors import PreconditionError
+from greenlab.adjoint import adjoint_apply
+from greenlab.coupling import compose_green
+from greenlab.errors import ConditioningError, PreconditionError
 from greenlab.kernels import BiharmonicPair, constant
 from greenlab.models.interval import (
     OBSTRUCTION_CUTOFF,
     global_pure_pair,
+    interval_model,
     kink_slope_jump,
     obstruction_u,
     pure_obstruction,
@@ -121,3 +124,35 @@ def test_array_v1_residuals_match_their_scalar_loop():
         loop = [residual(float(x)) for x in xs]
         assert [r.hex() for r in out.tolist()] == [r.hex() for r in loop]
         assert isinstance(loop[0], float)
+
+
+@pytest.mark.parametrize("y", [7e-155, 1e-160, 1e-300])
+def test_a_point_whose_g2_slice_overflows_is_refused(y):
+    # G2(0, y) = 1/y^2 - 1 overflows below about 7.5e-155: the slice is
+    # non-finite at the endpoint 0 though y is not 0, and H(0.5, y) and
+    # V*(1)(y), which grow only like log(1/y), are refused, not INF
+    model = interval_model()
+    for op in (lambda: compose_green(model, 0.5, y),
+               lambda: adjoint_apply(model, constant(1.0), y)):
+        with pytest.raises(ConditioningError) as info:
+            op()
+        msg = str(info.value)
+        assert "interval-G2" in msg and repr(y) in msg and "0.0" in msg
+    with pytest.raises(ConditioningError):
+        compose_green(model, [0.3, 0.5], [0.2, y])
+
+
+def test_tiny_points_the_kernels_still_resolve_stay_finite():
+    model = interval_model()
+    assert float(compose_green(model, 0.5, 1e-150)) == pytest.approx(
+        345.251469588, rel=1e-11)
+    assert float(adjoint_apply(model, constant(1.0), 1e-150)) == \
+        pytest.approx(345.387763949, rel=1e-11)
+    assert float(compose_green(model, 1e-160, 0.5)) == pytest.approx(
+        1.30685281944, rel=1e-11)
+    # the endpoint itself is still the certified INF
+    for val in (compose_green(model, 0.5, 0.0),
+                adjoint_apply(model, constant(1.0), 0.0)):
+        assert not val.is_finite
+        assert val.certificate.estimated_exponent == pytest.approx(
+            -1.0, abs=0.05)

@@ -351,3 +351,27 @@ def test_measures_of_many_points_are_one_call_with_one_point_triples(
     assert calls == [6, 4]
     with pytest.raises(PreconditionError):
         biharmonic_measures(model, subs, xs[:2])
+
+
+@pytest.mark.parametrize("model_name, adjoint", [
+    ("interval", False), ("bilaplace", False), ("bilaplace", True)])
+def test_mu_and_lambda_are_the_interpolants_of_unit_data(model_name,
+                                                         adjoint):
+    # mu_j(x) and lambda_j(x) are the first and second basis' interpolants
+    # at x of the data that is 1 at a (j = 0) or b (j = 1) and 0 at the
+    # other end, clipped at 0; the adjoint triple swaps the bases
+    model = get_model(model_name)
+    probes = [((0.2, 0.8), 0.5), ((0.1, 0.9), 0.13), ((0.3, 0.5), 0.47),
+              ((0.05, 0.6), 0.4), ((0.5, 0.95), 0.9)]
+    subs = [regular_subdomain(model, a, b) for (a, b), _ in probes]
+    xs = [x for _, x in probes]
+    for sub, x, triple in zip(subs, xs, biharmonic_measures(
+            model, subs, xs, adjoint=adjoint)):
+        first = [max(float(sub.interpolant1(*unit)(x)), 0.0)
+                 for unit in ((1.0, 0.0), (0.0, 1.0))]
+        second = [max(float(sub.interpolant2(*unit)(x)), 0.0)
+                  for unit in ((1.0, 0.0), (0.0, 1.0))]
+        if adjoint:
+            first, second = second, first
+        assert list(triple.mu) == first
+        assert list(triple.lam) == second

@@ -1,6 +1,7 @@
 """The named check registry driving both the CLI verifier and acceptance."""
 
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,25 @@ def test_suites_reference_known_checks():
     assert set(all_ids) == set(CHECKS)
     with pytest.raises(KeyError):
         suite_ids("torus")
+
+
+def test_every_check_function_is_registered_under_its_id():
+    # a check_* function that SUITES leaves out would never run
+    from greenlab import suites
+
+    funcs = {name: fn for name, fn in vars(suites).items()
+             if name.startswith("check_") and callable(fn)}
+    assert sorted(CHECKS.values(), key=id) == sorted(funcs.values(), key=id)
+    for cid, fn in CHECKS.items():
+        assert fn is funcs["check_" + cid.replace("-", "_")]
+
+
+def test_all_runs_the_33_checks_in_the_golden_order():
+    golden = Path(__file__).parent / "golden" / "verify_all_seed0.txt"
+    ids = [line.split(",")[0] for line in golden.read_text().splitlines()
+           if line and not line.startswith("#")][1:]
+    assert len(ids) == 33
+    assert suite_ids("all") == tuple(ids) == tuple(CHECKS)
 
 
 def test_suite_results_are_deterministic():
