@@ -185,14 +185,14 @@ def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
     # each inner point's inverse interpolation matrices, kernel basis first
     invs = np.array([(sub.inv2, sub.inv1) if adjoint else (sub.inv1, sub.inv2)
                      for _, _, sub in picks], dtype=float).reshape(-1, 2, 2, 2)
-    # _cardinal coefficients: column i holds point i's, and column r = 2i + j
-    # those of row (i, j).  At x: the cardinals of the kernel basis, then
-    # of the other, each 1 at a (j = 0) or at b (j = 1)
-    idx = np.arange(len(picks))
-    (ka, kb), (ca, cb) = [
-        [_cardinal(invs[:, m, :, j].T, basis, idx, pts) for j in (0, 1)]
-        for m, basis in enumerate((k_basis, c_basis))]
-    c_coef = invs[:, 1].transpose(1, 0, 2).reshape(2, -1)
+    # _cardinal coefficients of the kernel basis, then of the other: column
+    # r = 2i + j holds those of point i's cardinal that is 1 at a (j = 0) or
+    # at b (j = 1), and row r of the nu integrals uses c_coef's
+    k_coef, c_coef = invs.transpose(1, 2, 0, 3).reshape(2, 2, -1)
+    rows, at = np.arange(2 * len(pts)), pts.repeat(2)
+    mu = _cardinal(k_coef, k_basis, rows, at)
+    lam = _cardinal(c_coef, c_basis, rows, at)
+    ka, kb = mu[0::2], mu[1::2]
 
     def row(r, z):
         i = r // 2
@@ -200,12 +200,12 @@ def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
         return kx * _cardinal(c_coef, c_basis, r, z) * model.kink_density(z)
 
     # row r = 2i + j on [a, b], cut at x
-    masses = integrate(row, rows=(2 * len(pts), [c.repeat(2) for c in
-                                                 (pa, pts, pb)], {}),
+    masses = integrate(row, rows=(2 * len(pts),
+                                  [pa.repeat(2), at, pb.repeat(2)], {}),
                        tol=NU_TOL).value
     out = np.zeros((len(xs), 3, 2))
-    out[[i for i, _, _ in picks]] = np.stack(
-        [ka, kb, masses[0::2], masses[1::2], ca, cb], axis=1).reshape(-1, 3, 2)
+    out[[i for i, _, _ in picks]] = np.array(
+        [mu, masses, lam]).reshape(3, -1, 2).transpose(1, 0, 2)
     return out
 
 
