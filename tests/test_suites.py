@@ -34,7 +34,7 @@ def test_every_check_function_is_registered_under_its_id():
 
     funcs = {name: fn for name, fn in vars(suites).items()
              if name.startswith("check_") and callable(fn)}
-    assert sorted(CHECKS.values(), key=id) == sorted(funcs.values(), key=id)
+    assert len(CHECKS) == len(funcs) == 33
     for cid, fn in CHECKS.items():
         assert fn is funcs["check_" + cid.replace("-", "_")]
 
