@@ -272,13 +272,11 @@ def continuity_probe(model: ModelSpace, x, y) -> ContinuityReport:
             "the continuity claim for H is off-diagonal; pick y != x")
     if model.is_radial:
         room_l, room_r = math.inf, math.inf
-        near_limit = 2e-3
     else:
         dom: Interval1D = model.domain
         dom.require(x)
         dom.require(y)
         room_l, room_r = y - dom.lo, dom.hi - y
-        near_limit = 0.0
 
     def start_offset(direction: float, room: float) -> float:
         d0 = min(0.1, 0.45 * room)
@@ -288,7 +286,7 @@ def continuity_probe(model: ModelSpace, x, y) -> ContinuityReport:
 
     d_r, d_l = start_offset(+1.0, room_r), start_offset(-1.0, room_l)
     direction, d0 = (+1.0, d_r) if d_r >= d_l else (-1.0, d_l)
-    if d0 <= near_limit or d0 <= 1e-9:
+    if d0 <= 1e-9:
         raise PreconditionError(
             f"no room for a dyadic approach to y = {y:g} inside the domain")
 

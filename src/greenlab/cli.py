@@ -41,7 +41,7 @@ from .coupling import _at_points, compose_green, coupling_apply
 from .errors import ConfigError, GreenLabError
 from .kernels import constant, kernel_eval
 from .models import get_model
-from .reports import ReportTable, fmt_exp, fmt_num, header, render_csv
+from .reports import ReportTable, fmt_exp, fmt_num, render_csv
 from .values import QUAD_TOL
 
 KERNELS = ("g1", "g2", "h", "v", "vstar")
@@ -255,13 +255,13 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     results = suites.run_suite(suite, seed=cfg.seed)
-    lines = header({"command": "verify", "suite": suite, "seed": cfg.seed}, ())
-    lines.append("check,margin,verdict")
-    for r in results:
-        lines.append(f"{r.id},{r.margin:.6g},{'pass' if r.passed else 'FAIL'}")
+    table = ReportTable("verify", ("check", "margin", "verdict"), tuple(
+        (r.id, f"{r.margin:.6g}", "pass" if r.passed else "FAIL")
+        for r in results))
     passed = sum(r.passed for r in results)
-    lines.append(f"# result = {passed}/{len(results)} passed")
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(render_csv(table, {"command": "verify", "suite": suite,
+                                        "seed": cfg.seed})
+                     + f"# result = {passed}/{len(results)} passed\n")
     return 0 if passed == len(results) else 1
 
 

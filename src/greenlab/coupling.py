@@ -348,10 +348,6 @@ class ClassifyReport:
     finite_on_grid: bool
     pure_residual: float | None    # max |u - V(v)| when that was computable
 
-    @property
-    def violated(self):
-        return self.probe_report.violated
-
 
 def classify_pair(model: ModelSpace, pair: BiharmonicPair, grid,
                   subintervals) -> ClassifyReport:

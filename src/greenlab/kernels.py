@@ -161,8 +161,9 @@ class GreenKernel:
 
     ``raw(x, y)`` is the closed form and must accept numpy arrays in either
     argument.  On the singular locus it may return +inf and may warn (a
-    numpy division by zero); a caller that evaluates it there on purpose
-    silences the warning.  The quadrature nodes of a slice never meet it.
+    numpy division by zero), and beside it overflow; no quadrature node of
+    a slice meets either.  Points of a caller's choosing go through
+    :meth:`evaluate`, and are refused off the locus by :meth:`overflow_error`.
     ``diagonal_exponent`` is the blow-up power on the diagonal (None when the
     kernel is merely kinked there), ``endpoint_singularities`` lists boundary
     points where slices can blow up when both arguments approach them.
@@ -174,6 +175,17 @@ class GreenKernel:
     kink_on_diagonal: bool = True
     endpoint_singularities: tuple[EndpointSingularity, ...] = ()
 
+    def evaluate(self, x, y):
+        """raw(x, y), +inf without a warning where it divides by 0 or overflows."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.raw(x, y)
+
+    def overflow_error(self, x, y) -> ConditioningError:
+        """The refusal of (x, y), non-finite off the declared singular locus."""
+        return ConditioningError(
+            f"kernel {self.name} overflows at ({x!r}, {y!r}), off its declared "
+            "singular locus: too close to a singularity to evaluate reliably")
+
     def slice_declarations(self, points, first: bool) -> tuple[list, dict]:
         """Breakpoints and live singular points of the slices at ``points``.
 
@@ -184,7 +196,7 @@ class GreenKernel:
         endpoint itself, where the kernel is non-finite at it.  A slice at
         another point that is non-finite at an endpoint overflows there, so
         close to it that no integral of the slice can be trusted: that
-        point is refused with a ConditioningError.  Returns the breakpoints
+        point is refused with :meth:`overflow_error`.  Returns the breakpoints
         as columns -- the points array, then one float per endpoint -- and
         a dict from the index of each point with a live singular point to
         them; one kernel call per endpoint serves all the points.
@@ -193,19 +205,14 @@ class GreenKernel:
         ends = [float(e.point) for e in self.endpoint_singularities]
         sings: dict[int, tuple] = {}
         for e in ends:
-            # raw may divide by zero at its point and overflow beside it
-            with np.errstate(divide="ignore", over="ignore"):
-                vals = self.raw(e, pts) if first else self.raw(pts, e)
+            vals = self.evaluate(e, pts) if first else self.evaluate(pts, e)
             finite = np.isfinite(vals).tolist()
             if not all(finite):
                 for i, (p, fin) in enumerate(zip(pts.tolist(), finite)):
                     if fin:
                         continue
                     if p != e:
-                        raise ConditioningError(
-                            f"kernel {self.name} overflows at the endpoint "
-                            f"singularity {e!r} of its slice at {p!r}: the "
-                            "point is too close to it to evaluate reliably")
+                        raise self.overflow_error(*((e, p) if first else (p, e)))
                     sings[i] = (*sings.get(i, ()), e)
         return ([pts] if self.kink_on_diagonal else []) + ends, sings
 
@@ -229,10 +236,7 @@ def _approach_trace(K: GreenKernel, x, y):
     trace = []
     for k in range(2, 22, 4):
         z = y + 2.0 ** (-k) * step
-        try:
-            val = float(K.raw(x, z))
-        except Exception:
-            continue
+        val = float(K.evaluate(x, z))
         if math.isfinite(val):
             trace.append((float(np.linalg.norm(np.subtract(z, x))), val))
     return tuple(trace)
@@ -242,29 +246,23 @@ def kernel_eval(K: GreenKernel, x, y) -> ExtendedValue:
     """Evaluate a Green kernel, packaging singular hits as certified +inf."""
     x = K.domain.require(x)
     y = K.domain.require(y)
-    with np.errstate(divide="ignore"):   # raw may warn on its singular locus
-        val = float(K.raw(x, y))
+    val = float(K.evaluate(x, y))
     if math.isfinite(val):
         if val < 0.0:
             raise PreconditionError(
                 f"kernel {K.name} returned a negative value at ({x!r}, {y!r})")
         return ExtendedValue.finite(val)
-    for e in K.endpoint_singularities:
-        if x == e.point and y == e.point:
-            cert = DivergenceCertificate(e.point, e.side, e.exponent,
-                                         _approach_trace(K, x, y))
-            return ExtendedValue.infinite(cert)
+    # The declared locus: both arguments at an endpoint singularity, or where
+    # a power-law pole |x - y|^p overflows, on the diagonal or beside it.  A
+    # radial certificate locates the separation, a 1D one the point.
+    hit = [(e.point, e.side, e.exponent) for e in K.endpoint_singularities
+           if x == e.point and y == e.point]
     if K.diagonal_exponent is not None:
-        # A power-law pole is non-finite only where |x - y|^p overflows, on
-        # the diagonal or near enough to it.  A radial certificate locates
-        # the separation, a 1D one the point.
-        loc = 0.0 if np.ndim(x) else x
-        cert = DivergenceCertificate(loc, "diagonal", K.diagonal_exponent,
-                                     _approach_trace(K, x, y))
-        return ExtendedValue.infinite(cert)
-    raise PreconditionError(
-        f"kernel {K.name} is non-finite at ({x!r}, {y!r}), which is not on its "
-        "declared singular locus")
+        hit.append((0.0 if np.ndim(x) else x, "diagonal", K.diagonal_exponent))
+    if not hit:
+        raise K.overflow_error(x, y)
+    return ExtendedValue.infinite(
+        DivergenceCertificate(*hit[0], _approach_trace(K, x, y)))
 
 
 def times(a, b) -> np.ndarray:

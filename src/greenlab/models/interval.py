@@ -30,11 +30,9 @@ from .. import riquier
 OBSTRUCTION_CUTOFF = 1e-8
 
 
-# The kernels divide by max(x, y), or its square.  Where that is 0 -- at
-# x = y = 0, their singular point, or in G2 below about 1.6e-162, where the
-# square underflows -- numpy warns of a division by zero and returns inf.
-# Quadrature nodes never meet the singular point; a caller that evaluates
-# it on purpose silences the warning itself.
+# The kernels divide by max(x, y), or its square, which is 0 at x = y = 0,
+# their singular point, and in G2 below about 1.6e-162, where the square
+# underflows; GreenKernel.evaluate reads them there without numpy's warning.
 def _g1_raw(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -136,8 +134,7 @@ def pure_of_q(y: float, x: float, tol: float = QUAD_TOL) -> ExtendedValue:
 def q0(x):
     """The positive second-sheaf harmonic function 1/x^2 - 1 driving the
     obstruction; +inf at 0."""
-    with np.errstate(divide="ignore"):
-        return _g2_raw(x, 0.0)
+    return interval_model().G2.evaluate(x, 0.0)
 
 
 def obstruction_u(a: float, b: float) -> Fn:

@@ -31,9 +31,9 @@ work (an operator call at one point is one row), and as arrays above that.
 Conventions
 -----------
 * tolerances are absolute, per integral;
-* near an endpoint, integrand ~ C*d^p is divergent iff p <= -1 + EXP_MARGIN;
-* at a radial tail, integrand ~ C*r^p is divergent iff p >= -1 - EXP_MARGIN;
-* partial integrals crossing BLOWUP_THRESHOLD certify divergence regardless.
+* the divergence rule has one home, :mod:`greenlab.values`, read by the
+  walker and every certificate: ~ C*d^p at a point diverges iff p <= -1 +
+  EXP_MARGIN, ~ C*r^p at a tail iff p >= -1 - EXP_MARGIN, or on blow-up.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ import numpy as np
 
 from .errors import (GreenLabError, ModelDomainError, PreconditionError,
                      StencilError, UndeclaredSingularityError)
-from .values import (BLOWUP_THRESHOLD, EXP_MARGIN, DivergenceCertificate,
-                     ExtendedValue)
+from .values import (DivergenceCertificate, ExtendedValue, blown_up,
+                     divergent_exponent)
 
 # ---------------------------------------------------------------------------
 # Gauss7 / Kronrod15 embedded pair on [-1, 1].
@@ -326,8 +326,7 @@ def _window_fit(mags: list[float], logs: list[float], errs: list[float],
         return None
     slope = _fit_slope(ks, [logs[i] for i in ks])
     exponent = (slope - 1.0) if tail else (-slope - 1.0)
-    crit = (exponent >= -1.0 - EXP_MARGIN) if tail \
-        else (exponent <= -1.0 + EXP_MARGIN)
+    crit = divergent_exponent(exponent, tail)
     recent = [mags[i + 1] / mags[i] for i in range(max(0, k - 3), k)
               if mags[i] > 0.0 and mags[i + 1] > 0.0]
     if crit or not (recent and max(recent) < 1.0):
@@ -405,7 +404,7 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
                     "integrand changes sign along the singular approach at "
                     f"{point!r}; split it by sign first")
 
-        if abs(cumulative) >= BLOWUP_THRESHOLD:
+        if blown_up(cumulative):
             divergent = True
             break
 

@@ -65,6 +65,12 @@ class RegularSubdomain:
     inv1: np.ndarray
     inv2: np.ndarray
 
+    def require_model(self, model: ModelSpace) -> "RegularSubdomain":
+        if model.id != self.model_id:
+            raise PreconditionError(f"the subdomain was built for model "
+                                    f"{self.model_id}, not {model.id}")
+        return self
+
     def require_interior(self, x: float) -> float:
         x = float(x)
         if not (self.a < x < self.b):
@@ -74,10 +80,8 @@ class RegularSubdomain:
 
     def _interpolant(self, inv: np.ndarray, basis, fa: float, fb: float,
                      name: str) -> Fn:
-        coef = inv @ np.array([fa, fb], dtype=float)
-        b1, b2 = basis
-        return Fn(lambda x: coef[0] * np.asarray(b1(x), dtype=float)
-                  + coef[1] * np.asarray(b2(x), dtype=float),
+        coef = (inv @ np.array([fa, fb], dtype=float))[:, None]
+        return Fn(lambda x: _cardinal(coef, basis, 0, x),
                   vectorized=True, name=name)
 
     def interpolant1(self, fa: float, fb: float) -> Fn:
@@ -239,10 +243,10 @@ def _measure_triples(model: ModelSpace, subs: Sequence[RegularSubdomain],
                      adjoint: bool) -> list[MeasureTriple]:
     """The triple of subs[i] at its interior point xs[i], for every i.
 
-    Every point is checked against its subdomain before any integration;
-    the masses of all the points are then one :func:`_masses` call.
+    Every subdomain and point is checked before any integration; the
+    masses of all the points are then one :func:`_masses` call.
     """
-    xs = [sub.require_interior(x) for sub, x in zip(subs, xs)]
+    xs = [s.require_model(model).require_interior(x) for s, x in zip(subs, xs)]
     if adjoint and model.id != "bilaplace1d":
         raise ModelDomainError(
             "the adjoint boundary triple is only available on the "
@@ -281,6 +285,7 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
     finite-difference residual checks on u are not washed out by node
     noise; a point's value does not depend on the array it is in.
     """
+    sub.require_model(model)
     fa, fb = float(f[0]), float(f[1])
     ga, gb = float(g[0]), float(g[1])
     for val in (fa, fb, ga, gb):

@@ -15,11 +15,20 @@ from dataclasses import dataclass, field
 
 from .errors import PreconditionError
 
-# Classification constants for the dyadic probes.  A power-law fit within
-# EXP_MARGIN of the critical exponent -1 is treated as divergent; partial
-# integrals crossing BLOWUP_THRESHOLD are divergent regardless of the fit.
+# Classification constants for the dyadic probes, read only by the rule below.
 EXP_MARGIN = 0.05
 BLOWUP_THRESHOLD = 1e12
+
+
+def divergent_exponent(p: float, tail: bool) -> bool:
+    """Whether f ~ C*r^p at a tail, or ~ C*d^p near a point, diverges."""
+    return p >= -1.0 - EXP_MARGIN if tail else p <= -1.0 + EXP_MARGIN
+
+
+def blown_up(partial: float) -> bool:
+    """Whether a partial integral this large diverges, whatever the fit."""
+    return abs(partial) >= BLOWUP_THRESHOLD
+
 
 # Default tolerances, one decade of headroom between verification layers:
 # absolute quadrature error per integral, cross-operator identities built
@@ -57,12 +66,9 @@ class DivergenceCertificate:
     def __post_init__(self):
         if self.side not in _ENDPOINT_SIDES and self.side != _TAIL_SIDE:
             raise ValueError(f"unknown certificate side {self.side!r}")
-        blown_up = any(abs(m) >= BLOWUP_THRESHOLD for _, m in self.probe_trace)
-        if self.side == _TAIL_SIDE:
-            sound = self.estimated_exponent >= -1.0 - EXP_MARGIN
-        else:
-            sound = self.estimated_exponent <= -1.0 + EXP_MARGIN
-        if not (sound or blown_up):
+        if not (divergent_exponent(self.estimated_exponent,
+                                   self.side == _TAIL_SIDE)
+                or any(blown_up(m) for _, m in self.probe_trace)):
             raise ValueError(
                 "unsound certificate: exponent "
                 f"{self.estimated_exponent:.4g} on side {self.side!r} is in the "

@@ -16,7 +16,8 @@ from greenlab.adjoint import (
     lsc_check,
 )
 from greenlab.coupling import _sliced_rows, coupling_apply
-from greenlab.errors import DomainError, ModelDomainError, PreconditionError
+from greenlab.errors import (ConditioningError, DomainError, ModelDomainError,
+                             PreconditionError)
 from greenlab.kernels import Fn, GridFunction, bump, constant
 from greenlab.models import get_model
 from greenlab.values import ExtendedValue
@@ -292,3 +293,15 @@ def test_adjoint_gate_stops_at_the_first_inconsistent_point(monkeypatch):
     for model_id, phi, grid in _GATE_CASES[1:]:
         rep = _gate_matches_loop(model_id, phi, grid, monkeypatch)
         assert not rep.passed and rep.witness == grid[0]
+
+
+def test_continuity_probe_on_a_radial_model():
+    # both rooms are infinite, so the approach starts 0.1 from y, on the
+    # side away from x
+    model = get_model("newtonian5")
+    rep = continuity_probe(model, 0.0, 1.0)
+    assert rep.verdict == "consistent"
+    assert rep.probes[0] == pytest.approx(1.1)
+    # a target this close to x is riesz_compose's to refuse
+    with pytest.raises(ConditioningError):
+        continuity_probe(model, 0.0, 5e-4)

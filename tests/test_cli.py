@@ -152,6 +152,16 @@ def test_eval_refuses_an_interval_point_whose_kernel_overflows(capsys):
     assert err.startswith("greenlab: kernel interval-G2 overflows")
 
 
+def test_eval_refuses_a_diagonal_point_whose_kernel_overflows(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "eval", "--kernel", "g2",
+                               "--x", "1e-160", "--y", "1e-160")
+    assert (rc, out) == (2, "")
+    assert err.startswith("greenlab: kernel interval-G2 overflows")
+    assert len(err.splitlines()) == 1
+
+
 def test_eval_dist_and_points_give_the_same_kernel_values(capsys):
     dists = ",".join(repr(float(d)) for d in np.logspace(-150.0, 150.0, 61))
     for n in (5, 6, 7, 12, 40, 100):

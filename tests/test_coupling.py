@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from greenlab.coupling import (classify_pair, compose_green, coupling_apply,
-                               pure_decompose, w_apply)
+from greenlab.coupling import (_product, classify_pair, compose_green,
+                               coupling_apply, pure_decompose, w_apply)
 from greenlab.errors import (ClassificationError, DomainError,
                              PreconditionError)
-from greenlab.kernels import BiharmonicPair, Fn, GridFunction, bump, constant
+from greenlab.kernels import (BiharmonicPair, Fn, GridFunction, bump, constant,
+                              times)
 from greenlab.models import get_model
 from greenlab.values import ExtendedValue
 
@@ -115,6 +116,36 @@ def test_w_apply_rejects_bad_density():
     model = get_model("interval")
     with pytest.raises(PreconditionError):
         w_apply(model, constant(0.0), constant(1.0), 0.5)
+
+
+def test_w_apply_is_v_of_the_product_on_the_interval_model():
+    model = get_model("interval")
+    # q = 2, f = 1: W(1) = 2 V(1) = 1 - x
+    for x in (0.1, 0.5, 0.9):
+        val = w_apply(model, constant(2.0), constant(1.0), x)
+        assert abs(val.value - (1.0 - x)) <= val.error_bound
+    # a singular f keeps its declaration through the product
+    q = Fn(np.exp, vectorized=True)
+    f = Fn(lambda y: np.asarray(y, dtype=float) ** -0.25, vectorized=True,
+           singular_points=(0.0,))
+    qf = Fn(lambda y: times(np.exp(y), np.asarray(y, dtype=float) ** -0.25),
+            vectorized=True, singular_points=(0.0,))
+    for x in (0.1, 0.5, 0.9):
+        assert bits(w_apply(model, q, f, x)) == bits(coupling_apply(model, qf, x))
+    # and a bump its support and breakpoints
+    prod = _product(constant(2.0), bump(0.5, 0.2))
+    assert prod.support == bump(0.5, 0.2).support
+    assert prod.breakpoints == bump(0.5, 0.2).breakpoints
+
+
+def test_w_apply_on_the_radial_model_is_twice_v_for_q_two():
+    model = get_model("newtonian5")
+    one = Fn(constant(1.0), support=(0.0, 2.0), vectorized=True)
+    w = w_apply(model, constant(2.0), one, 0.0)
+    v = coupling_apply(model, one, 0.0)
+    # V of 1 cut at radius 2 is sigma_4 c_5 2^2 / 2 = 2/3
+    assert float(v) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert float(w) == 2.0 * float(v)
 
 
 def test_pure_decompose_splits_off_harmonic_part():

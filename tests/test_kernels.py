@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from greenlab.errors import ConfigError, DomainError, PreconditionError
+from greenlab.errors import (ConditioningError, ConfigError, DomainError,
+                             PreconditionError)
 from greenlab.kernels import (BiharmonicPair, Fn, GridFunction, Interval1D,
                               bump, constant, is_grid_function, kernel_eval)
 from greenlab.models import MODEL_NAMES, get_model
@@ -100,8 +101,8 @@ def test_kernel_eval_certifies_endpoint_hit():
 
 
 def test_the_interval_kernels_singular_point_is_read_without_a_warning():
-    # raw may warn at x = y = 0; the callers that evaluate it there on
-    # purpose silence the warning themselves
+    # raw may warn at x = y = 0; the callers that evaluate it at points of
+    # their choosing go through GreenKernel.evaluate, which silences it
     model = get_model("interval")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -113,6 +114,21 @@ def test_the_interval_kernels_singular_point_is_read_without_a_warning():
             assert cols[0].tolist() == [0.0, 0.5] and cols[1:] == [0.0]
             assert sings == {0: (0.0,)}
         assert q0(0.0) == math.inf
+
+
+def test_a_tiny_diagonal_point_whose_kernel_overflows_is_refused_quietly():
+    # 1/max(x, y)^2 overflows at 1e-160 and 1/max(x, y) at 1e-310: beside
+    # the singular point x = y = 0, not on it, so the point is refused, and
+    # no RuntimeWarning comes first
+    model = get_model("interval")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel, p in ((model.G2, 1e-160), (model.G1, 1e-310)):
+            with pytest.raises(ConditioningError) as info:
+                kernel_eval(kernel, p, p)
+            msg = str(info.value)
+            assert msg.startswith(f"kernel {kernel.name} overflows")
+            assert repr(p) in msg
 
 
 def test_measure_weighting():

@@ -20,7 +20,7 @@ import numpy as np
 from greenlab.errors import PreconditionError
 from greenlab.quadrature import (PROBE_DEPTH, _FIT_WINDOW, _gk15,
                                  _shell_bounds, probe_divergence, probe_tail)
-from greenlab.values import BLOWUP_THRESHOLD
+from greenlab.values import blown_up
 
 GOLDEN = Path(__file__).parent / "golden" / "probe_reports.txt"
 TOLS = (1e-3, 1e-6, 1e-10, 1e-14, 0.0)
@@ -109,7 +109,7 @@ def _exit(geometry, f, rep):
     if len(outs) - 1 in holes:
         return "non-finite sample"
     if rep.divergent:
-        if abs(rep.trace[-1][1]) >= BLOWUP_THRESHOLD:
+        if blown_up(rep.trace[-1][1]):
             return "blow-up"
         return "divergent fit"
     if not rep.resolved:

@@ -8,9 +8,10 @@ from greenlab import quadrature
 from greenlab.errors import (GreenLabError, PreconditionError,
                              StencilError, UndeclaredSingularityError)
 from greenlab.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
-                                 _fit_slope, StencilSpec, basis_fit_residual, fd_residual,
+                                 _fit_slope, _window_fit, StencilSpec, basis_fit_residual, fd_residual,
                                  integrate, integrate_radial, probe_divergence,
                                  probe_tail, sphere_surface_area)
+from greenlab.values import DivergenceCertificate
 
 
 def _vec(f):
@@ -128,6 +129,32 @@ def test_fit_slope_is_the_least_squares_slope():
     # one shell, or a window whose shells all sit at one k, has no slope
     assert _fit_slope([5], [2.0]) == 0.0
     assert _fit_slope([7, 7, 7], [1.0, 3.0, -2.0]) == 0.0
+
+
+def test_window_fit_and_certificates_read_one_divergence_rule():
+    # exact power-law shells: log2 |shell| falls by p + 1 a shell toward a
+    # point and rises by p + 1 a block out to a tail, so the fit reads p
+    critical = {}
+    for tail, powers in ((False, (-0.9, -0.97, -1.0, -1.1)),
+                         (True, (-0.9, -1.0, -1.03, -1.1))):
+        for p in powers:
+            logs = [(p + 1.0) * (k if tail else -k) + 3.0 for k in range(12)]
+            mags = [2.0 ** g for g in logs]
+            exponent, crit, _ = _window_fit(mags, logs, [0.0] * 12, 11, 1.0,
+                                            tail)
+            assert exponent == pytest.approx(p, abs=1e-12)
+            # a trace that never blows up leaves the exponent to decide
+            loc, side = ("tail", "radial-tail") if tail else (0.0, "right")
+            try:
+                DivergenceCertificate(loc, side, exponent, ((1.0, 1.0),))
+            except ValueError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted is crit
+            critical[tail, p] = crit
+    assert [key for key, crit in critical.items() if not crit] == \
+        [(False, -0.9), (True, -1.1)]
 
 
 def test_tail_verdicts():

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 
+from greenlab import riquier
 from greenlab.errors import (
     ModelDomainError,
     PreconditionError,
@@ -375,3 +376,21 @@ def test_mu_and_lambda_are_the_interpolants_of_unit_data(model_name,
             first, second = second, first
         assert list(triple.mu) == first
         assert list(triple.lam) == second
+
+
+def test_a_subdomain_built_for_another_model_is_refused(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(riquier, "integrate", refuse)
+    interval, bilaplace = get_model("interval"), get_model("bilaplace")
+    for model, other in ((bilaplace, interval), (interval, bilaplace)):
+        sub = regular_subdomain(other, 0.3, 0.7)
+        for call in (lambda: biharmonic_measures(model, sub, 0.5),
+                     lambda: biharmonic_measures(model, [sub], [0.5]),
+                     lambda: solve_riquier(model, sub, (1.0, 2.0),
+                                           (0.5, 0.5))):
+            with pytest.raises(PreconditionError) as info:
+                call()
+            msg = str(info.value)
+            assert model.id in msg and other.id in msg
