@@ -83,6 +83,9 @@ _FLOOR = 50.0 * float(np.finfo(float).eps)
 _SHRINK_LIMIT = 1.3e-7
 
 PROBE_DEPTH = 48
+# 2^-j and 2^j for j up to PROBE_DEPTH: the dyadic factors of every shell end
+_HALVINGS = [2.0 ** -j for j in range(PROBE_DEPTH + 1)]
+_DOUBLINGS = [2.0 ** j for j in range(PROBE_DEPTH + 1)]
 _FIT_WINDOW = 8
 _MIN_SHELLS_TO_RESOLVE = 12
 _MIN_SHELLS_FOR_VERDICT = 16
@@ -303,13 +306,25 @@ def _fit_slope(ks: Sequence[int], logs: Sequence[float]) -> float:
     return sum(t * (y - y_mean) for t, y in zip(dk, logs)) / denom
 
 
-def _shell_bounds(point: float, side: str, scale: float, k: int,
-                  kind: str) -> tuple[float, float]:
+def _shell_bounds(point: float, side: str, scale: float, k0: int, k1: int,
+                  kind: str) -> tuple[list[float], list[float]]:
+    """The lower and upper ends of shells k0, ..., k1 - 1: shell k is
+    point + scale [2^-(k+1), 2^-k] on the right, its mirror on the left,
+    and point + scale [2^k, 2^(k+1)] at a tail."""
     if kind == "tail":
-        return point + scale * 2.0 ** k, point + scale * 2.0 ** (k + 1)
+        ends = [point + scale * t for t in _DOUBLINGS[k0:k1 + 1]]
+        return ends[:-1], ends[1:]
     if side == "right":
-        return point + scale * 2.0 ** (-k - 1), point + scale * 2.0 ** (-k)
-    return point - scale * 2.0 ** (-k), point - scale * 2.0 ** (-k - 1)
+        ends = [point + scale * t for t in _HALVINGS[k0:k1 + 1]]
+        return ends[1:], ends[:-1]
+    ends = [point - scale * t for t in _HALVINGS[k0:k1 + 1]]
+    return ends[:-1], ends[1:]
+
+
+def _recent_ratios(mags: list[float], k: int) -> list[float]:
+    # |shell i+1| / |shell i| of the last three pairs up to k, both nonzero
+    return [mags[i + 1] / mags[i] for i in range(max(0, k - 3), k)
+            if mags[i] > 0.0 and mags[i + 1] > 0.0]
 
 
 def _window_fit(mags: list[float], logs: list[float], errs: list[float],
@@ -326,11 +341,11 @@ def _window_fit(mags: list[float], logs: list[float], errs: list[float],
         return None
     slope = _fit_slope(ks, [logs[i] for i in ks])
     exponent = (slope - 1.0) if tail else (-slope - 1.0)
-    crit = divergent_exponent(exponent, tail)
-    recent = [mags[i + 1] / mags[i] for i in range(max(0, k - 3), k)
-              if mags[i] > 0.0 and mags[i + 1] > 0.0]
-    if crit or not (recent and max(recent) < 1.0):
-        return exponent, crit, None
+    if divergent_exponent(exponent, tail):
+        return exponent, True, None
+    recent = _recent_ratios(mags, k)
+    if not (recent and max(recent) < 1.0):
+        return exponent, False, None
     # Convergent so far: extrapolate the unseen remainder as a geometric
     # series.  The shell-to-shell ratio is 2**slope in both geometries
     # (slope is d log2|shell| / d k).
@@ -354,11 +369,13 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
 
     One _gk15 call evaluates the shells up to _MIN_SHELLS_FOR_VERDICT, then
     the walk goes one shell at a time.  The fit of the recent shells is
-    taken at each shell from _MIN_SHELLS_TO_RESOLVE on, where it can first
-    end the walk; an earlier fit only at an exit that reads it (the latest
-    exponent, and at depth exhaustion the latest extrapolation).  A late
-    fit has the bits of one on time: it reads the shells up to its own and
-    the sign, which is fixed before any fit holds enough nonzero shells.
+    taken where it can end the walk: at each shell from
+    _MIN_SHELLS_FOR_VERDICT on, and before that from _MIN_SHELLS_TO_RESOLVE
+    on where the last ratios contract, as a remainder needs.  Any other fit
+    is taken late, at an exit that reads it (the latest exponent, and at
+    depth exhaustion the latest extrapolation), with the bits of one on
+    time: it reads the shells up to its own and the sign, which is fixed
+    before any fit holds enough nonzero shells.
     """
     tail = kind == "tail"
     # each shell's value, error, |value| and log2|value| (0.0 for a zero)
@@ -368,23 +385,23 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
     cumulative = 0.0
     sign = 0.0
     exponent = math.nan             # nan until a fit holds enough shells
+    fitted = -1                     # the shell of the fit behind exponent
+    late: list[int] = []            # the shells whose fit was not taken
     divergent = resolved = False
     extrap = None                   # the latest (remainder, error) of a fit
-    bounds: list[tuple[float, float]] = []
     # each evaluated shell's (value, error), or None at a non-finite sample
     outs: list = []
 
     for k in range(PROBE_DEPTH):
         if k == len(outs):
-            run = [_shell_bounds(point, side, scale, j, kind)
-                   for j in range(k, max(k + 1, _MIN_SHELLS_FOR_VERDICT))]
-            bounds += run
-            run_outs, holes = _gk15(fv, [lo for lo, _ in run],
-                                    [hi for _, hi in run])
+            run_outs, holes = _gk15(fv, *_shell_bounds(
+                point, side, scale, k, max(k + 1, _MIN_SHELLS_FOR_VERDICT),
+                kind))
             for j in holes:
                 run_outs[j] = None
             outs += run_outs
-        dist = bounds[k][1] if tail else abs(2.0 ** (-k - 1) * scale)
+        dist = (point + scale * _DOUBLINGS[k + 1] if tail
+                else abs(_HALVINGS[k + 1] * scale))
         if outs[k] is None:
             trace.append((dist, math.inf))
             divergent = True
@@ -416,24 +433,32 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
             # integrand vanishes near the point: nothing left to resolve
             extrap, resolved = (0.0, sum(errs)), True
             break
-        fit = (_window_fit(mags, logs, errs, k, sign, tail)
-               if k + 1 >= _MIN_SHELLS_TO_RESOLVE else None)
+        if k + 1 < _MIN_SHELLS_FOR_VERDICT:
+            recent = (_recent_ratios(mags, k)
+                      if k + 1 >= _MIN_SHELLS_TO_RESOLVE else ())
+            if not (recent and max(recent) < 1.0):
+                late.append(k)      # it can end the walk neither way
+                continue
+        fit = _window_fit(mags, logs, errs, k, sign, tail)
         if fit is None:
             continue
         exponent, crit, now = fit
+        fitted = k
         extrap = now or extrap
         divergent = crit and k + 1 >= _MIN_SHELLS_FOR_VERDICT
         resolved = now is not None and now[1] <= tol
         if divergent or resolved:
             break
 
-    # the earlier fits, latest first, while the report lacks an output
-    for j in reversed(range(min(len(mags), _MIN_SHELLS_TO_RESOLVE - 1))):
-        if not (math.isnan(exponent) or extrap is None and not divergent):
+    # the fits not taken, latest first, while the report lacks an output:
+    # an exponent later than fitted, or an extrapolation
+    for j in reversed(late):
+        if j < fitted and (extrap is not None or divergent):
             break
         fit = _window_fit(mags, logs, errs, j, sign, tail)
         if fit is not None:
-            exponent = fit[0] if math.isnan(exponent) else exponent
+            if j > fitted:
+                exponent, fitted = fit[0], j
             extrap = extrap or fit[2]
 
     loc, cert_side = (("tail", "radial-tail") if tail else (point, side))
@@ -452,9 +477,8 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
             rem_err = min(rem_err, abs(rem) + last + sum(errs)) if shells else 0.0
         value = sum(shells) + rem
         error = sum(errs) + (rem_err if not math.isinf(rem_err) else abs(rem))
-    return ProbeReport(loc, cert_side, divergent, exponent, trace, cert,
-                       value=value, error=error, shells=len(trace),
-                       resolved=resolved)
+    return _frozen(ProbeReport, loc, cert_side, divergent, exponent, trace,
+                   cert, value, error, len(trace), resolved)
 
 
 def probe_divergence(f: Callable, point: float, side: str = "right",
@@ -520,8 +544,8 @@ class QuadRows(abc.Sequence):
         res = self._planned.get(i)
         if res is None:
             value, bound, panels, met = self._columns
-            res = _quad_result(ExtendedValue.finite(value[i], bound[i]),
-                               panels[i], (), met[i])
+            res = _frozen(QuadResult, ExtendedValue.finite(value[i], bound[i]),
+                          panels[i], (), met[i])
         return res
 
     @property
@@ -538,17 +562,12 @@ class QuadRows(abc.Sequence):
         return values
 
 
-def _quad_result(value: ExtendedValue, panels: int, handled: tuple,
-                 converged: bool) -> QuadResult:
-    # built as ExtendedValue.finite builds its value, past the frozen
-    # __setattr__ of the generated __init__: this runs once per row
-    res = object.__new__(QuadResult)
-    fields = res.__dict__
-    fields["value"] = value
-    fields["subdivisions"] = panels
-    fields["singular_points_handled"] = handled
-    fields["converged"] = converged
-    return res
+def _frozen(cls, *values):
+    # the frozen dataclass cls from all its fields in order, built past the
+    # frozen __setattr__ as ExtendedValue.finite is: once a probe or row
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def integrate(f: Callable, interval: tuple[float, float] | None = None,
@@ -791,8 +810,6 @@ def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
         raise PreconditionError(
             f"integration interval [{a}, {b}] has no finite lower end")
     tail = b == math.inf
-    if not (tail or any(a <= s <= b for s in singular_points)):
-        return None
     if tail:
         b = max(a, 1.0, *(p for p in (*singular_points, *breakpoints)
                           if a <= p < math.inf))
@@ -800,8 +817,10 @@ def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
             b *= 2.0
         tol = 0.5 * tol
     sings = {float(s) for s in singular_points if a <= s <= b}
+    if not (tail or sings):
+        return None
     cuts = sorted({a, b, *sings, *(p for p in breakpoints if a < p < b)})
-    spans = list(zip(cuts[:-1], cuts[1:]))
+    spans = list(zip(cuts, cuts[1:]))
     # Each piece is walked by the probes of its singular ends, if it has any.
     walks = []
     for lo, hi in spans:
@@ -816,9 +835,6 @@ def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
         spans.append((b, math.inf))
         walks.append([(0.0, "right", b, "tail")])
 
-    def row_fv(z):
-        return fv(r, z)
-
     pieces: list = []
     for span, probes in zip(spans, walks):
         if not probes:
@@ -828,7 +844,7 @@ def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
         pieces.append(reports)
         for point, side, scale, kind in probes:
             try:
-                rep = _probe_geometric(row_fv, point, side, scale,
+                rep = _probe_geometric(lambda z: fv(r, z), point, side, scale,
                                        tol if kind == "tail" else tol_shell,
                                        kind)
             except GreenLabError as exc:
@@ -867,11 +883,13 @@ def _assemble_row(pieces: list, outs: list, grown: dict, holes: dict,
             handled.append((rep.location, rep.side))
             panels += rep.shells
             if rep.divergent:
-                return _quad_result(ExtendedValue.infinite(rep.certificate),
-                                    panels, tuple(handled), True)
+                return _frozen(QuadResult,
+                               ExtendedValue.infinite(rep.certificate),
+                               panels, tuple(handled), True)
             total += rep.value
             err_total += rep.error
-    return _quad_result(
+    return _frozen(
+        QuadResult,
         ExtendedValue.finite(_nonnegative(total, err_total), err_total),
         panels, tuple(handled), err_total <= tol)
 

@@ -370,16 +370,15 @@ class HyperharmonicReport:
     entries: tuple[ProbeMargin, ...]
 
     @property
-    def passed(self) -> bool:
-        return all(e.margin_first >= -IDENTITY_TOL
-                   and e.margin_second >= -IDENTITY_TOL
-                   for e in self.entries)
+    def violated(self) -> tuple[ProbeMargin, ...]:
+        """The entries with a margin not >= -IDENTITY_TOL, NaN included."""
+        return tuple(e for e in self.entries
+                     if not (e.margin_first >= -IDENTITY_TOL
+                             and e.margin_second >= -IDENTITY_TOL))
 
     @property
-    def violated(self) -> tuple[ProbeMargin, ...]:
-        return tuple(e for e in self.entries
-                     if e.margin_first < -IDENTITY_TOL
-                     or e.margin_second < -IDENTITY_TOL)
+    def passed(self) -> bool:
+        return not self.violated
 
     @property
     def max_abs_margin(self) -> float:

@@ -187,7 +187,8 @@ def check_pure_minimality(seed: int = 0) -> CheckResult:
     report = riquier.verify_hyperharmonic(
         model, pair, [((0.45, 0.55), x0), ((0.4, 0.6), x0)])
     worst = min(e.margin_first for e in report.entries)
-    ok = len(report.violated) > 0
+    # a NaN margin counts as violated, and must not pass here
+    ok = len(report.violated) > 0 and math.isfinite(worst)
     return CheckResult("pure-minimality", ok, -worst - IDENTITY_TOL,
                        f"dent of {eps:g} at {x0:g} drives the first margin "
                        f"to {worst:.2e}")
@@ -334,8 +335,8 @@ def _restriction_check(check_id: str, model, pair, subs, seed: int) -> CheckResu
                         abs(float(sol.v(x)) - float(pair.v(x))))
         tris = triples[3 * k:3 * k + 3]
         for _ in range(10):
-            f = tuple(rng.uniform(0.0, 2.0, 2))
-            g = tuple(rng.uniform(0.0, 2.0, 2))
+            f = tuple(rng.uniform(0.0, 2.0, 2).tolist())
+            g = tuple(rng.uniform(0.0, 2.0, 2).tolist())
             rsol = riquier.solve_riquier(model, sub, f, g)
             for x, u, tri in zip(pts, rsol.u(pts).tolist(), tris):
                 worst = max(worst, abs(u - tri.pair_first(f, g)),

@@ -104,8 +104,7 @@ def _exit(geometry, f, rep):
     _, point, side, start = geometry
     walk = (point, side, 1.0, "endpoint") if start is None \
         else (0.0, "right", start, "tail")
-    bounds = [_shell_bounds(*walk[:3], k, walk[3]) for k in range(rep.shells)]
-    outs, holes = _gk15(f, [lo for lo, _ in bounds], [hi for _, hi in bounds])
+    outs, holes = _gk15(f, *_shell_bounds(*walk[:3], 0, rep.shells, walk[3]))
     if len(outs) - 1 in holes:
         return "non-finite sample"
     if rep.divergent:

@@ -436,6 +436,88 @@ def test_probe_stops_at_first_non_finite_shell():
         assert rep.trace == tuple(trace)
 
 
+def _counting_fits(monkeypatch) -> list:
+    calls = []
+    fit = quadrature._window_fit
+
+    def counted(*args):
+        calls.append(args[3])
+        return fit(*args)
+
+    monkeypatch.setattr(quadrature, "_window_fit", counted)
+    return calls
+
+
+def test_a_divergent_walk_takes_one_fit(monkeypatch):
+    # shells 12-15 do not contract, so only the verdict's fit at 16 is taken
+    from greenlab.coupling import compose_green
+    from greenlab.models.interval import interval_model
+    calls = _counting_fits(monkeypatch)
+    rep = probe_divergence(lambda x: 1.0 / x, 0.0)
+    assert rep.divergent and rep.shells == 16
+    assert calls == [15]
+    calls.clear()
+    assert not compose_green(interval_model(), 0.3, 0.0).is_finite
+    assert calls == [15]
+    # a walk that resolves at its first fit takes that one
+    calls.clear()
+    rep = probe_divergence(lambda x: x ** -0.5, 0.0)
+    assert rep.resolved and not rep.divergent
+    assert calls == [11]
+
+
+def test_an_exit_before_the_verdict_reads_the_latest_skipped_fit(monkeypatch):
+    def beyond(j, f):
+        return _vec(lambda y: np.where(np.asarray(y) < 2.0 ** -j, np.inf,
+                                       f(np.asarray(y))))
+
+    # 1/x with +inf below 2^-14: 14 shells, then a non-finite sample
+    calls = _counting_fits(monkeypatch)
+    rep = probe_divergence(beyond(14, lambda y: 1.0 / y), 0.0)
+    assert rep.divergent and rep.shells == 15
+    assert rep.trace[-1][1] == math.inf
+    assert rep.estimated_exponent.hex() == "-0x1.0000000000000p+0"
+    assert calls == [13]
+    # a perturbed power whose every window fits another exponent: the
+    # report carries the fit of the last shell before the exit
+    wavy = lambda y: y ** -1.1 * (1.5 + np.sin(3.0 * np.log(y)))
+    exponents = set()
+    for j in (12, 13, 14, 15):
+        f = beyond(j, wavy)
+        rep = probe_divergence(f, 0.0)
+        assert rep.divergent and rep.shells == j + 1
+        outs, _ = _gk15(f, [2.0 ** (-k - 1) for k in range(j)],
+                        [2.0 ** -k for k in range(j)])
+        mags = [abs(v) for v, _ in outs]
+        want = _window_fit(mags, [math.log2(m) for m in mags],
+                           [e for _, e in outs], j - 1, 1.0, False)[0]
+        assert rep.estimated_exponent == want
+        exponents.add(want)
+    assert len(exponents) == 4
+
+
+def test_shell_runs_have_the_bits_of_single_shells():
+    from greenlab.quadrature import PROBE_DEPTH, _shell_bounds
+    for point, side, scale, kind in ((0.25, "right", 0.3, "endpoint"),
+                                     (0.7, "left", 0.7, "endpoint"),
+                                     (0.0, "right", 3.0, "tail")):
+        lo, hi = _shell_bounds(point, side, scale, 0, PROBE_DEPTH, kind)
+        assert len(lo) == len(hi) == PROBE_DEPTH
+        for k in range(PROBE_DEPTH):
+            if kind == "tail":
+                want = (point + scale * 2.0 ** k, point + scale * 2.0 ** (k + 1))
+            elif side == "right":
+                want = (point + scale * 2.0 ** (-k - 1),
+                        point + scale * 2.0 ** -k)
+            else:
+                want = (point - scale * 2.0 ** -k,
+                        point - scale * 2.0 ** (-k - 1))
+            assert (lo[k], hi[k]) == want
+            # a run starting at k gives shell k the same ends
+            assert _shell_bounds(point, side, scale, k, k + 1, kind) == \
+                ([want[0]], [want[1]])
+
+
 def test_panels_are_evaluated_in_batches(monkeypatch):
     sizes = []
     gk15 = quadrature._gk15

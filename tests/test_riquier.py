@@ -156,6 +156,15 @@ def test_undersized_pair_is_caught():
     assert report.violated
 
 
+def test_a_nan_margin_is_violated():
+    model = get_model("interval")
+    pair = BiharmonicPair(constant(math.nan), constant(1.0))
+    report = verify_hyperharmonic(model, pair, [((0.2, 0.8), 0.5)])
+    assert math.isnan(report.entries[0].margin_first)
+    assert report.violated == report.entries
+    assert not report.passed
+
+
 def test_adjoint_triple_needs_the_symmetric_model():
     model = get_model("interval")
     sub = regular_subdomain(model, 0.2, 0.8)

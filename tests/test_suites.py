@@ -1,5 +1,6 @@
 """The named check registry driving both the CLI verifier and acceptance."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +54,21 @@ def test_suite_results_are_deterministic():
     assert [r.id for r in first] == [r.id for r in second]
     assert [r.margin for r in first] == [r.margin for r in second]
     assert all(isinstance(r, CheckResult) for r in first)
+
+
+def test_every_margin_is_a_float():
+    for res in run_suite("all", 0):
+        assert type(res.margin) is float, res.id
+
+
+def test_pure_minimality_fails_on_a_nan_margin(monkeypatch):
+    from greenlab import riquier, suites
+    nan = riquier.HyperharmonicReport(
+        (riquier.ProbeMargin((0.45, 0.55), 0.5, math.nan, 0.0, 0.1),))
+    monkeypatch.setattr(suites.riquier, "verify_hyperharmonic",
+                        lambda *args: nan)
+    res = suites.check_pure_minimality()
+    assert nan.violated and not res.passed
 
 
 def test_newtonian_suite_passes():
