@@ -63,12 +63,17 @@ def test_every_margin_is_a_float():
 
 def test_pure_minimality_fails_on_a_nan_margin(monkeypatch):
     from greenlab import riquier, suites
-    nan = riquier.HyperharmonicReport(
-        (riquier.ProbeMargin((0.45, 0.55), 0.5, math.nan, 0.0, 0.1),))
-    monkeypatch.setattr(suites.riquier, "verify_hyperharmonic",
-                        lambda *args: nan)
-    res = suites.check_pure_minimality()
-    assert nan.violated and not res.passed
+
+    def margin(first):
+        return riquier.ProbeMargin((0.45, 0.55), 0.5, first, 0.0, 0.1)
+
+    # alone, or after a probe that is violated in earnest
+    for entries in ((margin(math.nan),), (margin(-0.5), margin(math.nan))):
+        report = riquier.HyperharmonicReport(entries)
+        monkeypatch.setattr(suites.riquier, "verify_hyperharmonic",
+                            lambda *args: report)
+        assert report.violated == entries
+        assert not suites.check_pure_minimality().passed
 
 
 def test_newtonian_suite_passes():
