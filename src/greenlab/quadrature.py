@@ -84,8 +84,8 @@ _SHRINK_LIMIT = 1.3e-7
 
 PROBE_DEPTH = 48
 # 2^-j and 2^j for j up to PROBE_DEPTH: the dyadic factors of every shell end
-_HALVINGS = [2.0 ** -j for j in range(PROBE_DEPTH + 1)]
-_DOUBLINGS = [2.0 ** j for j in range(PROBE_DEPTH + 1)]
+_HALVINGS = tuple(2.0 ** -j for j in range(PROBE_DEPTH + 1))
+_DOUBLINGS = tuple(2.0 ** j for j in range(PROBE_DEPTH + 1))
 _FIT_WINDOW = 8
 _MIN_SHELLS_TO_RESOLVE = 12
 _MIN_SHELLS_FOR_VERDICT = 16
