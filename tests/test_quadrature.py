@@ -7,8 +7,8 @@ import oracles
 from greenlab import quadrature
 from greenlab.errors import (GreenLabError, PreconditionError,
                              StencilError, UndeclaredSingularityError)
-from greenlab.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
-                                 _fit_slope, _window_fit, StencilSpec, basis_fit_residual, fd_residual,
+from greenlab.quadrature import (PROBE_DEPTH, _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
+                                 _fit_slope, _shell_bounds, _window_fit, StencilSpec, basis_fit_residual, fd_residual,
                                  integrate, integrate_radial, probe_divergence,
                                  probe_tail, sphere_surface_area)
 from greenlab.values import DivergenceCertificate
@@ -497,7 +497,6 @@ def test_an_exit_before_the_verdict_reads_the_latest_skipped_fit(monkeypatch):
 
 
 def test_shell_runs_have_the_bits_of_single_shells():
-    from greenlab.quadrature import PROBE_DEPTH, _shell_bounds
     for point, side, scale, kind in ((0.25, "right", 0.3, "endpoint"),
                                      (0.7, "left", 0.7, "endpoint"),
                                      (0.0, "right", 3.0, "tail")):
