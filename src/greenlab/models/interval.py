@@ -18,11 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import PreconditionError
-from ..coupling import compose_green, coupling_apply
+from ..coupling import coupling_apply
 from ..kernels import (BiharmonicPair, EndpointSingularity, Fn, GreenKernel,
                        Interval1D, ModelSpace, ReferenceMeasure, constant)
 from ..quadrature import StencilSpec
-from ..values import IDENTITY_TOL, QUAD_TOL, ExtendedValue
+from ..values import IDENTITY_TOL
 from .. import riquier
 
 # Evaluating 1/x and ln(x)/x below this is float-overflow territory; the
@@ -119,16 +119,6 @@ def v1_alt_density_residual(x):
     """
     return _v1_residual(control_density_model(), x,
                         lambda t: (1.0 - t) * (2.0 - t) / 6.0)
-
-
-def pure_of_q(y: float, x: float, tol: float = QUAD_TOL) -> ExtendedValue:
-    """The pure partner of the kernel slice q_y, evaluated at x.
-
-    Finite for every y > 0; at y = 0 the coupling integrand behaves like
-    1/z at the origin and the value is +inf with a shell certificate.  The
-    origin is thus the model's one exceptional point.
-    """
-    return compose_green(interval_model(), x, y, tol=tol)
 
 
 def q0(x):

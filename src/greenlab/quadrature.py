@@ -1005,6 +1005,21 @@ def fd_residual(stencil: StencilSpec, u: Callable, x, h: float):
     return float(d[0]) if pts.ndim == 0 else d.reshape(pts.shape)
 
 
+def basis_combination(coef: np.ndarray, basis, j, x):
+    """coef[0, j] basis[0](x) + coef[1, j] basis[1](x), the column j
+    combination of a two-function basis.
+
+    With coef the inverse of the basis' interpolation matrix on [a, b],
+    column j = 0 (1) gives the cardinal that is 1 at a (b) and 0 at the
+    other end.  j may be an int array of x's shape.  The sum is
+    elementwise, so a point's value does not depend on the array it is
+    evaluated in.
+    """
+    x = np.asarray(x, dtype=float)
+    return (coef[0, j] * np.asarray(basis[0](x), dtype=float)
+            + coef[1, j] * np.asarray(basis[1](x), dtype=float))
+
+
 def basis_fit_residual(basis: Sequence[Callable[[float], float]],
                        v: Callable[[float], float], x: float) -> float:
     """Deviation of v at x from the two-point basis interpolant through x±0.02.
@@ -1017,5 +1032,4 @@ def basis_fit_residual(basis: Sequence[Callable[[float], float]],
     m = np.array([[b1(lo), b2(lo)], [b1(hi), b2(hi)]], dtype=float)
     rhs = np.array([float(v(lo)), float(v(hi))], dtype=float)
     coef = np.linalg.solve(m, rhs)
-    pred = coef[0] * b1(x) + coef[1] * b2(x)
-    return float(v(x)) - float(pred)
+    return float(v(x)) - float(basis_combination(coef[:, None], basis, 0, x))

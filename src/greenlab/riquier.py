@@ -9,19 +9,27 @@ against the second basis' cardinal functions with the model's kink density
 w, the normalization under which K_omega inverts the first operator; the
 masses at any number of points are the rows of one quadrature call.  The
 first component of the Riquier solution is that pairing itself.
+
+The measures depend on the model, the subinterval and x, never on the
+data, so a :class:`RegularSubdomain` holds every mass row computed on it,
+for each model (by identity) and direction, by point: the triples and every
+solution on one subdomain integrate a point once.  A solution's u and v
+refuse points off [a, b].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ModelDomainError, PreconditionError, RegularityError
+from .errors import (DomainError, ModelDomainError, PreconditionError,
+                     RegularityError)
 from .kernels import BiharmonicPair, Fn, Interval1D, ModelSpace
-from .quadrature import as_vectorized, fd_residual, integrate
+from .quadrature import (as_vectorized, basis_combination, fd_residual,
+                         integrate)
 from .values import FD_TOL, IDENTITY_TOL
 
 COND_LIMIT = 1e10
@@ -40,22 +48,16 @@ def _interp_matrix(basis, a: float, b: float) -> np.ndarray:
     return m
 
 
-def _cardinal(inv: np.ndarray, basis, j, x):
-    """The cardinal of the basis that is 1 at a (j = 0) or at b (j = 1).
-
-    inv is the inverse interpolation matrix, or any (2, m) table whose
-    column j holds the two coefficients of a combination of the basis.  j
-    may be an int array of x's shape.  The sum is elementwise, so a point's
-    weight does not depend on the array it is evaluated in.
-    """
-    x = np.asarray(x, dtype=float)
-    return (inv[0, j] * np.asarray(basis[0](x), dtype=float)
-            + inv[1, j] * np.asarray(basis[1](x), dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class RegularSubdomain:
-    """A subinterval on which both two-function bases interpolate stably."""
+    """A subinterval on which both two-function bases interpolate stably.
+
+    ``mass_rows`` holds the (mu, nu, lambda) masses that :func:`_masses`
+    has computed here, keyed by (id(model), adjoint) and then by point;
+    each key's value keeps its model, so the id stays that model's.  A
+    replaced model that keeps the id string reads none of the original's
+    rows, and ``dataclasses.replace`` of a subdomain starts empty.
+    """
     model_id: str
     a: float
     b: float
@@ -64,6 +66,7 @@ class RegularSubdomain:
     basis2: tuple
     inv1: np.ndarray
     inv2: np.ndarray
+    mass_rows: dict = field(init=False, repr=False, default_factory=dict)
 
     def require_model(self, model: ModelSpace) -> "RegularSubdomain":
         if model.id != self.model_id:
@@ -78,10 +81,24 @@ class RegularSubdomain:
                 f"{x:g} is not interior to [{self.a:g}, {self.b:g}]")
         return x
 
+    def require_closed(self, x) -> np.ndarray:
+        """x as a float array, refused unless every point lies in [a, b]."""
+        xs = np.asarray(x, dtype=float)
+        outside = ~((self.a <= xs) & (xs <= self.b))
+        if outside.any():
+            raise DomainError(
+                f"{float(xs[outside][0]):g} lies outside the subdomain "
+                f"[{self.a:g}, {self.b:g}]")
+        return xs
+
+    def held_masses(self, model: ModelSpace, adjoint: bool) -> dict:
+        """The mass rows held here for model and direction, by point."""
+        return self.mass_rows.setdefault((id(model), adjoint), (model, {}))[1]
+
     def _interpolant(self, inv: np.ndarray, basis, fa: float, fb: float,
                      name: str) -> Fn:
         coef = (inv @ np.array([fa, fb], dtype=float))[:, None]
-        return Fn(lambda x: _cardinal(coef, basis, 0, x),
+        return Fn(lambda x: basis_combination(coef, basis, 0, x),
                   vectorized=True, name=name)
 
     def interpolant1(self, fa: float, fb: float) -> Fn:
@@ -167,13 +184,17 @@ def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
     K_omega(x, z) c_j(z) w(z) dz, where K_omega(x, .) = G1(x, .) - mu_a
     G1(a, .) - mu_b G1(b, .) is the global kernel swept clean on the
     boundary of [a, b], c_j the second basis' cardinal at a (j = 0) or b
-    (j = 1), and w the kink density.  The (point, j) integrals of every
-    point, whatever its subdomain, are the rows of one integrate call, and
-    each row's integrand is elementwise in its own a, b and cardinal
-    coefficients, so a row has the bits of a one-point call.  K_omega and
-    c_j are nonnegative on [a, b], so every row is.  With ``adjoint`` the
-    kernel is the transposed G2 and the two bases swap, mu and lambda with
-    them.  Points not interior to their subdomain get zero masses.
+    (j = 1), and w the kink density.  K_omega and c_j are nonnegative on
+    [a, b], so every row is.  With ``adjoint`` the kernel is the transposed
+    G2 and the two bases swap, mu and lambda with them.  Points not
+    interior to their subdomain get zero masses.
+
+    A subdomain's held rows (:meth:`RegularSubdomain.held_masses`) are read,
+    not recomputed.  The (point, j) integrals of every other interior
+    point, each distinct (subdomain, point) once, are the rows of one
+    integrate call, and their masses join the held rows.  Each row's
+    integrand is elementwise in its own a, b and cardinal coefficients, so
+    a row has the bits of a one-point call, whichever call computed it.
     """
     if adjoint:
         raw = lambda x, z: model.G2.raw(z, x)
@@ -181,36 +202,46 @@ def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
     else:
         raw = model.G1.raw
         k_basis, c_basis = model.basis1, model.basis2
-    xs = np.asarray(xs, dtype=float)
-    picks = [(i, x, sub) for i, (x, sub) in enumerate(zip(xs.tolist(), subs))
-             if sub.a < x < sub.b]
-    pts, pa, pb = np.array([(x, sub.a, sub.b) for _, x, sub in picks],
-                           dtype=float).reshape(-1, 3).T
-    # each inner point's inverse interpolation matrices, kernel basis first
-    invs = np.array([(sub.inv2, sub.inv1) if adjoint else (sub.inv1, sub.inv2)
-                     for _, _, sub in picks], dtype=float).reshape(-1, 2, 2, 2)
-    # _cardinal coefficients of the kernel basis, then of the other: column
-    # r = 2i + j holds those of point i's cardinal that is 1 at a (j = 0) or
-    # at b (j = 1), and row r of the nu integrals uses c_coef's
-    k_coef, c_coef = invs.transpose(1, 2, 0, 3).reshape(2, 2, -1)
-    rows, at = np.arange(2 * len(pts)), pts.repeat(2)
-    mu = _cardinal(k_coef, k_basis, rows, at)
-    lam = _cardinal(c_coef, c_basis, rows, at)
-    ka, kb = mu[0::2], mu[1::2]
+    xs = np.asarray(xs, dtype=float).tolist()
+    held = [sub.held_masses(model, adjoint) for sub in subs]
+    # the rows to compute, by (subdomain, point), each with its table
+    new = {}
+    for x, sub, table in zip(xs, subs, held):
+        if sub.a < x < sub.b and x not in table:
+            new.setdefault((sub, x), table)
+    if new:
+        pts, pa, pb = np.array([(x, sub.a, sub.b) for sub, x in new],
+                               dtype=float).T
+        # each new point's inverse interpolation matrices, kernel basis first
+        invs = np.array([(sub.inv2, sub.inv1) if adjoint
+                         else (sub.inv1, sub.inv2) for sub, _ in new],
+                        dtype=float)
+        # basis_combination coefficients of the kernel basis, then of the
+        # other: column r = 2i + j holds those of point i's cardinal that is
+        # 1 at a (j = 0) or at b (j = 1), and row r of the nu integrals uses
+        # c_coef's
+        k_coef, c_coef = invs.transpose(1, 2, 0, 3).reshape(2, 2, -1)
+        rows, at = np.arange(2 * len(pts)), pts.repeat(2)
+        mu = basis_combination(k_coef, k_basis, rows, at)
+        lam = basis_combination(c_coef, c_basis, rows, at)
+        ka, kb = mu[0::2], mu[1::2]
 
-    def row(r, z):
-        i = r // 2
-        kx = raw(pts[i], z) - ka[i] * raw(pa[i], z) - kb[i] * raw(pb[i], z)
-        return kx * _cardinal(c_coef, c_basis, r, z) * model.kink_density(z)
+        def row(r, z):
+            i = r // 2
+            kx = raw(pts[i], z) - ka[i] * raw(pa[i], z) - kb[i] * raw(pb[i], z)
+            return (kx * basis_combination(c_coef, c_basis, r, z)
+                    * model.kink_density(z))
 
-    # row r = 2i + j on [a, b], cut at x
-    masses = integrate(row, rows=(2 * len(pts),
-                                  [pa.repeat(2), at, pb.repeat(2)], {}),
-                       tol=NU_TOL).value
-    out = np.zeros((len(xs), 3, 2))
-    out[[i for i, _, _ in picks]] = np.array(
-        [mu, masses, lam]).reshape(3, -1, 2).transpose(1, 0, 2)
-    return out
+        # row r = 2i + j on [a, b], cut at x
+        masses = integrate(row, rows=(2 * len(pts),
+                                      [pa.repeat(2), at, pb.repeat(2)], {}),
+                           tol=NU_TOL).value
+        for ((_, x), table), triple in zip(new.items(), np.array(
+                [mu, masses, lam]).reshape(3, -1, 2).transpose(1, 0, 2)):
+            table[x] = triple
+    zero = np.zeros((3, 2))
+    return np.array([table.get(x, zero) for x, table in zip(xs, held)],
+                    dtype=float).reshape(-1, 3, 2)
 
 
 def biharmonic_measures(model: ModelSpace, sub, x, adjoint: bool = False):
@@ -280,10 +311,12 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
     h1(x) + g_a nu_a(x) + g_b nu_b(x), h1 the first-basis interpolant of f:
     its particular part is int K_omega(x, z) v(z) w(z) dz written through
     the nonnegative nu masses, so signed data need no signed quadrature.
-    u takes a point or an array of points, whose masses are computed in
-    one quadrature call at ``NU_TOL``, kept tight so that
-    finite-difference residual checks on u are not washed out by node
-    noise; a point's value does not depend on the array it is in.
+    u takes a point or an array of points.  It reads the masses that
+    ``sub`` holds and computes the others in one quadrature call at
+    ``NU_TOL``, kept tight so that finite-difference residual checks on u
+    are not washed out by node noise; a point's value does not depend on
+    the array it is in, nor on what ``sub`` held.  u and v refuse a point
+    off [a, b] with a :class:`~greenlab.errors.DomainError`.
     """
     sub.require_model(model)
     fa, fb = float(f[0]), float(f[1])
@@ -291,22 +324,25 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
     for val in (fa, fb, ga, gb):
         if not math.isfinite(val):
             raise PreconditionError("boundary data must be finite")
-    v = sub.interpolant2(ga, gb)
+    v2 = sub.interpolant2(ga, gb)
     h1 = sub.interpolant1(fa, fb)
     a, b = sub.a, sub.b
 
     def u(x):
-        xs = np.asarray(x, dtype=float)
+        xs = sub.require_closed(x)
         nu = _masses(model, [sub] * xs.size, xs.ravel(), False)[:, 1]
         # elementwise, not nu @ (ga, gb), so the bits match across arrays
         out = np.asarray(h1(xs), dtype=float) + \
             (ga * nu[:, 0] + gb * nu[:, 1]).reshape(xs.shape)
         return float(out) if xs.ndim == 0 else out
 
+    def v(x):
+        return v2(sub.require_closed(x))
+
     return RiquierSolution((a, b), (fa, fb), (ga, gb),
                            Fn(u, breakpoints=(a, b), vectorized=True,
                               name="riquier-u"),
-                           v, h1)
+                           Fn(v, vectorized=True, name="riquier-v"), h1)
 
 
 def _values(fn: Callable, xs) -> np.ndarray:

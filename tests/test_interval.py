@@ -15,7 +15,6 @@ from greenlab.models.interval import (
     kink_slope_jump,
     obstruction_u,
     pure_obstruction,
-    pure_of_q,
     q0,
     strictness_probe,
     v1_alt_density_residual,
@@ -52,13 +51,13 @@ def test_kink_probe_rejects_bad_offsets():
 
 def test_pure_partner_of_kernel_slices():
     for y, x in ((0.5, 0.5), (0.7, 0.3), (0.3, 0.7), (0.2, 0.9), (0.5, 0.0)):
-        val = pure_of_q(y, x, tol=1e-11)
+        val = compose_green(interval_model(), x, y, tol=1e-11)
         assert val.is_finite
         assert float(val) == pytest.approx(oracles.interval_h(x, y), abs=1e-9)
 
 
 def test_pure_partner_blows_up_at_the_origin():
-    val = pure_of_q(0.0, 0.4)
+    val = compose_green(interval_model(), 0.4, 0.0)
     assert not val.is_finite
     cert = val.certificate
     assert cert.location == pytest.approx(0.0, abs=1e-12)

@@ -10,6 +10,7 @@ import oracles
 
 from greenlab import riquier
 from greenlab.errors import (
+    DomainError,
     ModelDomainError,
     PreconditionError,
     RegularityError,
@@ -329,14 +330,17 @@ def test_triples_of_many_subdomains_take_one_call_with_one_point_bits(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(riquier, "integrate", counting)
-    together = riquier._measure_triples(model, subs, xs, adjoint)
+    # fresh subdomains, which hold none of alone's masses
+    fresh = [regular_subdomain(model, a, b) for (a, b), _ in probes]
+    together = riquier._measure_triples(model, fresh, xs, adjoint)
     assert calls == [2 * len(probes)]
     assert together == alone
     if not adjoint:
         calls.clear()
         verify_hyperharmonic(model, BiharmonicPair(constant(1.0),
                                                    constant(1.0)), probes)
-        assert calls == [2 * len(probes)]
+        # one subdomain per omega, so the repeated probe is one point
+        assert calls == [2 * len(set(probes))]
 
 
 def test_measures_of_many_points_are_one_call_with_one_point_triples(
@@ -355,10 +359,13 @@ def test_measures_of_many_points_are_one_call_with_one_point_triples(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(riquier, "integrate", counting)
-    assert biharmonic_measures(model, subs, xs) == alone
-    assert biharmonic_measures(model, subs[1:2] * 2, xs[1:2] * 2) == \
+    fresh = [regular_subdomain(model, a, b)
+             for a, b in ((0.2, 0.8), (0.1, 0.9), (0.3, 0.5), (0.1, 0.9))]
+    assert biharmonic_measures(model, fresh[:3], xs) == alone
+    # a point asked twice of one subdomain is integrated once
+    assert biharmonic_measures(model, fresh[3:] * 2, xs[1:2] * 2) == \
         [alone[1]] * 2
-    assert calls == [6, 4]
+    assert calls == [6, 2]
     with pytest.raises(PreconditionError):
         biharmonic_measures(model, subs, xs[:2])
 
@@ -403,3 +410,110 @@ def test_a_subdomain_built_for_another_model_is_refused(monkeypatch):
                 call()
             msg = str(info.value)
             assert model.id in msg and other.id in msg
+
+
+def test_a_solution_refuses_points_off_its_subdomain():
+    model = get_model("interval")
+    sub = regular_subdomain(model, 0.3, 0.6)
+    sol = solve_riquier(model, sub, (1.0, 2.0), (1.0, 1.0))
+    for fn in (sol.u, sol.v):
+        for x, named in ((0.9, "0.9"), (0.1, "0.1"), ([0.4, 0.7], "0.7"),
+                         (np.array([[0.3, 0.6], [0.45, 0.2999]]), "0.2999"),
+                         (math.nan, "nan")):
+            with pytest.raises(DomainError) as info:
+                fn(x)
+            assert str(info.value) == \
+                f"{named} lies outside the subdomain [0.3, 0.6]"
+        # the ends stay accepted
+        assert np.asarray(fn(np.array([0.3, 0.6]))).shape == (2,)
+    assert sol.u(0.3) == pytest.approx(1.0, abs=1e-12)
+    assert float(sol.v(0.6)) == pytest.approx(1.0, abs=1e-12)
+    # a refused point is never integrated, so the subdomain holds nothing
+    assert all(not rows for _, rows in sub.mass_rows.values())
+
+
+def _counted_rows(monkeypatch) -> list:
+    """The row count of every riquier integrate call from here on."""
+    real, calls = riquier.integrate, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["rows"][0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(riquier, "integrate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("model_name, omega", [
+    ("interval", (0.2, 0.7)), ("bilaplace", (0.1, 0.8))])
+def test_a_second_solution_reads_the_held_masses(model_name, omega,
+                                                  monkeypatch):
+    model = get_model(model_name)
+    a, b = omega
+    xs = np.linspace(a, b, 9)
+    fresh = solve_riquier(model, regular_subdomain(model, a, b),
+                          (0.7, -0.3), (-1.1, 0.6)).u(xs)
+    sub = regular_subdomain(model, a, b)
+    tri = biharmonic_measures(model, sub, float(xs[3]))
+    calls = _counted_rows(monkeypatch)
+    first = solve_riquier(model, sub, (0.2, 0.4), (1.5, 0.5))
+    first.u(xs)
+    assert calls == [2 * 6]         # the 7 inner points, one held
+    second = solve_riquier(model, sub, (0.7, -0.3), (-1.1, 0.6))
+    assert second.u(xs).tolist() == fresh.tolist()
+    assert biharmonic_measures(model, sub, float(xs[3])) == tri
+    assert calls == [2 * 6]
+    # one row per distinct inner point, and a replaced subdomain holds none
+    assert [len(rows) for _, rows in sub.mass_rows.values()] == [7]
+    assert replace(sub).mass_rows == {}
+
+
+def test_a_mixed_batch_integrates_only_the_new_points(monkeypatch):
+    model = get_model("bilaplace")
+    sub = regular_subdomain(model, 0.1, 0.8)
+    sol = solve_riquier(model, sub, (0.4, 0.3), (1.0, 0.5))
+    held = sol.u([0.3, 0.5])
+    calls = _counted_rows(monkeypatch)
+    xs = [0.3, 0.4, 0.5, 0.6, 0.4, 0.8]
+    got = sol.u(xs)
+    assert calls == [2 * 2]         # 0.4 and 0.6, each once
+    assert got[[0, 2]].tolist() == held.tolist()
+    fresh = solve_riquier(model, regular_subdomain(model, 0.1, 0.8),
+                          (0.4, 0.3), (1.0, 0.5))
+    assert got.tolist() == fresh.u(xs).tolist()
+
+
+def test_forward_and_adjoint_masses_stay_apart(monkeypatch):
+    # on the interval model the transposed G2 is not G1, so a table that
+    # mixed the two directions would hand back the wrong masses
+    model = get_model("interval")
+    xs = [0.35, 0.5]
+    want = {adjoint: riquier._masses(
+                model, [regular_subdomain(model, 0.2, 0.8)] * 2, xs, adjoint)
+            for adjoint in (False, True)}
+    assert want[False].tolist() != want[True].tolist()
+    sub = regular_subdomain(model, 0.2, 0.8)
+    calls = _counted_rows(monkeypatch)
+    for adjoint in (False, True, False, True):
+        got = riquier._masses(model, [sub] * 2, xs, adjoint)
+        assert got.tolist() == want[adjoint].tolist()
+    assert calls == [4, 4]
+
+
+def test_a_replaced_model_with_the_same_id_reads_its_own_masses(
+        monkeypatch):
+    model = get_model("interval")
+    doubled = replace(model, kink_density=lambda z: 2.0 * np.asarray(
+        z, dtype=float))
+    assert doubled.id == model.id
+    sub = regular_subdomain(model, 0.2, 0.8)
+    base = biharmonic_measures(model, sub, 0.5)
+    calls = _counted_rows(monkeypatch)
+    got = biharmonic_measures(doubled, sub, 0.5)
+    assert calls == [2]
+    assert got == biharmonic_measures(
+        doubled, regular_subdomain(model, 0.2, 0.8), 0.5)
+    assert got.nu == pytest.approx(tuple(2.0 * w for w in base.nu),
+                                   rel=1e-12)
+    assert biharmonic_measures(model, sub, 0.5) == base
+    assert calls == [2, 2]

@@ -11,7 +11,14 @@ means to move results regenerates the file with
 
     PYTHONPATH=src python tests/test_suite_digests.py > tests/golden/suite_digests.txt
 
-and says so.
+and says so.  A change that only stops recomputing rows moves the row
+digest but should leave a sub-multiset of the parent's rows; print the
+sorted row lines of one seed with
+
+    PYTHONPATH=src python tests/test_suite_digests.py --rows 0 > rows.txt
+
+in both trees and compare the two files (``LC_ALL=C comm -23 new.txt old.txt``
+prints the rows the parent never computed, and should print nothing).
 """
 
 import hashlib
@@ -27,8 +34,9 @@ def _row_line(res) -> str:
             f"{res.subdivisions} {res.converged}")
 
 
-def digests() -> list[str]:
-    """One line per seed and kind: the check digest, then the row digest."""
+def recorded_pass(seed: int) -> tuple[str, list[str]]:
+    """The check digest of ``run_suite('all', seed)`` and the sorted row
+    lines of every integrate call it makes."""
     from greenlab import quadrature
     from greenlab.suites import run_suite
 
@@ -47,20 +55,25 @@ def digests() -> list[str]:
              for attr, val in list(vars(m).items()) if val is real]
     for mod, attr in bound:
         setattr(mod, attr, recording)
-    lines = []
     try:
-        for seed in SEEDS:
-            rows.clear()
-            checks = hashlib.sha256()
-            for r in run_suite("all", seed=seed):
-                checks.update(f"{r.id}|{r.passed}|{float(r.margin).hex()}|"
-                              f"{r.detail}\n".encode())
-            lines.append(f"seed={seed} checks sha256={checks.hexdigest()}")
-            digest = hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
-            lines.append(f"seed={seed} rows={len(rows)} sha256={digest}")
+        checks = hashlib.sha256()
+        for r in run_suite("all", seed=seed):
+            checks.update(f"{r.id}|{r.passed}|{float(r.margin).hex()}|"
+                          f"{r.detail}\n".encode())
     finally:
         for mod, attr in bound:
             setattr(mod, attr, real)
+    return checks.hexdigest(), sorted(rows)
+
+
+def digests() -> list[str]:
+    """One line per seed and kind: the check digest, then the row digest."""
+    lines = []
+    for seed in SEEDS:
+        checks, rows = recorded_pass(seed)
+        lines.append(f"seed={seed} checks sha256={checks}")
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        lines.append(f"seed={seed} rows={len(rows)} sha256={digest}")
     return lines
 
 
@@ -69,5 +82,9 @@ def test_suite_and_row_bits_match_the_golden_file():
 
 
 if __name__ == "__main__":
-    for line in digests():
+    if sys.argv[1:2] == ["--rows"]:
+        lines = recorded_pass(int(sys.argv[2]))[1]
+    else:
+        lines = digests()
+    for line in lines:
         print(line)
