@@ -84,11 +84,12 @@ class RegularSubdomain:
     def require_closed(self, x) -> np.ndarray:
         """x as a float array, refused unless every point lies in [a, b]."""
         xs = np.asarray(x, dtype=float)
-        outside = ~((self.a <= xs) & (xs <= self.b))
-        if outside.any():
-            raise DomainError(
-                f"{float(xs[outside][0]):g} lies outside the subdomain "
-                f"[{self.a:g}, {self.b:g}]")
+        # a loop over Python floats: a solution is read a few points at a
+        # time, where numpy's fixed cost per call would dominate
+        for t in xs.ravel().tolist():
+            if not self.a <= t <= self.b:
+                raise DomainError(f"{t:g} lies outside the subdomain "
+                                  f"[{self.a:g}, {self.b:g}]")
         return xs
 
     def held_masses(self, model: ModelSpace, adjoint: bool) -> dict:
