@@ -191,16 +191,15 @@ def _coupling_radial(model: ModelSpace, f, x, tol: float) -> ExtendedValue:
         raise PreconditionError(
             "grid functions carry no information near the kernel's singular "
             "origin; pass a closed-form radial profile")
-    xv = model.domain.require(x)
-    e1 = np.zeros(model.dim)
-    e1[0] = 1.0
+    model.domain.require(x)
     fv = as_vectorized(f)
     raw = model.G1.raw
 
     def prof(rs):
+        # the kernel at distance r: raw between the origin and the point (r,)
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        zs = xv[None, :] + rs[:, None] * e1[None, :]
-        return np.asarray(raw(xv, zs), dtype=float) * np.asarray(fv(rs), dtype=float)
+        return (np.asarray(raw(0.0, rs[:, None]), dtype=float)
+                * np.asarray(fv(rs), dtype=float))
 
     prof.vectorized = True
     support = getattr(f, "support", None)

@@ -12,9 +12,10 @@ first component of the Riquier solution is that pairing itself.
 
 The measures depend on the model, the subinterval and x, never on the
 data, so a :class:`RegularSubdomain` holds every mass row computed on it,
-for each model (by identity) and direction, by point: the triples and every
-solution on one subdomain integrate a point once.  A solution's u and v
-refuse points off [a, b].
+for each model (by identity), by point: the triples and every solution on
+one subdomain integrate a point once.  A solution's u and v refuse points
+off [a, b].  The adjoint (transposed) triple exists only where the two
+kernels and the two bases coincide, and there it is the forward triple.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class RegularSubdomain:
     """A subinterval on which both two-function bases interpolate stably.
 
     ``mass_rows`` holds the (mu, nu, lambda) masses that :func:`_masses`
-    has computed here, keyed by (id(model), adjoint) and then by point;
-    each key's value keeps its model, so the id stays that model's.  A
+    has computed here, keyed by id(model) and then by point; each key's
+    value keeps its model, so the id stays that model's.  A
     replaced model that keeps the id string reads none of the original's
     rows, and ``dataclasses.replace`` of a subdomain starts empty.
     """
@@ -92,9 +93,9 @@ class RegularSubdomain:
                                   f"[{self.a:g}, {self.b:g}]")
         return xs
 
-    def held_masses(self, model: ModelSpace, adjoint: bool) -> dict:
-        """The mass rows held here for model and direction, by point."""
-        return self.mass_rows.setdefault((id(model), adjoint), (model, {}))[1]
+    def held_masses(self, model: ModelSpace) -> dict:
+        """The mass rows held here for model, by point."""
+        return self.mass_rows.setdefault(id(model), (model, {}))[1]
 
     def _interpolant(self, inv: np.ndarray, basis, fa: float, fb: float,
                      name: str) -> Fn:
@@ -175,8 +176,8 @@ def _clip_weight(w: float, what: str) -> float:
     return max(w, 0.0)
 
 
-def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
-            adjoint: bool) -> np.ndarray:
+def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain],
+            xs) -> np.ndarray:
     """The masses (mu, nu, lambda) at each point xs[i] of its subdomain
     subs[i], as a (len(xs), 3, 2) array of (mass at a, mass at b).
 
@@ -186,25 +187,20 @@ def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
     G1(a, .) - mu_b G1(b, .) is the global kernel swept clean on the
     boundary of [a, b], c_j the second basis' cardinal at a (j = 0) or b
     (j = 1), and w the kink density.  K_omega and c_j are nonnegative on
-    [a, b], so every row is.  With ``adjoint`` the kernel is the transposed
-    G2 and the two bases swap, mu and lambda with them.  Points not
-    interior to their subdomain get zero masses.
+    [a, b], so every row is.  Points not interior to their subdomain get
+    zero masses.
 
-    A subdomain's held rows (:meth:`RegularSubdomain.held_masses`) are read,
-    not recomputed.  The (point, j) integrals of every other interior
-    point, each distinct (subdomain, point) once, are the rows of one
-    integrate call, and their masses join the held rows.  Each row's
+    A subdomain's held rows for this model object
+    (:meth:`RegularSubdomain.held_masses`) are read, not recomputed.  The
+    (point, j) integrals of every other interior point, each distinct
+    (subdomain, point) once, are the rows of one integrate call, and their
+    masses join the held rows.  Each row's
     integrand is elementwise in its own a, b and cardinal coefficients, so
     a row has the bits of a one-point call, whichever call computed it.
     """
-    if adjoint:
-        raw = lambda x, z: model.G2.raw(z, x)
-        k_basis, c_basis = model.basis2, model.basis1
-    else:
-        raw = model.G1.raw
-        k_basis, c_basis = model.basis1, model.basis2
+    raw = model.G1.raw
     xs = np.asarray(xs, dtype=float).tolist()
-    held = [sub.held_masses(model, adjoint) for sub in subs]
+    held = [sub.held_masses(model) for sub in subs]
     # the rows to compute, by (subdomain, point), each with its table
     new = {}
     for x, sub, table in zip(xs, subs, held):
@@ -213,24 +209,21 @@ def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain], xs,
     if new:
         pts, pa, pb = np.array([(x, sub.a, sub.b) for sub, x in new],
                                dtype=float).T
-        # each new point's inverse interpolation matrices, kernel basis first
-        invs = np.array([(sub.inv2, sub.inv1) if adjoint
-                         else (sub.inv1, sub.inv2) for sub, _ in new],
-                        dtype=float)
-        # basis_combination coefficients of the kernel basis, then of the
-        # other: column r = 2i + j holds those of point i's cardinal that is
-        # 1 at a (j = 0) or at b (j = 1), and row r of the nu integrals uses
-        # c_coef's
-        k_coef, c_coef = invs.transpose(1, 2, 0, 3).reshape(2, 2, -1)
+        # basis_combination coefficients of the first basis, then of the
+        # second: column r = 2i + j holds those of point i's cardinal that
+        # is 1 at a (j = 0) or at b (j = 1), and row r of the nu integrals
+        # uses coef2's
+        invs = np.array([(sub.inv1, sub.inv2) for sub, _ in new], dtype=float)
+        coef1, coef2 = invs.transpose(1, 2, 0, 3).reshape(2, 2, -1)
         rows, at = np.arange(2 * len(pts)), pts.repeat(2)
-        mu = basis_combination(k_coef, k_basis, rows, at)
-        lam = basis_combination(c_coef, c_basis, rows, at)
+        mu = basis_combination(coef1, model.basis1, rows, at)
+        lam = basis_combination(coef2, model.basis2, rows, at)
         ka, kb = mu[0::2], mu[1::2]
 
         def row(r, z):
             i = r // 2
             kx = raw(pts[i], z) - ka[i] * raw(pa[i], z) - kb[i] * raw(pb[i], z)
-            return (kx * basis_combination(c_coef, c_basis, r, z)
+            return (kx * basis_combination(coef2, model.basis2, r, z)
                     * model.kink_density(z))
 
         # row r = 2i + j on [a, b], cut at x
@@ -251,46 +244,35 @@ def biharmonic_measures(model: ModelSpace, sub, x, adjoint: bool = False):
     mu_x and lambda_x are the interpolation weights of the two bases; the
     nu_x masses integrate the localized kernel against the second basis'
     cardinal functions, weighted by the kink density, each at ``NU_TOL``.
-    With ``adjoint=True`` the roles of the two kernels and bases swap (the
-    transposed problem); that mode is only meaningful where the adjoint
-    operator is finite and continuous, which among these models is the
-    symmetric-equal one.
+    ``adjoint=True`` asks for the triple of the transposed problem, where
+    the two kernels and the two bases swap roles.  It is refused with
+    :class:`~greenlab.errors.ModelDomainError` unless G1 equals G2 and the
+    two bases are equal (the clamped plate): there the swap changes
+    nothing, so the forward triple is returned.
 
     ``sub`` and ``x`` may also be sequences of subdomains and points, of
     one length: the call then returns a list of triples, one per
-    (subdomain, point), each with the bits a one-point call gives it, from
-    one quadrature call.
-    """
-    if isinstance(sub, RegularSubdomain):
-        return _measure_triples(model, [sub], [x], adjoint)[0]
-    subs, xs = list(sub), list(x)
-    if len(subs) != len(xs):
-        raise PreconditionError(
-            f"{len(subs)} subdomains do not pair with {len(xs)} points")
-    return _measure_triples(model, subs, xs, adjoint)
-
-
-def _measure_triples(model: ModelSpace, subs: Sequence[RegularSubdomain],
-                     xs: Sequence[float],
-                     adjoint: bool) -> list[MeasureTriple]:
-    """The triple of subs[i] at its interior point xs[i], for every i.
-
+    (subdomain, point), each with the bits a one-point call gives it.
     Every subdomain and point is checked before any integration; the
     masses of all the points are then one :func:`_masses` call.
     """
+    one = isinstance(sub, RegularSubdomain)
+    subs, xs = ([sub], [x]) if one else (list(sub), list(x))
+    if len(subs) != len(xs):
+        raise PreconditionError(
+            f"{len(subs)} subdomains do not pair with {len(xs)} points")
     xs = [s.require_model(model).require_interior(x) for s, x in zip(subs, xs)]
-    if adjoint and model.id != "bilaplace1d":
+    if adjoint and not (model.G1 == model.G2
+                        and model.basis1 == model.basis2):
         raise ModelDomainError(
-            "the adjoint boundary triple is only available on the "
-            "symmetric-equal model, where the transpose coupling is "
-            "finite and continuous")
+            "the adjoint boundary triple is only available where both "
+            "kernels and both bases are equal, as on the clamped plate")
     triples = []
-    for sub, x, masses in zip(subs, xs, _masses(
-            model, subs, xs, adjoint).tolist()):
+    for sub, x, masses in zip(subs, xs, _masses(model, subs, xs).tolist()):
         mu, nu, lam = (tuple(_clip_weight(w, what) for w in pair)
                        for what, pair in zip(("mu", "nu", "lambda"), masses))
         triples.append(MeasureTriple((sub.a, sub.b), x, mu, nu, lam))
-    return triples
+    return triples[0] if one else triples
 
 
 @dataclass(frozen=True)
@@ -301,7 +283,6 @@ class RiquierSolution:
     g: tuple[float, float]
     u: Callable
     v: Callable
-    harmonic_part: Callable
 
 
 def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
@@ -331,7 +312,7 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
 
     def u(x):
         xs = sub.require_closed(x)
-        nu = _masses(model, [sub] * xs.size, xs.ravel(), False)[:, 1]
+        nu = _masses(model, [sub] * xs.size, xs.ravel())[:, 1]
         # elementwise, not nu @ (ga, gb), so the bits match across arrays
         out = np.asarray(h1(xs), dtype=float) + \
             (ga * nu[:, 0] + gb * nu[:, 1]).reshape(xs.shape)
@@ -343,7 +324,7 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
     return RiquierSolution((a, b), (fa, fb), (ga, gb),
                            Fn(u, breakpoints=(a, b), vectorized=True,
                               name="riquier-u"),
-                           Fn(v, vectorized=True, name="riquier-v"), h1)
+                           Fn(v, vectorized=True, name="riquier-v"))
 
 
 def _values(fn: Callable, xs) -> np.ndarray:
@@ -450,8 +431,8 @@ def verify_hyperharmonic(model: ModelSpace, pair: BiharmonicPair,
     for omega, _ in probes:
         if omega not in subs:
             subs[omega] = regular_subdomain(model, *omega)
-    triples = _measure_triples(model, [subs[omega] for omega, _ in probes],
-                               [x for _, x in probes], False)
+    triples = biharmonic_measures(model, [subs[omega] for omega, _ in probes],
+                                  [x for _, x in probes])
     pts = [p for (a, b), x in probes for p in (a, b, x)]
     us = _values(pair.u, pts).reshape(-1, 3)
     vs = _values(pair.v, pts).reshape(-1, 3)

@@ -326,22 +326,25 @@ def _restriction_check(check_id: str, model, pair, subs, seed: int) -> CheckResu
         model, [sub for sub in regular for _ in range(3)],
         [x for xs in points for x in xs])
     for k, ((a, b), sub, pts) in enumerate(zip(subs, regular, points)):
-        sol = riquier.solve_riquier(
-            model, sub,
-            (float(pair.u(a)), float(pair.u(b))),
-            (float(pair.v(a)), float(pair.v(b))))
+        # each function once per point array: the pair at a, b and xs, the
+        # solutions at xs or pts; every one of them is elementwise
         xs = np.linspace(a + 0.02, b - 0.02, 15)
-        for x, u in zip(xs.tolist(), sol.u(xs).tolist()):
-            worst = max(worst, abs(u - float(pair.u(x))),
-                        abs(float(sol.v(x)) - float(pair.v(x))))
+        (ua, ub, *us), (va, vb, *vs) = (
+            np.asarray(fn(np.concatenate(([a, b], xs))), dtype=float).tolist()
+            for fn in (pair.u, pair.v))
+        sol = riquier.solve_riquier(model, sub, (ua, ub), (va, vb))
+        for su, sv, u, v in zip(sol.u(xs).tolist(), sol.v(xs).tolist(),
+                                us, vs):
+            worst = max(worst, abs(su - u), abs(sv - v))
         tris = triples[3 * k:3 * k + 3]
         for _ in range(10):
             f = tuple(rng.uniform(0.0, 2.0, 2).tolist())
             g = tuple(rng.uniform(0.0, 2.0, 2).tolist())
             rsol = riquier.solve_riquier(model, sub, f, g)
-            for x, u, tri in zip(pts, rsol.u(pts).tolist(), tris):
+            for u, v, tri in zip(rsol.u(pts).tolist(), rsol.v(pts).tolist(),
+                                 tris):
                 worst = max(worst, abs(u - tri.pair_first(f, g)),
-                            abs(float(rsol.v(x)) - tri.pair_second(g)))
+                            abs(v - tri.pair_second(g)))
     return _result(check_id, IDENTITY_TOL, worst,
                    f"restriction and measure-pairing worst gap {worst:.2e}")
 

@@ -126,7 +126,7 @@ def test_zero_second_data_reduces_to_interpolation():
     for x in np.linspace(0.35, 0.85, 7):
         assert float(sol.v(x)) == pytest.approx(0.0, abs=1e-14)
         assert float(sol.u(x)) == pytest.approx(
-            float(sol.harmonic_part(x)), abs=1e-13)
+            float(sub.interpolant1(1.0, 2.0)(x)), abs=1e-13)
 
 
 def test_boundary_data_must_be_finite():
@@ -206,13 +206,14 @@ def test_nu_masses_match_the_closed_forms(model_name, omega, adjoint):
 def test_signed_riquier_data(model_name, omega, f, g):
     model = get_model(model_name)
     a, b = omega
-    sol = solve_riquier(model, regular_subdomain(model, a, b), f, g)
+    sub = regular_subdomain(model, a, b)
+    sol = solve_riquier(model, sub, f, g)
     assert float(sol.u(a)) == pytest.approx(f[0], abs=1e-12)
     assert float(sol.u(b)) == pytest.approx(f[1], abs=1e-12)
     assert check_riquier_solution(model, sol).passed()
     for x in np.linspace(a, b, 9)[1:-1].tolist():
         nu_a, nu_b = oracles.riquier_nu(model_name, a, b, x)
-        want = float(sol.harmonic_part(x)) + g[0] * nu_a + g[1] * nu_b
+        want = float(sub.interpolant1(*f)(x)) + g[0] * nu_a + g[1] * nu_b
         assert float(sol.u(x)) == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
@@ -332,7 +333,7 @@ def test_triples_of_many_subdomains_take_one_call_with_one_point_bits(
     monkeypatch.setattr(riquier, "integrate", counting)
     # fresh subdomains, which hold none of alone's masses
     fresh = [regular_subdomain(model, a, b) for (a, b), _ in probes]
-    together = riquier._measure_triples(model, fresh, xs, adjoint)
+    together = biharmonic_measures(model, fresh, xs, adjoint=adjoint)
     assert calls == [2 * len(probes)]
     assert together == alone
     if not adjoint:
@@ -483,21 +484,30 @@ def test_a_mixed_batch_integrates_only_the_new_points(monkeypatch):
     assert got.tolist() == fresh.u(xs).tolist()
 
 
-def test_forward_and_adjoint_masses_stay_apart(monkeypatch):
-    # on the interval model the transposed G2 is not G1, so a table that
-    # mixed the two directions would hand back the wrong masses
-    model = get_model("interval")
-    xs = [0.35, 0.5]
-    want = {adjoint: riquier._masses(
-                model, [regular_subdomain(model, 0.2, 0.8)] * 2, xs, adjoint)
-            for adjoint in (False, True)}
-    assert want[False].tolist() != want[True].tolist()
+def test_the_adjoint_triple_reads_the_forward_masses(monkeypatch):
+    # on the clamped plate both kernels and both bases are equal, so the
+    # adjoint triple is the forward one and integrates nothing new
+    model = get_model("bilaplace")
     sub = regular_subdomain(model, 0.2, 0.8)
     calls = _counted_rows(monkeypatch)
-    for adjoint in (False, True, False, True):
-        got = riquier._masses(model, [sub] * 2, xs, adjoint)
-        assert got.tolist() == want[adjoint].tolist()
-    assert calls == [4, 4]
+    forward = biharmonic_measures(model, sub, 0.35)
+    assert calls == [2]
+    assert biharmonic_measures(model, sub, 0.35, adjoint=True) == forward
+    assert calls == [2]
+
+
+def test_the_adjoint_triple_needs_equal_kernels_and_bases(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(riquier, "integrate", refuse)
+    mixed = replace(get_model("bilaplace"), G2=get_model("interval").G2)
+    assert mixed.id == "bilaplace1d" and mixed.basis1 == mixed.basis2
+    sub = regular_subdomain(mixed, 0.2, 0.8)
+    with pytest.raises(ModelDomainError):
+        biharmonic_measures(mixed, sub, 0.5, adjoint=True)
+    with pytest.raises(ModelDomainError):
+        biharmonic_measures(mixed, [sub, sub], [0.3, 0.5], adjoint=True)
 
 
 def test_a_replaced_model_with_the_same_id_reads_its_own_masses(
