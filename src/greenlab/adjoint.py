@@ -388,30 +388,46 @@ def lsc_check(model: ModelSpace) -> LscReport:
 def duality_residual(model: ModelSpace, phi, psi) -> float:
     """|<psi, V phi> - <phi, V* psi>| with both pairings against d(mu).
 
-    The transpose relation only closes when the two kernels are each
-    other's transpose, which among the models here the clamped-plate one
-    provides (one symmetric kernel on both slots); elsewhere the pairing
-    comparison is not a valid identity and is refused.
+    The two pairings are equal when V* is the transpose of V, which needs
+    G1 = G2 (V* integrates G2 with its arguments swapped).  Among the models
+    here the clamped-plate one provides it, with one symmetric kernel on
+    both slots; a radial model, or a 1D model whose kernels differ, is
+    refused before any integration.
+
+    Each pairing is integrated over the outer function's ``support``
+    clipped to the domain, cut at its ``breakpoints``: the inner V or V*
+    is several orders smoother than the outer function, whose kinks are
+    the integrand's.  A callable that declares neither is integrated over
+    the whole domain with no cuts, its kinks found by bisection; a support
+    that misses the domain gives a pairing of 0.0.
     """
-    if model.id != "bilaplace1d":
+    if model.is_radial or model.G1 != model.G2:
         raise ModelDomainError(
-            "the pairing comparison needs G1(x,y) = G2(y,x), which only "
-            "the clamped-plate model provides here")
+            "the pairing comparison needs one kernel on both slots, "
+            "G1 = G2 on a 1D domain, as the clamped-plate model provides")
     dom: Interval1D = model.domain
 
     def pair(outer, kernel, adjoint, inner_arg):
+        lo, hi = dom.lo, dom.hi
+        support = getattr(outer, "support", None)
+        if support is not None:
+            lo, hi = max(lo, support[0]), min(hi, support[1])
+        if hi <= lo:
+            return 0.0
+        outer_v = as_vectorized(outer)
+
         # the inner V or V* at the nodes, read from its rows' value column
         def f(xs):
             xs = np.asarray(xs, dtype=float)
             inner, _ = _sliced_rows(model, kernel, inner_arg, xs, 1e-9,
                                     adjoint)
-            return np.asarray(outer(xs), dtype=float) * inner.value
+            return np.asarray(outer_v(xs), dtype=float) * inner.value
 
         f.vectorized = True
-        res = integrate(model.mu.weighted(f), (dom.lo, dom.hi), tol=QUAD_TOL)
+        res = integrate(model.mu.weighted(f), (lo, hi), tol=QUAD_TOL,
+                        breakpoints=getattr(outer, "breakpoints", ()))
         return float(res.value)
 
-    phi_v, psi_v = as_vectorized(phi), as_vectorized(psi)
-    lhs = pair(psi_v, model.G1, False, phi)
-    rhs = pair(phi_v, model.G2, True, psi)
+    lhs = pair(psi, model.G1, False, phi)
+    rhs = pair(phi, model.G2, True, psi)
     return abs(lhs - rhs)

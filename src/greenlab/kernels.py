@@ -73,7 +73,12 @@ class Fn:
     """A callable with declared smoothness breaks and optional support.
 
     ``breakpoints`` seed quadrature panel splits; ``support`` (an interval)
-    lets coupling integrals restrict their range; ``singular_points`` are
+    lets coupling integrals and the duality pairing restrict their range.
+    An operator reads a function's kinks only from ``breakpoints`` and its
+    range only from ``support``: a kink left undeclared is found by
+    bisection, at the cost of panels and of a larger quadrature error.  A
+    function built from others must declare the union of their
+    breakpoints and the hull of their supports.  ``singular_points`` are
     locations where the function may be unbounded, which integrators must
     treat with the dyadic shell probe.  ``vectorized=True`` promises f
     accepts a 1D numpy array and is elementwise: its value at a node does

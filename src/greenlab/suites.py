@@ -107,6 +107,15 @@ def check_refinement_monotonicity(seed: int = 0) -> CheckResult:
                    f"error/tolerance ratio {worst_rel:.2e}")
 
 
+def _combined(h, *parts: Fn) -> Fn:
+    """h, built from the bumps ``parts``, with the union of their
+    breakpoints and the hull of their supports declared."""
+    return Fn(h, breakpoints=[b for p in parts for b in p.breakpoints],
+              support=(min(p.support[0] for p in parts),
+                       max(p.support[1] for p in parts)),
+              vectorized=True)
+
+
 def check_coupling_monotonicity(seed: int = 0) -> CheckResult:
     f = bump(0.5, 0.2)
     extra = bump(0.4, 0.3)
@@ -114,7 +123,7 @@ def check_coupling_monotonicity(seed: int = 0) -> CheckResult:
     def g(y):
         return f(y) + 0.5 * extra(y)
 
-    g = Fn(g, vectorized=True)
+    g = _combined(g, f, extra)
     xs = np.array([0.1, 0.45, 0.8])
     worst = 0.0
     for model in (iv.interval_model(), bl.bilaplace_model()):
@@ -132,7 +141,7 @@ def check_coupling_linearity(seed: int = 0) -> CheckResult:
     def combo(y):
         return a * f(y) + b * g(y)
 
-    combo = Fn(combo, vectorized=True)
+    combo = _combined(combo, f, g)
     xs = np.array([0.15, 0.5, 0.85])
     worst = 0.0
     for model in (iv.interval_model(), bl.bilaplace_model()):

@@ -1,5 +1,6 @@
 """The transpose coupling: its sliced quadrature, the gate, and regularity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -130,12 +131,42 @@ def test_lsc_grid_check():
 
 
 def test_duality_pairing():
+    phi, psi = bump(0.3, 0.2), bump(0.7, 0.2)
     model = get_model("bilaplace")
-    res = duality_residual(model, bump(0.3, 0.2), bump(0.7, 0.2))
+    res = duality_residual(model, phi, psi)
     assert res <= 2e-6
-    with pytest.raises(ModelDomainError):
-        duality_residual(get_model("interval"), bump(0.3, 0.2),
-                         bump(0.7, 0.2))
+    # the pairing needs one kernel on both slots, whatever the model's id
+    copy = dataclasses.replace(model, id="plate-copy")
+    assert duality_residual(copy, phi, psi) == res
+    mixed = dataclasses.replace(model, G2=get_model("interval").G2)
+    for refused in (get_model("interval"), mixed, get_model("newtonian5")):
+        with pytest.raises(ModelDomainError):
+            duality_residual(refused, phi, psi)
+
+
+def test_duality_pairs_over_the_outer_functions_declared_cuts(monkeypatch):
+    import greenlab.adjoint as adjoint_mod
+
+    real, calls = adjoint_mod.integrate, []
+
+    def spying(f, interval, **kwargs):
+        calls.append((interval, tuple(kwargs.get("breakpoints", ()))))
+        return real(f, interval, **kwargs)
+
+    monkeypatch.setattr(adjoint_mod, "integrate", spying)
+    model = get_model("bilaplace")
+    phi, plain = bump(0.3, 0.15), bump(0.6, 0.3)
+    # a plain callable declares nothing: its pairing runs over the whole
+    # domain with no cuts; the bump's over its support, cut at its kinks
+    res = duality_residual(model, phi, lambda x: float(plain(x)))
+    assert calls == [((0.0, 1.0), ()), (phi.support, phi.breakpoints)]
+    assert res <= 2e-6
+    # a support that misses (0, 1), or only touches it, pairs to 0.0
+    calls.clear()
+    assert duality_residual(model, phi, bump(1.2, 0.2)) == 0.0
+    assert duality_residual(model, bump(-0.3, 0.3), phi) == 0.0
+    assert duality_residual(model, bump(1.5, 0.2), bump(-0.5, 0.2)) == 0.0
+    assert len(calls) == 2
 
 
 def test_the_pairings_inner_values_are_the_floats_of_the_operators():

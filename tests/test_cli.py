@@ -197,6 +197,9 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_all_bytes_match_the_golden_file(capsys):
+    # a change that means to move a margin regenerates the file with
+    #   PYTHONPATH=src python -m greenlab.cli verify all \
+    #       > tests/golden/verify_all_seed0.txt
     golden = Path(__file__).parent / "golden" / "verify_all_seed0.txt"
     rc, out, err = run_cli(capsys, "verify", "all")
     assert (rc, err) == (0, "")

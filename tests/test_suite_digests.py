@@ -23,6 +23,7 @@ prints the rows the parent never computed, and should print nothing).
 
 import hashlib
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "suite_digests.txt"
@@ -34,19 +35,19 @@ def _row_line(res) -> str:
             f"{res.subdivisions} {res.converged}")
 
 
-def recorded_pass(seed: int) -> tuple[str, list[str]]:
-    """The check digest of ``run_suite('all', seed)`` and the sorted row
-    lines of every integrate call it makes."""
+@contextmanager
+def recorded_rows():
+    """A list that collects the :class:`~greenlab.quadrature.QuadResult` of
+    every row that :func:`~greenlab.quadrature.integrate` computes inside
+    the block."""
     from greenlab import quadrature
-    from greenlab.suites import run_suite
 
     real = quadrature.integrate
-    rows: list[str] = []
+    rows: list = []
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
-        for res in ([out] if isinstance(out, quadrature.QuadResult) else out):
-            rows.append(_row_line(res))
+        rows.extend([out] if isinstance(out, quadrature.QuadResult) else out)
         return out
 
     # every module that binds the name, as an import by name would
@@ -56,14 +57,23 @@ def recorded_pass(seed: int) -> tuple[str, list[str]]:
     for mod, attr in bound:
         setattr(mod, attr, recording)
     try:
-        checks = hashlib.sha256()
-        for r in run_suite("all", seed=seed):
-            checks.update(f"{r.id}|{r.passed}|{float(r.margin).hex()}|"
-                          f"{r.detail}\n".encode())
+        yield rows
     finally:
         for mod, attr in bound:
             setattr(mod, attr, real)
-    return checks.hexdigest(), sorted(rows)
+
+
+def recorded_pass(seed: int) -> tuple[str, list[str]]:
+    """The check digest of ``run_suite('all', seed)`` and the sorted row
+    lines of every integrate call it makes."""
+    from greenlab.suites import run_suite
+
+    checks = hashlib.sha256()
+    with recorded_rows() as rows:
+        for r in run_suite("all", seed=seed):
+            checks.update(f"{r.id}|{r.passed}|{float(r.margin).hex()}|"
+                          f"{r.detail}\n".encode())
+    return checks.hexdigest(), sorted(_row_line(res) for res in rows)
 
 
 def digests() -> list[str]:

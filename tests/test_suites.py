@@ -142,3 +142,16 @@ def test_batched_checks_make_one_call_per_point_set(monkeypatch):
     # an upper bound: a return to one call per point fails, fewer calls pass
     for cid, pinned in BATCHED_CHECK_CALLS.items():
         assert counts[cid] <= pinned, (cid, counts[cid])
+
+
+def test_pairing_and_coupling_checks_integrate_on_their_declared_cuts():
+    # the bumps declare their kinks; a row hunting them by bisection takes
+    # 21 (duality), 46 (coupling-linearity) or 35 (coupling-monotonicity)
+    # panels, a cut one at most 6
+    from test_suite_digests import recorded_rows
+
+    for cid in ("duality", "coupling-linearity", "coupling-monotonicity"):
+        with recorded_rows() as rows:
+            assert CHECKS[cid](seed=0).passed, cid
+        assert rows, cid
+        assert max(r.subdivisions for r in rows) <= 8, cid
