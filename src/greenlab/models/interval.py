@@ -77,6 +77,7 @@ def interval_model() -> ModelSpace:
         kink_density=lambda z: np.asarray(z, dtype=float) + 0.0)
 
 
+@lru_cache(maxsize=1)
 def control_density_model() -> ModelSpace:
     """The same model under the density y(1-y), kept as a control.
 

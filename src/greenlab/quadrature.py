@@ -608,8 +608,11 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
     the call raises the exception of the first row in order that raises.
 
     Both forms run on one engine, :func:`_integrate_rows`; the interval of
-    the scalar form is its one row.
+    the scalar form is its one row.  Both refuse a tol that is not positive
+    and finite, before any integrand evaluation.
     """
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError(f"tol must be positive and finite, not {tol}")
     scalar = rows is None
     if scalar and interval is None or not scalar and (
             interval is not None or singular_points or breakpoints):

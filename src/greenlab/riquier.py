@@ -10,12 +10,14 @@ w, the normalization under which K_omega inverts the first operator; the
 masses at any number of points are the rows of one quadrature call.  The
 first component of the Riquier solution is that pairing itself.
 
-The measures depend on the model, the subinterval and x, never on the
-data, so a :class:`RegularSubdomain` holds every mass row computed on it,
-for each model (by identity), by point: the triples and every solution on
-one subdomain integrate a point once.  A solution's u and v refuse points
-off [a, b].  The adjoint (transposed) triple exists only where the two
-kernels and the two bases coincide, and there it is the forward triple.
+A :class:`RegularSubdomain` belongs to the one model object it was
+validated for, and every function here refuses it for any other.  The
+measures depend on that model, the subinterval and x, never on the data,
+so the subdomain holds every mass row computed on it, by point: the
+triples and every solution on one subdomain integrate a point once.  A
+solution's u and v refuse points off [a, b].  The adjoint (transposed)
+triple exists only where the two kernels and the two bases coincide, and
+there it is the forward triple.
 """
 
 from __future__ import annotations
@@ -51,28 +53,25 @@ def _interp_matrix(basis, a: float, b: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegularSubdomain:
-    """A subinterval on which both two-function bases interpolate stably.
+    """A subinterval on which both bases of ``model`` interpolate stably.
 
+    ``inv1`` and ``inv2`` invert the two interpolation matrices at (a, b).
     ``mass_rows`` holds the (mu, nu, lambda) masses that :func:`_masses`
-    has computed here, keyed by id(model) and then by point; each key's
-    value keeps its model, so the id stays that model's.  A
-    replaced model that keeps the id string reads none of the original's
-    rows, and ``dataclasses.replace`` of a subdomain starts empty.
+    has computed here, by point; ``dataclasses.replace`` starts it empty.
     """
-    model_id: str
+    model: ModelSpace
     a: float
     b: float
     condition_number: float
-    basis1: tuple
-    basis2: tuple
     inv1: np.ndarray
     inv2: np.ndarray
     mass_rows: dict = field(init=False, repr=False, default_factory=dict)
 
     def require_model(self, model: ModelSpace) -> "RegularSubdomain":
-        if model.id != self.model_id:
+        # by identity: a copy that keeps the id may differ in any field
+        if model is not self.model:
             raise PreconditionError(f"the subdomain was built for model "
-                                    f"{self.model_id}, not {model.id}")
+                                    f"{self.model.id}, not this {model.id}")
         return self
 
     def require_interior(self, x: float) -> float:
@@ -93,21 +92,18 @@ class RegularSubdomain:
                                   f"[{self.a:g}, {self.b:g}]")
         return xs
 
-    def held_masses(self, model: ModelSpace) -> dict:
-        """The mass rows held here for model, by point."""
-        return self.mass_rows.setdefault(id(model), (model, {}))[1]
-
-    def _interpolant(self, inv: np.ndarray, basis, fa: float, fb: float,
-                     name: str) -> Fn:
-        coef = (inv @ np.array([fa, fb], dtype=float))[:, None]
-        return Fn(lambda x: basis_combination(coef, basis, 0, x),
-                  vectorized=True, name=name)
-
     def interpolant1(self, fa: float, fb: float) -> Fn:
-        return self._interpolant(self.inv1, self.basis1, fa, fb, "interp1")
+        return _interpolant(self.inv1, self.model.basis1, fa, fb, "interp1")
 
     def interpolant2(self, ga: float, gb: float) -> Fn:
-        return self._interpolant(self.inv2, self.basis2, ga, gb, "interp2")
+        return _interpolant(self.inv2, self.model.basis2, ga, gb, "interp2")
+
+
+def _interpolant(inv: np.ndarray, basis, fa: float, fb: float,
+                 name: str) -> Fn:
+    coef = (inv @ np.array([fa, fb], dtype=float))[:, None]
+    return Fn(lambda x: basis_combination(coef, basis, 0, x),
+              vectorized=True, name=name)
 
 
 def regular_subdomain(model: ModelSpace, a: float, b: float) -> RegularSubdomain:
@@ -139,8 +135,8 @@ def regular_subdomain(model: ModelSpace, a: float, b: float) -> RegularSubdomain
         raise RegularityError(
             f"interpolation on [{a:g}, {b:g}] has condition number {cond:.2e}; "
             "the subdomain is numerically non-regular")
-    return RegularSubdomain(model.id, a, b, cond, model.basis1, model.basis2,
-                            np.linalg.inv(m1), np.linalg.inv(m2))
+    return RegularSubdomain(model, a, b, cond, np.linalg.inv(m1),
+                            np.linalg.inv(m2))
 
 
 @dataclass(frozen=True)
@@ -176,10 +172,10 @@ def _clip_weight(w: float, what: str) -> float:
     return max(w, 0.0)
 
 
-def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain],
-            xs) -> np.ndarray:
+def _masses(subs: Sequence[RegularSubdomain], xs) -> np.ndarray:
     """The masses (mu, nu, lambda) at each point xs[i] of its subdomain
-    subs[i], as a (len(xs), 3, 2) array of (mass at a, mass at b).
+    subs[i], as a (len(xs), 3, 2) array of (mass at a, mass at b).  The
+    subdomains share one model, read from ``subs[0].model``.
 
     mu and lambda are the cardinals at x of the first and second basis, so
     interp1(data)(x) = mu_a f(a) + mu_b f(b).  nu_j(x) = int_a^b
@@ -190,23 +186,21 @@ def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain],
     [a, b], so every row is.  Points not interior to their subdomain get
     zero masses.
 
-    A subdomain's held rows for this model object
-    (:meth:`RegularSubdomain.held_masses`) are read, not recomputed.  The
+    A subdomain's held rows (``mass_rows``) are read, not recomputed.  The
     (point, j) integrals of every other interior point, each distinct
     (subdomain, point) once, are the rows of one integrate call, and their
-    masses join the held rows.  Each row's
-    integrand is elementwise in its own a, b and cardinal coefficients, so
-    a row has the bits of a one-point call, whichever call computed it.
+    masses join the held rows.  Each row's integrand is elementwise in its
+    own a, b and cardinal coefficients, so a row has the bits of a
+    one-point call, whichever call computed it.
     """
-    raw = model.G1.raw
     xs = np.asarray(xs, dtype=float).tolist()
-    held = [sub.held_masses(model) for sub in subs]
-    # the rows to compute, by (subdomain, point), each with its table
-    new = {}
-    for x, sub, table in zip(xs, subs, held):
-        if sub.a < x < sub.b and x not in table:
-            new.setdefault((sub, x), table)
+    # the rows to compute, by (subdomain, point), in order of appearance
+    new = list(dict.fromkeys(
+        (sub, x) for x, sub in zip(xs, subs)
+        if sub.a < x < sub.b and x not in sub.mass_rows))
     if new:
+        model = subs[0].model
+        raw = model.G1.raw
         pts, pa, pb = np.array([(x, sub.a, sub.b) for sub, x in new],
                                dtype=float).T
         # basis_combination coefficients of the first basis, then of the
@@ -230,11 +224,11 @@ def _masses(model: ModelSpace, subs: Sequence[RegularSubdomain],
         masses = integrate(row, rows=(2 * len(pts),
                                       [pa.repeat(2), at, pb.repeat(2)], {}),
                            tol=NU_TOL).value
-        for ((_, x), table), triple in zip(new.items(), np.array(
+        for (sub, x), triple in zip(new, np.array(
                 [mu, masses, lam]).reshape(3, -1, 2).transpose(1, 0, 2)):
-            table[x] = triple
+            sub.mass_rows[x] = triple
     zero = np.zeros((3, 2))
-    return np.array([table.get(x, zero) for x, table in zip(xs, held)],
+    return np.array([sub.mass_rows.get(x, zero) for x, sub in zip(xs, subs)],
                     dtype=float).reshape(-1, 3, 2)
 
 
@@ -268,7 +262,7 @@ def biharmonic_measures(model: ModelSpace, sub, x, adjoint: bool = False):
             "the adjoint boundary triple is only available where both "
             "kernels and both bases are equal, as on the clamped plate")
     triples = []
-    for sub, x, masses in zip(subs, xs, _masses(model, subs, xs).tolist()):
+    for sub, x, masses in zip(subs, xs, _masses(subs, xs).tolist()):
         mu, nu, lam = (tuple(_clip_weight(w, what) for w in pair)
                        for what, pair in zip(("mu", "nu", "lambda"), masses))
         triples.append(MeasureTriple((sub.a, sub.b), x, mu, nu, lam))
@@ -312,7 +306,7 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
 
     def u(x):
         xs = sub.require_closed(x)
-        nu = _masses(model, [sub] * xs.size, xs.ravel())[:, 1]
+        nu = _masses([sub] * xs.size, xs.ravel())[:, 1]
         # elementwise, not nu @ (ga, gb), so the bits match across arrays
         out = np.asarray(h1(xs), dtype=float) + \
             (ga * nu[:, 0] + gb * nu[:, 1]).reshape(xs.shape)

@@ -219,23 +219,22 @@ def check_measure_positivity(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     # per model, six random triples; on the interval model, three nested
     # domains follow at x = 0.45.  Each model's triples are one call.
-    min_weight = math.inf
+    min_weight, masses = math.inf, []
     nested = ((0.3, 0.6), (0.25, 0.7), (0.2, 0.8))
-    for model in (iv.interval_model(), bl.bilaplace_model()):
+    for model, extra in ((iv.interval_model(), nested),
+                         (bl.bilaplace_model(), ())):
         subs, xs = [], []
         for _ in range(6):
             a = float(rng.uniform(0.05, 0.55))
             b = float(rng.uniform(a + 0.15, 0.95))
             subs.append(riquier.regular_subdomain(model, a, b))
             xs.append(float(rng.uniform(a + 0.02, b - 0.02)))
-        if model.id == "interval":
-            subs += [riquier.regular_subdomain(model, a, b) for a, b in nested]
-            xs += [0.45] * len(nested)
+        subs += [riquier.regular_subdomain(model, a, b) for a, b in extra]
+        xs += [0.45] * len(extra)
         tris = riquier.biharmonic_measures(model, subs, xs)
         for tri in tris[:6]:
             min_weight = min(min_weight, *tri.mu, *tri.nu, *tri.lam)
-        if model.id == "interval":
-            masses = [tri.nu[0] + tri.nu[1] for tri in tris[6:]]
+        masses += [tri.nu[0] + tri.nu[1] for tri in tris[6:]]
     grows = all(m2 >= m1 - 1e-12 for m1, m2 in zip(masses, masses[1:]))
     ok = min_weight >= 0.0 and grows
     return CheckResult("measure-positivity", ok, min_weight,

@@ -224,6 +224,43 @@ def riquier_nu(model: str, a: float, b: float,
 
 
 # ---------------------------------------------------------------------------
+# Power family on [0, 1): the interval model's G1 = 1/max(x,z) - 1, with
+# G2 = max(x, y)^-beta - 1 and dmu = y^gamma dy.  H(x, 0) and V*(1)(0)
+# are finite iff gamma - beta > -1; the interval model itself, beta = 2 and
+# gamma = 1, sits on that boundary.
+
+def _power(a: float, lo: float, hi: float) -> float:
+    """int_lo^hi z^a dz, the log form at a = -1."""
+    if a == -1.0:
+        return math.log(hi / lo)
+    return (hi ** (a + 1.0) - lo ** (a + 1.0)) / (a + 1.0)
+
+
+def power_family_vstar_one(beta: float, gamma: float) -> float:
+    """V*(1)(0) = int_0^1 (y^-beta - 1) y^gamma dy
+    = 1/(gamma - beta + 1) - 1/(gamma + 1)."""
+    if gamma - beta <= -1.0:
+        raise ValueError("V*(1)(0) is infinite")
+    return 1.0 / (gamma - beta + 1.0) - 1.0 / (gamma + 1.0)
+
+
+def power_family_h(beta: float, gamma: float, x: float) -> float:
+    """H(x, 0) = int_0^1 G1(x, z) (z^-beta - 1) z^gamma dz, split at z = x.
+
+    Below x, G1 is the constant 1/x - 1; above it, (1/z - 1) multiplies
+    out into four powers.  With P(a; l, h) = int_l^h z^a dz:
+    (1/x - 1)(P(g - b; 0, x) - P(g; 0, x)) + P(g - b - 1; x, 1)
+    - P(g - b; x, 1) - P(g - 1; x, 1) + P(g; x, 1), b = beta, g = gamma.
+    """
+    if gamma - beta <= -1.0:
+        raise ValueError("H(x, 0) is infinite")
+    d = gamma - beta
+    return ((1.0 / x - 1.0) * (_power(d, 0.0, x) - _power(gamma, 0.0, x))
+            + _power(d - 1.0, x, 1.0) - _power(d, x, 1.0)
+            - _power(gamma - 1.0, x, 1.0) + _power(gamma, x, 1.0))
+
+
+# ---------------------------------------------------------------------------
 # Frozen spot values guarding the oracles themselves.
 
 FROZEN = {
@@ -241,6 +278,8 @@ FROZEN = {
     "newtonian_h(6, 1)": (newtonian_h(6, 1.0), H6_TIMES_D2),
     "newtonian_truncated_v(5, 2)": (newtonian_truncated_v(5, 2.0),
                                     2.0 / 3.0),
+    "power_family_vstar_one(2, 1.5)": (power_family_vstar_one(2.0, 1.5),
+                                       1.6),
     "riquier_nu(bilaplace, 0, 1, 1/2)": (
         riquier_nu("bilaplace", 0.0, 1.0, 0.5)[0], BILAPLACE_NU_MASS),
 }

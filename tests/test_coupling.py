@@ -196,6 +196,17 @@ def test_classify_shifted_pair_is_superharmonic_not_pure():
     assert "harmonic" not in report.flags
 
 
+def test_classify_pair_infinite_on_the_grid_is_not_superharmonic():
+    # the shifted pair, +inf at a grid point outside every subinterval
+    model = get_model("interval")
+    pair = BiharmonicPair(
+        lambda x: math.inf if x == GRID[0] else 0.5 * (1.0 - x) + 1.0,
+        constant(1.0))
+    report = classify_pair(model, pair, GRID, SUBS)
+    assert report.flags == frozenset({"hyperharmonic"})
+    assert report.finite_on_grid is False
+
+
 # ---------------------------------------------------------------------------
 # Arrays of points: one call, the bits of the scalar loop.
 

@@ -10,6 +10,7 @@ from greenlab.errors import ConditioningError, PreconditionError
 from greenlab.kernels import BiharmonicPair, constant
 from greenlab.models.interval import (
     OBSTRUCTION_CUTOFF,
+    control_density_model,
     global_pure_pair,
     interval_model,
     kink_slope_jump,
@@ -34,6 +35,13 @@ def test_v1_alt_density_tracks_its_own_antiderivative():
     gap = abs(oracles.interval_v_one(0.0)
               - oracles.interval_v_one_alt_density(0.0))
     assert gap > 0.1
+
+
+def test_each_named_model_is_one_object():
+    # a Riquier subdomain serves one model object, so a constructor called
+    # twice must hand back the same one
+    assert control_density_model() is control_density_model()
+    assert interval_model() is interval_model()
 
 
 def test_kink_slope_jump_is_minus_one_over_y():

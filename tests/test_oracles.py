@@ -106,6 +106,22 @@ def test_obstruction_curve_solves_its_equation():
                          scale) <= ULPS
 
 
+@pytest.mark.parametrize("beta, gamma", [(2.0, 1.5), (2.0, 2.0)])
+def test_power_family_closed_forms_match_mpmath(beta, gamma):
+    # (2, 2) takes the log form of the z^-1 piece above x; tanh-sinh, not
+    # Gauss-Legendre, for the z^(gamma - beta) singularity at 0
+    x = 0.5
+    want_h = mp.quad(lambda z: _g1(x, z) * (z ** -beta - 1) * z ** gamma,
+                     [0, x, 1])
+    want_v = mp.quad(lambda z: (z ** -beta - 1) * z ** gamma, [0, 1])
+    assert _ulps(oracles.power_family_h(beta, gamma, x), want_h) <= ULPS
+    assert _ulps(oracles.power_family_vstar_one(beta, gamma), want_v) <= ULPS
+    for call in (lambda: oracles.power_family_h(2.0, 1.0, x),
+                 lambda: oracles.power_family_vstar_one(2.0, 0.9)):
+        with pytest.raises(ValueError, match="infinite"):
+            call()
+
+
 def test_bilaplace_closed_forms_match_mpmath():
     for x in _points(4):
         assert _ulps(oracles.bilaplace_g(x, 0.3), _bilaplace(x, 0.3)) <= ULPS

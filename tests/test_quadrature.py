@@ -5,8 +5,11 @@ import pytest
 
 import oracles
 from greenlab import quadrature
+from greenlab.coupling import coupling_apply
 from greenlab.errors import (GreenLabError, PreconditionError,
                              StencilError, UndeclaredSingularityError)
+from greenlab.kernels import Fn
+from greenlab.models import get_model
 from greenlab.quadrature import (PROBE_DEPTH, _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
                                  _fit_slope, _shell_bounds, _window_fit, StencilSpec, basis_fit_residual, fd_residual,
                                  integrate, integrate_radial, probe_divergence,
@@ -155,6 +158,17 @@ def test_window_fit_and_certificates_read_one_divergence_rule():
             critical[tail, p] = crit
     assert [key for key, crit in critical.items() if not crit] == \
         [(False, -0.9), (True, -1.1)]
+
+
+def test_window_fit_declines_a_convergent_fit_whose_ratios_do_not_contract():
+    # x^-0.5 shells, the last one raised above its neighbour: the exponent
+    # is convergent, but a ratio >= 1 leaves nothing to extrapolate
+    mags = [2.0 ** (-k / 2) for k in range(12)]
+    mags[11] = 1.2 * mags[10]
+    exponent, critical, remainder = _window_fit(
+        mags, [math.log2(m) for m in mags], [0.0] * 12, 11, 1.0, False)
+    assert exponent == pytest.approx(-0.5636, abs=1e-4)
+    assert critical is False and remainder is None
 
 
 def test_tail_verdicts():
@@ -994,3 +1008,21 @@ def test_empty_interval_row_raises_after_the_rows_before_it_refine():
         for row in rows[:-2]:
             _one_row(row, 1e-13, alone)
         assert sorted(evaluated) == sorted(alone)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_integrate_refuses_a_tolerance_it_cannot_meet(tol):
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return np.sqrt(np.asarray(z, dtype=float))
+
+    for call in (lambda: integrate(_vec(f), (0.0, 1.0), tol=tol),
+                 lambda: integrate(lambda r, z: f(z), rows=(2, [0.0, 1.0], {}),
+                                   tol=tol),
+                 lambda: coupling_apply(get_model("interval"),
+                                        Fn(f, vectorized=True), 0.3, tol=tol)):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            call()
+    assert calls == []

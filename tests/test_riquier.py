@@ -413,6 +413,20 @@ def test_a_subdomain_built_for_another_model_is_refused(monkeypatch):
             assert model.id in msg and other.id in msg
 
 
+def test_an_infinite_value_gives_an_infinite_margin():
+    # u = +inf at the probe point: the center exceeds any sweep.  u = +inf
+    # at an end: the sweep is +inf and the probe is violated
+    model = get_model("interval")
+    probe = ((0.2, 0.8), 0.5)
+    for at, margin in ((0.5, math.inf), (0.2, -math.inf)):
+        pair = BiharmonicPair(lambda x: math.inf if x == at else 1.0,
+                              constant(0.0))
+        report = verify_hyperharmonic(model, pair, [probe])
+        (entry,) = report.entries
+        assert entry.margin_first == margin and entry.margin_second == 0.0
+        assert report.passed is (margin > 0)
+
+
 def test_a_solution_refuses_points_off_its_subdomain():
     model = get_model("interval")
     sub = regular_subdomain(model, 0.3, 0.6)
@@ -430,7 +444,7 @@ def test_a_solution_refuses_points_off_its_subdomain():
     assert sol.u(0.3) == pytest.approx(1.0, abs=1e-12)
     assert float(sol.v(0.6)) == pytest.approx(1.0, abs=1e-12)
     # a refused point is never integrated, so the subdomain holds nothing
-    assert all(not rows for _, rows in sub.mass_rows.values())
+    assert not sub.mass_rows
 
 
 def _counted_rows(monkeypatch) -> list:
@@ -465,7 +479,7 @@ def test_a_second_solution_reads_the_held_masses(model_name, omega,
     assert biharmonic_measures(model, sub, float(xs[3])) == tri
     assert calls == [2 * 6]
     # one row per distinct inner point, and a replaced subdomain holds none
-    assert [len(rows) for _, rows in sub.mass_rows.values()] == [7]
+    assert len(sub.mass_rows) == 7
     assert replace(sub).mass_rows == {}
 
 
@@ -510,20 +524,30 @@ def test_the_adjoint_triple_needs_equal_kernels_and_bases(monkeypatch):
         biharmonic_measures(mixed, [sub, sub], [0.3, 0.5], adjoint=True)
 
 
-def test_a_replaced_model_with_the_same_id_reads_its_own_masses(
-        monkeypatch):
-    model = get_model("interval")
-    doubled = replace(model, kink_density=lambda z: 2.0 * np.asarray(
-        z, dtype=float))
-    assert doubled.id == model.id
-    sub = regular_subdomain(model, 0.2, 0.8)
-    base = biharmonic_measures(model, sub, 0.5)
-    calls = _counted_rows(monkeypatch)
-    got = biharmonic_measures(doubled, sub, 0.5)
-    assert calls == [2]
-    assert got == biharmonic_measures(
-        doubled, regular_subdomain(model, 0.2, 0.8), 0.5)
-    assert got.nu == pytest.approx(tuple(2.0 * w for w in base.nu),
-                                   rel=1e-12)
-    assert biharmonic_measures(model, sub, 0.5) == base
-    assert calls == [2, 2]
+def test_a_copied_model_with_the_same_id_is_refused(monkeypatch):
+    # a copy that keeps the id may differ in its bases or its kink density,
+    # so a subdomain serves only the model object it was built for
+    plate = get_model("bilaplace")
+    rebased = replace(plate, basis1=(
+        lambda x: 1.0 + np.asarray(x, dtype=float),
+        lambda x: 1.0 - np.asarray(x, dtype=float)))
+    doubled = replace(plate, kink_density=lambda z: 2.0 * plate.kink_density(z))
+    assert rebased.id == doubled.id == plate.id
+    # the same span on its own subdomain: mu is the linear cardinal pair
+    own = biharmonic_measures(rebased, regular_subdomain(rebased, 0.2, 0.8),
+                              0.35)
+    assert own.mu == pytest.approx((0.75, 0.25), abs=1e-12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    sub = regular_subdomain(plate, 0.2, 0.8)
+    monkeypatch.setattr(riquier, "integrate", refuse)
+    for other in (rebased, doubled):
+        for call in (lambda: biharmonic_measures(other, sub, 0.35),
+                     lambda: biharmonic_measures(other, [sub], [0.35]),
+                     lambda: solve_riquier(other, sub, (1.0, 2.0),
+                                           (0.5, 0.5))):
+            with pytest.raises(PreconditionError, match="bilaplace1d"):
+                call()
+    assert not sub.mass_rows
