@@ -359,17 +359,19 @@ def lsc_check(model: ModelSpace) -> LscReport:
     grid = dom.interior_grid(15)
     h = grid[1] - grid[0]
 
-    # each node is followed by its coarse ring, then its fine one
-    offsets = [(r * cx, r * cy) for r in (0.5 * h, 0.25 * h)
-               for cx, cy in _RING]
-    per_node = 1 + len(offsets)
+    # each node is followed by its coarse ring, then its fine one: the
+    # offsets of a node's points, the node's own 0 first
+    dx, dy = np.array([(0.0, 0.0)] + [(r * cx, r * cy)
+                                      for r in (0.5 * h, 0.25 * h)
+                                      for cx, cy in _RING]).T
+    per_node = len(dx)
+    ys = (grid[:, None] + dy).ravel()
     entries = []
     for xv in grid:
         # one H call per grid row: a whole grid in one call holds numpy
         # temporaries of every node at once
-        xs = [p for yv in grid for p in (xv, *(xv + dx for dx, _ in offsets))]
-        ys = [p for yv in grid for p in (yv, *(yv + dy for _, dy in offsets))]
-        rows, _ = _compose_rows(model, np.array(xs), np.array(ys), 1e-9)
+        xs = np.tile(xv + dx, len(grid))
+        rows, _ = _compose_rows(model, xs, ys, 1e-9)
         # per node: its value, then the minimum of each ring
         values = rows.value.reshape(len(grid), per_node)
         centers = values[:, 0].tolist()

@@ -23,10 +23,15 @@ once.  A row with a probe or a tail gets a plan of its own; a plain row,
 finite and with no singular point in range, is cut at its breakpoints.  The
 first round's tolerance test picks out the few pieces that refine, each
 plain row's pieces are summed in piece order, and the rows' results go into
-the columns of a :class:`QuadRows`.  The size of a call picks only how the
-plain rows are cut and summed: row by row in plain Python for a call of at
-most _SMALL_BATCH rows, where numpy's fixed cost per call would outweigh the
-work (an operator call at one point is one row), and as arrays above that.
+the columns of a :class:`QuadRows`.  The size of a call picks how this
+bookkeeping runs, never a bit of a result.  A call of at most _SMALL_BATCH
+rows tests and cuts each row in plain Python (an operator call at one point
+is one row); a larger one finds the rows to plan with one array test and
+cuts the others at once.  A batch of at most _ARRAY_PANELS panels takes its
+error estimates, tolerance tests and row sums in plain Python, where numpy's
+fixed cost per call would outweigh the work; a larger one keeps them in
+numpy columns from the panel rule to the row sums, and only the pieces that
+refine leave the columns.
 
 Conventions
 -----------
@@ -42,7 +47,7 @@ import heapq
 import math
 from collections import abc
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,10 +94,20 @@ _DOUBLINGS = tuple(2.0 ** j for j in range(PROBE_DEPTH + 1))
 _FIT_WINDOW = 8
 _MIN_SHELLS_TO_RESOLVE = 12
 _MIN_SHELLS_FOR_VERDICT = 16
-# A call of at most this many rows cuts and sums its plain rows in plain
-# Python, where numpy's fixed cost per call outweighs the work: an operator
-# call at one point is one row.
+# A call of at most this many rows cuts its plain rows in plain Python,
+# where numpy's fixed cost per call outweighs the work: an operator call at
+# one point is one row.
 _SMALL_BATCH = 16
+# A _gk15 batch of more than this many panels takes its error estimates as
+# arrays, and so do _refine its tolerance tests and _integrate_rows its row
+# sums.  The break-even, timed against the loop with an integrand that costs
+# nothing (median ratio of 100-150 interleaved pairs, 2-core x86 VM, Python
+# 3.11, numpy 2.4): _gk15 alone, a refinement round, 1.03x at 32 panels and
+# 0.89x at 64; a call of n one-piece rows, none refining, 0.91x at 32 and
+# 0.75x at 64; the same rows all refining once, 1.10x at 32, 1.00x at 64
+# and 0.95x at 96.  It is at least _MIN_SHELLS_FOR_VERDICT, so that a
+# probe's batches stay lists.
+_ARRAY_PANELS = 64
 
 
 def as_vectorized(f: Callable) -> Callable:
@@ -112,12 +127,14 @@ def as_vectorized(f: Callable) -> Callable:
     return fv
 
 
-def _gk15(fv: Callable, a, b) -> tuple[list, dict]:
+def _gk15(fv: Callable, a, b) -> tuple[list | np.ndarray, dict]:
     """G7/K15 on the panels [a[i], b[i]], all their nodes in one fv call.
 
-    Returns (outs, holes): the list of each panel's (integral, error
-    estimate), and a dict from each panel with a non-finite sample to its
-    first such node, where the pair means nothing.  Each rule is one
+    Returns (outs, holes): each panel's (integral, error estimate), and a
+    dict from each panel with a non-finite sample to its first such node,
+    where the pair means nothing.  outs is a list of pairs of floats for a
+    batch of at most _ARRAY_PANELS panels, and above that an (n, 2) array
+    of the same bits, whose rows are the pairs.  Each rule is one
     elementwise product with its 15 weights and one sum along each panel's
     row of products.  A contiguous row sum takes the same steps whatever
     the number of rows, so a panel's bits do not depend on the batch it is
@@ -131,14 +148,15 @@ def _gk15(fv: Callable, a, b) -> tuple[list, dict]:
     otherwise meet them in inf * 0.
 
     The error estimate is QUADPACK's: diff = |K15 - G7|, shrunk to
-    (200 diff)^1.5 where that is smaller, and floored at 50 eps |K15|.  It
-    is taken panel by panel in plain Python floats, in every batch.
-    numpy's ``power`` rounds differently from the C library's ``pow``
-    behind Python's ``**`` in the last bits of some results, so the shrink
-    stays ``**``; and the array form of the rest, with ``**`` only on the
-    few panels where the shrink can win, gains nothing measurable on the
-    large batches of a row-form call while it costs the one-panel batches
-    of an operator call at one point more than this loop.
+    (200 diff)^1.5 where that is smaller, and floored at 50 eps |K15|.  A
+    small batch takes it panel by panel in plain Python floats, where
+    numpy's fixed cost per call would outweigh the work.  A large one takes
+    it column by column: the floor and diff, their larger, and the shrink
+    only on the panels where floor < diff < _SHRINK_LIMIT, the only ones
+    where it can win.  There the shrink is ``math.pow``, the C library's
+    ``pow`` behind Python's ``**``: numpy's ``power`` rounds differently in
+    the last bits of some results.  A NaN diff counts as no difference, as
+    in the loop, so a NaN K15 gets the error 0.0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -146,16 +164,32 @@ def _gk15(fv: Callable, a, b) -> tuple[list, dict]:
     mid = 0.5 * (a + b)
     xs = mid[:, None] + half[:, None] * _GK_NODES
     fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
-    k15s = (np.add.reduce(fx * _K_WEIGHTS, 1) * half).tolist()
+    k15 = np.add.reduce(fx * _K_WEIGHTS, 1) * half
+    if len(k15) > _ARRAY_PANELS:
+        finite = bool(np.isfinite(k15).all())
+        fx, holes = (fx, {}) if finite else _zero_holes(fx, xs, k15)
+        g7 = np.add.reduce(fx * _G15, 1) * half
+        outs = np.empty((len(k15), 2))
+        outs[:, 0] = k15
+        floor = _FLOOR * np.abs(k15)
+        if finite:
+            diff = np.abs(k15 - g7)
+        else:
+            with np.errstate(invalid="ignore"):     # inf - inf
+                diff = np.abs(k15 - g7)
+        err = np.fmax(floor, diff, out=outs[:, 1])
+        if not finite:
+            err[np.isnan(k15)] = 0.0
+        shrink = ((floor < diff) & (diff < _SHRINK_LIMIT)).nonzero()[0]
+        if len(shrink):
+            d = diff[shrink]
+            err[shrink] = np.maximum(floor[shrink], np.minimum(
+                list(map(math.pow, (200.0 * d).tolist(), repeat(1.5))), d))
+        return outs, holes
+    k15s = k15.tolist()
     holes = {}
     if not math.isfinite(sum(k15s)):
-        fx = fx.copy()      # the integrand's array is left as it returned it
-        for i, k15 in enumerate(k15s):
-            if not math.isfinite(k15):
-                bad = ~np.isfinite(fx[i])
-                if bad.any():
-                    holes[i] = float(xs[i, np.argmax(bad)])
-                    fx[i, bad] = 0.0
+        fx, holes = _zero_holes(fx, xs, k15)
     g7s = (np.add.reduce(fx * _G15, 1) * half).tolist()
     outs = []
     for k15, g7 in zip(k15s, g7s):
@@ -169,6 +203,21 @@ def _gk15(fv: Callable, a, b) -> tuple[list, dict]:
         floor = _FLOOR * abs(k15)
         outs.append((k15, floor if floor > err else err))
     return outs, holes
+
+
+def _zero_holes(fx: np.ndarray, xs: np.ndarray, k15: np.ndarray):
+    """A copy of the samples fx at the nodes xs with the non-finite samples
+    of each panel whose K15 is non-finite zeroed, and the dict from each
+    such panel to its first non-finite node.  The integrand's array is left
+    as it returned it."""
+    fx = fx.copy()
+    holes = {}
+    for i in np.flatnonzero(~np.isfinite(k15)).tolist():
+        bad = ~np.isfinite(fx[i])
+        if bad.any():
+            holes[i] = float(xs[i, np.argmax(bad)])
+            fx[i, bad] = 0.0
+    return fx, holes
 
 
 def _at_rows(fv: Callable, rows: list[int], panels: int = 1) -> Callable:
@@ -201,14 +250,17 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
     is bisected.  Each piece keeps its own sums, and its own heap once it
     refines, so its result is the one it would get alone.
 
-    Returns (outs, panels, holes): the list of each piece's (value, error),
-    the panel count of every piece that refined (1 elsewhere), and the
-    first non-finite node of every piece that met one.  One _gk15 call
-    evaluates the initial panels of every piece, and the pieces that meet
-    their tolerance at once, the most, are done there.  Each round one call
-    evaluates the children of the worst panel of every piece still
-    refining.  A non-finite sample ends its piece, and stops the pieces of
-    later rows: their outcomes mean nothing.
+    Returns (outs, panels, holes): each piece's (value, error), in the
+    form :func:`_gk15` gives its initial panels' (a list of pairs, or the
+    rows of an array above _ARRAY_PANELS pieces), the panel count of every
+    piece that refined (1 elsewhere), and the first non-finite node of
+    every piece that met one.  One _gk15 call evaluates the initial panels
+    of every piece, and the pieces that meet their tolerance at once, the
+    most, are done there: in the array form one comparison of the error
+    column with ``tols`` finds the others, and only they leave the array.
+    Each round one call evaluates the children of the worst panel of every
+    piece still refining.  A non-finite sample ends its piece, and stops
+    the pieces of later rows: their outcomes mean nothing.
     """
     grown: dict[int, int] = {}
     if not len(los):
@@ -218,17 +270,29 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
         (lambda z: fv(rows, z)) if one_row
         else (lambda z, r=np.repeat(rows, len(_GK_NODES)): fv(r, z)),
         los, his)
-    todo = [i for i, ((_, e), t) in enumerate(zip(outs, tols)) if e > t] \
-        if cap > 1 else []
+    columns = type(outs) is not list
+    if columns:
+        picked = (outs[:, 1] > tols).nonzero()[0]
+        todo = picked.tolist() if cap > 1 else []
+    else:
+        todo = [i for i, ((_, e), t) in enumerate(zip(outs, tols)) if e > t] \
+            if cap > 1 else []
     if not todo:
         return outs, grown, holes
     row_of = [rows] * len(outs) if one_row else \
         rows.tolist() if isinstance(rows, np.ndarray) else rows
     first_bad = min((row_of[i] for i in holes), default=math.inf)
     # piece -> [value, error, panels, heap, tol], in piece order
-    live = {i: [*outs[i], 1, [(-outs[i][1], float(los[i]), float(his[i]),
-                               outs[i][0])], tols[i]]
-            for i in todo if i not in holes}
+    if columns:
+        # only the pieces that refine leave the columns
+        seeds = zip(todo, outs[picked].tolist(), *(
+            np.asarray(c)[picked].tolist() for c in (los, his, tols)))
+        live = {i: [v, e, 1, [(-e, lo, hi, v)], t]
+                for i, (v, e), lo, hi, t in seeds if i not in holes}
+    else:
+        live = {i: [*outs[i], 1, [(-outs[i][1], float(los[i]),
+                                   float(his[i]), outs[i][0])], tols[i]]
+                for i in todo if i not in holes}
     active = list(live)
     while True:
         # a piece that stops refining never starts again
@@ -242,6 +306,8 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
             _at_rows(fv, [row_of[i] for i in active], 2),
             [e for lo, mid, _ in splits for e in (lo, mid)],
             [e for _, mid, hi in splits for e in (mid, hi)])
+        if type(kids) is not list:
+            kids = kids.tolist()
         for j, (i, (neg_err, _, _, val), (lo, mid, hi)) in enumerate(
                 zip(active, worst, splits)):
             if kid_holes and (2 * j in kid_holes or 2 * j + 1 in kid_holes):
@@ -256,6 +322,18 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
             piece[2] += 1
             heapq.heappush(piece[3], (-e1, lo, mid, v1))
             heapq.heappush(piece[3], (-e2, mid, hi, v2))
+    if columns:
+        for i in holes:
+            live.pop(i, None)
+        if live:
+            # one assignment per column: pair by pair, numpy would convert
+            # each pair on its own
+            done = np.fromiter(live, np.intp, len(live))
+            value, error, count, _, _ = zip(*live.values())
+            outs[done, 0] = np.fromiter(value, float, len(done))
+            outs[done, 1] = np.fromiter(error, float, len(done))
+            grown.update(zip(live, count))
+        return outs, grown, holes
     for i, (value, error, count, _, _) in live.items():
         if i not in holes:
             outs[i], grown[i] = (value, error), count
@@ -481,24 +559,43 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
                    cert, value, error, len(trace), resolved)
 
 
+def _require_probe_tol(tol: float) -> None:
+    # 0 asks for what no extrapolation meets: the walk to full depth
+    if not 0.0 <= tol < math.inf:
+        raise PreconditionError(
+            f"probe tol must be finite and not negative, not {tol}")
+
+
 def probe_divergence(f: Callable, point: float, side: str = "right",
                      tol: float = 1e-10) -> ProbeReport:
     """Classify the behaviour of ``f`` at ``point`` via dyadic shells.
 
     Walks shells [point + 2^-(k+1), point + 2^-k] (mirrored for side="left"),
     fits the shell integrals to a power law and declares divergence per the
-    EXP_MARGIN rule, or blow-up of the partial integrals.
+    EXP_MARGIN rule, or blow-up of the partial integrals.  The walk ends
+    resolved once the error of the shells and the extrapolated remainder is
+    at most ``tol``.  That error is positive while any shell is nonzero, so
+    tol = 0 walks all PROBE_DEPTH shells unless the walk diverges or f
+    vanishes near the point.  A tol that is NaN, negative or infinite is
+    refused before any evaluation of f.
     """
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', not {side!r}")
+    _require_probe_tol(tol)
     return _probe_geometric(as_vectorized(f), point, side, 1.0, tol)
 
 
 def probe_tail(f: Callable, start: float = 1.0,
                tol: float = 1e-10) -> ProbeReport:
-    """Classify the behaviour of ``f`` on [start, inf) via doubling blocks."""
+    """Classify the behaviour of ``f`` on [start, inf) via doubling blocks.
+
+    ``tol`` is read as by :func:`probe_divergence`: tol = 0 walks all
+    PROBE_DEPTH blocks unless the walk diverges or f vanishes, and a NaN,
+    negative or infinite tol is refused before any evaluation of f.
+    """
     if start <= 0.0:
         raise PreconditionError("tail probes start at a positive radius")
+    _require_probe_tol(tol)
     return _probe_geometric(as_vectorized(f), 0.0, "right", start, tol,
                             kind="tail")
 
@@ -643,14 +740,17 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
     summed in piece order, and each planned row is assembled by
     :func:`_assemble_row`.
 
-    The size of the call picks how the plain rows are cut and summed, and
-    nothing else: in plain Python for at most _SMALL_BATCH rows, and as
-    arrays above that.  There all plain rows are cut at once: a breakpoint
-    outside a row's interval, or NaN, is moved onto an end, the row is
-    sorted, and a piece between equal cuts is dropped, which leaves each
-    row's sorted set of cuts.  One ``bincount`` per column sums each row's
-    refined pieces: it adds them in piece order to a total that starts at
-    0.0, as the plain Python sum does.
+    The number of rows picks how the rows are walked and cut.  A call of at
+    most _SMALL_BATCH rows tests and cuts each row in plain Python.  Above
+    that, one array test of the ends and the ``singular`` keys below n
+    pick the rows to hand to :func:`_plan_row`, and all plain rows are cut
+    at once: a breakpoint outside a row's interval, or NaN, is moved onto
+    an end, the row is sorted, and a piece between equal cuts is dropped,
+    which leaves each row's sorted set of cuts.  The number of pieces picks
+    how they are summed: in plain Python from the list of pairs of a batch
+    of at most _ARRAY_PANELS pieces, and above that by one ``bincount``
+    per column of :func:`_gk15`'s array.  Both add each row's pieces in
+    piece order to a total that starts at 0.0.
     """
     # Plain loops, not comprehensions, where a one-row call runs them once:
     # a comprehension's own frame costs it more than the loop.
@@ -664,18 +764,24 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
             cols.append(c.tolist() if isinstance(c, ndarray)
                         else [float(c)] * n)
         lo, mids, hi = cols[0], cols[1:-1], cols[-1]
+        walk = range(n)
     else:
         cuts = np.empty((n, len(columns)))
         for j, c in enumerate(columns):
             cuts[:, j] = c
-        lo, hi = cuts[:, 0].tolist(), cuts[:, -1].tolist()
+        first, last = cuts[:, 0], cuts[:, -1]
+        lo, hi = first.tolist(), last.tolist()
+        # the rows that may need a plan, in order: NaN fails every test
+        ok = (-inf < first) & (first < last) & (last < inf)
+        walk = sorted({*(~ok).nonzero()[0].tolist(),
+                       *(r for r in singular if 0 <= r < n)})
     # each planned row's pieces and the index of its first plain piece in
     # extra, the plain pieces of planned rows as (row, lo, hi, tol)
     stop, plans, extra = None, {}, []
     # each plain row, its piece count, and each plain piece's index in them
     plain, counts, piece_row = [], [], []
     ids, los, his, tols = [], [], [], []
-    for r in range(n):
+    for r in walk:
         a, b = lo[r], hi[r]
         if not -inf < a < b < inf or r in singular:
             try:
@@ -724,11 +830,13 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
         los, his = c[:, :-1][keep], c[:, 1:][keep]
         tols = (0.5 * tol / counts)[piece_row]
         ids = plain[piece_row]
+        counts = counts.tolist()
         m = len(los)
         if extra:
             ids, los, his, tols = (np.concatenate(pair) for pair in
                                    zip((ids, los, his, tols), zip(*extra)))
-        tols = tols.tolist()
+        if len(los) <= _ARRAY_PANELS:
+            tols = tols.tolist()    # read piece by piece, as floats
     outs, grown, holes = _refine(f, 0 if n == 1 else ids, los, his, tols, cap)
 
     failures: dict[int, Exception] = {}
@@ -738,7 +846,16 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
                 failures.setdefault(int(ids[i]), _undeclared(holes[i]))
                 # its pair means nothing, and summed it could meet an inf
                 outs[i] = (0.0, 0.0)
-    if small:
+    if type(outs) is not list:
+        # straight from the columns
+        piece_row = np.asarray(piece_row, dtype=np.intp)
+        value = np.bincount(piece_row, outs[:m, 0], len(plain))
+        bound = np.bincount(piece_row, outs[:m, 1], len(plain))
+        met, low = (bound <= tol).tolist(), (value < 0.0).nonzero()[0].tolist()
+        value, bound = value.tolist(), bound.tolist()
+        if plans:
+            outs = outs.tolist()    # pairs of floats for _assemble_row
+    else:
         value, bound, met, low = [], [], [], []
         i = 0
         for k in counts:
@@ -752,14 +869,6 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
             value.append(total)
             bound.append(err)
             met.append(err <= tol)
-    else:
-        # the first m (value, error) pairs, flat: a subarray dtype reads
-        # them several times slower
-        flat = np.fromiter(chain.from_iterable(outs), float, 2 * m)
-        value = np.bincount(piece_row, flat[0::2], len(plain))
-        bound = np.bincount(piece_row, flat[1::2], len(plain))
-        met, low = (bound <= tol).tolist(), (value < 0.0).nonzero()[0].tolist()
-        value, bound, counts = value.tolist(), bound.tolist(), counts.tolist()
     for i, count in grown.items():
         if i < m:
             counts[piece_row[i]] += count - 1

@@ -4,10 +4,10 @@ The family replaces the interval model's G2 = 1/max(x, y)^2 - 1 and density
 y by G2 = max(x, y)^-beta - 1 and y^gamma.  H(x, 0) and V*(1)(0) are then
 finite iff gamma - beta > -1, with closed forms in ``oracles``, and the
 interval model (2, 1) sits on the boundary.  For each (beta, gamma) and tol
-the script prints every value with its bound and, on the finite side,
-whether the bound covers the true error; the last column of a pair's
-summary line is the share of its finite values whose bound held.  On the
-divergent side and the boundary it prints the certificate's exponent.
+the script prints a heading, then every value with its bound and, on the
+finite side, whether the bound covers the true error, then how many of
+the finite values held their bound, and their share.  On the divergent
+side and the boundary it prints the certificate's exponent.
 
 This is a report, not a test: the finite side is known to miss its bounds
 until the shell remainder is replaced (ROADMAP items 2 and 7).  Run it from
@@ -71,6 +71,7 @@ def main() -> None:
     for beta, gamma in FINITE + BOUNDARY + DIVERGENT:
         model = power_model(beta, gamma)
         for tol in TOLS:
+            print(f"beta={beta:g} gamma={gamma:g} tol={tol:g}")
             held = judged = 0
             for name, got, want in _values(model, beta, gamma, tol):
                 if not got.is_finite:
@@ -86,8 +87,7 @@ def main() -> None:
                              f"{'held' if got.error_bound >= error else 'MISS'}")
                 print(line)
             share = f"{held / judged:.2f}" if judged else "-"
-            print(f"beta={beta:g} gamma={gamma:g} tol={tol:g}: "
-                  f"{held}/{judged} held, share {share}")
+            print(f"  {held}/{judged} held, share {share}")
 
 
 if __name__ == "__main__":

@@ -252,6 +252,31 @@ def test_unknown_config_key_rejected(tmp_path):
     assert "speed" in str(info.value)
 
 
+def test_unreadable_config_file_is_refused(tmp_path):
+    missing = tmp_path / "absent.cfg"
+    with pytest.raises(ConfigError) as info:
+        load_config(str(missing))
+    assert f"cannot read config file {missing}" in str(info.value)
+
+
+def test_config_line_without_key_value_is_refused(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = interval\nseed 3\n", encoding="ascii")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(cfg))
+    assert str(info.value) == (f"{cfg}:2: expected 'key = value', "
+                               "got 'seed 3'")
+
+
+def test_config_value_that_does_not_parse_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol-quad = tight\n", encoding="ascii")
+    rc, out, err = run_cli(capsys, "eval", "--config", str(cfg),
+                           "--kernel", "h", "--x", "0.3", "--y", "0.7")
+    assert rc == 2 and out == ""
+    assert err == "greenlab: could not read tol_quad = 'tight'\n"
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = interval\n", encoding="ascii")

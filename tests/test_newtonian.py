@@ -37,6 +37,18 @@ def test_newton_constant_matches_oracle():
             oracles.newton_c(n), rel=1e-14)
 
 
+def test_newton_constant_refuses_dimension_two():
+    with pytest.raises(ModelDomainError) as info:
+        newton_constant(2)
+    assert "dimension >= 3" in str(info.value) and "got 2" in str(info.value)
+
+
+def test_gauss_flux_refuses_a_radius_of_zero():
+    with pytest.raises(PreconditionError) as info:
+        gauss_flux(5, 0.0)
+    assert "flux radius must be positive" in str(info.value)
+
+
 def test_kernel_power_law():
     for n in (5, 6):
         for d in (0.5, 1.0, 2.0):

@@ -316,14 +316,17 @@ def test_gk15_error_of_a_huge_finite_difference_is_the_difference():
 
 
 def test_gk15_overflowing_rule_sums_of_finite_samples_are_inf():
+    # past the array switch, K15 - G7 is inf - inf
     big = _vec(lambda y: np.full(np.shape(y), 1e308))
     with np.errstate(over="ignore"):
         refs = [_one_panel(big, -1.0, 1.0), _one_panel(big, 0.0, 1e-300)]
-        for size in (1, 17):
+        for size in (1, 17, quadrature._ARRAY_PANELS):
             outs, holes = _gk15(big, [-1.0, 0.0] * size, [1.0, 1e-300] * size)
-            assert outs == refs * size == [(math.inf, math.inf)] * 2 * size
+            assert [tuple(out) for out in outs] == refs * size \
+                == [(math.inf, math.inf)] * 2 * size
             assert holes == {}
-            _assert_plain_floats(outs)
+            if 2 * size <= quadrature._ARRAY_PANELS:
+                _assert_plain_floats(outs)
 
 
 def test_gk15_non_finite_panel_between_finite_ones():
@@ -1025,4 +1028,204 @@ def test_integrate_refuses_a_tolerance_it_cannot_meet(tol):
                                         Fn(f, vectorized=True), 0.3, tol=tol)):
         with pytest.raises(PreconditionError, match="positive and finite"):
             call()
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The array form: batches of more than _ARRAY_PANELS panels, bit for bit.
+
+def _switch_sizes():
+    """Batch sizes at the switch, one past it and far past it."""
+    t = quadrature._ARRAY_PANELS
+    return (t, t + 1, 3 * t + 2)
+
+
+def _error_cases():
+    """(lo, hi, what) of panels covering every branch of the error estimate,
+    each on its own stretch of one integrand, and that integrand."""
+    unit = _rule_diff(_vec(lambda y: np.asarray(y) ** 14), 0.0, 1.0)
+    small, near, large = (share * 200.0 ** -3 / unit
+                          for share in (0.25, 1.01, 4.0))
+
+    stretches = [
+        lambda y: np.zeros_like(y),                 # diff = 0
+        lambda y: 1.0 + y,                          # diff below the floor
+        lambda y: small * (y - 20.0) ** 14,         # floor < diff < limit
+        lambda y: large * (y - 30.0) ** 14,         # diff >= _SHRINK_LIMIT
+        lambda y: np.where(y == 45.0, np.inf, 1.0),     # +inf at the centre
+        lambda y: np.where(y == 55.0, -np.inf, 1.0),    # -inf
+        lambda y: np.where(y == 65.0, np.nan, 1.0),     # NaN
+        lambda y: 1e210 * np.exp(30.0 * (y - 70.0)),    # (200 diff)^1.5
+                                                        # would overflow
+        lambda y: near * (y - 80.0) ** 14,          # the shrink tops diff
+    ]
+
+    def f(y):
+        y = np.asarray(y, dtype=float)
+        out = np.cos(y)                 # the shrink falls below the floor
+        for k, g in enumerate(stretches):
+            at = (10.0 * k <= y) & (y < 10.0 * (k + 1))
+            out[at] = g(y[at])
+        return out
+
+    cases = [(0.0, 1.0, "zero"), (10.0, 11.0, "below floor"),
+             (20.0, 21.0, "shrink"), (30.0, 31.0, "no shrink"),
+             (44.0, 46.0, "+inf"), (54.0, 56.0, "-inf"), (64.0, 66.0, "nan"),
+             (70.0, 71.0, "huge diff"), (80.0, 81.0, "shrink tops diff"),
+             (90.0, 93.0, "shrink under floor")]
+    return cases, _vec(f)
+
+
+def test_gk15_error_column_matches_the_one_panel_rule_across_the_switch():
+    cases, fv = _error_cases()
+    eps50 = 50.0 * np.finfo(float).eps
+    # each panel alone takes the loop; its pair is the reference
+    alone = [_gk15(fv, [lo], [hi]) for lo, hi, _ in cases]
+    assert all(type(outs) is list for outs, _ in alone)
+    for (lo, hi, what), ((out,), holes) in zip(cases, alone):
+        if what in ("+inf", "-inf", "nan"):
+            assert holes == {0: 0.5 * (lo + hi)}
+            continue
+        assert holes == {}
+        # the cases are what they claim
+        diff, floor = _rule_diff(fv, lo, hi), eps50 * abs(out[0])
+        assert {"zero": lambda: diff == out[1] == 0.0,
+                "below floor": lambda: 0.0 < diff <= floor == out[1],
+                "shrink": lambda: floor < out[1] == (200.0 * diff) ** 1.5
+                < diff < quadrature._SHRINK_LIMIT,
+                "no shrink": lambda: quadrature._SHRINK_LIMIT <= diff
+                == out[1],
+                "huge diff": lambda: 1e204 < diff == out[1],
+                "shrink tops diff": lambda: floor < out[1] == diff
+                < (200.0 * diff) ** 1.5 and diff < quadrature._SHRINK_LIMIT,
+                "shrink under floor": lambda: (200.0 * diff) ** 1.5 < floor
+                == out[1] < diff}[what]()
+        if what != "huge diff":     # where (200 diff)^1.5 overflows
+            assert _bits(out) == _bits(_one_panel(fv, lo, hi))
+    assert [_bits(out) for (out,), _ in alone if math.isnan(out[0])] == \
+        [("nan", "0x0.0p+0")]
+    for size in (quadrature._ARRAY_PANELS - 1, *_switch_sizes()):
+        picks = [cases[k % len(cases)] for k in range(size)]
+        outs, holes = _gk15(fv, [lo for lo, _, _ in picks],
+                            [hi for _, hi, _ in picks])
+        assert isinstance(outs, np.ndarray if size > quadrature._ARRAY_PANELS
+                          else list)
+        assert [_bits(out) for out in outs] == \
+            [_bits(alone[k % len(cases)][0][0]) for k in range(size)]
+        assert holes == {k: 0.5 * (lo + hi)
+                         for k, (lo, hi, what) in enumerate(picks)
+                         if what in ("+inf", "-inf", "nan")}
+
+
+def _refine_batches(monkeypatch) -> list:
+    """The number of pieces in each _refine call from here on."""
+    sizes = []
+    refine = quadrature._refine
+
+    def counted(fv, rows, los, *args):
+        sizes.append(len(los))
+        return refine(fv, rows, los, *args)
+
+    monkeypatch.setattr(quadrature, "_refine", counted)
+    return sizes
+
+
+# Rows around the switch, each padded in front with one-piece plain rows
+# until its first batch holds each of _switch_sizes() pieces, keyed by
+# what they pin.
+_PAD = (7, (0.0, 1.0), (), ())
+_SWITCH_ROWS = {
+    "refining": [(0, (0.0, 1.0), (), ()), (0, (0.1, 0.9), (), (0.5,)),
+                 (7, (0.0, 2.0), (), (1.0,))] * 3,
+    "planned-among-plain": [
+        (0, (0.0, 1.0), (), ()), (1, (0.0, 1.0), (0.0,), (0.5,)),
+        (7, (0.0, 1.0), (), ()), (7, (0.5, math.inf), (), ()),
+        (6, (0.0, 1.0), (0.0,), (0.25,)), (0, (0.0, 1.0), (), (0.3,)),
+        (1, (0.25, 1.0), (), (0.5,))],
+    "hole": [(0, (0.0, 1.0), (), (0.3,)), (5, (0.0, 1.0), (), ()),
+             (0, (0.1, 0.9), (), ())],
+    "raising-row-ends-the-walk": [
+        (0, (0.0, 1.0), (), (0.3,)), (2, (0.0, 1.0), (0.0,), ()),
+        (0, (0.1, 0.9), (), ()), (0, (0.5, 0.5), (), ())],
+}
+
+
+@pytest.mark.parametrize("rows", list(_SWITCH_ROWS.values()),
+                         ids=list(_SWITCH_ROWS))
+def test_rows_around_the_array_switch_give_their_one_row_bits(rows,
+                                                              monkeypatch):
+    sizes = _refine_batches(monkeypatch)
+    _raised(lambda: _integrate_specs(rows, 1e-10))
+    base = sizes[-1]
+    for size in _switch_sizes():
+        padded = [_PAD] * (size - base) + rows
+        assert len(padded) > quadrature._SMALL_BATCH
+        raised = next(filter(None, (_raised(lambda row=row: _one_row(
+            row, 1e-10)) for row in padded)), None)
+        if raised is not None:
+            # the call raises what the first row in order that raises does
+            assert _raised(lambda: _integrate_specs(padded, 1e-10)) == raised
+            assert sizes[-1] == size
+            continue
+        out = _integrate_specs(padded, 1e-10)
+        assert sizes[-1] == size
+        assert [_row_bits(res) for res in out] == \
+            [_row_bits(_one_row(row, 1e-10)) for row in padded]
+        assert out.value.tolist() == [float(res.value) for res in out]
+
+
+def test_singular_keys_at_or_beyond_n_are_not_rows():
+    rows = [(0, (0.0, 1.0), (), (0.3,)), (7, (0.0, 1.0), (), ())] * 60
+    for n in (quadrature._SMALL_BATCH, 3 * quadrature._ARRAY_PANELS // 2):
+        ids, (_, cols, _) = _columns(rows[:n])
+        # the rows past n would be probed at 0, where 1 / y diverges
+        singular = {n: (0.0,), n + 3: (0.0,), 10 * n: (0.0,)}
+        out = integrate(_by_row(_row_at(), ids), rows=(n, cols, singular),
+                        tol=1e-10)
+        assert [_row_bits(res) for res in out] == \
+            [_row_bits(_one_row(row, 1e-10)) for row in rows[:n]]
+
+
+# ---------------------------------------------------------------------------
+# Probe refusals: before any evaluation of the integrand.
+
+def _counting(calls, p=-0.5):
+    """y^p, integrable at 0 for the default p, counting its evaluations."""
+    def f(y):
+        calls.append(np.asarray(y).size)
+        return np.asarray(y, dtype=float) ** p
+    return _vec(f)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_probes_refuse_a_tolerance_no_walk_can_meet(tol):
+    calls = []
+    for call in (lambda: probe_divergence(_counting(calls), 0.0, tol=tol),
+                 lambda: probe_tail(_counting(calls), start=1.0, tol=tol)):
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert "probe tol" in str(info.value) and "not negative" in \
+            str(info.value)
+    assert calls == []
+
+
+def test_probe_tolerance_zero_walks_to_full_depth():
+    for call, p in ((lambda f: probe_divergence(f, 0.0, tol=0.0), -0.5),
+                    (lambda f: probe_tail(f, start=1.0, tol=0.0), -2.0)):
+        calls = []
+        rep = call(_counting(calls, p))
+        assert rep.shells == PROBE_DEPTH and not rep.resolved
+        assert sum(calls) == PROBE_DEPTH * len(_GK_NODES)
+
+
+def test_probes_refuse_a_bad_side_or_start_before_evaluating():
+    calls = []
+    with pytest.raises(PreconditionError) as info:
+        probe_divergence(_counting(calls), 0.0, side="up")
+    assert "'left' or 'right'" in str(info.value) and "'up'" in \
+        str(info.value)
+    for start in (0.0, -1.0):
+        with pytest.raises(PreconditionError) as info:
+            probe_tail(_counting(calls), start=start)
+        assert "positive radius" in str(info.value)
     assert calls == []

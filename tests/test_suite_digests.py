@@ -91,6 +91,15 @@ def test_suite_and_row_bits_match_the_golden_file():
     assert digests() == GOLDEN.read_text().splitlines()
 
 
+def test_no_bit_depends_on_the_array_switch(monkeypatch):
+    # every batch past a probe's 16 shells in the array form, then none
+    from greenlab import quadrature
+
+    for switch in (quadrature._MIN_SHELLS_FOR_VERDICT, 10 ** 9):
+        monkeypatch.setattr(quadrature, "_ARRAY_PANELS", switch)
+        assert digests() == GOLDEN.read_text().splitlines()
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--rows"]:
         lines = recorded_pass(int(sys.argv[2]))[1]
