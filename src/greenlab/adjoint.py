@@ -1,11 +1,13 @@
 """The adjoint coupling operator and sampled regularity probes.
 
 ``adjoint_apply`` realizes V*f(x) = int G2(y,x) f(y) dmu(y), the transposed
-coupling.  On top of it sit the three falsifiable probes this package offers
-for the topological claims about H: the adjoint-existence gate (V*phi finite
-and continuous for compactly supported phi), the kernel-interchange identity
-V*(G1(.,y))(x) = H(y,x), and the refinement probes for lower semicontinuity
-and off-diagonal continuity of H.
+coupling, as V on the adjoint space ``model.adjoint``: the model with the
+kernels (G2, G1) and the same measure, whose composed kernel is
+H*(x, y) = H(y, x).  On top of it sit the three falsifiable probes this
+package offers for the topological claims about H: the adjoint-existence
+gate (V*phi finite and continuous for compactly supported phi), the
+kernel-interchange identity V*(G1(.,y))(x) = H(y,x), and the refinement
+probes for lower semicontinuity and off-diagonal continuity of H.
 
 Verdicts from the probes are deliberately labelled "consistent", never
 "proven": a finite sample cannot establish continuity, only fail to refute
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (_at_points, _compose_rows, _sliced_apply,
-                       _sliced_rows, compose_green, coupling_apply)
+from .coupling import (_at_points, _compose_rows, _sliced_rows,
+                       compose_green, coupling_apply)
 from .errors import ModelDomainError, PreconditionError
 from .kernels import Interval1D, ModelSpace
 from .quadrature import as_vectorized, integrate
@@ -39,29 +41,21 @@ OSC_NOISE = 1e-6
 def adjoint_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL):
     """V*f(x) = int G2(y,x) f(y) dmu(y), as an extended value.
 
-    ``f`` must be nonnegative and evaluable; divergence is a valid return.
-    On the radial models both kernels are the same symmetric function, so
-    the adjoint coincides with the forward coupling and is delegated to it.
+    V* is :func:`~greenlab.coupling.coupling_apply` on the adjoint space
+    ``model.adjoint``, whose first kernel is G2: one sliced integral serves
+    V and V*, and V* takes every argument V takes.  ``f`` must be
+    nonnegative and evaluable; divergence is a valid return.  A model
+    whose kernels, bases and stencils are equal, the clamped plate and
+    every radial model, is its own adjoint, so there V* is V.
 
-    On the 1D models the integral runs forward in y through the sliced
-    integral of :func:`~greenlab.coupling.coupling_apply`, with G2 sliced
-    in its first argument at x.  V*(G1(.,y))(x) and H(y,x) =
-    :func:`~greenlab.coupling.compose_green` then integrate the same
-    product on the same cuts, so they agree to the bit on the pairs of the
+    Since the kernels are symmetric, V*(G1(.,y))(x) and H(y,x) =
+    :func:`~greenlab.coupling.compose_green` integrate the same product on
+    the same cuts, so they agree to the bit on the pairs of the
     adjoint-identity checks.  Agreement with an H value is a check of the
     adjoint's bookkeeping (slicing, declarations, certificates), not of a
     second quadrature.
-
-    On the 1D models ``x`` may also be a 1-D array of points: the call then
-    returns a tuple of extended values, one per point, each with the bits
-    a scalar call gives it.  Every point is checked against the domain
-    before any integration; after that the call raises the exception of the
-    first point in order whose integral raises.  The radial models take one
-    point per call.
     """
-    if model.is_radial:
-        return coupling_apply(model, f, x, tol=tol)
-    return _sliced_apply(model, model.G2, f, x, tol, adjoint=True)
+    return coupling_apply(model.adjoint, f, x, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +384,12 @@ def lsc_check(model: ModelSpace) -> LscReport:
 def duality_residual(model: ModelSpace, phi, psi) -> float:
     """|<psi, V phi> - <phi, V* psi>| with both pairings against d(mu).
 
-    The two pairings are equal when V* is the transpose of V, which needs
-    G1 = G2 (V* integrates G2 with its arguments swapped).  Among the models
-    here the clamped-plate one provides it, with one symmetric kernel on
-    both slots; a radial model, or a 1D model whose kernels differ, is
-    refused before any integration.
+    V pairs through ``model`` and V* through ``model.adjoint``.  The two
+    pairings are equal when V* is the transpose of V, which needs G1 = G2:
+    V* integrates G2, the adjoint's first kernel.  Among the models here
+    the clamped-plate one provides it, with one symmetric kernel on both
+    slots; a radial model, or a 1D model whose kernels differ, is refused
+    before any integration.
 
     Each pairing is integrated over the outer function's ``support``
     clipped to the domain, cut at its ``breakpoints``: the inner V or V*
@@ -409,7 +404,7 @@ def duality_residual(model: ModelSpace, phi, psi) -> float:
             "G1 = G2 on a 1D domain, as the clamped-plate model provides")
     dom: Interval1D = model.domain
 
-    def pair(outer, kernel, adjoint, inner_arg):
+    def pair(outer, space, inner):
         lo, hi = dom.lo, dom.hi
         support = getattr(outer, "support", None)
         if support is not None:
@@ -418,18 +413,18 @@ def duality_residual(model: ModelSpace, phi, psi) -> float:
             return 0.0
         outer_v = as_vectorized(outer)
 
-        # the inner V or V* at the nodes, read from its rows' value column
+        # V of inner on ``space`` at the nodes, read from its rows' value
+        # column
         def f(xs):
             xs = np.asarray(xs, dtype=float)
-            inner, _ = _sliced_rows(model, kernel, inner_arg, xs, 1e-9,
-                                    adjoint)
-            return np.asarray(outer_v(xs), dtype=float) * inner.value
+            rows, _ = _sliced_rows(space, inner, xs, 1e-9)
+            return np.asarray(outer_v(xs), dtype=float) * rows.value
 
         f.vectorized = True
         res = integrate(model.mu.weighted(f), (lo, hi), tol=QUAD_TOL,
                         breakpoints=getattr(outer, "breakpoints", ()))
         return float(res.value)
 
-    lhs = pair(psi, model.G1, False, phi)
-    rhs = pair(phi, model.G2, True, psi)
+    lhs = pair(psi, model, phi)
+    rhs = pair(phi, model.adjoint, psi)
     return abs(lhs - rhs)

@@ -54,17 +54,11 @@ class _Rows(NamedTuple):
     grid: bool = False
 
 
-def _kernel_rows(kernel: GreenKernel, points: np.ndarray,
-                 first: bool) -> _Rows:
-    """Slices of ``kernel`` at ``points``: z -> K(z, p) if first, else
-    z -> K(p, z)."""
-    if first:
-        def at(r, z):
-            return kernel.raw(z, points[r])
-    else:
-        def at(r, z):
-            return kernel.raw(points[r], z)
-    return _Rows(at, *kernel.slice_declarations(points, first))
+def _kernel_rows(kernel: GreenKernel, points: np.ndarray) -> _Rows:
+    """Slices of ``kernel`` at ``points``: z -> K(p, z)."""
+    def at(r, z):
+        return kernel.raw(points[r], z)
+    return _Rows(at, *kernel.slice_declarations(points))
 
 
 def _shared_rows(f, n: int) -> _Rows:
@@ -143,8 +137,7 @@ def _radial_point(model: ModelSpace, x):
 
 def _sliced_integral(model: ModelSpace, n: int, kern: _Rows, f: _Rows,
                      tol: float) -> QuadRows:
-    """V and V*: int k_r(y) f_r(y) dmu(y) on the 1D domain, for each of the
-    n rows r.
+    """int k_r(y) f_r(y) dmu(y) on the 1D domain, for each of the n rows r.
 
     Each row's kernel slice ``kern`` and data ``f`` give its breakpoints and
     singular points, the data its support, and a grid function with a
@@ -228,27 +221,17 @@ def coupling_apply(model: ModelSpace, f, x, tol: float = QUAD_TOL):
     """
     if model.is_radial:
         return _coupling_radial(model, f, _radial_point(model, x), tol)
-    return _sliced_apply(model, model.G1, f, x, tol)
-
-
-def _sliced_apply(model: ModelSpace, kernel: GreenKernel, f, x, tol: float,
-                  adjoint: bool = False):
-    """V, or V* if ``adjoint``, of f at the point or points x on a 1D model.
-
-    V slices ``kernel`` in its second argument at x, V* in its first.
-    """
-    rows, scalar = _sliced_rows(model, kernel, f, x, tol, adjoint)
+    rows, scalar = _sliced_rows(model, f, x, tol)
     values = rows.extended()
     return values[0] if scalar else tuple(values)
 
 
-def _sliced_rows(model: ModelSpace, kernel: GreenKernel, f, x, tol: float,
-                 adjoint: bool) -> tuple[QuadRows, bool]:
-    """:func:`_sliced_apply` at the points x as the rows of one integrate
+def _sliced_rows(model: ModelSpace, f, x, tol: float) -> tuple[QuadRows,
+                                                              bool]:
+    """V of f at the points x of a 1D model as the rows of one integrate
     call, and whether x was a scalar."""
     (xs,), scalar = _point_rows(model, x)
-    return _sliced_integral(model, xs.size,
-                            _kernel_rows(kernel, xs, first=adjoint),
+    return _sliced_integral(model, xs.size, _kernel_rows(model.G1, xs),
                             _shared_rows(f, xs.size), tol), scalar
 
 
@@ -302,10 +285,8 @@ def _compose_rows(model: ModelSpace, x, y, tol: float) -> tuple[QuadRows,
     call, checked as :func:`compose_green` checks them, and whether both
     points were scalars."""
     (ys, xs), scalar = _point_rows(model, y, x)
-    return _sliced_integral(model, xs.size,
-                            _kernel_rows(model.G1, xs, first=False),
-                            _kernel_rows(model.G2, ys, first=True),
-                            tol), scalar
+    return _sliced_integral(model, xs.size, _kernel_rows(model.G1, xs),
+                            _kernel_rows(model.G2, ys), tol), scalar
 
 
 def pure_decompose(model: ModelSpace, pair: BiharmonicPair,

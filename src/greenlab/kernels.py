@@ -10,7 +10,8 @@ per-model modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,9 +166,11 @@ class GreenKernel:
     """A symmetric positive kernel with declared singularity structure.
 
     ``raw(x, y)`` is the closed form and must accept numpy arrays in either
-    argument.  On the singular locus it may return +inf and may warn (a
-    numpy division by zero), and beside it overflow; no quadrature node of
-    a slice meets either.  Points of a caller's choosing go through
+    argument, and equal ``raw(y, x)`` bit for bit: the operators slice a kernel
+    only in its second argument, z -> K(p, z), and read a slice in the first
+    argument from it.  On the singular locus it may return +inf and may warn (a
+    numpy division by zero), and beside it overflow; no quadrature node of a
+    slice meets either.  Points of a caller's choosing go through
     :meth:`evaluate`, and are refused off the locus by :meth:`overflow_error`.
     ``diagonal_exponent`` is the blow-up power on the diagonal (None when the
     kernel is merely kinked there), ``endpoint_singularities`` lists boundary
@@ -191,41 +194,41 @@ class GreenKernel:
             f"kernel {self.name} overflows at ({x!r}, {y!r}), off its declared "
             "singular locus: too close to a singularity to evaluate reliably")
 
-    def slice_declarations(self, points, first: bool) -> tuple[list, dict]:
+    def slice_declarations(self, points) -> tuple[list, dict]:
         """Breakpoints and live singular points of the slices at ``points``.
 
-        The slice in the first argument at y is x -> K(x, y), the one in the
-        second at x is y -> K(x, y).  Its breakpoints are its point, where
-        the kernel kinks on the diagonal, and every endpoint singularity;
-        such an endpoint is a live singular point of the slice at that
-        endpoint itself, where the kernel is non-finite at it.  A slice at
-        another point that is non-finite at an endpoint overflows there, so
-        close to it that no integral of the slice can be trusted: that
-        point is refused with :meth:`overflow_error`.  Returns the breakpoints
-        as columns -- the points array, then one float per endpoint -- and
-        a dict from the index of each point with a live singular point to
-        them; one kernel call per endpoint serves all the points.
+        The slice at p is z -> K(p, z).  Its breakpoints are its point,
+        where the kernel kinks on the diagonal, and every endpoint
+        singularity; such an endpoint is a live singular point of the slice
+        at that endpoint itself, where the kernel is non-finite at it.  A
+        slice at another point that is non-finite at an endpoint overflows
+        there, so close to it that no integral of the slice can be trusted:
+        that point is refused with :meth:`overflow_error`.  Returns the
+        breakpoints as columns -- the points array, then one float per
+        endpoint -- and a dict from the index of each point with a live
+        singular point to them; one kernel call per endpoint serves all the
+        points.
         """
         pts = np.asarray(points, dtype=float)
         ends = [float(e.point) for e in self.endpoint_singularities]
         sings: dict[int, tuple] = {}
         for e in ends:
-            vals = self.evaluate(e, pts) if first else self.evaluate(pts, e)
-            finite = np.isfinite(vals).tolist()
+            finite = np.isfinite(self.evaluate(pts, e)).tolist()
             if not all(finite):
                 for i, (p, fin) in enumerate(zip(pts.tolist(), finite)):
                     if fin:
                         continue
                     if p != e:
-                        raise self.overflow_error(*((e, p) if first else (p, e)))
+                        raise self.overflow_error(p, e)
                     sings[i] = (*sings.get(i, ()), e)
         return ([pts] if self.kink_on_diagonal else []) + ends, sings
 
     def slice_in_first(self, y: float) -> Fn:
-        """x -> K(x, y) with its breakpoints and live singularities declared."""
-        cols, sings = self.slice_declarations([y], first=True)
+        """x -> K(x, y), read as the slice z -> K(y, z) of the symmetric
+        kernel, with its breakpoints and live singularities declared."""
+        cols, sings = self.slice_declarations([y])
         bks = [c if isinstance(c, float) else c[0] for c in cols]
-        return Fn(lambda x: self.raw(x, y), breakpoints=bks,
+        return Fn(lambda z: self.raw(y, z), breakpoints=bks,
                   vectorized=True, name=f"{self.name}(.,{y:g})",
                   singular_points=sings.get(0, ()))
 
@@ -322,6 +325,26 @@ class ModelSpace:
     @property
     def is_radial(self) -> bool:
         return self.dim is not None
+
+    @cached_property
+    def adjoint(self) -> "ModelSpace":
+        """The adjoint space: its composed kernel is H*(x, y) = H(y, x).
+
+        It has the kernels (G2, G1), the same measure, and the two bases
+        and stencils swapped, so V* is V on it.  A model whose two kernels,
+        bases and stencils are equal (the clamped plate, every Newtonian
+        model) is its own adjoint.  Otherwise the adjoint has no kink
+        density, which the swap does not determine, and so no Riquier
+        problem.  The adjoint is built once per model object and held on
+        it; a ``dataclasses.replace`` copy builds its own.
+        """
+        if (self.G1 == self.G2 and self.basis1 == self.basis2
+                and self.L1_stencil == self.L2_stencil):
+            return self
+        return replace(self, id=self.id + "*", G1=self.G2, G2=self.G1,
+                       basis1=self.basis2, basis2=self.basis1,
+                       L1_stencil=self.L2_stencil,
+                       L2_stencil=self.L1_stencil, kink_density=None)
 
 
 @dataclass(frozen=True)

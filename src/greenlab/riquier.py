@@ -15,9 +15,11 @@ validated for, and every function here refuses it for any other.  The
 measures depend on that model, the subinterval and x, never on the data,
 so the subdomain holds every mass row computed on it, by point: the
 triples and every solution on one subdomain integrate a point once.  A
-solution's u and v refuse points off [a, b].  The adjoint (transposed)
-triple exists only where the two kernels and the two bases coincide, and
-there it is the forward triple.
+solution's u and v refuse points off [a, b].  A model without a kink
+density has no Riquier problem.  The adjoint (transposed) triple is the
+triple of the adjoint space ``model.adjoint``; that space has a kink density
+only where it is the model itself (the clamped plate), so there the adjoint
+triple is the forward one.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ NU_TOL = 1e-10
 
 def _interp_matrix(basis, a: float, b: float) -> np.ndarray:
     b1, b2 = basis
-    m = np.array([[float(b1(a)), float(b2(a))],
-                  [float(b1(b)), float(b2(b))]], dtype=float)
+    # a basis singular at a or b is refused below, not warned about
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = np.array([[float(b1(a)), float(b2(a))],
+                      [float(b1(b)), float(b2(b))]], dtype=float)
     if not np.all(np.isfinite(m)):
         raise RegularityError(
             f"a basis function is singular on [{a:g}, {b:g}]")
@@ -112,10 +116,15 @@ def regular_subdomain(model: ModelSpace, a: float, b: float) -> RegularSubdomain
     Regularity here is concrete: the interval sits inside the domain (its
     closure, for models whose kernels and bases extend continuously to the
     boundary), and both interpolation matrices are invertible with condition
-    number below COND_LIMIT.
+    number below COND_LIMIT.  A radial model, and a model with no kink
+    density (the adjoint of one whose kernels differ), is refused with
+    :class:`~greenlab.errors.ModelDomainError` before any work.
     """
     if model.is_radial:
         raise ModelDomainError("subinterval problems are defined on 1D models")
+    if model.kink_density is None:
+        raise ModelDomainError(
+            f"model {model.id} has no kink density, so no Riquier problem")
     dom: Interval1D = model.domain
     a, b = float(a), float(b)
     if not a < b:
@@ -232,17 +241,14 @@ def _masses(subs: Sequence[RegularSubdomain], xs) -> np.ndarray:
                     dtype=float).reshape(-1, 3, 2)
 
 
-def biharmonic_measures(model: ModelSpace, sub, x, adjoint: bool = False):
+def biharmonic_measures(model: ModelSpace, sub, x):
     """The measure triple of [a, b] at interior x.
 
     mu_x and lambda_x are the interpolation weights of the two bases; the
     nu_x masses integrate the localized kernel against the second basis'
     cardinal functions, weighted by the kink density, each at ``NU_TOL``.
-    ``adjoint=True`` asks for the triple of the transposed problem, where
-    the two kernels and the two bases swap roles.  It is refused with
-    :class:`~greenlab.errors.ModelDomainError` unless G1 equals G2 and the
-    two bases are equal (the clamped plate): there the swap changes
-    nothing, so the forward triple is returned.
+    The triple of the transposed problem is that of ``model.adjoint``, on
+    a subdomain built for it.
 
     ``sub`` and ``x`` may also be sequences of subdomains and points, of
     one length: the call then returns a list of triples, one per
@@ -256,11 +262,6 @@ def biharmonic_measures(model: ModelSpace, sub, x, adjoint: bool = False):
         raise PreconditionError(
             f"{len(subs)} subdomains do not pair with {len(xs)} points")
     xs = [s.require_model(model).require_interior(x) for s, x in zip(subs, xs)]
-    if adjoint and not (model.G1 == model.G2
-                        and model.basis1 == model.basis2):
-        raise ModelDomainError(
-            "the adjoint boundary triple is only available where both "
-            "kernels and both bases are equal, as on the clamped plate")
     triples = []
     for sub, x, masses in zip(subs, xs, _masses(subs, xs).tolist()):
         mu, nu, lam = (tuple(_clip_weight(w, what) for w in pair)

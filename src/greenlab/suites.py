@@ -554,22 +554,19 @@ def check_adjoint_riquier(seed: int = 0) -> CheckResult:
     worst = 0.0
     for x in (0.35, 0.5, 0.65):
         fwd = riquier.biharmonic_measures(model, sub, x)
-        adj = riquier.biharmonic_measures(model, sub, x, adjoint=True)
+        adj = riquier.biharmonic_measures(model.adjoint, sub, x)
         worst = max(worst,
                     max(abs(a - b) for a, b in zip(fwd.mu, adj.mu)),
                     max(abs(a - b) for a, b in zip(fwd.nu, adj.nu)),
                     max(abs(a - b) for a, b in zip(fwd.lam, adj.lam)))
     try:
-        riquier.biharmonic_measures(
-            iv.interval_model(),
-            riquier.regular_subdomain(iv.interval_model(), 0.3, 0.7),
-            0.5, adjoint=True)
+        riquier.regular_subdomain(iv.interval_model().adjoint, 0.3, 0.7)
     except ModelDomainError:
         pass
     else:
         return _boolean("adjoint-riquier", False,
-                        "the adjoint mode was not refused off the "
-                        "clamped-plate model")
+                        "the interval adjoint, which has no kink density, "
+                        "was given a Riquier problem")
     return _result("adjoint-riquier", 1e-9, worst,
                    f"adjoint and forward measure triples agree within "
                    f"{worst:.2e} on the symmetric kernel")

@@ -16,7 +16,7 @@ from greenlab.adjoint import (
     duality_residual,
     lsc_check,
 )
-from greenlab.coupling import _sliced_rows, coupling_apply
+from greenlab.coupling import _sliced_rows, compose_green, coupling_apply
 from greenlab.errors import (ConditioningError, DomainError, ModelDomainError,
                              PreconditionError)
 from greenlab.kernels import Fn, GridFunction, bump, constant
@@ -175,11 +175,10 @@ def test_the_pairings_inner_values_are_the_floats_of_the_operators():
     for name in ("interval", "bilaplace"):
         model = get_model(name)
         pts = xs if name == "interval" else xs[1:]
-        for kernel, adjoint, op in ((model.G1, False, coupling_apply),
-                                    (model.G2, True, adjoint_apply)):
+        for space, op in ((model, coupling_apply),
+                          (model.adjoint, adjoint_apply)):
             for f in (constant(1.0), bump(0.5, 0.3)):
-                rows, scalar = _sliced_rows(model, kernel, f, pts, 1e-9,
-                                            adjoint)
+                rows, scalar = _sliced_rows(space, f, pts, 1e-9)
                 assert not scalar
                 assert [v.hex() for v in rows.value.tolist()] == \
                     [float(v).hex() for v in op(model, f, pts, tol=1e-9)]
@@ -336,3 +335,57 @@ def test_continuity_probe_on_a_radial_model():
     # a target this close to x is riesz_compose's to refuse
     with pytest.raises(ConditioningError):
         continuity_probe(model, 0.0, 5e-4)
+
+
+def test_the_adjoint_spaces_kernel_is_h_transposed():
+    # H*(x, y) = H(y, x): the adjoint space composes G2 then G1, and its
+    # values have the bits of the forward model's at the swapped points,
+    # INF certificates included
+    xs = np.array([0.3, 0.6, 0.5, 0.0, 0.2, 0.9])
+    ys = np.array([0.6, 0.3, 0.5, 0.4, 0.0, 0.1])
+    for name in ("interval", "bilaplace"):
+        model = get_model(name)
+        pts = (xs, ys) if name == "interval" else (xs[[0, 1, 2, 5]],
+                                                   ys[[0, 1, 2, 5]])
+        forward = compose_green(model, pts[1], pts[0])
+        adjoint = compose_green(model.adjoint, *pts)
+        assert [bits(v) for v in adjoint] == [bits(v) for v in forward]
+        for x, y, want in zip(*pts, forward):
+            assert bits(compose_green(model.adjoint, x, y)) == bits(want)
+        # on the interval model H(0.4, 0) diverges, and H(0, 0.2) does not
+        assert [v.is_finite for v in adjoint].count(False) == \
+            (name == "interval")
+
+
+def test_the_adjoint_space_is_one_object_per_model(monkeypatch):
+    from greenlab import riquier
+    from greenlab.models.newtonian import newtonian_model
+    from greenlab.riquier import regular_subdomain
+
+    plate = get_model("bilaplace")
+    assert plate.adjoint is plate
+    assert newtonian_model(5).adjoint is newtonian_model(5)
+    interval = get_model("interval")
+    adjoint = interval.adjoint
+    assert adjoint is interval.adjoint
+    assert adjoint.id == "interval*"
+    assert adjoint.G1 is interval.G2 and adjoint.G2 is interval.G1
+    assert adjoint.basis1 is interval.basis2
+    assert adjoint.basis2 is interval.basis1
+    assert adjoint.L1_stencil is interval.L2_stencil
+    assert adjoint.L2_stencil is interval.L1_stencil
+    assert adjoint.mu is interval.mu and adjoint.domain is interval.domain
+    # a copy is a model object of its own, with an adjoint of its own
+    copy = dataclasses.replace(interval)
+    assert copy.adjoint is not adjoint
+    assert copy.adjoint == adjoint
+    # the swap does not say which kink density the adjoint has, so it has
+    # none, and no Riquier problem: refused before any integration
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(riquier, "integrate", refuse)
+    assert adjoint.kink_density is None
+    with pytest.raises(ModelDomainError, match="interval\\* has no kink"):
+        regular_subdomain(adjoint, 0.3, 0.7)

@@ -110,7 +110,7 @@ def test_the_interval_kernels_singular_point_is_read_without_a_warning():
             val = kernel_eval(kernel, 0.0, 0.0)
             assert not val.is_finite
             assert val.certificate.estimated_exponent == exponent
-            cols, sings = kernel.slice_declarations([0.0, 0.5], first=True)
+            cols, sings = kernel.slice_declarations([0.0, 0.5])
             assert cols[0].tolist() == [0.0, 0.5] and cols[1:] == [0.0]
             assert sings == {0: (0.0,)}
         assert q0(0.0) == math.inf
@@ -161,3 +161,38 @@ def test_pair_flags_are_frozen():
     tagged = pair.with_flags({"hyperharmonic"}, "test provenance")
     assert tagged.flags == frozenset({"hyperharmonic"})
     assert tagged.provenance == "test provenance"
+
+
+def test_every_sliced_kernel_is_symmetric_bit_for_bit():
+    # the operators slice a kernel only as z -> K(p, z) and read
+    # z -> K(z, p) from it, which needs raw(x, y) == raw(y, x) to the bit;
+    # the grids hold the endpoints, the singular point 0, near-diagonal
+    # pairs and the points beside 0 where 1/max(x, y)^2 overflows
+    from power_family_report import power_model
+
+    def all_pairs(pts):
+        i, j = np.meshgrid(np.arange(len(pts)), np.arange(len(pts)),
+                           indexing="ij")
+        return pts[i.ravel()], pts[j.ravel()]
+
+    line = all_pairs(np.array([
+        0.0, 1e-310, 1e-160, 7e-155, 1e-150, 1e-8, 0.3, 0.3 + 1e-15,
+        np.nextafter(0.3, 1.0), 0.5, 0.7, np.nextafter(1.0, 0.0), 1.0]))
+    cases = [(kernel, line) for kernel in (
+        get_model("interval").G1, get_model("interval").G2,
+        get_model("bilaplace").G1, power_model(2.0, 1.5).G2,
+        power_model(1.5, 0.6).G2)]
+    rng = np.random.default_rng(0)
+    for n in (5, 6):
+        # each base point beside itself at separations from 0 up, and the
+        # origin beside separations where c_n d^(2-n) overflows
+        seps = np.outer([0.0, 1e-160, 1e-80, 1e-15, 1e-3, 1.0], np.eye(n)[0])
+        base = rng.standard_normal((4, n))
+        pts = np.concatenate([(base[:, None, :] + seps).reshape(-1, n), seps])
+        cases.append((get_model(f"newtonian{n}").G1, all_pairs(pts)))
+    with np.errstate(divide="ignore", over="ignore"):
+        for kernel, (x, y) in cases:
+            forward = np.asarray(kernel.raw(x, y), dtype=float)
+            backward = np.asarray(kernel.raw(y, x), dtype=float)
+            assert forward.shape == backward.shape == (len(x),)
+            assert forward.tobytes() == backward.tobytes(), kernel.name

@@ -167,10 +167,10 @@ def test_a_nan_margin_is_violated():
 
 
 def test_adjoint_triple_needs_the_symmetric_model():
-    model = get_model("interval")
-    sub = regular_subdomain(model, 0.2, 0.8)
-    with pytest.raises(ModelDomainError):
-        biharmonic_measures(model, sub, 0.5, adjoint=True)
+    # the interval adjoint swaps kernels that differ, so it has no kink
+    # density and no Riquier problem
+    with pytest.raises(ModelDomainError, match="no kink density"):
+        regular_subdomain(get_model("interval").adjoint, 0.2, 0.8)
 
 
 @pytest.mark.parametrize("model_name, omega, adjoint", [
@@ -186,11 +186,13 @@ def test_adjoint_triple_needs_the_symmetric_model():
 ])
 def test_nu_masses_match_the_closed_forms(model_name, omega, adjoint):
     model = get_model(model_name)
+    if adjoint:
+        model = model.adjoint
     a, b = omega
     sub = regular_subdomain(model, a, b)
     for frac in (0.01, 0.3, 0.5, 0.77, 0.99):
         x = a + frac * (b - a)
-        triple = biharmonic_measures(model, sub, x, adjoint=adjoint)
+        triple = biharmonic_measures(model, sub, x)
         want = oracles.riquier_nu(model_name, a, b, x)
         assert triple.nu == pytest.approx(want, rel=0.0, abs=1e-10)
 
@@ -318,11 +320,13 @@ def test_triples_of_many_subdomains_take_one_call_with_one_point_bits(
     from greenlab import riquier
 
     model = get_model(model_name)
+    if adjoint:
+        model = model.adjoint
     probes = [((0.2, 0.8), 0.5), ((0.1, 0.9), 0.3), ((0.3, 0.5), 0.4),
               ((0.2, 0.8), 0.75), ((0.1, 0.9), 0.3)]
     subs = [regular_subdomain(model, a, b) for (a, b), _ in probes]
     xs = [x for _, x in probes]
-    alone = [biharmonic_measures(model, sub, x, adjoint=adjoint)
+    alone = [biharmonic_measures(model, sub, x)
              for sub, x in zip(subs, xs)]
     real, calls = riquier.integrate, []
 
@@ -333,7 +337,7 @@ def test_triples_of_many_subdomains_take_one_call_with_one_point_bits(
     monkeypatch.setattr(riquier, "integrate", counting)
     # fresh subdomains, which hold none of alone's masses
     fresh = [regular_subdomain(model, a, b) for (a, b), _ in probes]
-    together = biharmonic_measures(model, fresh, xs, adjoint=adjoint)
+    together = biharmonic_measures(model, fresh, xs)
     assert calls == [2 * len(probes)]
     assert together == alone
     if not adjoint:
@@ -377,20 +381,20 @@ def test_mu_and_lambda_are_the_interpolants_of_unit_data(model_name,
                                                          adjoint):
     # mu_j(x) and lambda_j(x) are the first and second basis' interpolants
     # at x of the data that is 1 at a (j = 0) or b (j = 1) and 0 at the
-    # other end, clipped at 0; the adjoint triple swaps the bases
+    # other end, clipped at 0; the adjoint space swaps the bases
     model = get_model(model_name)
+    if adjoint:
+        model = model.adjoint
     probes = [((0.2, 0.8), 0.5), ((0.1, 0.9), 0.13), ((0.3, 0.5), 0.47),
               ((0.05, 0.6), 0.4), ((0.5, 0.95), 0.9)]
     subs = [regular_subdomain(model, a, b) for (a, b), _ in probes]
     xs = [x for _, x in probes]
-    for sub, x, triple in zip(subs, xs, biharmonic_measures(
-            model, subs, xs, adjoint=adjoint)):
+    triples = biharmonic_measures(model, subs, xs)
+    for sub, x, triple in zip(subs, xs, triples):
         first = [max(float(sub.interpolant1(*unit)(x)), 0.0)
                  for unit in ((1.0, 0.0), (0.0, 1.0))]
         second = [max(float(sub.interpolant2(*unit)(x)), 0.0)
                   for unit in ((1.0, 0.0), (0.0, 1.0))]
-        if adjoint:
-            first, second = second, first
         assert list(triple.mu) == first
         assert list(triple.lam) == second
 
@@ -500,13 +504,15 @@ def test_a_mixed_batch_integrates_only_the_new_points(monkeypatch):
 
 def test_the_adjoint_triple_reads_the_forward_masses(monkeypatch):
     # on the clamped plate both kernels and both bases are equal, so the
-    # adjoint triple is the forward one and integrates nothing new
+    # plate is its own adjoint space, and the adjoint triple is the forward
+    # one and integrates nothing new
     model = get_model("bilaplace")
+    assert model.adjoint is model
     sub = regular_subdomain(model, 0.2, 0.8)
     calls = _counted_rows(monkeypatch)
     forward = biharmonic_measures(model, sub, 0.35)
     assert calls == [2]
-    assert biharmonic_measures(model, sub, 0.35, adjoint=True) == forward
+    assert biharmonic_measures(model.adjoint, sub, 0.35) == forward
     assert calls == [2]
 
 
@@ -518,10 +524,15 @@ def test_the_adjoint_triple_needs_equal_kernels_and_bases(monkeypatch):
     mixed = replace(get_model("bilaplace"), G2=get_model("interval").G2)
     assert mixed.id == "bilaplace1d" and mixed.basis1 == mixed.basis2
     sub = regular_subdomain(mixed, 0.2, 0.8)
-    with pytest.raises(ModelDomainError):
-        biharmonic_measures(mixed, sub, 0.5, adjoint=True)
-    with pytest.raises(ModelDomainError):
-        biharmonic_measures(mixed, [sub, sub], [0.3, 0.5], adjoint=True)
+    # its adjoint swaps kernels that differ: no kink density, no subdomain,
+    # and the forward subdomain serves only the forward model
+    assert mixed.adjoint.kink_density is None
+    with pytest.raises(ModelDomainError, match="bilaplace1d\\* has no kink"):
+        regular_subdomain(mixed.adjoint, 0.2, 0.8)
+    with pytest.raises(PreconditionError):
+        biharmonic_measures(mixed.adjoint, sub, 0.5)
+    with pytest.raises(PreconditionError):
+        biharmonic_measures(mixed.adjoint, [sub, sub], [0.3, 0.5])
 
 
 def test_a_copied_model_with_the_same_id_is_refused(monkeypatch):
@@ -551,3 +562,32 @@ def test_a_copied_model_with_the_same_id_is_refused(monkeypatch):
             with pytest.raises(PreconditionError, match="bilaplace1d"):
                 call()
     assert not sub.mass_rows
+
+
+def test_a_basis_singular_at_the_subdomain_end_is_refused():
+    # with the closure allowed, the interval model's [0, 0.5] passes the
+    # domain test and reaches its first basis, 1/x, which is infinite at 0
+    closed = replace(get_model("interval"), subdomain_closure_ok=True)
+    with pytest.raises(RegularityError,
+                       match=r"a basis function is singular on \[0, 0\.5\]"):
+        regular_subdomain(closed, 0.0, 0.5)
+
+
+def test_a_negative_mass_is_refused():
+    interval = get_model("interval")
+    # a kink density of -z makes the nu rows negative: integrate refuses
+    # them before any mass is clipped
+    flipped = replace(interval,
+                      kink_density=lambda z: -np.asarray(z, dtype=float))
+    sub = regular_subdomain(flipped, 0.2, 0.8)
+    with pytest.raises(PreconditionError, match="evaluated to -.* < 0"):
+        biharmonic_measures(flipped, sub, 0.5)
+    # a first basis that is not a Chebyshev system on [0.2, 0.8] has a
+    # cardinal below 0 inside it; with a zero kink density the nu rows are
+    # 0, so the negative mu mass reaches the clip
+    bent = replace(interval, basis1=(
+        interval.basis1[0], lambda x: (np.asarray(x, dtype=float) - 0.4) ** 2),
+        kink_density=lambda z: 0.0 * np.asarray(z, dtype=float))
+    sub = regular_subdomain(bent, 0.2, 0.8)
+    with pytest.raises(RegularityError, match=r"negative mu-mass -3\.333e-01"):
+        biharmonic_measures(bent, sub, 0.4)
