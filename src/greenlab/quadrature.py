@@ -30,8 +30,11 @@ is one row); a larger one finds the rows to plan with one array test and
 cuts the others at once.  A batch of at most _ARRAY_PANELS panels takes its
 error estimates, tolerance tests and row sums in plain Python, where numpy's
 fixed cost per call would outweigh the work; a larger one keeps them in
-numpy columns from the panel rule to the row sums, and only the pieces that
-refine leave the columns.
+numpy columns from the panel rule to the row sums.  The pieces that refine
+follow the same rule: those of a larger batch stay in one table of panels,
+refined in whole-array steps, until their children would fit a batch of
+_ARRAY_PANELS panels; from there on, and in a smaller batch from the start,
+each keeps its panels in a heap.
 
 Conventions
 -----------
@@ -106,7 +109,11 @@ _SMALL_BATCH = 16
 # 0.89x at 64; a call of n one-piece rows, none refining, 0.91x at 32 and
 # 0.75x at 64; the same rows all refining once, 1.10x at 32, 1.00x at 64
 # and 0.95x at 96.  It is at least _MIN_SHELLS_FOR_VERDICT, so that a
-# probe's batches stay lists.
+# probe's batches stay lists.  _refine_table hands its pieces to heaps once
+# their children fit such a batch: a table round against a heap round
+# (median of 31 interleaved pairs, same VM, rows of sqrt|z - 1/3| refined
+# 49 and 199 rounds) is 1.32-1.40x at 8 pieces, 1.16-1.17x at 16,
+# 0.95-1.03x at 24-32 and 0.65-0.81x at 33-48.
 _ARRAY_PANELS = 64
 
 
@@ -247,8 +254,9 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
     against the row integrand ``fv(r, z)``; ``rows`` is a sequence of ints,
     or one int when every piece is of that row.  While its error sum
     exceeds tols[i] and it holds fewer than ``cap`` panels, its worst panel
-    is bisected.  Each piece keeps its own sums, and its own heap once it
-    refines, so its result is the one it would get alone.
+    is bisected: the one of largest error, and of these the one of lowest
+    lower end.  Each piece keeps its own sums and panels, so its result is
+    the one it would get alone.
 
     Returns (outs, panels, holes): each piece's (value, error), in the
     form :func:`_gk15` gives its initial panels' (a list of pairs, or the
@@ -256,11 +264,12 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
     piece that refined (1 elsewhere), and the first non-finite node of
     every piece that met one.  One _gk15 call evaluates the initial panels
     of every piece, and the pieces that meet their tolerance at once, the
-    most, are done there: in the array form one comparison of the error
-    column with ``tols`` finds the others, and only they leave the array.
-    Each round one call evaluates the children of the worst panel of every
-    piece still refining.  A non-finite sample ends its piece, and stops
-    the pieces of later rows: their outcomes mean nothing.
+    most, are done there.  Each round one call evaluates the children of
+    the worst panel of every piece still refining.  A non-finite sample
+    ends its piece, and stops the pieces of later rows: their outcomes mean
+    nothing.  A batch in the array form refines in :func:`_refine_table`;
+    a list of pairs keeps each refining piece's panels in a heap, popped
+    in the order above.
     """
     grown: dict[int, int] = {}
     if not len(los):
@@ -270,29 +279,32 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
         (lambda z: fv(rows, z)) if one_row
         else (lambda z, r=np.repeat(rows, len(_GK_NODES)): fv(r, z)),
         los, his)
-    columns = type(outs) is not list
-    if columns:
-        picked = (outs[:, 1] > tols).nonzero()[0]
-        todo = picked.tolist() if cap > 1 else []
-    else:
-        todo = [i for i, ((_, e), t) in enumerate(zip(outs, tols)) if e > t] \
-            if cap > 1 else []
+    if type(outs) is not list:
+        return _refine_table(fv, rows, los, his, tols, cap, outs, holes)
+    todo = [i for i, ((_, e), t) in enumerate(zip(outs, tols)) if e > t] \
+        if cap > 1 else []
     if not todo:
         return outs, grown, holes
     row_of = [rows] * len(outs) if one_row else \
         rows.tolist() if isinstance(rows, np.ndarray) else rows
     first_bad = min((row_of[i] for i in holes), default=math.inf)
-    # piece -> [value, error, panels, heap, tol], in piece order
-    if columns:
-        # only the pieces that refine leave the columns
-        seeds = zip(todo, outs[picked].tolist(), *(
-            np.asarray(c)[picked].tolist() for c in (los, his, tols)))
-        live = {i: [v, e, 1, [(-e, lo, hi, v)], t]
-                for i, (v, e), lo, hi, t in seeds if i not in holes}
-    else:
-        live = {i: [*outs[i], 1, [(-outs[i][1], float(los[i]),
-                                   float(his[i]), outs[i][0])], tols[i]]
-                for i in todo if i not in holes}
+    live = {i: [*outs[i], 1, [(-outs[i][1], float(los[i]), float(his[i]),
+                               outs[i][0])], tols[i]]
+            for i in todo if i not in holes}
+    return _refine_heaps(fv, row_of, live, first_bad, cap, outs, grown, holes)
+
+
+def _refine_heaps(fv: Callable, row_of, live: dict, first_bad, cap: int,
+                  outs, grown: dict, holes: dict):
+    """The rounds of :func:`_refine` with each refining piece's panels in a
+    heap of (-error, lo, hi, value): its (outs, panels, holes), with outs,
+    grown and holes updated in place.
+
+    ``live`` maps each refining piece, in piece order, to its [value, error,
+    panels, heap, tol], ``row_of`` each piece to its row, and first_bad is
+    the first row with a hole.  A piece's result is written to outs as a
+    pair, which sets a row of an array too.
+    """
     active = list(live)
     while True:
         # a piece that stops refining never starts again
@@ -322,22 +334,106 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
             piece[2] += 1
             heapq.heappush(piece[3], (-e1, lo, mid, v1))
             heapq.heappush(piece[3], (-e2, mid, hi, v2))
-    if columns:
-        for i in holes:
-            live.pop(i, None)
-        if live:
-            # one assignment per column: pair by pair, numpy would convert
-            # each pair on its own
-            done = np.fromiter(live, np.intp, len(live))
-            value, error, count, _, _ = zip(*live.values())
-            outs[done, 0] = np.fromiter(value, float, len(done))
-            outs[done, 1] = np.fromiter(error, float, len(done))
-            grown.update(zip(live, count))
-        return outs, grown, holes
     for i, (value, error, count, _, _) in live.items():
         if i not in holes:
             outs[i], grown[i] = (value, error), count
     return outs, grown, holes
+
+
+def _refine_table(fv: Callable, rows, los, his, tols, cap: int,
+                  outs: np.ndarray, holes: dict):
+    """The rounds of :func:`_refine` after a first batch in the array form,
+    in whole-array steps: its (outs, panels, holes), with outs and holes
+    the first batch's, updated in place.
+
+    The pieces that refine stay in one table, in piece order, with a row
+    per piece and a column per panel: each panel's (error, lo, hi, value).
+    Every live piece gains one panel per round, so at round k each holds
+    the k columns 0, ..., k - 1.  A round takes every piece's worst panel
+    by one max along the rows and one argmin of lo among the panels of that
+    error, which is a heap's order of (-error, lo, hi, value).  Two panels
+    of a piece share a lo only if one is empty, with error 0, so lo ties
+    only where all its panels have error 0; the lowest lo is then the
+    piece's lower end, whose first column holds an empty panel if any,
+    the lower hi.  One _gk15 call evaluates the children, the first child
+    takes its parent's column and the second column k, and the sums are
+    updated as the heap loop does, elementwise.  A piece that stops is
+    written to outs and its row dropped: at its tolerance (a NaN error sum
+    counts as met), at the cap, in a row after the first row with a hole,
+    or at a hole, which keeps the first batch's pair.  The table starts 8
+    columns wide and doubles when full.  Once the children of the pieces
+    left would fit a batch of _ARRAY_PANELS panels, where a heap round is
+    faster, each piece's heap is built from its table row and
+    :func:`_refine_heaps` goes on; pops follow the same order.
+    """
+    grown: dict[int, int] = {}
+    idx = (outs[:, 1] > tols).nonzero()[0]
+    if cap < 2 or not len(idx):
+        return outs, grown, holes
+    rid = np.full(len(outs), rows) if isinstance(rows, int) else \
+        np.asarray(rows)
+    first_bad = min((int(rid[i]) for i in holes), default=math.inf)
+    if holes:
+        idx = idx[~np.isin(idx, list(holes))]
+        idx = idx[rid[idx] <= first_bad]
+    rid, tol = rid[idx], np.asarray(tols, dtype=float)[idx]
+    val, err = outs[idx, 0], outs[idx, 1]
+    table = np.empty((4, len(idx), min(cap, 8)))
+    table[:, :, 0] = (err, np.asarray(los, dtype=float)[idx],
+                      np.asarray(his, dtype=float)[idx], val)
+    k = 1
+    while True:
+        stop = ~(err > tol) if k < cap else np.ones(len(idx), bool)
+        if first_bad < math.inf:
+            stop |= rid > first_bad
+        if stop.any():
+            done = idx[stop]
+            outs[done, 0] = val[stop]
+            outs[done, 1] = err[stop]
+            grown.update(dict.fromkeys(done.tolist(), k))
+            keep = ~stop
+            idx, rid, tol, val, err = (a[keep] for a in (idx, rid, tol, val,
+                                                          err))
+            table = table[:, keep]
+        if 2 * len(idx) <= _ARRAY_PANELS:
+            # the children would fit a list batch, where the heap loop is
+            # faster: each heap is built from its piece's table row
+            ids, live = idx.tolist(), {}
+            for i, v, e, t, panels in zip(ids, val.tolist(), err.tolist(),
+                                          tol.tolist(), np.stack(
+                    (-table[0, :, :k], *table[1:, :, :k]), 2).tolist()):
+                heap = list(map(tuple, panels))
+                heapq.heapify(heap)
+                live[i] = [v, e, k, heap, t]
+            return _refine_heaps(fv, dict(zip(ids, rid.tolist())), live,
+                                 first_bad, cap, outs, grown, holes)
+        if k == table.shape[2]:
+            table = np.concatenate((table, np.empty_like(table)), axis=2)
+        errs = table[0, :, :k]
+        worst = errs.max(1)
+        j = np.where(errs == worst[:, None], table[1, :, :k],
+                     math.inf).argmin(1)
+        at = np.arange(len(idx))
+        _, lo, hi, v = table[:, at, j]
+        mid = 0.5 * (lo + hi)
+        kids, kid_holes = _gk15(_at_rows(fv, rid.tolist(), 2),
+                                np.array((lo, mid)).T.ravel(),
+                                np.array((mid, hi)).T.ravel())
+        v1, e1, v2, e2 = kids.reshape(-1, 4).T
+        val = val + ((v1 + v2) - v)
+        err = err + ((e1 + e2) - worst)
+        table[:, at, j] = e1, lo, mid, v1
+        table[:, :, k] = e2, mid, hi, v2
+        k += 1
+        if kid_holes:
+            keep = np.ones(len(idx), bool)
+            for c in sorted(kid_holes):
+                holes.setdefault(int(idx[c // 2]), kid_holes[c])
+                keep[c // 2] = False
+            first_bad = min(first_bad, int(rid[~keep].min()))
+            idx, rid, tol, val, err = (a[keep] for a in (idx, rid, tol, val,
+                                                          err))
+            table = table[:, keep]
 
 
 # No caller in src; kept while perfbench/tracing.py wraps it by name.

@@ -187,7 +187,9 @@ def _masses(subs: Sequence[RegularSubdomain], xs) -> np.ndarray:
     subdomains share one model, read from ``subs[0].model``.
 
     mu and lambda are the cardinals at x of the first and second basis, so
-    interp1(data)(x) = mu_a f(a) + mu_b f(b).  nu_j(x) = int_a^b
+    interp1(data)(x) = mu_a f(a) + mu_b f(b), clipped at 0; a cardinal
+    below -1e-10 is refused with RegularityError, point by point, before
+    any nu row is integrated.  nu_j(x) = int_a^b
     K_omega(x, z) c_j(z) w(z) dz, where K_omega(x, .) = G1(x, .) - mu_a
     G1(a, .) - mu_b G1(b, .) is the global kernel swept clean on the
     boundary of [a, b], c_j the second basis' cardinal at a (j = 0) or b
@@ -222,6 +224,10 @@ def _masses(subs: Sequence[RegularSubdomain], xs) -> np.ndarray:
         mu = basis_combination(coef1, model.basis1, rows, at)
         lam = basis_combination(coef2, model.basis2, rows, at)
         ka, kb = mu[0::2], mu[1::2]
+        cardinals = [([_clip_weight(w, "mu") for w in m],
+                      [_clip_weight(w, "lambda") for w in lm])
+                     for m, lm in zip(mu.reshape(-1, 2).tolist(),
+                                      lam.reshape(-1, 2).tolist())]
 
         def row(r, z):
             i = r // 2
@@ -230,12 +236,12 @@ def _masses(subs: Sequence[RegularSubdomain], xs) -> np.ndarray:
                     * model.kink_density(z))
 
         # row r = 2i + j on [a, b], cut at x
-        masses = integrate(row, rows=(2 * len(pts),
-                                      [pa.repeat(2), at, pb.repeat(2)], {}),
-                           tol=NU_TOL).value
-        for (sub, x), triple in zip(new, np.array(
-                [mu, masses, lam]).reshape(3, -1, 2).transpose(1, 0, 2)):
-            sub.mass_rows[x] = triple
+        nus = integrate(row, rows=(2 * len(pts),
+                                   [pa.repeat(2), at, pb.repeat(2)], {}),
+                        tol=NU_TOL).value
+        for (sub, x), (m, lm), nu in zip(new, cardinals,
+                                         nus.reshape(-1, 2).tolist()):
+            sub.mass_rows[x] = np.array([m, nu, lm])
     zero = np.zeros((3, 2))
     return np.array([sub.mass_rows.get(x, zero) for x, sub in zip(xs, subs)],
                     dtype=float).reshape(-1, 3, 2)
@@ -253,8 +259,9 @@ def biharmonic_measures(model: ModelSpace, sub, x):
     ``sub`` and ``x`` may also be sequences of subdomains and points, of
     one length: the call then returns a list of triples, one per
     (subdomain, point), each with the bits a one-point call gives it.
-    Every subdomain and point is checked before any integration; the
-    masses of all the points are then one :func:`_masses` call.
+    Every subdomain and point is checked, and then every cardinal, before
+    any integration; the masses of all the points are one :func:`_masses`
+    call.
     """
     one = isinstance(sub, RegularSubdomain)
     subs, xs = ([sub], [x]) if one else (list(sub), list(x))
@@ -263,10 +270,11 @@ def biharmonic_measures(model: ModelSpace, sub, x):
             f"{len(subs)} subdomains do not pair with {len(xs)} points")
     xs = [s.require_model(model).require_interior(x) for s, x in zip(subs, xs)]
     triples = []
-    for sub, x, masses in zip(subs, xs, _masses(subs, xs).tolist()):
-        mu, nu, lam = (tuple(_clip_weight(w, what) for w in pair)
-                       for what, pair in zip(("mu", "nu", "lambda"), masses))
-        triples.append(MeasureTriple((sub.a, sub.b), x, mu, nu, lam))
+    # the nu rows need no clip: integrate reads a row's small negative
+    # total as 0 and refuses a larger one
+    for sub, x, (mu, nu, lam) in zip(subs, xs, _masses(subs, xs).tolist()):
+        triples.append(MeasureTriple((sub.a, sub.b), x, tuple(mu), tuple(nu),
+                                     tuple(lam)))
     return triples[0] if one else triples
 
 

@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 from greenlab import __version__
-from greenlab.cli import load_config, main
+from greenlab.cli import (RunConfig, build_config, cmd_eval, cmd_report,
+                          load_config, main, make_parser)
 from greenlab.errors import ConfigError
 from greenlab.suites import CHECKS, CheckResult
 
@@ -440,3 +441,28 @@ def test_eval_refuses_settings_its_kernel_does_not_apply(tmp_path, capsys):
         assert rc == 0
         assert "# tol-quad = 1e-09" in out
         assert len(data_rows(out)) == 4
+
+
+def test_an_unknown_kernel_and_an_empty_grid_are_refused():
+    for argv, message in (
+            (["--kernel", "k9"],
+             "unknown kernel 'k9'; choose from g1, g2, h, v, vstar"),
+            (["--kernel", "v", "--grid", "0"],
+             "grid must name at least one point, got 0")):
+        with pytest.raises(ConfigError) as info:
+            build_config(make_parser().parse_args(["eval", *argv]))
+        assert str(info.value) == message
+
+
+def test_outputs_that_cannot_be_written_are_refused(tmp_path):
+    missing = tmp_path / "absent" / "out.csv"
+    with pytest.raises(ConfigError) as info:
+        cmd_eval(RunConfig(kernel="g1", x=(0.3,), y=(0.7,), out=str(missing)))
+    assert str(info.value).startswith(f"cannot write {missing}: ")
+    # a directory cannot be made below a file
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="ascii")
+    with pytest.raises(ConfigError) as info:
+        cmd_report(RunConfig(out=str(blocker / "reports")), "symmetry")
+    assert str(info.value).startswith(
+        f"cannot write into {blocker / 'reports'}: ")

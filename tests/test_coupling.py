@@ -429,3 +429,25 @@ def test_array_rows_raise_what_the_scalar_loop_raises():
         assert outcome(lambda: adjoint_apply(model, holed, np.array(xs))) \
             == loop
         assert isinstance(loop, tuple)
+
+
+def test_points_that_do_not_broadcast_or_are_not_1d_are_refused():
+    model = get_model("interval")
+    with pytest.raises(PreconditionError) as info:
+        compose_green(model, [0.3, 0.4], [0.5, 0.6, 0.7])
+    assert str(info.value).startswith("the points do not broadcast: ")
+    for x, y in (([[0.3, 0.4]], 0.5), ([[0.3], [0.4]], [0.5, 0.6])):
+        with pytest.raises(PreconditionError) as info:
+            compose_green(model, x, y)
+        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
+        assert str(info.value) == \
+            f"points come as scalars or 1-D arrays, not shape {shape}"
+
+
+def test_a_radial_model_refuses_a_grid_function():
+    gf = GridFunction(np.linspace(0.0, 2.0, 5), np.ones(5))
+    with pytest.raises(PreconditionError) as info:
+        coupling_apply(get_model("newtonian5"), gf, 1.0)
+    assert str(info.value) == (
+        "grid functions carry no information near the kernel's singular "
+        "origin; pass a closed-form radial profile")

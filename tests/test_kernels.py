@@ -196,3 +196,17 @@ def test_every_sliced_kernel_is_symmetric_bit_for_bit():
             backward = np.asarray(kernel.raw(y, x), dtype=float)
             assert forward.shape == backward.shape == (len(x),)
             assert forward.tobytes() == backward.tobytes(), kernel.name
+
+
+def test_a_radial_point_of_the_wrong_shape_is_refused():
+    with pytest.raises(DomainError) as info:
+        kernel_eval(get_model("newtonian5").G1, [1.0, 2.0], 0.0)
+    assert str(info.value) == "expected a point of R^5, got shape (2,)"
+
+
+def test_a_grid_function_needs_one_value_per_grid_point():
+    for xs, values in (([0.0, 0.5, 1.0], [1.0, 2.0]),
+                       ([[0.0, 1.0]], [[1.0, 2.0]])):
+        with pytest.raises(PreconditionError) as info:
+            GridFunction(xs, values)
+        assert str(info.value) == "grid and values must be 1D and equal length"

@@ -1187,6 +1187,127 @@ def test_singular_keys_at_or_beyond_n_are_not_rows():
 
 
 # ---------------------------------------------------------------------------
+# The panel table: the refining pieces of a batch in the array form, bit for
+# bit against the heap loop.
+
+def _in_table_and_heaps(monkeypatch, call):
+    """call(record) as it is, and with every batch a list, so that every
+    piece refines in the heap loop.  record(r, z) is called by the row
+    integrand on each evaluation.  Per run: each row's bits, or what the
+    call raised; the (row, node) pairs evaluated, sorted; and the size of
+    each _gk15 batch."""
+    gk15 = quadrature._gk15
+    runs = []
+    for switch in (quadrature._ARRAY_PANELS, 10 ** 9):
+        evaluated, sizes = [], []
+
+        def counted(fv, a, b):
+            sizes.append(len(a))
+            return gk15(fv, a, b)
+
+        def record(r, z):
+            evaluated.extend(zip(np.broadcast_to(r, np.shape(z)).tolist(),
+                                 np.asarray(z).tolist()))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_ARRAY_PANELS", switch)
+            patch.setattr(quadrature, "_gk15", counted)
+            try:
+                out = call(record)
+            except Exception as exc:
+                outcome = (type(exc), str(exc))
+            else:
+                outcome = [_row_bits(res) for res in (
+                    [out] if isinstance(out, quadrature.QuadResult) else out)]
+        runs.append((outcome, sorted(evaluated), sizes))
+    return runs
+
+
+def _table_rounds(sizes) -> int:
+    # the table refines while the children fill an array batch; the heap
+    # loop takes over where they fit a list
+    return sum(size > quadrature._ARRAY_PANELS for size in sizes[1:])
+
+
+def _unit_rows(n, g, tol, cap=2000):
+    """integrate on n rows [0, 1] of the row integrand g, recorded."""
+    def call(record):
+        def f(r, z):
+            record(r, z)
+            return g(np.asarray(r), np.asarray(z, dtype=float))
+        return integrate(f, rows=(n, [np.zeros(n), np.ones(n)], {}), tol=tol,
+                         max_subdivisions=cap)
+    return call
+
+
+def test_table_ties_between_panels_of_a_piece_go_to_the_lowest_end(
+        monkeypatch):
+    def g(r, z):
+        return (1.0 + r / 64.0) * np.abs(z - 0.5)
+
+    # the two halves of [0, 1] are mirror images, and in 32 of the rows
+    # their errors are equal; the heap bisects the left one first
+    halves = [_gk15(_vec(lambda z, r=r: g(r, np.asarray(z))), [0.0, 0.5],
+                    [0.5, 1.0])[0] for r in range(70)]
+    assert sum(left[1] == right[1] for left, right in halves) == 32
+    table, heaps = _in_table_and_heaps(monkeypatch,
+                                       _unit_rows(70, g, 1e-15, cap=5))
+    assert table == heaps
+    assert _table_rounds(table[2]) == 4
+    assert {bits[4] for bits in table[0]} == {5}
+
+
+def test_table_hole_met_in_a_later_round_stops_the_later_rows(monkeypatch):
+    # row 35 is NaN at 0.125 and 0.375, the centre nodes of [0, 0.25] and
+    # [0.25, 0.5]: the second round bisects [0, 0.5], where its kink is, and
+    # the first child names the hole
+    def g(r, z):
+        kink = (1.0 + r / 64.0) * np.abs(z - 0.3)
+        return np.where((r == 35) & ((z == 0.125) | (z == 0.375)), np.nan,
+                        kink)
+
+    table, heaps = _in_table_and_heaps(monkeypatch, _unit_rows(70, g, 1e-10))
+    assert table == heaps
+    assert table[0] == (UndeclaredSingularityError,
+                        "integrand is non-finite at 0.125, away from every "
+                        "declared singular point")
+    assert _table_rounds(table[2]) >= 3
+    # the rows before the hole refine to their end, those after it stop
+    per_row = np.bincount([r for r, _ in table[1]])
+    assert per_row[0] > per_row[36] == per_row[69] == 5 * len(_GK_NODES)
+
+
+def test_table_pieces_stop_at_the_cap(monkeypatch):
+    # the kink rows reach the cap of 8 panels; z^2 meets its tolerance at once
+    table, heaps = _in_table_and_heaps(monkeypatch, _unit_rows(
+        100, lambda r, z: np.where(r % 2 == 1, np.abs(z - 0.3), z * z),
+        1e-10, cap=8))
+    assert table == heaps
+    assert _table_rounds(table[2]) == 7
+    assert [(bits[4], bits[6]) for bits in table[0]] == \
+        [(1, True), (8, False)] * 50
+
+
+def test_table_rounds_past_its_first_width(monkeypatch):
+    # 14 rounds of every row, where the table starts 8 panels wide
+    table, heaps = _in_table_and_heaps(monkeypatch, _unit_rows(
+        70, lambda r, z: (1.0 + r / 64.0) * np.abs(z - 0.3), 1e-12))
+    assert table == heaps
+    assert _table_rounds(table[2]) == 14
+    # one row cut into 70 pieces, each with a kink
+    def one_row(record):
+        def f(z):
+            record(0, z)
+            return np.abs(np.modf(70.0 * np.asarray(z))[0] - 0.3)
+        return integrate(_vec(f), (0.0, 1.0), tol=1e-10,
+                         breakpoints=np.arange(1, 70) / 70.0)
+
+    table, heaps = _in_table_and_heaps(monkeypatch, one_row)
+    assert table == heaps
+    assert _table_rounds(table[2]) > 8
+
+
+# ---------------------------------------------------------------------------
 # Probe refusals: before any evaluation of the integrand.
 
 def _counting(calls, p=-0.5):

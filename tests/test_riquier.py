@@ -583,11 +583,40 @@ def test_a_negative_mass_is_refused():
     with pytest.raises(PreconditionError, match="evaluated to -.* < 0"):
         biharmonic_measures(flipped, sub, 0.5)
     # a first basis that is not a Chebyshev system on [0.2, 0.8] has a
-    # cardinal below 0 inside it; with a zero kink density the nu rows are
-    # 0, so the negative mu mass reaches the clip
+    # cardinal below 0 inside it, refused before any nu row is integrated
     bent = replace(interval, basis1=(
         interval.basis1[0], lambda x: (np.asarray(x, dtype=float) - 0.4) ** 2),
         kink_density=lambda z: 0.0 * np.asarray(z, dtype=float))
     sub = regular_subdomain(bent, 0.2, 0.8)
     with pytest.raises(RegularityError, match=r"negative mu-mass -3\.333e-01"):
         biharmonic_measures(bent, sub, 0.4)
+
+
+def test_a_negative_cardinal_is_refused_before_any_integral(monkeypatch):
+    # (1, (x - 0.4)^2) is no Chebyshev system on [0.2, 0.8]: its cardinal
+    # at 0.8, ((x - 0.4)^2 - 0.04) / 0.12, is negative on (0.2, 0.6), and
+    # with the interval's kink density the nu rows would be signed
+    interval = get_model("interval")
+    bent = replace(interval, basis1=(
+        interval.basis1[0], lambda x: (np.asarray(x, dtype=float) - 0.4) ** 2))
+    sub = regular_subdomain(bent, 0.2, 0.8)
+    calls = []
+    monkeypatch.setattr(riquier, "integrate",
+                        lambda *args, **kwargs: calls.append(args))
+    # both cardinals are positive at 0.7
+    for x, mass in ((0.3, "-2.500e-01"), (0.58, "-6.333e-02")):
+        for call in (lambda: biharmonic_measures(bent, sub, x),
+                     lambda: biharmonic_measures(bent, [sub, sub], [0.7, x])):
+            with pytest.raises(RegularityError) as info:
+                call()
+            assert str(info.value) == f"negative mu-mass {mass}"
+    assert calls == [] and not sub.mass_rows
+
+
+def test_a_point_off_the_open_subdomain_is_refused():
+    model = get_model("interval")
+    sub = regular_subdomain(model, 0.2, 0.8)
+    for x in (0.2, 0.1, 0.8):
+        with pytest.raises(PreconditionError) as info:
+            biharmonic_measures(model, sub, x)
+        assert str(info.value) == f"{x:g} is not interior to [0.2, 0.8]"
