@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError, DomainError, PreconditionError
-from .quadrature import StencilSpec
 from .values import DivergenceCertificate, ExtendedValue
 
 
@@ -299,6 +298,23 @@ class ReferenceMeasure:
 
 # ---------------------------------------------------------------------------
 # Model spaces and pairs.
+
+@dataclass(frozen=True)
+class StencilSpec:
+    """A second-order 1D differential operator in discretizable form.
+
+    form="product_second":  L u = (m(x) u(x))''          (weight m)
+    form="flux":            L u = (w(x) u'(x))' / w(x)   (weight w)
+    A ``weight`` of None means the constant 1, i.e. the plain u''.
+    """
+    name: str
+    form: str = "product_second"
+    weight: Callable[[float], float] | None = None
+
+    def __post_init__(self):
+        if self.form not in ("product_second", "flux"):
+            raise ValueError(f"unknown stencil form {self.form!r}")
+
 
 @dataclass(frozen=True)
 class ModelSpace:

@@ -17,8 +17,8 @@ import numpy as np
 from ..errors import PreconditionError
 from ..coupling import compose_green
 from ..kernels import (Fn, GreenKernel, Interval1D, ModelSpace,
-                       ReferenceMeasure, constant, BiharmonicPair)
-from ..quadrature import StencilSpec, fd_residual
+                       ReferenceMeasure, StencilSpec, constant, BiharmonicPair)
+from ..riquier import fd_residual
 from ..values import FD_TOL, QUAD_TOL, ExtendedValue
 
 

@@ -20,8 +20,8 @@ import numpy as np
 from ..errors import PreconditionError
 from ..coupling import coupling_apply
 from ..kernels import (BiharmonicPair, EndpointSingularity, Fn, GreenKernel,
-                       Interval1D, ModelSpace, ReferenceMeasure, constant)
-from ..quadrature import StencilSpec
+                       Interval1D, ModelSpace, ReferenceMeasure, StencilSpec,
+                       constant)
 from ..values import IDENTITY_TOL
 from .. import riquier
 
@@ -201,9 +201,8 @@ def strictness_probe(pair: BiharmonicPair, omega: tuple[float, float],
     whole nu-term, which is what makes the potential strict; with v = 0 and
     u harmonic both sides collapse to zero.
     """
-    model = interval_model()
-    sub = riquier.regular_subdomain(model, *omega)
-    triple = riquier.biharmonic_measures(model, sub, x)
+    sub = riquier.regular_subdomain(interval_model(), *omega)
+    triple = riquier.biharmonic_measures(sub, x)
     a, b = omega
     ua, ub = float(pair.u(a)), float(pair.u(b))
     va, vb = float(pair.v(a)), float(pair.v(b))

@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (GreenLabError, ModelDomainError, PreconditionError,
-                     StencilError, UndeclaredSingularityError)
+                     UndeclaredSingularityError)
 from .values import (DivergenceCertificate, ExtendedValue, blown_up,
                      divergent_exponent)
 
@@ -1142,102 +1142,3 @@ def integrate_radial(g: Callable, n: int, upper: float | None = None,
     return integrate(weighted, (0.0, b), singular_points=(0.0,), tol=tol,
                      breakpoints=breakpoints)
 
-
-# ---------------------------------------------------------------------------
-# Finite-difference stencils.
-
-@dataclass(frozen=True)
-class StencilSpec:
-    """A second-order 1D differential operator in discretizable form.
-
-    form="product_second":  L u = (m(x) u(x))''          (weight m)
-    form="flux":            L u = (w(x) u'(x))' / w(x)   (weight w)
-    A ``weight`` of None means the constant 1, i.e. the plain u''.
-    """
-    name: str
-    form: str = "product_second"
-    weight: Callable[[float], float] | None = None
-
-    def __post_init__(self):
-        if self.form not in ("product_second", "flux"):
-            raise ValueError(f"unknown stencil form {self.form!r}")
-
-    def _weights(self, xs: np.ndarray) -> np.ndarray | float:
-        """The weight at the points of the array xs; 1.0 for the constant 1."""
-        if self.weight is None:
-            return 1.0
-        return np.asarray(as_vectorized(self.weight)(xs.ravel()),
-                          dtype=float).reshape(xs.shape)
-
-
-def fd_residual(stencil: StencilSpec, u: Callable, x, h: float):
-    """Central-difference evaluation of ``stencil`` applied to u at x.
-
-    x is a point or a 1-D array of points; the result is a float or an
-    array of x's shape.  u is evaluated once, through :func:`as_vectorized`,
-    on the window nodes of every x: x - h, x, x + h, then x - h/2 and
-    x + h/2 for the Richardson step, so a vectorized u must be elementwise.
-    Each x gets the bits of its own scalar evaluation.  A non-finite sample
-    (in the product form, of the weight times u) raises
-    :class:`StencilError` naming the first x, in order, whose window holds
-    one.
-
-    One Richardson step (h and h/2) upgrades the O(h^2) truncation to O(h^4).
-    """
-    pts = np.asarray(x, dtype=float)
-    xs = pts.reshape(-1)
-    # columns: x - h, x, x + h, then x - h/2, x + h/2
-    nodes = np.stack([xs - h, xs, xs + h, xs - 0.5 * h, xs + 0.5 * h],
-                     axis=1)
-    vals = np.asarray(as_vectorized(u)(nodes.ravel()), dtype=float) \
-        .reshape(nodes.shape)
-    product = stencil.form == "product_second"
-    if product:
-        with np.errstate(invalid="ignore"):     # 0 * inf is refused below
-            vals = stencil._weights(nodes) * vals
-    bad = ~np.isfinite(vals).all(axis=1)
-    if bad.any():
-        raise StencilError("non-finite sample in stencil window at "
-                           f"{xs.tolist()[int(np.argmax(bad))]!r}")
-    diffs = []
-    for s, (left, right) in ((h, (0, 2)), (0.5 * h, (3, 4))):
-        um, u0, up = vals[:, left], vals[:, 1], vals[:, right]
-        if product:
-            diffs.append((um - 2.0 * u0 + up) / (s * s))
-        else:
-            wm = stencil._weights(xs - 0.5 * s)
-            wp = stencil._weights(xs + 0.5 * s)
-            diffs.append((wp * (up - u0) - wm * (u0 - um))
-                         / (s * s * stencil._weights(xs)))
-    d = (4.0 * diffs[1] - diffs[0]) / 3.0
-    return float(d[0]) if pts.ndim == 0 else d.reshape(pts.shape)
-
-
-def basis_combination(coef: np.ndarray, basis, j, x):
-    """coef[0, j] basis[0](x) + coef[1, j] basis[1](x), the column j
-    combination of a two-function basis.
-
-    With coef the inverse of the basis' interpolation matrix on [a, b],
-    column j = 0 (1) gives the cardinal that is 1 at a (b) and 0 at the
-    other end.  j may be an int array of x's shape.  The sum is
-    elementwise, so a point's value does not depend on the array it is
-    evaluated in.
-    """
-    x = np.asarray(x, dtype=float)
-    return (coef[0, j] * np.asarray(basis[0](x), dtype=float)
-            + coef[1, j] * np.asarray(basis[1](x), dtype=float))
-
-
-def basis_fit_residual(basis: Sequence[Callable[[float], float]],
-                       v: Callable[[float], float], x: float) -> float:
-    """Deviation of v at x from the two-point basis interpolant through x±0.02.
-
-    Vanishes (to roundoff) exactly when v is locally in the span of the basis,
-    which is the operator-free way to test harmonicity of a closed form.
-    """
-    b1, b2 = basis
-    lo, hi = x - 0.02, x + 0.02
-    m = np.array([[b1(lo), b2(lo)], [b1(hi), b2(hi)]], dtype=float)
-    rhs = np.array([float(v(lo)), float(v(hi))], dtype=float)
-    coef = np.linalg.solve(m, rhs)
-    return float(v(x)) - float(basis_combination(coef[:, None], basis, 0, x))

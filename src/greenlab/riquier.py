@@ -1,4 +1,5 @@
-"""Two-point boundary problems for the coupled pair on subintervals.
+"""Two-point boundary problems for the coupled pair on subintervals, and
+the local theory of the two operators they rest on.
 
 A regular subinterval carries a triple of boundary measures (mu_x, nu_x,
 lambda_x): the first component of the solution pairs boundary data (f, g)
@@ -10,16 +11,21 @@ w, the normalization under which K_omega inverts the first operator; the
 masses at any number of points are the rows of one quadrature call.  The
 first component of the Riquier solution is that pairing itself.
 
-A :class:`RegularSubdomain` belongs to the one model object it was
-validated for, and every function here refuses it for any other.  The
-measures depend on that model, the subinterval and x, never on the data,
-so the subdomain holds every mass row computed on it, by point: the
-triples and every solution on one subdomain integrate a point once.  A
-solution's u and v refuse points off [a, b].  A model without a kink
-density has no Riquier problem.  The adjoint (transposed) triple is the
-triple of the adjoint space ``model.adjoint``; that space has a kink density
-only where it is the model itself (the clamped plate), so there the adjoint
-triple is the forward one.
+A :class:`RegularSubdomain` carries the one model object it was
+validated for, and every function here reads the model from it; a call on
+subdomains of two model objects is refused.  The measures depend on that
+model, the subinterval and x, never on the data, so the subdomain holds
+every mass row computed on it, by point: the triples and every solution on
+one subdomain integrate a point once.  A solution's u and v refuse points
+off [a, b].  A model without a kink density has no Riquier problem.  The
+adjoint (transposed) triple is the triple on
+``regular_subdomain(model.adjoint, a, b)``; the adjoint space has a kink
+density only where it is the model itself (the clamped plate), so there
+it equals the forward triple.
+
+The bases and stencils of the two operators live here too: cardinal
+combinations and local fits of a two-function basis, and the
+finite-difference residual of a :class:`~greenlab.kernels.StencilSpec`.
 """
 
 from __future__ import annotations
@@ -31,10 +37,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (DomainError, ModelDomainError, PreconditionError,
-                     RegularityError)
-from .kernels import BiharmonicPair, Fn, Interval1D, ModelSpace
-from .quadrature import (as_vectorized, basis_combination, fd_residual,
-                         integrate)
+                     RegularityError, StencilError)
+from .kernels import BiharmonicPair, Fn, Interval1D, ModelSpace, StencilSpec
+from .quadrature import as_vectorized, integrate
 from .values import FD_TOL, IDENTITY_TOL
 
 COND_LIMIT = 1e10
@@ -55,6 +60,36 @@ def _interp_matrix(basis, a: float, b: float) -> np.ndarray:
     return m
 
 
+def basis_combination(coef: np.ndarray, basis, j, x):
+    """coef[0, j] basis[0](x) + coef[1, j] basis[1](x), the column j
+    combination of a two-function basis.
+
+    With coef the inverse of the basis' interpolation matrix on [a, b],
+    column j = 0 (1) gives the cardinal that is 1 at a (b) and 0 at the
+    other end.  j may be an int array of x's shape.  The sum is
+    elementwise, so a point's value does not depend on the array it is
+    evaluated in.
+    """
+    x = np.asarray(x, dtype=float)
+    return (coef[0, j] * np.asarray(basis[0](x), dtype=float)
+            + coef[1, j] * np.asarray(basis[1](x), dtype=float))
+
+
+def basis_fit_residual(basis: Sequence[Callable[[float], float]],
+                       v: Callable[[float], float], x: float) -> float:
+    """Deviation of v at x from the two-point basis interpolant through x±0.02.
+
+    Vanishes (to roundoff) exactly when v is locally in the span of the basis,
+    which is the operator-free way to test harmonicity of a closed form.  A
+    basis singular at x - 0.02 or x + 0.02 is refused with
+    :class:`~greenlab.errors.RegularityError`.
+    """
+    lo, hi = x - 0.02, x + 0.02
+    rhs = np.array([float(v(lo)), float(v(hi))], dtype=float)
+    coef = np.linalg.solve(_interp_matrix(basis, lo, hi), rhs)
+    return float(v(x)) - float(basis_combination(coef[:, None], basis, 0, x))
+
+
 @dataclass(frozen=True, eq=False)
 class RegularSubdomain:
     """A subinterval on which both bases of ``model`` interpolate stably.
@@ -70,13 +105,6 @@ class RegularSubdomain:
     inv1: np.ndarray
     inv2: np.ndarray
     mass_rows: dict = field(init=False, repr=False, default_factory=dict)
-
-    def require_model(self, model: ModelSpace) -> "RegularSubdomain":
-        # by identity: a copy that keeps the id may differ in any field
-        if model is not self.model:
-            raise PreconditionError(f"the subdomain was built for model "
-                                    f"{self.model.id}, not this {model.id}")
-        return self
 
     def require_interior(self, x: float) -> float:
         x = float(x)
@@ -247,28 +275,34 @@ def _masses(subs: Sequence[RegularSubdomain], xs) -> np.ndarray:
                     dtype=float).reshape(-1, 3, 2)
 
 
-def biharmonic_measures(model: ModelSpace, sub, x):
-    """The measure triple of [a, b] at interior x.
+def biharmonic_measures(sub, x):
+    """The measure triple of the subdomain ``sub`` at interior x, in the
+    model the subdomain was built for.
 
     mu_x and lambda_x are the interpolation weights of the two bases; the
     nu_x masses integrate the localized kernel against the second basis'
     cardinal functions, weighted by the kink density, each at ``NU_TOL``.
-    The triple of the transposed problem is that of ``model.adjoint``, on
-    a subdomain built for it.
+    The triple of the transposed problem is the triple on a subdomain of
+    ``model.adjoint``.
 
     ``sub`` and ``x`` may also be sequences of subdomains and points, of
     one length: the call then returns a list of triples, one per
-    (subdomain, point), each with the bits a one-point call gives it.
-    Every subdomain and point is checked, and then every cardinal, before
-    any integration; the masses of all the points are one :func:`_masses`
-    call.
+    (subdomain, point), each with the bits a one-point call gives it.  The
+    subdomains must belong to one model object.  Every subdomain and point
+    is checked, and then every cardinal, before any integration; the
+    masses of all the points are one :func:`_masses` call.
     """
     one = isinstance(sub, RegularSubdomain)
     subs, xs = ([sub], [x]) if one else (list(sub), list(x))
     if len(subs) != len(xs):
         raise PreconditionError(
             f"{len(subs)} subdomains do not pair with {len(xs)} points")
-    xs = [s.require_model(model).require_interior(x) for s, x in zip(subs, xs)]
+    for s in subs:
+        if s.model is not subs[0].model:
+            raise PreconditionError(
+                f"subdomains of two model objects, {subs[0].model.id} and "
+                f"{s.model.id}, in one call")
+    xs = [s.require_interior(x) for s, x in zip(subs, xs)]
     triples = []
     # the nu rows need no clip: integrate reads a row's small negative
     # total as 0 and refuses a larger one
@@ -280,17 +314,18 @@ def biharmonic_measures(model: ModelSpace, sub, x):
 
 @dataclass(frozen=True)
 class RiquierSolution:
-    """The pair (u, v) matching boundary data (f, g) on a subinterval."""
-    omega: tuple[float, float]
+    """The pair (u, v) matching boundary data (f, g) on a subdomain."""
+    sub: RegularSubdomain
     f: tuple[float, float]
     g: tuple[float, float]
     u: Callable
     v: Callable
 
 
-def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
-                  f: Sequence[float], g: Sequence[float]) -> RiquierSolution:
-    """Solve the two-component boundary problem on [a, b].
+def solve_riquier(sub: RegularSubdomain, f: Sequence[float],
+                  g: Sequence[float]) -> RiquierSolution:
+    """Solve the two-component boundary problem on the subdomain [a, b], in
+    the model it was built for.
 
     v is the second-basis interpolant of g.  u is the measure pairing
     h1(x) + g_a nu_a(x) + g_b nu_b(x), h1 the first-basis interpolant of f:
@@ -303,7 +338,6 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
     the array it is in, nor on what ``sub`` held.  u and v refuse a point
     off [a, b] with a :class:`~greenlab.errors.DomainError`.
     """
-    sub.require_model(model)
     fa, fb = float(f[0]), float(f[1])
     ga, gb = float(g[0]), float(g[1])
     for val in (fa, fb, ga, gb):
@@ -324,10 +358,61 @@ def solve_riquier(model: ModelSpace, sub: RegularSubdomain,
     def v(x):
         return v2(sub.require_closed(x))
 
-    return RiquierSolution((a, b), (fa, fb), (ga, gb),
+    return RiquierSolution(sub, (fa, fb), (ga, gb),
                            Fn(u, breakpoints=(a, b), vectorized=True,
                               name="riquier-u"),
                            Fn(v, vectorized=True, name="riquier-v"))
+
+
+def _weights(stencil: StencilSpec, xs: np.ndarray) -> np.ndarray | float:
+    """The stencil's weight at the points of xs; 1.0 for the constant 1."""
+    if stencil.weight is None:
+        return 1.0
+    return np.asarray(as_vectorized(stencil.weight)(xs.ravel()),
+                      dtype=float).reshape(xs.shape)
+
+
+def fd_residual(stencil: StencilSpec, u: Callable, x, h: float):
+    """Central-difference evaluation of ``stencil`` applied to u at x.
+
+    x is a point or a 1-D array of points; the result is a float or an
+    array of x's shape.  u is evaluated once, through :func:`as_vectorized`,
+    on the window nodes of every x: x - h, x, x + h, then x - h/2 and
+    x + h/2 for the Richardson step, so a vectorized u must be elementwise.
+    Each x gets the bits of its own scalar evaluation.  A non-finite sample
+    (in the product form, of the weight times u) raises
+    :class:`StencilError` naming the first x, in order, whose window holds
+    one.
+
+    One Richardson step (h and h/2) upgrades the O(h^2) truncation to O(h^4).
+    """
+    pts = np.asarray(x, dtype=float)
+    xs = pts.reshape(-1)
+    # columns: x - h, x, x + h, then x - h/2, x + h/2
+    nodes = np.stack([xs - h, xs, xs + h, xs - 0.5 * h, xs + 0.5 * h],
+                     axis=1)
+    vals = np.asarray(as_vectorized(u)(nodes.ravel()), dtype=float) \
+        .reshape(nodes.shape)
+    product = stencil.form == "product_second"
+    if product:
+        with np.errstate(invalid="ignore"):     # 0 * inf is refused below
+            vals = _weights(stencil, nodes) * vals
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise StencilError("non-finite sample in stencil window at "
+                           f"{xs.tolist()[int(np.argmax(bad))]!r}")
+    diffs = []
+    for s, (left, right) in ((h, (0, 2)), (0.5 * h, (3, 4))):
+        um, u0, up = vals[:, left], vals[:, 1], vals[:, right]
+        if product:
+            diffs.append((um - 2.0 * u0 + up) / (s * s))
+        else:
+            wm = _weights(stencil, xs - 0.5 * s)
+            wp = _weights(stencil, xs + 0.5 * s)
+            diffs.append((wp * (up - u0) - wm * (u0 - um))
+                         / (s * s * _weights(stencil, xs)))
+    d = (4.0 * diffs[1] - diffs[0]) / 3.0
+    return float(d[0]) if pts.ndim == 0 else d.reshape(pts.shape)
 
 
 def _values(fn: Callable, xs) -> np.ndarray:
@@ -348,8 +433,7 @@ class SolutionResiduals:
                 and self.l2_residual <= FD_TOL)
 
 
-def check_riquier_solution(model: ModelSpace,
-                           sol: RiquierSolution) -> SolutionResiduals:
+def check_riquier_solution(sol: RiquierSolution) -> SolutionResiduals:
     """Residuals certifying a solution: boundary match and both operator ODEs.
 
     Both ODEs are read at five probes spread across the subinterval.  The
@@ -358,7 +442,7 @@ def check_riquier_solution(model: ModelSpace,
     Each stencil reads its function on the windows of every probe in one
     call.
     """
-    a, b = sol.omega
+    model, a, b = sol.sub.model, sol.sub.a, sol.sub.b
     va, vb = _values(sol.v, [a, b]).tolist()
     ua, ub = _values(sol.u, [a, b]).tolist()
     boundary_gap = max(abs(va - sol.g[0]), abs(vb - sol.g[1]),
@@ -434,7 +518,7 @@ def verify_hyperharmonic(model: ModelSpace, pair: BiharmonicPair,
     for omega, _ in probes:
         if omega not in subs:
             subs[omega] = regular_subdomain(model, *omega)
-    triples = biharmonic_measures(model, [subs[omega] for omega, _ in probes],
+    triples = biharmonic_measures([subs[omega] for omega, _ in probes],
                                   [x for _, x in probes])
     pts = [p for (a, b), x in probes for p in (a, b, x)]
     us = _values(pair.u, pts).reshape(-1, 3)

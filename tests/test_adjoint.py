@@ -389,3 +389,11 @@ def test_the_adjoint_space_is_one_object_per_model(monkeypatch):
     assert adjoint.kink_density is None
     with pytest.raises(ModelDomainError, match="interval\\* has no kink"):
         regular_subdomain(adjoint, 0.3, 0.7)
+
+
+def test_a_continuity_probe_without_room_to_approach_is_refused():
+    # y = 1e-10 on (0, 1), with x beside it: every dyadic start is below 1e-9
+    with pytest.raises(PreconditionError) as info:
+        continuity_probe(get_model("bilaplace"), 2e-10, 1e-10)
+    assert str(info.value) == \
+        "no room for a dyadic approach to y = 1e-10 inside the domain"

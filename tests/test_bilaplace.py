@@ -72,7 +72,7 @@ def test_navier_kink_must_be_interior():
 def test_nu_masses_at_the_center():
     model = bilaplace_model()
     sub = regular_subdomain(model, 0.0, 1.0)
-    triple = biharmonic_measures(model, sub, 0.5)
+    triple = biharmonic_measures(sub, 0.5)
     for mass in triple.nu:
         assert mass == pytest.approx(oracles.BILAPLACE_NU_MASS, abs=1e-9)
     # both bases contain the constants, so the endpoint weights resolve 1

@@ -466,3 +466,10 @@ def test_outputs_that_cannot_be_written_are_refused(tmp_path):
         cmd_report(RunConfig(out=str(blocker / "reports")), "symmetry")
     assert str(info.value).startswith(
         f"cannot write into {blocker / 'reports'}: ")
+
+
+def test_eval_v_on_a_radial_model_without_points_reads_the_origin(capsys):
+    rc, out, _ = run_cli(capsys, "eval", "--model", "newtonian5",
+                         "--kernel", "v")
+    assert rc == 0
+    assert data_rows(out)[1:] == [["0", "INF", "1"]]

@@ -451,3 +451,15 @@ def test_a_radial_model_refuses_a_grid_function():
     assert str(info.value) == (
         "grid functions carry no information near the kernel's singular "
         "origin; pass a closed-form radial profile")
+
+
+def test_a_divergent_coupling_under_a_finite_u_is_refused():
+    # V(1/y^2 - 1) diverges at every x on the interval model, like H(x, 0)
+    pair = BiharmonicPair(
+        constant(1.0),
+        Fn(lambda y: np.asarray(y, dtype=float) ** -2 - 1.0, vectorized=True,
+           singular_points=(0.0,)))
+    with pytest.raises(ClassificationError) as info:
+        pure_decompose(get_model("interval"), pair, [0.5])
+    assert str(info.value) == ("V(v) diverges at 0.5 while u(0.5) = 1 is "
+                               "finite; the pair admits no pure part")

@@ -7,8 +7,9 @@ import pytest
 import oracles
 from greenlab.errors import (ConditioningError, ConfigError, DomainError,
                              PreconditionError)
-from greenlab.kernels import (BiharmonicPair, Fn, GridFunction, Interval1D,
-                              bump, constant, is_grid_function, kernel_eval)
+from greenlab.kernels import (BiharmonicPair, Fn, GreenKernel, GridFunction,
+                              Interval1D, StencilSpec, bump, constant,
+                              is_grid_function, kernel_eval)
 from greenlab.models import MODEL_NAMES, get_model
 from greenlab.models.interval import q0
 
@@ -210,3 +211,17 @@ def test_a_grid_function_needs_one_value_per_grid_point():
         with pytest.raises(PreconditionError) as info:
             GridFunction(xs, values)
         assert str(info.value) == "grid and values must be 1D and equal length"
+
+
+def test_a_kernel_point_of_negative_value_is_refused():
+    neg = GreenKernel("neg", Interval1D(0.0, 1.0), lambda x, y: -1.0)
+    with pytest.raises(PreconditionError) as info:
+        kernel_eval(neg, 0.3, 0.4)
+    assert str(info.value) == \
+        "kernel neg returned a negative value at (0.3, 0.4)"
+
+
+def test_an_unknown_stencil_form_is_refused():
+    with pytest.raises(ValueError) as info:
+        StencilSpec("x", "bogus")
+    assert str(info.value) == "unknown stencil form 'bogus'"

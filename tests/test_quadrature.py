@@ -8,12 +8,13 @@ from greenlab import quadrature
 from greenlab.coupling import coupling_apply
 from greenlab.errors import (GreenLabError, PreconditionError,
                              StencilError, UndeclaredSingularityError)
-from greenlab.kernels import Fn
+from greenlab.kernels import Fn, StencilSpec
 from greenlab.models import get_model
 from greenlab.quadrature import (PROBE_DEPTH, _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
-                                 _fit_slope, _shell_bounds, _window_fit, StencilSpec, basis_fit_residual, fd_residual,
+                                 _fit_slope, _shell_bounds, _window_fit,
                                  integrate, integrate_radial, probe_divergence,
                                  probe_tail, sphere_surface_area)
+from greenlab.riquier import basis_fit_residual, fd_residual
 from greenlab.values import DivergenceCertificate
 
 

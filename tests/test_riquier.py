@@ -18,11 +18,11 @@ from greenlab.errors import (
 from greenlab.kernels import BiharmonicPair, Fn, constant
 from greenlab.models import get_model
 from greenlab.models.interval import global_pure_pair
-from greenlab.quadrature import fd_residual
 from greenlab.riquier import (
     MeasureTriple,
     biharmonic_measures,
     check_riquier_solution,
+    fd_residual,
     regular_subdomain,
     solve_riquier,
     verify_hyperharmonic,
@@ -61,7 +61,7 @@ def test_subdomain_conditioning_guard():
 def test_measure_masses_are_positive_and_normalized():
     model = get_model("interval")
     sub = regular_subdomain(model, 0.2, 0.8)
-    triple = biharmonic_measures(model, sub, 0.5)
+    triple = biharmonic_measures(sub, 0.5)
     assert all(m >= 0.0 for m in triple.mu + triple.nu + triple.lam)
     assert min(triple.nu) > 0.0
     # the constants lie in both bases, so each interpolation resolves 1
@@ -73,7 +73,7 @@ def test_measures_reproduce_basis_harmonics():
     model = get_model("interval")
     a, b, x = 0.25, 0.75, 0.4
     sub = regular_subdomain(model, a, b)
-    triple = biharmonic_measures(model, sub, x)
+    triple = biharmonic_measures(sub, x)
 
     def u(t):
         return 1.5 - 0.3 / t            # first-sheaf harmonic
@@ -90,10 +90,8 @@ def test_measures_reproduce_basis_harmonics():
 def test_nu_mass_grows_with_the_subdomain():
     model = get_model("interval")
     x = 0.45
-    small = biharmonic_measures(
-        model, regular_subdomain(model, 0.3, 0.6), x)
-    large = biharmonic_measures(
-        model, regular_subdomain(model, 0.2, 0.8), x)
+    small = biharmonic_measures(regular_subdomain(model, 0.3, 0.6), x)
+    large = biharmonic_measures(regular_subdomain(model, 0.2, 0.8), x)
     assert sum(large.nu) > sum(small.nu)
 
 
@@ -111,8 +109,8 @@ def test_solve_riquier_residuals():
         sub = regular_subdomain(model, *omega)
         f = tuple(rng.uniform(-2.0, 2.0, 2))
         g = tuple(rng.uniform(-2.0, 2.0, 2))
-        sol = solve_riquier(model, sub, f, g)
-        res = check_riquier_solution(model, sol)
+        sol = solve_riquier(sub, f, g)
+        res = check_riquier_solution(sol)
         assert res.boundary_gap <= 1e-9
         assert res.l1_residual <= 1e-3
         assert res.l2_residual <= 1e-3
@@ -122,7 +120,7 @@ def test_solve_riquier_residuals():
 def test_zero_second_data_reduces_to_interpolation():
     model = get_model("interval")
     sub = regular_subdomain(model, 0.3, 0.9)
-    sol = solve_riquier(model, sub, (1.0, 2.0), (0.0, 0.0))
+    sol = solve_riquier(sub, (1.0, 2.0), (0.0, 0.0))
     for x in np.linspace(0.35, 0.85, 7):
         assert float(sol.v(x)) == pytest.approx(0.0, abs=1e-14)
         assert float(sol.u(x)) == pytest.approx(
@@ -133,7 +131,7 @@ def test_boundary_data_must_be_finite():
     model = get_model("interval")
     sub = regular_subdomain(model, 0.3, 0.9)
     with pytest.raises(PreconditionError):
-        solve_riquier(model, sub, (math.inf, 0.0), (0.0, 0.0))
+        solve_riquier(sub, (math.inf, 0.0), (0.0, 0.0))
 
 
 def test_pure_pair_verifies_hyperharmonic():
@@ -192,7 +190,7 @@ def test_nu_masses_match_the_closed_forms(model_name, omega, adjoint):
     sub = regular_subdomain(model, a, b)
     for frac in (0.01, 0.3, 0.5, 0.77, 0.99):
         x = a + frac * (b - a)
-        triple = biharmonic_measures(model, sub, x)
+        triple = biharmonic_measures(sub, x)
         want = oracles.riquier_nu(model_name, a, b, x)
         assert triple.nu == pytest.approx(want, rel=0.0, abs=1e-10)
 
@@ -209,10 +207,10 @@ def test_signed_riquier_data(model_name, omega, f, g):
     model = get_model(model_name)
     a, b = omega
     sub = regular_subdomain(model, a, b)
-    sol = solve_riquier(model, sub, f, g)
+    sol = solve_riquier(sub, f, g)
     assert float(sol.u(a)) == pytest.approx(f[0], abs=1e-12)
     assert float(sol.u(b)) == pytest.approx(f[1], abs=1e-12)
-    assert check_riquier_solution(model, sol).passed()
+    assert check_riquier_solution(sol).passed()
     for x in np.linspace(a, b, 9)[1:-1].tolist():
         nu_a, nu_b = oracles.riquier_nu(model_name, a, b, x)
         want = float(sub.interpolant1(*f)(x)) + g[0] * nu_a + g[1] * nu_b
@@ -224,7 +222,7 @@ def test_signed_riquier_data(model_name, omega, f, g):
 def test_u_on_an_array_matches_scalar_calls(model_name, omega):
     model = get_model(model_name)
     a, b = omega
-    sol = solve_riquier(model, regular_subdomain(model, a, b),
+    sol = solve_riquier(regular_subdomain(model, a, b),
                         (0.7, -0.3), (-1.1, 0.6))
     xs = np.array([a, 0.31, b, 0.5, 0.2 + 1e-9, 0.45, 0.5, b - 1e-6])
     got = sol.u(xs)
@@ -251,7 +249,7 @@ def test_hyperharmonic_probes_read_the_pair_in_one_call_each():
     assert calls == [("u", 9), ("v", 9)]
     # the margins of a loop of scalar reads
     for ((a, b), x), e in zip(probes, report.entries):
-        tri = biharmonic_measures(model, regular_subdomain(model, a, b), x)
+        tri = biharmonic_measures(regular_subdomain(model, a, b), x)
         f, g = (float(u(a)), float(u(b))), (float(v(a)), float(v(b)))
         assert e.margin_first.hex() == \
             (float(u(x)) - tri.pair_first(f, g)).hex()
@@ -262,7 +260,7 @@ def test_hyperharmonic_probes_read_the_pair_in_one_call_each():
 
 def test_riquier_residuals_read_u_and_v_on_all_windows_at_once():
     model = get_model("bilaplace")
-    sol = solve_riquier(model, regular_subdomain(model, 0.25, 0.75),
+    sol = solve_riquier(regular_subdomain(model, 0.25, 0.75),
                         (0.4, 0.3), (1.0, 0.5))
     sizes = {"u": [], "v": []}
 
@@ -273,16 +271,16 @@ def test_riquier_residuals_read_u_and_v_on_all_windows_at_once():
         return Fn(at, vectorized=True)
 
     counted_sol = replace(sol, u=counted("u", sol.u), v=counted("v", sol.v))
-    res = check_riquier_solution(model, counted_sol)
+    res = check_riquier_solution(counted_sol)
     # the two ends, the stencil windows of five probes, v at the probes
     assert sizes == {"u": [2, 25], "v": [2, 5, 25]}
-    assert res == check_riquier_solution(model, sol)
+    assert res == check_riquier_solution(sol)
     assert res.passed()
 
 
 def _riquier_residuals_loop(model, sol):
     """check_riquier_solution written as a loop of scalar reads."""
-    a, b = sol.omega
+    a, b = sol.sub.a, sol.sub.b
     boundary_gap = max(abs(float(sol.v(a)) - sol.g[0]),
                        abs(float(sol.v(b)) - sol.g[1]),
                        abs(float(sol.u(a)) - sol.f[0]),
@@ -305,9 +303,9 @@ def _riquier_residuals_loop(model, sol):
     ("bilaplace", (0.1, 0.8)), ("bilaplace", (0.0, 1.0))])
 def test_riquier_residuals_match_the_scalar_loop(model_name, omega):
     model = get_model(model_name)
-    sol = solve_riquier(model, regular_subdomain(model, *omega),
+    sol = solve_riquier(regular_subdomain(model, *omega),
                         (0.5, -1.5), (1.2, -0.7))
-    res = check_riquier_solution(model, sol)
+    res = check_riquier_solution(sol)
     want = _riquier_residuals_loop(model, sol)
     assert [res.boundary_gap.hex(), res.l1_residual.hex(),
             res.l2_residual.hex()] == [w.hex() for w in want]
@@ -326,7 +324,7 @@ def test_triples_of_many_subdomains_take_one_call_with_one_point_bits(
               ((0.2, 0.8), 0.75), ((0.1, 0.9), 0.3)]
     subs = [regular_subdomain(model, a, b) for (a, b), _ in probes]
     xs = [x for _, x in probes]
-    alone = [biharmonic_measures(model, sub, x)
+    alone = [biharmonic_measures(sub, x)
              for sub, x in zip(subs, xs)]
     real, calls = riquier.integrate, []
 
@@ -337,7 +335,7 @@ def test_triples_of_many_subdomains_take_one_call_with_one_point_bits(
     monkeypatch.setattr(riquier, "integrate", counting)
     # fresh subdomains, which hold none of alone's masses
     fresh = [regular_subdomain(model, a, b) for (a, b), _ in probes]
-    together = biharmonic_measures(model, fresh, xs)
+    together = biharmonic_measures(fresh, xs)
     assert calls == [2 * len(probes)]
     assert together == alone
     if not adjoint:
@@ -356,7 +354,7 @@ def test_measures_of_many_points_are_one_call_with_one_point_triples(
     subs = [regular_subdomain(model, a, b)
             for a, b in ((0.2, 0.8), (0.1, 0.9), (0.3, 0.5))]
     xs = [0.5, 0.3, 0.4]
-    alone = [biharmonic_measures(model, sub, x) for sub, x in zip(subs, xs)]
+    alone = [biharmonic_measures(sub, x) for sub, x in zip(subs, xs)]
     real, calls = riquier.integrate, []
 
     def counting(*args, **kwargs):
@@ -366,13 +364,13 @@ def test_measures_of_many_points_are_one_call_with_one_point_triples(
     monkeypatch.setattr(riquier, "integrate", counting)
     fresh = [regular_subdomain(model, a, b)
              for a, b in ((0.2, 0.8), (0.1, 0.9), (0.3, 0.5), (0.1, 0.9))]
-    assert biharmonic_measures(model, fresh[:3], xs) == alone
+    assert biharmonic_measures(fresh[:3], xs) == alone
     # a point asked twice of one subdomain is integrated once
-    assert biharmonic_measures(model, fresh[3:] * 2, xs[1:2] * 2) == \
+    assert biharmonic_measures(fresh[3:] * 2, xs[1:2] * 2) == \
         [alone[1]] * 2
     assert calls == [6, 2]
     with pytest.raises(PreconditionError):
-        biharmonic_measures(model, subs, xs[:2])
+        biharmonic_measures(subs, xs[:2])
 
 
 @pytest.mark.parametrize("model_name, adjoint", [
@@ -389,7 +387,7 @@ def test_mu_and_lambda_are_the_interpolants_of_unit_data(model_name,
               ((0.05, 0.6), 0.4), ((0.5, 0.95), 0.9)]
     subs = [regular_subdomain(model, a, b) for (a, b), _ in probes]
     xs = [x for _, x in probes]
-    triples = biharmonic_measures(model, subs, xs)
+    triples = biharmonic_measures(subs, xs)
     for sub, x, triple in zip(subs, xs, triples):
         first = [max(float(sub.interpolant1(*unit)(x)), 0.0)
                  for unit in ((1.0, 0.0), (0.0, 1.0))]
@@ -400,21 +398,21 @@ def test_mu_and_lambda_are_the_interpolants_of_unit_data(model_name,
 
 
 def test_a_subdomain_built_for_another_model_is_refused(monkeypatch):
+    # a subdomain carries its model, so only a call on subdomains of two
+    # model objects can mix them: it is refused before any integration
     def refuse(*args, **kwargs):
         raise AssertionError("integrate was called")
 
     monkeypatch.setattr(riquier, "integrate", refuse)
     interval, bilaplace = get_model("interval"), get_model("bilaplace")
     for model, other in ((bilaplace, interval), (interval, bilaplace)):
-        sub = regular_subdomain(other, 0.3, 0.7)
-        for call in (lambda: biharmonic_measures(model, sub, 0.5),
-                     lambda: biharmonic_measures(model, [sub], [0.5]),
-                     lambda: solve_riquier(model, sub, (1.0, 2.0),
-                                           (0.5, 0.5))):
-            with pytest.raises(PreconditionError) as info:
-                call()
-            msg = str(info.value)
-            assert model.id in msg and other.id in msg
+        subs = [regular_subdomain(model, 0.3, 0.7),
+                regular_subdomain(other, 0.3, 0.7)]
+        with pytest.raises(PreconditionError) as info:
+            biharmonic_measures(subs, [0.5, 0.5])
+        assert str(info.value) == (f"subdomains of two model objects, "
+                                   f"{model.id} and {other.id}, in one call")
+        assert not any(sub.mass_rows for sub in subs)
 
 
 def test_an_infinite_value_gives_an_infinite_margin():
@@ -434,7 +432,7 @@ def test_an_infinite_value_gives_an_infinite_margin():
 def test_a_solution_refuses_points_off_its_subdomain():
     model = get_model("interval")
     sub = regular_subdomain(model, 0.3, 0.6)
-    sol = solve_riquier(model, sub, (1.0, 2.0), (1.0, 1.0))
+    sol = solve_riquier(sub, (1.0, 2.0), (1.0, 1.0))
     for fn in (sol.u, sol.v):
         for x, named in ((0.9, "0.9"), (0.1, "0.1"), ([0.4, 0.7], "0.7"),
                          (np.array([[0.3, 0.6], [0.45, 0.2999]]), "0.2999"),
@@ -470,17 +468,17 @@ def test_a_second_solution_reads_the_held_masses(model_name, omega,
     model = get_model(model_name)
     a, b = omega
     xs = np.linspace(a, b, 9)
-    fresh = solve_riquier(model, regular_subdomain(model, a, b),
+    fresh = solve_riquier(regular_subdomain(model, a, b),
                           (0.7, -0.3), (-1.1, 0.6)).u(xs)
     sub = regular_subdomain(model, a, b)
-    tri = biharmonic_measures(model, sub, float(xs[3]))
+    tri = biharmonic_measures(sub, float(xs[3]))
     calls = _counted_rows(monkeypatch)
-    first = solve_riquier(model, sub, (0.2, 0.4), (1.5, 0.5))
+    first = solve_riquier(sub, (0.2, 0.4), (1.5, 0.5))
     first.u(xs)
     assert calls == [2 * 6]         # the 7 inner points, one held
-    second = solve_riquier(model, sub, (0.7, -0.3), (-1.1, 0.6))
+    second = solve_riquier(sub, (0.7, -0.3), (-1.1, 0.6))
     assert second.u(xs).tolist() == fresh.tolist()
-    assert biharmonic_measures(model, sub, float(xs[3])) == tri
+    assert biharmonic_measures(sub, float(xs[3])) == tri
     assert calls == [2 * 6]
     # one row per distinct inner point, and a replaced subdomain holds none
     assert len(sub.mass_rows) == 7
@@ -490,30 +488,31 @@ def test_a_second_solution_reads_the_held_masses(model_name, omega,
 def test_a_mixed_batch_integrates_only_the_new_points(monkeypatch):
     model = get_model("bilaplace")
     sub = regular_subdomain(model, 0.1, 0.8)
-    sol = solve_riquier(model, sub, (0.4, 0.3), (1.0, 0.5))
+    sol = solve_riquier(sub, (0.4, 0.3), (1.0, 0.5))
     held = sol.u([0.3, 0.5])
     calls = _counted_rows(monkeypatch)
     xs = [0.3, 0.4, 0.5, 0.6, 0.4, 0.8]
     got = sol.u(xs)
     assert calls == [2 * 2]         # 0.4 and 0.6, each once
     assert got[[0, 2]].tolist() == held.tolist()
-    fresh = solve_riquier(model, regular_subdomain(model, 0.1, 0.8),
+    fresh = solve_riquier(regular_subdomain(model, 0.1, 0.8),
                           (0.4, 0.3), (1.0, 0.5))
     assert got.tolist() == fresh.u(xs).tolist()
 
 
 def test_the_adjoint_triple_reads_the_forward_masses(monkeypatch):
     # on the clamped plate both kernels and both bases are equal, so the
-    # plate is its own adjoint space, and the adjoint triple is the forward
-    # one and integrates nothing new
+    # plate is its own adjoint space: the adjoint triple, taken on the
+    # adjoint's own subdomain, has the forward masses' bits
     model = get_model("bilaplace")
     assert model.adjoint is model
     sub = regular_subdomain(model, 0.2, 0.8)
     calls = _counted_rows(monkeypatch)
-    forward = biharmonic_measures(model, sub, 0.35)
+    forward = biharmonic_measures(sub, 0.35)
     assert calls == [2]
-    assert biharmonic_measures(model.adjoint, sub, 0.35) == forward
-    assert calls == [2]
+    adjoint = regular_subdomain(model.adjoint, 0.2, 0.8)
+    assert biharmonic_measures(adjoint, 0.35) == forward
+    assert calls == [2, 2]
 
 
 def test_the_adjoint_triple_needs_equal_kernels_and_bases(monkeypatch):
@@ -525,14 +524,15 @@ def test_the_adjoint_triple_needs_equal_kernels_and_bases(monkeypatch):
     assert mixed.id == "bilaplace1d" and mixed.basis1 == mixed.basis2
     sub = regular_subdomain(mixed, 0.2, 0.8)
     # its adjoint swaps kernels that differ: no kink density, no subdomain,
-    # and the forward subdomain serves only the forward model
+    # and the forward subdomain does not mix with the plate's own
     assert mixed.adjoint.kink_density is None
     with pytest.raises(ModelDomainError, match="bilaplace1d\\* has no kink"):
         regular_subdomain(mixed.adjoint, 0.2, 0.8)
+    plate = regular_subdomain(get_model("bilaplace"), 0.2, 0.8)
     with pytest.raises(PreconditionError):
-        biharmonic_measures(mixed.adjoint, sub, 0.5)
+        biharmonic_measures([sub, plate], [0.5, 0.5])
     with pytest.raises(PreconditionError):
-        biharmonic_measures(mixed.adjoint, [sub, sub], [0.3, 0.5])
+        biharmonic_measures([plate, sub, sub], [0.3, 0.5, 0.7])
 
 
 def test_a_copied_model_with_the_same_id_is_refused(monkeypatch):
@@ -545,7 +545,7 @@ def test_a_copied_model_with_the_same_id_is_refused(monkeypatch):
     doubled = replace(plate, kink_density=lambda z: 2.0 * plate.kink_density(z))
     assert rebased.id == doubled.id == plate.id
     # the same span on its own subdomain: mu is the linear cardinal pair
-    own = biharmonic_measures(rebased, regular_subdomain(rebased, 0.2, 0.8),
+    own = biharmonic_measures(regular_subdomain(rebased, 0.2, 0.8),
                               0.35)
     assert own.mu == pytest.approx((0.75, 0.25), abs=1e-12)
 
@@ -555,12 +555,11 @@ def test_a_copied_model_with_the_same_id_is_refused(monkeypatch):
     sub = regular_subdomain(plate, 0.2, 0.8)
     monkeypatch.setattr(riquier, "integrate", refuse)
     for other in (rebased, doubled):
-        for call in (lambda: biharmonic_measures(other, sub, 0.35),
-                     lambda: biharmonic_measures(other, [sub], [0.35]),
-                     lambda: solve_riquier(other, sub, (1.0, 2.0),
-                                           (0.5, 0.5))):
+        copy = regular_subdomain(other, 0.2, 0.8)
+        for subs in ([sub, copy], [copy, sub]):
             with pytest.raises(PreconditionError, match="bilaplace1d"):
-                call()
+                biharmonic_measures(subs, [0.35, 0.35])
+        assert not copy.mass_rows
     assert not sub.mass_rows
 
 
@@ -581,7 +580,7 @@ def test_a_negative_mass_is_refused():
                       kink_density=lambda z: -np.asarray(z, dtype=float))
     sub = regular_subdomain(flipped, 0.2, 0.8)
     with pytest.raises(PreconditionError, match="evaluated to -.* < 0"):
-        biharmonic_measures(flipped, sub, 0.5)
+        biharmonic_measures(sub, 0.5)
     # a first basis that is not a Chebyshev system on [0.2, 0.8] has a
     # cardinal below 0 inside it, refused before any nu row is integrated
     bent = replace(interval, basis1=(
@@ -589,7 +588,7 @@ def test_a_negative_mass_is_refused():
         kink_density=lambda z: 0.0 * np.asarray(z, dtype=float))
     sub = regular_subdomain(bent, 0.2, 0.8)
     with pytest.raises(RegularityError, match=r"negative mu-mass -3\.333e-01"):
-        biharmonic_measures(bent, sub, 0.4)
+        biharmonic_measures(sub, 0.4)
 
 
 def test_a_negative_cardinal_is_refused_before_any_integral(monkeypatch):
@@ -605,8 +604,8 @@ def test_a_negative_cardinal_is_refused_before_any_integral(monkeypatch):
                         lambda *args, **kwargs: calls.append(args))
     # both cardinals are positive at 0.7
     for x, mass in ((0.3, "-2.500e-01"), (0.58, "-6.333e-02")):
-        for call in (lambda: biharmonic_measures(bent, sub, x),
-                     lambda: biharmonic_measures(bent, [sub, sub], [0.7, x])):
+        for call in (lambda: biharmonic_measures(sub, x),
+                     lambda: biharmonic_measures([sub, sub], [0.7, x])):
             with pytest.raises(RegularityError) as info:
                 call()
             assert str(info.value) == f"negative mu-mass {mass}"
@@ -618,5 +617,14 @@ def test_a_point_off_the_open_subdomain_is_refused():
     sub = regular_subdomain(model, 0.2, 0.8)
     for x in (0.2, 0.1, 0.8):
         with pytest.raises(PreconditionError) as info:
-            biharmonic_measures(model, sub, x)
+            biharmonic_measures(sub, x)
         assert str(info.value) == f"{x:g} is not interior to [0.2, 0.8]"
+
+
+def test_a_basis_fit_through_a_singular_point_is_refused():
+    # the interval's first basis, 1/x, is infinite at 0.02 - 0.02; the fit
+    # builds its matrix as a subdomain does, and refuses it the same way
+    model = get_model("interval")
+    with pytest.raises(RegularityError) as info:
+        riquier.basis_fit_residual(model.basis1, lambda x: 1.0, 0.02)
+    assert str(info.value) == "a basis function is singular on [0, 0.04]"

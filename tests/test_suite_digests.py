@@ -92,12 +92,17 @@ def test_suite_and_row_bits_match_the_golden_file():
 
 
 def test_no_bit_depends_on_the_array_switch(monkeypatch):
-    # every batch past a probe's 16 shells in the array form, then none
+    # every batch past a probe's 16 shells in the array form, then none;
+    # every call's plain rows cut as arrays, then every call's in plain
+    # Python
     from greenlab import quadrature
 
-    for switch in (quadrature._MIN_SHELLS_FOR_VERDICT, 10 ** 9):
-        monkeypatch.setattr(quadrature, "_ARRAY_PANELS", switch)
-        assert digests() == GOLDEN.read_text().splitlines()
+    for name, switch in (("_ARRAY_PANELS", quadrature._MIN_SHELLS_FOR_VERDICT),
+                         ("_ARRAY_PANELS", 10 ** 9), ("_SMALL_BATCH", 0),
+                         ("_SMALL_BATCH", 10 ** 9)):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, name, switch)
+            assert digests() == GOLDEN.read_text().splitlines(), (name, switch)
 
 
 if __name__ == "__main__":

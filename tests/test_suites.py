@@ -2,11 +2,15 @@
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from greenlab import adjoint, suites
 from greenlab.suites import CHECKS, SUITES, CheckResult, run_suite, suite_ids
+from greenlab.values import ExtendedValue
 
 
 def test_registry_ids_are_kebab_and_unique():
@@ -155,3 +159,116 @@ def test_pairing_and_coupling_checks_integrate_on_their_declared_cuts():
             assert CHECKS[cid](seed=0).passed, cid
         assert rows, cid
         assert max(r.subdivisions for r in rows) <= 8, cid
+
+
+# Planted defects: each wraps an operator a check reads through
+# greenlab.suites (adjoint_apply through greenlab.adjoint) so that one
+# named failing return of the check fires.
+
+def _plant_flipped_verdict(monkeypatch):
+    real = suites.probe_divergence
+
+    def probe(f, *args, **kwargs):
+        rep = real(f, *args, **kwargs)
+        # the p = -1.5 integrand is 4^-1.5 = 0.125 at 4
+        if float(f(4.0)) == 0.125:
+            return replace(rep, divergent=not rep.divergent)
+        return rep
+
+    monkeypatch.setattr(suites, "probe_divergence", probe)
+
+
+def _plant_integral_offset(monkeypatch, offset, bound):
+    """integrate's value plus offset(tol), with its bound set by bound."""
+    real = suites.integrate
+
+    def integrate(f, interval, tol, **kwargs):
+        res = real(f, interval, tol=tol, **kwargs)
+        val = ExtendedValue.finite(res.value.value + offset(tol),
+                                   bound(res.value.error_bound))
+        return replace(res, value=val)
+
+    monkeypatch.setattr(suites, "integrate", integrate)
+
+
+def _plant_truncation(monkeypatch, cutoff, change):
+    """coupling_apply of the truncation at cutoff, its value changed."""
+    real = suites.coupling_apply
+
+    def apply(model, f, x, **kwargs):
+        val = real(model, f, x, **kwargs)
+        # y^-0.25 is 100 at 1e-8, so a truncation there reads its cutoff
+        if float(np.asarray(f(np.array([1e-8])))[0]) == cutoff:
+            return ExtendedValue.finite(change(float(val)))
+        return val
+
+    monkeypatch.setattr(suites, "coupling_apply", apply)
+
+
+def _plant_finite_boundary_value(monkeypatch):
+    real = suites.compose_green
+
+    def compose(model, x, y, **kwargs):
+        vals = list(real(model, x, y, **kwargs))
+        vals[4] = ExtendedValue.finite(1.0)       # H(0.5, 0)
+        return vals
+
+    monkeypatch.setattr(suites, "compose_green", compose)
+
+
+def _plant_finite_adjoint(monkeypatch):
+    monkeypatch.setattr(adjoint, "adjoint_apply",
+                        lambda *args, **kwargs: ExtendedValue.finite(1.0))
+
+
+PLANTED = {
+    "flipped-verdict": (
+        "power-verdicts", _plant_flipped_verdict,
+        "exponent -1.50 misclassified as finite"),
+    "value-off-by-ten-tol": (
+        "refinement-monotonicity",
+        lambda mp: _plant_integral_offset(mp, lambda tol: 10.0 * tol,
+                                          lambda bound: bound),
+        "error 1.00e-03 exceeds requested 1e-04"),
+    "bound-of-zero": (
+        "refinement-monotonicity",
+        lambda mp: _plant_integral_offset(mp, lambda tol: 0.5 * tol,
+                                          lambda bound: 0.0),
+        "error bound 0.00e+00 below true error 5.00e-05"),
+    "halved-truncation": (
+        "monotone-convergence",
+        lambda mp: _plant_truncation(mp, 8.0, lambda v: 0.5 * v),
+        "truncation at 8 decreased the integral"),
+    "overshooting-truncation": (
+        "monotone-convergence",
+        lambda mp: _plant_truncation(mp, 2.0, lambda v: v + 1.0),
+        "truncated integral overshoots the limit at 2"),
+    "finite-boundary-value": (
+        "boundary-divergence", _plant_finite_boundary_value,
+        "H(0.5, 0) came out finite"),
+    "finite-adjoint": (
+        "adjoint-blowup", _plant_finite_adjoint,
+        "V*phi(0) came out finite for phi(0) = 1"),
+}
+
+
+@pytest.mark.parametrize("defect", PLANTED)
+def test_a_planted_defect_fails_its_check(defect, monkeypatch):
+    cid, plant, detail = PLANTED[defect]
+    assert CHECKS[cid](seed=0).passed, cid
+    plant(monkeypatch)
+    res = CHECKS[cid](seed=0)
+    assert (res.id, res.passed, res.margin, res.detail) == \
+        (cid, False, -1.0, detail)
+
+
+def test_a_check_that_raises_fails_alone(monkeypatch):
+    def planted(seed=0):
+        raise RuntimeError("planted")
+
+    monkeypatch.setitem(suites.CHECKS, "gauss-flux", planted)
+    results = {r.id: r for r in run_suite("newtonian")}
+    res = results.pop("gauss-flux")
+    assert not res.passed and res.margin == -math.inf
+    assert res.detail == "raised RuntimeError: planted"
+    assert [r.passed for r in results.values()] == [True] * 3

@@ -126,3 +126,8 @@ def test_records_compare_and_hash_by_fields():
     assert res == same and hash(res) == hash(same)
     assert res != dataclasses.replace(same, subdivisions=res.subdivisions + 1)
     assert {res, same} == {res}
+
+
+def test_an_extended_value_adds_only_an_extended_value():
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        ExtendedValue.finite(1.0) + 1.0
