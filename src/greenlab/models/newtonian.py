@@ -192,10 +192,11 @@ def _composition_outer(n: int, d: float, inner_tol: float):
 
         def gth(r, t):
             sr, wr = s[r], w[r]
-            theta = wr * np.sinh(t / wr)
+            q = t / wr
+            theta = wr * np.sinh(q)
             sep2 = (sr - d) ** 2 + 4.0 * sr * d * np.sin(0.5 * theta) ** 2
             return ((sep2 / scale2[r]) ** half_power * np.sin(theta) ** (n - 2)
-                    * np.cosh(t / wr))
+                    * np.cosh(q))
 
         ends = w * np.arcsinh(math.pi / w)
         inner = integrate(gth, rows=(len(ends), [0.0, ends], {}),

@@ -34,7 +34,10 @@ numpy columns from the panel rule to the row sums.  The pieces that refine
 follow the same rule: those of a larger batch stay in one table of panels,
 refined in whole-array steps, until their children would fit a batch of
 _ARRAY_PANELS panels; from there on, and in a smaller batch from the start,
-each keeps its panels in a heap.
+each keeps its panels in a heap.  A batch of more than _GK15_BLOCK panels is
+evaluated in blocks of at most that many, one integrand call per block, so
+that the integrand's temporaries stay the size of a block however many
+rows a call holds.
 
 Conventions
 -----------
@@ -115,6 +118,14 @@ _SMALL_BATCH = 16
 # 49 and 199 rounds) is 1.32-1.40x at 8 pieces, 1.16-1.17x at 16,
 # 0.95-1.03x at 24-32 and 0.65-0.81x at 33-48.
 _ARRAY_PANELS = 64
+# A _gk15 batch of more than this many panels is evaluated in blocks of at
+# most this many, so that the integrand's numpy temporaries stay in cache.
+# Timed on the grids of lsc_check, 3,825 rows in one call (in-process
+# medians of 25, 2-core x86 VM, Python 3.11, numpy 2.4): the interval
+# model's check takes 11.3 ms at 1,024, 11.8 at 512 and 2,048, 12.4 at
+# 256, 13.6 at 4,096 and 16.0 in one block; the bilaplace one 5.9 ms at
+# 1,024 and 2,048, 6.1-6.8 at 256, 512 and 4,096, and 10.0 in one block.
+_GK15_BLOCK = 1024
 
 
 def as_vectorized(f: Callable) -> Callable:
@@ -134,19 +145,26 @@ def as_vectorized(f: Callable) -> Callable:
     return fv
 
 
-def _gk15(fv: Callable, a, b) -> tuple[list | np.ndarray, dict]:
-    """G7/K15 on the panels [a[i], b[i]], all their nodes in one fv call.
+def _gk15(fv: Callable, a, b, rows=None) -> tuple[list | np.ndarray, dict]:
+    """G7/K15 on the panels [a[i], b[i]], their nodes in one fv call per
+    block of at most _GK15_BLOCK panels.
 
-    Returns (outs, holes): each panel's (integral, error estimate), and a
-    dict from each panel with a non-finite sample to its first such node,
-    where the pair means nothing.  outs is a list of pairs of floats for a
-    batch of at most _ARRAY_PANELS panels, and above that an (n, 2) array
-    of the same bits, whose rows are the pairs.  Each rule is one
-    elementwise product with its 15 weights and one sum along each panel's
-    row of products.  A contiguous row sum takes the same steps whatever
-    the number of rows, so a panel's bits do not depend on the batch it is
-    evaluated in; a matrix product, or a sum down the columns, rounds
-    differently.
+    ``fv`` is a node integrand ``fv(z)`` when ``rows`` is None, and
+    otherwise a row integrand ``fv(r, z)``, where ``rows`` gives the row of
+    every panel: one int for all of them, or one id per panel.  Returns
+    (outs, holes): each panel's (integral, error estimate), and a dict from
+    each panel with a non-finite sample to its first such node, where the
+    pair means nothing.  outs is a list of pairs of floats for a batch of
+    at most _ARRAY_PANELS panels, and above that an (n, 2) array of the
+    same bits, whose rows are the pairs.  Each rule is one elementwise
+    product with its 15 weights and one sum along each panel's row of
+    products.  A contiguous row sum takes the same steps whatever the
+    number of rows, so a panel's bits do not depend on the batch or block
+    it is evaluated in; a matrix product, or a sum down the columns, rounds
+    differently.  A batch of more than _GK15_BLOCK panels is evaluated
+    block by block, each block with the node row ids of its own panels, so
+    that the integrand's temporaries stay the size of a block; its holes
+    carry each panel's index in the whole batch.
 
     The K weights are positive, so a non-finite sample makes K15
     non-finite.  K15 comes first, and only where it is non-finite are the
@@ -167,16 +185,20 @@ def _gk15(fv: Callable, a, b) -> tuple[list | np.ndarray, dict]:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid[:, None] + half[:, None] * _GK_NODES
-    fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
-    k15 = np.add.reduce(fx * _K_WEIGHTS, 1) * half
-    if len(k15) > _ARRAY_PANELS:
+    n = len(a)
+    if n > _ARRAY_PANELS:
+        k15, g7, holes = np.empty(n), np.empty(n), {}
+        for s in range(0, n, _GK15_BLOCK):
+            t = slice(s, s + _GK15_BLOCK)
+            fx, xs, half = _samples(fv, a[t], b[t], rows if rows is None or
+                                    isinstance(rows, int) else rows[t])
+            k = k15[t] = np.add.reduce(fx * _K_WEIGHTS, 1) * half
+            if not np.isfinite(k).all():
+                fx, bad = _zero_holes(fx, xs, k)
+                holes.update((s + i, x) for i, x in bad.items())
+            g7[t] = np.add.reduce(fx * _G15, 1) * half
         finite = bool(np.isfinite(k15).all())
-        fx, holes = (fx, {}) if finite else _zero_holes(fx, xs, k15)
-        g7 = np.add.reduce(fx * _G15, 1) * half
-        outs = np.empty((len(k15), 2))
+        outs = np.empty((n, 2))
         outs[:, 0] = k15
         floor = _FLOOR * np.abs(k15)
         if finite:
@@ -193,6 +215,8 @@ def _gk15(fv: Callable, a, b) -> tuple[list | np.ndarray, dict]:
             err[shrink] = np.maximum(floor[shrink], np.minimum(
                 list(map(math.pow, (200.0 * d).tolist(), repeat(1.5))), d))
         return outs, holes
+    fx, xs, half = _samples(fv, a, b, rows)
+    k15 = np.add.reduce(fx * _K_WEIGHTS, 1) * half
     k15s = k15.tolist()
     holes = {}
     if not math.isfinite(sum(k15s)):
@@ -212,6 +236,21 @@ def _gk15(fv: Callable, a, b) -> tuple[list | np.ndarray, dict]:
     return outs, holes
 
 
+def _samples(fv, a, b, rows):
+    """The integrand of :func:`_gk15` at the 15 nodes of each panel, a row
+    per panel, with the nodes and the panels' half widths.  A row id per
+    panel is repeated to one per node; one int for every panel is passed
+    as it is, and broadcasts, which spares a scalar call building an id
+    per node."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    xs = mid[:, None] + half[:, None] * _GK_NODES
+    z = xs.ravel()
+    fz = fv(z) if rows is None else fv(
+        rows if isinstance(rows, int) else np.repeat(rows, len(_GK_NODES)), z)
+    return np.asarray(fz, dtype=float).reshape(xs.shape), xs, half
+
+
 def _zero_holes(fx: np.ndarray, xs: np.ndarray, k15: np.ndarray):
     """A copy of the samples fx at the nodes xs with the non-finite samples
     of each panel whose K15 is non-finite zeroed, and the dict from each
@@ -225,20 +264,6 @@ def _zero_holes(fx: np.ndarray, xs: np.ndarray, k15: np.ndarray):
             holes[i] = float(xs[i, np.argmax(bad)])
             fx[i, bad] = 0.0
     return fx, holes
-
-
-def _at_rows(fv: Callable, rows: list[int], panels: int = 1) -> Callable:
-    """The node integrand of G7/K15 panels of the given rows, ``panels`` each.
-
-    ``fv(r, z)`` is a row integrand: the integrand of row r at the nodes z,
-    where r is one row id, or an int array of ids with z's shape.  Panels
-    of a single row get its id as a scalar, which broadcasts; building an
-    id per node would cost a scalar call a few microseconds per round.
-    """
-    if rows.count(rows[0]) == len(rows):
-        return lambda z: fv(rows[0], z)
-    r = np.array(rows, dtype=np.intp).repeat(panels * len(_GK_NODES))
-    return lambda z: fv(r, z)
 
 
 def _undeclared(x: float) -> UndeclaredSingularityError:
@@ -274,18 +299,14 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
     grown: dict[int, int] = {}
     if not len(los):
         return [], grown, {}
-    one_row = isinstance(rows, int)
-    outs, holes = _gk15(
-        (lambda z: fv(rows, z)) if one_row
-        else (lambda z, r=np.repeat(rows, len(_GK_NODES)): fv(r, z)),
-        los, his)
+    outs, holes = _gk15(fv, los, his, rows)
     if type(outs) is not list:
         return _refine_table(fv, rows, los, his, tols, cap, outs, holes)
     todo = [i for i, ((_, e), t) in enumerate(zip(outs, tols)) if e > t] \
         if cap > 1 else []
     if not todo:
         return outs, grown, holes
-    row_of = [rows] * len(outs) if one_row else \
+    row_of = [rows] * len(outs) if isinstance(rows, int) else \
         rows.tolist() if isinstance(rows, np.ndarray) else rows
     first_bad = min((row_of[i] for i in holes), default=math.inf)
     live = {i: [*outs[i], 1, [(-outs[i][1], float(los[i]), float(his[i]),
@@ -314,10 +335,12 @@ def _refine_heaps(fv: Callable, row_of, live: dict, first_bad, cap: int,
             break
         worst = [heapq.heappop(live[i][3]) for i in active]
         splits = [(lo, 0.5 * (lo + hi), hi) for _, lo, hi, _ in worst]
+        # panels of a single row get its id as an int, which broadcasts
+        ids = [row_of[i] for i in active]
         kids, kid_holes = _gk15(
-            _at_rows(fv, [row_of[i] for i in active], 2),
-            [e for lo, mid, _ in splits for e in (lo, mid)],
-            [e for _, mid, hi in splits for e in (mid, hi)])
+            fv, [e for lo, mid, _ in splits for e in (lo, mid)],
+            [e for _, mid, hi in splits for e in (mid, hi)],
+            ids[0] if ids.count(ids[0]) == len(ids) else np.repeat(ids, 2))
         if type(kids) is not list:
             kids = kids.tolist()
         for j, (i, (neg_err, _, _, val), (lo, mid, hi)) in enumerate(
@@ -370,8 +393,7 @@ def _refine_table(fv: Callable, rows, los, his, tols, cap: int,
     idx = (outs[:, 1] > tols).nonzero()[0]
     if cap < 2 or not len(idx):
         return outs, grown, holes
-    rid = np.full(len(outs), rows) if isinstance(rows, int) else \
-        np.asarray(rows)
+    rid = np.broadcast_to(rows, len(outs))
     first_bad = min((int(rid[i]) for i in holes), default=math.inf)
     if holes:
         idx = idx[~np.isin(idx, list(holes))]
@@ -416,9 +438,8 @@ def _refine_table(fv: Callable, rows, los, his, tols, cap: int,
         at = np.arange(len(idx))
         _, lo, hi, v = table[:, at, j]
         mid = 0.5 * (lo + hi)
-        kids, kid_holes = _gk15(_at_rows(fv, rid.tolist(), 2),
-                                np.array((lo, mid)).T.ravel(),
-                                np.array((mid, hi)).T.ravel())
+        kids, kid_holes = _gk15(fv, np.array((lo, mid)).T.ravel(),
+                                np.array((mid, hi)).T.ravel(), rid.repeat(2))
         v1, e1, v2, e2 = kids.reshape(-1, 4).T
         val = val + ((v1 + v2) - v)
         err = err + ((e1 + e2) - worst)

@@ -539,9 +539,9 @@ def test_panels_are_evaluated_in_batches(monkeypatch):
     sizes = []
     gk15 = quadrature._gk15
 
-    def counted(fv, a, b):
+    def counted(fv, a, b, *rows):
         sizes.append(len(a))
-        return gk15(fv, a, b)
+        return gk15(fv, a, b, *rows)
 
     monkeypatch.setattr(quadrature, "_gk15", counted)
     # four plain pieces that the first panels already resolve: one call
@@ -1118,6 +1118,39 @@ def test_gk15_error_column_matches_the_one_panel_rule_across_the_switch():
                          if what in ("+inf", "-inf", "nan")}
 
 
+def test_gk15_blocks_keep_each_panels_index_in_the_whole_batch(
+        monkeypatch):
+    # one non-finite sample, in the third block of a batch split at
+    # _ARRAY_PANELS + 1 panels, the last block smaller than the switch
+    def g(r, z):
+        z = np.asarray(z, dtype=float)
+        return np.where((r == 150) & (z > 0.5), np.nan,
+                        (1.0 + r / 64.0) * np.cos(z))
+
+    calls = []
+
+    def f(r, z):
+        calls.append(len(z))
+        return g(r, z)
+
+    n, block = 200, quadrature._ARRAY_PANELS + 1
+    a, b, rows = np.zeros(n), np.ones(n), np.arange(n)
+    whole, whole_holes = _gk15(f, a, b, rows)
+    assert calls == [15 * n]
+    nodes = 0.5 + 0.5 * _GK_NODES
+    assert whole_holes == {150: float(nodes[np.argmax(nodes > 0.5)])}
+    calls.clear()
+    monkeypatch.setattr(quadrature, "_GK15_BLOCK", block)
+    blocked, holes = _gk15(f, a, b, rows)
+    assert calls == [15 * block] * 3 + [15 * (n - 3 * block)]
+    assert holes == whole_holes
+    assert isinstance(blocked, np.ndarray)
+    assert [_bits(out) for out in blocked] == [_bits(out) for out in whole]
+    for r in (0, 64, 149, 151, 199):
+        (one,), _ = _gk15(_vec(lambda z, r=r: g(r, z)), [0.0], [1.0])
+        assert _bits(blocked[r]) == _bits(one)
+
+
 def _refine_batches(monkeypatch) -> list:
     """The number of pieces in each _refine call from here on."""
     sizes = []
@@ -1202,9 +1235,9 @@ def _in_table_and_heaps(monkeypatch, call):
     for switch in (quadrature._ARRAY_PANELS, 10 ** 9):
         evaluated, sizes = [], []
 
-        def counted(fv, a, b):
+        def counted(fv, a, b, *rows):
             sizes.append(len(a))
-            return gk15(fv, a, b)
+            return gk15(fv, a, b, *rows)
 
         def record(r, z):
             evaluated.extend(zip(np.broadcast_to(r, np.shape(z)).tolist(),
@@ -1351,3 +1384,20 @@ def test_probes_refuse_a_bad_side_or_start_before_evaluating():
             probe_tail(_counting(calls), start=start)
         assert "positive radius" in str(info.value)
     assert calls == []
+
+
+def test_quadrature_module_stays_within_the_parsers_first_token_array():
+    # CPython 3.11's parser doubles its token array past 8,192 tokens, and
+    # every interpreter that compiles the module from source then peaks
+    # about 0.5 MB higher
+    import tokenize
+
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING,
+            tokenize.ENDMARKER}
+    with open(quadrature.__file__, "rb") as src:
+        count = sum(tok.type not in skip
+                    for tok in tokenize.tokenize(src.readline))
+    assert count <= 8192, (
+        f"src/greenlab/quadrature.py has {count} parser tokens; past 8,192 "
+        "the CPython 3.11 parser doubles its token array when it compiles "
+        "the module, which raises its peak memory by about 0.5 MB")

@@ -94,12 +94,14 @@ def test_suite_and_row_bits_match_the_golden_file():
 def test_no_bit_depends_on_the_array_switch(monkeypatch):
     # every batch past a probe's 16 shells in the array form, then none;
     # every call's plain rows cut as arrays, then every call's in plain
-    # Python
+    # Python; every array batch evaluated in blocks, then every one whole
     from greenlab import quadrature
 
     for name, switch in (("_ARRAY_PANELS", quadrature._MIN_SHELLS_FOR_VERDICT),
                          ("_ARRAY_PANELS", 10 ** 9), ("_SMALL_BATCH", 0),
-                         ("_SMALL_BATCH", 10 ** 9)):
+                         ("_SMALL_BATCH", 10 ** 9),
+                         ("_GK15_BLOCK", quadrature._ARRAY_PANELS + 1),
+                         ("_GK15_BLOCK", 10 ** 9)):
         with monkeypatch.context() as patch:
             patch.setattr(quadrature, name, switch)
             assert digests() == GOLDEN.read_text().splitlines(), (name, switch)

@@ -4,6 +4,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -162,8 +163,8 @@ def test_pairing_and_coupling_checks_integrate_on_their_declared_cuts():
 
 
 # Planted defects: each wraps an operator a check reads through
-# greenlab.suites (adjoint_apply through greenlab.adjoint) so that one
-# named failing return of the check fires.
+# greenlab.suites (adjoint_apply, compose_green and _compose_rows through
+# greenlab.adjoint) so that one named failing return of the check fires.
 
 def _plant_flipped_verdict(monkeypatch):
     real = suites.probe_divergence
@@ -221,6 +222,53 @@ def _plant_finite_adjoint(monkeypatch):
                         lambda *args, **kwargs: ExtendedValue.finite(1.0))
 
 
+def _plant_lsc_bump(monkeypatch, factor):
+    """H at the lsc node (grid[7], grid[4]) times factor: an upward point
+    defect, the footprint of a function that is not l.s.c. there."""
+    real = adjoint._compose_rows
+
+    def compose(model, xs, ys, tol):
+        rows, scalar = real(model, xs, ys, tol)
+        grid = model.domain.interior_grid(15)
+        value = rows.value
+        value[(xs == grid[7]) & (ys == grid[4])] *= factor
+        return SimpleNamespace(value=value), scalar
+
+    monkeypatch.setattr(adjoint, "_compose_rows", compose)
+
+
+def _plant_continuity_jump(monkeypatch, size):
+    """H(x, p) + size for p above y, where (x, y) is the first continuity
+    probe the regularity checks draw at seed 0: a jump at y."""
+    rng = np.random.default_rng(0)
+    x, y = float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))
+    real = adjoint.compose_green
+
+    def compose(model, at, p, **kwargs):
+        vals = real(model, at, p, **kwargs)
+        if at != x:
+            return vals
+        return tuple(ExtendedValue.finite(v.value + size, v.error_bound)
+                     if q > y else v for q, v in zip(np.ravel(p), vals))
+
+    monkeypatch.setattr(adjoint, "compose_green", compose)
+
+
+def _plant_finite_fixture(monkeypatch):
+    """H(0.5, 0) = 1 in the continuity probes: the boundary fixture's
+    target finite."""
+    real = adjoint.compose_green
+
+    def compose(model, at, p, **kwargs):
+        vals = real(model, at, p, **kwargs)
+        if at != 0.5:
+            return vals
+        return tuple(ExtendedValue.finite(1.0) if q == 0.0 else v
+                     for q, v in zip(np.ravel(p), vals))
+
+    monkeypatch.setattr(adjoint, "compose_green", compose)
+
+
 PLANTED = {
     "flipped-verdict": (
         "power-verdicts", _plant_flipped_verdict,
@@ -249,6 +297,17 @@ PLANTED = {
     "finite-adjoint": (
         "adjoint-blowup", _plant_finite_adjoint,
         "V*phi(0) came out finite for phi(0) = 1"),
+    **{f"lsc-point-defect-{m}": (
+        f"regularity-{m}", lambda mp: _plant_lsc_bump(mp, 1.1),
+        "semicontinuity gap stalls at (0.5,0.307143)")
+       for m in ("interval", "bilaplace")},
+    **{f"continuity-jump-{m}": (
+        f"regularity-{m}", lambda mp: _plant_continuity_jump(mp, 1e-5),
+        "continuity probe at (0.610,0.316) returned violated")
+       for m in ("interval", "bilaplace")},
+    "finite-boundary-fixture": (
+        "regularity-interval", _plant_finite_fixture,
+        "the boundary fixture reported violated instead of blow-up"),
 }
 
 
