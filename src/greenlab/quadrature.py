@@ -480,10 +480,10 @@ class ProbeReport:
     trace: tuple[tuple[float, float], ...]
     certificate: DivergenceCertificate | None
     # extrapolated value/error of the approached integral when convergent
-    value: float = 0.0
-    error: float = 0.0
-    shells: int = 0
-    resolved: bool = True
+    value: float
+    error: float
+    shells: int
+    resolved: bool
 
 
 def _fit_slope(ks: Sequence[int], logs: Sequence[float]) -> float:
@@ -555,6 +555,24 @@ def _window_fit(mags: list[float], logs: list[float], errs: list[float],
     return exponent, False, (rem, 6.0 * abs(hi_est - lo_est) + sum(errs[:k + 1]))
 
 
+def _decide(mags, logs, errs, sign, tol, tail):
+    """The window fit that ends the walk at its last shell, or None.
+
+    A pure function of the shells' |value|, log2|value| and errors, and of
+    the sign, asked from shell _MIN_SHELLS_TO_RESOLVE on.  A fit ends the
+    walk where its remainder's error meets tol, which needs contracting
+    ratios, or where it is critical from shell _MIN_SHELLS_FOR_VERDICT on;
+    before that, only a window whose last ratios contract is fitted.
+    """
+    n = len(mags)
+    early = n < _MIN_SHELLS_FOR_VERDICT
+    if early and max(_recent_ratios(mags, n - 1), default=1.0) >= 1.0:
+        return None
+    fit = _window_fit(mags, logs, errs, n - 1, sign, tail)
+    return fit if fit and (fit[1] and not early
+                           or fit[2] and fit[2][1] <= tol) else None
+
+
 def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
     """Shared shell walker for endpoint approaches and radial tails.
 
@@ -563,27 +581,19 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
     only used to label the certificate.
 
     One _gk15 call evaluates the shells up to _MIN_SHELLS_FOR_VERDICT, then
-    the walk goes one shell at a time.  The fit of the recent shells is
-    taken where it can end the walk: at each shell from
-    _MIN_SHELLS_FOR_VERDICT on, and before that from _MIN_SHELLS_TO_RESOLVE
-    on where the last ratios contract, as a remainder needs.  Any other fit
-    is taken late, at an exit that reads it (the latest exponent, and at
-    depth exhaustion the latest extrapolation), with the bits of one on
-    time: it reads the shells up to its own and the sign, which is fixed
-    before any fit holds enough nonzero shells.
+    the walk goes one shell at a time through the sign, blow-up and
+    vanishing tests, and asks :func:`_decide` whether a fit ends it.  A walk
+    no fit ends reads the latest fit's exponent, and at depth exhaustion
+    the latest remainder, in one walk back over the windows.
     """
     tail = kind == "tail"
     # each shell's value, error, |value| and log2|value| (0.0 for a zero)
     shells, errs, mags, logs = [], [], [], []
     quiet = 0                       # zero shells in a row
     trace: list[tuple[float, float]] = []
-    cumulative = 0.0
-    sign = 0.0
-    exponent = math.nan             # nan until a fit holds enough shells
-    fitted = -1                     # the shell of the fit behind exponent
-    late: list[int] = []            # the shells whose fit was not taken
-    divergent = resolved = False
-    extrap = None                   # the latest (remainder, error) of a fit
+    cumulative = sign = 0.0
+    fit = extrap = None             # the ending fit; (remainder, error)
+    divergent = resolved = False    # resolved: ended before full depth
     # each evaluated shell's (value, error), or None at a non-finite sample
     outs: list = []
 
@@ -599,7 +609,7 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
                 else abs(_HALVINGS[k + 1] * scale))
         if outs[k] is None:
             trace.append((dist, math.inf))
-            divergent = True
+            divergent = resolved = True
             break
         val, err = outs[k]
         shells.append(val)
@@ -617,7 +627,7 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
                     f"{point!r}; split it by sign first")
 
         if blown_up(cumulative):
-            divergent = True
+            divergent = resolved = True
             break
 
         mag = abs(val)
@@ -628,50 +638,40 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
             # integrand vanishes near the point: nothing left to resolve
             extrap, resolved = (0.0, sum(errs)), True
             break
-        if k + 1 < _MIN_SHELLS_FOR_VERDICT:
-            recent = (_recent_ratios(mags, k)
-                      if k + 1 >= _MIN_SHELLS_TO_RESOLVE else ())
-            if not (recent and max(recent) < 1.0):
-                late.append(k)      # it can end the walk neither way
-                continue
-        fit = _window_fit(mags, logs, errs, k, sign, tail)
-        if fit is None:
+        if k + 1 < _MIN_SHELLS_TO_RESOLVE:
             continue
-        exponent, crit, now = fit
-        fitted = k
-        extrap = now or extrap
-        divergent = crit and k + 1 >= _MIN_SHELLS_FOR_VERDICT
-        resolved = now is not None and now[1] <= tol
-        if divergent or resolved:
+        fit = _decide(mags, logs, errs, sign, tol, tail)
+        if fit:
             break
 
-    # the fits not taken, latest first, while the report lacks an output:
-    # an exponent later than fitted, or an extrapolation
-    for j in reversed(late):
-        if j < fitted and (extrap is not None or divergent):
-            break
-        fit = _window_fit(mags, logs, errs, j, sign, tail)
-        if fit is not None:
-            if j > fitted:
-                exponent, fitted = fit[0], j
-            extrap = extrap or fit[2]
+    if fit:
+        exponent, divergent, extrap = fit
+        resolved = True
+    else:
+        exponent = math.nan             # nan while no window has a fit
+        for j in reversed(range(len(mags))):
+            window = _window_fit(mags, logs, errs, j, sign, tail)
+            if window and math.isnan(exponent):
+                exponent = window[0]
+            if window and (resolved or window[2]):
+                extrap = extrap or window[2]
+                break
 
-    loc, cert_side = (("tail", "radial-tail") if tail else (point, side))
+    loc, cert_side = ("tail", "radial-tail") if tail else (point, side)
     trace = tuple(trace)
-    # a divergent report carries no value and counts as resolved
+    # a divergent report carries no value
     cert, value, error = None, 0.0, 0.0
     if divergent:
         cert = DivergenceCertificate(loc, cert_side, exponent, trace)
-        resolved = True
     else:
         rem, rem_err = extrap or (0.0, math.inf)
         if not resolved:
             # Depth exhausted without meeting tol; report best effort.
-            last = abs(shells[-1]) if shells else 0.0
+            last = abs(shells[-1])
             rem = sign * last if math.isinf(rem_err) else rem
-            rem_err = min(rem_err, abs(rem) + last + sum(errs)) if shells else 0.0
+            rem_err = min(rem_err, abs(rem) + last + sum(errs))
         value = sum(shells) + rem
-        error = sum(errs) + (rem_err if not math.isinf(rem_err) else abs(rem))
+        error = sum(errs) + rem_err
     return _frozen(ProbeReport, loc, cert_side, divergent, exponent, trace,
                    cert, value, error, len(trace), resolved)
 
@@ -873,8 +873,8 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
     # a comprehension's own frame costs it more than the loop.
     inf, ndarray = math.inf, np.ndarray
     small = n <= _SMALL_BATCH
-    # the cuts: in plain Python a list per column, as arrays one array with
-    # lists of its ends for the walk
+    # the cuts: in plain Python a list per column, as arrays one array;
+    # lo and hi, the walked rows' ends as floats
     if small:
         cols = []
         for c in columns:
@@ -887,19 +887,18 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
         for j, c in enumerate(columns):
             cuts[:, j] = c
         first, last = cuts[:, 0], cuts[:, -1]
-        lo, hi = first.tolist(), last.tolist()
         # the rows that may need a plan, in order: NaN fails every test
         ok = (-inf < first) & (first < last) & (last < inf)
         walk = sorted({*(~ok).nonzero()[0].tolist(),
                        *(r for r in singular if 0 <= r < n)})
+        lo, hi = map(first.item, walk), map(last.item, walk)
     # each planned row's pieces and the index of its first plain piece in
     # extra, the plain pieces of planned rows as (row, lo, hi, tol)
     stop, plans, extra = None, {}, []
     # each plain row, its piece count, and each plain piece's index in them
     plain, counts, piece_row = [], [], []
     ids, los, his, tols = [], [], [], []
-    for r in walk:
-        a, b = lo[r], hi[r]
+    for r, a, b in zip(walk, lo, hi):
         if not -inf < a < b < inf or r in singular:
             try:
                 plan = _plan_row(f, r, a, b, singular.get(r, ()),

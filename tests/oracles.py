@@ -261,6 +261,42 @@ def power_family_h(beta: float, gamma: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Elementary integrals for the closed-form battery of bound_miss_report.py:
+# powers and logs on (0, 1), tails on (1, inf) and (0, inf), each by its
+# antiderivative, and math.inf where it diverges.
+
+def unit_power(p: float) -> float:
+    """int_0^1 x^p dx = 1/(p + 1); infinite for p <= -1."""
+    return 1.0 / (p + 1.0) if p > -1.0 else math.inf
+
+
+def unit_log_power(p: float) -> float:
+    """int_0^1 x^p log(1/x) dx = 1/(p + 1)^2; infinite for p <= -1.
+
+    x = e^-t turns it into int_0^inf t e^-(p+1)t dt.
+    """
+    return 1.0 / (p + 1.0) ** 2 if p > -1.0 else math.inf
+
+
+def tail_power(p: float) -> float:
+    """int_1^inf x^-p dx = 1/(p - 1); infinite for p <= 1."""
+    return 1.0 / (p - 1.0) if p > 1.0 else math.inf
+
+
+def unit_shifted_root(c: float) -> float:
+    """int_0^1 (x + c)^-1/2 dx = 2(sqrt(1 + c) - sqrt(c)), written
+    2/(sqrt(1 + c) + sqrt(c)) so nothing cancels."""
+    return 2.0 / (math.sqrt(1.0 + c) + math.sqrt(c))
+
+
+UNIT_KINK = 0.29              # int_0^1 |x - 0.3| dx = (0.3^2 + 0.7^2)/2
+TAIL_LORENTZ = 0.5 * math.pi  # int_0^inf dx/(1 + x^2) = arctan(inf)
+TAIL_EXP = 1.0                # int_0^inf e^-x dx
+TAIL_LOG_OVER_SQUARE = 1.0    # int_1^inf log(x)/x^2 dx = [-(1 + log x)/x]
+HALF_LOG_RECIPROCAL = math.inf  # int_0^1/2 dx/(x log(1/x)) = [-log log(1/x)]
+
+
+# ---------------------------------------------------------------------------
 # Frozen spot values guarding the oracles themselves.
 
 FROZEN = {
@@ -282,6 +318,9 @@ FROZEN = {
                                        1.6),
     "riquier_nu(bilaplace, 0, 1, 1/2)": (
         riquier_nu("bilaplace", 0.0, 1.0, 0.5)[0], BILAPLACE_NU_MASS),
+    "unit_log_power(-0.5)": (unit_log_power(-0.5), 4.0),
+    "tail_power(1.5)": (tail_power(1.5), 2.0),
+    "unit_shifted_root(1e-3)": (unit_shifted_root(1e-3), 1.9377541969215543),
 }
 
 

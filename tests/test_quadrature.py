@@ -11,7 +11,8 @@ from greenlab.errors import (GreenLabError, PreconditionError,
 from greenlab.kernels import Fn, StencilSpec
 from greenlab.models import get_model
 from greenlab.quadrature import (PROBE_DEPTH, _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
-                                 _fit_slope, _shell_bounds, _window_fit,
+                                 _decide, _fit_slope, _shell_bounds,
+                                 _window_fit,
                                  integrate, integrate_radial, probe_divergence,
                                  probe_tail, sphere_surface_area)
 from greenlab.riquier import basis_fit_residual, fd_residual
@@ -170,6 +171,77 @@ def test_window_fit_declines_a_convergent_fit_whose_ratios_do_not_contract():
         mags, [math.log2(m) for m in mags], [0.0] * 12, 11, 1.0, False)
     assert exponent == pytest.approx(-0.5636, abs=1e-4)
     assert critical is False and remainder is None
+
+
+def _shell_sequence(mags):
+    # the |shell|, log2|shell| and (zero) errors of a synthetic walk
+    return (list(mags), [math.log2(m) if m > 0.0 else 0.0 for m in mags],
+            [0.0] * len(mags))
+
+
+def _decisions(mags, sign=1.0, tol=1e-10, tail=False):
+    # _decide on each prefix the walker asks about, from shell 12 on
+    mags, logs, errs = _shell_sequence(mags)
+    return {n: _decide(mags[:n], logs[:n], errs[:n], sign, tol, tail)
+            for n in range(quadrature._MIN_SHELLS_TO_RESOLVE, len(mags) + 1)}
+
+
+def test_decide_resolves_geometric_shells_at_the_first_shell_asked():
+    # shells 2^-k: every ratio is 1/2, so the window reads slope -1 and the
+    # unseen remainder is the geometric tail 2^-11, with no spread
+    for tail, exponent in ((False, 0.0), (True, -2.0)):
+        fit = _decisions([2.0 ** -k for k in range(16)], tail=tail)[12]
+        assert fit == (exponent, False, (2.0 ** -11, 0.0))
+    fit = _decisions([2.0 ** -k for k in range(12)], sign=-1.0)[12]
+    assert fit[2] == (-2.0 ** -11, 0.0)
+
+
+def test_decide_waits_for_the_verdict_on_constant_shells():
+    # equal shells are 1/d toward an endpoint and 1/r at a tail: no ratio
+    # contracts, so shells 12-15 end nothing, and the fit at 16 is critical
+    for tail in (False, True):
+        decisions = _decisions([0.75] * 16, tail=tail)
+        assert [decisions[n] for n in range(12, 16)] == [None] * 4
+        assert decisions[16] == (-1.0, True, None)
+
+
+def test_decide_extrapolates_shells_with_a_log_factor():
+    # d^-0.5 log(1/d) toward 0 gives shells about r^k (k + 1), r = 2^-0.5,
+    # whose unseen remainder sums to r^n ((n + 1) - n r) / (1 - r)^2
+    r = 2.0 ** -0.5
+    mags = [r ** k * (k + 1) for k in range(PROBE_DEPTH)]
+    for tol in (1e-3, 1e-6):
+        decisions = _decisions(mags, sign=-1.0, tol=tol)
+        n = min(n for n, fit in decisions.items() if fit is not None)
+        exponent, critical, (rem, err) = decisions[n]
+        assert not critical and -0.6 < exponent < -0.5
+        assert err <= tol
+        assert abs(rem + r ** n * ((n + 1) - n * r) / (1.0 - r) ** 2) <= err
+
+
+def test_decide_needs_enough_nonzero_shells_in_the_window():
+    # three zeros among the last eight shells leave five nonzero: no fit,
+    # though the nonzero shells alone are critical
+    mags = [1.0] * 16
+    for k in (9, 11, 13):
+        mags[k] = 0.0
+    assert _decisions(mags, tol=math.inf)[16] is None
+    mags[13] = 1.0
+    assert _decisions(mags)[16] == (-1.0, True, None)
+
+
+def test_decide_fits_no_window_whose_ratios_do_not_contract(monkeypatch):
+    # x^-0.5 shells, the last one raised above its neighbour, before the
+    # verdict: no fit is taken, however loose the tolerance
+    calls = _counting_fits(monkeypatch)
+    for n in range(12, 17):
+        mags = [2.0 ** (-k / 2) for k in range(n)]
+        mags[-1] = 1.2 * mags[-2]
+        mags, logs, errs = _shell_sequence(mags)
+        assert _decide(mags, logs, errs, 1.0, math.inf, False) is None
+    # only from the verdict on is the window fitted, and its convergent
+    # exponent neither ends the walk nor leaves a remainder to meet tol
+    assert calls == [15]
 
 
 def test_tail_verdicts():
@@ -1401,3 +1473,10 @@ def test_quadrature_module_stays_within_the_parsers_first_token_array():
         f"src/greenlab/quadrature.py has {count} parser tokens; past 8,192 "
         "the CPython 3.11 parser doubles its token array when it compiles "
         "the module, which raises its peak memory by about 0.5 MB")
+
+
+def test_the_closed_form_battery_stays_within_its_ceiling(capsys):
+    # bound_miss_report.py: bound misses, false INFs and false finite
+    # values of integrate on closed forms, at most its CEILING of them
+    import bound_miss_report
+    assert bound_miss_report.main() == 0, capsys.readouterr().out
