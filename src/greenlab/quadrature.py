@@ -60,8 +60,8 @@ import numpy as np
 
 from .errors import (GreenLabError, ModelDomainError, PreconditionError,
                      UndeclaredSingularityError)
-from .values import (DivergenceCertificate, ExtendedValue, blown_up,
-                     divergent_exponent)
+from .values import (_MIN_SHELLS_FOR_VERDICT, _MIN_SHELLS_TO_RESOLVE,
+                     DivergenceCertificate, ExtendedValue, _decide, blown_up)
 
 # ---------------------------------------------------------------------------
 # Gauss7 / Kronrod15 embedded pair on [-1, 1].
@@ -97,9 +97,6 @@ PROBE_DEPTH = 48
 # 2^-j and 2^j for j up to PROBE_DEPTH: the dyadic factors of every shell end
 _HALVINGS = tuple(2.0 ** -j for j in range(PROBE_DEPTH + 1))
 _DOUBLINGS = tuple(2.0 ** j for j in range(PROBE_DEPTH + 1))
-_FIT_WINDOW = 8
-_MIN_SHELLS_TO_RESOLVE = 12
-_MIN_SHELLS_FOR_VERDICT = 16
 # A call of at most this many rows cuts its plain rows in plain Python,
 # where numpy's fixed cost per call outweighs the work: an operator call at
 # one point is one row.
@@ -486,21 +483,6 @@ class ProbeReport:
     resolved: bool
 
 
-def _fit_slope(ks: Sequence[int], logs: Sequence[float]) -> float:
-    """Least-squares slope of logs against ks; 0.0 when the ks are all equal.
-
-    The closed form in plain Python: the window holds at most _FIT_WINDOW
-    points, where building arrays would cost more than the sums.
-    """
-    k_mean = sum(ks) / len(ks)
-    y_mean = sum(logs) / len(logs)
-    dk = [k - k_mean for k in ks]
-    denom = sum(t * t for t in dk)
-    if denom == 0.0:
-        return 0.0
-    return sum(t * (y - y_mean) for t, y in zip(dk, logs)) / denom
-
-
 def _shell_bounds(point: float, side: str, scale: float, k0: int, k1: int,
                   kind: str) -> tuple[list[float], list[float]]:
     """The lower and upper ends of shells k0, ..., k1 - 1: shell k is
@@ -516,63 +498,6 @@ def _shell_bounds(point: float, side: str, scale: float, k0: int, k1: int,
     return ends[:-1], ends[1:]
 
 
-def _recent_ratios(mags: list[float], k: int) -> list[float]:
-    # |shell i+1| / |shell i| of the last three pairs up to k, both nonzero
-    return [mags[i + 1] / mags[i] for i in range(max(0, k - 3), k)
-            if mags[i] > 0.0 and mags[i + 1] > 0.0]
-
-
-def _window_fit(mags: list[float], logs: list[float], errs: list[float],
-                k: int, sign: float, tail: bool):
-    """The power-law fit of the window of shells ending at k, or None.
-
-    A pure function of |shell|, log2|shell| and the errors up to k, and of
-    the sign.  None below _FIT_WINDOW - 2 nonzero shells in the window;
-    else (exponent, critical, (remainder, error) of the unseen shells, or
-    None unless the fit is not critical and the recent ratios contract).
-    """
-    ks = [i for i in range(max(0, k + 1 - _FIT_WINDOW), k + 1) if mags[i] > 0.0]
-    if len(ks) < _FIT_WINDOW - 2:
-        return None
-    slope = _fit_slope(ks, [logs[i] for i in ks])
-    exponent = (slope - 1.0) if tail else (-slope - 1.0)
-    if divergent_exponent(exponent, tail):
-        return exponent, True, None
-    recent = _recent_ratios(mags, k)
-    if not (recent and max(recent) < 1.0):
-        return exponent, False, None
-    # Convergent so far: extrapolate the unseen remainder as a geometric
-    # series.  The shell-to-shell ratio is 2**slope in both geometries
-    # (slope is d log2|shell| / d k).
-    ratio = 2.0 ** slope
-    r_hi, r_lo = max(recent), min(recent)
-    last = mags[k]
-    rem = sign * last * ratio / (1.0 - ratio) if ratio < 1.0 else 0.0
-    hi_est = last * r_hi / (1.0 - r_hi)
-    lo_est = last * r_lo / (1.0 - r_lo)
-    # The ratio keeps drifting below the observed bracket for perturbed
-    # power laws; widen the bracket generously.
-    return exponent, False, (rem, 6.0 * abs(hi_est - lo_est) + sum(errs[:k + 1]))
-
-
-def _decide(mags, logs, errs, sign, tol, tail):
-    """The window fit that ends the walk at its last shell, or None.
-
-    A pure function of the shells' |value|, log2|value| and errors, and of
-    the sign, asked from shell _MIN_SHELLS_TO_RESOLVE on.  A fit ends the
-    walk where its remainder's error meets tol, which needs contracting
-    ratios, or where it is critical from shell _MIN_SHELLS_FOR_VERDICT on;
-    before that, only a window whose last ratios contract is fitted.
-    """
-    n = len(mags)
-    early = n < _MIN_SHELLS_FOR_VERDICT
-    if early and max(_recent_ratios(mags, n - 1), default=1.0) >= 1.0:
-        return None
-    fit = _window_fit(mags, logs, errs, n - 1, sign, tail)
-    return fit if fit and (fit[1] and not early
-                           or fit[2] and fit[2][1] <= tol) else None
-
-
 def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
     """Shared shell walker for endpoint approaches and radial tails.
 
@@ -581,21 +506,19 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
     only used to label the certificate.
 
     One _gk15 call evaluates the shells up to _MIN_SHELLS_FOR_VERDICT, then
-    the walk goes one shell at a time through the sign, blow-up and
-    vanishing tests, and asks :func:`_decide` whether a fit ends it.  A walk
-    no fit ends reads the latest fit's exponent, and at depth exhaustion
-    the latest remainder, in one walk back over the windows.
+    the walk goes one shell at a time through the sign and blow-up tests.
+    :func:`~greenlab.values._decide` says when and how it ends: the walker
+    asks it after each zero shell and from shell _MIN_SHELLS_TO_RESOLVE on,
+    and tells it a non-finite sample, a blow-up or full depth.
     """
     tail = kind == "tail"
-    # each shell's value, error, |value| and log2|value| (0.0 for a zero)
-    shells, errs, mags, logs = [], [], [], []
-    quiet = 0                       # zero shells in a row
+    # each shell's error, |value| and log2|value| (0.0 for a zero)
+    errs, mags, logs = [], [], []
     trace: list[tuple[float, float]] = []
     cumulative = sign = 0.0
-    fit = extrap = None             # the ending fit; (remainder, error)
-    divergent = resolved = False    # resolved: ended before full depth
     # each evaluated shell's (value, error), or None at a non-finite sample
     outs: list = []
+    outcome = None
 
     for k in range(PROBE_DEPTH):
         if k == len(outs):
@@ -609,11 +532,8 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
                 else abs(_HALVINGS[k + 1] * scale))
         if outs[k] is None:
             trace.append((dist, math.inf))
-            divergent = resolved = True
             break
         val, err = outs[k]
-        shells.append(val)
-        errs.append(err)
         cumulative += val
         trace.append((dist, cumulative))
 
@@ -627,36 +547,21 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
                     f"{point!r}; split it by sign first")
 
         if blown_up(cumulative):
-            divergent = resolved = True
             break
 
         mag = abs(val)
+        errs.append(err)
         mags.append(mag)
         logs.append(math.log2(mag) if mag > 0.0 else 0.0)
-        quiet = 0 if mag > 0.0 else quiet + 1
-        if quiet == _FIT_WINDOW:
-            # integrand vanishes near the point: nothing left to resolve
-            extrap, resolved = (0.0, sum(errs)), True
-            break
-        if k + 1 < _MIN_SHELLS_TO_RESOLVE:
-            continue
-        fit = _decide(mags, logs, errs, sign, tol, tail)
-        if fit:
+        if (mag == 0.0 or k + 1 >= _MIN_SHELLS_TO_RESOLVE) and (
+                outcome := _decide(mags, logs, errs, sign, tol, tail)):
             break
 
-    if fit:
-        exponent, divergent, extrap = fit
-        resolved = True
-    else:
-        exponent = math.nan             # nan while no window has a fit
-        for j in reversed(range(len(mags))):
-            window = _window_fit(mags, logs, errs, j, sign, tail)
-            if window and math.isnan(exponent):
-                exponent = window[0]
-            if window and (resolved or window[2]):
-                extrap = extrap or window[2]
-                break
-
+    # A walk no shell ended stopped at a non-finite sample or a blow-up,
+    # which leaves its trace blown up, or else at full depth.
+    exponent, divergent, extrap, resolved = outcome or _decide(
+        mags, logs, errs, sign, tol, tail,
+        "inf" if blown_up(trace[-1][1]) else "depth")
     loc, cert_side = ("tail", "radial-tail") if tail else (point, side)
     trace = tuple(trace)
     # a divergent report carries no value
@@ -664,14 +569,8 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
     if divergent:
         cert = DivergenceCertificate(loc, cert_side, exponent, trace)
     else:
-        rem, rem_err = extrap or (0.0, math.inf)
-        if not resolved:
-            # Depth exhausted without meeting tol; report best effort.
-            last = abs(shells[-1])
-            rem = sign * last if math.isinf(rem_err) else rem
-            rem_err = min(rem_err, abs(rem) + last + sum(errs))
-        value = sum(shells) + rem
-        error = sum(errs) + rem_err
+        value = cumulative + extrap[0]
+        error = sum(errs) + extrap[1]
     return _frozen(ProbeReport, loc, cert_side, divergent, exponent, trace,
                    cert, value, error, len(trace), resolved)
 

@@ -1,4 +1,5 @@
-"""Extended nonnegative values and divergence certificates.
+"""Extended nonnegative values, divergence certificates, and the rule that
+ends a dyadic shell walk.
 
 Kernel evaluations and coupling integrals on the model spaces are either
 finite nonnegative reals or genuinely +inf (a divergent integral, a kernel
@@ -6,6 +7,13 @@ evaluated on its singular locus).  Instead of letting float('inf') float
 around unexplained, an infinite result always carries a
 :class:`DivergenceCertificate` recording where the mass escapes and at what
 rate, as measured by a dyadic probe.
+
+The probe's walker (:func:`greenlab.quadrature._probe_geometric`) only
+evaluates the shells.  What a walk concludes from them is decided here, by
+one pure function of the shells seen so far, :func:`_decide`: whether the
+walk goes on, and when it ends, its exponent, whether it diverges, the
+remainder of the unseen shells, and whether it ended before full depth.
+It reads the same divergence rule as every certificate.
 """
 
 from __future__ import annotations
@@ -28,6 +36,120 @@ def divergent_exponent(p: float, tail: bool) -> bool:
 def blown_up(partial: float) -> bool:
     """Whether a partial integral this large diverges, whatever the fit."""
     return abs(partial) >= BLOWUP_THRESHOLD
+
+
+# A fit reads the last _FIT_WINDOW shells; a walk may resolve from shell
+# _MIN_SHELLS_TO_RESOLVE on, and be certified divergent by a fit from shell
+# _MIN_SHELLS_FOR_VERDICT on.
+_FIT_WINDOW = 8
+_MIN_SHELLS_TO_RESOLVE = 12
+_MIN_SHELLS_FOR_VERDICT = 16
+
+
+def _fit_slope(ks, logs):
+    """Least-squares slope of logs against ks; 0.0 when the ks are all equal.
+
+    The closed form in plain Python: the window holds at most _FIT_WINDOW
+    points, where building arrays would cost more than the sums.
+    """
+    k_mean = sum(ks) / len(ks)
+    y_mean = sum(logs) / len(logs)
+    dk = [k - k_mean for k in ks]
+    denom = sum(t * t for t in dk)
+    if denom == 0.0:
+        return 0.0
+    return sum(t * (y - y_mean) for t, y in zip(dk, logs)) / denom
+
+
+def _recent_ratios(mags, k):
+    # |shell i+1| / |shell i| of the last three pairs up to k, both nonzero
+    return [mags[i + 1] / mags[i] for i in range(max(0, k - 3), k)
+            if mags[i] > 0.0 and mags[i + 1] > 0.0]
+
+
+def _window_fit(mags, logs, errs, k, sign, tail):
+    """The power-law fit of the window of shells ending at k, or None.
+
+    A pure function of |shell|, log2|shell| and the errors up to k, and of
+    the sign.  None below _FIT_WINDOW - 2 nonzero shells in the window;
+    else (exponent, critical, (remainder, error) of the unseen shells, or
+    None unless the fit is not critical and the recent ratios contract).
+    """
+    ks = [i for i in range(max(0, k + 1 - _FIT_WINDOW), k + 1) if mags[i] > 0.0]
+    if len(ks) < _FIT_WINDOW - 2:
+        return None
+    slope = _fit_slope(ks, [logs[i] for i in ks])
+    exponent = (slope - 1.0) if tail else (-slope - 1.0)
+    if divergent_exponent(exponent, tail):
+        return exponent, True, None
+    recent = _recent_ratios(mags, k)
+    if not (recent and max(recent) < 1.0):
+        return exponent, False, None
+    # Convergent so far: extrapolate the unseen remainder as a geometric
+    # series.  The shell-to-shell ratio is 2**slope in both geometries
+    # (slope is d log2|shell| / d k).
+    ratio = 2.0 ** slope
+    r_hi, r_lo = max(recent), min(recent)
+    last = mags[k]
+    rem = sign * last * ratio / (1.0 - ratio) if ratio < 1.0 else 0.0
+    hi_est = last * r_hi / (1.0 - r_hi)
+    lo_est = last * r_lo / (1.0 - r_lo)
+    # The ratio keeps drifting below the observed bracket for perturbed
+    # power laws; widen the bracket generously.
+    return exponent, False, (rem, 6.0 * abs(hi_est - lo_est) + sum(errs[:k + 1]))
+
+
+def _decide(mags, logs, errs, sign, tol, tail, end=None):
+    """How a shell walk ends, or None while it goes on.
+
+    A pure function of the shells' |value|, log2|value| and errors, of the
+    sign, and of how the walk stopped: ``end`` is None while the walker
+    asks after a shell, "inf" once a sample was non-finite or the partial
+    integral blew up, "depth" once every shell was walked.  The outcome is
+    (exponent, divergent, (remainder, error) of the unseen shells or None,
+    resolved), where resolved means the walk ended before full depth.
+
+    Asked after a shell, the walk ends where its last _FIT_WINDOW shells
+    are zero, or from shell _MIN_SHELLS_TO_RESOLVE on where a window fit's
+    remainder meets tol, which needs contracting ratios, or where the fit
+    is critical from shell _MIN_SHELLS_FOR_VERDICT on; before that, only a
+    window whose last ratios contract is fitted.  Any other end reads the
+    latest window's exponent (nan if no window has a fit), and at depth the
+    latest remainder, or else the last shell again as its best effort.
+    """
+    n = len(mags)
+    if end is None:
+        if (mags[-1] == 0.0 and n >= _FIT_WINDOW
+                and not any(mags[-_FIT_WINDOW:])):
+            end = "vanished"
+        else:
+            early = n < _MIN_SHELLS_FOR_VERDICT
+            if n < _MIN_SHELLS_TO_RESOLVE or early and max(
+                    _recent_ratios(mags, n - 1), default=1.0) >= 1.0:
+                return None
+            fit = _window_fit(mags, logs, errs, n - 1, sign, tail)
+            if fit and (fit[1] and not early or fit[2] and fit[2][1] <= tol):
+                return *fit, True
+            return None
+    exponent, extrap = math.nan, None
+    for j in reversed(range(n)):
+        window = _window_fit(mags, logs, errs, j, sign, tail)
+        if window:
+            if math.isnan(exponent):
+                exponent = window[0]
+            extrap = window[2]
+            if extrap or end != "depth":
+                break
+    if end == "inf":
+        return exponent, True, None, True
+    if end == "vanished":
+        # the integrand vanishes near the point: nothing left to resolve
+        return exponent, False, (0.0, sum(errs)), True
+    # Depth exhausted without meeting tol: best effort
+    last = mags[-1]
+    rem, rem_err = extrap or (sign * last, math.inf)
+    return (exponent, False, (rem, min(rem_err, abs(rem) + last + sum(errs))),
+            False)
 
 
 # Default tolerances, one decade of headroom between verification layers:

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from greenlab.errors import PreconditionError
-from greenlab.quadrature import (PROBE_DEPTH, _FIT_WINDOW, _gk15,
-                                 _shell_bounds, probe_divergence, probe_tail)
-from greenlab.values import blown_up
+from greenlab.quadrature import (PROBE_DEPTH, _gk15, _shell_bounds,
+                                 probe_divergence, probe_tail)
+from greenlab.values import _FIT_WINDOW, blown_up
 
 GOLDEN = Path(__file__).parent / "golden" / "probe_reports.txt"
 TOLS = (1e-3, 1e-6, 1e-10, 1e-14, 0.0)

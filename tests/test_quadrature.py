@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 import oracles
-from greenlab import quadrature
+from greenlab import quadrature, values
 from greenlab.coupling import coupling_apply
 from greenlab.errors import (GreenLabError, PreconditionError,
                              StencilError, UndeclaredSingularityError)
 from greenlab.kernels import Fn, StencilSpec
 from greenlab.models import get_model
 from greenlab.quadrature import (PROBE_DEPTH, _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
-                                 _decide, _fit_slope, _shell_bounds,
-                                 _window_fit,
-                                 integrate, integrate_radial, probe_divergence,
+                                 _shell_bounds, integrate, integrate_radial, probe_divergence,
                                  probe_tail, sphere_surface_area)
 from greenlab.riquier import basis_fit_residual, fd_residual
-from greenlab.values import DivergenceCertificate
+from greenlab.values import (DivergenceCertificate, _decide, _fit_slope,
+                             _window_fit)
 
 
 def _vec(f):
@@ -191,7 +190,7 @@ def test_decide_resolves_geometric_shells_at_the_first_shell_asked():
     # unseen remainder is the geometric tail 2^-11, with no spread
     for tail, exponent in ((False, 0.0), (True, -2.0)):
         fit = _decisions([2.0 ** -k for k in range(16)], tail=tail)[12]
-        assert fit == (exponent, False, (2.0 ** -11, 0.0))
+        assert fit == (exponent, False, (2.0 ** -11, 0.0), True)
     fit = _decisions([2.0 ** -k for k in range(12)], sign=-1.0)[12]
     assert fit[2] == (-2.0 ** -11, 0.0)
 
@@ -202,7 +201,7 @@ def test_decide_waits_for_the_verdict_on_constant_shells():
     for tail in (False, True):
         decisions = _decisions([0.75] * 16, tail=tail)
         assert [decisions[n] for n in range(12, 16)] == [None] * 4
-        assert decisions[16] == (-1.0, True, None)
+        assert decisions[16] == (-1.0, True, None, True)
 
 
 def test_decide_extrapolates_shells_with_a_log_factor():
@@ -213,8 +212,8 @@ def test_decide_extrapolates_shells_with_a_log_factor():
     for tol in (1e-3, 1e-6):
         decisions = _decisions(mags, sign=-1.0, tol=tol)
         n = min(n for n, fit in decisions.items() if fit is not None)
-        exponent, critical, (rem, err) = decisions[n]
-        assert not critical and -0.6 < exponent < -0.5
+        exponent, critical, (rem, err), resolved = decisions[n]
+        assert not critical and resolved and -0.6 < exponent < -0.5
         assert err <= tol
         assert abs(rem + r ** n * ((n + 1) - n * r) / (1.0 - r) ** 2) <= err
 
@@ -227,7 +226,7 @@ def test_decide_needs_enough_nonzero_shells_in_the_window():
         mags[k] = 0.0
     assert _decisions(mags, tol=math.inf)[16] is None
     mags[13] = 1.0
-    assert _decisions(mags)[16] == (-1.0, True, None)
+    assert _decisions(mags)[16] == (-1.0, True, None, True)
 
 
 def test_decide_fits_no_window_whose_ratios_do_not_contract(monkeypatch):
@@ -528,13 +527,13 @@ def test_probe_stops_at_first_non_finite_shell():
 
 def _counting_fits(monkeypatch) -> list:
     calls = []
-    fit = quadrature._window_fit
+    fit = values._window_fit
 
     def counted(*args):
         calls.append(args[3])
         return fit(*args)
 
-    monkeypatch.setattr(quadrature, "_window_fit", counted)
+    monkeypatch.setattr(values, "_window_fit", counted)
     return calls
 
 
