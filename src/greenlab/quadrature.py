@@ -469,7 +469,13 @@ def adaptive_panels(f: Callable, a: float, b: float, tol: float,
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Outcome of a dyadic approach to one suspected singularity."""
+    """Outcome of a dyadic approach to one suspected singularity.
+
+    ``resolved`` says that the walk ended before full depth: by a fit, by
+    a vanishing integrand, or by a divergence.  It does not say that the
+    error met the tolerance; a vanishing integrand's error is its shells'
+    own, whatever tol was asked.
+    """
     location: float | str
     side: str
     divergent: bool

@@ -143,8 +143,9 @@ def _decide(mags, logs, errs, sign, tol, tail, end=None):
     if end == "inf":
         return exponent, True, None, True
     if end == "vanished":
-        # the integrand vanishes near the point: nothing left to resolve
-        return exponent, False, (0.0, sum(errs)), True
+        # the integrand vanishes near the point: nothing unseen is left, and
+        # the shells' own errors are the report's error
+        return exponent, False, (0.0, 0.0), True
     # Depth exhausted without meeting tol: best effort
     last = mags[-1]
     rem, rem_err = extrap or (sign * last, math.inf)
