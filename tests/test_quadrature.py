@@ -243,6 +243,98 @@ def test_decide_fits_no_window_whose_ratios_do_not_contract(monkeypatch):
     assert calls == [15]
 
 
+def test_decide_ends_a_walk_on_eight_zero_shells():
+    # asked after each zero shell, before shell 12 too: the eighth zero in
+    # a row ends the walk with nothing unseen, and the exponent of the
+    # latest window with six nonzero shells (2^-k: slope -1, exponent 0)
+    mags, logs, errs = _shell_sequence([2.0 ** -k for k in range(6)]
+                                       + [0.0] * 8)
+    errs = [1e-9] * len(mags)
+    for n in range(7, 14):
+        assert _decide(mags[:n], logs[:n], errs[:n], 1.0, 1e-10, False) is None
+    assert _decide(mags, logs, errs, 1.0, 1e-10, False) == \
+        (0.0, False, (0.0, 0.0), True)
+    # two nonzero shells then eight zeros: no window fits, exponent nan
+    mags, logs, errs = _shell_sequence([1.0, 0.5] + [0.0] * 8)
+    exponent, divergent, remainder, resolved = _decide(
+        mags, logs, errs, 1.0, 1e-10, True)
+    assert math.isnan(exponent)
+    assert (divergent, remainder, resolved) == (False, (0.0, 0.0), True)
+
+
+def test_decide_reads_the_latest_fit_at_a_non_finite_end():
+    # shells 2^-k up to a non-finite sample or a blow-up: divergent, with
+    # the exponent of the latest window that fits, and no remainder
+    mags, logs, errs = _shell_sequence([2.0 ** -k for k in range(10)])
+    assert _decide(mags, logs, errs, 1.0, 1e-10, False, "inf") == \
+        (0.0, True, None, True)
+    # five shells fill no window: the exponent is nan
+    mags, logs, errs = _shell_sequence([1.0] * 5)
+    exponent, divergent, remainder, resolved = _decide(
+        mags, logs, errs, 1.0, 1e-10, False, "inf")
+    assert math.isnan(exponent)
+    assert (divergent, remainder, resolved) == (True, None, True)
+
+
+def test_decide_at_depth_takes_the_latest_contracting_remainder():
+    # 2^-k shells whose last one rises: the last window fits but does not
+    # contract, so the remainder is the window ending one shell earlier
+    mags = [2.0 ** -k for k in range(PROBE_DEPTH)]
+    mags[-1] = 1.2 * mags[-2]
+    mags, logs, _ = _shell_sequence(mags)
+    errs = [1e-20] * PROBE_DEPTH
+    last = _window_fit(mags, logs, errs, PROBE_DEPTH - 1, 1.0, False)
+    earlier = _window_fit(mags, logs, errs, PROBE_DEPTH - 2, 1.0, False)
+    assert last[2] is None and earlier[2] == (2.0 ** -46, 47e-20)
+    assert _decide(mags, logs, errs, 1.0, 0.0, False, "depth") == \
+        (last[0], False, earlier[2], False)
+
+
+def test_decide_at_depth_falls_back_on_the_last_shell():
+    # d^-0.5 shells alternately raised and lowered: every window fits a
+    # convergent exponent, but no window's ratios contract, so the best
+    # effort is the last shell again, with the sign, and an error that
+    # covers it twice over plus the shells' errors
+    mags = [2.0 ** (-k / 2) * (1.0 + 0.9 * (-1) ** k)
+            for k in range(PROBE_DEPTH)]
+    mags, logs, _ = _shell_sequence(mags)
+    errs = [1e-12] * PROBE_DEPTH
+    exponent, divergent, (rem, err), resolved = _decide(
+        mags, logs, errs, -1.0, 0.0, False, "depth")
+    assert exponent == _window_fit(mags, logs, errs, PROBE_DEPTH - 1, -1.0,
+                                   False)[0]
+    assert -1.0 < exponent < 0.0
+    assert not divergent and not resolved
+    assert rem == -mags[-1]
+    assert err == mags[-1] + mags[-1] + sum(errs)
+
+
+def test_sign_noise_within_the_shell_error_passes_and_beyond_raises(
+        monkeypatch):
+    # shell 5 of an x^-0.5 walk replaced by a shell of the other sign: one
+    # of at most 1e3 times its own error is noise, one just above that is
+    # a sign change
+    gk15 = quadrature._gk15
+    err = 1e-9
+    limit = 1e3 * (err + 1e-300)
+    f = _vec(lambda y: np.asarray(y) ** -0.5)
+    for val, raises in ((-limit, False), (-math.nextafter(limit, 1.0), True)):
+        def noisy(fv, a, b, rows=None, val=val):
+            outs, holes = gk15(fv, a, b, rows)
+            if a[0] == 0.5:             # the run of shells 0-15
+                outs[5] = (val, err)
+            return outs, holes
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_gk15", noisy)
+            if raises:
+                with pytest.raises(PreconditionError, match="changes sign"):
+                    probe_divergence(f, 0.0)
+            else:
+                rep = probe_divergence(f, 0.0)
+                assert not rep.divergent and rep.trace[5][1] < rep.trace[4][1]
+
+
 def test_tail_verdicts():
     grows = probe_tail(_vec(lambda y: 1.0 / np.asarray(y)), start=1.0)
     decays = probe_tail(_vec(lambda y: np.asarray(y) ** -2.0), start=1.0)
