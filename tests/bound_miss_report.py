@@ -1,9 +1,10 @@
 """A closed-form battery as a gate: the integrals ``integrate`` gets wrong.
 
 Each form is an elementary integrand on (0, 1), (0, 1/2), (0, inf) or
-(1, inf), with its value by antiderivative in ``oracles``: 25 convergent
-forms (powers, powers with a log factor, two-power differences, tails, and
-three with nothing declared) and three divergent ones.  Each form is
+(1, inf), with its value in ``oracles``: 28 convergent forms (powers,
+powers with a log factor, two-power differences, tails, three with nothing
+declared, and three that vanish to the last bit near their declared point,
+whose probe ends on zero shells) and three divergent ones.  Each form is
 integrated times every scale s in SCALES, at tol t*s for every t in TOLS,
 with its singular point declared where it has one.
 
@@ -34,8 +35,11 @@ import oracles
 from greenlab.errors import GreenLabError
 from greenlab.quadrature import integrate
 
-# the most wrong results the battery may hold
-CEILING = 66
+# the most wrong results the battery may hold: 66 on the first 28 forms,
+# and one miss of (x-0.1)+ at scale 1e-8, whose probe never refines the
+# shell holding the kink and bounds it by that panel's G7/K15 estimate,
+# which shrinks as the scale to the power 1.5 (ROADMAP item 4)
+CEILING = 67
 SCALES = (1e-8, 1.0, 1e8)
 TOLS = (1e-6, 1e-9, 1e-12)
 POWERS = (-0.3, -0.5, -0.7, -0.9, -0.97)
@@ -81,6 +85,12 @@ def forms():
     yield "|x-0.3|", lambda x: np.abs(x - 0.3), UNIT, (), oracles.UNIT_KINK
     yield ("(x+1e-3)^-0.5", lambda x: (x + 1e-3) ** -0.5, UNIT, (),
            oracles.unit_shifted_root(1e-3))
+    # vanishing near the declared point: its probe ends on zero shells
+    yield ("(x-0.1)+", lambda x: np.maximum(x - 0.1, 0.0), UNIT, AT0,
+           oracles.UNIT_RAMP)
+    yield "x^400", lambda x: x ** 400.0, UNIT, AT0, oracles.unit_power(400.0)
+    yield ("e^(-1/x)", lambda x: np.exp(-1.0 / x), UNIT, AT0,
+           oracles.UNIT_EXP_RECIPROCAL)
     # divergent
     for p in (-1.0, -1.2):
         yield (f"x^{p:g}", lambda x, p=p: x ** p, UNIT, AT0,

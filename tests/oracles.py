@@ -294,6 +294,21 @@ TAIL_LORENTZ = 0.5 * math.pi  # int_0^inf dx/(1 + x^2) = arctan(inf)
 TAIL_EXP = 1.0                # int_0^inf e^-x dx
 TAIL_LOG_OVER_SQUARE = 1.0    # int_1^inf log(x)/x^2 dx = [-(1 + log x)/x]
 HALF_LOG_RECIPROCAL = math.inf  # int_0^1/2 dx/(x log(1/x)) = [-log log(1/x)]
+# Three integrands that vanish to the last bit near 0, so that a probe
+# there ends on zero shells: a ramp, a high power (unit_power(400)), and
+# int_0^1 e^(-1/x) dx = int_1^inf e^-t t^-2 dt = 1/e - E1(1), E1 the
+# exponential integral, whose value is the double nearest the 32-digit one.
+UNIT_RAMP = 0.405             # int_0^1 max(x - 0.1, 0) dx = 0.9^2/2
+UNIT_EXP_RECIPROCAL = 0.14849550677592205
+
+
+def _exponential_integral_1() -> float:
+    """E1(1) = -gamma + sum_k (-1)^(k+1)/(k k!), good to about 1e-15."""
+    term, total = 1.0, 0.0
+    for k in range(1, 25):
+        term /= k
+        total += (-1) ** (k + 1) * term / k
+    return total - 0.5772156649015329
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +336,8 @@ FROZEN = {
     "unit_log_power(-0.5)": (unit_log_power(-0.5), 4.0),
     "tail_power(1.5)": (tail_power(1.5), 2.0),
     "unit_shifted_root(1e-3)": (unit_shifted_root(1e-3), 1.9377541969215543),
+    "1/e - E1(1)": (math.exp(-1.0) - _exponential_integral_1(),
+                    UNIT_EXP_RECIPROCAL),
 }
 
 

@@ -192,3 +192,15 @@ def test_riquier_nu_matches_mpmath(model):
             for side in (0, 1):
                 want = _nu_reference(model, a, b, x, side)
                 assert _ulps(got[side], want) <= allow, (a, b, x, side)
+
+
+def test_vanishing_battery_forms_match_mpmath():
+    # the three forms of bound_miss_report.py that vanish to the last bit
+    # near 0, each against its defining integral on (0, 1)
+    cases = ((oracles.UNIT_RAMP, lambda x: max(x - 0.1, 0), (0, 0.1, 1)),
+             (oracles.unit_power(400.0), lambda x: x ** 400,
+              (0, 0.5, 0.9, 0.99, 1)),
+             (oracles.UNIT_EXP_RECIPROCAL, lambda x: mp.exp(-1 / x),
+              (0, 0.05, 0.25, 1)))
+    for got, f, cuts in cases:
+        assert _ulps(got, _quad(f, *cuts)) <= ULPS, got
