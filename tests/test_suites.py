@@ -269,6 +269,34 @@ def _plant_finite_fixture(monkeypatch):
     monkeypatch.setattr(adjoint, "compose_green", compose)
 
 
+def _plant_finite_gate(monkeypatch):
+    """V*phi(0) = 1 in the adjoint gate: mass at the origin, which should
+    sink the gate, leaves every grid value finite."""
+    real = adjoint.adjoint_apply
+
+    def apply(model, f, x, **kwargs):
+        vals = real(model, f, x, **kwargs)
+        if np.ndim(x) == 0:
+            return ExtendedValue.finite(1.0) if x == 0.0 else vals
+        return tuple(ExtendedValue.finite(1.0) if p == 0.0 else v
+                     for p, v in zip(np.ravel(x), vals))
+
+    monkeypatch.setattr(adjoint, "adjoint_apply", apply)
+
+
+def _plant_finite_corner(monkeypatch):
+    """H(0, 0) = 1 on the composition route of the adjoint identity, while
+    the adjoint route still diverges there."""
+    real = adjoint.compose_green
+
+    def compose(model, x, y, **kwargs):
+        if np.ndim(x) == np.ndim(y) == 0 and x == y == 0.0:
+            return ExtendedValue.finite(1.0)
+        return real(model, x, y, **kwargs)
+
+    monkeypatch.setattr(adjoint, "compose_green", compose)
+
+
 PLANTED = {
     "flipped-verdict": (
         "power-verdicts", _plant_flipped_verdict,
@@ -308,6 +336,12 @@ PLANTED = {
     "finite-boundary-fixture": (
         "regularity-interval", _plant_finite_fixture,
         "the boundary fixture reported violated instead of blow-up"),
+    "finite-gate-at-origin": (
+        "adjoint-gate", _plant_finite_gate,
+        "mass at the origin failed to sink the gate"),
+    "finite-corner": (
+        "consistent-divergence", _plant_finite_corner,
+        "routes disagree about divergence at x = 0"),
 }
 
 
