@@ -44,7 +44,11 @@ Conventions
 * tolerances are absolute, per integral;
 * the divergence rule has one home, :mod:`greenlab.values`, read by the
   walker and every certificate: ~ C*d^p at a point diverges iff p <= -1 +
-  EXP_MARGIN, ~ C*r^p at a tail iff p >= -1 - EXP_MARGIN, or on blow-up.
+  EXP_MARGIN, ~ C*r^p at a tail iff p >= -1 - EXP_MARGIN, or on blow-up;
+* so has the rule that ends a shell walk, ``values._decide``, a pure
+  function of the shells seen so far: the walker here evaluates the
+  shells, tests their sign and the partial integral's blow-up, and builds
+  its :class:`ProbeReport` from the outcome ``_decide`` returns.
 """
 
 from __future__ import annotations
