@@ -11,8 +11,9 @@ from greenlab.errors import (GreenLabError, PreconditionError,
 from greenlab.kernels import Fn, StencilSpec
 from greenlab.models import get_model
 from greenlab.quadrature import (PROBE_DEPTH, _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk15,
-                                 _shell_bounds, integrate, integrate_radial, probe_divergence,
-                                 probe_tail, sphere_surface_area)
+                                 _shell_bounds, integrate, integrate_radial,
+                                 probe_divergence, probe_tail,
+                                 sphere_surface_area)
 from greenlab.riquier import basis_fit_residual, fd_residual
 from greenlab.values import (DivergenceCertificate, _decide, _fit_slope,
                              _window_fit)
