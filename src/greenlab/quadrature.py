@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (GreenLabError, ModelDomainError, PreconditionError,
+from .errors import (ModelDomainError, PreconditionError,
                      UndeclaredSingularityError)
 from .values import (_MIN_SHELLS_FOR_VERDICT, _MIN_SHELLS_TO_RESOLVE,
                      DivergenceCertificate, ExtendedValue, _decide, blown_up)
@@ -508,15 +508,39 @@ def _shell_bounds(point: float, side: str, scale: float, k0: int, k1: int,
     return ends[:-1], ends[1:]
 
 
-def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
+def _first_runs(fv, probes, rows=None) -> list:
+    """The first run of every probe (point, side, scale, tol, kind), in one
+    _gk15 call: shells 0, ..., _MIN_SHELLS_FOR_VERDICT - 1 of each, in
+    probe order, as (value, error), or None at a shell with a non-finite
+    sample.  ``fv`` and ``rows`` are as :func:`_gk15` takes them."""
+    los, his = [], []
+    for point, side, scale, _, kind in probes:
+        lo, hi = _shell_bounds(point, side, scale, 0, _MIN_SHELLS_FOR_VERDICT,
+                               kind)
+        los += lo
+        his += hi
+    outs, holes = _gk15(fv, los, his, rows)
+    if type(outs) is not list:
+        outs = outs.tolist()
+    for j in holes:
+        outs[j] = None
+    if len(probes) == 1:
+        return [outs]
+    w = _MIN_SHELLS_FOR_VERDICT
+    return [outs[s:s + w] for s in range(0, len(outs), w)]
+
+
+def _probe_geometric(fv, rows, point, side, scale, tol, kind, outs):
     """Shared shell walker for endpoint approaches and radial tails.
 
     kind="endpoint": shells halve toward ``point`` from distance ``scale``.
     kind="tail": blocks double outward from radius ``scale``; ``point`` is
     only used to label the certificate.
 
-    One _gk15 call evaluates the shells up to _MIN_SHELLS_FOR_VERDICT, then
-    the walk goes one shell at a time through the sign and blow-up tests.
+    ``outs`` is the probe's first run, as :func:`_first_runs` gives it;
+    the walk extends it.  The walk goes one shell at a time through the
+    sign and blow-up tests, and evaluates each shell past the run itself,
+    one _gk15 call of ``fv`` and ``rows`` per shell.
     :func:`~greenlab.values._decide` says when and how it ends: the walker
     asks it after each zero shell and from shell _MIN_SHELLS_TO_RESOLVE on,
     and tells it a non-finite sample, a blow-up or full depth.
@@ -526,18 +550,13 @@ def _probe_geometric(fv, point, side, scale, tol, kind="endpoint"):
     errs, mags, logs = [], [], []
     trace: list[tuple[float, float]] = []
     cumulative = sign = 0.0
-    # each evaluated shell's (value, error), or None at a non-finite sample
-    outs: list = []
     outcome = None
 
     for k in range(PROBE_DEPTH):
         if k == len(outs):
             run_outs, holes = _gk15(fv, *_shell_bounds(
-                point, side, scale, k, max(k + 1, _MIN_SHELLS_FOR_VERDICT),
-                kind))
-            for j in holes:
-                run_outs[j] = None
-            outs += run_outs
+                point, side, scale, k, k + 1, kind), rows)
+            outs.append(None if holes else run_outs[0])
         dist = (point + scale * _DOUBLINGS[k + 1] if tail
                 else abs(_HALVINGS[k + 1] * scale))
         if outs[k] is None:
@@ -608,7 +627,9 @@ def probe_divergence(f: Callable, point: float, side: str = "right",
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', not {side!r}")
     _require_probe_tol(tol)
-    return _probe_geometric(as_vectorized(f), point, side, 1.0, tol)
+    probe = (point, side, 1.0, tol, "endpoint")
+    fv = as_vectorized(f)
+    return _probe_geometric(fv, None, *probe, _first_runs(fv, [probe])[0])
 
 
 def probe_tail(f: Callable, start: float = 1.0,
@@ -622,8 +643,9 @@ def probe_tail(f: Callable, start: float = 1.0,
     if start <= 0.0:
         raise PreconditionError("tail probes start at a positive radius")
     _require_probe_tol(tol)
-    return _probe_geometric(as_vectorized(f), 0.0, "right", start, tol,
-                            kind="tail")
+    probe = (0.0, "right", start, tol, "tail")
+    fv = as_vectorized(f)
+    return _probe_geometric(fv, None, *probe, _first_runs(fv, [probe])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -801,16 +823,16 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
         walk = sorted({*(~ok).nonzero()[0].tolist(),
                        *(r for r in singular if 0 <= r < n)})
         lo, hi = map(first.item, walk), map(last.item, walk)
-    # each planned row's pieces and the index of its first plain piece in
-    # extra, the plain pieces of planned rows as (row, lo, hi, tol)
-    stop, plans, extra = None, {}, []
+    # each planned row's pieces, plain-piece tolerance and probes, and the
+    # probes of all of them in order
+    stop, plans, probes = None, {}, []
     # each plain row, its piece count, and each plain piece's index in them
     plain, counts, piece_row = [], [], []
     ids, los, his, tols = [], [], [], []
     for r, a, b in zip(walk, lo, hi):
         if not -inf < a < b < inf or r in singular:
             try:
-                plan = _plan_row(f, r, a, b, singular.get(r, ()),
+                plan = _plan_row(a, b, singular.get(r, ()),
                                  [col[r] for col in mids] if small
                                  else cuts[r, 1:-1].tolist(), tol)
             except Exception as exc:
@@ -818,10 +840,8 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
                 stop = exc
                 break
             if plan is not None:
-                plans[r] = plan[0], len(extra)
-                for piece in plan[0]:
-                    if isinstance(piece, tuple):
-                        extra.append((r, *piece, plan[1]))
+                plans[r] = plan
+                probes += plan[2]
                 continue
         # a plain row: cut here in plain Python, or below with the others
         if small:
@@ -834,6 +854,34 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
             los += cut[:-1]
             his += cut[1:]
             tols += [0.5 * tol / k] * k
+    # the plain pieces of planned rows, as (row, lo, hi, tol), up to the
+    # piece that ends each row
+    extra = []
+    if plans:
+        # one _gk15 call: the first run of every probe, with its row's id
+        runs = _first_runs(f, probes, 0 if n == 1 else np.repeat(
+            list(plans), [_MIN_SHELLS_FOR_VERDICT * len(plan[2])
+                          for plan in plans.values()]))
+        at = 0
+        for row, (pieces, tol_plain, own) in plans.items():
+            plans[row] = pieces, len(extra)
+            j, at = at, at + len(own)
+            for piece in pieces:
+                if type(piece) is tuple:
+                    extra.append((row, *piece, tol_plain))
+                    continue
+                for i, probe in enumerate(piece):
+                    try:
+                        rep = piece[i] = _probe_geometric(f, row, *probe,
+                                                          runs[j])
+                    except Exception as exc:
+                        rep = piece[i] = exc
+                    j += 1
+                    if type(rep) is not ProbeReport or rep.divergent:
+                        break
+                else:
+                    continue
+                break
     # the plain pieces of planned rows follow those of the plain rows
     if small:
         m = len(los)
@@ -921,18 +969,22 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
     return QuadRows(value, bound, counts, met, plans)
 
 
-def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
-              breakpoints, tol: float) -> tuple[list, float] | None:
-    """Row r's pieces in interval order, and the tolerance of a plain piece,
-    if the row on [a, b] runs to inf or has a singular point in range; None
-    if it is plain, for :func:`_integrate_rows` to cut.  A row whose
-    interval is empty or starts at -inf is refused.
+def _plan_row(a: float, b: float, singular_points, breakpoints,
+              tol: float) -> tuple[list, float, list] | None:
+    """The pieces in interval order of a row on [a, b], the tolerance of a
+    plain piece, and the row's probes, if it runs to inf or has a singular
+    point in range; None if it is plain, for :func:`_integrate_rows` to
+    cut.  A row whose interval is empty or starts at -inf is refused.
 
     A plain piece is its (lo, hi), to be refined.  A piece with a singular
-    end is walked by a shell probe from each such end, and is the list of
-    their reports; a GreenLabError from a probe stands in the list in place
-    of its report, and any other exception propagates at once.  The list
-    ends at the first piece that diverges or refuses.
+    end is the list of the probes (point, side, scale, tol, kind) that walk
+    it, one from each such end; the probes are those lists' entries in
+    order.  :func:`_integrate_rows` evaluates every probe's first run and
+    then walks the pieces in order, each probe's report standing in the
+    list in place of the probe, or an exception it raised in place of its
+    report.  A piece that diverges or refuses ends its row: the probes and
+    plain pieces after it are neither walked nor refined, though their
+    first runs were evaluated with the others.
 
     On [a, inf) the tail starts at the last finite cut, or at 1 if that is
     larger (at twice that when it is a or a singular point, so that the
@@ -957,39 +1009,30 @@ def _plan_row(fv: Callable, r: int, a: float, b: float, singular_points,
     if not (tail or sings):
         return None
     cuts = sorted({a, b, *sings, *(p for p in breakpoints if a < p < b)})
-    spans = list(zip(cuts, cuts[1:]))
+    # Split the tolerance budget fairly between shell probes and plain
+    # pieces; a singular point is probed from each side that is in range.
+    tol_shell = 0.5 * tol / max(2 * len(sings) - (a in sings) - (b in sings),
+                                1)
     # Each piece is walked by the probes of its singular ends, if it has any.
-    walks = []
-    for lo, hi in spans:
-        ends = [(p, side) for p, side in ((lo, "right"), (hi, "left"))
-                if p in sings]
-        walks.append([(p, side, (hi - lo) / len(ends), "endpoint")
-                      for p, side in ends])
-    # Split the tolerance budget fairly between shell probes and plain pieces.
-    tol_shell = 0.5 * tol / max(sum(map(len, walks)), 1)
-    tol_plain = 0.5 * tol / (walks.count([]) or 1)
+    pieces, probes, k = [], [], 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        right, left = lo in sings, hi in sings
+        if right or left:
+            scale = (hi - lo) / (right + left)
+            span = [(lo, "right", scale, tol_shell, "endpoint")] if right \
+                else []
+            if left:
+                span.append((hi, "left", scale, tol_shell, "endpoint"))
+            probes += span
+        else:
+            span = (lo, hi)
+            k += 1
+        pieces.append(span)
     if tail:
-        spans.append((b, math.inf))
-        walks.append([(0.0, "right", b, "tail")])
-
-    pieces: list = []
-    for span, probes in zip(spans, walks):
-        if not probes:
-            pieces.append(span)
-            continue
-        reports: list = []
-        pieces.append(reports)
-        for point, side, scale, kind in probes:
-            try:
-                rep = _probe_geometric(lambda z: fv(r, z), point, side, scale,
-                                       tol if kind == "tail" else tol_shell,
-                                       kind)
-            except GreenLabError as exc:
-                rep = exc
-            reports.append(rep)
-            if isinstance(rep, GreenLabError) or rep.divergent:
-                return pieces, tol_plain
-    return pieces, tol_plain
+        span = [(0.0, "right", b, tol, "tail")]
+        pieces.append(span)
+        probes += span
+    return pieces, 0.5 * tol / (k or 1), probes
 
 
 def _assemble_row(pieces: list, outs: list, grown: dict, holes: dict,
@@ -1015,7 +1058,7 @@ def _assemble_row(pieces: list, outs: list, grown: dict, holes: dict,
             i += 1
             continue
         for rep in piece:
-            if isinstance(rep, GreenLabError):
+            if isinstance(rep, Exception):
                 raise rep
             handled.append((rep.location, rep.side))
             panels += rep.shells
