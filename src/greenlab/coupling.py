@@ -238,14 +238,21 @@ def _sliced_rows(model: ModelSpace, f, x, tol: float) -> tuple[QuadRows,
 def w_apply(model: ModelSpace, q, f, x, tol: float = QUAD_TOL) -> ExtendedValue:
     """W(f)(x) with weight q: equals V(q*f)(x); q must be positive and finite.
 
-    Positivity is enforced by sampling q across the domain (and the support
-    of f, if declared) rather than trusted from the caller.
+    Positivity is enforced by sampling q rather than trusted from the
+    caller: at 23 points across the domain (radii 0.05 to 4 on the radial
+    models), and, if f declares a support, at 23 more spread over the
+    inside of that support clipped to the domain.
     """
     if model.is_radial:
-        probes = np.linspace(0.05, 4.0, 23)
+        probes, lo, hi = np.linspace(0.05, 4.0, 23), 0.0, math.inf
     else:
         dom: Interval1D = model.domain
-        probes = dom.interior_grid(23)
+        probes, lo, hi = dom.interior_grid(23), dom.lo, dom.hi
+    support = getattr(f, "support", None)
+    if support is not None:
+        a, b = max(lo, float(support[0])), min(hi, float(support[1]))
+        if a < b < math.inf:
+            probes = np.concatenate((probes, np.linspace(a, b, 25)[1:-1]))
     qv = as_vectorized(q)
     qs = np.asarray(qv(probes), dtype=float)
     if not np.all(np.isfinite(qs)) or np.any(qs <= 0.0):

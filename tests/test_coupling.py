@@ -138,6 +138,26 @@ def test_w_apply_is_v_of_the_product_on_the_interval_model():
     assert prod.breakpoints == bump(0.5, 0.2).breakpoints
 
 
+def test_w_apply_samples_the_weight_on_the_declared_support():
+    # q < 0 only on (0.400, 0.415), which no point of the domain's sample
+    # grid reaches; the support of f, (0.40, 0.44), is sampled too
+    model = get_model("interval")
+    grid = model.domain.interior_grid(23)
+    assert not ((0.40 < grid) & (grid < 0.415)).any()
+    q = Fn(lambda y: np.where((0.40 < np.asarray(y)) & (np.asarray(y) < 0.415),
+                              -1.0, 1.0), vectorized=True)
+    with pytest.raises(PreconditionError) as exc:
+        w_apply(model, q, bump(0.42, 0.02), 0.5)
+    head, bad = str(exc.value).rsplit(" ", 1)
+    assert head == "weight must be finite and positive; it fails at"
+    assert 0.40 < float(bad) < 0.415
+    # a support beyond the domain is clipped to it: q = 1/y is finite and
+    # positive inside (0, 1), and sampled only there
+    inv = Fn(lambda y: 1.0 / np.asarray(y), vectorized=True)
+    wide = Fn(constant(1.0), support=(-1.0, 2.0), vectorized=True)
+    assert w_apply(model, inv, wide, 0.5).is_finite
+
+
 def test_w_apply_on_the_radial_model_is_twice_v_for_q_two():
     model = get_model("newtonian5")
     one = Fn(constant(1.0), support=(0.0, 2.0), vectorized=True)
