@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import oracles
+from greenlab import reports
 from greenlab.cli import main
 from greenlab.reports import BUILDERS, build_adjoint_gate, write_report
+from greenlab.values import ExtendedValue
 
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "report_digests.txt"
 
@@ -49,6 +51,21 @@ def test_boundary_blowup_rows_are_all_infinite():
     for row in table.rows:
         assert row[2] == "INF"
         assert float(row[3]) == pytest.approx(-1.0, abs=0.05)
+
+
+def test_a_finite_boundary_value_is_written_as_a_number(monkeypatch):
+    # a finite H(0.5, 0) takes its value in the h column and no exponent
+    real = reports.compose_green
+
+    def compose(model, x, y, **kwargs):
+        vals = list(real(model, x, y, **kwargs))
+        vals[4] = ExtendedValue.finite(0.125)
+        return vals
+
+    monkeypatch.setattr(reports, "compose_green", compose)
+    rows = reports.build_boundary_blowup().rows
+    assert rows[4] == ("0.5", "0", "0.125", "")
+    assert [row[2] for row in rows[:4] + rows[5:]] == ["INF"] * 8
 
 
 def test_adjoint_gate_trace():

@@ -297,6 +297,64 @@ def _plant_finite_corner(monkeypatch):
     monkeypatch.setattr(adjoint, "compose_green", compose)
 
 
+def _plant_not_strict(monkeypatch):
+    """A strictness probe that finds no strict margin."""
+    monkeypatch.setattr(suites.iv, "strictness_probe",
+                        lambda *args: SimpleNamespace(strict=False))
+
+
+def _plant_failing_probes(monkeypatch):
+    """A hyperharmonic test of the harmonic remainder that fails."""
+    monkeypatch.setattr(suites.riquier, "verify_hyperharmonic",
+                        lambda *args: SimpleNamespace(passed=False))
+
+
+def _plant_impure_classification(monkeypatch):
+    """classify_pair without the "pure" flag."""
+    monkeypatch.setattr(suites, "classify_pair", lambda *args: SimpleNamespace(
+        flags=frozenset({"hyperharmonic", "superharmonic"})))
+
+
+def _plant_accepted_broken_pair(monkeypatch):
+    """pure_decompose that returns where it should refuse."""
+    real = suites.pure_decompose
+
+    def decompose(model, pair, grid):
+        try:
+            return real(model, pair, grid)
+        except suites.ClassificationError:
+            return None, np.zeros(len(grid))
+
+    monkeypatch.setattr(suites, "pure_decompose", decompose)
+
+
+def _plant_mixed_identity(monkeypatch):
+    """The adjoint identity reports every finite pair as mixed."""
+    monkeypatch.setattr(adjoint, "adjoint_identity_residual",
+                        lambda *args: SimpleNamespace(kind="mixed",
+                                                      residual=0.0))
+
+
+def _plant_failing_navier(monkeypatch):
+    """A clamped-plate check whose residuals fail."""
+    monkeypatch.setattr(suites.bl, "navier_check",
+                        lambda y: SimpleNamespace(passed=lambda: False))
+
+
+def _plant_riquier_on_the_interval_adjoint(monkeypatch):
+    """regular_subdomain that accepts the interval adjoint, which has no
+    kink density."""
+    real = suites.riquier.regular_subdomain
+
+    def regular(model, a, b):
+        try:
+            return real(model, a, b)
+        except suites.ModelDomainError:
+            return None
+
+    monkeypatch.setattr(suites.riquier, "regular_subdomain", regular)
+
+
 PLANTED = {
     "flipped-verdict": (
         "power-verdicts", _plant_flipped_verdict,
@@ -342,6 +400,29 @@ PLANTED = {
     "finite-corner": (
         "consistent-divergence", _plant_finite_corner,
         "routes disagree about divergence at x = 0"),
+    "not-strict": (
+        "strictness", _plant_not_strict,
+        "no strict margin on (0.25, 0.75) at x = 0.5"),
+    "failing-remainder-probes": (
+        "pure-classification", _plant_failing_probes,
+        "harmonic remainder fails its probes at (a,b)=(0,0)"),
+    "impure-classification": (
+        "pure-classification", _plant_impure_classification,
+        "pure pair classified as ['hyperharmonic', 'superharmonic']"),
+    "accepted-broken-pair": (
+        "pure-classification", _plant_accepted_broken_pair,
+        "the scaled-down pair was not rejected"),
+    **{f"mixed-identity-{m}": (
+        f"adjoint-identity-{m}", _plant_mixed_identity,
+        "(0.5,0.25) unexpectedly mixed")
+       for m in ("interval", "bilaplace")},
+    "failing-navier": (
+        "navier", _plant_failing_navier,
+        "clamped-plate residuals fail at y = 0.25"),
+    "riquier-on-the-interval-adjoint": (
+        "adjoint-riquier", _plant_riquier_on_the_interval_adjoint,
+        "the interval adjoint, which has no kink density, was given a "
+        "Riquier problem"),
 }
 
 
