@@ -723,6 +723,91 @@ def test_panels_are_evaluated_in_batches(monkeypatch):
     assert sizes == [16] + [1] * (quadrature.PROBE_DEPTH - 16)
 
 
+def _shared_run_rows(fns, tol, sings=None):
+    """A row-form call with one row per g in fns on (0, 1), singular at 0
+    (or at sings[r]), under wrapped _gk15 and _probe_geometric: its
+    outcome, the panel count of each _gk15 call, and the rows walked."""
+    sizes, walked = [], []
+    gk15, walk = quadrature._gk15, quadrature._probe_geometric
+
+    def counted(fv, a, b, *rows):
+        sizes.append(len(a))
+        return gk15(fv, a, b, *rows)
+
+    def walker(fv, row, *rest):
+        walked.append(row)
+        return walk(fv, row, *rest)
+
+    def at(r, z):
+        z = np.asarray(z, dtype=float)
+        return np.choose(np.broadcast_to(r, z.shape), [g(z) for g in fns])
+
+    singular = {r: (sings or {}).get(r, (0.0,)) for r in range(len(fns))}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_gk15", counted)
+        patch.setattr(quadrature, "_probe_geometric", walker)
+        try:
+            out = integrate(at, rows=(len(fns), [0.0, 1.0], singular),
+                            tol=tol)
+        except Exception as exc:
+            out = type(exc), str(exc)
+    return out, sizes, walked
+
+
+_SHARED_RUN_FNS = [
+    lambda z: 1.0 / z,                              # diverges at shell 16
+    lambda z: z ** -0.5,                            # resolves at shell 12
+    lambda z: -np.log(z) * z ** -0.5,               # walks all 48 shells
+    lambda z: np.where(z < 2.0 ** -9, np.nan, z ** -0.5),  # a hole at 9
+]
+
+
+def test_one_gk15_call_evaluates_the_first_runs_of_every_probe():
+    tol = 1e-10
+    ones = [integrate(_vec(g), (0.0, 1.0), singular_points=(0.0,), tol=tol)
+            for g in _SHARED_RUN_FNS]
+    assert [one.subdivisions for one in ones] == [16, 12, 48, 10]
+    out, sizes, walked = _shared_run_rows(_SHARED_RUN_FNS, tol)
+    # the four first runs in one call, then the long walk shell by shell;
+    # the probes are walked once each, in row order
+    assert sizes == [4 * 16] + [1] * (PROBE_DEPTH - 16)
+    assert walked == [0, 1, 2, 3]
+    assert [_row_bits(res) for res in out] == [_row_bits(one) for one in ones]
+    assert out[3].value.certificate.probe_trace[-1] == (2.0 ** -10, math.inf)
+    # a row with three probes whose first diverges: the batch holds its
+    # three first runs, 112 panels and so an array batch, but the other
+    # two probes are not walked
+    fns = [*_SHARED_RUN_FNS, lambda z: 1.0 / z]
+    out, sizes, walked = _shared_run_rows(fns, tol, {4: (0.0, 0.5)})
+    assert sizes == [7 * 16] + [1] * (PROBE_DEPTH - 16)
+    assert walked == [0, 1, 2, 3, 4]
+    assert [_row_bits(out[r]) for r in range(4)] == \
+        [_row_bits(one) for one in ones]
+    two = out[4]
+    assert two == integrate(_vec(fns[4]), (0.0, 1.0),
+                            singular_points=(0.0, 0.5), tol=tol)
+    assert two.subdivisions == 16
+    assert two.singular_points_handled == ((0.0, "right"),)
+    cert = two.value.certificate
+    assert cert.estimated_exponent == -1.0
+    assert cert.probe_trace[-1] == (2.0 ** -18, 11.090354888959094)
+
+
+def test_a_refusal_in_a_shared_run_raises_what_its_row_raises():
+    # shell 5 of the last row, [2^-6, 2^-5], has the other sign
+    flipped = lambda z: np.where((2.0 ** -6 < z) & (z < 2.0 ** -5), -1.0,
+                                 1.0) * z ** -0.5
+    fns = [lambda z: z ** -0.5, lambda z: z ** -0.7, flipped]
+    want = _raised(lambda: integrate(_vec(flipped), (0.0, 1.0),
+                                     singular_points=(0.0,), tol=1e-10))
+    assert want == (PreconditionError, "integrand changes sign along the "
+                    "singular approach at 0.0; split it by sign first")
+    out, sizes, walked = _shared_run_rows(fns, 1e-10)
+    assert out == want
+    assert sizes == [3 * 16]
+    assert walked == [0, 1, 2]
+
+
 def test_row_form_gives_each_row_its_one_row_result():
     fns = [lambda y: np.abs(y - 0.3), lambda y: -np.log(y), lambda y: 1.0 / y]
 
