@@ -11,19 +11,23 @@ the panel budget.
 
 The rule runs on many panels per integrand call: the initial panels of every
 smooth piece of an integral together, then the children of each piece's worst
-panel, round by round, and a probe's dyadic shells up to its verdict depth,
-then one shell at a time.  So a vectorized integrand must be elementwise: its
-value at a node may not depend on the other nodes in the array.  Each panel
+panel, round by round; the first _MIN_SHELLS_FOR_VERDICT dyadic shells of every
+probe of a call together, then each probe's later shells one at a time.  So a
+vectorized integrand must be elementwise: its value at a node may not depend on
+the other nodes in the array.  Each panel
 is still reduced on its own, so every value, bound and certificate is the one
 a panel-at-a-time walk gives.  The same engine integrates many rows at once --
 one integral per point of an operator call on an array of points -- with the
 smooth pieces of every row in the same rounds: :func:`integrate` takes one
 interval, or rows of them handed in as columns, and walks the rows in order
 once.  A row with a probe or a tail gets a plan of its own; a plain row,
-finite and with no singular point in range, is cut at its breakpoints.  The
-first round's tolerance test picks out the few pieces that refine, each
-plain row's pieces are summed in piece order, and the rows' results go into
-the columns of a :class:`QuadRows`.  The size of a call picks how this
+finite and with no singular point in range, is cut at its breakpoints.
+Once the last row is planned, one integrand call evaluates the first run of
+shells of every probe of the call, and the probes are then walked in row
+and interval order, each from its own run.  The first round's tolerance
+test picks out the few pieces that refine, each plain row's pieces are
+summed in piece order, and the rows' results go into the columns of a
+:class:`QuadRows`.  The size of a call picks how this
 bookkeeping runs, never a bit of a result.  A call of at most _SMALL_BATCH
 rows tests and cuts each row in plain Python (an operator call at one point
 is one row); a larger one finds the rows to plan with one array test and
@@ -778,15 +782,21 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
     """The engine of :func:`integrate`: n rows, given as columns of cuts.
 
     It walks the rows in order once.  A row that runs to inf or has a
-    singular point in range is planned, its probes walked, by
-    :func:`_plan_row`, which also refuses an empty row or one from -inf;
-    the first row whose planning raises ends the walk, and its exception is
-    raised unless one of an earlier row comes first.  Every other row is
-    plain: it is cut at its breakpoints into pieces that share half its
-    tolerance.  One :func:`_refine` call refines the pieces of the plain
-    rows, then those of the planned rows.  Each plain row's pieces are
-    summed in piece order, and each planned row is assembled by
-    :func:`_assemble_row`.
+    singular point in range is planned by :func:`_plan_row`, which also
+    refuses an empty row or one from -inf; the first row whose planning
+    raises ends the walk before any evaluation, and its exception is raised
+    unless one of an earlier row comes first.  Every other row is plain: it
+    is cut at its breakpoints into pieces that share half its tolerance.
+    Then one :func:`_first_runs` call evaluates the first run of every
+    probe of the planned rows, each panel with its row's id; an exception
+    the integrand raises there propagates at once.  Each planned row's
+    pieces are walked in order, each probe by :func:`_probe_geometric`
+    from its run, up to the piece that ends the row; an exception a walk
+    raises stands in place of its report, so the call raises that of the
+    first failing row.  One :func:`_refine` call refines the pieces of the
+    plain rows, then the walked plain pieces of the planned rows.  Each
+    plain row's pieces are summed in piece order, and each planned row is
+    assembled by :func:`_assemble_row`.
 
     The number of rows picks how the rows are walked and cut.  A call of at
     most _SMALL_BATCH rows tests and cuts each row in plain Python.  Above
