@@ -808,6 +808,27 @@ def test_a_refusal_in_a_shared_run_raises_what_its_row_raises():
     assert walked == [0, 1, 2]
 
 
+def test_an_exception_past_the_first_run_comes_in_row_order():
+    # the walking row raises once its walk reaches shell 16, [2^-17, 2^-16],
+    # past the shared first runs; the plain row has a hole at 0.7
+    fns = [lambda z: np.where(np.abs(z - 0.7) < 1e-2, np.nan, z),
+           lambda z: -np.log(z) * z ** -0.5]
+
+    def at(r, z):
+        z = np.asarray(z, dtype=float)
+        rs = np.broadcast_to(r, z.shape)
+        if ((rs == 1) & (z < 2.0 ** -16)).any():
+            raise ValueError("past the first run")
+        return np.choose(rs, [g(z) for g in fns])
+
+    for order, want in (((0, 1), UndeclaredSingularityError),
+                        ((1, 0), ValueError)):
+        singular = {order.index(1): (0.0,)}
+        with pytest.raises(want):
+            integrate(lambda r, z: at(np.asarray(order)[r], z),
+                      rows=(2, [0.0, 1.0], singular), tol=1e-10)
+
+
 def test_row_form_gives_each_row_its_one_row_result():
     fns = [lambda y: np.abs(y - 0.3), lambda y: -np.log(y), lambda y: 1.0 / y]
 
