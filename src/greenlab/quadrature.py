@@ -887,6 +887,7 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
                     except Exception as exc:
                         rep = piece[i] = exc
                     j += 1
+                    # a probe that diverges or raises ends its row
                     if type(rep) is not ProbeReport or rep.divergent:
                         break
                 else:
