@@ -36,9 +36,8 @@ error estimates, tolerance tests and row sums in plain Python, where numpy's
 fixed cost per call would outweigh the work; a larger one keeps them in
 numpy columns from the panel rule to the row sums.  The pieces that refine
 follow the same rule: those of a larger batch stay in one table of panels,
-refined in whole-array steps, until their children would fit a batch of
-_ARRAY_PANELS panels; from there on, and in a smaller batch from the start,
-each keeps its panels in a heap.  A batch of more than _GK15_BLOCK panels is
+refined in whole-array steps to their end, and those of a smaller batch
+each keep their panels in a heap.  A batch of more than _GK15_BLOCK panels is
 evaluated in blocks of at most that many, one integrand call per block, so
 that the integrand's temporaries stay the size of a block however many
 rows a call holds.
@@ -107,7 +106,11 @@ _HALVINGS = tuple(2.0 ** -j for j in range(PROBE_DEPTH + 1))
 _DOUBLINGS = tuple(2.0 ** j for j in range(PROBE_DEPTH + 1))
 # A call of at most this many rows cuts its plain rows in plain Python,
 # where numpy's fixed cost per call outweighs the work: an operator call at
-# one point is one row.
+# one point is one row.  At 64, in alternating verify-all perfbench pairs
+# (4-s runs, 2-core x86 VM, Python 3.11), op_tail_ms was higher in 15 of
+# 16 pairs (medians +2.4% and +5.5% in two sets of 8), and run_s in 8 of 8
+# of an earlier set (medians 0.0733 s against 0.0707 s, about +4%) but
+# unresolved in these two (-2.9% and +0.7%).
 _SMALL_BATCH = 16
 # A _gk15 batch of more than this many panels takes its error estimates as
 # arrays, and so do _refine its tolerance tests and _integrate_rows its row
@@ -117,11 +120,12 @@ _SMALL_BATCH = 16
 # 0.89x at 64; a call of n one-piece rows, none refining, 0.91x at 32 and
 # 0.75x at 64; the same rows all refining once, 1.10x at 32, 1.00x at 64
 # and 0.95x at 96.  It is at least _MIN_SHELLS_FOR_VERDICT, so that a
-# probe's batches stay lists.  _refine_table hands its pieces to heaps once
-# their children fit such a batch: a table round against a heap round
-# (median of 31 interleaved pairs, same VM, rows of sqrt|z - 1/3| refined
-# 49 and 199 rounds) is 1.32-1.40x at 8 pieces, 1.16-1.17x at 16,
-# 0.95-1.03x at 24-32 and 0.65-0.81x at 33-48.
+# probe's batches stay lists.  The pieces of a batch above it refine in
+# _refine_table to their end, even where their children would fit a list,
+# as few rounds run there.  One run_suite('all') pass, at seed 0 or 1,
+# makes 25 _refine_table calls, starting with 3,496 refining pieces; in 11
+# of them the pieces left come to fit a list, 123 pieces in all, and these
+# take 9 more rounds (248 panels).
 _ARRAY_PANELS = 64
 # A _gk15 batch of more than this many panels is evaluated in blocks of at
 # most this many, so that the integrand's numpy temporaries stay in cache.
@@ -297,9 +301,9 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
     most, are done there.  Each round one call evaluates the children of
     the worst panel of every piece still refining.  A non-finite sample
     ends its piece, and stops the pieces of later rows: their outcomes mean
-    nothing.  A batch in the array form refines in :func:`_refine_table`;
-    a list of pairs keeps each refining piece's panels in a heap, popped
-    in the order above.
+    nothing.  A batch in the array form refines in :func:`_refine_table`
+    to its end; a list of pairs keeps each refining piece's panels in a
+    heap of (-error, lo, hi, value), popped in the order above.
     """
     grown: dict[int, int] = {}
     if not len(los):
@@ -314,28 +318,15 @@ def _refine(fv: Callable, rows, los, his, tols, cap: int):
     row_of = [rows] * len(outs) if isinstance(rows, int) else \
         rows.tolist() if isinstance(rows, np.ndarray) else rows
     first_bad = min((row_of[i] for i in holes), default=math.inf)
+    # each refining piece's [value, error, panels, heap], in piece order
     live = {i: [*outs[i], 1, [(-outs[i][1], float(los[i]), float(his[i]),
-                               outs[i][0])], tols[i]]
+                               outs[i][0])]]
             for i in todo if i not in holes}
-    return _refine_heaps(fv, row_of, live, first_bad, cap, outs, grown, holes)
-
-
-def _refine_heaps(fv: Callable, row_of, live: dict, first_bad, cap: int,
-                  outs, grown: dict, holes: dict):
-    """The rounds of :func:`_refine` with each refining piece's panels in a
-    heap of (-error, lo, hi, value): its (outs, panels, holes), with outs,
-    grown and holes updated in place.
-
-    ``live`` maps each refining piece, in piece order, to its [value, error,
-    panels, heap, tol], ``row_of`` each piece to its row, and first_bad is
-    the first row with a hole.  A piece's result is written to outs as a
-    pair, which sets a row of an array too.
-    """
     active = list(live)
     while True:
         # a piece that stops refining never starts again
         active = [i for i in active if row_of[i] <= first_bad
-                  and live[i][1] > live[i][4] and live[i][2] < cap]
+                  and live[i][1] > tols[i] and live[i][2] < cap]
         if not active:
             break
         worst = [heapq.heappop(live[i][3]) for i in active]
@@ -362,7 +353,7 @@ def _refine_heaps(fv: Callable, row_of, live: dict, first_bad, cap: int,
             piece[2] += 1
             heapq.heappush(piece[3], (-e1, lo, mid, v1))
             heapq.heappush(piece[3], (-e2, mid, hi, v2))
-    for i, (value, error, count, _, _) in live.items():
+    for i, (value, error, count, _) in live.items():
         if i not in holes:
             outs[i], grown[i] = (value, error), count
     return outs, grown, holes
@@ -383,16 +374,14 @@ def _refine_table(fv: Callable, rows, los, his, tols, cap: int,
     of a piece share a lo only if one is empty, with error 0, so lo ties
     only where all its panels have error 0; the lowest lo is then the
     piece's lower end, whose first column holds an empty panel if any,
-    the lower hi.  One _gk15 call evaluates the children, the first child
-    takes its parent's column and the second column k, and the sums are
-    updated as the heap loop does, elementwise.  A piece that stops is
-    written to outs and its row dropped: at its tolerance (a NaN error sum
-    counts as met), at the cap, in a row after the first row with a hole,
-    or at a hole, which keeps the first batch's pair.  The table starts 8
-    columns wide and doubles when full.  Once the children of the pieces
-    left would fit a batch of _ARRAY_PANELS panels, where a heap round is
-    faster, each piece's heap is built from its table row and
-    :func:`_refine_heaps` goes on; pops follow the same order.
+    the lower hi.  One _gk15 call evaluates the children, in either of its
+    forms, the first child takes its parent's column and the second column
+    k, and the sums are updated as the heap loop does, elementwise.  A
+    piece that stops is written to outs and its row dropped: at its
+    tolerance (a NaN error sum counts as met), at the cap, in a row after
+    the first row with a hole, or at a hole, which keeps the first batch's
+    pair.  The rounds go on until no piece is left.  The table starts 8
+    columns wide and doubles when full.
     """
     grown: dict[int, int] = {}
     idx = (outs[:, 1] > tols).nonzero()[0]
@@ -422,18 +411,8 @@ def _refine_table(fv: Callable, rows, los, his, tols, cap: int,
             idx, rid, tol, val, err = (a[keep] for a in (idx, rid, tol, val,
                                                           err))
             table = table[:, keep]
-        if 2 * len(idx) <= _ARRAY_PANELS:
-            # the children would fit a list batch, where the heap loop is
-            # faster: each heap is built from its piece's table row
-            ids, live = idx.tolist(), {}
-            for i, v, e, t, panels in zip(ids, val.tolist(), err.tolist(),
-                                          tol.tolist(), np.stack(
-                    (-table[0, :, :k], *table[1:, :, :k]), 2).tolist()):
-                heap = list(map(tuple, panels))
-                heapq.heapify(heap)
-                live[i] = [v, e, k, heap, t]
-            return _refine_heaps(fv, dict(zip(ids, rid.tolist())), live,
-                                 first_bad, cap, outs, grown, holes)
+        if not len(idx):
+            return outs, grown, holes
         if k == table.shape[2]:
             table = np.concatenate((table, np.empty_like(table)), axis=2)
         errs = table[0, :, :k]
@@ -445,7 +424,7 @@ def _refine_table(fv: Callable, rows, los, his, tols, cap: int,
         mid = 0.5 * (lo + hi)
         kids, kid_holes = _gk15(fv, np.array((lo, mid)).T.ravel(),
                                 np.array((mid, hi)).T.ravel(), rid.repeat(2))
-        v1, e1, v2, e2 = kids.reshape(-1, 4).T
+        v1, e1, v2, e2 = np.asarray(kids, dtype=float).reshape(-1, 4).T
         val = val + ((v1 + v2) - v)
         err = err + ((e1 + e2) - worst)
         table[:, at, j] = e1, lo, mid, v1
@@ -669,9 +648,10 @@ class QuadRows(abc.Sequence):
     Its arrays ``value`` and ``bound`` (both inf for a row certified
     divergent), ``panels``, and ``row_converged``, whether each row met its
     tolerance, hold every row; they are kept as lists and made arrays when
-    read.  Indexing builds the row's :class:`QuadResult`; a row planned
-    around a singular point or a tail keeps the one its plan assembled,
-    with its certificate and the singular points it handled.
+    read.  Indexing builds the row's :class:`QuadResult`, and a slice the
+    list of its rows'; a row planned around a singular point or a tail
+    keeps the one its plan assembled, with its certificate and the
+    singular points it handled.
     """
 
     def __init__(self, value: list, bound: list, panels: list,
@@ -688,7 +668,9 @@ class QuadRows(abc.Sequence):
     def __len__(self) -> int:
         return len(self._columns[0])
 
-    def __getitem__(self, i: int) -> QuadResult:
+    def __getitem__(self, i: int | slice) -> QuadResult | list[QuadResult]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
         res = self._planned.get(i)
         if res is None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from greenlab import adjoint
 from greenlab.adjoint import (
     _moduli_consistent,
     adjoint_apply,
@@ -21,7 +22,7 @@ from greenlab.errors import (ConditioningError, DomainError, ModelDomainError,
                              PreconditionError)
 from greenlab.kernels import Fn, GridFunction, bump, constant
 from greenlab.models import get_model
-from greenlab.values import ExtendedValue
+from greenlab.values import DivergenceCertificate, ExtendedValue
 from test_coupling import bits
 
 
@@ -101,6 +102,25 @@ def test_continuity_probe_reports_boundary_blowup():
     assert rep.target_value is not None and not rep.target_value.is_finite
     assert rep.moduli == ()
     assert not rep.consistent
+
+
+def test_continuity_probe_reports_a_blowup_at_a_probe(monkeypatch):
+    # an INF planted at the sixth probe, past a finite target
+    compose = adjoint.compose_green
+    inf = ExtendedValue.infinite(DivergenceCertificate(0.6, "right", -1.0))
+
+    def planted(*args, **kwargs):
+        values = list(compose(*args, **kwargs))
+        values[6] = inf
+        return values
+
+    monkeypatch.setattr(adjoint, "compose_green", planted)
+    rep = continuity_probe(get_model("interval"), 0.3, 0.6)
+    assert rep.verdict == "blow-up" and not rep.consistent
+    assert len(rep.probes) == len(rep.values) == 6
+    assert rep.values[-1] == math.inf and all(
+        math.isfinite(v) for v in rep.values[:-1])
+    assert rep.target_value.is_finite and rep.moduli == ()
 
 
 def test_continuity_probe_refuses_the_diagonal():

@@ -216,6 +216,17 @@ def test_classify_shifted_pair_is_superharmonic_not_pure():
     assert "harmonic" not in report.flags
 
 
+def test_classify_pair_below_the_pure_pair_has_no_pure_residual():
+    # u - V(1) = -0.01 < 0 everywhere, so pure_decompose refuses the pair
+    model = get_model("interval")
+    pair = BiharmonicPair(
+        Fn(lambda x: 0.5 * (1.0 - np.asarray(x, dtype=float)) - 0.01,
+           vectorized=True), constant(1.0))
+    report = classify_pair(model, pair, GRID, SUBS)
+    assert report.flags == frozenset({"hyperharmonic", "superharmonic"})
+    assert report.pure_residual is None
+
+
 def test_classify_pair_infinite_on_the_grid_is_not_superharmonic():
     # the shifted pair, +inf at a grid point outside every subinterval
     model = get_model("interval")

@@ -858,6 +858,38 @@ def test_row_form_gives_each_row_its_one_row_result():
             call()
 
 
+def test_adaptive_panels_is_integrate_on_one_interval():
+    # perfbench's tracer wraps adaptive_panels by name and reads its cap
+    # hits off the panel count: both rest on these two facts
+    import inspect
+
+    f = _vec(lambda z: np.abs(np.asarray(z) - 0.3))
+    res = integrate(f, (0.0, 1.0), tol=1e-12, breakpoints=(0.5,),
+                    max_subdivisions=7)
+    assert quadrature.adaptive_panels(f, 0.0, 1.0, 1e-12, (0.5,), 7) == (
+        res.value.value, res.value.error_bound, res.subdivisions)
+    assert not res.converged
+    defaults = [{name: p.default for name, p in inspect.signature(
+        fn).parameters.items()} for fn in (quadrature.adaptive_panels,
+                                           integrate)]
+    assert defaults[0]["max_panels"] == defaults[1]["max_subdivisions"]
+
+
+def test_rows_take_a_slice_as_the_sequence_they_are():
+    # row 2 is planned around its singular point 0
+    out = integrate(lambda r, z: z * (1 + r), rows=(5, [0.0, 1.0], {2: (0.0,)}),
+                    tol=1e-10)
+    rows = [out[i] for i in range(len(out))]
+    assert rows[2].singular_points_handled == ((0.0, "right"),)
+    assert out[:2] == rows[:2]
+    assert out[::-1] == rows[::-1]
+    assert out[-1] == rows[-1] == out[4]
+    assert out[1:9] == rows[1:] and out[5:] == []
+    for i in (5, -6):
+        with pytest.raises(IndexError):
+            out[i]
+
+
 def test_stencils_on_polynomials():
     product = StencilSpec("second", form="product_second", weight=None)
     # u = x^2: u'' = 2, centered difference is exact for quadratics
@@ -1528,9 +1560,9 @@ def _in_table_and_heaps(monkeypatch, call):
 
 
 def _table_rounds(sizes) -> int:
-    # the table refines while the children fill an array batch; the heap
-    # loop takes over where they fit a list
-    return sum(size > quadrature._ARRAY_PANELS for size in sizes[1:])
+    # every _gk15 batch after the first of an array-form call is a round of
+    # the table, which refines its pieces to their end
+    return len(sizes) - 1
 
 
 def _unit_rows(n, g, tol, cap=2000):
@@ -1590,6 +1622,8 @@ def test_table_pieces_stop_at_the_cap(monkeypatch):
     assert _table_rounds(table[2]) == 7
     assert [(bits[4], bits[6]) for bits in table[0]] == \
         [(1, True), (8, False)] * 50
+    # no round runs outside the table: one batch per panel past the first
+    assert _table_rounds(table[2]) == max(bits[4] for bits in table[0]) - 1
 
 
 def test_table_rounds_past_its_first_width(monkeypatch):
@@ -1598,6 +1632,7 @@ def test_table_rounds_past_its_first_width(monkeypatch):
         70, lambda r, z: (1.0 + r / 64.0) * np.abs(z - 0.3), 1e-12))
     assert table == heaps
     assert _table_rounds(table[2]) == 14
+    assert _table_rounds(table[2]) == max(bits[4] for bits in table[0]) - 1
     # one row cut into 70 pieces, each with a kink
     def one_row(record):
         def f(z):
@@ -1609,6 +1644,21 @@ def test_table_rounds_past_its_first_width(monkeypatch):
     table, heaps = _in_table_and_heaps(monkeypatch, one_row)
     assert table == heaps
     assert _table_rounds(table[2]) > 8
+
+
+def test_table_keeps_its_pieces_once_their_children_fit_a_list(monkeypatch):
+    # ten rows of a steep kink refine long after the other 60 are done, in
+    # rounds of at most _ARRAY_PANELS children
+    call = _unit_rows(70, lambda r, z: np.where(r < 10, 1e3, 1.0)
+                      * np.abs(z - 0.3), 1e-10)
+    table, heaps = _in_table_and_heaps(monkeypatch, call)
+    assert table == heaps
+    sizes = table[2]
+    assert sizes[-1] == 20 < quadrature._ARRAY_PANELS < sizes[1]
+    assert _table_rounds(sizes) == max(bits[4] for bits in table[0]) - 1
+    # and it keeps its bits with no heap module to call
+    monkeypatch.setattr(quadrature, "heapq", None)
+    assert [_row_bits(res) for res in call(lambda r, z: None)] == table[0]
 
 
 # ---------------------------------------------------------------------------
