@@ -48,10 +48,10 @@ Conventions
 * the divergence rule has one home, :mod:`greenlab.values`, read by the
   walker and every certificate: ~ C*d^p at a point diverges iff p <= -1 +
   EXP_MARGIN, ~ C*r^p at a tail iff p >= -1 - EXP_MARGIN, or on blow-up;
-* so has the rule that ends a shell walk, ``values._decide``, a pure
-  function of the shells seen so far: the walker here evaluates the
-  shells, tests their sign and the partial integral's blow-up, and builds
-  its :class:`ProbeReport` from the outcome ``_decide`` returns.
+* so has the shell walk, ``values._probe_geometric``: its loop, exits,
+  remainder and report, and the rule that ends it.  This module evaluates
+  the shells, all by :func:`_shells`: the first runs of a call's probes
+  together, then each later shell of a probe as its walker asks for it.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ import heapq
 import math
 from collections import abc
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -67,8 +68,9 @@ import numpy as np
 
 from .errors import (ModelDomainError, PreconditionError,
                      UndeclaredSingularityError)
-from .values import (_MIN_SHELLS_FOR_VERDICT, _MIN_SHELLS_TO_RESOLVE,
-                     DivergenceCertificate, ExtendedValue, _decide, blown_up)
+from .values import (_DOUBLINGS, _HALVINGS, _MIN_SHELLS_FOR_VERDICT,
+                     PROBE_DEPTH, ExtendedValue, ProbeReport, _frozen,
+                     _probe_geometric)
 
 # ---------------------------------------------------------------------------
 # Gauss7 / Kronrod15 embedded pair on [-1, 1].
@@ -100,10 +102,6 @@ _FLOOR = 50.0 * float(np.finfo(float).eps)
 # 4% above 200^-3: from there on (200 diff)^1.5 > diff, rounding included
 _SHRINK_LIMIT = 1.3e-7
 
-PROBE_DEPTH = 48
-# 2^-j and 2^j for j up to PROBE_DEPTH: the dyadic factors of every shell end
-_HALVINGS = tuple(2.0 ** -j for j in range(PROBE_DEPTH + 1))
-_DOUBLINGS = tuple(2.0 ** j for j in range(PROBE_DEPTH + 1))
 # A call of at most this many rows cuts its plain rows in plain Python,
 # where numpy's fixed cost per call outweighs the work: an operator call at
 # one point is one row.  At 64, in alternating verify-all perfbench pairs
@@ -454,28 +452,6 @@ def adaptive_panels(f: Callable, a: float, b: float, tol: float,
 # ---------------------------------------------------------------------------
 # Dyadic shell probes.
 
-@dataclass(frozen=True)
-class ProbeReport:
-    """Outcome of a dyadic approach to one suspected singularity.
-
-    ``resolved`` says that the walk ended before full depth: by a fit, by
-    a vanishing integrand, or by a divergence.  It does not say that the
-    error met the tolerance; a vanishing integrand's error is its shells'
-    own, whatever tol was asked.
-    """
-    location: float | str
-    side: str
-    divergent: bool
-    estimated_exponent: float
-    trace: tuple[tuple[float, float], ...]
-    certificate: DivergenceCertificate | None
-    # extrapolated value/error of the approached integral when convergent
-    value: float
-    error: float
-    shells: int
-    resolved: bool
-
-
 def _shell_bounds(point: float, side: str, scale: float, k0: int, k1: int,
                   kind: str) -> tuple[list[float], list[float]]:
     """The lower and upper ends of shells k0, ..., k1 - 1: shell k is
@@ -491,15 +467,14 @@ def _shell_bounds(point: float, side: str, scale: float, k0: int, k1: int,
     return ends[:-1], ends[1:]
 
 
-def _first_runs(fv, probes, rows=None) -> list:
-    """The first run of every probe (point, side, scale, tol, kind), in one
-    _gk15 call: shells 0, ..., _MIN_SHELLS_FOR_VERDICT - 1 of each, in
-    probe order, as (value, error), or None at a shell with a non-finite
-    sample.  ``fv`` and ``rows`` are as :func:`_gk15` takes them."""
+def _shells(fv, rows, probes, k0: int, k1: int) -> list:
+    """Shells k0, ..., k1 - 1 of every probe (point, side, scale, tol,
+    kind) in one _gk15 call, probe by probe: each as (value, error), or None
+    with a non-finite sample.  ``fv`` and ``rows`` are as :func:`_gk15`
+    takes them.  Bound to one probe, it gives the walker its later shells."""
     los, his = [], []
     for point, side, scale, _, kind in probes:
-        lo, hi = _shell_bounds(point, side, scale, 0, _MIN_SHELLS_FOR_VERDICT,
-                               kind)
+        lo, hi = _shell_bounds(point, side, scale, k0, k1, kind)
         los += lo
         his += hi
     outs, holes = _gk15(fv, los, his, rows)
@@ -507,84 +482,12 @@ def _first_runs(fv, probes, rows=None) -> list:
         outs = outs.tolist()
     for j in holes:
         outs[j] = None
-    if len(probes) == 1:
-        return [outs]
-    w = _MIN_SHELLS_FOR_VERDICT
-    return [outs[s:s + w] for s in range(0, len(outs), w)]
+    return outs
 
 
-def _probe_geometric(fv, rows, point, side, scale, tol, kind, outs):
-    """Shared shell walker for endpoint approaches and radial tails.
-
-    kind="endpoint": shells halve toward ``point`` from distance ``scale``.
-    kind="tail": blocks double outward from radius ``scale``; ``point`` is
-    only used to label the certificate.
-
-    ``outs`` is the probe's first run, as :func:`_first_runs` gives it;
-    the walk extends it.  The walk goes one shell at a time through the
-    sign and blow-up tests, and evaluates each shell past the run itself,
-    one _gk15 call of ``fv`` and ``rows`` per shell.
-    :func:`~greenlab.values._decide` says when and how it ends: the walker
-    asks it after each zero shell and from shell _MIN_SHELLS_TO_RESOLVE on,
-    and tells it a non-finite sample, a blow-up or full depth.
-    """
-    tail = kind == "tail"
-    # each shell's error, |value| and log2|value| (0.0 for a zero)
-    errs, mags, logs = [], [], []
-    trace: list[tuple[float, float]] = []
-    cumulative = sign = 0.0
-    outcome = None
-
-    for k in range(PROBE_DEPTH):
-        if k == len(outs):
-            run_outs, holes = _gk15(fv, *_shell_bounds(
-                point, side, scale, k, k + 1, kind), rows)
-            outs.append(None if holes else run_outs[0])
-        dist = (point + scale * _DOUBLINGS[k + 1] if tail
-                else abs(_HALVINGS[k + 1] * scale))
-        if outs[k] is None:
-            trace.append((dist, math.inf))
-            break
-        val, err = outs[k]
-        cumulative += val
-        trace.append((dist, cumulative))
-
-        if val != 0.0:
-            s = math.copysign(1.0, val)
-            if sign == 0.0:
-                sign = s
-            elif s != sign and abs(val) > 1e3 * (err + 1e-300):
-                raise PreconditionError(
-                    "integrand changes sign along the singular approach at "
-                    f"{point!r}; split it by sign first")
-
-        if blown_up(cumulative):
-            break
-
-        mag = abs(val)
-        errs.append(err)
-        mags.append(mag)
-        logs.append(math.log2(mag) if mag > 0.0 else 0.0)
-        if (mag == 0.0 or k + 1 >= _MIN_SHELLS_TO_RESOLVE) and (
-                outcome := _decide(mags, logs, errs, sign, tol, tail)):
-            break
-
-    # A walk no shell ended stopped at a non-finite sample or a blow-up,
-    # which leaves its trace blown up, or else at full depth.
-    exponent, divergent, extrap, resolved = outcome or _decide(
-        mags, logs, errs, sign, tol, tail,
-        "inf" if blown_up(trace[-1][1]) else "depth")
-    loc, cert_side = ("tail", "radial-tail") if tail else (point, side)
-    trace = tuple(trace)
-    # a divergent report carries no value
-    cert, value, error = None, 0.0, 0.0
-    if divergent:
-        cert = DivergenceCertificate(loc, cert_side, exponent, trace)
-    else:
-        value = cumulative + extrap[0]
-        error = sum(errs) + extrap[1]
-    return _frozen(ProbeReport, loc, cert_side, divergent, exponent, trace,
-                   cert, value, error, len(trace), resolved)
+def _probe(f: Callable, probe: tuple) -> ProbeReport:
+    shells = partial(_shells, as_vectorized(f), None, [probe])
+    return _probe_geometric(shells, *probe, shells(0, _MIN_SHELLS_FOR_VERDICT))
 
 
 def _require_probe_tol(tol: float) -> None:
@@ -610,9 +513,7 @@ def probe_divergence(f: Callable, point: float, side: str = "right",
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', not {side!r}")
     _require_probe_tol(tol)
-    probe = (point, side, 1.0, tol, "endpoint")
-    fv = as_vectorized(f)
-    return _probe_geometric(fv, None, *probe, _first_runs(fv, [probe])[0])
+    return _probe(f, (point, side, 1.0, tol, "endpoint"))
 
 
 def probe_tail(f: Callable, start: float = 1.0,
@@ -626,9 +527,7 @@ def probe_tail(f: Callable, start: float = 1.0,
     if start <= 0.0:
         raise PreconditionError("tail probes start at a positive radius")
     _require_probe_tol(tol)
-    probe = (0.0, "right", start, tol, "tail")
-    fv = as_vectorized(f)
-    return _probe_geometric(fv, None, *probe, _first_runs(fv, [probe])[0])
+    return _probe(f, (0.0, "right", start, tol, "tail"))
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +590,6 @@ class QuadRows(abc.Sequence):
             values.append(planned[i].value if i in planned
                           else ExtendedValue.finite(v, e))
         return values
-
-
-def _frozen(cls, *values):
-    # the frozen dataclass cls from all its fields in order, built past the
-    # frozen __setattr__ as ExtendedValue.finite is: once a probe or row
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
 
 
 def integrate(f: Callable, interval: tuple[float, float] | None = None,
@@ -769,11 +660,12 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
     raises ends the walk before any evaluation, and its exception is raised
     unless one of an earlier row comes first.  Every other row is plain: it
     is cut at its breakpoints into pieces that share half its tolerance.
-    Then one :func:`_first_runs` call evaluates the first run of every
-    probe of the planned rows, each panel with its row's id; an exception
-    the integrand raises there propagates at once.  Each planned row's
-    pieces are walked in order, each probe by :func:`_probe_geometric`
-    from its run, up to the piece that ends the row; an exception a walk
+    Then one :func:`_shells` call evaluates the first run of every probe
+    of the planned rows, each panel with its row's id; an exception the
+    integrand raises there propagates at once.  Each planned row's pieces
+    are walked in order, each probe by :func:`_probe_geometric` from its
+    run and with :func:`_shells` bound to it for its later shells, up to
+    the piece that ends the row; an exception a walk
     raises stands in place of its report, so the call raises that of the
     first failing row.  One :func:`_refine` call refines the pieces of the
     plain rows, then the walked plain pieces of the planned rows.  Each
@@ -851,24 +743,26 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
     extra = []
     if plans:
         # one _gk15 call: the first run of every probe, with its row's id
-        runs = _first_runs(f, probes, 0 if n == 1 else np.repeat(
-            list(plans), [_MIN_SHELLS_FOR_VERDICT * len(plan[2])
-                          for plan in plans.values()]))
+        w = _MIN_SHELLS_FOR_VERDICT
+        runs = _shells(f, 0 if n == 1 else np.repeat(
+            list(plans), [w * len(plan[2]) for plan in plans.values()]),
+            probes, 0, w)
         at = 0
         for row, (pieces, tol_plain, own) in plans.items():
             plans[row] = pieces, len(extra)
-            j, at = at, at + len(own)
+            j, at = at, at + w * len(own)
             for piece in pieces:
                 if type(piece) is tuple:
                     extra.append((row, *piece, tol_plain))
                     continue
                 for i, probe in enumerate(piece):
                     try:
-                        rep = piece[i] = _probe_geometric(f, row, *probe,
-                                                          runs[j])
+                        rep = piece[i] = _probe_geometric(
+                            partial(_shells, f, row, [probe]), *probe,
+                            runs[j:j + w])
                     except Exception as exc:
                         rep = piece[i] = exc
-                    j += 1
+                    j += w
                     # a probe that diverges or raises ends its row
                     if type(rep) is not ProbeReport or rep.divergent:
                         break

@@ -1,5 +1,5 @@
-"""Extended nonnegative values, divergence certificates, and the rule that
-ends a dyadic shell walk.
+"""Extended nonnegative values, divergence certificates, and the dyadic
+shell walk.
 
 Kernel evaluations and coupling integrals on the model spaces are either
 finite nonnegative reals or genuinely +inf (a divergent integral, a kernel
@@ -8,12 +8,11 @@ around unexplained, an infinite result always carries a
 :class:`DivergenceCertificate` recording where the mass escapes and at what
 rate, as measured by a dyadic probe.
 
-The probe's walker (:func:`greenlab.quadrature._probe_geometric`) only
-evaluates the shells.  What a walk concludes from them is decided here, by
-one pure function of the shells seen so far, :func:`_decide`: whether the
-walk goes on, and when it ends, its exponent, whether it diverges, the
-remainder of the unseen shells, and whether it ended before full depth.
-It reads the same divergence rule as every certificate.
+The walk lives here whole, beside the divergence rule it reads: the walker
+:func:`_probe_geometric` runs the loop over the shells, their sign and
+blow-up tests, the remainder it adds and its :class:`ProbeReport`, and the
+pure :func:`_decide` says how it ends.  Its caller evaluates the shells: it
+hands the walker the first run and a callable for each later shell.
 """
 
 from __future__ import annotations
@@ -151,6 +150,113 @@ def _decide(mags, logs, errs, sign, tol, tail, end=None):
     rem, rem_err = extrap or (sign * last, math.inf)
     return (exponent, False, (rem, min(rem_err, abs(rem) + last + sum(errs))),
             False)
+
+
+PROBE_DEPTH = 48
+# 2^-j and 2^j for j up to PROBE_DEPTH: the dyadic factors of every shell end
+_HALVINGS = tuple(2.0 ** -j for j in range(PROBE_DEPTH + 1))
+_DOUBLINGS = tuple(2.0 ** j for j in range(PROBE_DEPTH + 1))
+
+
+@dataclass(frozen=True)
+class ProbeReport:
+    """Outcome of a dyadic approach to one suspected singularity.
+
+    ``resolved`` says that the walk ended before full depth: by a fit, by
+    a vanishing integrand, or by a divergence.  It does not say that the
+    error met the tolerance; a vanishing integrand's error is its shells'
+    own, whatever tol was asked.
+    """
+    location: float | str
+    side: str
+    divergent: bool
+    estimated_exponent: float
+    trace: tuple[tuple[float, float], ...]
+    certificate: DivergenceCertificate | None
+    # extrapolated value/error of the approached integral when convergent
+    value: float
+    error: float
+    shells: int
+    resolved: bool
+
+
+def _frozen(cls, *values):
+    # the frozen dataclass cls from all its fields in order, built past the
+    # frozen __setattr__ as ExtendedValue.finite is: once a probe or row
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
+def _probe_geometric(shells, point, side, scale, tol, kind, outs):
+    """Shared shell walker for endpoint approaches and radial tails.
+
+    kind="endpoint": shells halve toward ``point`` from distance ``scale``.
+    kind="tail": blocks double outward from radius ``scale``; ``point`` is
+    only used to label the certificate.
+
+    ``outs`` is the probe's first run: shells 0, 1, ... as (value, error),
+    or None at a shell with a non-finite sample.  The walk extends it with
+    ``shells(k, k + 1)``, which evaluates shell k as the run was evaluated,
+    and goes one shell at a time through the sign and blow-up tests.
+    :func:`_decide` says when and how it ends: the walker asks it after each
+    zero shell and from shell _MIN_SHELLS_TO_RESOLVE on, and tells it a
+    non-finite sample, a blow-up or full depth.
+    """
+    tail = kind == "tail"
+    # per shell: error, |value|, log2|value| (0.0 for a zero), trace entry
+    errs, mags, logs, trace = [], [], [], []
+    cumulative = sign = 0.0
+    outcome = None
+
+    for k in range(PROBE_DEPTH):
+        if k == len(outs):
+            outs += shells(k, k + 1)
+        dist = (point + scale * _DOUBLINGS[k + 1] if tail
+                else abs(_HALVINGS[k + 1] * scale))
+        if outs[k] is None:
+            trace.append((dist, math.inf))
+            break
+        val, err = outs[k]
+        cumulative += val
+        trace.append((dist, cumulative))
+
+        if val != 0.0:
+            s = math.copysign(1.0, val)
+            if sign == 0.0:
+                sign = s
+            elif s != sign and abs(val) > 1e3 * (err + 1e-300):
+                raise PreconditionError(
+                    "integrand changes sign along the singular approach at "
+                    f"{point!r}; split it by sign first")
+
+        if blown_up(cumulative):
+            break
+
+        mag = abs(val)
+        errs.append(err)
+        mags.append(mag)
+        logs.append(math.log2(mag) if mag > 0.0 else 0.0)
+        if (mag == 0.0 or k + 1 >= _MIN_SHELLS_TO_RESOLVE) and (
+                outcome := _decide(mags, logs, errs, sign, tol, tail)):
+            break
+
+    # A walk no shell ended stopped at a non-finite sample or a blow-up,
+    # which leaves its trace blown up, or else at full depth.
+    exponent, divergent, extrap, resolved = outcome or _decide(
+        mags, logs, errs, sign, tol, tail,
+        "inf" if blown_up(trace[-1][1]) else "depth")
+    loc, cert_side = ("tail", "radial-tail") if tail else (point, side)
+    trace = tuple(trace)
+    # a divergent report carries no value
+    cert, value, error = None, 0.0, 0.0
+    if divergent:
+        cert = DivergenceCertificate(loc, cert_side, exponent, trace)
+    else:
+        value = cumulative + extrap[0]
+        error = sum(errs) + extrap[1]
+    return _frozen(ProbeReport, loc, cert_side, divergent, exponent, trace,
+                   cert, value, error, len(trace), resolved)
 
 
 # Default tolerances, one decade of headroom between verification layers:

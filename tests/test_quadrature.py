@@ -15,8 +15,8 @@ from greenlab.quadrature import (PROBE_DEPTH, _G_WEIGHTS, _GK_NODES, _K_WEIGHTS,
                                  probe_divergence, probe_tail,
                                  sphere_surface_area)
 from greenlab.riquier import basis_fit_residual, fd_residual
-from greenlab.values import (DivergenceCertificate, _decide, _fit_slope,
-                             _window_fit)
+from greenlab.values import (_MIN_SHELLS_TO_RESOLVE, DivergenceCertificate,
+                             _decide, _fit_slope, _window_fit)
 
 
 def _vec(f):
@@ -183,7 +183,7 @@ def _decisions(mags, sign=1.0, tol=1e-10, tail=False):
     # _decide on each prefix the walker asks about, from shell 12 on
     mags, logs, errs = _shell_sequence(mags)
     return {n: _decide(mags[:n], logs[:n], errs[:n], sign, tol, tail)
-            for n in range(quadrature._MIN_SHELLS_TO_RESOLVE, len(mags) + 1)}
+            for n in range(_MIN_SHELLS_TO_RESOLVE, len(mags) + 1)}
 
 
 def test_decide_resolves_geometric_shells_at_the_first_shell_asked():
@@ -734,9 +734,11 @@ def _shared_run_rows(fns, tol, sings=None):
         sizes.append(len(a))
         return gk15(fv, a, b, *rows)
 
-    def walker(fv, row, *rest):
-        walked.append(row)
-        return walk(fv, row, *rest)
+    def walker(shells, *rest):
+        # the evaluator of later shells is quadrature._shells bound to
+        # (integrand, row id, [probe])
+        walked.append(shells.args[1])
+        return walk(shells, *rest)
 
     def at(r, z):
         z = np.asarray(z, dtype=float)
