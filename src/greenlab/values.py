@@ -165,19 +165,21 @@ class ProbeReport:
     ``resolved`` says that the walk ended before full depth: by a fit, by
     a vanishing integrand, or by a divergence.  It does not say that the
     error met the tolerance; a vanishing integrand's error is its shells'
-    own, whatever tol was asked.
+    own, whatever tol was asked.  ``divergent`` and ``shells`` are read off
+    the certificate and the trace.
     """
     location: float | str
     side: str
-    divergent: bool
     estimated_exponent: float
     trace: tuple[tuple[float, float], ...]
     certificate: DivergenceCertificate | None
     # extrapolated value/error of the approached integral when convergent
     value: float
     error: float
-    shells: int
     resolved: bool
+
+    divergent = property(lambda self: self.certificate is not None)
+    shells = property(lambda self: len(self.trace))
 
 
 def _frozen(cls, *values):
@@ -255,8 +257,8 @@ def _probe_geometric(shells, point, side, scale, tol, kind, outs):
     else:
         value = cumulative + extrap[0]
         error = sum(errs) + extrap[1]
-    return _frozen(ProbeReport, loc, cert_side, divergent, exponent, trace,
-                   cert, value, error, len(trace), resolved)
+    return _frozen(ProbeReport, loc, cert_side, exponent, trace, cert, value,
+                   error, resolved)
 
 
 # Default tolerances, one decade of headroom between verification layers:

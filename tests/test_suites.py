@@ -171,9 +171,11 @@ def _plant_flipped_verdict(monkeypatch):
 
     def probe(f, *args, **kwargs):
         rep = real(f, *args, **kwargs)
-        # the p = -1.5 integrand is 4^-1.5 = 0.125 at 4
+        # the p = -1.5 integrand is 4^-1.5 = 0.125 at 4; its report,
+        # divergent, reads convergent without its certificate
         if float(f(4.0)) == 0.125:
-            return replace(rep, divergent=not rep.divergent)
+            assert rep.divergent
+            return replace(rep, certificate=None)
         return rep
 
     monkeypatch.setattr(suites, "probe_divergence", probe)
