@@ -759,7 +759,9 @@ def _shared_run_rows(fns, tol, sings=None):
 _SHARED_RUN_FNS = [
     lambda z: 1.0 / z,                              # diverges at shell 16
     lambda z: z ** -0.5,                            # resolves at shell 12
-    lambda z: -np.log(z) * z ** -0.5,               # walks all 48 shells
+    # walks all 48 shells: its unseen remainder past shell k is about
+    # 1/((k + 2) ln 2), which no sound remainder puts below 1e-10 by 48
+    lambda z: 1.0 / (z * np.log(z / 2.0) ** 2),
     lambda z: np.where(z < 2.0 ** -9, np.nan, z ** -0.5),  # a hole at 9
 ]
 
@@ -814,7 +816,7 @@ def test_an_exception_past_the_first_run_comes_in_row_order():
     # the walking row raises once its walk reaches shell 16, [2^-17, 2^-16],
     # past the shared first runs; the plain row has a hole at 0.7
     fns = [lambda z: np.where(np.abs(z - 0.7) < 1e-2, np.nan, z),
-           lambda z: -np.log(z) * z ** -0.5]
+           lambda z: 1.0 / (z * np.log(z / 2.0) ** 2)]
 
     def at(r, z):
         z = np.asarray(z, dtype=float)
@@ -823,10 +825,11 @@ def test_an_exception_past_the_first_run_comes_in_row_order():
             raise ValueError("past the first run")
         return np.choose(rs, [g(z) for g in fns])
 
-    for order, want in (((0, 1), UndeclaredSingularityError),
-                        ((1, 0), ValueError)):
+    for order, want, match in (
+            ((0, 1), UndeclaredSingularityError, "away from every declared"),
+            ((1, 0), ValueError, "past the first run")):
         singular = {order.index(1): (0.0,)}
-        with pytest.raises(want):
+        with pytest.raises(want, match=match):
             integrate(lambda r, z: at(np.asarray(order)[r], z),
                       rows=(2, [0.0, 1.0], singular), tol=1e-10)
 
