@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1711,7 +1712,13 @@ def test_probes_refuse_a_bad_side_or_start_before_evaluating():
     assert calls == []
 
 
-def test_quadrature_module_stays_within_the_parsers_first_token_array():
+_SRC = Path(quadrature.__file__).parent
+_MODULES = sorted(p.relative_to(_SRC.parent).as_posix()
+                  for p in _SRC.rglob("*.py"))
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_module_stays_within_the_parsers_first_token_array(module):
     # CPython 3.11's parser doubles its token array past 8,192 tokens, and
     # every interpreter that compiles the module from source then peaks
     # about 0.5 MB higher
@@ -1719,13 +1726,13 @@ def test_quadrature_module_stays_within_the_parsers_first_token_array():
 
     skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING,
             tokenize.ENDMARKER}
-    with open(quadrature.__file__, "rb") as src:
+    with open(_SRC.parent / module, "rb") as src:
         count = sum(tok.type not in skip
                     for tok in tokenize.tokenize(src.readline))
     assert count <= 8192, (
-        f"src/greenlab/quadrature.py has {count} parser tokens; past 8,192 "
-        "the CPython 3.11 parser doubles its token array when it compiles "
-        "the module, which raises its peak memory by about 0.5 MB")
+        f"src/{module} has {count} parser tokens; past 8,192 the CPython "
+        "3.11 parser doubles its token array when it compiles the module, "
+        "which raises its peak memory by about 0.5 MB")
 
 
 def test_the_closed_form_battery_stays_within_its_ceiling(capsys):
