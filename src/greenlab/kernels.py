@@ -113,8 +113,11 @@ def constant(c: float) -> Fn:
 def bump(center: float, halfwidth: float) -> Fn:
     """Continuous tent bump: 1 at center, 0 outside [center±halfwidth]."""
     c, w = float(center), float(halfwidth)
-    if w <= 0.0:
-        raise PreconditionError("bump halfwidth must be positive")
+    if not math.isfinite(c):
+        raise PreconditionError(f"bump center must be finite, not {c}")
+    if not 0.0 < w < math.inf:
+        raise PreconditionError(
+            f"bump halfwidth must be positive and finite, not {w}")
 
     def f(x):
         x = np.asarray(x, dtype=float)

@@ -106,8 +106,9 @@ def gauss_flux(n: int, r: float) -> float:
     """
     n = _require_dim(n)
     r = float(r)
-    if r <= 0.0:
-        raise PreconditionError("flux radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise PreconditionError(
+            f"flux radius must be positive and finite, not {r}")
     model = newtonian_model(n)
     raw = model.G1.raw
     pole = np.zeros(n)

@@ -43,6 +43,20 @@ def test_bump_shape_and_support():
         bump(0.5, 0.0)
 
 
+@pytest.mark.parametrize("center, halfwidth, message", [
+    (0.5, math.nan, "bump halfwidth must be positive and finite, not nan"),
+    (0.5, math.inf, "bump halfwidth must be positive and finite, not inf"),
+    (math.nan, 0.2, "bump center must be finite, not nan"),
+    (-math.inf, 0.2, "bump center must be finite, not -inf"),
+], ids=["nan-halfwidth", "inf-halfwidth", "nan-center", "inf-center"])
+def test_bump_refuses_a_non_finite_center_or_halfwidth(center, halfwidth,
+                                                       message):
+    # a NaN used to be accepted, and to fail later inside integrate
+    with pytest.raises(PreconditionError) as info:
+        bump(center, halfwidth)
+    assert str(info.value) == message
+
+
 def test_constant_and_fn_metadata():
     one = constant(1.0)
     assert float(one(0.3)) == 1.0

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ def test_gauss_flux_refuses_a_radius_of_zero():
     with pytest.raises(PreconditionError) as info:
         gauss_flux(5, 0.0)
     assert "flux radius must be positive" in str(info.value)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_gauss_flux_refuses_a_non_finite_radius_before_integrating(
+        r, monkeypatch):
+    # it used to warn in numpy and then raise UndeclaredSingularityError
+    monkeypatch.setattr(newtonian, "integrate", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError) as info:
+            gauss_flux(5, r)
+    assert str(info.value) == \
+        f"flux radius must be positive and finite, not {r}"
 
 
 def test_kernel_power_law():
