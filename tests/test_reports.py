@@ -1,7 +1,19 @@
-"""The prebuilt data tables: shape, literals, determinism and golden bytes."""
+"""The prebuilt data tables: shape, literals, determinism and golden bytes.
 
+``golden/report_digests.txt`` holds the SHA-256 of every file that
+`greenlab report` writes at seed 0.  A change that means to move a report
+byte regenerates it with
+
+    PYTHONPATH=src python tests/test_reports.py > tests/golden/report_digests.txt
+
+and says so.
+"""
+
+import contextlib
 import hashlib
+import io
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -114,12 +126,22 @@ def test_write_report_rejects_unknown_name(tmp_path):
         write_report("entropy", tmp_path)
 
 
-def test_report_targets_match_the_golden_digests(tmp_path, capsys):
-    """The SHA-256 of every CSV and .dat that `greenlab report` writes at
-    seed 0; a change that moves a report byte on purpose updates the file."""
-    for name in BUILDERS:
-        assert main(["report", name, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    got = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}"
-           for p in sorted(tmp_path.iterdir())]
-    assert got == GOLDEN_DIGESTS.read_text(encoding="ascii").splitlines()
+def report_digests(out: Path) -> list[str]:
+    """The SHA-256 and name of every CSV and .dat that `greenlab report`
+    writes at seed 0 into the empty directory out, in name order."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in BUILDERS:
+            assert main(["report", name, "--out", str(out)]) == 0
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}"
+            for p in sorted(out.iterdir())]
+
+
+def test_report_targets_match_the_golden_digests(tmp_path):
+    assert report_digests(tmp_path) == \
+        GOLDEN_DIGESTS.read_text(encoding="ascii").splitlines()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        for line in report_digests(Path(out)):
+            print(line)
