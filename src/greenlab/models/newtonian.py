@@ -19,9 +19,9 @@ from ..errors import (ConditioningError, DomainError, ModelDomainError,
 from ..coupling import coupling_apply
 from ..kernels import (Fn, GreenKernel, ModelSpace, RadialDomain,
                        ReferenceMeasure, constant, kernel_eval)
-from ..quadrature import (integrate, probe_divergence,
-                          probe_tail, sphere_surface_area, ProbeReport)
-from ..values import DivergenceCertificate, ExtendedValue
+from ..quadrature import (integrate, probe_divergence, probe_tail,
+                          sphere_surface_area)
+from ..values import DivergenceCertificate, ExtendedValue, ProbeReport
 
 # Distances below this make the composed-kernel quadrature ill-conditioned
 # (the inner angular peak narrows past what the panel budget resolves), so
