@@ -665,9 +665,9 @@ def _integrate_rows(f: Callable, n: int, columns: list, singular: dict,
     integrand raises there propagates at once.  Each planned row's pieces
     are walked in order, each probe by :func:`_probe_geometric` from its
     run and with :func:`_shells` bound to it for its later shells, up to
-    the piece that ends the row; an exception a walk
-    raises stands in place of its report, so the call raises that of the
-    first failing row.  One :func:`_refine` call refines the pieces of the
+    the piece that ends the row; an exception a walk raises stands in
+    place of its report, so the call raises that of the first failing
+    row.  One :func:`_refine` call refines the pieces of the
     plain rows, then the walked plain pieces of the planned rows.  Each
     plain row's pieces are summed in piece order, and each planned row is
     assembled by :func:`_assemble_row`.
