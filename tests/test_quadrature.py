@@ -1712,9 +1712,9 @@ def test_probes_refuse_a_bad_side_or_start_before_evaluating():
     assert calls == []
 
 
-_SRC = Path(quadrature.__file__).parent
-_MODULES = sorted(p.relative_to(_SRC.parent).as_posix()
-                  for p in _SRC.rglob("*.py"))
+_PACKAGE = Path(quadrature.__file__).parent
+_MODULES = sorted(p.relative_to(_PACKAGE.parent).as_posix()
+                  for p in _PACKAGE.rglob("*.py"))
 
 
 @pytest.mark.parametrize("module", _MODULES)
@@ -1726,7 +1726,7 @@ def test_module_stays_within_the_parsers_first_token_array(module):
 
     skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING,
             tokenize.ENDMARKER}
-    with open(_SRC.parent / module, "rb") as src:
+    with open(_PACKAGE.parent / module, "rb") as src:
         count = sum(tok.type not in skip
                     for tok in tokenize.tokenize(src.readline))
     assert count <= 8192, (
