@@ -63,7 +63,6 @@ class RunConfig:
     kernel: str | None = None
     x: tuple[float, ...] = ()
     y: tuple[float, ...] = ()
-    dist: tuple[float, ...] = ()
     tol_quad: float | None = None
     grid: int | None = None
     out: str | None = None
@@ -108,7 +107,6 @@ OPTIONS = {
     "kernel": (_kernel, "what to evaluate: " + ", ".join(KERNELS)),
     "x": (_floats, "comma-separated first coordinates"),
     "y": (_floats, "comma-separated second coordinates"),
-    "dist": (_floats, "comma-separated separations (radial models)"),
     "tol_quad": (_tol, "quadrature tolerance"),
     "grid": (_grid, "grid resolution for point-free queries"),
     "out": (str, "output file (eval) or directory (report)"),
@@ -116,7 +114,7 @@ OPTIONS = {
 }
 # The options each subcommand reads; each also takes --config.
 COMMANDS = {
-    "eval": ("model", "kernel", "x", "y", "dist", "tol_quad", "grid", "out"),
+    "eval": ("model", "kernel", "x", "y", "tol_quad", "grid", "out"),
     "verify": ("seed",),
     "report": ("out", "seed"),
 }
@@ -184,9 +182,9 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     tol = cfg.tol_quad or QUAD_TOL
     rows: list[tuple[str, ...]] = []
     if kernel in ("v", "vstar"):
-        if cfg.y or cfg.dist:
-            raise ConfigError(f"kernel {kernel} reads --x or --grid; --y and "
-                              "--dist do not apply")
+        if cfg.y:
+            raise ConfigError(f"kernel {kernel} reads --x or --grid; --y "
+                              "does not apply")
         # v / vstar applied to the constant one
         if cfg.x:
             points = cfg.x
@@ -202,36 +200,15 @@ def _eval_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
         for x, val in zip(points, values):
             rows.append((fmt_num(x),) + _value_cells(val))
         return ("x", "value", "bound_or_exponent"), rows
-    if cfg.dist:
-        if not model.is_radial:
-            raise ConfigError("--dist applies to the radial models; "
-                              "use --x and --y here")
-        if cfg.x or cfg.y:
-            raise ConfigError("--dist and --x/--y name the same points two "
-                              "ways; give one of them")
-    elif not cfg.x or not cfg.y:
-        raise ConfigError(f"kernel {kernel} needs --x and --y "
-                          f"(or --dist on the radial models)")
+    if not cfg.x or not cfg.y:
+        raise ConfigError(f"kernel {kernel} needs --x and --y")
+    pairs = [(x, y) for x in cfg.x for y in cfg.y]
     if kernel in ("g1", "g2"):
-        if cfg.dist:
-            from .models.newtonian import kernel_at_distance
-            for d in cfg.dist:
-                val = kernel_at_distance(model.dim, d)
-                rows.append((fmt_num(d),) + _value_cells(val))
-            return ("dist", "value", "bound_or_exponent"), rows
         kern = model.G1 if kernel == "g1" else model.G2
-        for x in cfg.x:
-            for y in cfg.y:
-                rows.append((fmt_num(x), fmt_num(y))
-                            + _value_cells(kernel_eval(kern, x, y)))
-        return ("x", "y", "value", "bound_or_exponent"), rows
-    if cfg.dist:
-        from .models.newtonian import require_separation
-        pairs = [(0.0, require_separation(d)) for d in cfg.dist]
+        values = [kernel_eval(kern, x, y) for x, y in pairs]
     else:
-        pairs = [(x, y) for x in cfg.x for y in cfg.y]
-    values = _at_points(model, lambda x, y: compose_green(
-        model, x, y, tol=tol), *zip(*pairs))
+        values = _at_points(model, lambda x, y: compose_green(
+            model, x, y, tol=tol), *zip(*pairs))
     for (x, y), val in zip(pairs, values):
         rows.append((fmt_num(x), fmt_num(y)) + _value_cells(val))
     return ("x", "y", "value", "bound_or_exponent"), rows

@@ -19,7 +19,7 @@ from ..coupling import compose_green
 from ..kernels import (Fn, GreenKernel, Interval1D, ModelSpace,
                        ReferenceMeasure, StencilSpec, constant, BiharmonicPair)
 from ..riquier import fd_residual
-from ..values import FD_TOL, QUAD_TOL, ExtendedValue
+from ..values import FD_TOL, QUAD_TOL
 
 
 def _g_raw(x, y):
@@ -48,11 +48,6 @@ def bilaplace_model() -> ModelSpace:
         L1_stencil=second, L2_stencil=second,
         kink_density=lambda z: np.ones_like(np.asarray(z, dtype=float)),
         subdomain_closure_ok=True)
-
-
-def h_sym(x: float, y: float, tol: float = QUAD_TOL) -> ExtendedValue:
-    """H(x, y) by quadrature; always finite here, and symmetric in (x, y)."""
-    return compose_green(bilaplace_model(), x, y, tol=tol)
 
 
 def h_symmetry_table() -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +126,7 @@ def navier_check(y: float) -> NavierReport:
     probes = [p / 10.0 for p in range(1, 10) if abs(p / 10.0 - y) >= 0.05]
 
     def hq(xs):
-        return [float(v) for v in h_sym(xs, y, tol=1e-10)]
+        return [float(v) for v in compose_green(model, xs, y, tol=1e-10)]
 
     gslice = model.G2.slice_in_first(y)
     max_res = 0.0

@@ -14,11 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import (ConditioningError, DomainError, ModelDomainError,
-                      PreconditionError)
+from ..errors import ConditioningError, ModelDomainError, PreconditionError
 from ..coupling import coupling_apply
 from ..kernels import (Fn, GreenKernel, ModelSpace, RadialDomain,
-                       ReferenceMeasure, constant, kernel_eval)
+                       ReferenceMeasure, constant)
 from ..quadrature import (integrate, probe_divergence, probe_tail,
                           sphere_surface_area)
 from ..values import DivergenceCertificate, ExtendedValue, ProbeReport
@@ -67,32 +66,6 @@ def newtonian_model(n: int) -> ModelSpace:
         "lebesgue", lambda r: np.ones_like(np.asarray(r, dtype=float)))
     return ModelSpace(id=f"newtonian{n}", domain=RadialDomain(n),
                       G1=kernel, G2=kernel, mu=mu, dim=n)
-
-
-def require_separation(d: float) -> float:
-    """A separation |x - y| as a float: finite and nonnegative, or refused."""
-    d = float(d)
-    if not math.isfinite(d):
-        raise DomainError(f"separation must be finite, got {d!r}")
-    if d < 0.0:
-        raise PreconditionError("separation must be nonnegative")
-    return d
-
-
-def kernel_at_distance(n: int, d: float) -> ExtendedValue:
-    """G at separation d: c_n d^(2-n), +inf at d = 0.
-
-    The kernel is evaluated at the points 0 and d e_1, as
-    :func:`newton_kernel` evaluates it, so a separation so small that
-    d^(2-n) overflows gets the same certified diagonal +inf as d = 0.
-    """
-    n = _require_dim(n)
-    return kernel_eval(newtonian_model(n).G1, 0.0, require_separation(d))
-
-
-def newton_kernel(n: int, x, y) -> ExtendedValue:
-    """G(x, y) for points x, y of R^n (a scalar is a first-axis offset)."""
-    return kernel_eval(newtonian_model(n).G1, x, y)
 
 
 def gauss_flux(n: int, r: float) -> float:

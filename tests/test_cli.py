@@ -9,9 +9,12 @@ import pytest
 
 import oracles
 from greenlab import __version__
-from greenlab.cli import (RunConfig, build_config, cmd_eval, cmd_report,
-                          load_config, main, make_parser)
+from greenlab.cli import (RunConfig, _value_cells, build_config, cmd_eval,
+                          cmd_report, load_config, main, make_parser)
 from greenlab.errors import ConfigError
+from greenlab.kernels import kernel_eval
+from greenlab.models.newtonian import newtonian_model
+from greenlab.reports import fmt_num
 from greenlab.suites import CHECKS, CheckResult
 
 
@@ -42,33 +45,24 @@ def test_eval_composed_kernel(capsys):
 
 def test_eval_radial_kernel_at_distance(capsys):
     rc, out, _ = run_cli(capsys, "eval", "--model", "newtonian5",
-                         "--kernel", "g1", "--dist", "1.0,2.0")
+                         "--kernel", "g1", "--x", "0", "--y", "1.0,2.0")
     assert rc == 0
     rows = data_rows(out)
-    assert rows[0] == ["dist", "value", "bound_or_exponent"]
-    assert float(rows[1][1]) == pytest.approx(oracles.newton_c(5), rel=1e-12)
-    assert float(rows[2][1]) == pytest.approx(oracles.newton_c(5) / 8.0,
+    assert rows[0] == ["x", "y", "value", "bound_or_exponent"]
+    assert float(rows[1][2]) == pytest.approx(oracles.newton_c(5), rel=1e-12)
+    assert float(rows[2][2]) == pytest.approx(oracles.newton_c(5) / 8.0,
                                               rel=1e-12)
     # a separation whose power overflows is the certified diagonal
     rc, out, _ = run_cli(capsys, "eval", "--model", "newtonian5",
-                         "--kernel", "g1", "--dist", "1e-200")
+                         "--kernel", "g1", "--x", "0", "--y", "1e-200")
     assert rc == 0
-    assert data_rows(out)[1] == ["1e-200", "INF", "-3"]
+    assert data_rows(out)[1] == ["0", "1e-200", "INF", "-3"]
     for d in ("nan", "inf"):
         rc, out, err = run_cli(capsys, "eval", "--model", "newtonian5",
-                               "--kernel", "g1", "--dist", d)
+                               "--kernel", "g1", "--x", "0", "--y", d)
         assert rc == 2
         assert out == ""
         assert err.startswith("greenlab: ") and "finite" in err
-
-
-def test_eval_negative_separation_is_refused_for_every_kernel(capsys):
-    for kernel in ("g1", "h"):
-        rc, out, err = run_cli(capsys, "eval", "--model", "newtonian5",
-                               "--kernel", kernel, "--dist", "1,-1")
-        assert rc == 2
-        assert out == ""
-        assert err == "greenlab: separation must be nonnegative\n"
 
 
 def test_eval_kernel_points_are_checked_and_certified(capsys):
@@ -90,13 +84,13 @@ def test_eval_kernel_points_are_checked_and_certified(capsys):
 
 def test_any_radial_dimension_from_five_is_a_model(capsys):
     rc, out, _ = run_cli(capsys, "eval", "--model", "newtonian7",
-                         "--kernel", "g1", "--dist", "1.0")
+                         "--kernel", "g1", "--x", "0", "--y", "1.0")
     assert rc == 0
     assert "# model = newtonian7" in out
-    assert float(data_rows(out)[1][1]) == pytest.approx(oracles.newton_c(7),
+    assert float(data_rows(out)[1][2]) == pytest.approx(oracles.newton_c(7),
                                                         rel=1e-12)
     rc, out, err = run_cli(capsys, "eval", "--model", "newtonian4",
-                           "--kernel", "g1", "--dist", "1.0")
+                           "--kernel", "g1", "--x", "0", "--y", "1.0")
     assert rc == 2
     assert out == ""
     assert "dimension >= 5" in err
@@ -115,8 +109,8 @@ def test_eval_divergent_value_prints_inf_literal(capsys):
 def test_eval_overflowing_radial_kernel_is_the_certified_diagonal(capsys):
     # c_n d^(2-n) overflows at these separations; a warning would be an
     # error here, so nothing may reach stderr through the warnings module
-    cases = (("newtonian100", ("--dist", "1e-8"), ["1e-08", "INF", "-98"]),
-             ("newtonian100", ("--dist", "0.001"), ["0.001", "INF", "-98"]),
+    cases = (("newtonian100", ("--x", "0", "--y", "1e-8"),
+              ["0", "1e-08", "INF", "-98"]),
              ("newtonian100", ("--x", "0", "--y", "0.001"),
               ["0", "0.001", "INF", "-98"]),
              ("newtonian5", ("--x", "0", "--y", "1e-120"),
@@ -164,19 +158,20 @@ def test_eval_refuses_a_diagonal_point_whose_kernel_overflows(capsys):
 
 
 def test_eval_dist_and_points_give_the_same_kernel_values(capsys):
-    dists = ",".join(repr(float(d)) for d in np.logspace(-150.0, 150.0, 61))
+    # the separations d, read as the points 0 and d e_1, print the cells of
+    # kernel_eval at those points
+    dists = np.logspace(-150.0, 150.0, 61)
     for n in (5, 6, 7, 12, 40, 100):
         model = f"newtonian{n}"
-        rc, by_dist, _ = run_cli(capsys, "eval", "--model", model,
-                                 "--kernel", "g1", "--dist", dists)
+        rc, by_points, _ = run_cli(
+            capsys, "eval", "--model", model, "--kernel", "g1", "--x", "0",
+            "--y", ",".join(repr(float(d)) for d in dists))
         assert rc == 0
-        rc, by_points, _ = run_cli(capsys, "eval", "--model", model,
-                                   "--kernel", "g1", "--x", "0",
-                                   "--y", dists)
-        assert rc == 0
-        rows = data_rows(by_dist)[1:]
-        assert len(rows) == 61
-        assert rows == [row[1:] for row in data_rows(by_points)[1:]]
+        rows = data_rows(by_points)[1:]
+        kern = newtonian_model(n).G1
+        assert rows == [["0", fmt_num(d),
+                         *_value_cells(kernel_eval(kern, 0.0, d))]
+                        for d in dists]
 
 def test_eval_needs_kernel_and_points(capsys):
     rc, _, err = run_cli(capsys, "eval", "--model", "interval")
@@ -317,11 +312,11 @@ def test_report_rejects_unknown_target(capsys):
 
 
 # The options each subcommand reads, besides --config.
-READS = {"eval": {"--model", "--kernel", "--x", "--y", "--dist", "--tol-quad",
-                  "--grid", "--out"},
+READS = {"eval": {"--model", "--kernel", "--x", "--y", "--tol-quad", "--grid",
+                  "--out"},
          "verify": {"--seed"},
          "report": {"--out", "--seed"}}
-REMOVED = {"eval": ("--seed", "--tol-identity", "--tol-fd"),
+REMOVED = {"eval": ("--seed", "--dist", "--tol-identity", "--tol-fd"),
            "verify": ("--model", "--tol-quad", "--grid", "--out",
                       "--tol-identity", "--tol-fd"),
            "report": ("--model", "--tol-quad", "--grid", "--tol-identity",
@@ -399,18 +394,16 @@ def test_bad_number_names_its_key(capsys):
 
 def test_eval_refuses_query_options_its_kernel_does_not_read(capsys):
     for argv in (
-            ("--model", "interval", "--kernel", "h", "--x", "0.3",
-             "--y", "0.7", "--dist", "0.5"),
             ("--model", "interval", "--kernel", "v", "--x", "0.3",
-             "--y", "0.9", "--dist", "4"),
-            ("--model", "newtonian5", "--kernel", "h", "--x", "0",
-             "--y", "1", "--dist", "2"),
-            ("--model", "newtonian5", "--kernel", "g1", "--x", "0",
-             "--y", "1", "--dist", "2")):
+             "--y", "0.9"),
+            ("--model", "interval", "--kernel", "vstar", "--y", "0.9"),
+            ("--model", "newtonian5", "--kernel", "v", "--y", "1"),
+            ("--model", "newtonian5", "--kernel", "vstar", "--x", "0",
+             "--y", "1")):
         rc, out, err = run_cli(capsys, "eval", *argv)
         assert rc == 2
         assert out == ""
-        assert err.startswith("greenlab: ")
+        assert err.startswith("greenlab: ") and "--y" in err
 
 
 def test_eval_refuses_settings_its_kernel_does_not_apply(tmp_path, capsys):
@@ -418,8 +411,8 @@ def test_eval_refuses_settings_its_kernel_does_not_apply(tmp_path, capsys):
     for query, setting in (
             (("--kernel", "g1", "--x", "0.5", "--y", "0.5"), "tol-quad=1e-3"),
             (("--kernel", "g2", "--x", "0.5", "--y", "0.5"), "tol-quad=1e-3"),
-            (("--model", "newtonian5", "--kernel", "g1", "--dist", "1"),
-             "tol-quad=1e-3"),
+            (("--model", "newtonian5", "--kernel", "g1", "--x", "0",
+              "--y", "1"), "tol-quad=1e-3"),
             (("--kernel", "g1", "--x", "0.5", "--y", "0.5"), "grid=3"),
             (("--kernel", "g2", "--x", "0.5", "--y", "0.5"), "grid=3"),
             (("--kernel", "h", "--x", "0.3", "--y", "0.7"), "grid=3"),

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from greenlab import quadrature
-from greenlab.kernels import bump
+from greenlab.kernels import bump, kernel_eval
 from greenlab.coupling import coupling_apply
 from greenlab.errors import (
     ConditioningError,
@@ -23,9 +23,7 @@ from greenlab.models.newtonian import (
     composition_tail_report,
     constant_coupling_divergence,
     gauss_flux,
-    kernel_at_distance,
     newton_constant,
-    newton_kernel,
     newtonian_model,
     riesz_compose,
     truncated_constant_coupling,
@@ -63,33 +61,36 @@ def test_gauss_flux_refuses_a_non_finite_radius_before_integrating(
         f"flux radius must be positive and finite, not {r}"
 
 
+def _g(n, x, y):
+    return kernel_eval(newtonian_model(n).G1, x, y)
+
+
 def test_kernel_power_law():
     for n in (5, 6):
         for d in (0.5, 1.0, 2.0):
             want = oracles.newton_c(n) * d ** (2 - n)
-            assert float(kernel_at_distance(n, d)) == pytest.approx(
-                want, rel=1e-14)
+            assert float(_g(n, 0.0, d)) == pytest.approx(want, rel=1e-14)
 
 
 def test_kernel_diagonal_is_certified():
-    val = kernel_at_distance(5, 0.0)
+    val = _g(5, 0.0, 0.0)
     assert not val.is_finite
     assert val.certificate.estimated_exponent == pytest.approx(-3.0)
-    with pytest.raises(PreconditionError):
-        kernel_at_distance(5, -1.0)
+    # a scalar is an offset along the first axis, of either sign
+    assert float(_g(5, 0.0, -1.0)) == float(_g(5, 0.0, 1.0))
 
 
 def test_kernel_accepts_scalar_and_coordinate_points():
-    a = newton_kernel(5, 0.0, 1.0)
-    b = newton_kernel(5, np.zeros(5), np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    a = _g(5, 0.0, 1.0)
+    b = _g(5, np.zeros(5), np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     assert float(a) == float(b)
-    diag = newton_kernel(5, 0.37, 0.37)
-    assert diag.certificate == kernel_at_distance(5, 0.0).certificate
+    diag = _g(5, 0.37, 0.37)
+    assert diag.certificate == _g(5, 0.0, 0.0).certificate
     # a non-finite scalar or coordinate is no point of R^n, at every surface
     model = newtonian_model(5)
     for bad in (np.inf, np.nan, np.array([0.0, 0.0, np.nan, 0.0, 0.0])):
         with pytest.raises(DomainError):
-            newton_kernel(5, 0.0, bad)
+            _g(5, 0.0, bad)
         with pytest.raises(DomainError):
             coupling_apply(model, bump(0.5, 0.2), bad)
         with pytest.raises(DomainError):
@@ -98,14 +99,14 @@ def test_kernel_accepts_scalar_and_coordinate_points():
 
 def test_point_value_traces_record_the_true_separation():
     # off the diagonal, d^(2-n) overflows only at a tiny separation d
-    certified = [(n, kernel_at_distance(n, d)) for n, d in
+    certified = [(n, _g(n, 0.0, d)) for n, d in
                  ((7, 1e-65), (12, 1e-40), (40, 1e-8), (100, 1e-3))]
     rng = np.random.default_rng(7)
     for n, off in ((6, 1e-160), (40, 1e-9)):
         x = rng.uniform(-1.0, 1.0, n)
         y = x.copy()
         y[1] += off
-        certified.append((n, newton_kernel(n, x, y)))
+        certified.append((n, _g(n, x, y)))
     for n, val in certified:
         assert not val.is_finite
         trace = val.certificate.probe_trace
@@ -119,7 +120,7 @@ def test_dimension_gate():
     with pytest.raises(ModelDomainError):
         newtonian_model(4)
     with pytest.raises(ModelDomainError):
-        kernel_at_distance(3, 1.0)
+        newtonian_model(3)
 
 
 def test_gauss_flux_normalization():
