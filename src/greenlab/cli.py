@@ -48,8 +48,7 @@ KERNELS = ("g1", "g2", "h", "v", "vstar")
 # the kernels evaluated by quadrature, so the ones --tol-quad applies to
 QUADRATURE_KERNELS = ("h", "v", "vstar")
 GRID_POINTS = 20
-SUITE_NAMES = ("axioms", "interval", "bilaplace", "newtonian", "adjoint",
-               "all")
+SUITE_NAMES = (*suites.SUITES, "all")
 
 
 @dataclass(frozen=True)
