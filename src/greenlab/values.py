@@ -12,13 +12,18 @@ The walk lives here whole, beside the divergence rule it reads: the walker
 :func:`_probe_geometric` runs the loop over the shells, their sign and
 blow-up tests, the remainder it adds and its :class:`ProbeReport`, and the
 pure :func:`_decide` says how it ends.  Its caller evaluates the shells: it
-hands the walker the first run and a callable for each later shell.
+hands the walker the first run and a callable for each later shell.  The
+remainder past the last shell is the limit of the partial sums by Wynn's
+epsilon, as QUADPACK's qelg takes it, and a walk's error is its shells'
+own errors, each once, plus the error of that remainder.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import PreconditionError
 
@@ -43,6 +48,9 @@ def blown_up(partial: float) -> bool:
 _FIT_WINDOW = 8
 _MIN_SHELLS_TO_RESOLVE = 12
 _MIN_SHELLS_FOR_VERDICT = 16
+# The remainder reads the last _EPS_SUMS partial sums by Wynn's epsilon.
+_EPS_SUMS = 16
+_EPS = sys.float_info.epsilon
 
 
 def _fit_slope(ks, logs):
@@ -66,13 +74,39 @@ def _recent_ratios(mags, k):
             if mags[i] > 0.0 and mags[i + 1] > 0.0]
 
 
-def _window_fit(mags, logs, errs, k, sign, tail):
+def _wynn(sums):
+    """The limit of the partial sums by Wynn's epsilon, and its error.
+
+    Builds the table column by column from eps_-1 = 0 and eps_0 = sums:
+    eps_j+1[i] = eps_j-1[i+1] + 1 / (eps_j[i+1] - eps_j[i]), NaN where the
+    difference is within rounding of its ends, and every entry built from
+    a NaN is NaN.  Of the even columns with three entries or more, the one
+    whose last two differences sum least gives the limit, its last entry,
+    and the error, that sum, as QUADPACK's qelg reads the table.
+    """
+    prev, col = [0.0] * len(sums), list(sums)
+    err, limit, even = math.inf, sums[-1], True
+    while len(col) >= 3:
+        if even:
+            d = abs(col[-1] - col[-2]) + abs(col[-2] - col[-3])
+            if d < err:
+                err, limit = d, col[-1]
+        nxt = [p + 1.0 / (b - a) if abs(b - a) > _EPS * max(abs(a), abs(b))
+               else math.nan for p, a, b in zip(prev[1:], col, col[1:])]
+        prev, col, even = col, nxt, not even
+    return limit, err
+
+
+def _window_fit(mags, logs, k, sign, tail):
     """The power-law fit of the window of shells ending at k, or None.
 
-    A pure function of |shell|, log2|shell| and the errors up to k, and of
-    the sign.  None below _FIT_WINDOW - 2 nonzero shells in the window;
-    else (exponent, critical, (remainder, error) of the unseen shells, or
-    None unless the fit is not critical and the recent ratios contract).
+    A pure function of |shell| and log2|shell| up to k, and of the sign.
+    None below _FIT_WINDOW - 2 nonzero shells in the window; else
+    (exponent, critical, (remainder, error) of the unseen shells, or None
+    unless the fit is not critical and the recent ratios contract).  The
+    remainder is the limit of the last _EPS_SUMS partial sums by Wynn's
+    epsilon, less the last of them; its error, the epsilon table's, is at
+    least 5 eps of the limit, as in QUADPACK's qelg.
     """
     ks = [i for i in range(max(0, k + 1 - _FIT_WINDOW), k + 1) if mags[i] > 0.0]
     if len(ks) < _FIT_WINDOW - 2:
@@ -84,18 +118,13 @@ def _window_fit(mags, logs, errs, k, sign, tail):
     recent = _recent_ratios(mags, k)
     if not (recent and max(recent) < 1.0):
         return exponent, False, None
-    # Convergent so far: extrapolate the unseen remainder as a geometric
-    # series.  The shell-to-shell ratio is 2**slope in both geometries
-    # (slope is d log2|shell| / d k).
-    ratio = 2.0 ** slope
-    r_hi, r_lo = max(recent), min(recent)
-    last = mags[k]
-    rem = sign * last * ratio / (1.0 - ratio) if ratio < 1.0 else 0.0
-    hi_est = last * r_hi / (1.0 - r_hi)
-    lo_est = last * r_lo / (1.0 - r_lo)
-    # The ratio keeps drifting below the observed bracket for perturbed
-    # power laws; widen the bracket generously.
-    return exponent, False, (rem, 6.0 * abs(hi_est - lo_est) + sum(errs[:k + 1]))
+    # Convergent so far: the partial sums of the last shells, from 0 before
+    # the first of them, so that their rounding is that of those shells
+    first = max(0, k + 1 - _EPS_SUMS)
+    sums = list(accumulate(mags[first:k + 1]))
+    limit, err = _wynn(sums)
+    floor = 5.0 * _EPS * abs(sum(mags[:first]) + limit)
+    return exponent, False, (sign * (limit - sums[-1]), max(err, floor))
 
 
 def _decide(mags, logs, errs, sign, tol, tail, end=None):
@@ -109,12 +138,13 @@ def _decide(mags, logs, errs, sign, tol, tail, end=None):
     resolved), where resolved means the walk ended before full depth.
 
     Asked after a shell, the walk ends where its last _FIT_WINDOW shells
-    are zero, or from shell _MIN_SHELLS_TO_RESOLVE on where a window fit's
-    remainder meets tol, which needs contracting ratios, or where the fit
-    is critical from shell _MIN_SHELLS_FOR_VERDICT on; before that, only a
-    window whose last ratios contract is fitted.  Any other end reads the
-    latest window's exponent (nan if no window has a fit), and at depth the
-    latest remainder, or else the last shell again as its best effort.
+    are zero, or from shell _MIN_SHELLS_TO_RESOLVE on where the shells'
+    errors and the error of a window fit's remainder together meet tol,
+    which needs contracting ratios, or where the fit is critical from shell
+    _MIN_SHELLS_FOR_VERDICT on; before that, only a window whose last
+    ratios contract is fitted.  Any other end reads the latest window's
+    exponent (nan if no window has a fit), and at depth the latest
+    remainder, or else the last shell again as its best effort.
     """
     n = len(mags)
     if end is None:
@@ -126,13 +156,14 @@ def _decide(mags, logs, errs, sign, tol, tail, end=None):
             if n < _MIN_SHELLS_TO_RESOLVE or early and max(
                     _recent_ratios(mags, n - 1), default=1.0) >= 1.0:
                 return None
-            fit = _window_fit(mags, logs, errs, n - 1, sign, tail)
-            if fit and (fit[1] and not early or fit[2] and fit[2][1] <= tol):
+            fit = _window_fit(mags, logs, n - 1, sign, tail)
+            if fit and (fit[1] and not early
+                        or fit[2] and fit[2][1] + sum(errs) <= tol):
                 return *fit, True
             return None
     exponent, extrap = math.nan, None
     for j in reversed(range(n)):
-        window = _window_fit(mags, logs, errs, j, sign, tail)
+        window = _window_fit(mags, logs, j, sign, tail)
         if window:
             if math.isnan(exponent):
                 exponent = window[0]
@@ -148,8 +179,7 @@ def _decide(mags, logs, errs, sign, tol, tail, end=None):
     # Depth exhausted without meeting tol: best effort
     last = mags[-1]
     rem, rem_err = extrap or (sign * last, math.inf)
-    return (exponent, False, (rem, min(rem_err, abs(rem) + last + sum(errs))),
-            False)
+    return exponent, False, (rem, min(rem_err, abs(rem) + last)), False
 
 
 PROBE_DEPTH = 48
