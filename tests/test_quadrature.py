@@ -1784,3 +1784,10 @@ def test_the_closed_form_battery_stays_within_its_ceiling(capsys):
     # values of integrate on closed forms, at most its CEILING of them
     import bound_miss_report
     assert bound_miss_report.main() == 0, capsys.readouterr().out
+
+
+def test_the_power_family_stays_within_its_ceiling(capsys):
+    # power_family_report.py: the values of the power family's finite side
+    # whose bound misses their closed form, at most its CEILING of them
+    import power_family_report
+    assert power_family_report.main() == 0, capsys.readouterr().out
