@@ -5,9 +5,10 @@ points: a kink on the diagonal, a blow-up at a boundary point, a fat tail at
 infinity.  The base rule is the embedded Gauss7/Kronrod15 pair; panels touching
 a declared singular point are decomposed into dyadic shells whose partial
 integrals are fitted to a power law.  The fit either certifies divergence
-(see :class:`~greenlab.values.DivergenceCertificate`) or extrapolates the
-remaining mass geometrically, so integrable endpoint singularities do not eat
-the panel budget.
+(see :class:`~greenlab.values.DivergenceCertificate`) or, once the shells
+contract, the remaining mass is extrapolated from their partial sums by
+Wynn's epsilon, so integrable endpoint singularities do not eat the panel
+budget.
 
 The rule runs on many panels per integrand call: the initial panels of every
 smooth piece of an integral together, then the children of each piece's worst
@@ -49,9 +50,12 @@ Conventions
   walker and every certificate: ~ C*d^p at a point diverges iff p <= -1 +
   EXP_MARGIN, ~ C*r^p at a tail iff p >= -1 - EXP_MARGIN, or on blow-up;
 * so has the shell walk, ``values._probe_geometric``: its loop, exits,
-  remainder and report, and the rule that ends it.  This module evaluates
-  the shells, all by :func:`_shells`: the first runs of a call's probes
-  together, then each later shell of a probe as its walker asks for it.
+  remainder and report, and the rule that ends it.  A walk's error is its
+  shells' panel estimates, each once, plus the error of the remainder that
+  Wynn's epsilon extrapolates from the last 16 partial sums.  This module
+  evaluates the shells, all by :func:`_shells`: the first runs of a call's
+  probes together, then each later shell of a probe as its walker asks
+  for it.
 """
 
 from __future__ import annotations
@@ -611,9 +615,11 @@ def integrate(f: Callable, interval: tuple[float, float] | None = None,
     nonnegative total.
 
     The reported error bound is exact panel arithmetic away from the
-    singular points; across a shell probe it is a sharp estimate calibrated
-    for perturbed power laws (the local shape of every kernel here), not a
-    certified enclosure for arbitrary integrands.
+    singular points; across a shell probe it adds the error of the epsilon
+    table's remainder, sharp for sums of powers and of powers times logs
+    (the local shape of every kernel here), but no certified enclosure for
+    arbitrary integrands, and too small where the shells converge only
+    logarithmically.
 
     Many integrals at once: instead of ``interval``, ``singular_points``
     and ``breakpoints``, pass ``rows = (n, columns, singular)`` for n
@@ -983,7 +989,7 @@ def integrate_radial(g: Callable, n: int, upper: float | None = None,
 
     ``upper=None`` means integrate to infinity: :func:`integrate` on
     [0, inf), whose tail is walked in doubling blocks and either certified
-    divergent or extrapolated geometrically.
+    divergent or extrapolated from its partial sums.
     Requires n >= 5, the strong-coupling range of the radial models here.
     """
     if n < 5:
