@@ -82,7 +82,7 @@ def _wynn(sums):
     difference is within rounding of its ends, and every entry built from
     a NaN is NaN.  Of the even columns with three entries or more, the one
     whose last two differences sum least gives the limit, its last entry,
-    and the error, that sum, as QUADPACK's qelg reads the table.
+    and the error, that sum, after QUADPACK's qelg.
     """
     prev, col = [0.0] * len(sums), list(sums)
     err, limit, even = math.inf, sums[-1], True
@@ -105,8 +105,8 @@ def _window_fit(mags, logs, k, sign, tail):
     (exponent, critical, (remainder, error) of the unseen shells, or None
     unless the fit is not critical and the recent ratios contract).  The
     remainder is the limit of the last _EPS_SUMS partial sums by Wynn's
-    epsilon, less the last of them; its error, the epsilon table's, is at
-    least 5 eps of the limit, as in QUADPACK's qelg.
+    epsilon, less the last of them; its error is the epsilon table's, and
+    at least 5 eps of the limit, as in qelg.
     """
     ks = [i for i in range(max(0, k + 1 - _FIT_WINDOW), k + 1) if mags[i] > 0.0]
     if len(ks) < _FIT_WINDOW - 2:

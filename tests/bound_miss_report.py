@@ -39,8 +39,7 @@ from greenlab.quadrature import integrate
 # item 7) and 10 bound misses, all of forms whose panel estimate the
 # G7/K15 pair gets wrong (ROADMAP item 4): sqrt(x) 4 times and |x-0.3| 5
 # times, with nothing declared, and (x-0.1)+ at scale 1e-8, whose probe
-# never refines the shell holding the kink.  67 before the shell remainder
-# was Wynn's epsilon over the partial sums
+# never refines the shell holding the kink
 CEILING = 37
 SCALES = (1e-8, 1.0, 1e8)
 TOLS = (1e-6, 1e-9, 1e-12)

@@ -32,8 +32,7 @@ from greenlab.kernels import (EndpointSingularity, GreenKernel,
                               ReferenceMeasure, constant)
 from greenlab.models import interval_model
 
-# the most values of the finite side that may miss: 0 of 40 since the shell
-# remainder is Wynn's epsilon over the partial sums (40 before)
+# the most of the finite side's 40 values that may miss
 CEILING = 0
 FINITE = ((2.0, 1.5), (2.0, 1.25), (2.0, 1.2), (2.0, 1.1), (1.5, 0.6))
 BOUNDARY = ((2.0, 1.0),)
