@@ -251,7 +251,7 @@ class ContinuityReport:
         return self.verdict == "consistent"
 
 
-def continuity_probe(model: ModelSpace, x, y) -> ContinuityReport:
+def continuity_probe(model: ModelSpace, x, y):
     """Probe continuity of y -> H(x,y) along a dyadic approach to ``y``.
 
     The probe sequence starts a safe offset away (inside the domain, short
@@ -259,9 +259,43 @@ def continuity_probe(model: ModelSpace, x, y) -> ContinuityReport:
     the shrinking-oscillation rule.  An infinite target is reported as
     "blow-up" together with a short probe trail, since approaching a
     divergence looks like unbounded growth, not discontinuity.
+
+    ``x`` and ``y`` may also be 1-D arrays of pairs that broadcast against
+    each other: the call then returns a tuple of reports, one per pair.
+    Every pair is checked, in order, before any evaluation.  The targets and
+    probes of all pairs are then one H call: one array call of 21 points per
+    pair on the 1D models, one point per call on the radial ones.  Each
+    report equals the one its one-pair call gives.
     """
-    x = float(x)
-    y = float(y)
+    try:
+        xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                     np.asarray(y, dtype=float))
+    except ValueError as exc:
+        raise PreconditionError(f"the pairs do not broadcast: {exc}") from exc
+    if xs.ndim > 1:
+        raise PreconditionError(
+            f"pairs come as scalars or 1-D arrays, not shape {xs.shape}")
+    pairs = list(zip(xs.ravel().tolist(), ys.ravel().tolist()))
+    approaches = [_approach(model, px, py) for px, py in pairs]
+    # per pair, its target and then its probes
+    points = [(px, p) for (px, py), probes in zip(pairs, approaches)
+              for p in (py, *probes)]
+    values = _at_points(
+        model, lambda a, b: compose_green(model, a, b, tol=1e-9),
+        *zip(*points)) if points else ()
+    step = 1 + len(_APPROACH)
+    reports = tuple(
+        _continuity_report(px, py, probes, values[i * step:(i + 1) * step])
+        for i, ((px, py), probes) in enumerate(zip(pairs, approaches)))
+    return reports[0] if xs.ndim == 0 else reports
+
+
+# the offsets of the probes from y, in units of the starting offset
+_APPROACH = tuple(0.5 ** n for n in range(20))
+
+
+def _approach(model: ModelSpace, x: float, y: float) -> tuple[float, ...]:
+    """The probes of a dyadic approach to y, refused where there is none."""
     if x == y:
         raise PreconditionError(
             "the continuity claim for H is off-diagonal; pick y != x")
@@ -284,24 +318,27 @@ def continuity_probe(model: ModelSpace, x, y) -> ContinuityReport:
     if d0 <= 1e-9:
         raise PreconditionError(
             f"no room for a dyadic approach to y = {y:g} inside the domain")
+    return tuple(y + direction * d0 * t for t in _APPROACH)
 
-    probes = tuple(y + direction * d0 * 0.5 ** n for n in range(20))
-    target, *at_probes = _at_points(
-        model, lambda p: compose_green(model, x, p, tol=1e-9), (y,) + probes)
+
+def _continuity_report(x: float, y: float, probes: tuple,
+                       values: tuple) -> ContinuityReport:
+    """The report of the approach ``probes`` to y, from H at y and at them."""
+    target, *at_probes = values
     if not target.is_finite:
         trail = [float(v) for v in at_probes[:6]]
         return ContinuityReport(x, y, probes[:6], tuple(trail), (),
                                 "blow-up", target_value=target)
-    values = []
+    finite = []
     for v in at_probes:
         if not v.is_finite:
-            return ContinuityReport(x, y, tuple(probes[:len(values) + 1]),
-                                    tuple(values + [math.inf]), (),
+            return ContinuityReport(x, y, tuple(probes[:len(finite) + 1]),
+                                    tuple(finite + [math.inf]), (),
                                     "blow-up", target_value=target)
-        values.append(v.value)
-    moduli = tuple(abs(v - target.value) for v in values)
+        finite.append(v.value)
+    moduli = tuple(abs(v - target.value) for v in finite)
     verdict = "consistent" if _moduli_consistent(list(moduli)) else "violated"
-    return ContinuityReport(x, y, probes, tuple(values), moduli, verdict,
+    return ContinuityReport(x, y, probes, tuple(finite), moduli, verdict,
                             target_value=target)
 
 

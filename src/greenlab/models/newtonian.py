@@ -132,16 +132,17 @@ def truncated_constant_coupling(n: int, upper: float) -> ExtendedValue:
     return coupling_apply(model, one, 0.0)
 
 
-def _composition_outer(n: int, d: float, inner_tol: float):
-    """s -> prefactor * s * int_0^pi |sep|^(2-n) sin^(n-2) dtheta, elementwise.
+def _composition_outer(n: int, d, inner_tol: float):
+    """(r, s) -> prefactor * s * int_0^pi |sep|^(2-n) sin^(n-2) dtheta at
+    separation d[r], elementwise: a row integrand, row r at separation d[r].
 
-    The angular integrals at all the radii s of one call are the rows of one
-    row-form :func:`integrate` call.  Each row's integrand is divided by
-    Newton's shell magnitude max(s, d)^(2-n), the mean of |sep|^(2-n) over
-    the sphere of radius s, so every row integrates to about
-    int_0^pi sin^(n-2) and ``inner_tol`` is relative.  The squared separation
-    is written (s-d)^2 + 4 s d sin^2(theta/2), which is exact and loses no
-    precision when s is close to d.
+    The angular integrals at all the (row, radius) pairs of one call are
+    the rows of one row-form :func:`integrate` call.  Each row's integrand
+    is divided by Newton's shell magnitude max(s, d)^(2-n), the mean of
+    |sep|^(2-n) over the sphere of radius s, so every row integrates to
+    about int_0^pi sin^(n-2) and ``inner_tol`` is relative.  The squared
+    separation is written (s-d)^2 + 4 s d sin^2(theta/2), which is exact and
+    loses no precision when s is close to d.
 
     Near s = d the normalized integrand dips to 0 on theta < w, with
     w = |s-d| / sqrt(s d).  Once w is small the dip falls between the nodes
@@ -151,72 +152,124 @@ def _composition_outer(n: int, d: float, inner_tol: float):
     identity.  The map is exact for any w; w is kept in [1e-16, 1e3], and a
     dip narrower than 1e-16 moves the integral by a few ulps at most.
 
-    The integrand's ``rho`` is the largest relative error bound of the
-    angular integrals evaluated so far: every value it has returned is off
-    by at most rho of itself, and an unconverged row raises it.
+    The integrand's ``rho`` holds one value per row: the largest relative
+    error bound of the angular integrals evaluated so far at that row's
+    separation.  Every value row r has returned is off by at most rho[r] of
+    itself, and an unconverged angular integral raises it.  A near-diagonal
+    row's larger inner errors so never reach a far row's bound.
     """
+    d = np.atleast_1d(np.asarray(d, dtype=float))
     pref = newton_constant(n) ** 2 * sphere_surface_area(n - 1)
     half_power = 0.5 * (2.0 - n)
 
-    def outer(s):
+    def outer(r, s):
         s = np.asarray(s, dtype=float)
-        scale2 = np.maximum(s, d) ** 2
+        r = np.broadcast_to(r, s.shape)
+        dr = d[r]
+        scale2 = np.maximum(s, dr) ** 2
         with np.errstate(divide="ignore"):
-            w = np.clip(np.abs(s - d) / np.sqrt(s * d), 1e-16, 1e3)
+            w = np.clip(np.abs(s - dr) / np.sqrt(s * dr), 1e-16, 1e3)
 
-        def gth(r, t):
-            sr, wr = s[r], w[r]
-            q = t / wr
-            theta = wr * np.sinh(q)
-            sep2 = (sr - d) ** 2 + 4.0 * sr * d * np.sin(0.5 * theta) ** 2
-            return ((sep2 / scale2[r]) ** half_power * np.sin(theta) ** (n - 2)
+        def gth(i, t):
+            si, wi, di = s[i], w[i], dr[i]
+            q = t / wi
+            theta = wi * np.sinh(q)
+            sep2 = (si - di) ** 2 + 4.0 * si * di * np.sin(0.5 * theta) ** 2
+            return ((sep2 / scale2[i]) ** half_power * np.sin(theta) ** (n - 2)
                     * np.cosh(q))
 
         ends = w * np.arcsinh(math.pi / w)
         inner = integrate(gth, rows=(len(ends), [0.0, ends], {}),
                           tol=inner_tol, max_subdivisions=800)
         vals, errs = inner.value, inner.bound
-        outer.rho = max(outer.rho, float(np.max(errs / vals)))
+        np.maximum.at(outer.rho, r, errs / vals)
         return pref * s * scale2 ** half_power * vals
 
-    outer.vectorized = True
-    outer.rho = 0.0
+    outer.rho = np.zeros(len(d))
     return outer
 
 
-def riesz_compose(n: int, x, y, tol: float = 1e-7) -> ExtendedValue:
+def _row(outer, r: int):
+    """Row r of a row integrand, as the node integrand a probe takes."""
+    def f(s):
+        return outer(r, s)
+
+    f.vectorized = True
+    return f
+
+
+def _radial_points(dom: RadialDomain, p) -> np.ndarray:
+    """The points p as a (k, n) array: a scalar or a 1-D array is one point."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim < 2:
+        return dom.require(p)[None]
+    if arr.ndim > 2:
+        raise PreconditionError(
+            f"radial points come as a scalar, a vector or a (k, {dom.dim}) "
+            f"array, not shape {arr.shape}")
+    return np.array([dom.require(q) for q in arr]).reshape(-1, dom.dim)
+
+
+def riesz_compose(n: int, x, y, tol: float = 1e-7):
     """H(x, y) = int G(x,z) G(z,y) dz by the axially reduced double integral.
 
     Off the diagonal this is finite for every n >= 5 and scales as
-    |x-y|^(4-n): one :func:`integrate` call over [0, inf) in the radius s,
-    with a kink at s = d and its tail walked from 2*max(d, 1).  The angular
-    integral at each node radius is taken to the relative tolerance
+    |x-y|^(4-n): an integral over [0, inf) in the radius s, with a kink at
+    s = d and its tail walked from 2*max(d, 1).  The angular integral at
+    each node radius is taken to the relative tolerance
     max(1e-13, 1e-3*tol), and its error is carried: the outer integrand is
     positive and every outer weight is positive, so a relative inner error
     rho moves H by at most rho*H, which is added to the bound.  On the
     diagonal the radial integrand behaves like s^(3-n) at the origin, which
     is certified divergent.  Separations below NEAR_DIAGONAL_LIMIT are
     refused as ill-conditioned.
+
+    ``x`` and ``y`` are each one point, a scalar (an offset along the first
+    axis) or a vector of R^n, or k points as a (k, n) array; the two
+    broadcast.  A call with an array returns a tuple of extended values,
+    one per pair, and each has the bits of its one-pair call: every
+    separation off the diagonal is a row of one row-form :func:`integrate`
+    call, whose rows each carry their own inner error rho.  Every point is
+    checked, and a near-diagonal separation refused in pair order, before
+    any evaluation.
     """
     n = _require_dim(n)
     dom = RadialDomain(n)
-    d = float(np.linalg.norm(dom.require(x) - dom.require(y)))
+    xs, ys = _radial_points(dom, x), _radial_points(dom, y)
+    scalar = np.ndim(x) < 2 and np.ndim(y) < 2
+    try:
+        xs, ys = np.broadcast_arrays(xs, ys)
+    except ValueError as exc:
+        raise PreconditionError(f"the points do not broadcast: {exc}") from exc
+    ds = [float(np.linalg.norm(p - q)) for p, q in zip(xs, ys)]
+    for d in ds:
+        if 0.0 < d < NEAR_DIAGONAL_LIMIT:
+            raise ConditioningError(
+                f"separation {d:.3e} is below {NEAR_DIAGONAL_LIMIT:g}; the "
+                "angular peak of the composition integrand cannot be "
+                "resolved reliably")
     inner_tol = max(1e-13, 1e-3 * tol)
-    outer = _composition_outer(n, d, inner_tol)
-    if d == 0.0:
-        rep = probe_divergence(outer, 0.0, side="right", tol=tol)
+    values = [None] * len(ds)
+    if 0.0 in ds:
+        rep = probe_divergence(
+            _row(_composition_outer(n, 0.0, inner_tol), 0), 0.0,
+            side="right", tol=tol)
         if not rep.divergent:   # pragma: no cover - mathematically impossible
             raise ModelDomainError("diagonal composition unexpectedly converged")
         cert = DivergenceCertificate(0.0, "diagonal", rep.estimated_exponent,
                                      rep.trace)
-        return ExtendedValue.infinite(cert)
-    if d < NEAR_DIAGONAL_LIMIT:
-        raise ConditioningError(
-            f"separation {d:.3e} is below {NEAR_DIAGONAL_LIMIT:g}; the angular "
-            "peak of the composition integrand cannot be resolved reliably")
-    h = integrate(outer, (0.0, math.inf), tol=tol,
-                  breakpoints=(d, 2.0 * max(d, 1.0))).value
-    return ExtendedValue.finite(h.value, h.error_bound + outer.rho * h.value)
+        values = [ExtendedValue.infinite(cert) if d == 0.0 else None
+                  for d in ds]
+    far = [i for i, d in enumerate(ds) if d > 0.0]
+    if far:
+        d = np.array([ds[i] for i in far])
+        outer = _composition_outer(n, d, inner_tol)
+        rows = integrate(outer, rows=(len(far), [0.0, d, 2.0 * np.maximum(
+            d, 1.0), math.inf], {}), tol=tol)
+        for i, h, rho in zip(far, rows, outer.rho.tolist()):
+            values[i] = ExtendedValue.finite(
+                h.value.value, h.value.error_bound + rho * h.value.value)
+    return values[0] if scalar else tuple(values)
 
 
 def composition_tail_report(n: int) -> ProbeReport:
@@ -233,4 +286,4 @@ def composition_tail_report(n: int) -> ProbeReport:
         raise ModelDomainError(
             f"the tail documentation covers the boundary case n >= 4, got {n}")
     outer = _composition_outer(n, 1.0, inner_tol=1e-11)
-    return probe_tail(outer, start=2.0, tol=1e-9)
+    return probe_tail(_row(outer, 0), start=2.0, tol=1e-9)

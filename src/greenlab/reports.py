@@ -150,8 +150,12 @@ def build_continuity(seed: int = 0) -> ReportTable:
     model = iv.interval_model()
     rows = []
     notes = []
-    for x, y in ((0.3, 0.6), (0.75, 0.2), (0.5, 0.0)):
-        probe = adjoint.continuity_probe(model, x, y)
+    # the two interior targets in one call, then the boundary one
+    probes = (*adjoint.continuity_probe(model, np.array([0.3, 0.75]),
+                                        np.array([0.6, 0.2])),
+              adjoint.continuity_probe(model, 0.5, 0.0))
+    for probe in probes:
+        x, y = probe.x, probe.target
         notes.append(f"target ({fmt_num(x)}, {fmt_num(y)}): {probe.verdict}")
         for level, off in enumerate(probe.probes):
             val = probe.values[level]

@@ -123,6 +123,42 @@ def test_continuity_probe_reports_a_blowup_at_a_probe(monkeypatch):
     assert rep.target_value.is_finite and rep.moduli == ()
 
 
+def test_array_continuity_probes_equal_the_one_pair_reports():
+    from greenlab.suites import _continuity_pairs
+
+    for name in ("interval", "bilaplace"):
+        model = get_model(name)
+        for seed in (0, 1, 3):
+            xs, ys = _continuity_pairs(seed)
+            assert continuity_probe(model, xs, ys) == tuple(
+                continuity_probe(model, x, y)
+                for x, y in zip(xs.tolist(), ys.tolist())), (name, seed)
+    # the boundary fixture, alone and after an interior pair
+    model = get_model("interval")
+    fixture = continuity_probe(model, 0.5, 0.0)
+    assert continuity_probe(model, np.array([0.5]), 0.0) == (fixture,)
+    assert continuity_probe(model, np.array([0.3, 0.5]),
+                            np.array([0.6, 0.0])) == (
+        continuity_probe(model, 0.3, 0.6), fixture)
+    assert continuity_probe(model, np.array([]), np.array([])) == ()
+
+
+def test_array_continuity_probes_are_checked_before_any_evaluation(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("H was evaluated")
+
+    monkeypatch.setattr(adjoint, "compose_green", refuse)
+    model = get_model("interval")
+    with pytest.raises(PreconditionError):
+        continuity_probe(model, np.array([0.3, 0.4]), np.array([0.6, 0.4]))
+    with pytest.raises(PreconditionError):
+        continuity_probe(model, np.array([0.3, 0.4]), np.array([0.6, 0.7,
+                                                                0.8]))
+    with pytest.raises(PreconditionError):
+        continuity_probe(model, np.array([[0.3]]), 0.6)
+
+
 def test_continuity_probe_refuses_the_diagonal():
     with pytest.raises(PreconditionError):
         continuity_probe(get_model("interval"), 0.4, 0.4)

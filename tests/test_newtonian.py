@@ -179,9 +179,10 @@ def test_composition_inner_error_covers_the_angular_integrals():
             * np.maximum(s, d) ** (2.0 - n)
         for inner_tol in (1e-4, 1e-7, 1e-10, 1e-13):
             outer = _composition_outer(n, d, inner_tol)
-            rel = np.abs(outer(s) - exact) / exact
-            assert 0.0 < outer.rho <= inner_tol
-            assert np.all(rel <= outer.rho + 8 * np.finfo(float).eps), \
+            rel = np.abs(outer(0, s) - exact) / exact
+            rho = outer.rho[0]
+            assert 0.0 < rho <= inner_tol
+            assert np.all(rel <= rho + 8 * np.finfo(float).eps), \
                 (n, inner_tol)
 
 
@@ -197,7 +198,66 @@ def test_composed_kernel_bound_carries_the_inner_error(monkeypatch):
     # of the bound
     for n, d in ((5, 1.0), (7, 1e-3)):
         val = riesz_compose(n, 0.0, d)
-        assert val.error_bound >= outers[-1].rho * val.value > 0.0
+        assert val.error_bound >= outers[-1].rho[0] * val.value > 0.0
+
+
+def _on_axis(n, ds):
+    """The points (d, 0, ..., 0) of R^n, one row per separation d."""
+    ys = np.zeros((len(ds), n))
+    ys[:, 0] = ds
+    return ys
+
+
+def test_array_composition_keeps_each_rows_scalar_bits(monkeypatch):
+    def bits(v):
+        return v.value.hex(), v.error_bound.hex()
+
+    outers = []
+
+    def kept(*args):
+        outers.append(_composition_outer(*args))
+        return outers[-1]
+
+    monkeypatch.setattr(newtonian, "_composition_outer", kept)
+    for n in (5, 6, 7):
+        for tol in (1e-7, 1e-9):
+            for ds in ((2.0, 1e-2, 30.0, 0.5, 1.0), (1e-2, 2.0)):
+                got = riesz_compose(n, 0.0, _on_axis(n, ds), tol=tol)
+                assert [bits(v) for v in got] == [
+                    bits(riesz_compose(n, 0.0, d, tol=tol)) for d in ds], \
+                    (n, tol, ds)
+            # the rows of the batch [1e-2, 2.0] carry different inner
+            # errors, so one rho for the call would have moved a bound
+            rho = outers[-1 - len(ds)].rho
+            assert len(rho) == 2 and rho[0] != rho[1], (n, tol)
+
+
+def test_array_composition_points_and_refusals(monkeypatch):
+    # a 1-D array is one point; a (k, n) array is k, on either side
+    one = riesz_compose(5, np.zeros(5), np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    assert one == riesz_compose(5, 0.0, 1.0)
+    ds = (1.0, 0.0, 2.0)
+    got = riesz_compose(5, _on_axis(5, ds), 0.0)
+    assert got == riesz_compose(5, 0.0, _on_axis(5, ds))
+    assert got[0] == one and got[2] == riesz_compose(5, 0.0, 2.0)
+    # a d = 0 entry carries the scalar call's certificate
+    assert not got[1].is_finite
+    assert got[1].certificate == riesz_compose(5, 0.0, 0.0).certificate
+    assert riesz_compose(5, 0.0, np.zeros((0, 5))) == ()
+    # a near-diagonal entry is refused before any evaluation, even after
+    # a diagonal and a far one
+    built = []
+    monkeypatch.setattr(newtonian, "_composition_outer",
+                        lambda *args: built.append(args))
+    with pytest.raises(ConditioningError):
+        riesz_compose(5, 0.0, _on_axis(5, (0.0, 1.0, 5e-4)))
+    assert built == []
+    with pytest.raises(PreconditionError):
+        riesz_compose(5, np.zeros((2, 5)), _on_axis(5, ds))
+    with pytest.raises(PreconditionError):
+        riesz_compose(5, 0.0, np.zeros((1, 1, 5)))
+    with pytest.raises(DomainError):
+        riesz_compose(5, 0.0, np.zeros((2, 4)))
 
 
 def test_composed_kernel_diagonal_is_certified_in_every_dimension():

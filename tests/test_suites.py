@@ -122,6 +122,12 @@ BATCHED_CHECK_CALLS = {
     # triple points for each of 10 draws
     "riquier-restriction-interval": 34,
     "riquier-restriction-bilaplace": 34,
+    # lsc_check's grid, the ten continuity probes, the boundary fixture
+    "regularity-interval": 3,
+    "regularity-bilaplace": 2,
+    # per dimension, the outer call over its three separations and the
+    # angular call of each of its outer batches
+    "dilation-scaling": 7,
 }
 
 
@@ -248,10 +254,10 @@ def _plant_continuity_jump(monkeypatch, size):
 
     def compose(model, at, p, **kwargs):
         vals = real(model, at, p, **kwargs)
-        if at != x:
-            return vals
+        at, p = np.broadcast_arrays(at, p)
         return tuple(ExtendedValue.finite(v.value + size, v.error_bound)
-                     if q > y else v for q, v in zip(np.ravel(p), vals))
+                     if a == x and q > y else v
+                     for a, q, v in zip(np.ravel(at), np.ravel(p), vals))
 
     monkeypatch.setattr(adjoint, "compose_green", compose)
 
@@ -263,10 +269,10 @@ def _plant_finite_fixture(monkeypatch):
 
     def compose(model, at, p, **kwargs):
         vals = real(model, at, p, **kwargs)
-        if at != 0.5:
-            return vals
-        return tuple(ExtendedValue.finite(1.0) if q == 0.0 else v
-                     for q, v in zip(np.ravel(p), vals))
+        at, p = np.broadcast_arrays(at, p)
+        return tuple(ExtendedValue.finite(1.0) if a == 0.5 and q == 0.0
+                     else v for a, q, v in zip(np.ravel(at), np.ravel(p),
+                                               vals))
 
     monkeypatch.setattr(adjoint, "compose_green", compose)
 
@@ -357,6 +363,25 @@ def _plant_riquier_on_the_interval_adjoint(monkeypatch):
     monkeypatch.setattr(suites.riquier, "regular_subdomain", regular)
 
 
+def _plant_dilation_drift(monkeypatch, delta):
+    """Each radial H times 1 + delta log2(d), d its separation: a drift
+    off the d^(4-N) law, by a factor 1 - delta at d = 1/2 and 1 + delta
+    at d = 2."""
+    nw = suites.nw
+    real = nw.riesz_compose
+
+    def compose(n, x, y, **kwargs):
+        dom = nw.RadialDomain(n)
+        ds = np.linalg.norm(nw._radial_points(dom, y)
+                            - nw._radial_points(dom, x), axis=1)
+        return tuple(
+            ExtendedValue.finite(v.value * (1.0 + delta * math.log2(d)),
+                                 v.error_bound)
+            for v, d in zip(real(n, x, y, **kwargs), ds.tolist()))
+
+    monkeypatch.setattr(nw, "riesz_compose", compose)
+
+
 PLANTED = {
     "flipped-verdict": (
         "power-verdicts", _plant_flipped_verdict,
@@ -436,6 +461,19 @@ def test_a_planted_defect_fails_its_check(defect, monkeypatch):
     res = CHECKS[cid](seed=0)
     assert (res.id, res.passed, res.margin, res.detail) == \
         (cid, False, -1.0, detail)
+
+
+def test_a_planted_dilation_drift_fails_dilation_scaling(monkeypatch):
+    # the spread over the three separations is about 2 delta, so a drift
+    # is caught from delta just above 5e-4; the check's margin is
+    # tol - worst, not -1
+    assert CHECKS["dilation-scaling"](seed=0).passed
+    _plant_dilation_drift(monkeypatch, 5.1e-4)
+    res = CHECKS["dilation-scaling"](seed=0)
+    assert (res.id, res.passed, res.detail) == (
+        "dilation-scaling", False, "H times distance^(N-4) drifts by "
+        "1.02e-03 relative over a factor-4 range")
+    assert res.margin == pytest.approx(-2.0e-5, rel=1e-6)
 
 
 def test_a_check_that_raises_fails_alone(monkeypatch):
