@@ -164,14 +164,18 @@ def _composition_outer(n: int, d, inner_tol: float):
 
     def outer(r, s):
         s = np.asarray(s, dtype=float)
-        r = np.broadcast_to(r, s.shape)
+        # one separation for an int row, and for every node of a one-row
+        # integrand, however its row ids come; else one per node
+        if len(d) == 1:
+            r = 0
+        scalar = np.ndim(r) == 0
         dr = d[r]
         scale2 = np.maximum(s, dr) ** 2
         with np.errstate(divide="ignore"):
             w = np.clip(np.abs(s - dr) / np.sqrt(s * dr), 1e-16, 1e3)
 
         def gth(i, t):
-            si, wi, di = s[i], w[i], dr[i]
+            si, wi, di = s[i], w[i], dr if scalar else dr[i]
             q = t / wi
             theta = wi * np.sinh(q)
             sep2 = (si - di) ** 2 + 4.0 * si * di * np.sin(0.5 * theta) ** 2
@@ -181,8 +185,14 @@ def _composition_outer(n: int, d, inner_tol: float):
         ends = w * np.arcsinh(math.pi / w)
         inner = integrate(gth, rows=(len(ends), [0.0, ends], {}),
                           tol=inner_tol, max_subdivisions=800)
-        vals, errs = inner.value, inner.bound
-        np.maximum.at(outer.rho, r, errs / vals)
+        vals = inner.value
+        ratio = inner.bound / vals
+        # np.maximum.at only for nodes of several rows: in a one-row call
+        # it cost about 2% of the time
+        if scalar:
+            outer.rho[r] = max(outer.rho[r], float(ratio.max()))
+        else:
+            np.maximum.at(outer.rho, r, ratio)
         return pref * s * scale2 ** half_power * vals
 
     outer.rho = np.zeros(len(d))
@@ -238,10 +248,9 @@ def riesz_compose(n: int, x, y, tol: float = 1e-7):
     xs, ys = _radial_points(dom, x), _radial_points(dom, y)
     scalar = np.ndim(x) < 2 and np.ndim(y) < 2
     try:
-        xs, ys = np.broadcast_arrays(xs, ys)
+        ds = [float(np.linalg.norm(v)) for v in xs - ys]
     except ValueError as exc:
         raise PreconditionError(f"the points do not broadcast: {exc}") from exc
-    ds = [float(np.linalg.norm(p - q)) for p, q in zip(xs, ys)]
     for d in ds:
         if 0.0 < d < NEAR_DIAGONAL_LIMIT:
             raise ConditioningError(
