@@ -251,6 +251,10 @@ class ContinuityReport:
         return self.verdict == "consistent"
 
 
+# the offsets of the probes from y, in units of the starting offset
+_APPROACH = tuple(0.5 ** n for n in range(20))
+
+
 def continuity_probe(model: ModelSpace, x, y):
     """Probe continuity of y -> H(x,y) along a dyadic approach to ``y``.
 
@@ -288,10 +292,6 @@ def continuity_probe(model: ModelSpace, x, y):
         _continuity_report(px, py, probes, values[i * step:(i + 1) * step])
         for i, ((px, py), probes) in enumerate(zip(pairs, approaches)))
     return reports[0] if xs.ndim == 0 else reports
-
-
-# the offsets of the probes from y, in units of the starting offset
-_APPROACH = tuple(0.5 ** n for n in range(20))
 
 
 def _approach(model: ModelSpace, x: float, y: float) -> tuple[float, ...]:

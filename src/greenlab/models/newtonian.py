@@ -134,7 +134,8 @@ def truncated_constant_coupling(n: int, upper: float) -> ExtendedValue:
 
 def _composition_outer(n: int, d, inner_tol: float):
     """(r, s) -> prefactor * s * int_0^pi |sep|^(2-n) sin^(n-2) dtheta at
-    separation d[r], elementwise: a row integrand, row r at separation d[r].
+    separation d[r]: a row integrand, elementwise in r and s, with one row
+    per separation of ``d`` (a number is one row).
 
     The angular integrals at all the (row, radius) pairs of one call are
     the rows of one row-form :func:`integrate` call.  Each row's integrand
@@ -155,8 +156,8 @@ def _composition_outer(n: int, d, inner_tol: float):
     The integrand's ``rho`` holds one value per row: the largest relative
     error bound of the angular integrals evaluated so far at that row's
     separation.  Every value row r has returned is off by at most rho[r] of
-    itself, and an unconverged angular integral raises it.  A near-diagonal
-    row's larger inner errors so never reach a far row's bound.
+    itself, and an unconverged angular integral raises it.  One row's inner
+    errors so never reach another row's bound.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     pref = newton_constant(n) ** 2 * sphere_surface_area(n - 1)
