@@ -5,14 +5,14 @@ density y, pinned down by the kink of x * G1(x, y) at x = y (the jump of the
 one-sided slopes is -1/y, so weighting by y makes the coupling invert the
 first operator exactly; ``kink_slope_jump`` measures this).  The composed
 kernel H(., 0) diverges, the adjoint coupling of anything positive at the
-origin diverges, and every candidate pure partner of q0(x) = 1/x^2 - 1 goes
-to -infinity at the origin - each of which the functions below certify
+origin diverges, and every candidate pure partner of G2(x, 0) = 1/x^2 - 1
+goes to -infinity at the origin - each of which the functions below certify
 rather than assume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,8 +22,6 @@ from ..coupling import coupling_apply
 from ..kernels import (BiharmonicPair, EndpointSingularity, Fn, GreenKernel,
                        Interval1D, ModelSpace, ReferenceMeasure, StencilSpec,
                        constant)
-from ..values import IDENTITY_TOL
-from .. import riquier
 
 # Evaluating 1/x and ln(x)/x below this is float-overflow territory; the
 # obstruction's negativity is already decisive far above it.
@@ -122,18 +120,13 @@ def v1_alt_density_residual(x):
                         lambda t: (1.0 - t) * (2.0 - t) / 6.0)
 
 
-def q0(x):
-    """The positive second-sheaf harmonic function 1/x^2 - 1 driving the
-    obstruction; +inf at 0."""
-    return interval_model().G2.evaluate(x, 0.0)
-
-
 def obstruction_u(a: float, b: float) -> Fn:
     """The general solution u of (x u)'' = 1 - 1/x^2: ln(x)/x + x/2 + a + b/x.
 
     Whatever (a, b) are chosen, u(x) ~ (ln x + b)/x -> -inf as x -> 0, so no
-    choice produces a nonnegative partner for q0: the pure partner does not
-    exist as a function, and this family is the complete list of candidates.
+    choice produces a nonnegative partner for G2(x, 0) = 1/x^2 - 1: the pure
+    partner does not exist as a function, and this family is the complete
+    list of candidates.
     """
     a, b = float(a), float(b)
 
@@ -179,36 +172,6 @@ def kink_slope_jump(y: float) -> float:
     right = (m(y + h) - m(y)) / h
     left = (m(y) - m(y - h)) / h
     return right - left
-
-
-@dataclass(frozen=True)
-class StrictnessReport:
-    """Margin of the first mean-value inequality split into its two parts."""
-    margin: float       # u(x) - <u, mu_x>
-    nu_term: float      # <v, nu_x>
-
-    @property
-    def strict(self) -> bool:
-        return (self.nu_term > IDENTITY_TOL
-                and self.margin >= self.nu_term - IDENTITY_TOL)
-
-
-def strictness_probe(pair: BiharmonicPair, omega: tuple[float, float],
-                     x: float) -> StrictnessReport:
-    """How far u(x) exceeds its swept mean, versus the nu-term that forces it.
-
-    For a pure pair with positive second member the margin must carry the
-    whole nu-term, which is what makes the potential strict; with v = 0 and
-    u harmonic both sides collapse to zero.
-    """
-    sub = riquier.regular_subdomain(interval_model(), *omega)
-    triple = riquier.biharmonic_measures(sub, x)
-    a, b = omega
-    ua, ub = float(pair.u(a)), float(pair.u(b))
-    va, vb = float(pair.v(a)), float(pair.v(b))
-    margin = float(pair.u(x)) - (triple.mu[0] * ua + triple.mu[1] * ub)
-    nu_term = triple.nu[0] * va + triple.nu[1] * vb
-    return StrictnessReport(margin, nu_term)
 
 
 def global_pure_pair() -> BiharmonicPair:

@@ -304,14 +304,17 @@ def check_obstruction_negativity(seed: int = 0) -> CheckResult:
 
 
 def check_strictness(seed: int = 0) -> CheckResult:
-    pair = iv.global_pure_pair()
-    worst = math.inf
-    for omega, x in (((0.25, 0.75), 0.5), ((0.2, 0.6), 0.35)):
-        rep = iv.strictness_probe(pair, omega, x)
-        if not rep.strict:
+    """The pure pair's first margin carries the whole coupling term <v, nu_x>:
+    strict where that term is positive."""
+    report = riquier.verify_hyperharmonic(
+        iv.interval_model(), iv.global_pure_pair(),
+        [((0.25, 0.75), 0.5), ((0.2, 0.6), 0.35)])
+    for e in report.entries:
+        if not (e.coupling > IDENTITY_TOL
+                and e.margin_first >= -IDENTITY_TOL):
             return _boolean("strictness", False,
-                            f"no strict margin on {omega} at x = {x:g}")
-        worst = min(worst, rep.nu_term - IDENTITY_TOL)
+                            f"no strict margin on {e.omega} at x = {e.x:g}")
+    worst = min(e.coupling for e in report.entries) - IDENTITY_TOL
     return CheckResult("strictness", True, worst,
                        "pure pair exceeds its first-kernel sweep by "
                        "exactly the coupling mass")

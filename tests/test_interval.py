@@ -8,6 +8,7 @@ from greenlab.adjoint import adjoint_apply
 from greenlab.coupling import compose_green
 from greenlab.errors import ConditioningError, PreconditionError
 from greenlab.kernels import BiharmonicPair, constant
+from greenlab.riquier import verify_hyperharmonic
 from greenlab.models.interval import (
     OBSTRUCTION_CUTOFF,
     control_density_model,
@@ -16,8 +17,6 @@ from greenlab.models.interval import (
     kink_slope_jump,
     obstruction_u,
     pure_obstruction,
-    q0,
-    strictness_probe,
     v1_alt_density_residual,
     v1_identity_residual,
 )
@@ -80,7 +79,7 @@ def test_obstruction_candidate_value_at_inv_e():
 
 def test_q0_is_positive_inside():
     for x in (0.05, 0.3, 0.9):
-        assert float(q0(x)) > 0.0
+        assert float(interval_model().G2.evaluate(x, 0.0)) > 0.0
 
 
 def test_no_obstruction_candidate_stays_nonnegative():
@@ -101,18 +100,20 @@ def test_obstruction_probe_validation():
 
 
 def test_pure_pair_is_strict_where_v_is_positive():
-    rep = strictness_probe(global_pure_pair(), (0.2, 0.8), 0.5)
-    assert rep.strict
-    assert rep.nu_term > 1e-3
-    assert rep.margin == pytest.approx(rep.nu_term, abs=1e-6)
+    # the first margin is u(x) - <u, mu_x> - <v, nu_x>: the pure pair's
+    # swept mean falls short of u(x) by exactly the coupling term
+    (e,) = verify_hyperharmonic(interval_model(), global_pure_pair(),
+                                [((0.2, 0.8), 0.5)]).entries
+    assert e.coupling > 1e-3
+    assert e.margin_first == pytest.approx(0.0, abs=1e-6)
 
 
 def test_harmonic_pair_has_no_strictness():
     pair = BiharmonicPair(constant(1.0), constant(0.0))
-    rep = strictness_probe(pair, (0.2, 0.8), 0.5)
-    assert not rep.strict
-    assert abs(rep.margin) <= 1e-9
-    assert abs(rep.nu_term) <= 1e-12
+    (e,) = verify_hyperharmonic(interval_model(), pair,
+                                [((0.2, 0.8), 0.5)]).entries
+    assert abs(e.margin_first) <= 1e-9
+    assert abs(e.coupling) <= 1e-12
 
 
 def test_global_pure_pair_closed_form():

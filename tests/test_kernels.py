@@ -11,7 +11,6 @@ from greenlab.kernels import (BiharmonicPair, Fn, GreenKernel, GridFunction,
                               Interval1D, StencilSpec, bump, constant,
                               is_grid_function, kernel_eval)
 from greenlab.models import MODEL_NAMES, get_model
-from greenlab.models.interval import q0
 
 
 def test_interval_domain_membership():
@@ -128,7 +127,7 @@ def test_the_interval_kernels_singular_point_is_read_without_a_warning():
             cols, sings = kernel.slice_declarations([0.0, 0.5])
             assert cols[0].tolist() == [0.0, 0.5] and cols[1:] == [0.0]
             assert sings == {0: (0.0,)}
-        assert q0(0.0) == math.inf
+        assert model.G2.evaluate(0.0, 0.0) == math.inf
 
 
 def test_a_tiny_diagonal_point_whose_kernel_overflows_is_refused_quietly():

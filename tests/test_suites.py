@@ -128,6 +128,8 @@ BATCHED_CHECK_CALLS = {
     # per dimension, the outer call over its three separations and the
     # angular call of each of its outer batches
     "dilation-scaling": 7,
+    # both probes' triples
+    "strictness": 1,
 }
 
 
@@ -306,9 +308,15 @@ def _plant_finite_corner(monkeypatch):
 
 
 def _plant_not_strict(monkeypatch):
-    """A strictness probe that finds no strict margin."""
-    monkeypatch.setattr(suites.iv, "strictness_probe",
-                        lambda *args: SimpleNamespace(strict=False))
+    """A mean-value sweep whose probes carry no coupling term."""
+    real = suites.riquier.verify_hyperharmonic
+
+    def verify(*args):
+        rep = real(*args)
+        return replace(rep, entries=tuple(replace(e, coupling=0.0)
+                                          for e in rep.entries))
+
+    monkeypatch.setattr(suites.riquier, "verify_hyperharmonic", verify)
 
 
 def _plant_failing_probes(monkeypatch):
