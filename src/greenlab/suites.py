@@ -191,10 +191,16 @@ def check_pure_minimality(seed: int = 0) -> CheckResult:
     report = riquier.verify_hyperharmonic(
         model, pair, [((0.45, 0.55), x0), ((0.4, 0.6), x0)])
     firsts = [e.margin_first for e in report.entries]
-    worst = min(firsts)
     # a NaN margin counts as violated, and must not pass here wherever it is
-    ok = len(report.violated) > 0 and all(map(math.isfinite, firsts))
-    return CheckResult("pure-minimality", ok, -worst - IDENTITY_TOL,
+    if not all(map(math.isfinite, firsts)):
+        return _boolean("pure-minimality", False,
+                        "a first margin is not finite")
+    worst = min(firsts)
+    if not report.violated:
+        return _boolean("pure-minimality", False,
+                        f"dent of {eps:g} at {x0:g} leaves every probe "
+                        f"hyperharmonic; first margin {worst:.2e}")
+    return CheckResult("pure-minimality", True, -worst - IDENTITY_TOL,
                        f"dent of {eps:g} at {x0:g} drives the first margin "
                        f"to {worst:.2e}")
 
@@ -230,11 +236,14 @@ def check_measure_positivity(seed: int = 0) -> CheckResult:
         for tri in tris[:6]:
             min_weight = min(min_weight, *tri.mu, *tri.nu, *tri.lam)
         masses += [tri.nu[0] + tri.nu[1] for tri in tris[6:]]
-    grows = all(m2 >= m1 - 1e-12 for m1, m2 in zip(masses, masses[1:]))
-    ok = min_weight >= 0.0 and grows
-    return CheckResult("measure-positivity", ok, min_weight,
+    shown = ', '.join(f'{m:.4f}' for m in masses)
+    if not all(m2 >= m1 - 1e-12 for m1, m2 in zip(masses, masses[1:])):
+        return _boolean("measure-positivity", False,
+                        f"coupling mass does not grow over nested domains: "
+                        f"{shown}")
+    return CheckResult("measure-positivity", min_weight >= 0.0, min_weight,
                        f"smallest weight {min_weight:.2e}; coupling mass over "
-                       f"nested domains {', '.join(f'{m:.4f}' for m in masses)}")
+                       f"nested domains {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +305,14 @@ def check_obstruction_negativity(seed: int = 0) -> CheckResult:
     for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 3.0)):
         probes = np.geomspace(1e-8, 1e-2, 9)
         floors.append(iv.pure_obstruction(a, b, probes))
-    ok = gap <= 1e-9 and all(f < -1e3 for f in floors)
-    return CheckResult("obstruction-negativity", ok, 1e-9 - gap,
-                       f"value at 1/e within {gap:.1e} of closed form; "
-                       f"deepest probe minima "
-                       f"{', '.join(f'{f:.2e}' for f in floors)}")
+        if not floors[-1] < -1e3:
+            return _boolean("obstruction-negativity", False,
+                            f"candidate (a,b)=({a:g},{b:g}) bottoms out at "
+                            f"{floors[-1]:.2e}, not below -1e3")
+    return _result("obstruction-negativity", 1e-9, gap,
+                   f"value at 1/e within {gap:.1e} of closed form; "
+                   f"deepest probe minima "
+                   f"{', '.join(f'{f:.2e}' for f in floors)}")
 
 
 def check_strictness(seed: int = 0) -> CheckResult:
@@ -538,10 +550,14 @@ def check_h_symmetry(seed: int = 0) -> CheckResult:
     against_oracle = float(np.max(np.abs(table - oracle)[upper]))
     center = compose_green(bl.bilaplace_model(), 0.5, 0.5)
     spot = abs(float(center) - 1.0 / 48.0)
-    ok = asym <= 1e-10 and spot <= 1e-8 and against_oracle <= 1e-8
-    return CheckResult("h-symmetry", ok, 1e-10 - asym,
-                       f"max asymmetry {asym:.2e}; center value off by "
-                       f"{spot:.2e}; closed-form gap {against_oracle:.2e}")
+    for what, gap in (("center value off by", spot),
+                      ("closed-form gap", against_oracle)):
+        if not gap <= 1e-8:
+            return _boolean("h-symmetry", False,
+                            f"{what} {gap:.2e}, above 1e-8")
+    return _result("h-symmetry", 1e-10, asym,
+                   f"max asymmetry {asym:.2e}; center value off by "
+                   f"{spot:.2e}; closed-form gap {against_oracle:.2e}")
 
 
 def check_navier(seed: int = 0) -> CheckResult:
@@ -635,10 +651,11 @@ def check_composition_tail(seed: int = 0) -> CheckResult:
     r4 = nw.composition_tail_report(4)
     r5 = nw.composition_tail_report(5)
     ok = r4.divergent and not r5.divergent
-    return _boolean("composition-tail", ok,
-                    f"composition tail exponent {r4.estimated_exponent:+.3f} "
-                    f"in dimension 4 (divergent) against "
-                    f"{r5.estimated_exponent:+.3f} in dimension 5 (finite)")
+    return _boolean("composition-tail", ok, "composition tail exponent " +
+                    " against ".join(
+                        f"{r.estimated_exponent:+.3f} in dimension {n} "
+                        f"({'divergent' if r.divergent else 'finite'})"
+                        for n, r in ((4, r4), (5, r5))))
 
 
 # ---------------------------------------------------------------------------
@@ -656,25 +673,30 @@ def check_adjoint_gate(seed: int = 0) -> CheckResult:
                                              [0.1, 0.3, 0.5, 0.7, 0.9])
     rep_bl = adjoint_mod.adjoint_gate_check(bl.bilaplace_model(),
                                             bump(0.5, 0.3), [0.2, 0.5, 0.8])
-    ok = exp_gap <= 0.05 and rep_mid.passed and rep_bl.passed
-    return CheckResult("adjoint-gate", ok, 0.05 - exp_gap,
-                       f"origin mass refused with a 1/y-type certificate "
-                       f"(exponent off by {exp_gap:.2e}); interior and "
-                       f"clamped-plate data pass")
+    for data, passed in (("interior", rep_mid.passed),
+                         ("clamped-plate", rep_bl.passed)):
+        if not passed:
+            return _boolean("adjoint-gate", False,
+                            f"the gate refused {data} data")
+    return _result("adjoint-gate", 0.05, exp_gap,
+                   f"origin mass refused with a 1/y-type certificate "
+                   f"(exponent off by {exp_gap:.2e}); interior and "
+                   f"clamped-plate data pass")
 
 
 def check_consistent_divergence(seed: int = 0) -> CheckResult:
     model = iv.interval_model()
-    kinds = []
     for x in (0.0, 0.3, 0.6, 0.9):
-        rep = adjoint_mod.adjoint_identity_residual(model, x, 0.0)
-        if rep.kind == "mixed":
+        kind = adjoint_mod.adjoint_identity_residual(model, x, 0.0).kind
+        if kind == "mixed":
             return _boolean("consistent-divergence", False,
                             f"routes disagree about divergence at x = {x:g}")
-        kinds.append(rep.kind)
-    ok = kinds[0] == "consistent-divergence" and all(
-        k == "finite" for k in kinds[1:])
-    return _boolean("consistent-divergence", ok,
+        want = "finite" if x else "consistent-divergence"
+        if kind != want:
+            return _boolean("consistent-divergence", False,
+                            f"the routes report {kind} at x = {x:g}, "
+                            f"not {want}")
+    return _boolean("consistent-divergence", True,
                     "both routes diverge together at the boundary and "
                     "converge together inside")
 

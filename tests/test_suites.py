@@ -294,6 +294,32 @@ def _plant_finite_gate(monkeypatch):
     monkeypatch.setattr(adjoint, "adjoint_apply", apply)
 
 
+def _plant_refused_data(monkeypatch, model_id, centre):
+    """The adjoint gate refuses the data of model_id whose bump sits at
+    centre."""
+    real = adjoint.adjoint_gate_check
+
+    def gate(model, phi, grid):
+        rep = real(model, phi, grid)
+        if model.id == model_id and float(phi(centre)) == 1.0:
+            return replace(rep, passed=False)
+        return rep
+
+    monkeypatch.setattr(adjoint, "adjoint_gate_check", gate)
+
+
+def _plant_finite_boundary_identity(monkeypatch):
+    """Both routes of the adjoint identity finite at the corner (0, 0)."""
+    real = adjoint.adjoint_identity_residual
+
+    def identity(model, x, y):
+        if x == y == 0.0:
+            return SimpleNamespace(kind="finite", residual=0.0)
+        return real(model, x, y)
+
+    monkeypatch.setattr(adjoint, "adjoint_identity_residual", identity)
+
+
 def _plant_finite_corner(monkeypatch):
     """H(0, 0) = 1 on the composition route of the adjoint identity, while
     the adjoint route still diverges there."""
@@ -390,6 +416,97 @@ def _plant_dilation_drift(monkeypatch, delta):
     monkeypatch.setattr(nw, "riesz_compose", compose)
 
 
+def _plant_undented_sweep(monkeypatch):
+    """A mean-value sweep that finds every first margin at 0: the dent
+    breaks nothing."""
+    real = suites.riquier.verify_hyperharmonic
+
+    def verify(*args):
+        rep = real(*args)
+        return replace(rep, entries=tuple(replace(e, margin_first=0.0)
+                                          for e in rep.entries))
+
+    monkeypatch.setattr(suites.riquier, "verify_hyperharmonic", verify)
+
+
+def _plant_reversed_nesting(monkeypatch):
+    """The triples of the three nested domains, which come after the six
+    drawn ones, in reverse order."""
+    real = suites.riquier.biharmonic_measures
+
+    def measures(subs, xs):
+        tris = list(real(subs, xs))
+        return tris[:6] + tris[6:][::-1]
+
+    monkeypatch.setattr(suites.riquier, "biharmonic_measures", measures)
+
+
+def _plant_shallow_obstruction(monkeypatch):
+    """Every obstruction candidate bottoms out at -10."""
+    monkeypatch.setattr(suites.iv, "pure_obstruction", lambda *args: -10.0)
+
+
+def _plant_closed_form_offset(monkeypatch, offset):
+    """The clamped plate's closed-form H plus offset."""
+    real = suites.bl.h_closed_form
+    monkeypatch.setattr(suites.bl, "h_closed_form",
+                        lambda x, y: real(x, y) + offset)
+
+
+def _plant_damped_tail(monkeypatch):
+    """The radial composition integrand divided by max(s, 1): a tail one
+    power steeper, which converges in dimension 4."""
+    nw = suites.nw
+    real = nw._composition_outer
+
+    def composition_outer(n, d, inner_tol):
+        outer = real(n, d, inner_tol)
+
+        def damped(r, s):
+            return outer(r, s) / np.maximum(s, 1.0)
+
+        damped.rho = outer.rho
+        return damped
+
+    monkeypatch.setattr(nw, "_composition_outer", composition_outer)
+
+
+def _plant_newtonian_kernel(monkeypatch, factor):
+    """Each Newtonian model's kernel times factor(|x - y|)."""
+    nw = suites.nw
+    real = nw.newtonian_model
+
+    def model(n):
+        m = real(n)
+        raw = m.G1.raw
+
+        def changed(x, y):
+            sep = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+            return raw(x, y) * factor(np.sqrt(np.sum(sep ** 2, axis=-1)))
+
+        kernel = replace(m.G1, raw=changed)
+        return replace(m, G1=kernel, G2=kernel)
+
+    monkeypatch.setattr(nw, "newtonian_model", model)
+
+
+def _plant_scaled_g1(monkeypatch, delta):
+    """The interval model's first kernel, as the kink probe reads it,
+    times 1 + delta."""
+    real = suites.iv._g1_raw
+    monkeypatch.setattr(suites.iv, "_g1_raw",
+                        lambda x, y: (1.0 + delta) * real(x, y))
+
+
+def _plant_scaled_density(monkeypatch, delta):
+    """The interval model's coupling density y times 1 + delta."""
+    iv = suites.iv
+    real = iv.interval_model()
+    model = replace(real, mu=replace(
+        real.mu, density=lambda y: (1.0 + delta) * real.mu.density(y)))
+    monkeypatch.setattr(iv, "interval_model", lambda: model)
+
+
 PLANTED = {
     "flipped-verdict": (
         "power-verdicts", _plant_flipped_verdict,
@@ -412,6 +529,14 @@ PLANTED = {
         "monotone-convergence",
         lambda mp: _plant_truncation(mp, 2.0, lambda v: v + 1.0),
         "truncated integral overshoots the limit at 2"),
+    "undented-sweep": (
+        "pure-minimality", _plant_undented_sweep,
+        "dent of 0.001 at 0.5 leaves every probe hyperharmonic; first "
+        "margin 0.00e+00"),
+    "reversed-nesting": (
+        "measure-positivity", _plant_reversed_nesting,
+        "coupling mass does not grow over nested domains: 0.0972, "
+        "0.0556, 0.0250"),
     "finite-boundary-value": (
         "boundary-divergence", _plant_finite_boundary_value,
         "H(0.5, 0) came out finite"),
@@ -432,9 +557,23 @@ PLANTED = {
     "finite-gate-at-origin": (
         "adjoint-gate", _plant_finite_gate,
         "mass at the origin failed to sink the gate"),
+    "refused-interior-data": (
+        "adjoint-gate",
+        lambda mp: _plant_refused_data(mp, "interval", 0.5),
+        "the gate refused interior data"),
+    "refused-clamped-plate-data": (
+        "adjoint-gate",
+        lambda mp: _plant_refused_data(mp, "bilaplace1d", 0.5),
+        "the gate refused clamped-plate data"),
     "finite-corner": (
         "consistent-divergence", _plant_finite_corner,
         "routes disagree about divergence at x = 0"),
+    "finite-boundary-identity": (
+        "consistent-divergence", _plant_finite_boundary_identity,
+        "the routes report finite at x = 0, not consistent-divergence"),
+    "shallow-obstruction": (
+        "obstruction-negativity", _plant_shallow_obstruction,
+        "candidate (a,b)=(0,0) bottoms out at -1.00e+01, not below -1e3"),
     "not-strict": (
         "strictness", _plant_not_strict,
         "no strict margin on (0.25, 0.75) at x = 0.5"),
@@ -458,7 +597,49 @@ PLANTED = {
         "adjoint-riquier", _plant_riquier_on_the_interval_adjoint,
         "the interval adjoint, which has no kink density, was given a "
         "Riquier problem"),
+    "closed-form-offset": (
+        "h-symmetry", lambda mp: _plant_closed_form_offset(mp, 1e-7),
+        "closed-form gap 1.00e-07, above 1e-8"),
+    "damped-tail": (
+        "composition-tail", _plant_damped_tail,
+        "composition tail exponent -2.000 in dimension 4 (finite) against "
+        "-3.000 in dimension 5 (finite)"),
 }
+
+# Planted defects of a size, which a check catches through its tolerance,
+# so that it fails with margin tol - worst rather than -1.  Per check: the
+# plant(monkeypatch, size), a size just past the smallest caught and a
+# smaller one that passes, and the failing detail and margin.
+CAUGHT_BY_TOLERANCE = {
+    # the spread over the three separations is about 2 delta against 1e-3
+    "dilation-scaling": (
+        _plant_dilation_drift, 5.1e-4, 4.9e-4,
+        "H times distance^(N-4) drifts by 1.02e-03 relative over a "
+        "factor-4 range", -2.0e-5),
+    # the kernel times 1 + delta: the flux is off unity by delta
+    "gauss-flux": (
+        lambda mp, delta: _plant_newtonian_kernel(mp, lambda d: 1.0 + delta),
+        1.1e-6, 1e-6, "kernel flux through spheres off unity by 1.10e-06",
+        -9.997188e-8),
+    # the slope jump times y is off -1 by delta
+    "kink-law": (
+        _plant_scaled_g1, 1.1e-6, 9.9e-7,
+        "slope jump times y sits within 1.10e-06 of -1", -1.000377e-7),
+    # V(1) is off (1 - x)/2 by delta (1 - x)/2, most at x = 0
+    "v1-identity": (
+        _plant_scaled_density, 2.1e-6, 1.9e-6,
+        "reference density residual 1.05e-06; control density residual "
+        "9.99e-16", -5.0e-8),
+    # the kernel times |x - y|^p: the tail exponent of V(1) is off +1 by p
+    "radial-divergence": (
+        lambda mp, p: _plant_newtonian_kernel(mp, lambda d: d ** p),
+        0.06, 0.04, "V(1) certified divergent in both dimensions; tail "
+        "exponent within 6.00e-02 of +1", -0.01),
+}
+
+# The number of checks a planted defect is shown to fail.  It only rises:
+# a change that lowers it says why.
+PLANTED_FLOOR = 25
 
 
 @pytest.mark.parametrize("defect", PLANTED)
@@ -471,17 +652,30 @@ def test_a_planted_defect_fails_its_check(defect, monkeypatch):
         (cid, False, -1.0, detail)
 
 
-def test_a_planted_dilation_drift_fails_dilation_scaling(monkeypatch):
-    # the spread over the three separations is about 2 delta, so a drift
-    # is caught from delta just above 5e-4; the check's margin is
-    # tol - worst, not -1
-    assert CHECKS["dilation-scaling"](seed=0).passed
-    _plant_dilation_drift(monkeypatch, 5.1e-4)
-    res = CHECKS["dilation-scaling"](seed=0)
-    assert (res.id, res.passed, res.detail) == (
-        "dilation-scaling", False, "H times distance^(N-4) drifts by "
-        "1.02e-03 relative over a factor-4 range")
-    assert res.margin == pytest.approx(-2.0e-5, rel=1e-6)
+@pytest.mark.parametrize("cid", CAUGHT_BY_TOLERANCE)
+def test_a_planted_drift_fails_its_check_by_its_tolerance(cid, monkeypatch):
+    plant, caught, passed, detail, margin = CAUGHT_BY_TOLERANCE[cid]
+    with monkeypatch.context() as mp:
+        plant(mp, passed)
+        assert CHECKS[cid](seed=0).passed, cid
+    plant(monkeypatch, caught)
+    res = CHECKS[cid](seed=0)
+    assert (res.id, res.passed, res.detail) == (cid, False, detail)
+    assert res.margin == pytest.approx(margin, rel=1e-6)
+
+
+def test_planted_defects_fail_at_least_the_floor_of_checks(monkeypatch):
+    plants = [(cid, plant) for cid, plant, _ in PLANTED.values()]
+    plants += [(cid, lambda mp, plant=plant, size=caught: plant(mp, size))
+               for cid, (plant, caught, *_) in CAUGHT_BY_TOLERANCE.items()]
+    failed = set()
+    for cid, plant in plants:
+        with monkeypatch.context() as mp:
+            plant(mp)
+            res = CHECKS[cid](seed=0)
+        assert not res.passed and res.margin < 0.0, (cid, res)
+        failed.add(cid)
+    assert len(failed) >= PLANTED_FLOOR, sorted(set(CHECKS) - failed)
 
 
 def test_a_check_that_raises_fails_alone(monkeypatch):
