@@ -182,7 +182,6 @@ class GreenKernel:
     domain: object
     raw: Callable
     diagonal_exponent: float | None = None
-    kink_on_diagonal: bool = True
     endpoint_singularities: tuple[EndpointSingularity, ...] = ()
 
     def evaluate(self, x, y):
@@ -223,7 +222,7 @@ class GreenKernel:
                     if p != e:
                         raise self.overflow_error(p, e)
                     sings[i] = (*sings.get(i, ()), e)
-        return ([pts] if self.kink_on_diagonal else []) + ends, sings
+        return [pts, *ends], sings
 
     def slice_in_first(self, y: float) -> Fn:
         """x -> K(x, y), read as the slice z -> K(y, z) of the symmetric

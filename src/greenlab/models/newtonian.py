@@ -61,7 +61,7 @@ def newtonian_model(n: int) -> ModelSpace:
             return c * dist ** (2.0 - n)
 
     kernel = GreenKernel(f"newton{n}", RadialDomain(n), raw,
-                         diagonal_exponent=2.0 - n, kink_on_diagonal=False)
+                         diagonal_exponent=2.0 - n)
     mu = ReferenceMeasure(
         "lebesgue", lambda r: np.ones_like(np.asarray(r, dtype=float)))
     return ModelSpace(id=f"newtonian{n}", domain=RadialDomain(n),
