@@ -333,13 +333,14 @@ def _plant_finite_corner(monkeypatch):
     monkeypatch.setattr(adjoint, "compose_green", compose)
 
 
-def _plant_not_strict(monkeypatch):
-    """A mean-value sweep whose probes carry no coupling term."""
+def _plant_sweep_entries(monkeypatch, **fields):
+    """The mean-value sweep with these fields of every probe entry set:
+    coupling=0.0, no coupling term; margin_first=0.0, no violation."""
     real = suites.riquier.verify_hyperharmonic
 
     def verify(*args):
         rep = real(*args)
-        return replace(rep, entries=tuple(replace(e, coupling=0.0)
+        return replace(rep, entries=tuple(replace(e, **fields)
                                           for e in rep.entries))
 
     monkeypatch.setattr(suites.riquier, "verify_hyperharmonic", verify)
@@ -414,19 +415,6 @@ def _plant_dilation_drift(monkeypatch, delta):
             for v, d in zip(real(n, x, y, **kwargs), ds.tolist()))
 
     monkeypatch.setattr(nw, "riesz_compose", compose)
-
-
-def _plant_undented_sweep(monkeypatch):
-    """A mean-value sweep that finds every first margin at 0: the dent
-    breaks nothing."""
-    real = suites.riquier.verify_hyperharmonic
-
-    def verify(*args):
-        rep = real(*args)
-        return replace(rep, entries=tuple(replace(e, margin_first=0.0)
-                                          for e in rep.entries))
-
-    monkeypatch.setattr(suites.riquier, "verify_hyperharmonic", verify)
 
 
 def _plant_reversed_nesting(monkeypatch):
@@ -530,7 +518,8 @@ PLANTED = {
         lambda mp: _plant_truncation(mp, 2.0, lambda v: v + 1.0),
         "truncated integral overshoots the limit at 2"),
     "undented-sweep": (
-        "pure-minimality", _plant_undented_sweep,
+        "pure-minimality",
+        lambda mp: _plant_sweep_entries(mp, margin_first=0.0),
         "dent of 0.001 at 0.5 leaves every probe hyperharmonic; first "
         "margin 0.00e+00"),
     "reversed-nesting": (
@@ -575,7 +564,7 @@ PLANTED = {
         "obstruction-negativity", _plant_shallow_obstruction,
         "candidate (a,b)=(0,0) bottoms out at -1.00e+01, not below -1e3"),
     "not-strict": (
-        "strictness", _plant_not_strict,
+        "strictness", lambda mp: _plant_sweep_entries(mp, coupling=0.0),
         "no strict margin on (0.25, 0.75) at x = 0.5"),
     "failing-remainder-probes": (
         "pure-classification", _plant_failing_probes,
@@ -654,9 +643,9 @@ def test_a_planted_defect_fails_its_check(defect, monkeypatch):
 
 @pytest.mark.parametrize("cid", CAUGHT_BY_TOLERANCE)
 def test_a_planted_drift_fails_its_check_by_its_tolerance(cid, monkeypatch):
-    plant, caught, passed, detail, margin = CAUGHT_BY_TOLERANCE[cid]
+    plant, caught, passing, detail, margin = CAUGHT_BY_TOLERANCE[cid]
     with monkeypatch.context() as mp:
-        plant(mp, passed)
+        plant(mp, passing)
         assert CHECKS[cid](seed=0).passed, cid
     plant(monkeypatch, caught)
     res = CHECKS[cid](seed=0)
